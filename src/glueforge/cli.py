@@ -186,6 +186,13 @@ def parse_gluing(payload):
         objects[obj] = carrier
         if space is not None:
             spaces[obj] = space
+
+    def carrier(obj):
+        if obj not in objects:
+            raise StructuralError("arrow needs an objects entry for %r"
+                                  % ",".join(obj))
+        return objects[obj]
+
     arrows = {}
     for entry in payload["arrows"]:
         pair = _parse_objkey(entry["pair"], mode, cat)
@@ -197,16 +204,16 @@ def parse_gluing(payload):
                 raise StructuralError("edge source %r not in pair %r"
                                       % (i, entry["pair"]))
             if direction == FROM_OVERLAPS:
-                dom, cod = objects[pair], objects[(i,)]
+                dom, cod = carrier(pair), carrier((i,))
             else:
-                dom, cod = objects[(i,)], objects[pair]
+                dom, cod = carrier((i,)), carrier(pair)
             arrows[("incl", i, pair)] = FinFn(dom, cod, entry["map"])
         else:
             i, j = pair
             if (j, i) not in objects:
                 raise StructuralError("tau needs both pair orientations, "
                                       "%r is missing" % ((j, i),))
-            fn = FinFn(objects[pair], objects[(j, i)], entry["map"])
+            fn = FinFn(carrier(pair), objects[(j, i)], entry["map"])
             # the document stores the ambient bijection G(i,j) -> G(j,i);
             # the generator carrying that map depends on the direction
             key = ("tau", (j, i)) if direction == FROM_OVERLAPS \
@@ -631,6 +638,17 @@ def render_report(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _env_cap():
+    text = os.environ.get("GLUEFORGE_CAP")
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise StructuralError("GLUEFORGE_CAP must be an integer, got %r"
+                              % text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="glueforge",
@@ -639,9 +657,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(_HANDLERS))
     parser.add_argument("--input", help="input document (default: stdin)")
     parser.add_argument("--side", choices=["colimit", "limit"])
-    parser.add_argument("--cap", type=int,
-                        default=int(os.environ.get("GLUEFORGE_CAP",
-                                                   DEFAULT_CAP)))
+    parser.add_argument("--cap", type=int)
     parser.add_argument("--ambient", choices=["sets", "top"])
     parser.add_argument("--covers", choices=["default", "exhaustive"],
                         default="default")
@@ -651,6 +667,8 @@ def main(argv=None):
     flags = {"side": args.side, "cap": args.cap, "ambient": args.ambient,
              "covers": args.covers}
     try:
+        if flags["cap"] is None:
+            flags["cap"] = _env_cap()
         doc = load_document(args.input if args.input else sys.stdin)
         report = execute(args.command, doc, flags)
     except (GlueforgeError, OSError) as err:

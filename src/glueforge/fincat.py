@@ -6,6 +6,10 @@ subsets, and continuous (optionally open) maps between those.  Everything is
 immutable after construction and every operation is a pure function, so shared
 values are safe to use concurrently.
 
+Compatible families (pullbacks, limits, families of maps and of sections)
+come from one join kernel, ``compatible_tuples``, whose cost follows the
+partial answers instead of the full product.
+
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
 classes) are built with the reserved separator ``|``; document parsers reject
 input labels containing it, which keeps generated names collision-free.
@@ -270,17 +274,11 @@ class TopMap:
 
 
 class PairedSubset:
-    """A subset of an ambient carrier together with the maps exhibiting it
-    as a pullback or equalizer."""
+    """The members of a pullback or equalizer with the maps exhibiting it."""
 
-    __slots__ = ("ambient", "members", "legs", "space")
+    __slots__ = ("members", "legs", "space")
 
-    def __init__(self, ambient, members, legs, space=None):
-        carrier = ambient.carrier if isinstance(ambient, FinTop) else ambient
-        for x in members:
-            if x not in carrier:
-                raise StructuralError("member %r not in the ambient carrier" % x)
-        object.__setattr__(self, "ambient", ambient)
+    def __init__(self, members, legs, space=None):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "legs", dict(legs))
         object.__setattr__(self, "space", space)
@@ -306,6 +304,49 @@ def product_enumerate(factors, cap=None):
                    for combo in iproduct(*[f.labels for f in factors])])
 
 
+def compatible_tuples(domains, constraints, cap=None, what="compatible tuples"):
+    """Every tuple ``(x_0, ..., x_n-1)`` with ``x_k`` in ``domains[k]`` that
+    meets each constraint ``(a, b, key_a, key_b)``: ``key_a[x_a] == key_b[x_b]``.
+
+    Keys are mappings defined on their variable's domain.  A constraint with
+    ``a == b`` filters one domain.  Variables are bound in order; the values
+    of a new variable come from a hash index of its domain on the key of one
+    constraint to a bound variable, and are checked against the other
+    constraints.  Candidates are visited in domain order, so tuples come out
+    in lexicographic order of positions, as from a filtered product.  The
+    candidate tuples of each step are charged to the cap.
+    """
+    domains = [tuple(d) for d in domains]
+    links = [[] for _ in domains]
+    for a, b, key_a, key_b in constraints:
+        if a == b:
+            domains[a] = tuple(x for x in domains[a] if key_a[x] == key_b[x])
+        else:
+            links[max(a, b)].append((a, key_a, key_b) if a < b
+                                    else (b, key_b, key_a))
+    partial = [()]
+    for dom, link in zip(domains, links):
+        indexes = []
+        for a, key_a, key_new in link:
+            index = {}
+            for x in dom:
+                index.setdefault(key_new[x], []).append(x)
+            indexes.append((a, key_a, key_new, index))
+        # the index with the most distinct keys proposes, the others check
+        indexes.sort(key=lambda probe: -len(probe[3]))
+        if indexes:
+            a, key_a, _, index = indexes[0]
+            cands = [index.get(key_a[t[a]], ()) for t in partial]
+        else:
+            cands = [dom] * len(partial)
+        check_cap(sum(map(len, cands)), cap, what)
+        rest = [probe[:3] for probe in indexes[1:]]
+        partial = [t + (x,) for t, xs in zip(partial, cands) for x in xs
+                   if not rest or all(key_new[x] == key_b[t[b]]
+                                      for b, key_b, key_new in rest)]
+    return partial
+
+
 def pullback(f, g, cap=None):
     """The pullback of two maps with a shared codomain.
 
@@ -315,13 +356,14 @@ def pullback(f, g, cap=None):
     """
     if f.codomain != g.codomain:
         raise StructuralError("pullback requires a shared codomain")
-    ambient = product_enumerate([f.domain, g.domain], cap=cap)
-    pairs = [(a, b) for a in f.domain for b in g.domain
-             if f.mapping[a] == g.mapping[b]]
-    members = FinSet([pair_label(a, b) for a, b in pairs])
-    p1 = FinFn(members, f.domain, {pair_label(a, b): a for a, b in pairs})
-    p2 = FinFn(members, g.domain, {pair_label(a, b): b for a, b in pairs})
-    return PairedSubset(ambient, members, {"p1": p1, "p2": p2})
+    check_cap(len(f.domain) * len(g.domain), cap, "product of 2 factors")
+    pairs = compatible_tuples([f.domain.labels, g.domain.labels],
+                              [(0, 1, f.mapping, g.mapping)], cap, "pullback")
+    labels = [pair_label(a, b) for a, b in pairs]
+    members = FinSet(labels)
+    p1 = FinFn(members, f.domain, dict(zip(labels, [a for a, _ in pairs])))
+    p2 = FinFn(members, g.domain, dict(zip(labels, [b for _, b in pairs])))
+    return PairedSubset(members, {"p1": p1, "p2": p2})
 
 
 def top_product(x, y, cap=None):
@@ -341,7 +383,7 @@ def top_pullback(f, g, xtop, ytop, ztop, cap=None):
     ps = pullback(f, g, cap=cap)
     amb = top_product(xtop, ytop, cap=cap)
     space = amb.subspace(ps.members.labels)
-    return PairedSubset(amb, ps.members, ps.legs, space=space)
+    return PairedSubset(ps.members, ps.legs, space=space)
 
 
 def equalizer(f, g):
@@ -350,7 +392,7 @@ def equalizer(f, g):
         raise StructuralError("equalizer requires parallel maps")
     members = FinSet([a for a in f.domain if f.mapping[a] == g.mapping[a]])
     incl = FinFn(members, f.domain, {a: a for a in members})
-    return PairedSubset(f.domain, members, {"include": incl})
+    return PairedSubset(members, {"include": incl})
 
 
 class UnionFind:

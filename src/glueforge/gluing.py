@@ -21,6 +21,7 @@ computed, never assumed.
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from .errors import StructuralError, check_cap
 from .fincat import (
@@ -28,6 +29,7 @@ from .fincat import (
     FinFn,
     FinSet,
     TopMap,
+    compatible_tuples,
     equalizer,
     induce_topology,
     map_properties,
@@ -217,26 +219,28 @@ class ConeCandidate:
         raise AttributeError("ConeCandidate is immutable")
 
 
+def _overlap_maps(data):
+    """Per overlap (i, j) of colimit-side data: its carrier and the maps from
+    it into components i and j, as dicts."""
+    cat = data.indexcat
+    out = []
+    for pair_obj in cat.pairs():
+        i, j = pair_obj
+        overlap = data.carrier(pair_obj)
+        if cat.mode == NONSPLIT:
+            into_j = data.edge(j, pair_obj).mapping
+        else:
+            t = data.tau_from((j, i)).mapping    # ambient map G(i,j) -> G(j,i)
+            e_j = data.edge(j, (j, i)).mapping
+            into_j = {u: e_j[t[u]] for u in overlap}
+        out.append((i, j, overlap, data.edge(i, pair_obj).mapping, into_j))
+    return out
+
+
 def colimit_relation_pairs(data):
     """The generating identifications on the tagged disjoint union."""
-    cat = data.indexcat
-    pairs = []
-    if cat.mode == NONSPLIT:
-        for pair_obj in cat.pairs():
-            i, j = pair_obj
-            e_i = data.edge(i, pair_obj)
-            e_j = data.edge(j, pair_obj)
-            for u in data.carrier(pair_obj):
-                pairs.append((tag(i, e_i(u)), tag(j, e_j(u))))
-    else:
-        for pair_obj in cat.pairs():
-            i, j = pair_obj
-            e_i = data.edge(i, pair_obj)
-            t = data.tau_from((j, i))        # ambient map G(i,j) -> G(j,i)
-            e_j = data.edge(j, (j, i))
-            for u in data.carrier(pair_obj):
-                pairs.append((tag(i, e_i(u)), tag(j, e_j(t(u)))))
-    return pairs
+    return [(tag(i, e_i[u]), tag(j, e_j[u]))
+            for i, j, overlap, e_i, e_j in _overlap_maps(data) for u in overlap]
 
 
 def colimit_glue(data):
@@ -297,21 +301,20 @@ def limit_glue(data, cap=None):
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
-    size = 1
-    for c in carriers:
-        size *= len(c)
-    check_cap(size, cap, "limit over %d components" % len(comps))
-    cons = _limit_constraints(data)
-    members = []
-    for combo in iproduct(*[c.labels for c in carriers]):
-        s = dict(zip(comps, combo))
-        if all(f(s[i]) == g(s[j]) for i, j, f, g in cons):
-            members.append(combo)
-    apex = FinSet([SEP.join(combo) for combo in members])
+    check_cap(prod(map(len, carriers)), cap,
+              "limit over %d components" % len(comps))
+    pos = {i: k for k, i in enumerate(comps)}
+    members = compatible_tuples(
+        [c.labels for c in carriers],
+        [(pos[i], pos[j], f.mapping, g.mapping)
+         for i, j, f, g in _limit_constraints(data)],
+        cap, "limit families")
+    labels = [SEP.join(combo) for combo in members]
+    apex = FinSet(labels)
     legs = {}
     for k, i in enumerate(comps):
         legs[(i,)] = FinFn(apex, carriers[k],
-                           {SEP.join(c): c[k] for c in members})
+                           dict(zip(labels, [c[k] for c in members])))
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = legs[(i,)].then(data.edge(i, pair_obj))
@@ -324,10 +327,7 @@ def limit_glue(data, cap=None):
         for obj in legs:
             leg_props[obj] = map_properties(
                 TopMap(legs[obj], space, data.space(obj)))
-    prod = product_enumerate(carriers, cap=cap)
-    include = FinFn(apex, prod, {x: x for x in apex})
-    witness = {"product": prod, "inclusion": include}
-    return GluedObject("limit", apex, space, legs, leg_props, witness)
+    return GluedObject("limit", apex, space, legs, leg_props, {})
 
 
 def equalizer_glue_oracle(data, cap=None):
@@ -369,8 +369,7 @@ def equalizer_glue_oracle(data, cap=None):
         space = induce_topology("initial", apex,
                                 [legs[(i,)] for i in comps],
                                 [data.space((i,)) for i in comps])
-    witness = {"product": prod, "inclusion": eq.legs["include"]}
-    return GluedObject("limit", apex, space, legs, {}, witness)
+    return GluedObject("limit", apex, space, legs, {}, {})
 
 
 def _check_cone(data, cone, side):
@@ -455,58 +454,33 @@ def hom_transport(data, z, cap=None):
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = {i: data.carrier((i,)) for i in comps}
-    total = 1
-    for i in comps:
-        total *= len(z) ** len(carriers[i])
-    check_cap(total, cap, "maps into the transport target")
-    per_comp = {}
-    for i in comps:
-        labs = carriers[i].labels
-        per_comp[i] = [dict(zip(labs, values))
-                       for values in iproduct(z.labels, repeat=len(labs))]
+    check_cap(len(z) ** sum(map(len, carriers.values())), cap,
+              "maps into the transport target")
+    # a map out of a component is its tuple of values in carrier order; two
+    # maps are compatible when they agree on the overlap of their components
+    pos = {i: k for k, i in enumerate(comps)}
+    domains = [list(iproduct(z.labels, repeat=len(carriers[i]))) for i in comps]
 
-    cons = []
-    if cat.mode == NONSPLIT:
-        for pair_obj in cat.pairs():
-            i, j = pair_obj
-            cons.append((i, j, data.edge(i, pair_obj), data.edge(j, pair_obj),
-                         data.carrier(pair_obj)))
-    else:
-        for pair_obj in cat.pairs():
-            i, j = pair_obj
-            t = data.tau_from((j, i))
-            cons.append((i, j, data.edge(i, pair_obj),
-                         t.then(data.edge(j, (j, i))), data.carrier(pair_obj)))
+    def key(i, edge, overlap):
+        at = [carriers[i].position(edge[u]) for u in overlap]
+        return {v: tuple(v[p] for p in at) for v in domains[pos[i]]}
 
-    def compatible(family):
-        for i, j, f, g, overlap in cons:
-            fi, fj = family[i], family[j]
-            if any(fi[f(u)] != fj[g(u)] for u in overlap):
-                return False
-        return True
-
-    families = []
-    for combo in iproduct(*[per_comp[i] for i in comps]):
-        family = dict(zip(comps, combo))
-        if compatible(family):
-            families.append(family)
+    cons = [(pos[i], pos[j], key(i, e_i, overlap), key(j, e_j, overlap))
+            for i, j, overlap, e_i, e_j in _overlap_maps(data)]
+    family_keys = compatible_tuples(domains, cons, cap, "families of maps")
+    families = [{i: dict(zip(carriers[i].labels, values))
+                 for i, values in zip(comps, family)} for family in family_keys]
 
     glued = colimit_glue(data)
-    check_cap(len(z) ** len(glued.apex), cap, "maps out of the glued apex")
-    seen = set()
-    hom_count = 0
-    hit_all = True
-    for values in iproduct(z.labels, repeat=len(glued.apex)):
-        h = dict(zip(glued.apex.labels, values))
-        hom_count += 1
-        restricted = tuple(
-            tuple(h[glued.legs[(i,)](x)] for x in carriers[i]) for i in comps)
-        if restricted in seen:
-            hit_all = False
-        seen.add(restricted)
-    family_keys = {tuple(tuple(family[i][x] for x in carriers[i]) for i in comps)
-                   for family in families}
-    bijective = hit_all and seen == family_keys
+    hom_count = len(z) ** len(glued.apex)
+    check_cap(hom_count, cap, "maps out of the glued apex")
+    # restrict each map out of the apex to the components, reading the value
+    # of a component element at the position of its class
+    at = [[glued.apex.position(glued.legs[(i,)].mapping[x]) for x in carriers[i]]
+          for i in comps]
+    seen = {tuple(tuple(values[p] for p in ps) for ps in at)
+            for values in iproduct(z.labels, repeat=len(glued.apex))}
+    bijective = len(seen) == hom_count and seen == set(family_keys)
     return {
         "glued": glued,
         "families": families,

@@ -10,9 +10,10 @@ the empty open for sheaves; a flag drops it for presheaf-oriented workflows).
 """
 
 from itertools import product as iproduct
+from math import prod
 
 from .errors import StructuralError, check_cap
-from .fincat import SEP, FinFn, FinSet
+from .fincat import SEP, FinFn, FinSet, compatible_tuples
 
 EMPTY_SECTION = "()"
 
@@ -207,25 +208,14 @@ def _check_covering(lattice, covering):
 
 
 def _compatible_families(store, u, parts, cap=None):
-    size = 1
-    for v in parts:
-        size *= len(store.sections[v])
-    check_cap(size, cap, "families over a covering")
-    out = []
-    for combo in iproduct(*[store.sections[v].labels for v in parts]):
-        ok = True
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                meet = parts[a] & parts[b]
-                if store.restrict_section(combo[a], parts[a], meet) != \
-                        store.restrict_section(combo[b], parts[b], meet):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(combo)
-    return out
+    cons = []
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            meet = parts[a] & parts[b]
+            cons.append((a, b, store.restrict_map(parts[a], meet).mapping,
+                         store.restrict_map(parts[b], meet).mapping))
+    return compatible_tuples([store.sections[v].labels for v in parts], cons,
+                             cap, "families over a covering")
 
 
 def is_separated(store, coverings, cap=None):
@@ -468,30 +458,22 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
     tuples = {}
     for o in lat.opens:
         traces = [o & datum.members(n) for n in names]
-        size = 1
-        for n, tr in zip(names, traces):
-            size *= len(datum.locals[n].sections[tr])
-        check_cap(size, cap, "glued sections at one open")
+        domains = [datum.locals[n].sections[tr].labels
+                   for n, tr in zip(names, traces)]
+        check_cap(prod(map(len, domains)), cap, "glued sections at one open")
+        cons = []
+        for a, na in enumerate(names):
+            for b, nb in enumerate(names):
+                meet = traces[a] & traces[b]
+                key_a = datum.locals[na].restrict_map(traces[a], meet).then(
+                    datum.transition(na, nb, meet))
+                key_b = datum.locals[nb].restrict_map(traces[b], meet)
+                cons.append((a, b, key_a.mapping, key_b.mapping))
         labels = []
-        for combo in iproduct(*[datum.locals[n].sections[tr].labels
-                                for n, tr in zip(names, traces)]):
-            ok = True
-            for a in range(len(names)):
-                for b in range(len(names)):
-                    na, nb = names[a], names[b]
-                    meet = traces[a] & traces[b]
-                    sa = datum.locals[na].restrict_section(
-                        combo[a], traces[a], meet)
-                    sb = datum.locals[nb].restrict_section(
-                        combo[b], traces[b], meet)
-                    if datum.transition(na, nb, meet)(sa) != sb:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
-                tuples[(o, labels[-1])] = dict(zip(names, combo))
+        for combo in compatible_tuples(domains, cons, cap,
+                                       "glued sections at one open"):
+            labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
+            tuples[(o, labels[-1])] = dict(zip(names, combo))
         sections[o] = FinSet(labels)
     res = {}
     for w, v in lat.pairs_below():

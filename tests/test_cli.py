@@ -212,6 +212,49 @@ def test_cap_env_variable(tmp_path, capsys, monkeypatch):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_cap_env_variable_not_an_integer(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, e1_payload(), "envcap.json")
+    monkeypatch.setenv("GLUEFORGE_CAP", "abc")
+    assert main(["glue", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error:")
+    assert "GLUEFORGE_CAP" in err
+    # an explicit --cap does not read the variable
+    assert main(["glue", "--input", path, "--cap", "100"]) == 0
+
+
+@pytest.mark.parametrize("objects, arrow", [
+    # edge whose pair has no objects entry
+    ({"1": ["a"], "2": ["b"]},
+     {"kind": "edge", "from": "1", "pair": "1,2", "map": {"u": "a"}}),
+    # edge whose source component has no objects entry
+    ({"2": ["b"], "1,2": ["u"]},
+     {"kind": "edge", "from": "1", "pair": "1,2", "map": {"u": "a"}}),
+])
+def test_arrow_on_missing_object_is_structural(tmp_path, capsys, objects,
+                                                arrow):
+    doc = e1_payload()
+    doc["payload"]["objects"] = objects
+    doc["payload"]["arrows"] = [arrow]
+    path = write_doc(tmp_path, doc, "missing.json")
+    assert main(["glue", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error:")
+    assert "objects entry" in err
+
+
+def test_tau_on_missing_pair_is_structural(tmp_path, capsys):
+    doc = e1_payload()
+    doc["payload"]["mode"] = "split"
+    doc["payload"]["objects"] = {"1": ["a"], "2": ["b"], "2,1": ["v"]}
+    doc["payload"]["arrows"] = [
+        {"kind": "tau", "pair": "1,2", "map": {"u": "v"}}]
+    path = write_doc(tmp_path, doc, "tau.json")
+    assert main(["glue", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert "structural error" in err and "'1,2'" in err
+
+
 def test_check_effective_e4_exit_one(tmp_path, capsys):
     doc = {
         "version": "1", "kind": "gluing",

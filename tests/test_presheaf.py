@@ -93,6 +93,20 @@ def test_terminal_presheaf_is_sheaf():
     assert flag is True
 
 
+def test_sheaf_check_cost_follows_the_families_not_the_product():
+    # the maximal-proper cover of the 5-point discrete space, and the full
+    # covering of the 6-point chain, each have a product of 2**20 candidate
+    # families above the default cap; only 32 and 64 of them are compatible
+    points = FinSet(["0", "1", "2", "3", "4"])
+    store = function_presheaf(FinTop.discrete(points),
+                              {p: ["a", "b"] for p in points})
+    assert is_sheaf(store, default_coverings(store.lattice)) == (True, None)
+    chain = FinSet(["0", "1", "2", "3", "4", "5"])
+    space = FinTop(chain, [frozenset(chain.labels[:k]) for k in range(7)])
+    store = function_presheaf(space, {p: ["a", "b"] for p in chain})
+    assert is_sheaf(store, all_coverings(store.lattice)) == (True, None)
+
+
 def test_non_covering_input_rejected():
     store = constant_presheaf(sierpinski(), ["a"])
     with pytest.raises(StructuralError):
