@@ -501,8 +501,7 @@ def _check_sheaf_command(doc, flags):
             coverings = all_coverings(store.lattice, cap=flags.get("cap"))
         else:
             coverings = default_coverings(store.lattice)
-    separated, sep_counter = is_separated(store, coverings,
-                                          cap=flags.get("cap"))
+    separated, sep_counter = is_separated(store, coverings)
     sheaf, sheaf_counter = is_sheaf(store, coverings, cap=flags.get("cap"))
     lat = store.lattice
 
@@ -527,8 +526,7 @@ def _check_sheaf_command(doc, flags):
 def _glue_sheaves_command(doc, flags):
     datum = parse_gluing_datum(doc.payload)
     glued, projections = glue_presheaves(datum, cap=flags.get("cap"))
-    report = presheaf_effective_check(datum, glued, projections,
-                                      cap=flags.get("cap"))
+    report = presheaf_effective_check(datum, glued, projections)
     lat = glued.lattice
     artifacts = {
         "sections": {lat.key(o): list(glued.sections[o].labels)

@@ -1,8 +1,9 @@
 """Finite concrete-category kernel.
 
 Carriers are finite sets of string labels; morphisms are total maps between
-them.  Finite topological spaces are carriers with an explicit family of open
-subsets, and continuous (optionally open) maps between those.  Everything is
+them.  Finite topological spaces are carriers with the minimal open
+neighbourhood of each point, from which every topology is built by a direct
+rule, and continuous (optionally open) maps between those.  Everything is
 immutable after construction and every operation is a pure function, so shared
 values are safe to use concurrently.
 
@@ -159,86 +160,99 @@ class FinFn:
                                         self.mapping)
 
 
-def _canon_opens(carrier, opens):
-    seen = set()
-    canon = []
-    for o in opens:
-        fo = frozenset(o)
-        if fo not in seen:
-            seen.add(fo)
-            canon.append(fo)
-    canon.sort(key=lambda o: (len(o), sorted(carrier.position(x) for x in o)))
-    return tuple(canon)
-
-
 class FinTop:
-    """A finite topological space: a carrier plus its full family of opens."""
+    """A finite topological space, stored as the minimal open neighbourhood
+    ``nbhd[x]`` of each point ``x``: the opens are exactly the unions of these
+    sets (Alexandroff 1937; Stong 1966)."""
 
-    __slots__ = ("carrier", "opens", "_openset")
+    __slots__ = ("carrier", "nbhd")
 
     def __init__(self, carrier, opens):
+        """Validate a listed family of opens: with the empty set in it, it is a
+        topology exactly when it holds ``O | nbhd[x]`` for every member ``O``
+        and point ``x``, ``nbhd[x]`` being the meet of the members around x."""
         if not isinstance(carrier, FinSet):
             raise StructuralError("carrier must be a FinSet")
-        opens = _canon_opens(carrier, opens)
-        openset = set(opens)
+        opens = [frozenset(o) for o in opens]
+        family = set(opens)
         full = frozenset(carrier.labels)
         for o in opens:
             if not o <= full:
                 raise StructuralError("open set %r is not a subset of the carrier"
                                       % sorted(o))
-        if frozenset() not in openset or full not in openset:
+        if frozenset() not in family or full not in family:
             raise StructuralError("opens must contain the empty set and the carrier")
-        for a in opens:
-            for b in opens:
-                if a | b not in openset:
-                    raise StructuralError("opens not closed under union: %r, %r"
-                                          % (sorted(a), sorted(b)))
-                if a & b not in openset:
-                    raise StructuralError("opens not closed under intersection: %r, %r"
-                                          % (sorted(a), sorted(b)))
+        nbhd = {x: full.intersection(*[o for o in family if x in o])
+                for x in carrier}
+        missing = [o | nbhd[x] for o in opens for x in carrier
+                   if o | nbhd[x] not in family]
+        if missing:
+            raise StructuralError("opens not closed under union and "
+                                  "intersection: %r is missing" % sorted(missing[0]))
         object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "opens", opens)
-        object.__setattr__(self, "_openset", openset)
+        object.__setattr__(self, "nbhd", nbhd)
+
+    @classmethod
+    def from_nbhd(cls, carrier, nbhd):
+        """The space with these minimal neighbourhoods, unchecked: ``nbhd[x]``
+        holds ``x`` and the neighbourhood of each of its points."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "carrier", carrier)
+        object.__setattr__(space, "nbhd", nbhd)
+        return space
 
     def __setattr__(self, name, value):
         raise AttributeError("FinTop is immutable")
 
     @staticmethod
     def discrete(carrier):
-        subsets = [frozenset()]
-        for x in carrier:
-            subsets.extend([s | {x} for s in subsets])
-        return FinTop(carrier, subsets)
+        return FinTop.from_nbhd(carrier, {x: frozenset([x]) for x in carrier})
 
     @staticmethod
     def indiscrete(carrier):
-        return FinTop(carrier, [frozenset(), frozenset(carrier.labels)])
+        full = frozenset(carrier.labels)
+        return FinTop.from_nbhd(carrier, {x: full for x in carrier})
+
+    @property
+    def opens(self):
+        """Every open set, ordered by size and then by point positions.  The
+        family at most doubles per point and is charged to the cap each time."""
+        family = {frozenset()}
+        for x in self.carrier:
+            u = self.nbhd[x]
+            family |= {o | u for o in family}
+            check_cap(len(family), None,
+                      "opens of a %d-point space" % len(self.carrier))
+        pos = self.carrier.position
+        return tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o)))))
 
     def is_open(self, subset):
-        return frozenset(subset) in self._openset
+        subset = frozenset(subset)
+        return all(x in self.nbhd and self.nbhd[x] <= subset for x in subset)
 
     def subspace(self, members):
         members = frozenset(members)
         sub = FinSet([x for x in self.carrier if x in members])
-        return FinTop(sub, [o & members for o in self.opens])
+        return FinTop.from_nbhd(sub, {x: self.nbhd[x] & members for x in sub})
 
     def __eq__(self, other):
         return (isinstance(other, FinTop) and self.carrier == other.carrier
-                and self.opens == other.opens)
+                and self.nbhd == other.nbhd)
 
     def __hash__(self):
-        return hash((self.carrier, self.opens))
+        return hash((self.carrier, tuple(self.nbhd[x] for x in self.carrier)))
 
     def __repr__(self):
-        return "FinTop(%r, %d opens)" % (list(self.carrier), len(self.opens))
+        return "FinTop(%r, %r)" % (list(self.carrier), self.nbhd)
 
 
 class TopMap:
     """A continuous map between finite spaces.
 
-    Continuity is validated at construction; openness is computed and stored
-    in ``open``.  Passing ``require_open=True`` turns a non-open map into a
-    structural error, which is how the open-map subcategory is enforced.
+    Continuity, ``f(nbhd[x]) <= nbhd[f(x)]``, is validated at construction;
+    openness, equality there, is stored in ``open``.  Passing
+    ``require_open=True`` turns a non-open map into a structural error, which
+    is how the open-map subcategory is enforced.
     """
 
     __slots__ = ("fn", "dom", "cod", "open")
@@ -246,12 +260,13 @@ class TopMap:
     def __init__(self, fn, dom, cod, require_open=False):
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
-        for o in cod.opens:
-            if not dom.is_open(fn.preimage(o)):
-                raise StructuralError(
-                    "map is not continuous: preimage of %r is not open" % sorted(o))
-        is_open = all(cod.is_open(frozenset(fn.mapping[x] for x in o))
-                      for o in dom.opens)
+        is_open = True
+        for x in dom.carrier:
+            image = frozenset(fn.mapping[y] for y in dom.nbhd[x])
+            target = cod.nbhd[fn.mapping[x]]
+            if not image <= target:
+                raise StructuralError("map is not continuous at %r" % x)
+            is_open = is_open and image == target
         if require_open and not is_open:
             raise StructuralError("map is not open")
         object.__setattr__(self, "fn", fn)
@@ -367,22 +382,20 @@ def pullback(f, g, cap=None):
 
 
 def top_product(x, y, cap=None):
-    """Product space with the standard product topology (explicit opens)."""
+    """Product space: the neighbourhood of ``a|b`` is ``nbhd[a] x nbhd[b]``."""
     carrier = product_enumerate([x.carrier, y.carrier], cap=cap)
-    rects = set()
-    for u in x.opens:
-        for v in y.opens:
-            rects.add(frozenset(pair_label(a, b) for a in u for b in v))
-    opens = _close_family(carrier, rects)
-    return FinTop(carrier, opens)
+    return FinTop.from_nbhd(carrier, {
+        pair_label(a, b): frozenset(pair_label(p, q)
+                                    for p in x.nbhd[a] for q in y.nbhd[b])
+        for a in x.carrier for b in y.carrier})
 
 
-def top_pullback(f, g, xtop, ytop, ztop, cap=None):
-    """Pullback in spaces: the set-level pullback with the subspace topology
-    of the product."""
+def top_pullback(f, g, xtop, ytop, cap=None):
+    """Pullback in spaces: the set-level pullback with the initial topology
+    along its two legs, which is the subspace topology of the product."""
     ps = pullback(f, g, cap=cap)
-    amb = top_product(xtop, ytop, cap=cap)
-    space = amb.subspace(ps.members.labels)
+    space = induce_topology("initial", ps.members,
+                            [ps.legs["p1"], ps.legs["p2"]], [xtop, ytop])
     return PairedSubset(ps.members, ps.legs, space=space)
 
 
@@ -454,42 +467,14 @@ def quotient_by_pairs(carrier, pairs):
     return q, pi
 
 
-def _close_family(carrier, family):
-    """Close a family of subsets under pairwise union and intersection,
-    always including the empty set and the full carrier."""
-    full = frozenset(carrier.labels)
-    fam = set(family)
-    fam.add(frozenset())
-    fam.add(full)
-    changed = True
-    while changed:
-        changed = False
-        current = list(fam)
-        for a in current:
-            for b in current:
-                for c in (a | b, a & b):
-                    if c not in fam:
-                        fam.add(c)
-                        changed = True
-    return fam
-
-
-def _all_subsets(carrier, cap=None):
-    check_cap(2 ** len(carrier), cap, "subsets of a %d-point carrier" % len(carrier))
-    subs = [frozenset()]
-    for x in carrier:
-        subs.extend([s | {x} for s in subs])
-    return subs
-
-
-def induce_topology(mode, carrier, maps, spaces, cap=None):
+def induce_topology(mode, carrier, maps, spaces):
     """Final or initial topology on ``carrier`` along a family of maps.
 
-    ``mode='final'``: the maps run from the given spaces into the carrier and
-    an open is any subset all of whose preimages are open.  ``mode='initial'``:
-    the maps run from the carrier into the given spaces and the opens are the
-    coarsest family containing every preimage of an open, closed under union
-    and intersection.
+    ``mode='final'``: the maps run from the given spaces into the carrier, an
+    open is any subset all of whose preimages are open, and a neighbourhood is
+    all that is reachable along images of source neighbourhoods.
+    ``mode='initial'``: the maps run from the carrier into the given spaces and
+    a neighbourhood is the meet of the preimages of those around the images.
     """
     if len(maps) != len(spaces):
         raise StructuralError("need one space per map")
@@ -497,18 +482,28 @@ def induce_topology(mode, carrier, maps, spaces, cap=None):
         for fn, sp in zip(maps, spaces):
             if fn.codomain != carrier or fn.domain != sp.carrier:
                 raise StructuralError("final mode needs maps into the carrier")
-        opens = [s for s in _all_subsets(carrier, cap=cap)
-                 if all(sp.is_open(fn.preimage(s)) for fn, sp in zip(maps, spaces))]
-        return FinTop(carrier, opens)
+        step = {q: {q} for q in carrier}
+        for fn, sp in zip(maps, spaces):
+            for x in sp.carrier:
+                step[fn.mapping[x]].update(fn.mapping[y] for y in sp.nbhd[x])
+        nbhd = {}
+        for q in carrier:
+            seen, stack = {q}, [q]
+            while stack:
+                new = step[stack.pop()] - seen
+                seen |= new
+                stack.extend(new)
+            nbhd[q] = frozenset(seen)
+        return FinTop.from_nbhd(carrier, nbhd)
     if mode == "initial":
         for fn, sp in zip(maps, spaces):
             if fn.domain != carrier or fn.codomain != sp.carrier:
                 raise StructuralError("initial mode needs maps out of the carrier")
-        base = set()
+        nbhd = {x: frozenset(carrier.labels) for x in carrier}
         for fn, sp in zip(maps, spaces):
-            for o in sp.opens:
-                base.add(fn.preimage(o))
-        return FinTop(carrier, _close_family(carrier, base))
+            pre = {y: fn.preimage(sp.nbhd[y]) for y in set(fn.mapping.values())}
+            nbhd = {x: u & pre[fn.mapping[x]] for x, u in nbhd.items()}
+        return FinTop.from_nbhd(carrier, nbhd)
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
 
@@ -518,7 +513,7 @@ def map_properties(m):
     For a plain FinFn only injective/surjective are meaningful; for a TopMap
     the report also carries openness and whether the map is a topological
     embedding (injective, continuous, homeomorphism onto its image with the
-    subspace topology).
+    subspace topology), which is ``nbhd[x] = f^-1(nbhd[f(x)])`` everywhere.
     """
     if isinstance(m, TopMap):
         fn = m.fn
@@ -528,11 +523,9 @@ def map_properties(m):
             "continuous": True,
             "open": m.open,
         }
-        image = frozenset(fn.mapping.values())
-        sub = m.cod.subspace(image)
-        forward = {frozenset(fn.mapping[x] for x in o) for o in m.dom.opens}
-        report["embedding"] = (report["injective"]
-                               and forward == set(sub.opens))
+        report["embedding"] = report["injective"] and all(
+            m.dom.nbhd[x] == fn.preimage(m.cod.nbhd[fn.mapping[x]])
+            for x in fn.domain)
         return report
     return {"injective": m.is_injective(), "surjective": m.is_surjective(),
             "continuous": None, "open": None, "embedding": None}

@@ -508,7 +508,7 @@ def universal_glue_check(data, glued, delta, v_space=None, cap=None):
     for obj in cat.objects:
         if data.ambient == "top":
             ps = top_pullback(glued.legs[obj], delta, data.space(obj),
-                              v_space, glued.space, cap=cap)
+                              v_space, cap=cap)
             spaces[obj] = ps.space
         else:
             ps = pullback(glued.legs[obj], delta, cap=cap)

@@ -218,7 +218,7 @@ def _compatible_families(store, u, parts, cap=None):
                              cap, "families over a covering")
 
 
-def is_separated(store, coverings, cap=None):
+def is_separated(store, coverings):
     """Injectivity of the joint restriction along every listed covering."""
     for covering in coverings:
         _check_covering(store.lattice, covering)
@@ -507,7 +507,7 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
     return glued, projections
 
 
-def presheaf_effective_check(datum, glued, projections, cap=None):
+def presheaf_effective_check(datum, glued, projections):
     """The identity and triple-overlap cocycle conditions on the transitions,
     and, independently, whether every projection restricted to its own chart
     is a componentwise bijection; reports all three so their equivalence is

@@ -115,7 +115,7 @@ def canonical_sink_functor(sink, cap=None):
             _, fj = sink.source(j)
             if sink.ambient == "top":
                 ps = top_pullback(fi, fj, sink.space(i), sink.space(j),
-                                  sink.target_space, cap=cap)
+                                  cap=cap)
                 spaces[(i, j)] = ps.space
             else:
                 ps = pullback(fi, fj, cap=cap)
@@ -147,7 +147,7 @@ def base_change_sink(sink, fn, v_space=None, cap=None):
     sources = []
     for name, obj, leg in sink.sources:
         if sink.ambient == "top":
-            ps = top_pullback(leg, fn, obj, v_space, sink.target_space, cap=cap)
+            ps = top_pullback(leg, fn, obj, v_space, cap=cap)
             sources.append((name, ps.space, ps.legs["p2"]))
         else:
             ps = pullback(leg, fn, cap=cap)
@@ -313,7 +313,7 @@ def effective_gluing_check(data, cap=None):
         into_j = t.then(data.edge(j, (j, i)))
         if data.ambient == "top":
             ps = top_pullback(leg_i, leg_j, data.space((i,)), data.space((j,)),
-                              glued.space, cap=cap)
+                              cap=cap)
         else:
             ps = pullback(leg_i, leg_j, cap=cap)
         mapping = {u: pair_label(e(u), into_j(u)) for u in data.carrier(pair_obj)}

@@ -198,14 +198,33 @@ def random_limit_data(rng, max_index=3, max_size=4, mode="nonsplit"):
     return make_limit_data(index, components, overlaps, mode=mode)
 
 
+def close_family(carrier, family):
+    """Close a family of subsets under pairwise union and intersection,
+    always including the empty set and the full carrier."""
+    full = frozenset(carrier.labels)
+    fam = set(family)
+    fam.add(frozenset())
+    fam.add(full)
+    changed = True
+    while changed:
+        changed = False
+        current = list(fam)
+        for a in current:
+            for b in current:
+                for c in (a | b, a & b):
+                    if c not in fam:
+                        fam.add(c)
+                        changed = True
+    return fam
+
+
 def random_topology(rng, labels):
     """A random topology: the union/intersection closure of random subsets."""
     carrier = FinSet(labels)
     fam = [frozenset(), frozenset(labels)]
     for _ in range(rng.randint(0, 3)):
         fam.append(frozenset(x for x in labels if rng.random() < 0.5))
-    from glueforge.fincat import _close_family
-    return FinTop(carrier, _close_family(carrier, fam))
+    return FinTop(carrier, close_family(carrier, fam))
 
 
 def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
