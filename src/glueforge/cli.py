@@ -11,17 +11,22 @@ every verdict passed, 1 means some verdict is false, 2 means the input was
 structurally invalid or an enumeration hit the cap.  Identical input and
 flags produce identical output bytes.  The environment variable
 GLUEFORGE_CAP overrides the default enumeration cap.
+
+Documents are checked against the shipped schemas by the compiled checker of
+``glueforge.schema``, which decides valid or invalid and nothing more.  Only
+when it rejects a document is jsonschema imported, to word the error: the
+first error sorted by path, as ``schema violation at <path>: <message>``.  A
+call on a valid document never imports jsonschema.  Input that is not UTF-8,
+or JSON nested too deeply to parse or report, is a structural error too.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
-from importlib import resources
 
-from jsonschema import Draft202012Validator
-from referencing import Registry, Resource
-
+from . import schema
 from .errors import DEFAULT_CAP, GlueforgeError, ResourceError, StructuralError
 from .fincat import SEP, FinFn, FinSet, FinTop, TopMap
 from .gluing import (
@@ -84,23 +89,20 @@ class Document:
         self.version = version
 
 
+@functools.cache
 def _schema_registry():
-    registry = Registry()
-    for name in ("document", "defs", "gluing", "sink", "site", "presheaf",
-                 "gluing-datum", "refinement"):
-        text = resources.files("glueforge.schemas").joinpath(
-            name + ".schema.json").read_text()
-        schema = json.loads(text)
-        registry = registry.with_resource(schema["$id"],
-                                          Resource.from_contents(schema))
-    return registry
-
-
-_REGISTRY = _schema_registry()
+    from referencing import Registry, Resource
+    return Registry().with_resources(
+        (s["$id"], Resource.from_contents(s)) for s in schema.SCHEMAS)
 
 
 def _validate_schema(instance, schema_id, where):
-    validator = Draft202012Validator({"$ref": schema_id}, registry=_REGISTRY)
+    """Accept through the compiled checker; word a rejection by jsonschema."""
+    if schema.CHECKERS[schema_id](instance):
+        return
+    from jsonschema import Draft202012Validator
+    validator = Draft202012Validator({"$ref": schema_id},
+                                     registry=_schema_registry())
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.path))
     if errors:
         err = errors[0]
@@ -127,21 +129,27 @@ def _check_labels(payload):
 
 def load_document(stream_or_path):
     """Parse, schema-check, and label-check one document."""
-    if hasattr(stream_or_path, "read"):
-        text = stream_or_path.read()
-        where = "<stream>"
-    else:
-        with open(stream_or_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        where = str(stream_or_path)
+    stream = hasattr(stream_or_path, "read")
+    where = "<stream>" if stream else str(stream_or_path)
+    try:
+        if stream:
+            text = stream_or_path.read()
+        else:
+            with open(stream_or_path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as err:
+        raise StructuralError("%s is not UTF-8 text: %s" % (where, err.reason))
     try:
         raw = json.loads(text)
+        _validate_schema(raw, "glueforge:document", "")
+        kind = raw["kind"]
+        _validate_schema(raw["payload"], "glueforge:" + kind, "payload")
     except json.JSONDecodeError as err:
         raise StructuralError("parse error in %s at line %d column %d: %s"
                               % (where, err.lineno, err.colno, err.msg))
-    _validate_schema(raw, "glueforge:document", "")
-    kind = raw["kind"]
-    _validate_schema(raw["payload"], "glueforge:" + kind, "payload")
+    except RecursionError:
+        # json.loads, or jsonschema wording a rejection, ran out of stack
+        raise StructuralError("JSON in %s is nested too deeply" % where)
     _check_labels(raw["payload"])
     return Document(kind, raw["payload"], raw["version"])
 

@@ -1,0 +1,139 @@
+"""The document schemas compiled once into plain predicates.
+
+At import every schema file shipped in ``glueforge/schemas`` is read and
+compiled into nested closures that answer only valid or invalid.  Each
+``$ref`` is resolved once, here, rather than on every document.  The
+compiler implements exactly the keywords the shipped files use, with the
+Draft 2020-12 meaning (see Pezoa et al., "Foundations of JSON Schema",
+WWW 2016): ``$ref``, ``type`` (string/array/object), ``minLength``,
+``enum`` and ``const`` over strings, ``items``, ``required``,
+``properties``, ``additionalProperties`` and ``oneOf``.  ``$schema``,
+``$id``, ``title`` and ``$defs`` are annotations.  Any other keyword, a
+non-string ``enum``/``const`` value or a recursive ``$ref`` raises
+``SchemaCompileError``, so a schema edit that the compiler does not
+understand fails at import instead of being skipped.
+
+The compiled checker accepts exactly the documents jsonschema accepts
+(``tests/test_schema.py`` compares the two); jsonschema is imported only
+to word the error of a rejected document.
+"""
+
+import json
+from importlib import resources
+
+NAMES = ("document", "defs", "gluing", "sink", "site", "presheaf",
+         "gluing-datum", "refinement")
+IMPLEMENTED = frozenset({"$ref", "type", "minLength", "enum", "const", "items",
+                         "required", "properties", "additionalProperties",
+                         "oneOf"})
+IGNORED = frozenset({"$schema", "$id", "title", "$defs"})
+TYPES = {"string": str, "array": list, "object": dict}
+
+
+class SchemaCompileError(ValueError):
+    """A schema uses something the compiler does not implement."""
+
+
+def _all(checks):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for c in checks:
+            if not c(x):
+                return False
+        return True
+    return check
+
+
+def compile_schemas(schemas):
+    """Map each ``$id`` in ``schemas`` (a list of dicts) to a predicate."""
+    by_id = {s["$id"]: s for s in schemas}
+    done = {}
+
+    def ref(target, base):
+        uri, _, pointer = target.partition("#")
+        uri = uri or base
+        key = uri + "#" + pointer
+        if key not in done:
+            done[key] = None
+            try:
+                node = by_id[uri]
+                for part in filter(None, pointer.split("/")):
+                    node = node[part.replace("~1", "/").replace("~0", "~")]
+            except (KeyError, TypeError):
+                raise SchemaCompileError("unresolvable $ref %r" % target)
+            done[key] = build(node, uri)
+        if done[key] is None:
+            raise SchemaCompileError("recursive $ref %r" % target)
+        return done[key]
+
+    def build(s, base):
+        if isinstance(s, bool):
+            return (lambda x: True) if s else (lambda x: False)
+        unknown = set(s) - IMPLEMENTED - IGNORED
+        if unknown:
+            raise SchemaCompileError("unimplemented schema keywords %s in %s"
+                                     % (sorted(unknown), base))
+        checks = []
+        if "$ref" in s:
+            checks.append(ref(s["$ref"], base))
+        if "type" in s:
+            t = TYPES.get(s["type"]) if isinstance(s["type"], str) else None
+            if t is None:
+                raise SchemaCompileError("unimplemented type %r" % s["type"])
+            checks.append(lambda x: isinstance(x, t))
+        if "minLength" in s:
+            n = s["minLength"]
+            checks.append(lambda x: not isinstance(x, str) or len(x) >= n)
+        for word in ("enum", "const"):
+            if word in s:
+                ok = s[word] if word == "enum" else [s[word]]
+                if not all(isinstance(v, str) for v in ok):
+                    raise SchemaCompileError("non-string %s value in %r"
+                                             % (word, ok))
+                checks.append(lambda x, ok=frozenset(ok):
+                              isinstance(x, str) and x in ok)
+        if "items" in s:
+            item = build(s["items"], base)
+            checks.append(lambda x: not isinstance(x, list)
+                          or all(map(item, x)))
+        if {"required", "properties", "additionalProperties"} & set(s):
+            required = s.get("required", ())
+            props = {k: build(v, base)
+                     for k, v in s.get("properties", {}).items()}
+            extra = build(s["additionalProperties"], base) \
+                if "additionalProperties" in s else None
+
+            def obj(x):
+                if not isinstance(x, dict):
+                    return True
+                for k in required:
+                    if k not in x:
+                        return False
+                for k, v in x.items():
+                    c = props.get(k, extra)
+                    if c is not None and not c(v):
+                        return False
+                return True
+            checks.append(obj)
+        if "oneOf" in s:
+            branches = [build(b, base) for b in s["oneOf"]]
+            checks.append(lambda x: sum(b(x) for b in branches) == 1)
+        return _all(checks)
+
+    checkers = {uri: ref(uri, uri) for uri in by_id}
+    for uri, s in by_id.items():
+        for name in s.get("$defs", {}):
+            ref("#/$defs/" + name, uri)  # unreferenced definitions, too
+    return checkers
+
+
+def _shipped():
+    folder = resources.files("glueforge.schemas")
+    return [json.loads(folder.joinpath(name + ".schema.json").read_text())
+            for name in NAMES]
+
+
+SCHEMAS = _shipped()
+CHECKERS = compile_schemas(SCHEMAS)

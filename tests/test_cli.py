@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -253,6 +255,46 @@ def test_tau_on_missing_pair_is_structural(tmp_path, capsys):
     assert main(["glue", "--input", path]) == 2
     err = capsys.readouterr().err
     assert "structural error" in err and "'1,2'" in err
+
+
+NOT_UTF8 = b'\xff\xfe{"a":1}'
+
+
+def test_non_utf8_input_is_structural(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "latin.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["glue", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error:")
+    assert "latin.json is not UTF-8 text" in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
+                                                       encoding="utf-8"))
+    assert main(["glue"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error: <stream> is not UTF-8")
+
+
+@pytest.mark.parametrize("depth", [1000, 100000])
+def test_deeply_nested_input_is_structural(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    assert main(["glue", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("glueforge: structural error: JSON in %s is nested too "
+                   "deeply\n" % path)
+
+
+def test_nesting_just_below_the_parser_limit_is_structural(monkeypatch,
+                                                           capsys):
+    # a few levels under the recursion limit json.loads succeeds but
+    # jsonschema runs out of stack while wording the rejection
+    for template in ("%s", '{"version": "1", "kind": "gluing", '
+                           '"payload": {"mode": %s}}'):
+        for depth in range(900, 1000):
+            text = template % ("[" * depth + "]" * depth)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert main(["glue"]) == 2, depth
+            assert "structural error" in capsys.readouterr().err
 
 
 def test_check_effective_e4_exit_one(tmp_path, capsys):

@@ -1,0 +1,330 @@
+"""The compiled schema checker: it agrees with jsonschema on shipped and
+mutated documents, rejections keep jsonschema's wording, unknown keywords
+fail the compiler, and a CLI call imports jsonschema only to word an error."""
+
+import copy
+import glob
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
+
+from glueforge import schema
+from glueforge.cli import KINDS, jsonable_fn, jsonable_object, load_document
+from glueforge.errors import StructuralError
+
+import fixtures
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=400)
+ENVELOPE = "glueforge:document"
+PAYLOADS = ["glueforge:" + kind for kind in KINDS]
+REGISTRY = Registry().with_resources(
+    (s["$id"], Resource.from_contents(s)) for s in schema.SCHEMAS)
+
+
+def oracle(instance, schema_id, registry=REGISTRY):
+    validator = Draft202012Validator({"$ref": schema_id}, registry=registry)
+    return next(validator.iter_errors(instance), None) is None
+
+
+def gluing_payload(data):
+    arrows = []
+    for key, fn in data.arrows.items():
+        if key[0] == "incl":
+            arrows.append({"kind": "edge", "from": key[1],
+                           "pair": ",".join(key[2]), "map": jsonable_fn(fn)})
+        else:
+            arrows.append({"kind": "tau", "pair": ",".join(key[1]),
+                           "map": jsonable_fn(fn)})
+    return {
+        "mode": data.indexcat.mode,
+        "ambient": data.ambient,
+        "direction": data.direction,
+        "index": list(data.indexcat.index.labels),
+        "objects": {",".join(obj): jsonable_object(c, data.spaces.get(obj))
+                    for obj, c in data.objects.items()},
+        "arrows": arrows,
+    }
+
+
+def corpus():
+    docs = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "perfbench", "golden",
+                                              "*.json"))):
+        if not path.endswith("manifest.json"):
+            with open(path, encoding="utf-8") as handle:
+                docs.append(json.load(handle))
+    gluings = [fixtures.e1(), fixtures.e2(), fixtures.e3(),
+               fixtures.e4_nonsplit(), fixtures.e4_split()]
+    for seed in range(3):
+        rng = fixtures.seeded(seed)
+        gluings += [fixtures.random_nonsplit_colimit(rng),
+                    fixtures.random_split_colimit(rng),
+                    fixtures.random_limit_data(rng),
+                    fixtures.random_limit_data(rng, mode="split"),
+                    fixtures.random_top_colimit(rng)]
+    payloads = [gluing_payload(data) for data in gluings]
+    docs += [{"version": "1", "kind": "gluing", "payload": p}
+             for p in payloads]
+    docs.append({"version": "1", "kind": "refinement", "payload": {
+        "source": payloads[0], "target": payloads[1],
+        "gamma": {"1": "1", "2": "2"}, "components": {}}})
+    return docs
+
+
+def _without(node, key):
+    return {k: v for k, v in node.items() if k != key}
+
+
+CORPUS = corpus()
+OTHER_TYPES = [None, True, 1, 1.5, [], {}]
+FLIP = {"edge": "tau", "tau": "edge"}
+# mutation -> (which nodes it applies to, how it rewrites one)
+MUTATIONS = {
+    "drop a key": (lambda n: isinstance(n, dict) and n,
+                   lambda n, draw: _without(n, draw(st.sampled_from(sorted(n))))),
+    "add an unknown key": (lambda n: isinstance(n, dict),
+                           lambda n, draw: dict(n, unexpected=draw(
+                               st.sampled_from(OTHER_TYPES + ["x"])))),
+    "change the type": (lambda n: True,
+                        lambda n, draw: draw(st.sampled_from(OTHER_TYPES))),
+    "empty a label": (lambda n: isinstance(n, str), lambda n, draw: ""),
+    "wrong enum or const": (lambda n: isinstance(n, str),
+                            lambda n, draw: "bogus"),
+    "flip an arrow kind": (
+        lambda n: isinstance(n, dict) and n.get("kind") in ("edge", "tau"),
+        lambda n, draw: dict(n, kind=FLIP[n["kind"]])),
+}
+
+
+def locations(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from locations(value, path + (key,))
+    elif isinstance(node, list):
+        for pos, value in enumerate(node):
+            yield from locations(value, path + (pos,))
+
+
+def node_at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def mutate(doc, draw):
+    applies, rewrite = MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))]
+    paths = [p for p in locations(doc) if applies(node_at(doc, p))]
+    if not paths:
+        return doc
+    path = draw(st.sampled_from(paths))
+    new = copy.deepcopy(rewrite(node_at(doc, path), draw))
+    if not path:
+        return new
+    node_at(doc, path[:-1])[path[-1]] = new
+    return doc
+
+
+def assert_agrees(doc):
+    assert schema.CHECKERS[ENVELOPE](doc) == oracle(doc, ENVELOPE)
+    payload = doc.get("payload") if isinstance(doc, dict) else doc
+    for schema_id in PAYLOADS:
+        assert schema.CHECKERS[schema_id](payload) == oracle(payload,
+                                                             schema_id)
+
+
+def test_corpus_agrees_and_is_mostly_valid():
+    for doc in CORPUS:
+        assert_agrees(doc)
+    kinds = {doc["kind"] for doc in CORPUS}
+    assert kinds == set(KINDS)
+    valid = [doc for doc in CORPUS
+             if oracle(doc["payload"], "glueforge:" + doc["kind"])]
+    assert len(valid) == len(CORPUS) - 1
+
+
+@PROPERTY
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_mutations(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(CORPUS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutate(doc, data.draw)
+    assert_agrees(doc)
+
+
+DRAFT = "https://json-schema.org/draft/2020-12/schema"
+PAIR_OR_MAP = {"oneOf": [{"type": "object", "required": ["pair"]},
+                         {"type": "object", "required": ["map"]}]}
+REF_AND_SIBLING = {"$defs": {"s": {"type": "string"}},
+                   "$ref": "#/$defs/s", "minLength": 2}
+UNTYPED_OBJECT = {"required": ["a"], "properties": {"a": {"type": "string"}},
+                  "additionalProperties": {"enum": ["x"]}}
+BOOLEANS = {"items": False, "properties": {"a": True}}
+
+
+# keyword combinations the shipped files do not use yet, such as oneOf
+# branches that can both match (shipped arrows differ in a const kind)
+@pytest.mark.parametrize("own, instance", [
+    (PAIR_OR_MAP, {"pair": "1,2", "map": {}}),
+    (PAIR_OR_MAP, {"pair": "1,2"}),
+    (PAIR_OR_MAP, {}),
+    (PAIR_OR_MAP, []),
+    (REF_AND_SIBLING, "a"),
+    (REF_AND_SIBLING, "ab"),
+    (REF_AND_SIBLING, 1),
+    (UNTYPED_OBJECT, ["a"]),
+    (UNTYPED_OBJECT, {"a": "b"}),
+    (UNTYPED_OBJECT, {"a": "b", "c": "x"}),
+    (UNTYPED_OBJECT, {"a": "b", "c": "y"}),
+    (UNTYPED_OBJECT, {"c": "x"}),
+    (BOOLEANS, []),
+    (BOOLEANS, [1]),
+    (BOOLEANS, {"a": None}),
+])
+def test_own_schemas_agree_with_jsonschema(own, instance):
+    own = dict(own, **{"$schema": DRAFT, "$id": "test:own"})
+    registry = Registry().with_resource(own["$id"],
+                                        Resource.from_contents(own))
+    checker = schema.compile_schemas([own])["test:own"]
+    assert checker(instance) == oracle(instance, "test:own", registry)
+
+
+def e1_document():
+    return {"version": "1", "kind": "gluing", "payload": {
+        "mode": "nonsplit", "ambient": "sets", "direction": "from-overlaps",
+        "index": ["1", "2"],
+        "objects": {"1": ["a0", "a1", "a2"], "2": ["b0", "b1", "b2"],
+                    "1,2": ["u"]},
+        "arrows": [
+            {"kind": "edge", "from": "1", "pair": "1,2", "map": {"u": "a2"}},
+            {"kind": "edge", "from": "2", "pair": "1,2",
+             "map": {"u": "b0"}}]}}
+
+
+def _missing_mode(doc):
+    del doc["payload"]["mode"]
+
+
+def _extra_colour(doc):
+    doc["payload"]["colour"] = "red"
+
+
+def _edge_without_from(doc):
+    del doc["payload"]["arrows"][1]["from"]
+
+
+def _sideways(doc):
+    doc["payload"]["direction"] = "sideways"
+
+
+def _empty_index_label(doc):
+    doc["payload"]["index"][0] = ""
+
+
+def _refinement_source_index_string(doc):
+    source = doc["payload"]
+    source["index"] = "1"
+    doc["kind"] = "refinement"
+    doc["payload"] = {"source": source, "target": e1_document()["payload"],
+                      "gamma": {}, "components": {}}
+
+
+# the messages of the parent implementation, which validated with jsonschema
+# alone; the compiled checker must leave every one of them unchanged
+@pytest.mark.parametrize("breach, message", [
+    (_missing_mode,
+     "schema violation at payload: 'mode' is a required property"),
+    (_extra_colour,
+     "schema violation at payload: Additional properties are not allowed "
+     "('colour' was unexpected)"),
+    (_edge_without_from,
+     "schema violation at payload.arrows[1]: {'kind': 'edge', 'pair': "
+     "'1,2', 'map': {'u': 'b0'}} is not valid under any of the given "
+     "schemas"),
+    (_sideways,
+     "schema violation at payload.direction: 'sideways' is not one of "
+     "['from-overlaps', 'toward-overlaps']"),
+    (_empty_index_label,
+     "schema violation at payload.index[0]: '' should be non-empty"),
+    (_refinement_source_index_string,
+     "schema violation at payload.source.index: '1' is not of type "
+     "'array'"),
+])
+def test_rejection_wording_is_pinned(tmp_path, breach, message):
+    doc = e1_document()
+    breach(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(StructuralError) as err:
+        load_document(str(path))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("keyword, value", [("pattern", "^a"),
+                                            ("minItems", 1)])
+@pytest.mark.parametrize("referenced", [True, False])
+def test_unimplemented_keyword_fails_the_compiler(keyword, value, referenced):
+    own = {"$id": "test:labels", "$defs": {
+        "labels": {"type": "array", keyword: value}}}
+    if referenced:
+        own["properties"] = {"index": {"$ref": "#/$defs/labels"}}
+    with pytest.raises(schema.SchemaCompileError, match=keyword):
+        schema.compile_schemas([own])
+
+
+def test_shipped_keywords_are_the_implemented_set():
+    used = set()
+
+    def walk(node):
+        used.update(node)
+        for word in ("properties", "$defs"):
+            for sub in node.get(word, {}).values():
+                walk(sub)
+        for word in ("items", "additionalProperties"):
+            if isinstance(node.get(word), dict):
+                walk(node[word])
+        for sub in node.get("oneOf", []):
+            walk(sub)
+
+    for s in schema.SCHEMAS:
+        walk(s)
+    assert len(schema.SCHEMAS) == 8
+    assert used - schema.IGNORED == schema.IMPLEMENTED
+
+
+IMPORT_SCRIPT = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+from glueforge import cli
+from glueforge.errors import StructuralError
+LAZY = ("jsonschema", "referencing")
+assert not any(name in sys.modules for name in LAZY)
+good = {"version": "1", "kind": "sink", "payload": {
+    "ambient": "sets", "target": ["t"],
+    "sources": [{"name": "s", "object": ["a"], "map": {"a": "t"}}]}}
+cli.load_document(io.StringIO(json.dumps(good)))
+assert not any(name in sys.modules for name in LAZY)
+good["payload"]["ambient"] = "cones"
+try:
+    cli.load_document(io.StringIO(json.dumps(good)))
+except StructuralError as err:
+    assert "not one of" in str(err), err
+else:
+    raise AssertionError("accepted a bad ambient")
+assert all(name in sys.modules for name in LAZY)
+"""
+
+
+def test_jsonschema_is_imported_only_to_word_a_rejection():
+    run = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT, os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
