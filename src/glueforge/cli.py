@@ -9,8 +9,8 @@ Commands read one JSON document (stdin when no --input), run the matching
 operation, and emit a report as JSON on standard output.  Exit status 0 means
 every verdict passed, 1 means some verdict is false, 2 means the input was
 structurally invalid or an enumeration hit the cap.  Identical input and
-flags produce identical output bytes.  The environment variable
-GLUEFORGE_CAP overrides the default enumeration cap.
+flags produce identical output bytes.  The cap (--cap, else GLUEFORGE_CAP,
+else the default) bounds every enumeration of the command, listing opens too.
 
 Documents are checked against the shipped schemas by the compiled checker of
 ``glueforge.schema``, which decides valid or invalid and nothing more.  Only
@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import schema
-from .errors import DEFAULT_CAP, GlueforgeError, ResourceError, StructuralError
+from .errors import GlueforgeError, ResourceError, StructuralError, budget
 from .fincat import SEP, FinFn, FinSet, FinTop, TopMap
 from .gluing import (
     FROM_OVERLAPS,
@@ -425,13 +425,12 @@ def _glue_command(doc, flags):
             carrier, v_space = parse_object(node["object"], data.ambient)
             into_comp = FinFn(carrier, data.carrier((comp,)), node["map"])
             delta = into_comp.then(glued.legs[(comp,)])
-            report = universal_glue_check(data, glued, delta, v_space=v_space,
-                                          cap=flags.get("cap"))
+            report = universal_glue_check(data, glued, delta, v_space=v_space)
             verdicts["universal_glued"] = report["is_glued_up"]
     else:
         if data.direction != TOWARD_OVERLAPS:
             raise StructuralError("limit gluing needs toward-overlaps data")
-        glued = limit_glue(data, cap=flags.get("cap"))
+        glued = limit_glue(data)
         artifacts = {"glued": glued_object_to_json(glued)}
     artifacts["apex_size"] = len(glued.apex)
     return verdicts, artifacts, {}
@@ -442,7 +441,7 @@ def _hom_command(doc, flags):
     if "hom_target" not in doc.payload:
         raise StructuralError("hom needs a hom_target label list in the payload")
     z = FinSet(doc.payload["hom_target"])
-    result = hom_transport(data, z, cap=flags.get("cap"))
+    result = hom_transport(data, z)
     verdicts = {"bijection_verified": result["bijection_verified"]}
     artifacts = {"family_count": result["family_count"],
                  "hom_count": result["hom_count"]}
@@ -451,7 +450,7 @@ def _hom_command(doc, flags):
 
 def _check_effective_command(doc, flags):
     data = parse_gluing(doc.payload)
-    report = effective_gluing_check(data, cap=flags.get("cap"))
+    report = effective_gluing_check(data)
     verdicts = {
         "congruence_and_injective": report.congruence_and_injective,
         "intersection_characterization": report.intersection_characterization,
@@ -469,7 +468,7 @@ def _check_effective_command(doc, flags):
 
 def _check_cover_command(doc, flags):
     sink, tests, _ = parse_sink(doc.payload)
-    report = universal_effective_epi_check(sink, tests, cap=flags.get("cap"))
+    report = universal_effective_epi_check(sink, tests)
     verdicts = {"effective": report["base"],
                 "all_effective": report["all_effective"]}
     if "jointly_surjective" in report:
@@ -482,7 +481,7 @@ def _compose_command(doc, flags):
     sink, _, inner = parse_sink(doc.payload)
     if not inner:
         raise StructuralError("compose needs an 'inner' sink per source")
-    result = compose_via_sinks(sink, inner, cap=flags.get("cap"))
+    result = compose_via_sinks(sink, inner)
     verdicts = {"is_glued_up": result["is_glued_up"]}
     flat = result["sink"]
     artifacts = {
@@ -494,7 +493,7 @@ def _compose_command(doc, flags):
 
 def _check_site_command(doc, flags):
     spec = parse_site(doc.payload)
-    report = covering_axioms_check(spec, cap=flags.get("cap"))
+    report = covering_axioms_check(spec)
     return ({"axioms_hold": report["ok"]}, {},
             {"violations": report["violations"]})
 
@@ -506,11 +505,11 @@ def _check_sheaf_command(doc, flags):
         raise StructuralError("invalid presheaf: " + "; ".join(problems))
     if coverings is None:
         if flags.get("covers") == "exhaustive":
-            coverings = all_coverings(store.lattice, cap=flags.get("cap"))
+            coverings = all_coverings(store.lattice)
         else:
             coverings = default_coverings(store.lattice)
     separated, sep_counter = is_separated(store, coverings)
-    sheaf, sheaf_counter = is_sheaf(store, coverings, cap=flags.get("cap"))
+    sheaf, sheaf_counter = is_sheaf(store, coverings)
     lat = store.lattice
 
     def describe(counter):
@@ -533,7 +532,7 @@ def _check_sheaf_command(doc, flags):
 
 def _glue_sheaves_command(doc, flags):
     datum = parse_gluing_datum(doc.payload)
-    glued, projections = glue_presheaves(datum, cap=flags.get("cap"))
+    glued, projections = glue_presheaves(datum)
     report = presheaf_effective_check(datum, glued, projections)
     lat = glued.lattice
     artifacts = {
@@ -571,8 +570,7 @@ def _glue_map_command(doc, flags):
             o = _parse_openkey(key, sub_space)
             comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], mapping)
         parts[name] = NatTrans(sub_s, sub_t, comps)
-    glued = glue_nat_trans(space, charts, store, target, parts,
-                           cap=flags.get("cap"))
+    glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
     artifacts = {"components": {lat.key(o): jsonable_fn(glued.at(o))
                                 for o in lat.opens}}
@@ -587,8 +585,8 @@ def _refine_command(doc, flags):
     diagnostics = {"violations": problems}
     if not problems:
         if ref.source.direction == TOWARD_OVERLAPS:
-            gs = limit_glue(ref.source, cap=flags.get("cap"))
-            gt = limit_glue(ref.target, cap=flags.get("cap"))
+            gs = limit_glue(ref.source)
+            gt = limit_glue(ref.target)
         else:
             gs = colimit_glue(ref.source)
             gt = colimit_glue(ref.target)
@@ -614,7 +612,7 @@ _HANDLERS = {
 
 
 def execute(command, doc, flags=None):
-    """Dispatch a command against a loaded document; returns the report."""
+    """Dispatch a command within ``budget(flags["cap"])``; returns the report."""
     flags = dict(flags or {})
     if command not in _HANDLERS:
         raise StructuralError("unknown command %r" % command)
@@ -626,7 +624,8 @@ def execute(command, doc, flags=None):
             and flags["ambient"] != doc.payload["ambient"]:
         raise StructuralError("--ambient %s contradicts the document ambient %s"
                               % (flags["ambient"], doc.payload["ambient"]))
-    verdicts, artifacts, diagnostics = _HANDLERS[command](doc, flags)
+    with budget(flags.get("cap")):
+        verdicts, artifacts, diagnostics = _HANDLERS[command](doc, flags)
     return {
         "command": command,
         "verdicts": verdicts,
@@ -647,7 +646,7 @@ def render_report(report):
 def _env_cap():
     text = os.environ.get("GLUEFORGE_CAP")
     if text is None:
-        return DEFAULT_CAP
+        return None
     try:
         return int(text)
     except ValueError:

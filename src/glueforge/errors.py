@@ -1,3 +1,7 @@
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+
 class GlueforgeError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -8,7 +12,7 @@ class StructuralError(GlueforgeError):
 
 
 class ResourceError(GlueforgeError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration would exceed the cap of the enclosing ``budget``."""
 
     def __init__(self, message, size=None, cap=None):
         super().__init__(message)
@@ -18,12 +22,26 @@ class ResourceError(GlueforgeError):
 
 DEFAULT_CAP = 1_000_000
 
+_CAP = ContextVar("glueforge_cap", default=None)
 
-def check_cap(size, cap, what):
+
+@contextmanager
+def budget(cap):
+    """Charge every enumeration in the block against ``cap``; ``None`` means
+    ``DEFAULT_CAP``.  Scopes nest, and on exit the outer cap is back."""
+    token = _CAP.set(cap)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
+
+def charge(what, size):
+    """Raise ``ResourceError`` if ``size`` items of ``what`` exceed the cap."""
+    cap = _CAP.get()
     if cap is None:
         cap = DEFAULT_CAP
     if size > cap:
         raise ResourceError(
             "%s would enumerate %d items, above the cap of %d" % (what, size, cap),
             size=size, cap=cap)
-    return cap

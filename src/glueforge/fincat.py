@@ -18,7 +18,7 @@ input labels containing it, which keeps generated names collision-free.
 
 from itertools import product as iproduct
 
-from .errors import StructuralError, check_cap
+from .errors import StructuralError, charge
 
 SEP = "|"
 
@@ -221,8 +221,7 @@ class FinTop:
         for x in self.carrier:
             u = self.nbhd[x]
             family |= {o | u for o in family}
-            check_cap(len(family), None,
-                      "opens of a %d-point space" % len(self.carrier))
+            charge("opens of a %d-point space" % len(self.carrier), len(family))
         pos = self.carrier.position
         return tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o)))))
 
@@ -302,7 +301,7 @@ class PairedSubset:
         raise AttributeError("PairedSubset is immutable")
 
 
-def product_enumerate(factors, cap=None):
+def product_enumerate(factors):
     """The product of finitely many finite sets, as a set of tuple labels.
 
     Tuple labels are the ``|``-joins of component labels, enumerated in
@@ -312,14 +311,14 @@ def product_enumerate(factors, cap=None):
     size = 1
     for f in factors:
         size *= len(f)
-    check_cap(size, cap, "product of %d factors" % len(factors))
+    charge("product of %d factors" % len(factors), size)
     if not factors:
         return FinSet(["()"])
     return FinSet([SEP.join(combo)
                    for combo in iproduct(*[f.labels for f in factors])])
 
 
-def compatible_tuples(domains, constraints, cap=None, what="compatible tuples"):
+def compatible_tuples(domains, constraints, what="compatible tuples"):
     """Every tuple ``(x_0, ..., x_n-1)`` with ``x_k`` in ``domains[k]`` that
     meets each constraint ``(a, b, key_a, key_b)``: ``key_a[x_a] == key_b[x_b]``.
 
@@ -354,7 +353,7 @@ def compatible_tuples(domains, constraints, cap=None, what="compatible tuples"):
             cands = [index.get(key_a[t[a]], ()) for t in partial]
         else:
             cands = [dom] * len(partial)
-        check_cap(sum(map(len, cands)), cap, what)
+        charge(what, sum(map(len, cands)))
         rest = [probe[:3] for probe in indexes[1:]]
         partial = [t + (x,) for t, xs in zip(partial, cands) for x in xs
                    if not rest or all(key_new[x] == key_b[t[b]]
@@ -362,7 +361,7 @@ def compatible_tuples(domains, constraints, cap=None, what="compatible tuples"):
     return partial
 
 
-def pullback(f, g, cap=None):
+def pullback(f, g):
     """The pullback of two maps with a shared codomain.
 
     Members are the pairs ``a|b`` with ``f(a) = g(b)``, listed in
@@ -371,9 +370,9 @@ def pullback(f, g, cap=None):
     """
     if f.codomain != g.codomain:
         raise StructuralError("pullback requires a shared codomain")
-    check_cap(len(f.domain) * len(g.domain), cap, "product of 2 factors")
+    charge("product of 2 factors", len(f.domain) * len(g.domain))
     pairs = compatible_tuples([f.domain.labels, g.domain.labels],
-                              [(0, 1, f.mapping, g.mapping)], cap, "pullback")
+                              [(0, 1, f.mapping, g.mapping)], "pullback")
     labels = [pair_label(a, b) for a, b in pairs]
     members = FinSet(labels)
     p1 = FinFn(members, f.domain, dict(zip(labels, [a for a, _ in pairs])))
@@ -381,19 +380,19 @@ def pullback(f, g, cap=None):
     return PairedSubset(members, {"p1": p1, "p2": p2})
 
 
-def top_product(x, y, cap=None):
+def top_product(x, y):
     """Product space: the neighbourhood of ``a|b`` is ``nbhd[a] x nbhd[b]``."""
-    carrier = product_enumerate([x.carrier, y.carrier], cap=cap)
+    carrier = product_enumerate([x.carrier, y.carrier])
     return FinTop.from_nbhd(carrier, {
         pair_label(a, b): frozenset(pair_label(p, q)
                                     for p in x.nbhd[a] for q in y.nbhd[b])
         for a in x.carrier for b in y.carrier})
 
 
-def top_pullback(f, g, xtop, ytop, cap=None):
+def top_pullback(f, g, xtop, ytop):
     """Pullback in spaces: the set-level pullback with the initial topology
     along its two legs, which is the subspace topology of the product."""
-    ps = pullback(f, g, cap=cap)
+    ps = pullback(f, g)
     space = induce_topology("initial", ps.members,
                             [ps.legs["p1"], ps.legs["p2"]], [xtop, ytop])
     return PairedSubset(ps.members, ps.legs, space=space)

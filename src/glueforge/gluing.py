@@ -23,7 +23,7 @@ computed, never assumed.
 from itertools import product as iproduct
 from math import prod
 
-from .errors import StructuralError, check_cap
+from .errors import StructuralError, charge
 from .fincat import (
     SEP,
     FinFn,
@@ -294,21 +294,20 @@ def _limit_constraints(data):
     return cons
 
 
-def limit_glue(data, cap=None):
+def limit_glue(data):
     """The standard limit-side representative: compatible families in the
     product of the components, with coordinate projections as legs."""
     _require_valid(data, TOWARD_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
-    check_cap(prod(map(len, carriers)), cap,
-              "limit over %d components" % len(comps))
+    charge("limit over %d components" % len(comps), prod(map(len, carriers)))
     pos = {i: k for k, i in enumerate(comps)}
     members = compatible_tuples(
         [c.labels for c in carriers],
         [(pos[i], pos[j], f.mapping, g.mapping)
          for i, j, f, g in _limit_constraints(data)],
-        cap, "limit families")
+        "limit families")
     labels = [SEP.join(combo) for combo in members]
     apex = FinSet(labels)
     legs = {}
@@ -330,7 +329,7 @@ def limit_glue(data, cap=None):
     return GluedObject("limit", apex, space, legs, leg_props, {})
 
 
-def equalizer_glue_oracle(data, cap=None):
+def equalizer_glue_oracle(data):
     """The limit recomputed literally as the equalizer of the two canonical
     maps between the component product and the overlap product; must agree
     with ``limit_glue`` elementwise."""
@@ -338,13 +337,13 @@ def equalizer_glue_oracle(data, cap=None):
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
-    prod = product_enumerate(carriers, cap=cap)
+    prod = product_enumerate(carriers)
     cons = _limit_constraints(data)
     if cat.mode == NONSPLIT:
         slot_carriers = [data.carrier(cat.pair(i, j)) for i, j, _, _ in cons]
     else:
         slot_carriers = [data.carrier((j, i)) for i, j, _, _ in cons]
-    overlap_prod = product_enumerate(slot_carriers, cap=cap)
+    overlap_prod = product_enumerate(slot_carriers)
     pos = {i: k for k, i in enumerate(comps)}
     combos = {SEP.join(c): c for c in iproduct(*[c.labels for c in carriers])}
 
@@ -443,7 +442,7 @@ def mediating_map(data, glued, cone):
     return med, iso
 
 
-def hom_transport(data, z, cap=None):
+def hom_transport(data, z):
     """Compatible families of maps into ``z`` versus maps out of the glued
     apex; verifies the canonical restriction assignment is a bijection.
 
@@ -454,8 +453,7 @@ def hom_transport(data, z, cap=None):
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = {i: data.carrier((i,)) for i in comps}
-    check_cap(len(z) ** sum(map(len, carriers.values())), cap,
-              "maps into the transport target")
+    charge("maps into the transport target", len(z) ** sum(map(len, carriers.values())))
     # a map out of a component is its tuple of values in carrier order; two
     # maps are compatible when they agree on the overlap of their components
     pos = {i: k for k, i in enumerate(comps)}
@@ -467,13 +465,13 @@ def hom_transport(data, z, cap=None):
 
     cons = [(pos[i], pos[j], key(i, e_i, overlap), key(j, e_j, overlap))
             for i, j, overlap, e_i, e_j in _overlap_maps(data)]
-    family_keys = compatible_tuples(domains, cons, cap, "families of maps")
+    family_keys = compatible_tuples(domains, cons, "families of maps")
     families = [{i: dict(zip(carriers[i].labels, values))
                  for i, values in zip(comps, family)} for family in family_keys]
 
     glued = colimit_glue(data)
     hom_count = len(z) ** len(glued.apex)
-    check_cap(hom_count, cap, "maps out of the glued apex")
+    charge("maps out of the glued apex", hom_count)
     # restrict each map out of the apex to the components, reading the value
     # of a component element at the position of its class
     at = [[glued.apex.position(glued.legs[(i,)].mapping[x]) for x in carriers[i]]
@@ -490,7 +488,7 @@ def hom_transport(data, z, cap=None):
     }
 
 
-def universal_glue_check(data, glued, delta, v_space=None, cap=None):
+def universal_glue_check(data, glued, delta, v_space=None):
     """Pull the whole diagram back along a map into the apex and report
     whether the target of that map is the glued-up object of the pulled-back
     diagram; in the set ambient this witnesses universality of the colimit.
@@ -507,11 +505,10 @@ def universal_glue_check(data, glued, delta, v_space=None, cap=None):
     members = {}
     for obj in cat.objects:
         if data.ambient == "top":
-            ps = top_pullback(glued.legs[obj], delta, data.space(obj),
-                              v_space, cap=cap)
+            ps = top_pullback(glued.legs[obj], delta, data.space(obj), v_space)
             spaces[obj] = ps.space
         else:
-            ps = pullback(glued.legs[obj], delta, cap=cap)
+            ps = pullback(glued.legs[obj], delta)
         objects[obj] = ps.members
         members[obj] = ps
     arrows = {}

@@ -12,7 +12,7 @@ the empty open for sheaves; a flag drops it for presheaf-oriented workflows).
 from itertools import product as iproduct
 from math import prod
 
-from .errors import StructuralError, check_cap
+from .errors import StructuralError, charge
 from .fincat import SEP, FinFn, FinSet, compatible_tuples
 
 EMPTY_SECTION = "()"
@@ -178,12 +178,12 @@ def default_coverings(lattice, include_empty_cover=True):
     return covers
 
 
-def all_coverings(lattice, cap=None):
+def all_coverings(lattice):
     """Every covering of every open; exponential, so cap-guarded."""
     covers = []
     for u in lattice.opens:
         below = [v for v in lattice.opens if v <= u]
-        check_cap(2 ** len(below), cap, "coverings of one open")
+        charge("coverings of one open", 2 ** len(below))
         for mask in range(2 ** len(below)):
             parts = [below[k] for k in range(len(below)) if mask >> k & 1]
             union = frozenset().union(*parts) if parts else frozenset()
@@ -207,7 +207,7 @@ def _check_covering(lattice, covering):
         raise StructuralError("family does not cover %r" % sorted(u))
 
 
-def _compatible_families(store, u, parts, cap=None):
+def _compatible_families(store, u, parts):
     cons = []
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
@@ -215,7 +215,7 @@ def _compatible_families(store, u, parts, cap=None):
             cons.append((a, b, store.restrict_map(parts[a], meet).mapping,
                          store.restrict_map(parts[b], meet).mapping))
     return compatible_tuples([store.sections[v].labels for v in parts], cons,
-                             cap, "families over a covering")
+                             "families over a covering")
 
 
 def is_separated(store, coverings):
@@ -233,12 +233,12 @@ def is_separated(store, coverings):
     return True, None
 
 
-def is_sheaf(store, coverings, cap=None):
+def is_sheaf(store, coverings):
     """Bijectivity between sections and compatible families per covering."""
     for covering in coverings:
         _check_covering(store.lattice, covering)
         u, parts = covering
-        families = _compatible_families(store, u, parts, cap=cap)
+        families = _compatible_families(store, u, parts)
         image = {}
         for s in store.sections[u]:
             key = tuple(store.restrict_section(s, u, v) for v in parts)
@@ -430,8 +430,7 @@ class GluingDatum:
         return problems
 
 
-def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
-                    cap=None):
+def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True):
     """The standard glued presheaf of a gluing datum.
 
     Sections over an open are the transition-compatible tuples of local
@@ -447,8 +446,7 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
         for name in names:
             local = datum.locals[name]
             ok, counter = is_sheaf(
-                local, default_coverings(local.lattice, include_empty_cover),
-                cap=cap)
+                local, default_coverings(local.lattice, include_empty_cover))
             if not ok:
                 raise StructuralError(
                     "local presheaf of chart %r is not a sheaf: %r"
@@ -460,7 +458,7 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
         traces = [o & datum.members(n) for n in names]
         domains = [datum.locals[n].sections[tr].labels
                    for n, tr in zip(names, traces)]
-        check_cap(prod(map(len, domains)), cap, "glued sections at one open")
+        charge("glued sections at one open", prod(map(len, domains)))
         cons = []
         for a, na in enumerate(names):
             for b, nb in enumerate(names):
@@ -470,8 +468,7 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
                 key_b = datum.locals[nb].restrict_map(traces[b], meet)
                 cons.append((a, b, key_a.mapping, key_b.mapping))
         labels = []
-        for combo in compatible_tuples(domains, cons, cap,
-                                       "glued sections at one open"):
+        for combo in compatible_tuples(domains, cons, "glued sections at one open"):
             labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
             tuples[(o, labels[-1])] = dict(zip(names, combo))
         sections[o] = FinSet(labels)
@@ -499,8 +496,7 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True,
                             {lab: tuples[(o, lab)][n] for lab in sections[o]})
         projections[n] = comp
     if require_sheaf_locals:
-        ok, counter = is_sheaf(glued, default_coverings(lat, include_empty_cover),
-                               cap=cap)
+        ok, counter = is_sheaf(glued, default_coverings(lat, include_empty_cover))
         if not ok:
             raise StructuralError("glued presheaf failed its own sheaf check: "
                                   "%r" % (counter,))
@@ -547,7 +543,7 @@ def presheaf_effective_check(datum, glued, projections):
 
 
 def glue_nat_trans(datum_space, charts, source, target, parts,
-                   include_empty_cover=True, cap=None):
+                   include_empty_cover=True):
     """Glue chart-local transformations into one transformation.
 
     ``charts`` is the open cover, ``parts`` maps chart names to NatTrans on
@@ -588,7 +584,7 @@ def glue_nat_trans(datum_space, charts, source, target, parts,
     # sheaf condition of the target on the induced covers
     for v in lat.opens:
         induced = (v, [v & m for _, m in charts])
-        ok, counter = is_sheaf(target, [induced], cap=cap)
+        ok, counter = is_sheaf(target, [induced])
         if not ok:
             raise StructuralError(
                 "target fails the sheaf condition on the induced cover of %r: "

@@ -15,7 +15,7 @@ from .gluing import (
     validate_gluing_data,
 )
 from .indexcat import NONSPLIT
-from .site import Sink, canonical_sink_functor, effective_epi_check
+from .site import Sink, effective_epi_check
 
 
 class Refinement:
@@ -298,11 +298,11 @@ def compose_gluings(meta):
     return GluedObject("colimit", apex, None, legs, {}, witness)
 
 
-def compose_via_sinks(outer, inner, cap=None):
+def compose_via_sinks(outer, inner):
     """Flatten an outer sink with one inner sink per source and report.
 
-    Returns the flattened sink, the canonical split gluing functor of the
-    flattened sink, and whether the outer target is its glued-up object.
+    Returns the flattened sink and whether the outer target is the glued-up
+    object of its canonical split gluing functor.
     """
     sources = []
     for name, obj, fn in outer.sources:
@@ -321,9 +321,4 @@ def compose_via_sinks(outer, inner, cap=None):
                             sub_fn.then(fn)))
     flattened = Sink(outer.ambient, outer.target, sources,
                      target_space=outer.target_space)
-    data = canonical_sink_functor(flattened, cap=cap)
-    return {
-        "sink": flattened,
-        "data": data,
-        "is_glued_up": effective_epi_check(flattened, cap=cap),
-    }
+    return {"sink": flattened, "is_glued_up": effective_epi_check(flattened)}

@@ -9,9 +9,11 @@ finite, caller-supplied family of base-change test maps; in the set ambient
 joint surjectivity is recorded as the complete closed form.
 """
 
-from itertools import permutations, product as iproduct
+from collections import Counter
+from itertools import count, permutations, product as iproduct
+from math import prod
 
-from .errors import StructuralError
+from .errors import StructuralError, charge
 from .fincat import (
     FinFn,
     FinSet,
@@ -95,7 +97,7 @@ class Sink:
         return hit == set(self.target.labels)
 
 
-def canonical_sink_functor(sink, cap=None):
+def canonical_sink_functor(sink):
     """The split colimit-side gluing functor of a sink: components are the
     sources, overlaps are the fibered products over the target, the swap
     arrows are the canonical pullback symmetries."""
@@ -114,11 +116,10 @@ def canonical_sink_functor(sink, cap=None):
             _, fi = sink.source(i)
             _, fj = sink.source(j)
             if sink.ambient == "top":
-                ps = top_pullback(fi, fj, sink.space(i), sink.space(j),
-                                  cap=cap)
+                ps = top_pullback(fi, fj, sink.space(i), sink.space(j))
                 spaces[(i, j)] = ps.space
             else:
-                ps = pullback(fi, fj, cap=cap)
+                ps = pullback(fi, fj)
             objects[(i, j)] = ps.members
             pblegs[(i, j)] = ps.legs
             arrows[("incl", i, (i, j))] = ps.legs["p1"]
@@ -138,7 +139,7 @@ def canonical_sink_functor(sink, cap=None):
                       spaces or None)
 
 
-def base_change_sink(sink, fn, v_space=None, cap=None):
+def base_change_sink(sink, fn, v_space=None):
     """The sink over the source of ``fn`` with the pulled-back family."""
     if fn.codomain != sink.target:
         raise StructuralError("base change map must land in the sink target")
@@ -147,20 +148,19 @@ def base_change_sink(sink, fn, v_space=None, cap=None):
     sources = []
     for name, obj, leg in sink.sources:
         if sink.ambient == "top":
-            ps = top_pullback(leg, fn, obj, v_space, cap=cap)
+            ps = top_pullback(leg, fn, obj, v_space)
             sources.append((name, ps.space, ps.legs["p2"]))
         else:
-            ps = pullback(leg, fn, cap=cap)
+            ps = pullback(leg, fn)
             sources.append((name, ps.members, ps.legs["p2"]))
     return Sink(sink.ambient, fn.domain, sources,
                 target_space=v_space if sink.ambient == "top" else None)
 
 
-def base_change_functor(sink, fn, v_space=None, cap=None):
+def base_change_functor(sink, fn, v_space=None):
     """The canonical functor of the sink with every object pulled back along
     ``fn`` and every arrow paired with the identity of its source."""
-    return canonical_sink_functor(
-        base_change_sink(sink, fn, v_space=v_space, cap=cap), cap=cap)
+    return canonical_sink_functor(base_change_sink(sink, fn, v_space=v_space))
 
 
 def _target_cone(sink, data):
@@ -176,16 +176,16 @@ def _target_cone(sink, data):
                          else None)
 
 
-def effective_epi_check(sink, cap=None):
+def effective_epi_check(sink):
     """Whether the family is an effective epimorphism: the target, with its
     own maps as legs, is the glued-up object of the canonical functor."""
-    data = canonical_sink_functor(sink, cap=cap)
+    data = canonical_sink_functor(sink)
     glued = colimit_glue(data)
     _, iso = mediating_map(data, glued, _target_cone(sink, data))
     return iso
 
 
-def universal_effective_epi_check(sink, tests=(), cap=None):
+def universal_effective_epi_check(sink, tests=()):
     """Effectiveness after base change along each supplied test map.
 
     The report carries the base verdict, one verdict per test map, and in the
@@ -193,7 +193,7 @@ def universal_effective_epi_check(sink, tests=(), cap=None):
     effectiveness under arbitrary base change there.
     """
     report = {
-        "base": effective_epi_check(sink, cap=cap),
+        "base": effective_epi_check(sink),
         "per_test": [],
     }
     if sink.ambient == "sets":
@@ -203,10 +203,10 @@ def universal_effective_epi_check(sink, tests=(), cap=None):
             fn, v_space = entry
         else:
             fn, v_space = entry, None
-        changed = base_change_sink(sink, fn, v_space=v_space, cap=cap)
+        changed = base_change_sink(sink, fn, v_space=v_space)
         report["per_test"].append({
             "map_domain": list(fn.domain.labels),
-            "effective": effective_epi_check(changed, cap=cap),
+            "effective": effective_epi_check(changed),
         })
     report["all_effective"] = report["base"] and all(
         t["effective"] for t in report["per_test"])
@@ -246,7 +246,7 @@ def _is_embedding_or_injective(data, fn, src_obj, dst_obj):
     return fn.is_injective()
 
 
-def effective_gluing_check(data, cap=None):
+def effective_gluing_check(data):
     """The three readings of effectiveness, evaluated independently.
 
     Congruence reading: the generated identification relation, symmetrized
@@ -272,15 +272,13 @@ def effective_gluing_check(data, cap=None):
     names = [obj[0] for obj in cat.singletons()]
     glued = colimit_glue(data)
 
-    rel = set()
+    rel = {(tag(i, x),) * 2 for i in names for x in data.carrier((i,))}
     for a, b in colimit_relation_pairs(data):
-        rel.add((a, b))
-        rel.add((b, a))
-    for i in names:
-        for x in data.carrier((i,)):
-            rel.add((tag(i, x), tag(i, x)))
-    transitive = all((a, d) in rel
-                     for (a, b) in rel for (c, d) in rel if b == c)
+        rel |= {(a, b), (b, a)}
+    # rel is symmetric and reflexive, so it is transitive exactly when it is
+    # the equivalence it generates, whose classes are those of the glued apex
+    sizes = Counter(glued.legs[(i,)](x) for i in names for x in data.carrier((i,)))
+    transitive = len(rel) == sum(n * n for n in sizes.values())
 
     diagnostics = {"pairs": {}, "legs": {}}
     edge_emb = {}
@@ -312,10 +310,9 @@ def effective_gluing_check(data, cap=None):
         t = data.tau_from((j, i))
         into_j = t.then(data.edge(j, (j, i)))
         if data.ambient == "top":
-            ps = top_pullback(leg_i, leg_j, data.space((i,)), data.space((j,)),
-                              cap=cap)
+            ps = top_pullback(leg_i, leg_j, data.space((i,)), data.space((j,)))
         else:
-            ps = pullback(leg_i, leg_j, cap=cap)
+            ps = pullback(leg_i, leg_j)
         mapping = {u: pair_label(e(u), into_j(u)) for u in data.carrier(pair_obj)}
         try:
             canonical = FinFn(data.carrier(pair_obj), ps.members, mapping)
@@ -385,6 +382,7 @@ def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
         fibers_a.setdefault(fn_a.mapping[x], []).append(x)
     for x in fn_b.domain:
         fibers_b.setdefault(fn_b.mapping[x], []).append(x)
+    tried = count(1)
 
     def assemble(keys, acc):
         if not keys:
@@ -398,6 +396,7 @@ def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
         fa = fibers_a.get(u, [])
         fb = fibers_b.get(u, [])
         for perm in permutations(fb):
+            charge("fibre permutations between two sources", next(tried))
             acc2 = dict(acc)
             acc2.update(zip(fa, perm))
             if assemble(rest, acc2):
@@ -438,7 +437,7 @@ def _declared(spec, sink):
     return any(sinks_equivalent(sink, c) for c in spec.coverings)
 
 
-def covering_axioms_check(spec, cap=None):
+def covering_axioms_check(spec):
     """Checks the identity, composability, and base-change axioms on the
     declared fragment; every violation is named in the report."""
     violations = []
@@ -458,15 +457,11 @@ def covering_axioms_check(spec, cap=None):
                     "isomorphism sink onto %r is not declared"
                     % (list(fn.codomain.labels),))
     for cov in spec.coverings:
-        options = []
-        for name, obj, fn in cov.sources:
-            carrier = obj.carrier if isinstance(obj, FinTop) else obj
-            refinements = [c for c in spec.coverings if c.target == carrier]
-            options.append((name, refinements))
-        if any(not refs for _, refs in options):
-            continue
         # enumerate all compatible families of declared refinements
-        for combo in iproduct(*[refs for _, refs in options]):
+        options = [[c for c in spec.coverings if c.target == cov.carrier(name)]
+                   for name in cov.names()]
+        charge("refinement families of one covering", prod(map(len, options)))
+        for combo in iproduct(*options):
             sources = []
             for (name, refinement) in zip(cov.names(), combo):
                 _, outer_fn = cov.source(name)
@@ -484,7 +479,7 @@ def covering_axioms_check(spec, cap=None):
             fn, dom_space, cod_space = spec.morphism_parts(entry)
             if fn.codomain != cov.target:
                 continue
-            changed = base_change_sink(cov, fn, v_space=dom_space, cap=cap)
+            changed = base_change_sink(cov, fn, v_space=dom_space)
             if not _declared(spec, changed):
                 violations.append(
                     "base change of a covering of %r along a map from %r "

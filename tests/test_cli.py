@@ -9,12 +9,14 @@ from glueforge.cli import (
     glued_object_to_json,
     load_document,
     main,
+    parse_site,
     render_report,
 )
-from glueforge.errors import StructuralError
+from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinSet, FinTop
 from glueforge.gluing import colimit_glue
 from glueforge.presheaf import function_presheaf
+from glueforge.site import covering_axioms_check, sinks_equivalent
 
 from fixtures import e1
 
@@ -225,6 +227,31 @@ def test_cap_env_variable_not_an_integer(tmp_path, capsys, monkeypatch):
     assert main(["glue", "--input", path, "--cap", "100"]) == 0
 
 
+def test_cap_flag_bounds_the_listing_of_opens(tmp_path, capsys):
+    def discrete(points):
+        opens = [[]] + [[p] for p in points]
+        return {"points": points,
+                "opens": opens + ([points] if len(points) > 1 else [])}
+
+    doc = {"version": "1", "kind": "gluing", "payload": {
+        "mode": "split", "ambient": "top", "direction": "from-overlaps",
+        "index": ["1", "2"],
+        "objects": {"1": discrete(["x0", "x1"]), "2": discrete(["y0", "y1"]),
+                    "1,2": discrete(["o"]), "2,1": discrete(["o"])},
+        "arrows": [
+            {"kind": "edge", "from": "1", "pair": "1,2", "map": {"o": "x1"}},
+            {"kind": "edge", "from": "2", "pair": "2,1", "map": {"o": "y1"}},
+            {"kind": "tau", "pair": "1,2", "map": {"o": "o"}}]}}
+    path = write_doc(tmp_path, doc, "top.json")
+    assert main(["glue", "--input", path]) == 0
+    assert len(json.loads(capsys.readouterr().out)
+               ["artifacts"]["glued"]["apex"]["opens"]) == 8
+    assert main(["glue", "--input", path, "--cap", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: resource error:")
+    assert "opens of a 3-point space" in err
+
+
 @pytest.mark.parametrize("objects, arrow", [
     # edge whose pair has no objects entry
     ({"1": ["a"], "2": ["b"]},
@@ -424,9 +451,9 @@ def test_check_cover_and_compose(tmp_path, capsys):
     assert "1.1" in out["artifacts"]["flattened_sources"]
 
 
-def test_check_site_command(tmp_path, capsys):
+def coproduct_site_doc():
     ident = lambda labels: {x: x for x in labels}
-    doc = {
+    return {
         "version": "1", "kind": "site",
         "payload": {
             "ambient": "sets",
@@ -449,10 +476,71 @@ def test_check_site_command(tmp_path, capsys):
             ],
         },
     }
-    path = write_doc(tmp_path, doc, "site.json")
+
+
+def test_check_site_command(tmp_path, capsys):
+    path = write_doc(tmp_path, coproduct_site_doc(), "site.json")
     assert main(["check-site", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["axioms_hold"] is True
+
+
+def test_check_site_charges_the_refinement_product(tmp_path, capsys):
+    # the identity covering of {a, b} refines along either covering of {a, b}
+    doc = coproduct_site_doc()
+    spec = parse_site(doc["payload"])
+    with budget(1), pytest.raises(ResourceError) as err:
+        covering_axioms_check(spec)
+    assert err.value.size == 2
+    assert "refinement families of one covering" in str(err.value)
+    path = write_doc(tmp_path, doc, "site.json")
+    assert main(["check-site", "--input", path, "--cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: resource error:")
+    assert "refinement families of one covering" in err
+
+
+def test_check_site_charges_the_fibre_permutation_search(tmp_path, capsys):
+    def space(points, opens):
+        return {"points": points, "opens": opens}
+
+    point = space(["t"], [[], ["t"]])
+    a = ["a1", "a2", "a3"]
+    discrete = space(a, [[]] + [[x] for x in a]
+                     + [[x, y] for x in a for y in a if x < y] + [a])
+    indiscrete = space(["b1", "b2", "b3"], [[], ["b1", "b2", "b3"]])
+    doc = {"version": "1", "kind": "site", "payload": {
+        "ambient": "top",
+        "coverings": [
+            {"target": point, "sources": [
+                {"name": "1", "object": indiscrete,
+                 "map": {"b1": "t", "b2": "t", "b3": "t"}}]},
+            {"target": point, "sources": [
+                {"name": "1", "object": discrete,
+                 "map": {x: "t" for x in a}}]},
+            {"target": discrete, "sources": [
+                {"name": "1", "object": discrete, "map": {x: x for x in a}}]},
+        ],
+        "morphisms": []}}
+    # the composite of the last two coverings is the second one; matching it
+    # against the first tries all 6 permutations of a 3-point fibre, in vain
+    indiscrete_sink, discrete_sink, _ = parse_site(doc["payload"]).coverings
+    with budget(5), pytest.raises(ResourceError) as err:
+        sinks_equivalent(discrete_sink, indiscrete_sink)
+    assert err.value.size == 6
+    assert "fibre permutations" in str(err.value)
+    with budget(6):
+        assert not sinks_equivalent(discrete_sink, indiscrete_sink)
+    # a search that succeeds on its first assignment is never refused
+    with budget(1):
+        assert sinks_equivalent(discrete_sink, discrete_sink)
+    path = write_doc(tmp_path, doc, "topsite.json")
+    assert main(["check-site", "--input", path]) == 0
+    capsys.readouterr()
+    assert main(["check-site", "--input", path, "--cap", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: resource error:")
+    assert "fibre permutations" in err
 
 
 def test_refine_command(tmp_path, capsys):

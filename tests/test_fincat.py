@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from glueforge.errors import ResourceError, StructuralError
+from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import (
     FinFn,
     FinSet,
@@ -186,8 +186,8 @@ def test_product_with_unit_factor():
 
 
 def test_product_cap_enforced():
-    with pytest.raises(ResourceError) as err:
-        product_enumerate([FinSet(["a", "b"]), FinSet(["0", "1"])], cap=3)
+    with budget(3), pytest.raises(ResourceError) as err:
+        product_enumerate([FinSet(["a", "b"]), FinSet(["0", "1"])])
     assert err.value.size == 4
 
 

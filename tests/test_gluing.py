@@ -1,6 +1,6 @@
 import pytest
 
-from glueforge.errors import ResourceError, StructuralError
+from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, quotient_by_pairs, tag
 from glueforge.gluing import (
     ConeCandidate,
@@ -158,8 +158,8 @@ def test_limit_cap():
     data = make_limit_data(
         ["1", "2"], {"1": ["0", "1"], "2": ["0", "1"]},
         {("1", "2"): (["s"], {"0": "s", "1": "s"}, {"0": "s", "1": "s"})})
-    with pytest.raises(ResourceError):
-        limit_glue(data, cap=3)
+    with budget(3), pytest.raises(ResourceError):
+        limit_glue(data)
 
 
 def test_equalizer_oracle_agrees_on_random_instances():

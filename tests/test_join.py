@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glueforge.errors import ResourceError
+from glueforge.errors import ResourceError, budget
 from glueforge.fincat import FinFn, FinSet, compatible_tuples, pullback
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=300)
@@ -71,9 +71,10 @@ def test_kernel_charges_partial_tuples_not_the_product():
     domains = [["x%d" % k for k in range(10)] for _ in range(3)]
     ident = {x: x[1:] for x in domains[0]}
     # the diagonal of a 1000-element product fits a cap of 10
-    assert len(compatible_tuples(domains, [(0, 1, ident, ident),
-                                           (1, 2, ident, ident)], cap=10)) == 10
-    with pytest.raises(ResourceError) as err:
-        compatible_tuples(domains, [(0, 2, ident, ident)], cap=99)
+    with budget(10):
+        assert len(compatible_tuples(domains, [(0, 1, ident, ident),
+                                               (1, 2, ident, ident)])) == 10
+    with budget(99), pytest.raises(ResourceError) as err:
+        compatible_tuples(domains, [(0, 2, ident, ident)])
     assert err.value.size == 100
     assert "compatible tuples" in str(err.value)

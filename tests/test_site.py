@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
-from glueforge.fincat import FinFn, FinSet, FinTop
-from glueforge.gluing import colimit_glue
+from glueforge.fincat import FinFn, FinSet, FinTop, tag
+from glueforge.gluing import colimit_glue, colimit_relation_pairs
 from glueforge.site import (
     SiteSpec,
     Sink,
@@ -16,7 +18,7 @@ from glueforge.site import (
     universal_effective_epi_check,
 )
 
-from fixtures import e4_split, make_split_colimit, seeded
+from fixtures import e3, e4_split, make_split_colimit, seeded
 
 
 def inclusion_sink(target_labels, parts):
@@ -289,3 +291,46 @@ def test_random_sets_effective_epi_equals_joint_surjectivity():
                                   {x: rng.choice(target.labels) for x in labels})))
         sink = Sink("sets", target, sources)
         assert effective_epi_check(sink) == sink.jointly_surjective()
+
+
+def pairwise_transitive(data):
+    """Oracle: the generating identifications, symmetrized and with the
+    diagonal added, checked for transitivity pair by pair."""
+    rel = set()
+    for a, b in colimit_relation_pairs(data):
+        rel |= {(a, b), (b, a)}
+    for (i,) in data.indexcat.singletons():
+        rel |= {(tag(i, x), tag(i, x)) for x in data.carrier((i,))}
+    return all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c)
+
+
+@st.composite
+def injective_split_colimits(draw):
+    """Split from-overlaps data with injective overlap arrows, so that the
+    congruence flag reads transitivity alone."""
+    n = draw(st.integers(1, 4))
+    index = [str(k + 1) for k in range(n)]
+    components = {i: ["c%s_%d" % (i, k) for k in range(draw(st.integers(1, 3)))]
+                  for i in index}
+    overlaps = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = index[a], index[b]
+            size = draw(st.integers(0, min(len(components[i]),
+                                           len(components[j]))))
+            labels = ["o%s_%s_%d" % (i, j, k) for k in range(size)]
+            to_i = draw(st.permutations(components[i]))[:size]
+            to_j = draw(st.permutations(components[j]))[:size]
+            overlaps[(i, j)] = (labels, dict(zip(labels, to_i)),
+                                dict(zip(labels, to_j)))
+    return make_split_colimit(index, components, overlaps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(injective_split_colimits())
+@example(e3())
+@example(e4_split())
+def test_congruence_flag_matches_pairwise_transitivity(data):
+    assert all(data.edge(p[0], p).is_injective() for p in data.indexcat.pairs())
+    report = effective_gluing_check(data)
+    assert report.congruence_and_injective == pairwise_transitive(data)

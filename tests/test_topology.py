@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import glueforge.errors
 from glueforge.cli import main
-from glueforge.errors import ResourceError, StructuralError
+from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import (
     FinFn,
     FinSet,
@@ -194,7 +194,8 @@ def test_fintop_accepts_exactly_the_topologies(data):
 def test_product_of_two_4_point_discrete_spaces():
     x = FinTop.discrete(FinSet(["a%d" % k for k in range(4)]))
     y = FinTop.discrete(FinSet(["b%d" % k for k in range(4)]))
-    prod = top_product(x, y, cap=1000)
+    with budget(1000):
+        prod = top_product(x, y)
     assert len(prod.carrier) == 16
     assert all(prod.nbhd[p] == {p} for p in prod.carrier)
     for k, factor in enumerate((x, y)):
