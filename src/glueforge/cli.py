@@ -15,9 +15,10 @@ else the default) bounds every enumeration of the command, listing opens too.
 Documents are checked against the shipped schemas by the compiled checker of
 ``glueforge.schema``, which decides valid or invalid and nothing more.  Only
 when it rejects a document is jsonschema imported, to word the error: the
-first error sorted by path, as ``schema violation at <path>: <message>``.  A
-call on a valid document never imports jsonschema.  Input that is not UTF-8,
-or JSON nested too deeply to parse or report, is a structural error too.
+first error sorted by path, as ``schema violation at <path>: <message>``,
+cut at ``SCHEMA_TEXT_LIMIT`` characters.  A call on a valid document never
+imports jsonschema.  Input that is not UTF-8, or JSON nested too deeply to
+parse or report, is a structural error too.
 """
 
 import argparse
@@ -96,8 +97,14 @@ def _schema_registry():
         (s["$id"], Resource.from_contents(s)) for s in schema.SCHEMAS)
 
 
+# jsonschema's messages repeat the repr of the offending value, which can be
+# as large as the document; a rejection keeps this many characters of it
+SCHEMA_TEXT_LIMIT = 300
+
+
 def _validate_schema(instance, schema_id, where):
-    """Accept through the compiled checker; word a rejection by jsonschema."""
+    """Accept through the compiled checker; word a rejection by jsonschema,
+    cut at ``SCHEMA_TEXT_LIMIT`` characters."""
     if schema.CHECKERS[schema_id](instance):
         return
     from jsonschema import Draft202012Validator
@@ -106,8 +113,12 @@ def _validate_schema(instance, schema_id, where):
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.path))
     if errors:
         err = errors[0]
-        raise StructuralError("schema violation at %s%s: %s"
-                              % (where, err.json_path.lstrip("$"), err.message))
+        text = "schema violation at %s%s: %s" % (
+            where, err.json_path.lstrip("$"), err.message)
+        if len(text) > SCHEMA_TEXT_LIMIT:
+            text = "%s... [cut, %d characters in all]" % (
+                text[:SCHEMA_TEXT_LIMIT], len(text))
+        raise StructuralError(text)
 
 
 def _check_labels(payload):
@@ -345,10 +356,15 @@ def parse_gluing_datum(payload):
             raise StructuralError("no local presheaf for chart %r" % name)
         sub = space.subspace(members)
         locals_[name] = _parse_presheaf_body(payload["locals"][name], sub)
+    members = dict(charts)
     transitions = {}
     for node in payload["transitions"]:
         a, b = node["from"], node["to"]
-        sub = space.subspace(dict(charts)[a] & dict(charts)[b])
+        for name in (a, b):
+            if name not in members:
+                raise StructuralError("transition names chart %r, which the "
+                                      "charts list lacks" % name)
+        sub = space.subspace(members[a] & members[b])
         comp = {}
         for key, mapping in node["components"].items():
             o = _parse_openkey(key, sub)

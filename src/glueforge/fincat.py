@@ -288,7 +288,8 @@ class TopMap:
 
 
 class PairedSubset:
-    """The members of a pullback or equalizer with the maps exhibiting it."""
+    """The members of a pullback with its two projection legs and, for a
+    pullback of spaces, its topology."""
 
     __slots__ = ("members", "legs", "space")
 
@@ -396,15 +397,6 @@ def top_pullback(f, g, xtop, ytop):
     space = induce_topology("initial", ps.members,
                             [ps.legs["p1"], ps.legs["p2"]], [xtop, ytop])
     return PairedSubset(ps.members, ps.legs, space=space)
-
-
-def equalizer(f, g):
-    """The equalizer subset {a : f(a) = g(a)} with its inclusion leg."""
-    if f.domain != g.domain or f.codomain != g.codomain:
-        raise StructuralError("equalizer requires parallel maps")
-    members = FinSet([a for a in f.domain if f.mapping[a] == g.mapping[a]])
-    incl = FinFn(members, f.domain, {a: a for a in members})
-    return PairedSubset(members, {"include": incl})
 
 
 class UnionFind:

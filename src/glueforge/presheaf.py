@@ -207,7 +207,7 @@ def _check_covering(lattice, covering):
         raise StructuralError("family does not cover %r" % sorted(u))
 
 
-def _compatible_families(store, u, parts):
+def _compatible_families(store, parts):
     cons = []
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
@@ -238,7 +238,7 @@ def is_sheaf(store, coverings):
     for covering in coverings:
         _check_covering(store.lattice, covering)
         u, parts = covering
-        families = _compatible_families(store, u, parts)
+        families = _compatible_families(store, parts)
         image = {}
         for s in store.sections[u]:
             key = tuple(store.restrict_section(s, u, v) for v in parts)

@@ -8,6 +8,8 @@ classical regime where the diagonal carries identity structure.
 
 import random
 
+from hypothesis import strategies as st
+
 from glueforge.fincat import FinFn, FinSet, FinTop
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
@@ -145,6 +147,30 @@ def random_nonsplit_colimit(rng, max_index=4, max_size=6):
                 {u: rng.choice(components[i]) for u in labels},
                 {u: rng.choice(components[j]) for u in labels})
     return make_nonsplit_colimit(index, components, overlaps)
+
+
+@st.composite
+def colimit_data(draw, max_index=3, max_size=3):
+    """Nonsplit or classical split colimit-side data over sets, with empty
+    components and empty overlaps allowed."""
+    n = draw(st.integers(1, max_index))
+    index = [str(k + 1) for k in range(n)]
+    components = {i: ["c%s_%d" % (i, k)
+                      for k in range(draw(st.integers(0, max_size)))]
+                  for i in index}
+    overlaps = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = index[a], index[b]
+            size = draw(st.integers(0, 2)) if components[i] and components[j] \
+                else 0
+            labels = ["o%s_%s_%d" % (i, j, k) for k in range(size)]
+            overlaps[(i, j)] = (
+                labels,
+                {u: draw(st.sampled_from(components[i])) for u in labels},
+                {u: draw(st.sampled_from(components[j])) for u in labels})
+    make = draw(st.sampled_from([make_nonsplit_colimit, make_split_colimit]))
+    return make(index, components, overlaps)
 
 
 def random_split_colimit(rng, max_index=3, max_size=4, force_noneffective=False):

@@ -1,0 +1,128 @@
+"""Reference recomputations that the engine's fast paths are tested against.
+
+Each oracle computes its answer the long way round, by a different
+construction from the one in ``glueforge``: the limit as a literal
+equalizer of two maps between products, the composite gluing in two
+stages, and the hom bijection by enumerating every map out of the glued
+apex.  They are exponential on purpose and run only on small instances.
+"""
+
+from itertools import product as iproduct
+
+from glueforge.errors import StructuralError
+from glueforge.fincat import (
+    SEP,
+    FinFn,
+    FinSet,
+    PairedSubset,
+    induce_topology,
+    product_enumerate,
+    quotient_by_pairs,
+    tag,
+)
+from glueforge.gluing import (
+    TOWARD_OVERLAPS,
+    GluedObject,
+    _limit_constraints,
+    _require_valid,
+    colimit_glue,
+    colimit_relation_pairs,
+)
+from glueforge.indexcat import NONSPLIT
+
+
+def equalizer(f, g):
+    """The equalizer subset {a : f(a) = g(a)} with its inclusion leg."""
+    if f.domain != g.domain or f.codomain != g.codomain:
+        raise StructuralError("equalizer requires parallel maps")
+    members = FinSet([a for a in f.domain if f.mapping[a] == g.mapping[a]])
+    incl = FinFn(members, f.domain, {a: a for a in members})
+    return PairedSubset(members, {"include": incl})
+
+
+def equalizer_glue_oracle(data):
+    """The limit recomputed literally as the equalizer of the two canonical
+    maps between the component product and the overlap product; must agree
+    with ``limit_glue`` elementwise."""
+    _require_valid(data, TOWARD_OVERLAPS)
+    cat = data.indexcat
+    comps = [obj[0] for obj in cat.singletons()]
+    carriers = [data.carrier((i,)) for i in comps]
+    prod = product_enumerate(carriers)
+    cons = _limit_constraints(data)
+    if cat.mode == NONSPLIT:
+        slot_carriers = [data.carrier(cat.pair(i, j)) for i, j, _, _ in cons]
+    else:
+        slot_carriers = [data.carrier((j, i)) for i, j, _, _ in cons]
+    overlap_prod = product_enumerate(slot_carriers)
+    pos = {i: k for k, i in enumerate(comps)}
+    combos = {SEP.join(c): c for c in iproduct(*[c.labels for c in carriers])}
+
+    def side_map(side):
+        mapping = {}
+        for label, combo in combos.items():
+            values = [f(combo[pos[i]]) if side == 0 else g(combo[pos[j]])
+                      for i, j, f, g in cons]
+            mapping[label] = SEP.join(values) if values else "()"
+        return FinFn(prod, overlap_prod, mapping)
+
+    eq = equalizer(side_map(0), side_map(1))
+    apex = FinSet(list(eq.members))
+    legs = {}
+    for k, i in enumerate(comps):
+        legs[(i,)] = FinFn(apex, carriers[k], {x: combos[x][k] for x in apex})
+    for pair_obj in cat.pairs():
+        i = pair_obj[0]
+        legs[pair_obj] = legs[(i,)].then(data.edge(i, pair_obj))
+    space = None
+    if data.ambient == "top":
+        space = induce_topology("initial", apex,
+                                [legs[(i,)] for i in comps],
+                                [data.space((i,)) for i in comps])
+    return GluedObject("limit", apex, space, legs, {}, {})
+
+
+def two_stage_partition(meta):
+    """The classes of a composite gluing computed in two stages: each node
+    glued on its own, then the node apexes glued along the overlap
+    identifications.  Returns the partition of the flattened elements
+    ``(node, component object, label)``."""
+    node_glued = {i: colimit_glue(meta.nodes[i]) for i in meta.index}
+    elements = FinSet([tag(i, c) for i in meta.index
+                       for c in node_glued[i].apex])
+    pairs = [(tag(i, node_glued[i].legs[a](x)), tag(j, node_glued[j].legs[b](y)))
+             for (i, j), idents in meta.overlaps.items()
+             for (a, x), (b, y) in idents]
+    _, pi = quotient_by_pairs(elements, pairs)
+    classes = {}
+    for i in meta.index:
+        node = meta.nodes[i]
+        for comp in node.indexcat.singletons():
+            for x in node.carrier(comp):
+                cls = pi(tag(i, node_glued[i].legs[comp](x)))
+                classes.setdefault(cls, set()).add((i, comp, x))
+    return {frozenset(c) for c in classes.values()}
+
+
+def hom_bijection_exhaustive(data, z, glued):
+    """Whether restricting maps ``glued.apex -> z`` along the component legs
+    is a bijection onto the compatible families of maps into ``z``.
+
+    Lists every family of maps out of the components and keeps those that
+    respect each generating identification, then restricts every one of the
+    ``|z| ** |apex|`` maps out of the apex."""
+    comps = [obj[0] for obj in data.indexcat.singletons()]
+    elements = [(i, x) for i in comps for x in data.carrier((i,))]
+    pairs = colimit_relation_pairs(data)
+    families = set()
+    for values in iproduct(z.labels, repeat=len(elements)):
+        at = {tag(i, x): v for (i, x), v in zip(elements, values)}
+        if all(at[a] == at[b] for a, b in pairs):
+            families.add(values)
+    restrictions = set()
+    maps = 0
+    for values in iproduct(z.labels, repeat=len(glued.apex)):
+        g = dict(zip(glued.apex.labels, values))
+        restrictions.add(tuple(g[glued.legs[(i,)](x)] for i, x in elements))
+        maps += 1
+    return len(restrictions) == maps and restrictions == families

@@ -9,7 +9,6 @@ from glueforge.fincat import FinFn, FinSet, tag
 from glueforge.gluing import (
     colimit_glue,
     colimit_relation_pairs,
-    equalizer_glue_oracle,
     hom_transport,
     limit_glue,
 )
@@ -40,6 +39,7 @@ from fixtures import (
     random_top_colimit,
     seeded,
 )
+from oracles import equalizer_glue_oracle
 from test_refine import flat_identification_oracle, torus_meta
 
 

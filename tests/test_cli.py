@@ -170,6 +170,27 @@ def test_main_cap_flag_resource_error(tmp_path, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_hom_charges_each_component_on_its_own(tmp_path, capsys):
+    # 2^6 maps into the target from both components together, but 2^3 from
+    # each, and the two steps of the join visit 8 and 32 candidates
+    path = write_doc(tmp_path, e1_payload(extra={"hom_target": ["0", "1"]}))
+    assert main(["hom", "--input", path, "--cap", "40"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"]["bijection_verified"] is True
+    assert out["artifacts"]["family_count"] == 32
+
+
+def test_hom_refuses_one_oversized_component(tmp_path, capsys):
+    doc = e1_payload(extra={"hom_target": ["0", "1"]})
+    doc["payload"]["objects"]["1"] = ["a%d" % k for k in range(6)]
+    path = write_doc(tmp_path, doc)
+    assert main(["hom", "--input", path, "--cap", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: resource error:")
+    assert "maps from component 1 into the transport target would " \
+        "enumerate 64 items" in err
+
+
 def sierpinski_presheaf_doc():
     space = {"points": ["0", "1"],
              "opens": [[], ["1"], ["0", "1"]]}
@@ -370,7 +391,7 @@ def test_check_sheaf_constant_presheaf_fails(tmp_path, capsys):
     assert out["diagnostics"]["sheaf_counterexample"]["open"] == ""
 
 
-def test_glue_sheaves_command(tmp_path, capsys):
+def two_chart_datum():
     space = {"points": ["p", "q"],
              "opens": [[], ["p"], ["q"], ["p", "q"]]}
     locals_ = {
@@ -379,7 +400,7 @@ def test_glue_sheaves_command(tmp_path, capsys):
         "2": {"sections": {"": ["()"], "q": ["q=x", "q=y"]},
               "restrictions": {"q>": {"q=x": "()", "q=y": "()"}}},
     }
-    doc = {
+    return {
         "version": "1", "kind": "gluing-datum",
         "payload": {
             "space": space,
@@ -391,11 +412,25 @@ def test_glue_sheaves_command(tmp_path, capsys):
             ],
         },
     }
-    path = write_doc(tmp_path, doc, "datum.json")
+
+
+def test_glue_sheaves_command(tmp_path, capsys):
+    path = write_doc(tmp_path, two_chart_datum(), "datum.json")
     assert main(["glue-sheaves", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["cocycle_ok"] is True
     assert len(out["artifacts"]["sections"]["p,q"]) == 4
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+def test_transition_on_unknown_chart_is_structural(tmp_path, capsys, end):
+    doc = two_chart_datum()
+    doc["payload"]["transitions"][0][end] = "nosuch"
+    path = write_doc(tmp_path, doc, "datum.json")
+    assert main(["glue-sheaves", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error:")
+    assert "'nosuch'" in err
 
 
 def test_glue_map_command(tmp_path, capsys):

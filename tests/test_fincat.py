@@ -8,13 +8,14 @@ from glueforge.fincat import (
     FinSet,
     FinTop,
     TopMap,
-    equalizer,
     induce_topology,
     map_properties,
     product_enumerate,
     pullback,
     quotient_by_pairs,
 )
+
+from oracles import equalizer
 
 
 def naive_closure_partition(labels, pairs):

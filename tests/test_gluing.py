@@ -1,14 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from glueforge import gluing
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, quotient_by_pairs, tag
 from glueforge.gluing import (
     ConeCandidate,
+    GluedObject,
     GluingData,
     colimit_glue,
     colimit_relation_pairs,
     compose_with_sorting,
-    equalizer_glue_oracle,
     hom_transport,
     limit_glue,
     mediating_map,
@@ -19,6 +22,7 @@ from glueforge.gluing import (
 from glueforge.indexcat import IndexCat, SortingMap, sorting_functors
 
 from fixtures import (
+    colimit_data,
     e1,
     e2,
     e3,
@@ -30,6 +34,7 @@ from fixtures import (
     random_split_colimit,
     seeded,
 )
+from oracles import equalizer_glue_oracle, hom_bijection_exhaustive
 
 
 def classes_of(data, glued):
@@ -248,6 +253,62 @@ def test_hom_transport_random_bijection():
         res = hom_transport(data, z)
         assert res["bijection_verified"] is True
         assert res["family_count"] == len(z) ** len(res["glued"].apex)
+
+
+def bend(glued, kind):
+    """The glued object with bent component legs: an extra class that no leg
+    reaches, the first two classes merged, or the first element split off
+    into a class of its own."""
+    labels = list(glued.apex.labels)
+    legs = {obj: dict(leg.mapping) for obj, leg in glued.legs.items()
+            if len(obj) == 1}
+    if kind == "unreached":
+        labels.append("*")
+    elif kind == "merged" and len(labels) >= 2:
+        gone = labels.pop(1)
+        for m in legs.values():
+            m.update((x, labels[0]) for x, q in m.items() if q == gone)
+    elif kind == "split":
+        first = next(((m, x) for m in legs.values() for x in m), None)
+        if first:
+            labels.append("*")
+            first[0][first[1]] = "*"
+    apex = FinSet(labels)
+    return GluedObject("colimit", apex, None, {
+        obj: FinFn(glued.legs[obj].domain, apex, m) for obj, m in legs.items()},
+        {}, {})
+
+
+@st.composite
+def hom_instances(draw):
+    data = draw(colimit_data(max_size=2))
+    z = FinSet(["z%d" % k for k in range(draw(st.integers(0, 3)))])
+    kind = draw(st.sampled_from(["none", "unreached", "merged", "split"]))
+    return data, z, kind
+
+
+def test_hom_certificate_matches_exhaustive_oracle(monkeypatch):
+    flags = []
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(hom_instances())
+    @example((e1(), FinSet(["0", "1"]), "none"))
+    @example((e1(), FinSet(["0", "1"]), "merged"))
+    def check(instance):
+        data, z, kind = instance
+        glued = bend(colimit_glue(data), kind)
+        with monkeypatch.context() as patch:
+            patch.setattr(gluing, "colimit_glue", lambda _: glued)
+            res = hom_transport(data, z)
+        assert res["glued"] is glued
+        assert res["hom_count"] == len(z) ** len(glued.apex)
+        flag = res["bijection_verified"]
+        assert flag == hom_bijection_exhaustive(data, z, glued)
+        assert flag or kind != "none"
+        flags.append(flag)
+
+    check()
+    assert flags.count(False) >= 100
 
 
 def test_universal_check_identity_delta():

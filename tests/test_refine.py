@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
@@ -15,7 +17,8 @@ from glueforge.refine import (
 )
 from glueforge.site import Sink
 
-from fixtures import make_limit_data, make_nonsplit_colimit, seeded
+from fixtures import colimit_data, make_limit_data, make_nonsplit_colimit, seeded
+from oracles import two_stage_partition
 
 
 def two_chart_limit(swapped=False):
@@ -215,6 +218,38 @@ def test_torus_flat_composition_matches_oracle():
                 got.setdefault(torus.legs[(i, comp)](x), set()).add(
                     "%s/%s/%s" % (i, comp[0], x))
     assert {frozenset(c) for c in got.values()} == flat_identification_oracle(meta)
+
+
+@st.composite
+def meta_gluing_data(draw):
+    index = ["n%d" % k for k in range(draw(st.integers(1, 3)))]
+    nodes = {i: draw(colimit_data()) for i in index}
+    elements = {i: [(comp, x) for comp in nodes[i].indexcat.singletons()
+                    for x in nodes[i].carrier(comp)] for i in index}
+    overlaps = {}
+    for a, i in enumerate(index):
+        for j in index[a + 1:]:
+            if elements[i] and elements[j]:
+                overlaps[(i, j)] = draw(st.lists(st.tuples(
+                    st.sampled_from(elements[i]), st.sampled_from(elements[j])),
+                    max_size=3))
+    return MetaGluingData(index, nodes, overlaps)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(meta_gluing_data())
+@example(torus_meta(3))
+def test_flat_composition_matches_two_stage_oracle(meta):
+    glued = compose_gluings(meta)
+    classes = {}
+    for i in meta.index:
+        node = meta.nodes[i]
+        for comp in node.indexcat.singletons():
+            for x in node.carrier(comp):
+                classes.setdefault(glued.legs[(i, comp)](x), set()).add(
+                    (i, comp, x))
+    assert len(classes) == len(glued.apex)
+    assert {frozenset(c) for c in classes.values()} == two_stage_partition(meta)
 
 
 def test_single_node_composition_is_identity():

@@ -16,7 +16,14 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from glueforge import schema
-from glueforge.cli import KINDS, jsonable_fn, jsonable_object, load_document
+from glueforge.cli import (
+    KINDS,
+    SCHEMA_TEXT_LIMIT,
+    jsonable_fn,
+    jsonable_object,
+    load_document,
+    main,
+)
 from glueforge.errors import StructuralError
 
 import fixtures
@@ -266,6 +273,38 @@ def test_rejection_wording_is_pinned(tmp_path, breach, message):
     with pytest.raises(StructuralError) as err:
         load_document(str(path))
     assert str(err.value) == message
+
+
+def _one_empty_label_in_ten_thousand(doc):
+    doc["payload"]["objects"]["1"] = ["a%d" % k for k in range(9999)] + [""]
+
+
+def _long_unknown_key(doc):
+    doc["payload"]["k" * 25000] = 1
+
+
+# jsonschema repeats the offending value, which made these stderr lines
+# 89,001 and 25,116 bytes long; the rejection is cut to a fixed length
+@pytest.mark.parametrize("breach, head", [
+    (_one_empty_label_in_ten_thousand,
+     "schema violation at payload.objects['1']: ['a0', 'a1', "),
+    (_long_unknown_key,
+     "schema violation at payload: Additional properties are not allowed "
+     "('kkkk"),
+])
+def test_long_rejection_is_cut(tmp_path, capsys, breach, head):
+    doc = e1_document()
+    breach(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["glue", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = err.rstrip("\n").split("structural error: ", 1)[1]
+    assert message.startswith(head)
+    assert message[SCHEMA_TEXT_LIMIT:].startswith("... [cut, ")
+    assert message.endswith(" characters in all]")
+    assert len(message) < SCHEMA_TEXT_LIMIT + 40
 
 
 @pytest.mark.parametrize("keyword, value", [("pattern", "^a"),
