@@ -352,6 +352,8 @@ def parse_gluing_datum(payload):
               for node in payload["charts"]]
     locals_ = {}
     for name, members in charts:
+        if not space.is_open(members):
+            raise StructuralError("chart %r is not open" % name)
         if name not in payload["locals"]:
             raise StructuralError("no local presheaf for chart %r" % name)
         sub = space.subspace(members)
@@ -364,6 +366,9 @@ def parse_gluing_datum(payload):
             if name not in members:
                 raise StructuralError("transition names chart %r, which the "
                                       "charts list lacks" % name)
+        if (a, b) in transitions:
+            raise StructuralError("transition %r -> %r is listed twice"
+                                  % (a, b))
         sub = space.subspace(members[a] & members[b])
         comp = {}
         for key, mapping in node["components"].items():
@@ -549,7 +554,7 @@ def _check_sheaf_command(doc, flags):
 def _glue_sheaves_command(doc, flags):
     datum = parse_gluing_datum(doc.payload)
     glued, projections = glue_presheaves(datum)
-    report = presheaf_effective_check(datum, glued, projections)
+    report = presheaf_effective_check(datum, projections)
     lat = glued.lattice
     artifacts = {
         "sections": {lat.key(o): list(glued.sections[o].labels)
@@ -572,6 +577,11 @@ def _glue_map_command(doc, flags):
     if glue_map is None:
         raise StructuralError("glue-map needs a glue_map block in the payload")
     target = _parse_presheaf_body(glue_map["target"], space)
+    for role, checked in (("source", store), ("target", target)):
+        problems = validate_presheaf(checked)
+        if problems:
+            raise StructuralError("invalid %s presheaf: %s"
+                                  % (role, "; ".join(problems)))
     charts = [(node["name"], frozenset(node["members"]))
               for node in glue_map["charts"]]
     parts = {}

@@ -58,7 +58,7 @@ class GluingData:
         arrows = dict(arrows)
         spaces = dict(spaces) if spaces else {}
         if indexcat.mode == SPLIT:
-            self._fill_split_defaults(indexcat, objects, arrows, spaces, direction)
+            self._fill_split_defaults(indexcat, objects, arrows, spaces)
         object.__setattr__(self, "indexcat", indexcat)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "objects", objects)
@@ -70,7 +70,7 @@ class GluingData:
         raise AttributeError("GluingData is immutable")
 
     @staticmethod
-    def _fill_split_defaults(cat, objects, arrows, spaces, direction):
+    def _fill_split_defaults(cat, objects, arrows, spaces):
         # classical split data: a missing diagonal object is the component
         # itself with identity structure, and tau on the diagonal defaults to
         # the identity involution

@@ -6,7 +6,7 @@ of opens with that union, and all sheaf-theoretic conditions are checked by
 exhaustive enumeration.  The default covering list per open is the trivial
 cover, the cover by all maximal proper open subsets when they do cover, and
 the empty cover of the empty open (which forces a one-point section set at
-the empty open for sheaves; a flag drops it for presheaf-oriented workflows).
+the empty open for sheaves).
 """
 
 from itertools import product as iproduct
@@ -32,9 +32,6 @@ class OpenLattice:
 
     def key(self, o):
         return ",".join(sorted(o, key=self.space.carrier.position))
-
-    def is_open(self, o):
-        return self.space.is_open(o)
 
     def pairs_below(self):
         """All comparable pairs (W, V) with V a subset of W."""
@@ -75,16 +72,6 @@ class PresheafStore:
     def at(self, o):
         return self.sections[frozenset(o)]
 
-    def restrict_map(self, w, v):
-        try:
-            return self.res[(frozenset(w), frozenset(v))]
-        except KeyError:
-            raise StructuralError("no restriction from %r to %r"
-                                  % (sorted(w), sorted(v)))
-
-    def restrict_section(self, s, w, v):
-        return self.restrict_map(w, v)(s)
-
 
 def validate_presheaf(store):
     """Violated identity or composition laws among the restriction maps."""
@@ -105,12 +92,13 @@ def validate_presheaf(store):
         for w in lat.opens:
             if not w <= x:
                 continue
+            first = store.res[(x, w)].mapping
             for v in lat.opens:
                 if not v <= w:
                     continue
-                direct = store.res[(x, v)]
-                composed = store.res[(x, w)].then(store.res[(w, v)])
-                if direct != composed:
+                direct = store.res[(x, v)].mapping
+                then = store.res[(w, v)].mapping
+                if any(direct[s] != then[first[s]] for s in store.sections[x]):
                     problems.append(
                         "restriction composition %r -> %r -> %r disagrees "
                         "with the direct map"
@@ -162,7 +150,7 @@ def constant_presheaf(space, values):
     return PresheafStore(lat, sections, res)
 
 
-def default_coverings(lattice, include_empty_cover=True):
+def default_coverings(lattice):
     """The default covering list: trivial covers, maximal-proper-open covers
     where those cover, and the empty cover of the empty open."""
     covers = []
@@ -173,8 +161,7 @@ def default_coverings(lattice, include_empty_cover=True):
                    if not any(v < w for w in proper)]
         if maximal and frozenset().union(*maximal) == u:
             covers.append((u, maximal))
-    if include_empty_cover:
-        covers.append((frozenset(), []))
+    covers.append((frozenset(), []))
     return covers
 
 
@@ -194,10 +181,10 @@ def all_coverings(lattice):
 
 def _check_covering(lattice, covering):
     u, parts = covering
-    if not lattice.is_open(u):
+    if not lattice.space.is_open(u):
         raise StructuralError("covered set %r is not open" % sorted(u))
     for v in parts:
-        if not lattice.is_open(v):
+        if not lattice.space.is_open(v):
             raise StructuralError("covering member %r is not open" % sorted(v))
         if not v <= u:
             raise StructuralError("covering member %r is not below %r"
@@ -212,10 +199,24 @@ def _compatible_families(store, parts):
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
             meet = parts[a] & parts[b]
-            cons.append((a, b, store.restrict_map(parts[a], meet).mapping,
-                         store.restrict_map(parts[b], meet).mapping))
+            cons.append((a, b, store.res[(parts[a], meet)].mapping,
+                         store.res[(parts[b], meet)].mapping))
     return compatible_tuples([store.sections[v].labels for v in parts], cons,
                              "families over a covering")
+
+
+def _joint_restriction(store, u, parts):
+    """The joint restriction F(u) -> prod F(v) over ``parts``: each section
+    over ``u`` keyed by its tuple of restrictions, and the first two sections
+    that share a key (``None`` when it is injective; the scan stops there)."""
+    maps = [store.res[(u, v)].mapping for v in parts]
+    image = {}
+    for s in store.sections[u]:
+        key = tuple(m[s] for m in maps)
+        if key in image:
+            return image, (image[key], s)
+        image[key] = s
+    return image, None
 
 
 def is_separated(store, coverings):
@@ -223,13 +224,9 @@ def is_separated(store, coverings):
     for covering in coverings:
         _check_covering(store.lattice, covering)
         u, parts = covering
-        seen = {}
-        for s in store.sections[u]:
-            key = tuple(store.restrict_section(s, u, v) for v in parts)
-            if key in seen:
-                return False, {"open": u, "parts": parts,
-                               "sections": (seen[key], s)}
-            seen[key] = s
+        _, clash = _joint_restriction(store, u, parts)
+        if clash:
+            return False, {"open": u, "parts": parts, "sections": clash}
     return True, None
 
 
@@ -239,16 +236,12 @@ def is_sheaf(store, coverings):
         _check_covering(store.lattice, covering)
         u, parts = covering
         families = _compatible_families(store, parts)
-        image = {}
-        for s in store.sections[u]:
-            key = tuple(store.restrict_section(s, u, v) for v in parts)
-            if key in image:
-                return False, {"open": u, "parts": parts,
-                               "sections": (image[key], s),
-                               "kind": "separation"}
-            image[key] = s
+        image, clash = _joint_restriction(store, u, parts)
+        if clash:
+            return False, {"open": u, "parts": parts, "sections": clash,
+                           "kind": "separation"}
         for fam in families:
-            if tuple(fam) not in image:
+            if fam not in image:
                 return False, {"open": u, "parts": parts, "family": fam,
                                "kind": "gluing"}
     return True, None
@@ -272,7 +265,7 @@ def direct_image(topmap, store):
 def restrict(store, members):
     """The presheaf restricted to an open subset, on that subset's lattice."""
     members = frozenset(members)
-    if not store.lattice.is_open(members):
+    if not store.lattice.space.is_open(members):
         raise StructuralError("%r is not open" % sorted(members))
     sub = store.lattice.space.subspace(members)
     lat = OpenLattice(sub)
@@ -430,7 +423,7 @@ class GluingDatum:
         return problems
 
 
-def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True):
+def glue_presheaves(datum, require_sheaf_locals=True):
     """The standard glued presheaf of a gluing datum.
 
     Sections over an open are the transition-compatible tuples of local
@@ -445,65 +438,59 @@ def glue_presheaves(datum, include_empty_cover=True, require_sheaf_locals=True):
     if require_sheaf_locals:
         for name in names:
             local = datum.locals[name]
-            ok, counter = is_sheaf(
-                local, default_coverings(local.lattice, include_empty_cover))
+            ok, counter = is_sheaf(local, default_coverings(local.lattice))
             if not ok:
                 raise StructuralError(
                     "local presheaf of chart %r is not a sheaf: %r"
                     % (name, counter))
+    locals_ = [datum.locals[n] for n in names]
+    members = [datum.members(n) for n in names]
     lat = OpenLattice(datum.space)
     sections = {}
     tuples = {}
     for o in lat.opens:
-        traces = [o & datum.members(n) for n in names]
-        domains = [datum.locals[n].sections[tr].labels
-                   for n, tr in zip(names, traces)]
+        traces = [o & m for m in members]
+        domains = [loc.sections[tr].labels for loc, tr in zip(locals_, traces)]
         charge("glued sections at one open", prod(map(len, domains)))
         cons = []
         for a, na in enumerate(names):
             for b, nb in enumerate(names):
                 meet = traces[a] & traces[b]
-                key_a = datum.locals[na].restrict_map(traces[a], meet).then(
-                    datum.transition(na, nb, meet))
-                key_b = datum.locals[nb].restrict_map(traces[b], meet)
-                cons.append((a, b, key_a.mapping, key_b.mapping))
+                to_meet = locals_[a].res[(traces[a], meet)].mapping
+                across = datum.transition(na, nb, meet).mapping
+                key_a = {x: across[y] for x, y in to_meet.items()}
+                key_b = locals_[b].res[(traces[b], meet)].mapping
+                cons.append((a, b, key_a, key_b))
         labels = []
         for combo in compatible_tuples(domains, cons, "glued sections at one open"):
             labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
-            tuples[(o, labels[-1])] = dict(zip(names, combo))
+            tuples[(o, labels[-1])] = combo
         sections[o] = FinSet(labels)
     res = {}
     for w, v in lat.pairs_below():
+        maps = [loc.res[(w & m, v & m)].mapping
+                for loc, m in zip(locals_, members)]
         mapping = {}
         for lab in sections[w]:
-            combo = tuples[(w, lab)]
-            restricted = []
-            for n in names:
-                tr_w = w & datum.members(n)
-                tr_v = v & datum.members(n)
-                restricted.append(datum.locals[n].restrict_section(
-                    combo[n], tr_w, tr_v))
-            target = SEP.join(restricted) if restricted else EMPTY_SECTION
-            mapping[lab] = target
+            restricted = [f[x] for f, x in zip(maps, tuples[(w, lab)])]
+            mapping[lab] = SEP.join(restricted) if restricted else EMPTY_SECTION
         res[(w, v)] = FinFn(sections[w], sections[v], mapping)
     glued = PresheafStore(lat, sections, res)
     projections = {}
-    for n in names:
-        comp = {}
-        for o in lat.opens:
-            tr = o & datum.members(n)
-            comp[o] = FinFn(sections[o], datum.locals[n].sections[tr],
-                            {lab: tuples[(o, lab)][n] for lab in sections[o]})
-        projections[n] = comp
+    for k, n in enumerate(names):
+        projections[n] = {
+            o: FinFn(sections[o], locals_[k].sections[o & members[k]],
+                     {lab: tuples[(o, lab)][k] for lab in sections[o]})
+            for o in lat.opens}
     if require_sheaf_locals:
-        ok, counter = is_sheaf(glued, default_coverings(lat, include_empty_cover))
+        ok, counter = is_sheaf(glued, default_coverings(lat))
         if not ok:
             raise StructuralError("glued presheaf failed its own sheaf check: "
                                   "%r" % (counter,))
     return glued, projections
 
 
-def presheaf_effective_check(datum, glued, projections):
+def presheaf_effective_check(datum, projections):
     """The identity and triple-overlap cocycle conditions on the transitions,
     and, independently, whether every projection restricted to its own chart
     is a componentwise bijection; reports all three so their equivalence is
@@ -542,8 +529,7 @@ def presheaf_effective_check(datum, glued, projections):
     }
 
 
-def glue_nat_trans(datum_space, charts, source, target, parts,
-                   include_empty_cover=True):
+def glue_nat_trans(datum_space, charts, source, target, parts):
     """Glue chart-local transformations into one transformation.
 
     ``charts`` is the open cover, ``parts`` maps chart names to NatTrans on
@@ -560,7 +546,6 @@ def glue_nat_trans(datum_space, charts, source, target, parts,
     union = frozenset().union(*[m for _, m in charts]) if charts else frozenset()
     if union != frozenset(datum_space.carrier.labels):
         raise StructuralError("charts do not cover the space")
-    chart_lookup = dict(charts)
     for name, members in charts:
         if name not in parts:
             raise StructuralError("no part for chart %r" % name)
@@ -589,23 +574,21 @@ def glue_nat_trans(datum_space, charts, source, target, parts,
             raise StructuralError(
                 "target fails the sheaf condition on the induced cover of %r: "
                 "%r" % (sorted(v), counter))
+    # the target is separated on each induced cover, so a tuple of chart
+    # sections names at most one section of the target
     components = {}
     for v in lat.opens:
-        traces = [(name, v & chart_lookup[name]) for name, _ in charts]
+        traces = [v & m for _, m in charts]
+        image, _ = _joint_restriction(target, v, traces)
+        steps = [(source.res[(v, tr)].mapping, parts[name].at(tr))
+                 for (name, _), tr in zip(charts, traces)]
         mapping = {}
         for s in source.sections[v]:
-            wanted = {}
-            for name, tr in traces:
-                s_tr = source.restrict_section(s, v, tr)
-                wanted[name] = parts[name].at(tr)(s_tr)
-            candidates = [t for t in target.sections[v]
-                          if all(target.restrict_section(t, v, tr) == wanted[name]
-                                 for name, tr in traces)]
-            if len(candidates) != 1:
-                raise StructuralError(
-                    "gluing failed at open %r: %d candidate sections"
-                    % (sorted(v), len(candidates)))
-            mapping[s] = candidates[0]
+            wanted = tuple(part(to_tr[s]) for to_tr, part in steps)
+            if wanted not in image:
+                raise StructuralError("gluing failed at open %r: 0 candidate "
+                                      "sections" % sorted(v))
+            mapping[s] = image[wanted]
         components[v] = FinFn(source.sections[v], target.sections[v], mapping)
     glued = NatTrans(source, target, components)
     problems = glued.validate()

@@ -3,8 +3,9 @@
 Each oracle computes its answer the long way round, by a different
 construction from the one in ``glueforge``: the limit as a literal
 equalizer of two maps between products, the composite gluing in two
-stages, and the hom bijection by enumerating every map out of the glued
-apex.  They are exponential on purpose and run only on small instances.
+stages, the hom bijection by enumerating every map out of the glued
+apex, and the presheaf laws by composing restriction maps as functions.
+They are exponential on purpose and run only on small instances.
 """
 
 from itertools import product as iproduct
@@ -126,3 +127,35 @@ def hom_bijection_exhaustive(data, z, glued):
         restrictions.add(tuple(g[glued.legs[(i,)](x)] for i, x in elements))
         maps += 1
     return len(restrictions) == maps and restrictions == families
+
+
+def presheaf_law_problems(store):
+    """The problems ``validate_presheaf`` must report, found by building the
+    composite ``FinFn`` of every triple v <= w <= x of opens and comparing
+    it as a whole with the direct restriction x -> v."""
+    problems = []
+    lat = store.lattice
+    for w, v in lat.pairs_below():
+        fn = store.res[(w, v)]
+        if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
+            problems.append("restriction %r -> %r has wrong endpoints"
+                            % (sorted(w), sorted(v)))
+    if problems:
+        return problems
+    for o in lat.opens:
+        if store.res[(o, o)] != FinFn.identity(store.sections[o]):
+            problems.append("restriction at %r is not the identity" % sorted(o))
+    for x in lat.opens:
+        for w in lat.opens:
+            if not w <= x:
+                continue
+            for v in lat.opens:
+                if not v <= w:
+                    continue
+                composed = store.res[(x, w)].then(store.res[(w, v)])
+                if store.res[(x, v)] != composed:
+                    problems.append(
+                        "restriction composition %r -> %r -> %r disagrees "
+                        "with the direct map"
+                        % (sorted(x), sorted(w), sorted(v)))
+    return problems

@@ -290,14 +290,14 @@ def test_criterion_8_sheaf_gluing():
         glued, projections = glue_presheaves(datum)
         flag, counter = is_sheaf(glued, default_coverings(glued.lattice))
         assert flag, counter
-        report = presheaf_effective_check(datum, glued, projections)
+        report = presheaf_effective_check(datum, projections)
         assert report["equivalence_holds"] is True
         checked += 1
     broken = 0
     for _ in range(10):
         datum = random_sheaf_datum(rng, break_cocycle=True)
-        glued, projections = glue_presheaves(datum)
-        report = presheaf_effective_check(datum, glued, projections)
+        _, projections = glue_presheaves(datum)
+        report = presheaf_effective_check(datum, projections)
         assert report["cocycle_ok"] is False
         assert report["psi_restriction_bijective"] is False
         assert report["equivalence_holds"] is True

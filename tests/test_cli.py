@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import sys
@@ -433,20 +434,92 @@ def test_transition_on_unknown_chart_is_structural(tmp_path, capsys, end):
     assert "'nosuch'" in err
 
 
-def test_glue_map_command(tmp_path, capsys):
+def test_repeated_transition_is_structural(tmp_path, capsys):
+    doc = two_chart_datum()
+    transitions = doc["payload"]["transitions"]
+    transitions.append(dict(transitions[0]))
+    path = write_doc(tmp_path, doc, "datum.json")
+    assert main(["glue-sheaves", "--input", path]) == 2
+    assert capsys.readouterr().err == (
+        "glueforge: structural error: transition '1' -> '2' is listed twice\n")
+
+
+def test_chart_that_is_not_open_is_structural(tmp_path, capsys):
+    # nbhd(p2) = {p0, p2}, so the chart {p1, p2} is not open although its
+    # overlap {p2} with the open chart {p0, p2} is open in the overlap
+    local_a = {
+        "sections": {"": ["()"], "p1": ["p1=x"], "p2": ["p2=x"],
+                     "p1,p2": ["p1=x;p2=x"]},
+        "restrictions": {"p1>": {"p1=x": "()"}, "p2>": {"p2=x": "()"},
+                         "p1,p2>": {"p1=x;p2=x": "()"},
+                         "p1,p2>p1": {"p1=x;p2=x": "p1=x"},
+                         "p1,p2>p2": {"p1=x;p2=x": "p2=x"}}}
+    local_b = {
+        "sections": {"": ["()"], "p0": ["p0=x"], "p0,p2": ["p0=x;p2=x"]},
+        "restrictions": {"p0>": {"p0=x": "()"},
+                         "p0,p2>": {"p0=x;p2=x": "()"},
+                         "p0,p2>p0": {"p0=x;p2=x": "p0=x"}}}
+    doc = {
+        "version": "1", "kind": "gluing-datum",
+        "payload": {
+            "space": {"points": ["p0", "p1", "p2"],
+                      "opens": [[], ["p0"], ["p1"], ["p0", "p1"],
+                                ["p0", "p2"], ["p0", "p1", "p2"]]},
+            "charts": [{"name": "a", "members": ["p2", "p1"]},
+                       {"name": "b", "members": ["p0", "p2"]}],
+            "locals": {"a": local_a, "b": local_b},
+            "transitions": [{"from": "a", "to": "b", "components": {
+                "": {"()": "()"}, "p2": {"p2=x": "p2=x"}}}],
+        },
+    }
+    path = write_doc(tmp_path, doc, "datum.json")
+    assert main(["glue-sheaves", "--input", path]) == 2
+    assert capsys.readouterr().err == (
+        "glueforge: structural error: chart 'a' is not open\n")
+
+
+def sierpinski_glue_map_doc():
+    """A glue-map document on the Sierpinski space with one chart, the whole
+    space, and the identity as its part."""
     base = sierpinski_presheaf_doc()
     presheaf = base["payload"]["presheaf"]
     swap = {"0=a;1=a": "0=a;1=a", "0=a;1=b": "0=a;1=b",
             "0=b;1=a": "0=b;1=a", "0=b;1=b": "0=b;1=b"}
     base["payload"]["glue_map"] = {
         "charts": [{"name": "all", "members": ["0", "1"]}],
-        "target": presheaf,
+        "target": copy.deepcopy(presheaf),
         "parts": {"all": {
             "": {"()": "()"},
             "1": {"1=a": "1=a", "1=b": "1=b"},
             "0,1": swap,
         }},
     }
+    return base
+
+
+@pytest.mark.parametrize("role,where", [("source", "presheaf"),
+                                        ("target", "glue_map")])
+def test_glue_map_checks_both_presheaves(tmp_path, capsys, role, where):
+    # every component is constant, so a swap at 1>1 keeps the part natural
+    # when it sits in the source; the laws alone then reject the document
+    doc = sierpinski_glue_map_doc()
+    part = doc["payload"]["glue_map"]["parts"]["all"]
+    part["1"] = {"1=a": "1=a", "1=b": "1=a"}
+    part["0,1"] = {x: "0=a;1=a" for x in part["0,1"]}
+    body = doc["payload"]["presheaf"]
+    if where == "glue_map":
+        body = doc["payload"]["glue_map"]["target"]
+    body["restrictions"]["1>1"] = {"1=a": "1=b", "1=b": "1=a"}
+    path = write_doc(tmp_path, doc, "gluemap.json")
+    assert main(["glue-map", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("glueforge: structural error: invalid %s presheaf: "
+                          "restriction at ['1'] is not the identity; " % role)
+    assert "Traceback" not in err
+
+
+def test_glue_map_command(tmp_path, capsys):
+    base = sierpinski_glue_map_doc()
     path = write_doc(tmp_path, base, "gluemap.json")
     assert main(["glue-map", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)

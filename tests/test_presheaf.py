@@ -1,6 +1,8 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
@@ -24,7 +26,8 @@ from glueforge.presheaf import (
     validate_presheaf,
 )
 
-from fixtures import seeded
+from fixtures import close_family, seeded
+from oracles import presheaf_law_problems
 
 
 def sierpinski():
@@ -54,6 +57,62 @@ def test_validation_names_broken_identity():
     assert any("not the identity" in p for p in problems)
 
 
+def test_validation_names_one_broken_composition():
+    # on the chain 0 < 01 < 012 only the triple through 01 sees a restriction
+    # 012 -> 0 that flips the value at 0; the identities all hold
+    chain = FinSet(["0", "1", "2"])
+    space = FinTop(chain, [frozenset(chain.labels[:k]) for k in range(4)])
+    store = function_presheaf(space, {"0": ["a", "b"], "1": ["a"], "2": ["a"]})
+    full, low = frozenset(chain.labels), frozenset(["0"])
+    res = dict(store.res)
+    res[(full, low)] = FinFn(store.sections[full], store.sections[low],
+                             {"0=a;1=a;2=a": "0=b", "0=b;1=a;2=a": "0=a"})
+    broken = PresheafStore(store.lattice, store.sections, res)
+    assert validate_presheaf(broken) == [
+        "restriction composition ['0', '1', '2'] -> ['0', '1'] -> ['0'] "
+        "disagrees with the direct map"]
+    assert presheaf_law_problems(broken) == validate_presheaf(broken)
+
+
+@st.composite
+def restriction_systems(draw):
+    """A function presheaf on a space of one to four points, with up to three
+    restriction maps (identities included) into section sets of two or more
+    rewired to random maps between the same section sets."""
+    carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 4)))])
+    seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
+                                   max_size=len(carrier)), max_size=3))
+    space = FinTop(carrier, close_family(carrier, [
+        frozenset(x for x, keep in zip(carrier, bits) if keep)
+        for bits in seeds]))
+    store = function_presheaf(space, {
+        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    res = dict(store.res)
+    pairs = [(w, v) for w, v in store.lattice.pairs_below()
+             if len(store.sections[v]) > 1]
+    for _ in range(draw(st.integers(0, 3)) if pairs else 0):
+        w, v = draw(st.sampled_from(pairs))
+        target = store.sections[v].labels
+        res[(w, v)] = FinFn(store.sections[w], store.sections[v], {
+            s: draw(st.sampled_from(target)) for s in store.sections[w]})
+    return PresheafStore(store.lattice, store.sections, res)
+
+
+def test_validation_matches_the_triple_oracle():
+    broken = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(restriction_systems())
+    @example(constant_presheaf(sierpinski(), ["a", "b"]))
+    def check(store):
+        problems = validate_presheaf(store)
+        assert problems == presheaf_law_problems(store)
+        broken.append(bool(problems))
+
+    check()
+    assert broken.count(True) >= 100
+
+
 def test_constant_presheaf_valid():
     assert validate_presheaf(constant_presheaf(sierpinski(), ["a", "b"])) == []
 
@@ -70,7 +129,7 @@ def test_function_presheaf_is_separated_and_sheaf_everywhere():
 
 def test_constant_presheaf_fails_empty_cover():
     store = constant_presheaf(sierpinski(), ["a", "b"])
-    covers = default_coverings(store.lattice, include_empty_cover=True)
+    covers = default_coverings(store.lattice)
     flag, counter = is_separated(store, covers)
     assert flag is False
     assert set(counter["sections"]) == {"a", "b"}
@@ -249,8 +308,8 @@ def test_effective_check_identity_transitions():
     space = two_point_discrete()
     datum = chart_datum(space, [("1", ["p", "q"]), ("2", ["q"])],
                         {"p": ["a", "b"], "q": ["x", "y"]})
-    glued, projections = glue_presheaves(datum)
-    report = presheaf_effective_check(datum, glued, projections)
+    _, projections = glue_presheaves(datum)
+    report = presheaf_effective_check(datum, projections)
     assert report["identity_ok"] and report["cocycle_ok"]
     assert report["psi_restriction_bijective"] is True
     assert report["equivalence_holds"] is True
@@ -271,8 +330,8 @@ def broken_cocycle_datum():
 
 def test_broken_cocycle_fails_both_ways():
     datum = broken_cocycle_datum()
-    glued, projections = glue_presheaves(datum)
-    report = presheaf_effective_check(datum, glued, projections)
+    _, projections = glue_presheaves(datum)
+    report = presheaf_effective_check(datum, projections)
     assert report["identity_ok"] is True
     assert report["cocycle_ok"] is False
     assert report["psi_restriction_bijective"] is False
@@ -284,8 +343,8 @@ def test_two_chart_cocycle_vacuous():
     swap = {"a": "b", "b": "a"}
     datum = chart_datum(space, [("1", ["p"]), ("2", ["p"])], {"p": ["a", "b"]},
                         twists={("1", "2", "p"): swap, ("2", "1", "p"): swap})
-    glued, projections = glue_presheaves(datum)
-    report = presheaf_effective_check(datum, glued, projections)
+    _, projections = glue_presheaves(datum)
+    report = presheaf_effective_check(datum, projections)
     assert report["identity_ok"] is True
     assert report["cocycle_ok"] is True  # no real triple overlaps
     assert report["psi_restriction_bijective"] is True
@@ -412,7 +471,7 @@ def test_canonical_functor_of_sheaf_recovers_it():
     for o in store.lattice.opens:
         image = set()
         for s in store.at(o):
-            traces = [store.restrict_section(s, o, o & frozenset(m))
+            traces = [store.res[(o, o & frozenset(m))].mapping[s]
                       for _, m in charts]
             image.add("|".join(traces))
         assert image == set(glued.at(o).labels)
