@@ -8,9 +8,10 @@ Usage:
 Commands read one JSON document (stdin when no --input), run the matching
 operation, and emit a report as JSON on standard output.  Exit status 0 means
 every verdict passed, 1 means some verdict is false, 2 means the input was
-structurally invalid or an enumeration hit the cap.  Identical input and
-flags produce identical output bytes.  The cap (--cap, else GLUEFORGE_CAP,
-else the default) bounds every enumeration of the command, listing opens too.
+structurally invalid, an enumeration hit the cap or the --output file could
+not be written.  Identical input and flags produce identical output bytes.
+The cap (--cap, else GLUEFORGE_CAP, else the default) bounds every
+enumeration of the command, listing opens too.
 
 Documents are checked against the shipped schemas by the compiled checker of
 ``glueforge.schema``, which decides valid or invalid and nothing more.  Only
@@ -245,48 +246,35 @@ def parse_gluing(payload):
                       spaces or None)
 
 
-def parse_sink(payload):
-    ambient = payload["ambient"]
-    target, target_space = parse_object(payload["target"], ambient)
+def _parse_sink_body(body, ambient):
+    """A ``{target, sources}`` node as a Sink."""
+    target, target_space = parse_object(body["target"], ambient)
     sources = []
-    for node in payload["sources"]:
+    for node in body["sources"]:
         carrier, space = parse_object(node["object"], ambient)
         fn = FinFn(carrier, target, node["map"])
         sources.append((node["name"], space if ambient == "top" else carrier,
                         fn))
-    sink = Sink(ambient, target, sources, target_space=target_space)
+    return Sink(ambient, target, sources, target_space=target_space)
+
+
+def parse_sink(payload):
+    ambient = payload["ambient"]
+    sink = _parse_sink_body(payload, ambient)
     tests = []
     for node in payload.get("tests", []):
         carrier, space = parse_object(node["object"], ambient)
-        fn = FinFn(carrier, target, node["map"])
+        fn = FinFn(carrier, sink.target, node["map"])
         tests.append((fn, space) if ambient == "top" else fn)
-    inner = {}
-    for name, body in payload.get("inner", {}).items():
-        inner_target, inner_space = parse_object(body["target"], ambient)
-        inner_sources = []
-        for node in body["sources"]:
-            carrier, space = parse_object(node["object"], ambient)
-            fn = FinFn(carrier, inner_target, node["map"])
-            inner_sources.append(
-                (node["name"], space if ambient == "top" else carrier, fn))
-        inner[name] = Sink(ambient, inner_target, inner_sources,
-                           target_space=inner_space)
+    inner = {name: _parse_sink_body(body, ambient)
+             for name, body in payload.get("inner", {}).items()}
     return sink, tests, inner
 
 
 def parse_site(payload):
     ambient = payload["ambient"]
-    coverings = []
-    for body in payload["coverings"]:
-        target, target_space = parse_object(body["target"], ambient)
-        sources = []
-        for node in body["sources"]:
-            carrier, space = parse_object(node["object"], ambient)
-            fn = FinFn(carrier, target, node["map"])
-            sources.append((node["name"],
-                            space if ambient == "top" else carrier, fn))
-        coverings.append(Sink(ambient, target, sources,
-                              target_space=target_space))
+    coverings = [_parse_sink_body(body, ambient)
+                 for body in payload["coverings"]]
     morphisms = []
     for node in payload["morphisms"]:
         dom, dom_space = parse_object(node["dom"], ambient)
@@ -702,16 +690,16 @@ def main(argv=None):
             flags["cap"] = _env_cap()
         doc = load_document(args.input if args.input else sys.stdin)
         report = execute(args.command, doc, flags)
+        text = render_report(report)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (GlueforgeError, OSError) as err:
         kind = "resource" if isinstance(err, ResourceError) else "structural"
         sys.stderr.write("glueforge: %s error: %s\n" % (kind, err))
         return 2
-    text = render_report(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return report_exit_code(report)
 
 

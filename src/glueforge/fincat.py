@@ -3,9 +3,13 @@
 Carriers are finite sets of string labels; morphisms are total maps between
 them.  Finite topological spaces are carriers with the minimal open
 neighbourhood of each point, from which every topology is built by a direct
-rule, and continuous (optionally open) maps between those.  Everything is
-immutable after construction and every operation is a pure function, so shared
-values are safe to use concurrently.
+rule, and continuous maps between those, with their openness recorded.
+Everything is immutable after construction and every operation is a pure
+function, so shared values are safe to use concurrently.
+
+Whether two paths of maps agree is decided by ``commutes``, and whether a
+map is an isomorphism (a bijection, a homeomorphism between spaces) by
+``is_iso``.
 
 Compatible families (pullbacks, limits, families of maps and of sections)
 come from one join kernel, ``compatible_tuples``, whose cost follows the
@@ -130,14 +134,6 @@ class FinFn:
     def is_surjective(self):
         return set(self.mapping.values()) == set(self.codomain.labels)
 
-    def image(self):
-        seen = []
-        for x in self.domain:
-            y = self.mapping[x]
-            if y not in seen:
-                seen.append(y)
-        return seen
-
     def preimage(self, labels):
         labels = set(labels)
         return frozenset(x for x in self.domain if self.mapping[x] in labels)
@@ -249,14 +245,12 @@ class TopMap:
     """A continuous map between finite spaces.
 
     Continuity, ``f(nbhd[x]) <= nbhd[f(x)]``, is validated at construction;
-    openness, equality there, is stored in ``open``.  Passing
-    ``require_open=True`` turns a non-open map into a structural error, which
-    is how the open-map subcategory is enforced.
+    openness, equality there, is stored in ``open``.
     """
 
     __slots__ = ("fn", "dom", "cod", "open")
 
-    def __init__(self, fn, dom, cod, require_open=False):
+    def __init__(self, fn, dom, cod):
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
         is_open = True
@@ -266,8 +260,6 @@ class TopMap:
             if not image <= target:
                 raise StructuralError("map is not continuous at %r" % x)
             is_open = is_open and image == target
-        if require_open and not is_open:
-            raise StructuralError("map is not open")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
@@ -285,6 +277,53 @@ class TopMap:
 
     def __repr__(self):
         return "TopMap(%r, open=%r)" % (self.fn, self.open)
+
+
+def commutes(path, other=()):
+    """Whether two left-to-right paths of maps have the same composite,
+    decided point by point without building either composite.
+
+    An empty path stands for the identity on the other path's domain.  A path
+    whose consecutive maps do not meet raises as ``FinFn.then`` would, ``path``
+    before ``other``; composites with different endpoints are unequal.
+    """
+    for p in (path, other):
+        for f, g in zip(p, p[1:]):
+            if g.domain != f.codomain:
+                raise StructuralError("composite endpoints do not match")
+    if not path:
+        path, other = other, path
+    if not path:
+        return True
+    start = path[0].domain
+    end = other[-1].codomain if other else start
+    if (other and other[0].domain != start) or path[-1].codomain != end:
+        return False
+    left = [f.mapping for f in path]
+    right = [f.mapping for f in other]
+    for x in start:
+        y = z = x
+        for m in left:
+            y = m[y]
+        for m in right:
+            z = m[z]
+        if y != z:
+            return False
+    return True
+
+
+def is_iso(fn, dom=None, cod=None):
+    """Whether ``fn`` is a bijection and, when both spaces are given, a
+    homeomorphism between them: ``f(nbhd[x]) = nbhd[f(x)]`` at every point,
+    which for a bijection is continuity and openness at once."""
+    if not (fn.is_injective() and fn.is_surjective()):
+        return False
+    if dom is None or cod is None:
+        return True
+    if fn.domain != dom.carrier or fn.codomain != cod.carrier:
+        raise StructuralError("map endpoints do not match the given spaces")
+    return all(frozenset(fn.mapping[y] for y in dom.nbhd[x])
+               == cod.nbhd[fn.mapping[x]] for x in dom.carrier)
 
 
 class PairedSubset:

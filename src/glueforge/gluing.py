@@ -29,8 +29,10 @@ from .fincat import (
     FinFn,
     FinSet,
     TopMap,
+    commutes,
     compatible_tuples,
     induce_topology,
+    is_iso,
     map_properties,
     pullback,
     quotient_by_pairs,
@@ -161,13 +163,8 @@ def validate_gluing_data(data):
             i, j = pair_obj
             t1 = data.arrows[("tau", (i, j))]
             t2 = data.arrows[("tau", (j, i))]
-            try:
-                roundtrip = t2.then(t1) if data.direction == FROM_OVERLAPS \
-                    else t1.then(t2)
-            except StructuralError:
-                problems.append("tau arrows at %r do not compose" % (pair_obj,))
-                continue
-            if any(roundtrip.mapping[x] != x for x in roundtrip.domain):
+            roundtrip = (t2, t1) if data.direction == FROM_OVERLAPS else (t1, t2)
+            if not commutes(roundtrip):
                 problems.append("involution violated: tau%r then tau%r is not "
                                 "the identity" % ((i, j), (j, i)))
     return problems
@@ -270,11 +267,8 @@ def colimit_glue(data):
         for obj in legs:
             leg_props[obj] = map_properties(
                 TopMap(legs[obj], data.space(obj), space))
-    injections = {i: FinFn(data.carrier((i,)), coproduct,
-                           {x: tag(i, x) for x in data.carrier((i,))})
-                  for i in comps}
-    witness = {"coproduct": coproduct, "projection": pi, "injections": injections}
-    return GluedObject("colimit", apex, space, legs, leg_props, witness)
+    return GluedObject("colimit", apex, space, legs, leg_props,
+                       {"coproduct": coproduct})
 
 
 def _limit_constraints(data):
@@ -336,13 +330,9 @@ def _check_cone(data, cone, side):
     for g in cat.generators:
         src, dst = gen_endpoints(g)
         fn = data.arrow(g)
-        if data.direction == FROM_OVERLAPS:
-            lhs = fn.then(cone.legs[src])
-            rhs = cone.legs[dst]
-        else:
-            lhs = cone.legs[src].then(fn)
-            rhs = cone.legs[dst]
-        if lhs != rhs:
+        path = (fn, cone.legs[src]) if data.direction == FROM_OVERLAPS \
+            else (cone.legs[src], fn)
+        if not commutes(path, (cone.legs[dst],)):
             raise StructuralError(
                 "cone square for generator %r does not commute" % (g,))
     if data.ambient == "top" and cone.space is not None:
@@ -377,11 +367,7 @@ def mediating_map(data, glued, cone):
                     raise StructuralError(
                         "cone legs are not constant on the class %r" % q)
         med = FinFn(glued.apex, cone.apex, mapping)
-        iso = med.is_injective() and med.is_surjective()
-        if iso and data.ambient == "top" and cone.space is not None:
-            fwd = TopMap(med, glued.space, cone.space)
-            iso = fwd.open  # bijective, continuous, open = homeomorphism
-        return med, iso
+        return med, is_iso(med, glued.space, cone.space)
     mapping = {}
     for z in cone.apex:
         combo = [cone.legs[(i,)](z) for i in comps]
@@ -391,11 +377,7 @@ def mediating_map(data, glued, cone):
                 "cone leg values %r do not form a compatible family" % (combo,))
         mapping[z] = label
     med = FinFn(cone.apex, glued.apex, mapping)
-    iso = med.is_injective() and med.is_surjective()
-    if iso and data.ambient == "top" and cone.space is not None:
-        fwd = TopMap(med, cone.space, glued.space)
-        iso = fwd.open
-    return med, iso
+    return med, is_iso(med, cone.space, glued.space)
 
 
 def hom_transport(data, z):

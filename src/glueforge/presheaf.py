@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import StructuralError, charge
-from .fincat import SEP, FinFn, FinSet, compatible_tuples
+from .fincat import SEP, FinFn, FinSet, commutes, compatible_tuples, is_iso
 
 EMPTY_SECTION = "()"
 
@@ -302,14 +302,17 @@ class NatTrans:
         return self.components[frozenset(o)]
 
     def validate(self):
-        problems = []
-        for w, v in self.source.lattice.pairs_below():
-            lhs = self.components[w].then(self.target.res[(w, v)])
-            rhs = self.source.res[(w, v)].then(self.components[v])
-            if lhs != rhs:
-                problems.append("naturality fails from %r to %r"
-                                % (sorted(w), sorted(v)))
-        return problems
+        return ["naturality fails from %r to %r" % (sorted(w), sorted(v))
+                for w, v in _unnatural(self.components, self.source,
+                                       self.target, self.source.lattice)]
+
+
+def _unnatural(comp, source, target, lattice):
+    """The pairs ``(w, v)`` of ``lattice`` at which the components ``comp``
+    do not commute with the restrictions of ``source`` and ``target``."""
+    return [(w, v) for w, v in lattice.pairs_below()
+            if not commutes((comp[w], target.res[(w, v)]),
+                            (source.res[(w, v)], comp[v]))]
 
 
 class GluingDatum:
@@ -392,34 +395,27 @@ class GluingDatum:
             problems.extend("chart %s: %s" % (name, p)
                             for p in validate_presheaf(self.locals[name]))
         for (a, b), comp in self.transitions.items():
-            am, bm = self.members(a), self.members(b)
-            overlap = am & bm
             for o, fn in comp.items():
                 if fn.domain != self.locals[a].sections[o] \
                         or fn.codomain != self.locals[b].sections[o]:
                     problems.append("transition %r -> %r at %r has wrong "
                                     "endpoints" % (a, b, sorted(o)))
                     continue
-                if not (fn.is_injective() and fn.is_surjective()):
+                if not is_iso(fn):
                     problems.append("transition %r -> %r at %r is not a "
                                     "bijection" % (a, b, sorted(o)))
             inv = self.transitions[(b, a)]
             for o, fn in comp.items():
-                roundtrip = fn.then(inv[o])
-                if any(roundtrip.mapping[x] != x for x in roundtrip.domain):
+                if not commutes((fn, inv[o])):
                     problems.append("transitions %r <-> %r at %r are not "
                                     "mutually inverse" % (a, b, sorted(o)))
-            sub = self.space.subspace(overlap)
-            for w in sub.opens:
-                for v in sub.opens:
-                    if not v <= w:
-                        continue
-                    lhs = comp[w].then(self.locals[b].res[(w, v)])
-                    rhs = self.locals[a].res[(w, v)].then(comp[v])
-                    if lhs != rhs:
-                        problems.append(
-                            "transition %r -> %r is not natural from %r to %r"
-                            % (a, b, sorted(w), sorted(v)))
+            overlap = self.members(a) & self.members(b)
+            lattice = OpenLattice(self.space.subspace(overlap))
+            problems.extend(
+                "transition %r -> %r is not natural from %r to %r"
+                % (a, b, sorted(w), sorted(v))
+                for w, v in _unnatural(comp, self.locals[a], self.locals[b],
+                                       lattice))
         return problems
 
 
@@ -509,17 +505,15 @@ def presheaf_effective_check(datum, projections):
             for c in names:
                 triple = datum.members(a) & datum.members(b) & datum.members(c)
                 for o in datum.space.subspace(triple).opens:
-                    lhs = datum.transition(a, b, o).then(
-                        datum.transition(b, c, o))
-                    rhs = datum.transition(a, c, o)
-                    if lhs != rhs:
+                    if not commutes((datum.transition(a, b, o),
+                                     datum.transition(b, c, o)),
+                                    (datum.transition(a, c, o),)):
                         cocycle_ok = False
     psi_ok = True
     for n in names:
         members = datum.members(n)
         for o in datum.space.subspace(members).opens:
-            fn = projections[n][frozenset(o)]
-            if not (fn.is_injective() and fn.is_surjective()):
+            if not is_iso(projections[n][frozenset(o)]):
                 psi_ok = False
     return {
         "identity_ok": identity_ok,

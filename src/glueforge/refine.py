@@ -4,7 +4,7 @@ node functors with concrete overlap identifications, and the sink route of
 flattening covers of covers)."""
 
 from .errors import StructuralError
-from .fincat import SEP, FinFn, FinSet, quotient_by_pairs, tag
+from .fincat import SEP, FinFn, FinSet, commutes, quotient_by_pairs, tag
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
@@ -13,7 +13,7 @@ from .gluing import (
     validate_gluing_data,
 )
 from .indexcat import NONSPLIT
-from .site import Sink, effective_epi_check
+from .site import effective_epi_check, flatten_sinks
 
 
 class Refinement:
@@ -95,12 +95,10 @@ def validate_refinement(ref):
         src_edge = ref.source_edge(i, pair_obj)
         tgt_edge = ref.target.arrow(g)
         if ref.target.direction == TOWARD_OVERLAPS:
-            lhs = comp_i.then(tgt_edge)
-            rhs = src_edge.then(comp_pair)
+            square = (comp_i, tgt_edge), (src_edge, comp_pair)
         else:
-            lhs = src_edge.then(comp_i)
-            rhs = comp_pair.then(tgt_edge)
-        if lhs != rhs:
+            square = (src_edge, comp_i), (comp_pair, tgt_edge)
+        if not commutes(*square):
             problems.append("naturality square at %r does not commute" % (g,))
     return problems
 
@@ -145,9 +143,9 @@ def induced_limit_map(ref, glued_source, glued_target):
             mapping[x] = label
         med = FinFn(glued_source.apex, glued_target.apex, mapping)
         for i in tcomps:
-            lhs = med.then(glued_target.legs[(i,)])
-            rhs = glued_source.legs[(ref.gamma(i),)].then(ref.components[(i,)])
-            if lhs != rhs:
+            if not commutes((med, glued_target.legs[(i,)]),
+                            (glued_source.legs[(ref.gamma(i),)],
+                             ref.components[(i,)])):
                 raise StructuralError("induced map fails the leg square at %r"
                                       % i)
         return med
@@ -168,9 +166,8 @@ def induced_limit_map(ref, glued_source, glued_target):
             "reach them" % missing)
     med = FinFn(glued_source.apex, glued_target.apex, mapping)
     for i in tcomps:
-        lhs = glued_source.legs[(ref.gamma(i),)].then(med)
-        rhs = ref.components[(i,)].then(glued_target.legs[(i,)])
-        if lhs != rhs:
+        if not commutes((glued_source.legs[(ref.gamma(i),)], med),
+                        (ref.components[(i,)], glued_target.legs[(i,)])):
             raise StructuralError("induced map fails the leg square at %r" % i)
     return med
 
@@ -259,8 +256,8 @@ def compose_gluings(meta):
             legs[(i, comp_obj)] = FinFn(
                 carrier, apex, {x: pi(_meta_tag(i, comp_obj, x))
                                 for x in carrier})
-    witness = {"coproduct": coproduct, "projection": pi}
-    return GluedObject("colimit", apex, None, legs, {}, witness)
+    return GluedObject("colimit", apex, None, legs, {},
+                       {"coproduct": coproduct})
 
 
 def compose_via_sinks(outer, inner):
@@ -269,21 +266,5 @@ def compose_via_sinks(outer, inner):
     Returns the flattened sink and whether the outer target is the glued-up
     object of its canonical split gluing functor.
     """
-    sources = []
-    for name, obj, fn in outer.sources:
-        if name not in inner:
-            raise StructuralError("no inner sink for source %r" % name)
-        sub = inner[name]
-        carrier = obj.carrier if hasattr(obj, "carrier") else obj
-        if sub.target != carrier:
-            raise StructuralError("inner sink for %r does not target that "
-                                  "source" % name)
-        if outer.ambient == "top" and sub.target_space != obj:
-            raise StructuralError("inner sink for %r carries a different "
-                                  "topology" % name)
-        for sub_name, sub_obj, sub_fn in sub.sources:
-            sources.append(("%s.%s" % (name, sub_name), sub_obj,
-                            sub_fn.then(fn)))
-    flattened = Sink(outer.ambient, outer.target, sources,
-                     target_space=outer.target_space)
+    flattened = flatten_sinks(outer, inner)
     return {"sink": flattened, "is_glued_up": effective_epi_check(flattened)}

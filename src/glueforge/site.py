@@ -19,6 +19,7 @@ from .fincat import (
     FinSet,
     FinTop,
     TopMap,
+    is_iso,
     map_properties,
     pair_label,
     pullback,
@@ -29,6 +30,7 @@ from .gluing import (
     FROM_OVERLAPS,
     ConeCandidate,
     GluingData,
+    _overlap_maps,
     colimit_glue,
     colimit_relation_pairs,
     mediating_map,
@@ -137,6 +139,37 @@ def canonical_sink_functor(sink):
             arrows[("tau", (j, i))] = FinFn(src, dst, mapping)
     return GluingData(cat, sink.ambient, objects, arrows, FROM_OVERLAPS,
                       spaces or None)
+
+
+def _inner_mismatch(sub, obj, ambient):
+    """Why the sink ``sub`` is not a sink over the source object ``obj``, or
+    None when it is: it must target the same carrier, and in the top ambient
+    the same space."""
+    carrier = obj.carrier if isinstance(obj, FinTop) else obj
+    if sub.target != carrier:
+        return "does not target that source"
+    if ambient == "top" and sub.target_space != obj:
+        return "carries a different topology"
+    return None
+
+
+def flatten_sinks(outer, inner):
+    """The sink of composites through an outer sink: ``inner`` maps each
+    source name of ``outer`` to a sink over that source, and source ``s`` of
+    the inner sink at ``name`` becomes ``name.s``, followed by the outer map."""
+    sources = []
+    for name, obj, fn in outer.sources:
+        if name not in inner:
+            raise StructuralError("no inner sink for source %r" % name)
+        sub = inner[name]
+        why = _inner_mismatch(sub, obj, outer.ambient)
+        if why:
+            raise StructuralError("inner sink for %r %s" % (name, why))
+        for sub_name, sub_obj, sub_fn in sub.sources:
+            sources.append(("%s.%s" % (name, sub_name), sub_obj,
+                            sub_fn.then(fn)))
+    return Sink(outer.ambient, outer.target, sources,
+                target_space=outer.target_space)
 
 
 def base_change_sink(sink, fn, v_space=None):
@@ -298,35 +331,29 @@ def effective_gluing_check(data):
 
     intersection_ok = {}
     canonical_bij = {}
-    for pair_obj in cat.pairs():
-        i, j = pair_obj
-        e = data.edge(i, pair_obj)
+    for i, j, overlap, e_i, into_j in _overlap_maps(data):
+        pair_obj = (i, j)
         leg_i, leg_j = glued.legs[(i,)], glued.legs[(j,)]
-        edge_image = {leg_i(e(u)) for u in data.carrier(pair_obj)}
+        edge_image = {leg_i(e_i[u]) for u in overlap}
         both = ({leg_i(x) for x in data.carrier((i,))}
                 & {leg_j(y) for y in data.carrier((j,))})
         intersection_ok[pair_obj] = edge_image == both
 
-        t = data.tau_from((j, i))
-        into_j = t.then(data.edge(j, (j, i)))
         if data.ambient == "top":
             ps = top_pullback(leg_i, leg_j, data.space((i,)), data.space((j,)))
         else:
             ps = pullback(leg_i, leg_j)
-        mapping = {u: pair_label(e(u), into_j(u)) for u in data.carrier(pair_obj)}
+        mapping = {u: pair_label(e_i[u], into_j[u]) for u in overlap}
         try:
-            canonical = FinFn(data.carrier(pair_obj), ps.members, mapping)
+            canonical = FinFn(overlap, ps.members, mapping)
         except StructuralError:
             canonical_bij[pair_obj] = False
         else:
-            bij = canonical.is_injective() and canonical.is_surjective()
-            if bij and data.ambient == "top":
-                fwd = TopMap(canonical, data.space(pair_obj), ps.space)
-                bij = fwd.open
-            canonical_bij[pair_obj] = bij
+            dom = data.space(pair_obj) if data.ambient == "top" else None
+            canonical_bij[pair_obj] = is_iso(canonical, dom, ps.space)
         diagnostics["pairs"][pair_obj] = {
             "edge_embeds": edge_emb[pair_obj],
-            "edge_onto_component": e.is_surjective(),
+            "edge_onto_component": data.edge(i, pair_obj).is_surjective(),
             "intersection_ok": intersection_ok[pair_obj],
             "canonical_bijective": canonical_bij[pair_obj],
         }
@@ -386,12 +413,7 @@ def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
 
     def assemble(keys, acc):
         if not keys:
-            h = FinFn(fn_a.domain, fn_b.domain, acc)
-            try:
-                fwd = TopMap(h, obj_a, obj_b)
-            except StructuralError:
-                return False
-            return fwd.open and h.is_injective() and h.is_surjective()
+            return is_iso(FinFn(fn_a.domain, fn_b.domain, acc), obj_a, obj_b)
         u, rest = keys[0], keys[1:]
         fa = fibers_a.get(u, [])
         fb = fibers_b.get(u, [])
@@ -443,33 +465,23 @@ def covering_axioms_check(spec):
     violations = []
     for entry in spec.morphisms:
         fn, dom_space, cod_space = spec.morphism_parts(entry)
-        if fn.is_injective() and fn.is_surjective():
-            if spec.ambient == "top":
-                fwd = TopMap(fn, dom_space, cod_space)
-                if not fwd.open:
-                    continue
-                single = Sink("top", fn.codomain, [("v", dom_space, fn)],
-                              target_space=cod_space)
-            else:
-                single = Sink("sets", fn.codomain, [("v", fn.domain, fn)])
+        if is_iso(fn, dom_space, cod_space):
+            single = Sink(spec.ambient, fn.codomain,
+                          [("v", dom_space or fn.domain, fn)],
+                          target_space=cod_space)
             if not _declared(spec, single):
                 violations.append(
                     "isomorphism sink onto %r is not declared"
                     % (list(fn.codomain.labels),))
     for cov in spec.coverings:
-        # enumerate all compatible families of declared refinements
-        options = [[c for c in spec.coverings if c.target == cov.carrier(name)]
-                   for name in cov.names()]
+        # enumerate all families of declared coverings of the sources
+        names = cov.names()
+        options = [[c for c in spec.coverings
+                    if _inner_mismatch(c, obj, spec.ambient) is None]
+                   for _, obj, _ in cov.sources]
         charge("refinement families of one covering", prod(map(len, options)))
         for combo in iproduct(*options):
-            sources = []
-            for (name, refinement) in zip(cov.names(), combo):
-                _, outer_fn = cov.source(name)
-                for rname, robj, rfn in refinement.sources:
-                    sources.append(("%s.%s" % (name, rname), robj,
-                                    rfn.then(outer_fn)))
-            flattened = Sink(spec.ambient, cov.target, sources,
-                             target_space=cov.target_space)
+            flattened = flatten_sinks(cov, dict(zip(names, combo)))
             if not _declared(spec, flattened):
                 violations.append(
                     "composite of covering of %r is not declared"

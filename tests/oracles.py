@@ -4,10 +4,12 @@ Each oracle computes its answer the long way round, by a different
 construction from the one in ``glueforge``: the limit as a literal
 equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
-apex, and the presheaf laws by composing restriction maps as functions.
+apex, the presheaf laws by composing restriction maps as functions, and
+commuting paths and isomorphisms by building composites and continuous maps.
 They are exponential on purpose and run only on small instances.
 """
 
+from functools import reduce
 from itertools import product as iproduct
 
 from glueforge.errors import StructuralError
@@ -16,6 +18,7 @@ from glueforge.fincat import (
     FinFn,
     FinSet,
     PairedSubset,
+    TopMap,
     induce_topology,
     product_enumerate,
     quotient_by_pairs,
@@ -30,6 +33,30 @@ from glueforge.gluing import (
     colimit_relation_pairs,
 )
 from glueforge.indexcat import NONSPLIT
+
+
+def commutes_by_composites(path, other=()):
+    """Whether two left-to-right paths of maps agree, by building each
+    composite with ``FinFn.then`` and comparing the two ``FinFn``s; an empty
+    path is the identity on the other path's domain."""
+    if not path and not other:
+        return True
+    start = (path or other)[0].domain
+
+    def composite(p):
+        return reduce(FinFn.then, p) if p else FinFn.identity(start)
+
+    return composite(path) == composite(other)
+
+
+def iso_by_topmap(fn, dom=None, cod=None):
+    """Bijective, and between two given spaces ``TopMap(...).open``: a
+    continuous open bijection is a homeomorphism.  Raises where ``TopMap``
+    does, for a map that is not continuous among others."""
+    bijective = fn.is_injective() and fn.is_surjective()
+    if dom is None or cod is None:
+        return bijective
+    return bijective and TopMap(fn, dom, cod).open
 
 
 def equalizer(f, g):

@@ -147,6 +147,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "structural error" in err
 
 
+def test_unwritable_output_is_structural(tmp_path, capsys):
+    path = write_doc(tmp_path, e1_payload())
+    out = str(tmp_path / "missing" / "out.json")
+    assert main(["glue", "--input", path, "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("glueforge: structural error: ")
+    assert "out.json" in captured.err
+
+
 def test_main_cap_flag_resource_error(tmp_path, capsys):
     limit_doc = {
         "version": "1", "kind": "gluing",
@@ -591,6 +602,29 @@ def test_check_site_command(tmp_path, capsys):
     assert main(["check-site", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["axioms_hold"] is True
+
+
+def test_check_site_refines_each_source_by_its_own_topology(tmp_path, capsys):
+    # two coverings of the points {a, b}: a covering of the Sierpinski space
+    # refines only Sierpinski sources, never the discrete ones
+    points = ["a", "b"]
+    ident = {"a": "a", "b": "b"}
+    sierpinski = {"points": points, "opens": [[], ["a"], ["a", "b"]]}
+    discrete = {"points": points, "opens": [[], ["a"], ["b"], ["a", "b"]]}
+    doc = {"version": "1", "kind": "site", "payload": {
+        "ambient": "top",
+        "coverings": [
+            {"target": space, "sources": [
+                {"name": "1", "object": space, "map": ident}]}
+            for space in (sierpinski, discrete)],
+        "morphisms": []}}
+    path = write_doc(tmp_path, doc, "site.json")
+    assert main(["check-site", "--input", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["verdicts"] == {"axioms_hold": True}
+    assert out["diagnostics"] == {"violations": []}
 
 
 def test_check_site_charges_the_refinement_product(tmp_path, capsys):
