@@ -46,7 +46,8 @@ TOWARD_OVERLAPS = "toward-overlaps"
 
 
 class GluingData:
-    """A functor from an index category into finite sets or finite spaces."""
+    """A functor from an index category into finite sets or finite spaces,
+    checked once, on construction; the operations trust it."""
 
     __slots__ = ("indexcat", "ambient", "objects", "arrows", "direction", "spaces")
 
@@ -67,6 +68,9 @@ class GluingData:
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "spaces", spaces)
+        problems = validate_gluing_data(self)
+        if problems:
+            raise StructuralError("invalid gluing data: " + "; ".join(problems))
 
     def __setattr__(self, name, value):
         raise AttributeError("GluingData is immutable")
@@ -174,9 +178,6 @@ def _require_valid(data, direction):
     if data.direction != direction:
         raise StructuralError("operation needs %s data, got %s"
                               % (direction, data.direction))
-    problems = validate_gluing_data(data)
-    if problems:
-        raise StructuralError("invalid gluing data: " + "; ".join(problems))
 
 
 class GluedObject:
@@ -200,8 +201,8 @@ class GluedObject:
 
 
 class ConeCandidate:
-    """An apex with one leg per index object; validity is checked by the
-    operations that consume it."""
+    """An apex with legs to or from the index objects; ``mediating_map``
+    checks that it is a cone, cones the engine builds are trusted."""
 
     __slots__ = ("apex", "space", "legs")
 
@@ -350,9 +351,14 @@ def mediating_map(data, glued, cone):
     component legs, well defined by the congruence.  Limit side: the map from
     the cone apex into the compatible families.  The returned flag states
     whether the cone is isomorphic to the glued-up object (bijective factoring
-    map; homeomorphism in the top ambient).
+    map; homeomorphism in the top ambient).  The candidate is checked first.
     """
     _check_cone(data, cone, glued.side)
+    return _factor(data, glued, cone)
+
+
+def _factor(data, glued, cone):
+    """``mediating_map`` of a trusted cone, read at its component legs."""
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     if glued.side == "colimit":
@@ -449,9 +455,11 @@ def universal_glue_check(data, glued, delta, v_space=None):
     _require_valid(data, FROM_OVERLAPS)
     if delta.codomain != glued.apex:
         raise StructuralError("delta must land in the glued apex")
-    if data.ambient == "top" and v_space is None:
-        raise StructuralError("the top ambient needs a topology on the source "
-                              "of delta")
+    if data.ambient == "top":
+        if v_space is None:
+            raise StructuralError("the top ambient needs a topology on the "
+                                  "source of delta")
+        TopMap(delta, v_space, glued.space)
     cat = data.indexcat
     objects = {}
     spaces = {}
@@ -482,7 +490,8 @@ def universal_glue_check(data, glued, delta, v_space=None):
     cone_legs = {obj: members[obj].legs["p2"] for obj in cat.objects}
     cone = ConeCandidate(delta.domain, cone_legs,
                          space=v_space if data.ambient == "top" else None)
-    med, iso = mediating_map(pulled, pulled_glued, cone)
+    # the projections onto the source of delta form a cone by construction
+    med, iso = _factor(pulled, pulled_glued, cone)
     return {
         "pulled_data": pulled,
         "pulled_glued": pulled_glued,

@@ -30,11 +30,10 @@ from .gluing import (
     FROM_OVERLAPS,
     ConeCandidate,
     GluingData,
+    _factor,
     _overlap_maps,
     colimit_glue,
     colimit_relation_pairs,
-    mediating_map,
-    validate_gluing_data,
 )
 from .indexcat import SPLIT, IndexCat
 
@@ -196,25 +195,15 @@ def base_change_functor(sink, fn, v_space=None):
     return canonical_sink_functor(base_change_sink(sink, fn, v_space=v_space))
 
 
-def _target_cone(sink, data):
-    legs = {}
-    for i in sink.names():
-        _, fn = sink.source(i)
-        legs[(i,)] = fn
-    for pair_obj in data.indexcat.pairs():
-        i = pair_obj[0]
-        legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
-    return ConeCandidate(sink.target, legs,
-                         space=sink.target_space if sink.ambient == "top"
-                         else None)
-
-
 def effective_epi_check(sink):
     """Whether the family is an effective epimorphism: the target, with its
-    own maps as legs, is the glued-up object of the canonical functor."""
+    own maps as legs, is the glued-up object of the canonical functor.
+    Those legs form a cone by construction of the fibered-product overlaps."""
     data = canonical_sink_functor(sink)
-    glued = colimit_glue(data)
-    _, iso = mediating_map(data, glued, _target_cone(sink, data))
+    cone = ConeCandidate(sink.target, {(i,): fn for i, _, fn in sink.sources},
+                         space=sink.target_space if sink.ambient == "top"
+                         else None)
+    _, iso = _factor(data, colimit_glue(data), cone)
     return iso
 
 
@@ -298,9 +287,6 @@ def effective_gluing_check(data):
     """
     if data.indexcat.mode != SPLIT:
         raise StructuralError("effectiveness is defined for split data")
-    problems = validate_gluing_data(data)
-    if problems:
-        raise StructuralError("invalid gluing data: " + "; ".join(problems))
     cat = data.indexcat
     names = [obj[0] for obj in cat.singletons()]
     glued = colimit_glue(data)

@@ -4,8 +4,9 @@ Each oracle computes its answer the long way round, by a different
 construction from the one in ``glueforge``: the limit as a literal
 equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
-apex, the presheaf laws by composing restriction maps as functions, and
-commuting paths and isomorphisms by building composites and continuous maps.
+apex, a sink's target as a cone with a leg at every overlap, the presheaf
+laws by composing restriction maps as functions, and commuting paths and
+isomorphisms by building composites and continuous maps.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -26,6 +27,7 @@ from glueforge.fincat import (
 )
 from glueforge.gluing import (
     TOWARD_OVERLAPS,
+    ConeCandidate,
     GluedObject,
     _limit_constraints,
     _require_valid,
@@ -108,6 +110,21 @@ def equalizer_glue_oracle(data):
                                 [legs[(i,)] for i in comps],
                                 [data.space((i,)) for i in comps])
     return GluedObject("limit", apex, space, legs, {}, {})
+
+
+def sink_target_cone(sink, data):
+    """The target of a sink as a full cone over its canonical functor
+    ``data``: the sink's own maps at the components and, at each overlap, the
+    composite through the stored inclusion.  ``site.effective_epi_check``
+    reads the component legs alone, unchecked; ``gluing.mediating_map``
+    checks every square of this cone."""
+    legs = {(i,): fn for i, _, fn in sink.sources}
+    for pair_obj in data.indexcat.pairs():
+        i = pair_obj[0]
+        legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
+    return ConeCandidate(sink.target, legs,
+                         space=sink.target_space if sink.ambient == "top"
+                         else None)
 
 
 def two_stage_partition(meta):

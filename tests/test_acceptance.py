@@ -39,7 +39,7 @@ from fixtures import (
     random_top_colimit,
     seeded,
 )
-from oracles import equalizer_glue_oracle
+from oracles import equalizer_glue_oracle, sink_target_cone
 from test_refine import flat_identification_oracle, torus_meta
 
 
@@ -145,7 +145,7 @@ def random_sink(rng, max_sources=3, max_target=4, max_source_size=3):
 
 
 def test_criterion_5_effective_epi_agrees_with_mediating_route():
-    from glueforge.gluing import ConeCandidate, mediating_map
+    from glueforge.gluing import mediating_map
     rng = seeded(2030)
     checked = 0
     for _ in range(100):
@@ -154,14 +154,7 @@ def test_criterion_5_effective_epi_agrees_with_mediating_route():
         # explicit mediating-map route on the canonical functor
         data = canonical_sink_functor(sink)
         glued = colimit_glue(data)
-        legs = {}
-        for i in sink.names():
-            _, fn = sink.source(i)
-            legs[(i,)] = fn
-        for pair_obj in data.indexcat.pairs():
-            legs[pair_obj] = data.edge(pair_obj[0], pair_obj).then(
-                legs[(pair_obj[0],)])
-        _, iso = mediating_map(data, glued, ConeCandidate(sink.target, legs))
+        _, iso = mediating_map(data, glued, sink_target_cone(sink, data))
         assert decision == iso
         # independent closed form in sets: joint surjectivity
         assert decision == sink.jointly_surjective()

@@ -720,3 +720,59 @@ def test_refine_command(tmp_path, capsys):
     assert out["verdicts"]["valid"] is True
     assert out["artifacts"]["source_apex_size"] == 2
     assert out["artifacts"]["induced_map"] == {"a0|b0": "a0", "a1|b1": "a1"}
+
+
+def sierpinski(a, b):
+    """The Sierpinski space on two points, ``a`` the open one."""
+    return {"points": [a, b], "opens": [[], [a], [a, b]]}
+
+
+def test_glue_rejects_a_delta_that_is_not_continuous(tmp_path, capsys):
+    doc = {"version": "1", "kind": "gluing", "payload": {
+        "mode": "nonsplit", "ambient": "top", "direction": "from-overlaps",
+        "index": ["1"], "objects": {"1": sierpinski("a", "b")}, "arrows": [],
+        "delta": {"component": "1", "object": sierpinski("x", "y"),
+                  "map": {"x": "b", "y": "a"}},
+    }}
+    path = write_doc(tmp_path, doc)
+    assert main(["glue", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("glueforge: structural error: map is not "
+                            "continuous at 'y'\n")
+
+
+def chart_limit_payload(index, pairs):
+    """Limit-side charts ``x<i>_0..2`` over the overlap ``k0..2``, every chart
+    mapping onto it in the same way."""
+    onto = {"_0": "k0", "_1": "k2", "_2": "k1"}
+    objects = {i: ["x%s%s" % (i, s) for s in sorted(onto)] for i in index}
+    objects.update({pair: ["k0", "k1", "k2"] for pair in pairs})
+    arrows = [{"kind": "edge", "from": i, "pair": pair,
+               "map": {"x%s%s" % (i, s): k for s, k in onto.items()}}
+              for pair in pairs for i in pair.split(",")]
+    return {"mode": "nonsplit", "ambient": "sets",
+            "direction": "toward-overlaps", "index": index,
+            "objects": objects, "arrows": arrows}
+
+
+def test_refine_with_invalid_source_data_is_structural(tmp_path, capsys):
+    # the source lacks the arrow from chart 3 into overlap 2,3, and the
+    # refinement lacks its component at 1,2: the data is refused before the
+    # refinement is judged
+    source = chart_limit_payload(["1", "2", "3"], ["1,2", "1,3", "2,3"])
+    source["arrows"] = [a for a in source["arrows"]
+                        if (a["from"], a["pair"]) != ("3", "2,3")]
+    target = chart_limit_payload(["1", "2"], ["1,2"])
+    doc = {"version": "1", "kind": "refinement", "payload": {
+        "source": source, "target": target, "gamma": {"1": "1", "2": "2"},
+        "components": {i: {x: x for x in target["objects"][i]}
+                       for i in ("1", "2")},
+    }}
+    path = write_doc(tmp_path, doc)
+    assert main(["refine", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("glueforge: structural error: invalid gluing "
+                            "data: generator ('incl', '3', ('2', '3')) has "
+                            "no arrow\n")

@@ -1,0 +1,141 @@
+"""The 0/1/2 exit contract of ``cli.main`` on mutated golden documents, and
+how many times one command checks its gluing data."""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glueforge import cli, gluing
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "golden")
+
+with open(os.path.join(CORPUS, "manifest.json"), encoding="utf-8") as handle:
+    CASES = json.load(handle)
+
+
+def golden_doc(name):
+    with open(os.path.join(CORPUS, name + ".json"), encoding="utf-8") as h:
+        return json.load(h)
+
+
+DOCS = {case["name"]: golden_doc(case["name"]) for case in CASES}
+
+# labels that mean something to some document: index elements and pairs,
+# element labels of the generated charts, enum values, a reserved character
+LABELS = ["", "0", "1", "2", "3", "1,2", "2,1", "1,1", "x1_0", "k0", "a",
+          "edge", "tau", "sets", "top", "split", "nonsplit", "from-overlaps",
+          "toward-overlaps", "x|y"]
+
+
+def run(argv, doc):
+    """Exit code, stdout and stderr of ``cli.main`` with ``doc`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def containers(node):
+    """Every dict and list in a document, outermost first."""
+    found = [node]
+    children = node.values() if isinstance(node, dict) else node
+    for child in children:
+        if isinstance(child, (dict, list)):
+            found += containers(child)
+    return found
+
+
+def mutate(doc, draw):
+    """Apply one mutation in place: drop a key, copy a key's value under a
+    label, replace a string (a value or a key) with a label, or drop or
+    append an array item.  Does nothing when the document has no place for
+    the drawn kind."""
+    kind = draw(st.sampled_from(["drop key", "duplicate key", "replace",
+                                 "drop item", "append item"]))
+    nodes = containers(doc)
+    if kind in ("drop key", "duplicate key"):
+        places = [n for n in nodes if isinstance(n, dict) and n]
+    elif kind == "replace":
+        places = [(n, k) for n in nodes
+                  for k in (n if isinstance(n, dict) else range(len(n)))
+                  if isinstance(n[k], str)]
+        places += [(n, k) for n in nodes if isinstance(n, dict) for k in n]
+    elif kind == "drop item":
+        places = [n for n in nodes if isinstance(n, list) and n]
+    else:
+        places = [n for n in nodes if isinstance(n, list)]
+    if not places:
+        return
+    place = draw(st.sampled_from(places))
+    label = draw(st.sampled_from(LABELS))
+    if kind == "drop key":
+        del place[draw(st.sampled_from(sorted(place)))]
+    elif kind == "duplicate key":
+        key = draw(st.sampled_from(sorted(place)))
+        place[label] = copy.deepcopy(place[key])
+    elif kind == "replace":
+        node, key = place
+        if isinstance(node[key], str):
+            node[key] = label
+        else:
+            node[label] = node.pop(key)
+    elif kind == "drop item":
+        del place[draw(st.integers(0, len(place) - 1))]
+    else:
+        place.append(copy.deepcopy(draw(st.sampled_from(place))) if place
+                     else label)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(CASES), st.integers(1, 3), st.integers(1, 1000),
+       st.data())
+def test_exit_contract_holds_on_mutated_golden_documents(case, mutations, cap,
+                                                         draws):
+    doc = copy.deepcopy(DOCS[case["name"]])
+    for _ in range(mutations):
+        mutate(doc, draws.draw)
+    code, out, err = run(case["argv"] + ["--cap", str(cap)], doc)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("glueforge: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        assert code == cli.report_exit_code(json.loads(out))
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("glue-delta", 2),            # the document's data, the pulled-back data
+    ("hom", 1),
+    ("check-effective-sets", 1),
+])
+def test_gluing_data_is_checked_once_where_it_is_built(monkeypatch, name,
+                                                       checks):
+    seen = []
+    real = gluing.validate_gluing_data
+
+    def counted(data):
+        seen.append(data)
+        return real(data)
+
+    # every module that holds the name, so that an import of it elsewhere
+    # is counted too
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("glueforge") and \
+                getattr(module, "validate_gluing_data", None) is real:
+            monkeypatch.setattr(module, "validate_gluing_data", counted)
+    case = next(c for c in CASES if c["name"] == name)
+    code, _, _ = run(case["argv"], DOCS[name])
+    assert code == case["exit"]
+    assert len(seen) == checks

@@ -54,28 +54,32 @@ def test_validate_names_involution_violation():
     ov = FinSet(["w", "wp"])
     comp = FinSet(["x", "y"])
     cat = IndexCat("split", FinSet(["1"]))
-    data = GluingData(
-        cat, "sets",
-        {("1",): comp, ("1", "1"): ov},
-        {("incl", "1", ("1", "1")): FinFn(ov, comp, {"w": "x", "wp": "y"}),
-         ("tau", ("1", "1")): FinFn(ov, ov, {"w": "wp", "wp": "wp"})},
-        "from-overlaps")
-    problems = validate_gluing_data(data)
-    assert any("involution" in p for p in problems)
+    with pytest.raises(StructuralError) as err:
+        GluingData(
+            cat, "sets",
+            {("1",): comp, ("1", "1"): ov},
+            {("incl", "1", ("1", "1")): FinFn(ov, comp, {"w": "x", "wp": "y"}),
+             ("tau", ("1", "1")): FinFn(ov, ov, {"w": "wp", "wp": "wp"})},
+            "from-overlaps")
+    assert str(err.value) == ("invalid gluing data: involution violated: "
+                              "tau('1', '1') then tau('1', '1') is not the "
+                              "identity")
 
 
 def test_validate_names_endpoint_violation():
     comp = FinSet(["x"])
     wrong = FinSet(["z"])
     cat = IndexCat("nonsplit", FinSet(["1", "2"]))
-    data = GluingData(
-        cat, "sets",
-        {("1",): comp, ("2",): comp, ("1", "2"): FinSet(["u"])},
-        {("incl", "1", ("1", "2")): FinFn(FinSet(["u"]), wrong, {"u": "z"}),
-         ("incl", "2", ("1", "2")): FinFn(FinSet(["u"]), comp, {"u": "x"})},
-        "from-overlaps")
-    problems = validate_gluing_data(data)
-    assert any("endpoints" in p for p in problems)
+    with pytest.raises(StructuralError) as err:
+        GluingData(
+            cat, "sets",
+            {("1",): comp, ("2",): comp, ("1", "2"): FinSet(["u"])},
+            {("incl", "1", ("1", "2")): FinFn(FinSet(["u"]), wrong, {"u": "z"}),
+             ("incl", "2", ("1", "2")): FinFn(FinSet(["u"]), comp, {"u": "x"})},
+            "from-overlaps")
+    assert str(err.value) == ("invalid gluing data: arrow for ('incl', '1', "
+                              "('1', '2')) has endpoints ['u'] -> ['z'], "
+                              "expected ['u'] -> ['x']")
 
 
 def test_e1_colimit_merges_the_overlap_class():

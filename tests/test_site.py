@@ -1,10 +1,19 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from glueforge import gluing
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, tag
-from glueforge.gluing import colimit_glue, colimit_relation_pairs
+from glueforge.gluing import (
+    _check_cone,
+    colimit_glue,
+    colimit_relation_pairs,
+    mediating_map,
+    universal_glue_check,
+)
 from glueforge.site import (
     SiteSpec,
     Sink,
@@ -18,7 +27,8 @@ from glueforge.site import (
     universal_effective_epi_check,
 )
 
-from fixtures import e3, e4_split, make_split_colimit, seeded
+from fixtures import close_family, e3, e4_split, make_split_colimit, seeded
+from oracles import sink_target_cone
 
 
 def inclusion_sink(target_labels, parts):
@@ -334,3 +344,75 @@ def test_congruence_flag_matches_pairwise_transitivity(data):
     assert all(data.edge(p[0], p).is_injective() for p in data.indexcat.pairs())
     report = effective_gluing_check(data)
     assert report.congruence_and_injective == pairwise_transitive(data)
+
+
+@st.composite
+def topologies(draw, carrier):
+    """The union and intersection closure of a few drawn subsets."""
+    fam = [frozenset(), frozenset(carrier.labels)]
+    if len(carrier):
+        fam += draw(st.lists(st.frozensets(st.sampled_from(carrier.labels)),
+                             max_size=3))
+    return FinTop(carrier, close_family(carrier, fam))
+
+
+@st.composite
+def maps_into(draw, prefix, target, space):
+    """An object with a map into ``target``.  With a target ``space`` the
+    object is a space: a subspace with its inclusion, or a discrete space
+    with any map."""
+    if space is not None and draw(st.booleans()):
+        sub = space.subspace(draw(st.frozensets(st.sampled_from(target.labels)))
+                             if len(target) else ())
+        return sub, FinFn(sub.carrier, target, {x: x for x in sub.carrier})
+    size = draw(st.integers(0, 3)) if len(target) else 0
+    carrier = FinSet(["%s%d" % (prefix, k) for k in range(size)])
+    fn = FinFn(carrier, target, {x: draw(st.sampled_from(target.labels))
+                                 for x in carrier})
+    return (carrier if space is None else FinTop.discrete(carrier)), fn
+
+
+@st.composite
+def sinks(draw):
+    """Set and top sinks, about half of them base-changed along a drawn map."""
+    ambient = draw(st.sampled_from(["sets", "top"]))
+    target = FinSet(["t%d" % k for k in range(draw(st.integers(0, 3)))])
+    space = draw(topologies(target)) if ambient == "top" else None
+    sources = []
+    for k in range(draw(st.integers(1, 3))):
+        obj, fn = draw(maps_into("s%d_" % k, target, space))
+        sources.append((str(k + 1), obj, fn))
+    sink = Sink(ambient, target, sources, target_space=space)
+    if draw(st.booleans()):
+        v, fn = draw(maps_into("v", target, space))
+        sink = base_change_sink(sink, fn,
+                                v_space=None if space is None else v)
+    return sink
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sinks(), st.data())
+def test_engine_built_cones_pass_the_cone_check(sink, draws):
+    # effective_epi_check and universal_glue_check factor cones they build
+    # without checking them; the full checks must accept those cones and the
+    # checked route must give the same verdict
+    data = canonical_sink_functor(sink)
+    glued = colimit_glue(data)
+    _, iso = mediating_map(data, glued, sink_target_cone(sink, data))
+    assert iso == effective_epi_check(sink)
+
+    v, into = draws.draw(maps_into("d", glued.apex, glued.space))
+    factored = []
+    real = gluing._factor
+
+    def record(pulled, pulled_glued, cone):
+        factored.append((pulled, pulled_glued, cone))
+        return real(pulled, pulled_glued, cone)
+
+    with mock.patch.object(gluing, "_factor", record):
+        report = universal_glue_check(data, glued, into,
+                                      v_space=v if sink.ambient == "top"
+                                      else None)
+    (pulled, pulled_glued, cone), = factored
+    _check_cone(pulled, cone, "colimit")
+    assert mediating_map(pulled, pulled_glued, cone)[1] == report["is_glued_up"]
