@@ -16,10 +16,15 @@ enumeration of the command, listing opens too.
 Documents are checked against the shipped schemas by the compiled checker of
 ``glueforge.schema``, which decides valid or invalid and nothing more.  Only
 when it rejects a document is jsonschema imported, to word the error: the
-first error sorted by path, as ``schema violation at <path>: <message>``,
-cut at ``SCHEMA_TEXT_LIMIT`` characters.  A call on a valid document never
-imports jsonschema.  Input that is not UTF-8, or JSON nested too deeply to
-parse or report, is a structural error too.
+first error sorted by path, as ``schema violation at <path>: <message>``.
+A call on a valid document never imports jsonschema.  Input that is not
+UTF-8, or JSON nested too deeply to parse or report, is a structural error
+too.  Every error is reported on one stderr line, its text cut at
+``ERROR_TEXT_LIMIT`` characters.
+
+Reports are written by a direct emitter, byte for byte what
+``json.dumps(report, sort_keys=True, indent=2)`` gives; it knows only the
+types reports hold.
 """
 
 import argparse
@@ -30,7 +35,7 @@ import sys
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
-from .fincat import SEP, FinFn, FinSet, FinTop, TopMap
+from .fincat import SEP, FinFn, FinSet, FinTop, TopMap, tag
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
@@ -98,14 +103,14 @@ def _schema_registry():
         (s["$id"], Resource.from_contents(s)) for s in schema.SCHEMAS)
 
 
-# jsonschema's messages repeat the repr of the offending value, which can be
-# as large as the document; a rejection keeps this many characters of it
-SCHEMA_TEXT_LIMIT = 300
+# error texts can repeat a value as large as the document (jsonschema's
+# messages, the labels a map assigns outside its domain); stderr keeps this
+# many characters of one
+ERROR_TEXT_LIMIT = 300
 
 
 def _validate_schema(instance, schema_id, where):
-    """Accept through the compiled checker; word a rejection by jsonschema,
-    cut at ``SCHEMA_TEXT_LIMIT`` characters."""
+    """Accept through the compiled checker; word a rejection by jsonschema."""
     if schema.CHECKERS[schema_id](instance):
         return
     from jsonschema import Draft202012Validator
@@ -114,12 +119,8 @@ def _validate_schema(instance, schema_id, where):
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.path))
     if errors:
         err = errors[0]
-        text = "schema violation at %s%s: %s" % (
-            where, err.json_path.lstrip("$"), err.message)
-        if len(text) > SCHEMA_TEXT_LIMIT:
-            text = "%s... [cut, %d characters in all]" % (
-                text[:SCHEMA_TEXT_LIMIT], len(text))
-        raise StructuralError(text)
+        raise StructuralError("schema violation at %s%s: %s" % (
+            where, err.json_path.lstrip("$"), err.message))
 
 
 def _check_labels(payload):
@@ -162,7 +163,10 @@ def load_document(stream_or_path):
     except RecursionError:
         # json.loads, or jsonschema wording a rejection, ran out of stack
         raise StructuralError("JSON in %s is nested too deeply" % where)
-    _check_labels(raw["payload"])
+    # outside strings JSON text holds no "|", so a document without it or
+    # its escape has no label to reject
+    if SEP in text or "\\u007c" in text or "\\u007C" in text:
+        _check_labels(raw["payload"])
     return Document(kind, raw["payload"], raw["version"])
 
 
@@ -418,9 +422,9 @@ def _glue_command(doc, flags):
         glued = colimit_glue(data)
         classes = {}
         for i in data.indexcat.index:
+            leg = glued.legs[(i,)].mapping
             for x in data.carrier((i,)):
-                classes.setdefault(glued.legs[(i,)](x), []).append(
-                    "%s%s%s" % (i, SEP, x))
+                classes.setdefault(leg[x], []).append(tag(i, x))
         artifacts = {
             "glued": glued_object_to_json(glued),
             "classes": {k: sorted(v) for k, v in sorted(classes.items())},
@@ -653,8 +657,47 @@ def report_exit_code(report):
     return 0 if all(bool(v) for v in verdicts.values()) else 1
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(node, indent):
+    """``node`` as JSON, where ``indent`` is the newline and indentation of
+    the line it starts on; string members are encoded in place."""
+    kind = type(node)
+    if kind is dict:
+        if not node:
+            return "{}"
+        inner = indent + "  "
+        # the encoder raises TypeError on a key that is not a string
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
+                                     else _emit(v, inner))
+            for k, v in sorted(node.items())]) + indent + "}"
+    if kind is list:
+        if not node:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _emit(v, inner)
+            for v in node]) + indent + "]"
+    if kind is str:
+        return _encode_str(node)
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if node is None:
+        return "null"
+    if kind is int:
+        return int.__repr__(node)
+    raise TypeError("a report cannot hold a %s: %r" % (kind.__name__, node))
+
+
 def render_report(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
+    it, plus a newline.  Reports hold str keys and str, int, bool, None,
+    list and dict values; anything else raises TypeError."""
+    return _emit(report, "\n") + "\n"
 
 
 def _env_cap():
@@ -698,7 +741,11 @@ def main(argv=None):
             sys.stdout.write(text)
     except (GlueforgeError, OSError) as err:
         kind = "resource" if isinstance(err, ResourceError) else "structural"
-        sys.stderr.write("glueforge: %s error: %s\n" % (kind, err))
+        text = str(err)
+        if len(text) > ERROR_TEXT_LIMIT:
+            text = "%s... [cut, %d characters in all]" % (
+                text[:ERROR_TEXT_LIMIT], len(text))
+        sys.stderr.write("glueforge: %s error: %s\n" % (kind, text))
         return 2
     return report_exit_code(report)
 

@@ -7,6 +7,12 @@ rule, and continuous maps between those, with their openness recorded.
 Everything is immutable after construction and every operation is a pure
 function, so shared values are safe to use concurrently.
 
+The public constructors validate what they are given.  Values the engine
+builds correct by construction (composites, identities, pullbacks,
+quotients, the legs of glued objects) come from ``FinFn.from_total`` and
+``FinTop.from_nbhd``, which check nothing, and ``FinSet.from_distinct``,
+which checks only that its labels are distinct.
+
 Whether two paths of maps agree is decided by ``commutes``, and whether a
 map is an isomorphism (a bijection, a homeomorphism between spaces) by
 ``is_iso``.
@@ -53,6 +59,20 @@ class FinSet:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_pos", pos)
 
+    @classmethod
+    def from_distinct(cls, labels):
+        """The set of these string labels, checked only for distinctness,
+        which costs one comparison of sizes: generated names collide when a
+        caller's labels hold the reserved separator."""
+        labels = tuple(labels)
+        pos = dict(zip(labels, range(len(labels))))
+        if len(pos) != len(labels):
+            return cls(labels)    # raises, naming the first duplicate
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "labels", labels)
+        object.__setattr__(fs, "_pos", pos)
+        return fs
+
     def __setattr__(self, name, value):
         raise AttributeError("FinSet is immutable")
 
@@ -72,7 +92,8 @@ class FinSet:
             raise StructuralError("label %r not in carrier %r" % (label, self.labels))
 
     def __eq__(self, other):
-        return isinstance(other, FinSet) and self.labels == other.labels
+        return self is other or (isinstance(other, FinSet)
+                                 and self.labels == other.labels)
 
     def __hash__(self):
         return hash(self.labels)
@@ -104,6 +125,17 @@ class FinFn:
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mapping", mapping)
 
+    @classmethod
+    def from_total(cls, domain, codomain, mapping):
+        """The map with this mapping, unchecked and not copied: ``mapping`` is
+        a dict no one else holds, giving each domain label, and no other, a
+        codomain label."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "domain", domain)
+        object.__setattr__(fn, "codomain", codomain)
+        object.__setattr__(fn, "mapping", mapping)
+        return fn
+
     def __setattr__(self, name, value):
         raise AttributeError("FinFn is immutable")
 
@@ -115,7 +147,7 @@ class FinFn:
 
     @staticmethod
     def identity(carrier):
-        return FinFn(carrier, carrier, {x: x for x in carrier})
+        return FinFn.from_total(carrier, carrier, {x: x for x in carrier})
 
     @staticmethod
     def constant(domain, codomain, value):
@@ -125,8 +157,9 @@ class FinFn:
         """Diagrammatic composite: ``self`` first, then ``other``."""
         if other.domain != self.codomain:
             raise StructuralError("composite endpoints do not match")
-        return FinFn(self.domain, other.codomain,
-                     {x: other.mapping[self.mapping[x]] for x in self.domain})
+        return FinFn.from_total(
+            self.domain, other.codomain,
+            {x: other.mapping[self.mapping[x]] for x in self.domain})
 
     def is_injective(self):
         return len(set(self.mapping.values())) == len(self.domain)
@@ -414,9 +447,11 @@ def pullback(f, g):
     pairs = compatible_tuples([f.domain.labels, g.domain.labels],
                               [(0, 1, f.mapping, g.mapping)], "pullback")
     labels = [pair_label(a, b) for a, b in pairs]
-    members = FinSet(labels)
-    p1 = FinFn(members, f.domain, dict(zip(labels, [a for a, _ in pairs])))
-    p2 = FinFn(members, g.domain, dict(zip(labels, [b for _, b in pairs])))
+    members = FinSet.from_distinct(labels)
+    p1 = FinFn.from_total(members, f.domain,
+                          dict(zip(labels, [a for a, _ in pairs])))
+    p2 = FinFn.from_total(members, g.domain,
+                          dict(zip(labels, [b for _, b in pairs])))
     return PairedSubset(members, {"p1": p1, "p2": p2})
 
 
@@ -486,15 +521,15 @@ def quotient_by_pairs(carrier, pairs):
             raise StructuralError("pair (%r, %r) mentions labels outside the carrier"
                                   % (a, b))
         uf.union(a, b)
-    classes = uf.classes(carrier.labels)
+    labels = []
     names = {}
-    for cls in classes:
+    for cls in uf.classes(carrier.labels):
         name = min(cls)
+        labels.append(name)
         for x in cls:
             names[x] = name
-    q = FinSet([min(cls) for cls in classes])
-    pi = FinFn(carrier, q, names)
-    return q, pi
+    q = FinSet.from_distinct(labels)
+    return q, FinFn.from_total(carrier, q, names)
 
 
 def induce_topology(mode, carrier, maps, spaces):

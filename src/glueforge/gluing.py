@@ -252,10 +252,12 @@ def colimit_glue(data):
     comps = [obj[0] for obj in cat.singletons()]
     coproduct = FinSet([tag(i, x) for i in comps for x in data.carrier((i,))])
     apex, pi = quotient_by_pairs(coproduct, colimit_relation_pairs(data))
+    to_class = pi.mapping
     legs = {}
     for i in comps:
         carrier = data.carrier((i,))
-        legs[(i,)] = FinFn(carrier, apex, {x: pi(tag(i, x)) for x in carrier})
+        legs[(i,)] = FinFn.from_total(
+            carrier, apex, {x: to_class[tag(i, x)] for x in carrier})
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
@@ -302,11 +304,11 @@ def limit_glue(data):
          for i, j, f, g in _limit_constraints(data)],
         "limit families")
     labels = [SEP.join(combo) for combo in members]
-    apex = FinSet(labels)
+    apex = FinSet.from_distinct(labels)
     legs = {}
     for k, i in enumerate(comps):
-        legs[(i,)] = FinFn(apex, carriers[k],
-                           dict(zip(labels, [c[k] for c in members])))
+        legs[(i,)] = FinFn.from_total(
+            apex, carriers[k], dict(zip(labels, [c[k] for c in members])))
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = legs[(i,)].then(data.edge(i, pair_obj))

@@ -461,7 +461,7 @@ def glue_presheaves(datum, require_sheaf_locals=True):
         for combo in compatible_tuples(domains, cons, "glued sections at one open"):
             labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
             tuples[(o, labels[-1])] = combo
-        sections[o] = FinSet(labels)
+        sections[o] = FinSet.from_distinct(labels)
     res = {}
     for w, v in lat.pairs_below():
         maps = [loc.res[(w & m, v & m)].mapping

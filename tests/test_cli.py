@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from glueforge import cli
 from glueforge.cli import (
+    ERROR_TEXT_LIMIT,
     execute,
     glued_object_to_json,
     load_document,
@@ -355,6 +357,44 @@ def test_nesting_just_below_the_parser_limit_is_structural(monkeypatch,
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
             assert main(["glue"]) == 2, depth
             assert "structural error" in capsys.readouterr().err
+
+
+def test_oversized_error_text_is_cut(tmp_path, capsys):
+    # 5,000 labels outside the domain made this a 63,963-byte stderr line
+    doc = e1_payload()
+    doc["payload"]["arrows"][0]["map"].update(
+        {"extra%d" % k: "a0" for k in range(5000)})
+    assert main(["glue", "--input", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = err.rstrip("\n").split("structural error: ", 1)[1]
+    assert message.startswith("mapping assigns labels outside the domain: "
+                              "['extra0', 'extra1', ")
+    assert message[ERROR_TEXT_LIMIT:].startswith("... [cut, ")
+    assert message.endswith(" characters in all]")
+    assert len(err) < ERROR_TEXT_LIMIT + 80
+
+
+@pytest.mark.parametrize("escape", ["\\u007c", "\\u007C"])
+def test_escaped_reserved_character_is_rejected(tmp_path, capsys, escape):
+    text = json.dumps(e1_payload()).replace('"a0"', '"a%s0"' % escape)
+    path = tmp_path / "escaped.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["glue", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "glueforge: structural error: reserved character '|' in input label "
+        "'a|0'\n")
+
+
+def test_label_walk_is_skipped_without_the_separator(tmp_path, monkeypatch):
+    walked = []
+    monkeypatch.setattr(cli, "_check_labels", walked.append)
+    load_document(write_doc(tmp_path, e1_payload()))
+    assert walked == []
+    doc = e1_payload()
+    doc["payload"]["hom_target"] = ["z|"]
+    load_document(write_doc(tmp_path, doc))
+    assert len(walked) == 1
 
 
 def test_check_effective_e4_exit_one(tmp_path, capsys):

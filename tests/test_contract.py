@@ -36,6 +36,11 @@ LABELS = ["", "0", "1", "2", "3", "1,2", "2,1", "1,1", "x1_0", "k0", "a",
           "toward-overlaps", "x|y"]
 
 
+# the longest stderr line: prefix, the cut text and the mark of its length
+STDERR_BOUND = len("glueforge: structural error: ") + cli.ERROR_TEXT_LIMIT \
+    + len("... [cut, %d characters in all]\n" % 10 ** 12)
+
+
 def run(argv, doc):
     """Exit code, stdout and stderr of ``cli.main`` with ``doc`` on stdin."""
     out, err = io.StringIO(), io.StringIO()
@@ -110,6 +115,7 @@ def test_exit_contract_holds_on_mutated_golden_documents(case, mutations, cap,
         assert out == ""
         assert err.startswith("glueforge: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err) <= STDERR_BOUND
     else:
         assert err == ""
         assert code == cli.report_exit_code(json.loads(out))

@@ -88,6 +88,23 @@ def test_pullback_requires_shared_codomain():
         pullback(f, g)
 
 
+def test_pullback_names_colliding_pair_labels():
+    # labels holding the reserved separator make two pairs one name
+    point = FinSet(["p"])
+    f = FinFn.constant(FinSet(["a|b", "a"]), point, "p")
+    g = FinFn.constant(FinSet(["c", "b|c"]), point, "p")
+    with pytest.raises(StructuralError, match="duplicate label 'a|b|c'"):
+        pullback(f, g)
+
+
+def test_engine_values_equal_validated_ones():
+    s = FinSet.from_distinct(["x", "y"])
+    assert s == FinSet(["x", "y"]) and s.position("y") == 1 and s == s
+    fn = FinFn.from_total(s, s, {"x": "y", "y": "y"})
+    assert fn == FinFn(s, s, {"x": "y", "y": "y"})
+    assert FinFn.identity(s).then(fn) == fn
+
+
 def test_pullback_symmetric_up_to_swap():
     rng = random.Random(1)
     for _ in range(25):

@@ -18,7 +18,7 @@ from referencing import Registry, Resource
 from glueforge import schema
 from glueforge.cli import (
     KINDS,
-    SCHEMA_TEXT_LIMIT,
+    ERROR_TEXT_LIMIT,
     jsonable_fn,
     jsonable_object,
     load_document,
@@ -302,9 +302,9 @@ def test_long_rejection_is_cut(tmp_path, capsys, breach, head):
     assert err.count("\n") == 1
     message = err.rstrip("\n").split("structural error: ", 1)[1]
     assert message.startswith(head)
-    assert message[SCHEMA_TEXT_LIMIT:].startswith("... [cut, ")
+    assert message[ERROR_TEXT_LIMIT:].startswith("... [cut, ")
     assert message.endswith(" characters in all]")
-    assert len(message) < SCHEMA_TEXT_LIMIT + 40
+    assert len(message) < ERROR_TEXT_LIMIT + 40
 
 
 @pytest.mark.parametrize("keyword, value", [("pattern", "^a"),

@@ -1,0 +1,84 @@
+"""The unchecked constructors are used only where the value is correct by
+construction: with each one replaced by its validating constructor, the
+golden corpus gives the same bytes and the acceptance criteria still pass,
+so no trusted value would have failed its own check."""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from glueforge import cli
+from glueforge.errors import StructuralError
+from glueforge.fincat import FinFn, FinSet, FinTop
+
+import test_acceptance
+
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "golden")
+
+
+def listed_opens(nbhd):
+    """Every union of the given neighbourhoods, uncharged."""
+    family = {frozenset()}
+    for u in nbhd.values():
+        family |= {o | u for o in family}
+    return family
+
+
+def validating_space(cls, carrier, nbhd):
+    space = cls(carrier, listed_opens(nbhd))
+    assert space.nbhd == nbhd, "not the minimal neighbourhoods of a topology"
+    return space
+
+
+@pytest.fixture
+def validating(monkeypatch):
+    monkeypatch.setattr(FinSet, "from_distinct",
+                        classmethod(lambda cls, labels: cls(labels)))
+    monkeypatch.setattr(FinFn, "from_total",
+                        classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
+    monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
+
+
+def test_validating_swap_checks(validating):
+    with pytest.raises(StructuralError, match="duplicate label"):
+        FinSet.from_distinct(["a", "a"])
+    a = FinSet(["a"])
+    with pytest.raises(StructuralError, match="not a codomain label"):
+        FinFn.from_total(a, a, {"a": "b"})
+    # b is missing from its own neighbourhood
+    with pytest.raises(AssertionError):
+        FinTop.from_nbhd(FinSet(["a", "b"]), {"a": frozenset("ab"),
+                                              "b": frozenset("a")})
+
+
+def golden_cases():
+    with open(os.path.join(CORPUS, "manifest.json"), encoding="utf-8") as h:
+        return json.load(h)
+
+
+def test_golden_corpus_identical_with_validating_constructors(validating):
+    for case in golden_cases():
+        base = os.path.join(CORPUS, case["name"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([case["argv"][0], "--input", base + ".json"]
+                            + case["argv"][1:])
+        with open(base + ".out", encoding="utf-8") as h:
+            assert out.getvalue() == h.read(), case["name"]
+        with open(base + ".err", encoding="utf-8") as h:
+            assert err.getvalue() == h.read(), case["name"]
+        assert code == case["exit"], case["name"]
+
+
+CRITERIA = [getattr(test_acceptance, name) for name in dir(test_acceptance)
+            if name.startswith("test_criterion_")]
+
+
+@pytest.mark.parametrize("criterion", CRITERIA,
+                         ids=lambda fn: fn.__name__[len("test_"):])
+def test_acceptance_with_validating_constructors(validating, criterion):
+    criterion()
