@@ -13,9 +13,10 @@ quotients, the legs of glued objects) come from ``FinFn.from_total`` and
 ``FinTop.from_nbhd``, which check nothing, and ``FinSet.from_distinct``,
 which checks only that its labels are distinct.
 
-Whether two paths of maps agree is decided by ``commutes``, and whether a
+Whether two paths of maps agree is decided by ``commutes``, whether a
 map is an isomorphism (a bijection, a homeomorphism between spaces) by
-``is_iso``.
+``is_iso``, and whether a family of maps is effective epimorphic (the
+target is glued up from the sources) by ``is_effective_family``.
 
 Compatible families (pullbacks, limits, families of maps and of sections)
 come from one join kernel, ``compatible_tuples``, whose cost follows the
@@ -570,6 +571,21 @@ def induce_topology(mode, carrier, maps, spaces):
             nbhd = {x: u & pre[fn.mapping[x]] for x, u in nbhd.items()}
         return FinTop.from_nbhd(carrier, nbhd)
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
+
+
+def is_effective_family(carrier, maps, space=None, spaces=()):
+    """Whether maps into ``carrier`` form an effective epimorphic family:
+    they are jointly surjective and, given the target ``space`` and one
+    source space per map, the target carries the final topology along them.
+    In finite sets and finite spaces this is the whole condition, so no
+    colimit is built to decide it."""
+    hit = set()
+    for fn in maps:
+        hit.update(fn.mapping.values())
+    if not hit.issuperset(carrier):
+        return False
+    return space is None or \
+        space.nbhd == induce_topology("final", carrier, maps, spaces).nbhd
 
 
 def map_properties(m):

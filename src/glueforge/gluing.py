@@ -32,6 +32,7 @@ from .fincat import (
     commutes,
     compatible_tuples,
     induce_topology,
+    is_effective_family,
     is_iso,
     map_properties,
     pullback,
@@ -202,7 +203,7 @@ class GluedObject:
 
 class ConeCandidate:
     """An apex with legs to or from the index objects; ``mediating_map``
-    checks that it is a cone, cones the engine builds are trusted."""
+    checks that it is a cone."""
 
     __slots__ = ("apex", "space", "legs")
 
@@ -356,13 +357,7 @@ def mediating_map(data, glued, cone):
     map; homeomorphism in the top ambient).  The candidate is checked first.
     """
     _check_cone(data, cone, glued.side)
-    return _factor(data, glued, cone)
-
-
-def _factor(data, glued, cone):
-    """``mediating_map`` of a trusted cone, read at its component legs."""
-    cat = data.indexcat
-    comps = [obj[0] for obj in cat.singletons()]
+    comps = [obj[0] for obj in data.indexcat.singletons()]
     if glued.side == "colimit":
         mapping = {}
         for i in comps:
@@ -450,56 +445,37 @@ def hom_transport(data, z):
 
 
 def universal_glue_check(data, glued, delta, v_space=None):
-    """Pull the whole diagram back along a map into the apex and report
-    whether the target of that map is the glued-up object of the pulled-back
-    diagram; in the set ambient this witnesses universality of the colimit.
+    """Whether the colimit survives pulling the diagram back along ``delta``,
+    a map into the apex: the source of ``delta`` is the glued-up object of
+    the pulled-back diagram.
+
+    That diagram glues to the joint image of the pulled-back components with
+    the final topology (the overlaps only identify), so the verdict is the
+    effective-family certificate on the projections of the component
+    pullbacks onto the source of ``delta``.  In the set ambient it always
+    holds; in the top ambient it fails where the source is coarser than the
+    final topology.  Also reports the size of each component pullback.
     """
     _require_valid(data, FROM_OVERLAPS)
     if delta.codomain != glued.apex:
         raise StructuralError("delta must land in the glued apex")
+    comps = data.indexcat.singletons()
     if data.ambient == "top":
         if v_space is None:
             raise StructuralError("the top ambient needs a topology on the "
                                   "source of delta")
         TopMap(delta, v_space, glued.space)
-    cat = data.indexcat
-    objects = {}
-    spaces = {}
-    members = {}
-    for obj in cat.objects:
-        if data.ambient == "top":
-            ps = top_pullback(glued.legs[obj], delta, data.space(obj), v_space)
-            spaces[obj] = ps.space
-        else:
-            ps = pullback(glued.legs[obj], delta)
-        objects[obj] = ps.members
-        members[obj] = ps
-    arrows = {}
-    for g in cat.generators:
-        fn = data.arrow(g)
-        src, dst = gen_endpoints(g)
-        if data.direction == FROM_OVERLAPS:
-            src, dst = dst, src
-        mapping = {}
-        for lab in objects[src]:
-            x = members[src].legs["p1"](lab)
-            w = members[src].legs["p2"](lab)
-            mapping[lab] = fn(x) + SEP + w
-        arrows[g] = FinFn(objects[src], objects[dst], mapping)
-    pulled = GluingData(cat, data.ambient, objects, arrows, FROM_OVERLAPS,
-                        spaces or None)
-    pulled_glued = colimit_glue(pulled)
-    cone_legs = {obj: members[obj].legs["p2"] for obj in cat.objects}
-    cone = ConeCandidate(delta.domain, cone_legs,
-                         space=v_space if data.ambient == "top" else None)
-    # the projections onto the source of delta form a cone by construction
-    med, iso = _factor(pulled, pulled_glued, cone)
+        pulled = [top_pullback(glued.legs[obj], delta, data.space(obj), v_space)
+                  for obj in comps]
+    else:
+        v_space = None
+        pulled = [pullback(glued.legs[obj], delta) for obj in comps]
+    projections = [ps.legs["p2"] for ps in pulled]
     return {
-        "pulled_data": pulled,
-        "pulled_glued": pulled_glued,
-        "mediating": med,
-        "is_glued_up": iso,
-        "fiber_sizes": {obj: len(objects[obj]) for obj in cat.objects},
+        "is_glued_up": is_effective_family(
+            delta.domain, projections, v_space, [ps.space for ps in pulled]),
+        "fiber_sizes": {obj: len(ps.members)
+                        for obj, ps in zip(comps, pulled)},
     }
 
 

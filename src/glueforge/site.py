@@ -2,11 +2,14 @@
 epimorphism decisions, and the effectiveness criteria for split colimit-side
 gluing data.
 
-The universal quantifiers in the effective-epimorphism definitions are not
-enumerable, so the decision procedures here use the mediating-map criterion
-(the target is the glued-up object of the canonical functor) together with a
-finite, caller-supplied family of base-change test maps; in the set ambient
-joint surjectivity is recorded as the complete closed form.
+A sink is an effective epimorphism when its target is the glued-up object of
+its canonical functor.  In finite sets and finite spaces that holds exactly
+when the family is jointly surjective and the target carries the final
+topology along it, and ``fincat.is_effective_family`` decides it so, with no
+functor built.  The universal quantifier over base changes is not
+enumerable: the same certificate is applied after base change along a
+finite, caller-supplied family of test maps, and in the set ambient joint
+surjectivity is recorded as the complete closed form.
 """
 
 from collections import Counter
@@ -19,6 +22,7 @@ from .fincat import (
     FinSet,
     FinTop,
     TopMap,
+    is_effective_family,
     is_iso,
     map_properties,
     pair_label,
@@ -28,9 +32,7 @@ from .fincat import (
 )
 from .gluing import (
     FROM_OVERLAPS,
-    ConeCandidate,
     GluingData,
-    _factor,
     _overlap_maps,
     colimit_glue,
     colimit_relation_pairs,
@@ -92,16 +94,15 @@ class Sink:
         return obj
 
     def jointly_surjective(self):
-        hit = set()
-        for _, _, fn in self.sources:
-            hit.update(fn.mapping.values())
-        return hit == set(self.target.labels)
+        return is_effective_family(self.target,
+                                   [fn for _, _, fn in self.sources])
 
 
 def canonical_sink_functor(sink):
     """The split colimit-side gluing functor of a sink: components are the
     sources, overlaps are the fibered products over the target, the swap
-    arrows are the canonical pullback symmetries."""
+    arrows are the canonical pullback symmetries.  No command builds it:
+    the tests glue it to check ``effective_epi_check`` against."""
     names = sink.names()
     cat = IndexCat(SPLIT, FinSet(names))
     objects = {}
@@ -189,22 +190,21 @@ def base_change_sink(sink, fn, v_space=None):
                 target_space=v_space if sink.ambient == "top" else None)
 
 
-def base_change_functor(sink, fn, v_space=None):
-    """The canonical functor of the sink with every object pulled back along
-    ``fn`` and every arrow paired with the identity of its source."""
-    return canonical_sink_functor(base_change_sink(sink, fn, v_space=v_space))
-
-
 def effective_epi_check(sink):
     """Whether the family is an effective epimorphism: the target, with its
     own maps as legs, is the glued-up object of the canonical functor.
-    Those legs form a cone by construction of the fibered-product overlaps."""
-    data = canonical_sink_functor(sink)
-    cone = ConeCandidate(sink.target, {(i,): fn for i, _, fn in sink.sources},
-                         space=sink.target_space if sink.ambient == "top"
-                         else None)
-    _, iso = _factor(data, colimit_glue(data), cone)
-    return iso
+
+    The colimit of that functor is the joint image of the sources with the
+    final topology, and the target's maps factor through it injectively, so
+    the factoring map is an isomorphism exactly when the family is jointly
+    surjective and, in the top ambient, the target carries the final
+    topology along it.
+    """
+    if sink.ambient == "sets":
+        return sink.jointly_surjective()
+    return is_effective_family(sink.target, [fn for _, _, fn in sink.sources],
+                               sink.target_space,
+                               [obj for _, obj, _ in sink.sources])
 
 
 def universal_effective_epi_check(sink, tests=()):

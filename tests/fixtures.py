@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from glueforge.fincat import FinFn, FinSet, FinTop
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
+from glueforge.site import Sink
 
 
 def make_nonsplit_colimit(index, components, overlaps, ambient="sets", spaces=None):
@@ -324,6 +325,27 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
     spaces = {obj: FinTop.discrete(data.objects[obj]) for obj in data.objects}
     return GluingData(data.indexcat, "top", data.objects, data.arrows,
                       FROM_OVERLAPS, spaces)
+
+
+def chain_space(labels):
+    """The chain on ``labels``, each point below the ones after it: the
+    smallest open around a point holds it and every later point."""
+    return FinTop.from_nbhd(FinSet(labels), {
+        x: frozenset(labels[k:]) for k, x in enumerate(labels)})
+
+
+def chain_cover():
+    """The chain ``y0 <= y1 <= y2`` covered by the chains ``a0 <= a1`` and
+    ``b1 <= b2`` and by the discrete space on ``c0, c2`` over ``y0, y2``: an
+    effective sink whose colimit is not stable under pullback to the
+    subspace on ``y0, y2``."""
+    target = chain_space(["y0", "y1", "y2"])
+    spaces = {"1": chain_space(["a0", "a1"]), "2": chain_space(["b1", "b2"]),
+              "3": FinTop.discrete(FinSet(["c0", "c2"]))}
+    return Sink("top", target.carrier, [
+        (name, space, FinFn(space.carrier, target.carrier,
+                            {x: "y" + x[1] for x in space.carrier}))
+        for name, space in spaces.items()], target_space=target)
 
 
 def seeded(seed):

@@ -4,9 +4,10 @@ Each oracle computes its answer the long way round, by a different
 construction from the one in ``glueforge``: the limit as a literal
 equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
-apex, a sink's target as a cone with a leg at every overlap, the presheaf
-laws by composing restriction maps as functions, and commuting paths and
-isomorphisms by building composites and continuous maps.
+apex, a sink's target as a cone with a leg at every overlap, stability of
+a colimit under pullback by gluing the whole pulled-back diagram, the
+presheaf laws by composing restriction maps as functions, and commuting
+paths and isomorphisms by building composites and continuous maps.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -22,19 +23,25 @@ from glueforge.fincat import (
     TopMap,
     induce_topology,
     product_enumerate,
+    pullback,
     quotient_by_pairs,
     tag,
+    top_pullback,
 )
 from glueforge.gluing import (
+    FROM_OVERLAPS,
     TOWARD_OVERLAPS,
     ConeCandidate,
     GluedObject,
+    GluingData,
     _limit_constraints,
     _require_valid,
     colimit_glue,
     colimit_relation_pairs,
+    mediating_map,
 )
-from glueforge.indexcat import NONSPLIT
+from glueforge.indexcat import NONSPLIT, gen_endpoints
+from glueforge.site import canonical_sink_functor
 
 
 def commutes_by_composites(path, other=()):
@@ -115,8 +122,7 @@ def equalizer_glue_oracle(data):
 def sink_target_cone(sink, data):
     """The target of a sink as a full cone over its canonical functor
     ``data``: the sink's own maps at the components and, at each overlap, the
-    composite through the stored inclusion.  ``site.effective_epi_check``
-    reads the component legs alone, unchecked; ``gluing.mediating_map``
+    composite through the stored inclusion.  ``gluing.mediating_map``
     checks every square of this cone."""
     legs = {(i,): fn for i, _, fn in sink.sources}
     for pair_obj in data.indexcat.pairs():
@@ -125,6 +131,50 @@ def sink_target_cone(sink, data):
     return ConeCandidate(sink.target, legs,
                          space=sink.target_space if sink.ambient == "top"
                          else None)
+
+
+def effective_epi_by_colimit(sink):
+    """Whether the target of a sink is the glued-up object of its canonical
+    functor, by gluing that functor and factoring the target cone through
+    it; ``site.effective_epi_check`` decides the same by certificate."""
+    data = canonical_sink_functor(sink)
+    _, iso = mediating_map(data, colimit_glue(data),
+                           sink_target_cone(sink, data))
+    return iso
+
+
+def universal_glue_by_pullback(data, glued, delta, v_space=None):
+    """Whether the source of ``delta``, a map into the colimit apex, is the
+    glued-up object of the whole diagram pulled back along it: every object
+    is pulled back, every arrow is paired with the identity, the result is
+    glued and the projections onto the source of ``delta`` are factored
+    through it as a checked cone."""
+    cat = data.indexcat
+    top = data.ambient == "top"
+    members = {}
+    for obj in cat.objects:
+        if top:
+            members[obj] = top_pullback(glued.legs[obj], delta,
+                                        data.space(obj), v_space)
+        else:
+            members[obj] = pullback(glued.legs[obj], delta)
+    arrows = {}
+    for g in cat.generators:
+        dst, src = gen_endpoints(g)     # from-overlaps: the map runs back
+        legs = members[src].legs
+        arrows[g] = FinFn(members[src].members, members[dst].members,
+                          {lab: data.arrow(g)(legs["p1"](lab)) + SEP
+                           + legs["p2"](lab) for lab in members[src].members})
+    pulled = GluingData(cat, data.ambient,
+                        {obj: ps.members for obj, ps in members.items()},
+                        arrows, FROM_OVERLAPS,
+                        {obj: ps.space for obj, ps in members.items()}
+                        if top else None)
+    cone = ConeCandidate(delta.domain,
+                         {obj: ps.legs["p2"] for obj, ps in members.items()},
+                         space=v_space if top else None)
+    _, iso = mediating_map(pulled, colimit_glue(pulled), cone)
+    return iso
 
 
 def two_stage_partition(meta):

@@ -10,6 +10,8 @@ from glueforge.cli import (
     ERROR_TEXT_LIMIT,
     execute,
     glued_object_to_json,
+    jsonable_fn,
+    jsonable_object,
     load_document,
     main,
     parse_site,
@@ -19,9 +21,13 @@ from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinSet, FinTop
 from glueforge.gluing import colimit_glue
 from glueforge.presheaf import function_presheaf
-from glueforge.site import covering_axioms_check, sinks_equivalent
+from glueforge.site import (
+    canonical_sink_functor,
+    covering_axioms_check,
+    sinks_equivalent,
+)
 
-from fixtures import e1
+from fixtures import chain_cover, e1
 
 
 def e1_payload(extra=None):
@@ -780,6 +786,47 @@ def test_glue_rejects_a_delta_that_is_not_continuous(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("glueforge: structural error: map is not "
                             "continuous at 'y'\n")
+
+
+def split_colimit_payload(data):
+    """The document payload of split from-overlaps data: every object, every
+    edge, and each swap as the map ``G(i,j) -> G(j,i)`` at pair ``i,j``.
+    The reserved ``|`` of generated labels becomes ``~``."""
+    top = data.ambient == "top"
+    arrows = []
+    for key, fn in data.arrows.items():
+        if key[0] == "incl":
+            arrows.append({"kind": "edge", "from": key[1],
+                           "pair": ",".join(key[2]), "map": jsonable_fn(fn)})
+        else:
+            j, i = key[1]
+            arrows.append({"kind": "tau", "pair": "%s,%s" % (i, j),
+                           "map": jsonable_fn(fn)})
+    payload = {"mode": "split", "ambient": data.ambient,
+               "direction": "from-overlaps",
+               "index": list(data.indexcat.index),
+               "objects": {",".join(obj): jsonable_object(
+                   carrier, data.space(obj) if top else None)
+                   for obj, carrier in data.objects.items()},
+               "arrows": arrows}
+    return json.loads(json.dumps(payload).replace("|", "~"))
+
+
+def test_glue_reports_a_colimit_that_pullback_does_not_keep(tmp_path, capsys):
+    # the canonical functor of an effective top sink, pulled back to a
+    # subspace through component 3: the subspace is coarser than the final
+    # topology along the pulled-back components
+    sink = chain_cover()
+    payload = split_colimit_payload(canonical_sink_functor(sink))
+    v = sink.target_space.subspace(["y0", "y2"])
+    payload["delta"] = {"component": "3", "object": jsonable_object(v.carrier, v),
+                        "map": {"y0": "c0", "y2": "c2"}}
+    path = write_doc(tmp_path, {"version": "1", "kind": "gluing",
+                                "payload": payload})
+    assert main(["glue", "--input", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == {"universal_glued": False}
+    assert out["artifacts"]["apex_size"] == 3
 
 
 def chart_limit_payload(index, pairs):

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from glueforge import site
 from glueforge.errors import StructuralError
-from glueforge.fincat import SEP, FinFn, FinSet, FinTop, TopMap, commutes, is_iso
+from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, commutes, is_iso
 from glueforge.gluing import (
     ConeCandidate,
-    GluedObject,
     colimit_glue,
     limit_glue,
     mediating_map,
@@ -305,34 +304,6 @@ def test_refinement_names_both_failing_squares():
     assert validate_refinement(ref) == [
         "naturality square at ('incl', '1', ('1', '2')) does not commute",
         "naturality square at ('incl', '2', ('1', '2')) does not commute"]
-
-
-def relegged(glued, i, leg):
-    legs = dict(glued.legs)
-    legs[(i,)] = leg
-    return GluedObject(glued.side, glued.apex, glued.space, legs, {}, {})
-
-
-def test_induced_limit_map_names_the_failing_leg_square():
-    data = two_chart_limit()
-    glued = limit_glue(data)
-    ref = identity_refinement(data)
-    a = data.carrier(("1",))
-    flip = {"a0": "a1", "a1": "a0"}
-    leg = FinFn(glued.apex, a, {x: flip[x.split(SEP)[0]] for x in glued.apex})
-    with pytest.raises(StructuralError) as err:
-        induced_limit_map(ref, glued, relegged(glued, "1", leg))
-    assert str(err.value) == "induced map fails the leg square at '1'"
-    # colimit side: the class map holds its squares pointwise by construction,
-    # so only a target leg landing in another copy of the apex breaks one
-    data = make_nonsplit_colimit(["1"], {"1": ["x", "y"]}, {})
-    glued = colimit_glue(data)
-    elsewhere = FinSet(reversed(glued.apex.labels))
-    leg = FinFn(data.carrier(("1",)), elsewhere, glued.legs[("1",)].mapping)
-    with pytest.raises(StructuralError) as err:
-        induced_limit_map(identity_refinement(data), glued,
-                          relegged(glued, "1", leg))
-    assert str(err.value) == "induced map fails the leg square at '1'"
 
 
 def test_effective_gluing_names_a_canonical_map_that_is_no_homeomorphism():

@@ -1,23 +1,17 @@
-from unittest import mock
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glueforge import gluing
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, tag
 from glueforge.gluing import (
-    _check_cone,
     colimit_glue,
     colimit_relation_pairs,
-    mediating_map,
     universal_glue_check,
 )
 from glueforge.site import (
     SiteSpec,
     Sink,
-    base_change_functor,
     base_change_sink,
     canonical_sink_functor,
     covering_axioms_check,
@@ -27,8 +21,17 @@ from glueforge.site import (
     universal_effective_epi_check,
 )
 
-from fixtures import close_family, e3, e4_split, make_split_colimit, seeded
-from oracles import sink_target_cone
+from fixtures import (
+    chain_cover,
+    close_family,
+    colimit_data,
+    e3,
+    e4_split,
+    make_split_colimit,
+    random_top_colimit,
+    seeded,
+)
+from oracles import effective_epi_by_colimit, universal_glue_by_pullback
 
 
 def inclusion_sink(target_labels, parts):
@@ -118,14 +121,16 @@ def make_split_colimit_random(rng):
 def test_base_change_empty_source():
     sink = inclusion_sink(["p", "q"], [["p"], ["q"]])
     empty = FinSet([])
-    changed = base_change_functor(sink, FinFn(empty, sink.target, {}))
+    changed = canonical_sink_functor(
+        base_change_sink(sink, FinFn(empty, sink.target, {})))
     assert all(len(changed.carrier(obj)) == 0 for obj in changed.objects)
 
 
 def test_base_change_point_fiber():
     sink = inclusion_sink(["p", "q"], [["p"], ["q"]])
     v = FinSet(["v"])
-    changed = base_change_functor(sink, FinFn(v, sink.target, {"v": "p"}))
+    changed = canonical_sink_functor(
+        base_change_sink(sink, FinFn(v, sink.target, {"v": "p"})))
     assert len(changed.carrier(("1",))) == 1
     assert len(changed.carrier(("2",))) == 0
 
@@ -390,29 +395,94 @@ def sinks(draw):
     return sink
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(sinks(), st.data())
-def test_engine_built_cones_pass_the_cone_check(sink, draws):
-    # effective_epi_check and universal_glue_check factor cones they build
-    # without checking them; the full checks must accept those cones and the
-    # checked route must give the same verdict
+@st.composite
+def covering_top_sinks(draw):
+    """Top sinks whose sources reach every point of a drawn target space:
+    discrete sources, effective exactly when the target is discrete (the
+    final topology along them), or subspaces, along which the final
+    topology can take more than one step to close."""
+    target = FinSet(["t%d" % k for k in range(draw(st.integers(1, 4)))])
+    space = draw(topologies(target))
+    if draw(st.booleans()):
+        cover = FinSet(["c%d" % k for k in range(len(target))])
+        sources = [("1", FinTop.discrete(cover),
+                    FinFn(cover, target, dict(zip(cover, target))))]
+        for k in range(draw(st.integers(0, 2))):
+            _, fn = draw(maps_into("s%d_" % k, target, space))
+            sources.append((str(k + 2), FinTop.discrete(fn.domain), fn))
+        return Sink("top", target, sources, target_space=space)
+    parts = draw(st.lists(st.frozensets(st.sampled_from(target.labels),
+                                        min_size=1), min_size=1, max_size=3))
+    parts += [{x} for x in target if not any(x in p for p in parts)]
+    sources = []
+    for k, part in enumerate(parts):
+        sub = space.subspace(part)
+        sources.append((str(k + 1), sub,
+                        FinFn(sub.carrier, target, {x: x for x in sub.carrier})))
+    return Sink("top", target, sources, target_space=space)
+
+
+def test_effective_epi_certificate_matches_the_colimit_route():
+    verdicts = []
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(st.one_of(sinks(), covering_top_sinks()))
+    @example(chain_cover())
+    def check(sink):
+        decision = effective_epi_check(sink)
+        assert decision == effective_epi_by_colimit(sink)
+        verdicts.append((sink, decision))
+
+    check()
+    false = [sink for sink, decision in verdicts if not decision]
+    coarse = [sink for sink in false
+              if sink.ambient == "top" and sink.jointly_surjective()]
+    assert len(false) >= 100
+    assert len(coarse) >= 30
+
+
+def chain_cover_case():
+    sink = chain_cover()
     data = canonical_sink_functor(sink)
     glued = colimit_glue(data)
-    _, iso = mediating_map(data, glued, sink_target_cone(sink, data))
-    assert iso == effective_epi_check(sink)
+    v = sink.target_space.subspace(["y0", "y2"])
+    into = FinFn(v.carrier, sink.carrier("3"), {"y0": "c0", "y2": "c2"})
+    return data, glued, v, into.then(glued.legs[("3",)])
 
-    v, into = draws.draw(maps_into("d", glued.apex, glued.space))
-    factored = []
-    real = gluing._factor
 
-    def record(pulled, pulled_glued, cone):
-        factored.append((pulled, pulled_glued, cone))
-        return real(pulled, pulled_glued, cone)
+@st.composite
+def pulled_back_cases(draw):
+    """Colimit data (the canonical functor of a drawn sink, drawn set data,
+    or split top data from a drawn seed), glued, with a drawn map into its
+    apex (from a subspace or a discrete space in the top ambient)."""
+    source = draw(st.sampled_from(["sink", "sets", "top"]))
+    if source == "sink":
+        data = canonical_sink_functor(draw(sinks()))
+    elif source == "sets":
+        data = draw(colimit_data())
+    else:
+        data = random_top_colimit(seeded(draw(st.integers(0, 2 ** 16))),
+                                  effective=draw(st.booleans()))
+    glued = colimit_glue(data)
+    v, into = draw(maps_into("d", glued.apex, glued.space))
+    return data, glued, v if data.ambient == "top" else None, into
 
-    with mock.patch.object(gluing, "_factor", record):
-        report = universal_glue_check(data, glued, into,
-                                      v_space=v if sink.ambient == "top"
-                                      else None)
-    (pulled, pulled_glued, cone), = factored
-    _check_cone(pulled, cone, "colimit")
-    assert mediating_map(pulled, pulled_glued, cone)[1] == report["is_glued_up"]
+
+def test_universality_certificate_matches_the_pulled_back_colimit():
+    verdicts = []
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(pulled_back_cases())
+    @example(chain_cover_case())
+    def check(case):
+        data, glued, v, into = case
+        decision = universal_glue_check(data, glued, into,
+                                        v_space=v)["is_glued_up"]
+        assert decision == universal_glue_by_pullback(data, glued, into, v)
+        verdicts.append((data.ambient, decision))
+
+    check()
+    assert ("top", False) in verdicts
+    assert {ambient for ambient, _ in verdicts} == {"sets", "top"}
+    data, glued, v, into = chain_cover_case()
+    assert universal_glue_by_pullback(data, glued, into, v) is False
