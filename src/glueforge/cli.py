@@ -35,7 +35,7 @@ import sys
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
-from .fincat import SEP, FinFn, FinSet, FinTop, TopMap, tag
+from .fincat import SEP, FinFn, FinSet, FinTop, TopMap
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
@@ -420,14 +420,10 @@ def _glue_command(doc, flags):
         if data.direction != FROM_OVERLAPS:
             raise StructuralError("colimit gluing needs from-overlaps data")
         glued = colimit_glue(data)
-        classes = {}
-        for i in data.indexcat.index:
-            leg = glued.legs[(i,)].mapping
-            for x in data.carrier((i,)):
-                classes.setdefault(leg[x], []).append(tag(i, x))
         artifacts = {
             "glued": glued_object_to_json(glued),
-            "classes": {k: sorted(v) for k, v in sorted(classes.items())},
+            "classes": {k: sorted(v) for k, v
+                        in sorted(glued.witness["classes"].items())},
         }
         if "delta" in doc.payload:
             node = doc.payload["delta"]

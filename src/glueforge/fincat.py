@@ -20,7 +20,8 @@ target is glued up from the sources) by ``is_effective_family``.
 
 Compatible families (pullbacks, limits, families of maps and of sections)
 come from one join kernel, ``compatible_tuples``, whose cost follows the
-partial answers instead of the full product.
+partial answers instead of the full product.  Quotients come from one
+union-find, ``quotient_by_pairs``, over carrier positions.
 
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
 classes) are built with the reserved separator ``|``; document parsers reject
@@ -474,63 +475,42 @@ def top_pullback(f, g, xtop, ytop):
     return PairedSubset(ps.members, ps.legs, space=space)
 
 
-class UnionFind:
-    """Union-find with path compression over a fixed label universe."""
-
-    def __init__(self, labels):
-        self.parent = {x: x for x in labels}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller label becomes the root so class labels are canonical
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def classes(self, order):
-        """Partition as a list of classes, ordered by first occurrence."""
-        by_root = {}
-        out = []
-        for x in order:
-            r = self.find(x)
-            if r not in by_root:
-                by_root[r] = []
-                out.append(by_root[r])
-            by_root[r].append(x)
-        return out
-
-
 def quotient_by_pairs(carrier, pairs):
     """Quotient a finite set by the equivalence closure of the given pairs.
 
     Each class is labelled by its lexicographically smallest member; classes
     are ordered by first occurrence in the carrier.  Returns the quotient set
-    and the projection map.
+    and the projection map, whose mapping lists the carrier in order.
+
+    Union-find over carrier positions (Tarjan 1975) with path halving: a
+    union links the later root below the earlier, so every pointer runs
+    toward the front and each root is the first member of its class.  One
+    pass in carrier order then resolves every position to its root.
     """
-    uf = UnionFind(carrier.labels)
+    at = carrier._pos
+    parent = list(range(len(carrier)))
     for a, b in pairs:
-        if a not in carrier or b not in carrier:
+        if a not in at or b not in at:
             raise StructuralError("pair (%r, %r) mentions labels outside the carrier"
                                   % (a, b))
-        uf.union(a, b)
-    labels = []
-    names = {}
-    for cls in uf.classes(carrier.labels):
-        name = min(cls)
-        labels.append(name)
-        for x in cls:
-            names[x] = name
-    q = FinSet.from_distinct(labels)
-    return q, FinFn.from_total(carrier, q, names)
+        ra, rb = at[a], at[b]
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    for k, p in enumerate(parent):
+        parent[k] = parent[p]
+    members = {}
+    for x, r in zip(carrier.labels, parent):
+        members.setdefault(r, []).append(x)
+    name = {r: min(cls) for r, cls in members.items()}
+    q = FinSet.from_distinct(name.values())
+    return q, FinFn.from_total(carrier, q,
+                               dict(zip(carrier.labels, map(name.get, parent))))
 
 
 def induce_topology(mode, carrier, maps, spaces):

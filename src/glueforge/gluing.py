@@ -244,21 +244,30 @@ def colimit_glue(data):
     """The standard colimit-side representative: disjoint union of the
     components modulo the congruence closure of the overlap identifications.
 
-    Legs send a component element to its class; overlap legs factor through
-    the stored edge maps.  In the top ambient the apex carries the final
-    topology over the component legs.
+    The partition is built once, by ``quotient_by_pairs`` on the tagged
+    coproduct, and kept in ``witness["classes"]``: each class name, in apex
+    order, with its members in coproduct order.  Component legs are slices
+    of the projection at each component's offset; overlap legs factor
+    through the stored edge maps.  In the top ambient the apex carries the
+    final topology over the component legs.
     """
     _require_valid(data, FROM_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
-    coproduct = FinSet([tag(i, x) for i in comps for x in data.carrier((i,))])
+    carriers = [data.carrier((i,)) for i in comps]
+    coproduct = FinSet.from_distinct(
+        [tag(i, x) for i, carrier in zip(comps, carriers) for x in carrier])
     apex, pi = quotient_by_pairs(coproduct, colimit_relation_pairs(data))
-    to_class = pi.mapping
+    classes = {}
+    for x, q in pi.mapping.items():
+        classes.setdefault(q, []).append(x)
+    values = list(pi.mapping.values())
     legs = {}
-    for i in comps:
-        carrier = data.carrier((i,))
-        legs[(i,)] = FinFn.from_total(
-            carrier, apex, {x: to_class[tag(i, x)] for x in carrier})
+    offset = 0
+    for i, carrier in zip(comps, carriers):
+        legs[(i,)] = FinFn.from_total(carrier, apex, dict(
+            zip(carrier.labels, values[offset:offset + len(carrier)])))
+        offset += len(carrier)
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
@@ -272,7 +281,7 @@ def colimit_glue(data):
             leg_props[obj] = map_properties(
                 TopMap(legs[obj], data.space(obj), space))
     return GluedObject("colimit", apex, space, legs, leg_props,
-                       {"coproduct": coproduct})
+                       {"coproduct": coproduct, "classes": classes})
 
 
 def _limit_constraints(data):

@@ -419,26 +419,30 @@ class GluingDatum:
         return problems
 
 
-def glue_presheaves(datum, require_sheaf_locals=True):
+def glue_presheaves(datum):
     """The standard glued presheaf of a gluing datum.
 
     Sections over an open are the transition-compatible tuples of local
     sections over the chart traces; restrictions act componentwise.  Returns
     the glued presheaf together with the projection transformations onto the
     chart sides.
+
+    The datum is checked and each local presheaf must be a sheaf on its
+    default coverings.  The result is then not checked again: it is the
+    equalizer of products of direct images of those sheaves, so it is a
+    sheaf, and its restrictions and projections are built unchecked.
     """
     problems = datum.validate()
     if problems:
         raise StructuralError("invalid gluing datum: " + "; ".join(problems))
     names = datum.names()
-    if require_sheaf_locals:
-        for name in names:
-            local = datum.locals[name]
-            ok, counter = is_sheaf(local, default_coverings(local.lattice))
-            if not ok:
-                raise StructuralError(
-                    "local presheaf of chart %r is not a sheaf: %r"
-                    % (name, counter))
+    for name in names:
+        local = datum.locals[name]
+        ok, counter = is_sheaf(local, default_coverings(local.lattice))
+        if not ok:
+            raise StructuralError(
+                "local presheaf of chart %r is not a sheaf: %r"
+                % (name, counter))
     locals_ = [datum.locals[n] for n in names]
     members = [datum.members(n) for n in names]
     lat = OpenLattice(datum.space)
@@ -470,19 +474,15 @@ def glue_presheaves(datum, require_sheaf_locals=True):
         for lab in sections[w]:
             restricted = [f[x] for f, x in zip(maps, tuples[(w, lab)])]
             mapping[lab] = SEP.join(restricted) if restricted else EMPTY_SECTION
-        res[(w, v)] = FinFn(sections[w], sections[v], mapping)
+        res[(w, v)] = FinFn.from_total(sections[w], sections[v], mapping)
     glued = PresheafStore(lat, sections, res)
     projections = {}
     for k, n in enumerate(names):
         projections[n] = {
-            o: FinFn(sections[o], locals_[k].sections[o & members[k]],
-                     {lab: tuples[(o, lab)][k] for lab in sections[o]})
+            o: FinFn.from_total(
+                sections[o], locals_[k].sections[o & members[k]],
+                {lab: tuples[(o, lab)][k] for lab in sections[o]})
             for o in lat.opens}
-    if require_sheaf_locals:
-        ok, counter = is_sheaf(glued, default_coverings(lat))
-        if not ok:
-            raise StructuralError("glued presheaf failed its own sheaf check: "
-                                  "%r" % (counter,))
     return glued, projections
 
 
@@ -528,10 +528,11 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
 
     ``charts`` is the open cover, ``parts`` maps chart names to NatTrans on
     the chart lattices between the restrictions of ``source`` and ``target``.
-    The parts must agree on pairwise overlaps and the target must satisfy the
-    sheaf condition for all covers induced by the charts; both are checked.
-    The glued transformation restricts back to every part, which is verified
-    before returning.
+    Each part must be natural, the parts must agree on pairwise overlaps and
+    the target must satisfy the sheaf condition for all covers induced by
+    the charts; all three are checked.  They make the glued transformation
+    natural and make it restrict back to every part, so neither is checked
+    again and its components are built unchecked.
     """
     charts = [(name, frozenset(m)) for name, m in charts]
     lat = source.lattice
@@ -583,19 +584,9 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
                 raise StructuralError("gluing failed at open %r: 0 candidate "
                                       "sections" % sorted(v))
             mapping[s] = image[wanted]
-        components[v] = FinFn(source.sections[v], target.sections[v], mapping)
-    glued = NatTrans(source, target, components)
-    problems = glued.validate()
-    if problems:
-        raise StructuralError("glued transformation is not natural: "
-                              + "; ".join(problems))
-    for name, members in charts:
-        for o in datum_space.subspace(members).opens:
-            if glued.at(o) != parts[name].at(o):
-                raise StructuralError(
-                    "glued transformation does not restrict to part %r at %r"
-                    % (name, sorted(o)))
-    return glued
+        components[v] = FinFn.from_total(source.sections[v],
+                                         target.sections[v], mapping)
+    return NatTrans(source, target, components)
 
 
 def canonical_presheaf_functor(store, charts):

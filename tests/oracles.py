@@ -1,7 +1,8 @@
 """Reference recomputations that the engine's fast paths are tested against.
 
 Each oracle computes its answer the long way round, by a different
-construction from the one in ``glueforge``: the limit as a literal
+construction from the one in ``glueforge``: a quotient's classes as the
+closure of a relation grown to a fixed point, the limit as a literal
 equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
 apex, a sink's target as a cone with a leg at every overlap, stability of
@@ -42,6 +43,27 @@ from glueforge.gluing import (
 )
 from glueforge.indexcat import NONSPLIT, gen_endpoints
 from glueforge.site import canonical_sink_functor
+
+
+def naive_closure_partition(labels, pairs):
+    """The classes of the equivalence relation on ``labels`` that the pairs
+    generate, as a set of frozensets: each label starts related to itself
+    and to its partners in either order, and every label's related set is
+    grown by its members' related sets until nothing changes.  No
+    union-find."""
+    related = {x: {x} for x in labels}
+    for a, b in pairs:
+        related[a].add(b)
+        related[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for x in labels:
+            grown = set().union(*[related[y] for y in related[x]])
+            if grown != related[x]:
+                related[x] = grown
+                changed = True
+    return {frozenset(related[x]) for x in labels}
 
 
 def commutes_by_composites(path, other=()):

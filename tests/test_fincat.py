@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import (
@@ -15,26 +17,7 @@ from glueforge.fincat import (
     quotient_by_pairs,
 )
 
-from oracles import equalizer
-
-
-def naive_closure_partition(labels, pairs):
-    """Oracle: reflexive-symmetric-transitive closure by fixed-point iteration."""
-    rel = {(x, x) for x in labels}
-    rel |= {(a, b) for a, b in pairs}
-    rel |= {(b, a) for a, b in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (c, d) in list(rel):
-                if b == c and (a, d) not in rel:
-                    rel.add((a, d))
-                    changed = True
-    classes = {}
-    for x in labels:
-        classes[x] = frozenset(y for y in labels if (x, y) in rel)
-    return {frozenset(c) for c in classes.values()}
+from oracles import equalizer, naive_closure_partition
 
 
 def test_finset_rejects_duplicates():
@@ -159,6 +142,48 @@ def test_quotient_matches_naive_closure_on_random_instances():
         assert got == naive_closure_partition(labels, pairs)
         # canonical class labels
         assert all(c == min(x for x in labels if pi(x) == c) for c in q)
+
+
+@st.composite
+def carriers_with_pairs(draw):
+    """Up to eight distinct labels of one to three letters, in drawn order,
+    and up to twelve pairs of them: self-pairs and repeats included."""
+    labels = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                           unique=True, max_size=8))
+    if not labels:
+        return labels, []
+    member = st.sampled_from(labels)
+    return labels, draw(st.lists(st.tuples(member, member), max_size=12))
+
+
+def test_quotient_classes_names_and_order_match_the_naive_closure():
+    shapes = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(carriers_with_pairs())
+    @example(([], []))
+    @example((["b", "a"], [("b", "b")]))
+    @example((["c", "b", "a"], [("c", "a"), ("c", "a"), ("a", "c")]))
+    def check(case):
+        labels, pairs = case
+        carrier = FinSet(labels)
+        q, pi = quotient_by_pairs(carrier, pairs)
+        assert list(pi.mapping) == labels
+        classes = [[x for x in labels if pi(x) == c] for c in q]
+        assert {frozenset(c) for c in classes} == \
+            naive_closure_partition(labels, pairs)
+        assert list(q) == [min(c) for c in classes]
+        firsts = [labels.index(c[0]) for c in classes]
+        assert firsts == sorted(firsts)
+        # "d" is outside the drawn alphabet
+        for bad in [("dddd", "dddd")] + [(x, "dddd") for x in labels[:1]]:
+            with pytest.raises(StructuralError, match="outside the carrier"):
+                quotient_by_pairs(carrier, pairs + [bad])
+        shapes.append(any(min(c) != c[0] for c in classes))
+
+    check()
+    # classes whose first member is not their smallest label were drawn
+    assert shapes.count(True) >= 30
 
 
 def test_equalizer_of_equal_maps_is_domain():

@@ -482,10 +482,58 @@ def test_canonical_functor_of_non_separated_presheaf_differs_at_empty():
     space = FinTop.discrete(FinSet([]))
     store = constant_presheaf(space, ["a", "b"])
     datum = canonical_presheaf_functor(store, [])
-    glued, _ = glue_presheaves(datum, require_sheaf_locals=False)
+    glued, _ = glue_presheaves(datum)
     empty = frozenset()
     assert len(store.at(empty)) == 2
     assert len(glued.at(empty)) == 1
+
+
+@st.composite
+def twisted_chart_data(draw):
+    """A gluing datum of function-presheaf locals on a space of one to three
+    points, covered by up to three open charts, with a random stalk
+    permutation per chart pair and overlap point: the reverse transition
+    inverts it, and three charts sharing a point break the cocycle
+    condition whenever their permutations do not compose."""
+    carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 3)))])
+    seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
+                                   max_size=len(carrier)), max_size=2))
+    space = FinTop(carrier, close_family(carrier, [
+        frozenset(x for x, keep in zip(carrier, bits) if keep)
+        for bits in seeds]))
+    stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}
+    opens = [o for o in space.opens if o]
+    members = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=3))
+    if frozenset().union(*members) != frozenset(carrier):
+        members.append(frozenset(carrier))
+    charts = [("c%d" % k, sorted(m)) for k, m in enumerate(members)]
+    twists = {}
+    for a, (na, ma) in enumerate(charts):
+        for nb, mb in charts[a + 1:]:
+            for p in set(ma) & set(mb):
+                perm = dict(zip(stalks[p], draw(st.permutations(stalks[p]))))
+                twists[(na, nb, p)] = perm
+                twists[(nb, na, p)] = {v: k for k, v in perm.items()}
+    return chart_datum(space, charts, stalks, twists=twists)
+
+
+def test_glued_presheaf_is_a_sheaf_on_every_covering():
+    cocycles = []
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(twisted_chart_data())
+    @example(broken_cocycle_datum())
+    def check(datum):
+        glued, projections = glue_presheaves(datum)
+        assert validate_presheaf(glued) == []
+        flag, counter = is_sheaf(glued, all_coverings(glued.lattice))
+        assert flag, counter
+        cocycles.append(presheaf_effective_check(datum,
+                                                 projections)["cocycle_ok"])
+
+    check()
+    assert cocycles.count(False) >= 10
+    assert cocycles.count(True) >= 10
 
 
 def test_sheaf_preservation_on_random_data():

@@ -18,7 +18,7 @@ from glueforge.refine import (
 from glueforge.site import Sink
 
 from fixtures import colimit_data, make_limit_data, make_nonsplit_colimit, seeded
-from oracles import two_stage_partition
+from oracles import naive_closure_partition, two_stage_partition
 
 
 def two_chart_limit(swapped=False):
@@ -174,15 +174,14 @@ def torus_meta(n=4):
 
 
 def flat_identification_oracle(meta):
-    """Independent union-find over the raw flat identification list."""
-    from glueforge.fincat import UnionFind
+    """The naive closure of the raw flat identification list."""
     elements = []
     for i in meta.index:
         node = meta.nodes[i]
         for comp in node.indexcat.singletons():
             elements.extend("%s/%s/%s" % (i, comp[0], x)
                             for x in node.carrier(comp))
-    uf = UnionFind(elements)
+    pairs = []
     for i in meta.index:
         node = meta.nodes[i]
         for pair_obj in node.indexcat.pairs():
@@ -190,12 +189,12 @@ def flat_identification_oracle(meta):
             e_p = node.edge(p, pair_obj)
             e_q = node.edge(q, pair_obj)
             for u in node.carrier(pair_obj):
-                uf.union("%s/%s/%s" % (i, p, e_p(u)),
-                         "%s/%s/%s" % (i, q, e_q(u)))
+                pairs.append(("%s/%s/%s" % (i, p, e_p(u)),
+                              "%s/%s/%s" % (i, q, e_q(u))))
     for (i, j), idents in meta.overlaps.items():
         for (a, x), (b, y) in idents:
-            uf.union("%s/%s/%s" % (i, a[0], x), "%s/%s/%s" % (j, b[0], y))
-    return {frozenset(cls) for cls in uf.classes(elements)}
+            pairs.append(("%s/%s/%s" % (i, a[0], x), "%s/%s/%s" % (j, b[0], y)))
+    return naive_closure_partition(elements, pairs)
 
 
 def test_torus_counts_16_12_9():
