@@ -55,10 +55,9 @@ from .presheaf import (
     default_coverings,
     glue_nat_trans,
     glue_presheaves,
-    is_separated,
-    is_sheaf,
     presheaf_effective_check,
     restrict,
+    sheaf_verdicts,
     validate_presheaf,
 )
 from .refine import Refinement, compose_via_sinks, induced_limit_map, \
@@ -512,13 +511,16 @@ def _check_sheaf_command(doc, flags):
     problems = validate_presheaf(store)
     if problems:
         raise StructuralError("invalid presheaf: " + "; ".join(problems))
-    if coverings is None:
-        if flags.get("covers") == "exhaustive":
-            coverings = all_coverings(store.lattice)
-        else:
-            coverings = default_coverings(store.lattice)
-    separated, sep_counter = is_separated(store, coverings)
-    sheaf, sheaf_counter = is_sheaf(store, coverings)
+    # listed only to check a document's coverings, or to name the
+    # counterexample of a false verdict
+    if coverings is not None:
+        listed = lambda: coverings
+    else:
+        lister = all_coverings if flags.get("covers") == "exhaustive" \
+            else default_coverings
+        listed = lambda: lister(store.lattice)
+    separated, sep_counter, sheaf, sheaf_counter = sheaf_verdicts(
+        store, listed, check_listed=coverings is not None)
     lat = store.lattice
 
     def describe(counter):

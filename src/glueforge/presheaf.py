@@ -1,18 +1,24 @@
 """Presheaves on the open-set lattice of a finite topological space.
 
 This is the decidable concretization of presheaves on a localized site: the
-objects are the opens of a finite space, a covering of an open is any family
-of opens with that union, and all sheaf-theoretic conditions are checked by
-exhaustive enumeration.  The default covering list per open is the trivial
-cover, the cover by all maximal proper open subsets when they do cover, and
-the empty cover of the empty open (which forces a one-point section set at
-the empty open for sheaves).
+objects are the opens of a finite space, and a covering of an open is any
+family of opens with that union.  The default covering list per open is the
+trivial cover, the cover by all maximal proper open subsets when they do
+cover, and the empty cover of the empty open (which forces a one-point
+section set at the empty open for sheaves).
+
+The minimal neighbourhoods of the points form a basis, so separation and the
+sheaf condition are decided on one basic cover per open
+(``basic_coverings``), and composition of restrictions on the covering
+relations of the lattice of opens.  A listed family of coverings is scanned
+only to name the first counterexample of a false verdict.
 """
 
 from itertools import product as iproduct
 from math import prod
+from operator import itemgetter
 
-from .errors import StructuralError, charge
+from .errors import ResourceError, StructuralError, charge
 from .fincat import SEP, FinFn, FinSet, commutes, compatible_tuples, is_iso
 
 EMPTY_SECTION = "()"
@@ -73,11 +79,52 @@ class PresheafStore:
         return self.sections[frozenset(o)]
 
 
+def _maximal_proper(lattice):
+    """Each open's maximal proper open subsets, in lattice order.  Each is the
+    interior of the open minus one of its points ``p``: the points whose
+    minimal neighbourhood misses ``p``."""
+    nbhd = lattice.space.nbhd
+    rank = {o: k for k, o in enumerate(lattice.opens)}
+    out = {}
+    for u in lattice.opens:
+        inner = {frozenset(y for y in u if p not in nbhd[y]) for p in u}
+        out[u] = sorted((w for w in inner if not any(w < c for c in inner)),
+                        key=rank.__getitem__)
+    return out
+
+
+def _composes_on_covers(store, below):
+    """Whether res(x, v) = res(w, v) . res(x, w) wherever ``w`` is a maximal
+    proper open of ``x`` and ``v`` is below ``w``.  With the identities this
+    gives every triple, by induction on the length of a chain from x to w.
+    Each map is read as the tuple of its values on the sections over x."""
+    res = store.res
+    for x, maximal in _maximal_proper(store.lattice).items():
+        labels = store.sections[x].labels
+        if not labels:    # nothing to compare, and no itemgetter of nothing
+            continue
+        direct = itemgetter(*labels)
+        for w in maximal:
+            first = res[(x, w)].mapping
+            composite = itemgetter(*map(first.__getitem__, labels))
+            for v in below[w]:
+                if composite(res[(w, v)].mapping) != \
+                        direct(res[(x, v)].mapping):
+                    return False
+    return True
+
+
 def validate_presheaf(store):
-    """Violated identity or composition laws among the restriction maps."""
+    """Violated identity or composition laws among the restriction maps.
+
+    Composition is decided on the covering pairs of the lattice of opens;
+    only when that or an identity fails is every triple v <= w <= x scanned,
+    to name each one that fails."""
     problems = []
     lat = store.lattice
+    below = {o: [] for o in lat.opens}
     for w, v in lat.pairs_below():
+        below[w].append(v)
         fn = store.res[(w, v)]
         if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
             problems.append("restriction %r -> %r has wrong endpoints"
@@ -88,6 +135,8 @@ def validate_presheaf(store):
         fn = store.res[(o, o)]
         if any(fn.mapping[s] != s for s in store.sections[o]):
             problems.append("restriction at %r is not the identity" % sorted(o))
+    if not problems and _composes_on_covers(store, below):
+        return problems
     for x in lat.opens:
         for w in lat.opens:
             if not w <= x:
@@ -154,14 +203,35 @@ def default_coverings(lattice):
     """The default covering list: trivial covers, maximal-proper-open covers
     where those cover, and the empty cover of the empty open."""
     covers = []
-    for u in lattice.opens:
+    for u, maximal in _maximal_proper(lattice).items():
         covers.append((u, [u]))
-        proper = [v for v in lattice.opens if v < u]
-        maximal = [v for v in proper
-                   if not any(v < w for w in proper)]
         if maximal and frozenset().union(*maximal) == u:
             covers.append((u, maximal))
     covers.append((frozenset(), []))
+    return covers
+
+
+def basic_coverings(lattice):
+    """One covering per open that is not a minimal neighbourhood: the maximal
+    minimal neighbourhoods ``nbhd[x]`` of its points, in lattice order, and
+    the empty cover for the empty open.
+
+    These neighbourhoods form a basis, and they refine every covering {V_i}
+    of the open, since nbhd[x] <= V_i whenever x is in V_i.  So a presheaf
+    whose laws hold is separated, or a sheaf, for every covering exactly
+    when it is for these (Curry 2014; Mac Lane and Moerdijk 1992, on sheaves
+    given on a basis).  A minimal neighbourhood needs no cover of its own:
+    each of its coverings holds it.
+    """
+    nbhds = set(lattice.space.nbhd.values())
+    basis = [o for o in lattice.opens if o in nbhds]
+    covers = []
+    for u in lattice.opens:
+        if u in nbhds:
+            continue
+        inside = [b for b in basis if b <= u]
+        covers.append((u, [b for b in inside
+                           if not any(b < c for c in inside)]))
     return covers
 
 
@@ -219,14 +289,36 @@ def _joint_restriction(store, u, parts):
     return image, None
 
 
+def _unseparated(store, covering):
+    """The separation counterexample of one checked covering, or None."""
+    u, parts = covering
+    _, clash = _joint_restriction(store, u, parts)
+    if clash:
+        return {"open": u, "parts": parts, "sections": clash}
+    return None
+
+
+def _unglued(store, covering):
+    """The sheaf counterexample of one checked covering, or None."""
+    u, parts = covering
+    families = _compatible_families(store, parts)
+    image, clash = _joint_restriction(store, u, parts)
+    if clash:
+        return {"open": u, "parts": parts, "sections": clash,
+                "kind": "separation"}
+    for fam in families:
+        if fam not in image:
+            return {"open": u, "parts": parts, "family": fam, "kind": "gluing"}
+    return None
+
+
 def is_separated(store, coverings):
     """Injectivity of the joint restriction along every listed covering."""
     for covering in coverings:
         _check_covering(store.lattice, covering)
-        u, parts = covering
-        _, clash = _joint_restriction(store, u, parts)
-        if clash:
-            return False, {"open": u, "parts": parts, "sections": clash}
+        counter = _unseparated(store, covering)
+        if counter:
+            return False, counter
     return True, None
 
 
@@ -234,17 +326,59 @@ def is_sheaf(store, coverings):
     """Bijectivity between sections and compatible families per covering."""
     for covering in coverings:
         _check_covering(store.lattice, covering)
-        u, parts = covering
-        families = _compatible_families(store, parts)
-        image, clash = _joint_restriction(store, u, parts)
-        if clash:
-            return False, {"open": u, "parts": parts, "sections": clash,
-                           "kind": "separation"}
-        for fam in families:
-            if fam not in image:
-                return False, {"open": u, "parts": parts, "family": fam,
-                               "kind": "gluing"}
+        counter = _unglued(store, covering)
+        if counter:
+            return False, counter
     return True, None
+
+
+def _sheaf_everywhere(store):
+    """Whether a presheaf whose laws hold is a sheaf for every covering.
+
+    False also when its basic coverings would enumerate past the cap: the
+    verdict is then left to the caller's own scans, which charge what they
+    would have charged without this check."""
+    try:
+        return is_sheaf(store, basic_coverings(store.lattice))[0]
+    except ResourceError:
+        return False
+
+
+def sheaf_verdicts(store, listed, check_listed=False):
+    """``is_separated`` and ``is_sheaf`` along the listed coverings, as
+    ``(separated, separation counterexample, sheaf, sheaf counterexample)``,
+    for a presheaf whose laws hold.
+
+    Both verdicts are decided on ``basic_coverings`` where those fit the
+    cap, and a true one holds for every covering.  Only a false one is
+    worded by scanning the listed coverings in order, so the counterexamples
+    are the scans' own.  ``listed`` is a function of no arguments that
+    returns the listed coverings.  It is called only when a verdict is
+    false, or when ``check_listed`` asks for every listed covering to be
+    checked, as for coverings read from a document.  Each is checked once,
+    as far as the scans would have checked it.
+    """
+    lat = store.lattice
+    if _sheaf_everywhere(store):
+        if check_listed:
+            for covering in listed():
+                _check_covering(lat, covering)
+        return True, None, True, None
+    separated = is_separated(store, basic_coverings(lat))[0]
+    coverings = listed()
+    sep_counter = None
+    for covering in coverings:
+        _check_covering(lat, covering)
+        if not separated:
+            sep_counter = _unseparated(store, covering)
+            if sep_counter:
+                break
+    # the sheaf scan stops at the separation counterexample at the latest,
+    # so it meets only coverings checked above
+    sheaf_counter = next(filter(None, (_unglued(store, covering)
+                                       for covering in coverings)), None)
+    return (sep_counter is None, sep_counter,
+            sheaf_counter is None, sheaf_counter)
 
 
 def direct_image(topmap, store):
@@ -428,9 +562,11 @@ def glue_presheaves(datum):
     chart sides.
 
     The datum is checked and each local presheaf must be a sheaf on its
-    default coverings.  The result is then not checked again: it is the
-    equalizer of products of direct images of those sheaves, so it is a
-    sheaf, and its restrictions and projections are built unchecked.
+    default coverings; it is when it is a sheaf on its basic coverings, and
+    the default ones are scanned only otherwise.  The result is then not
+    checked again: it is the equalizer of products of direct images of
+    those sheaves, so it is a sheaf, and its restrictions and projections
+    are built unchecked.
     """
     problems = datum.validate()
     if problems:
@@ -438,6 +574,8 @@ def glue_presheaves(datum):
     names = datum.names()
     for name in names:
         local = datum.locals[name]
+        if _sheaf_everywhere(local):
+            continue
         ok, counter = is_sheaf(local, default_coverings(local.lattice))
         if not ok:
             raise StructuralError(
@@ -530,9 +668,10 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
     the chart lattices between the restrictions of ``source`` and ``target``.
     Each part must be natural, the parts must agree on pairwise overlaps and
     the target must satisfy the sheaf condition for all covers induced by
-    the charts; all three are checked.  They make the glued transformation
-    natural and make it restrict back to every part, so neither is checked
-    again and its components are built unchecked.
+    the charts; all three are checked, the last for a target whose laws
+    hold.  They make the glued transformation natural and make it restrict
+    back to every part, so neither is checked again and its components are
+    built unchecked.
     """
     charts = [(name, frozenset(m)) for name, m in charts]
     lat = source.lattice
@@ -561,14 +700,16 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
                     raise StructuralError(
                         "parts %r and %r disagree at the overlap open %r"
                         % (a, b, sorted(o)))
-    # sheaf condition of the target on the induced covers
-    for v in lat.opens:
-        induced = (v, [v & m for _, m in charts])
-        ok, counter = is_sheaf(target, [induced])
-        if not ok:
-            raise StructuralError(
-                "target fails the sheaf condition on the induced cover of %r: "
-                "%r" % (sorted(v), counter))
+    # sheaf condition of the target on the induced covers; it holds when the
+    # target is a sheaf on its basic covers, so they are scanned only otherwise
+    if not _sheaf_everywhere(target):
+        for v in lat.opens:
+            induced = (v, [v & m for _, m in charts])
+            ok, counter = is_sheaf(target, [induced])
+            if not ok:
+                raise StructuralError(
+                    "target fails the sheaf condition on the induced cover of "
+                    "%r: %r" % (sorted(v), counter))
     # the target is separated on each induced cover, so a tuple of chart
     # sections names at most one section of the target
     components = {}

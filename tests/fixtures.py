@@ -348,5 +348,23 @@ def chain_cover():
         for name, space in spaces.items()], target_space=target)
 
 
+def presheaf_doc(store):
+    """The ``presheaf`` document of a presheaf store."""
+    lat = store.lattice
+    points = lat.space.carrier
+    payload = {
+        "space": {"points": list(points),
+                  "opens": [sorted(o, key=points.position)
+                            for o in lat.opens]},
+        "presheaf": {
+            "sections": {lat.key(o): list(store.sections[o].labels)
+                         for o in lat.opens},
+            "restrictions": {
+                "%s>%s" % (lat.key(w), lat.key(v)):
+                    dict(store.res[(w, v)].mapping)
+                for w, v in lat.pairs_below() if w != v}}}
+    return {"version": "1", "kind": "presheaf", "payload": payload}
+
+
 def seeded(seed):
     return random.Random(seed)

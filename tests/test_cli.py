@@ -20,14 +20,14 @@ from glueforge.cli import (
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinSet, FinTop
 from glueforge.gluing import colimit_glue
-from glueforge.presheaf import function_presheaf
+from glueforge.presheaf import constant_presheaf, function_presheaf
 from glueforge.site import (
     canonical_sink_functor,
     covering_axioms_check,
     sinks_equivalent,
 )
 
-from fixtures import chain_cover, e1
+from fixtures import chain_cover, e1, presheaf_doc
 
 
 def e1_payload(extra=None):
@@ -212,26 +212,10 @@ def test_hom_refuses_one_oversized_component(tmp_path, capsys):
 
 
 def sierpinski_presheaf_doc():
-    space = {"points": ["0", "1"],
-             "opens": [[], ["1"], ["0", "1"]]}
-    store = function_presheaf(
+    return presheaf_doc(function_presheaf(
         FinTop(FinSet(["0", "1"]),
                [frozenset(), frozenset(["1"]), frozenset(["0", "1"])]),
-        {"0": ["a", "b"], "1": ["a", "b"]})
-    lat = store.lattice
-    sections = {lat.key(o): list(store.sections[o].labels) for o in lat.opens}
-    restrictions = {}
-    for w, v in lat.pairs_below():
-        if w == v:
-            continue
-        restrictions["%s>%s" % (lat.key(w), lat.key(v))] = dict(
-            store.res[(w, v)].mapping)
-    return {
-        "version": "1", "kind": "presheaf",
-        "payload": {"space": space,
-                    "presheaf": {"sections": sections,
-                                 "restrictions": restrictions}},
-    }
+        {"0": ["a", "b"], "1": ["a", "b"]}))
 
 
 def test_check_sheaf_function_presheaf(tmp_path, capsys):
@@ -247,6 +231,120 @@ def test_check_sheaf_exhaustive_covers(tmp_path, capsys):
                  "exhaustive"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["sheaf"] is True
+
+
+@pytest.mark.parametrize("parts, message", [
+    (["0", "1"], "key '0' does not name an open set"),
+    (["1"], "family does not cover ['0', '1']"),
+])
+def test_check_sheaf_checks_the_listed_coverings_of_a_sheaf(tmp_path, capsys,
+                                                            parts, message):
+    # the verdicts of a sheaf need no listed covering, but one that is not a
+    # covering is still an input error
+    doc = sierpinski_presheaf_doc()
+    doc["payload"]["coverings"] = [{"open": "0,1", "parts": ["1", "0,1"]},
+                                   {"open": "0,1", "parts": parts}]
+    path = write_doc(tmp_path, doc)
+    assert main(["check-sheaf", "--input", path]) == 2
+    assert capsys.readouterr().err == \
+        "glueforge: structural error: %s\n" % message
+
+
+def test_check_sheaf_checks_listed_coverings_up_to_the_counterexample(
+        tmp_path, capsys):
+    # the scans stop at the first covering that is not separated, so a
+    # family after it is never checked
+    doc = presheaf_doc(constant_presheaf(
+        FinTop(FinSet(["0", "1"]),
+               [frozenset(), frozenset(["1"]), frozenset(["0", "1"])]),
+        ["a", "b"]))
+    doc["payload"]["coverings"] = [{"open": "0,1", "parts": ["0,1"]},
+                                   {"open": "", "parts": []},
+                                   {"open": "0,1", "parts": ["1"]}]
+    path = write_doc(tmp_path, doc)
+    assert main(["check-sheaf", "--input", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostics"]["separation_counterexample"] == {
+        "open": "", "parts": [], "sections": ["a", "b"]}
+    doc["payload"]["coverings"].insert(1, {"open": "0,1", "parts": ["1"]})
+    path = write_doc(tmp_path, doc)
+    assert main(["check-sheaf", "--input", path]) == 2
+    assert capsys.readouterr().err == \
+        "glueforge: structural error: family does not cover ['0', '1']\n"
+
+
+def discrete_function_doc(n):
+    points = FinSet(["p%d" % k for k in range(n)])
+    return presheaf_doc(function_presheaf(FinTop.discrete(points),
+                                          {p: ["a", "b"] for p in points}))
+
+
+def test_check_sheaf_exhaustive_on_four_discrete_points_lists_no_covering(
+        tmp_path, capsys):
+    # the coverings of the whole space alone would enumerate 2**16 items;
+    # the verdicts come from one basic cover per open and list no covering
+    path = write_doc(tmp_path, discrete_function_doc(4))
+    assert main(["check-sheaf", "--input", path, "--covers", "exhaustive",
+                 "--cap", "1000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == {"separated": True, "sheaf": True}
+
+
+def test_check_sheaf_exhaustive_on_five_discrete_points_fits_the_cap(tmp_path,
+                                                                     capsys):
+    # the coverings of the whole space alone would enumerate 2**32 items
+    path = write_doc(tmp_path, discrete_function_doc(5))
+    assert main(["check-sheaf", "--input", path, "--covers",
+                 "exhaustive"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == {"separated": True, "sheaf": True}
+
+
+def wide_two_point_doc(k):
+    """The discrete space {p, q} with ``k`` sections over each point and one
+    over {p, q} and over the empty open: a sheaf along its trivial covers,
+    whose basic cover of {p, q} has k*k compatible families."""
+    points = ["s%d" % i for i in range(k)]
+    body = {"sections": {"": ["e"], "p": points, "q": points, "p,q": ["t"]},
+            "restrictions": {"p,q>p": {"t": "s0"}, "p,q>q": {"t": "s0"},
+                             "p,q>": {"t": "e"},
+                             "p>": {s: "e" for s in points},
+                             "q>": {s: "e" for s in points}}}
+    return {"version": "1", "kind": "presheaf",
+            "payload": {"space": {"points": ["p", "q"],
+                                  "opens": [[], ["p"], ["q"], ["p", "q"]]},
+                        "presheaf": body}}
+
+
+@pytest.mark.parametrize("k, cap", [(1001, []), (11, ["--cap", "100"])])
+def test_check_sheaf_listed_covering_when_the_basic_cover_passes_the_cap(
+        tmp_path, capsys, k, cap):
+    # the basic cover of {p, q} would enumerate k*k families, past the cap;
+    # the verdicts then come from the listed covering alone
+    doc = wide_two_point_doc(k)
+    doc["payload"]["coverings"] = [{"open": "p,q", "parts": ["p,q"]}]
+    path = write_doc(tmp_path, doc)
+    assert main(["check-sheaf", "--input", path] + cap) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"] == {"separated": True, "sheaf": True}
+
+
+def test_glue_map_one_chart_when_the_basic_cover_passes_the_cap(tmp_path,
+                                                               capsys):
+    # one chart induces only trivial covers, so the target's basic cover of
+    # {p, q}, past the cap, is never needed
+    doc = wide_two_point_doc(11)
+    body = doc["payload"]["presheaf"]
+    doc["payload"]["glue_map"] = {
+        "charts": [{"name": "all", "members": ["p", "q"]}],
+        "target": copy.deepcopy(body),
+        "parts": {"all": {key: {s: s for s in labels}
+                          for key, labels in body["sections"].items()}},
+    }
+    path = write_doc(tmp_path, doc, "gluemap.json")
+    assert main(["glue-map", "--input", path, "--cap", "100"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"]["glued"] is True
 
 
 def test_cap_env_variable(tmp_path, capsys, monkeypatch):

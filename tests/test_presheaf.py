@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from glueforge.cli import Document, execute
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.presheaf import (
@@ -12,6 +13,7 @@ from glueforge.presheaf import (
     OpenLattice,
     PresheafStore,
     all_coverings,
+    basic_coverings,
     canonical_presheaf_functor,
     constant_presheaf,
     default_coverings,
@@ -26,7 +28,7 @@ from glueforge.presheaf import (
     validate_presheaf,
 )
 
-from fixtures import close_family, seeded
+from fixtures import close_family, presheaf_doc, seeded
 from oracles import presheaf_law_problems
 
 
@@ -74,6 +76,24 @@ def test_validation_names_one_broken_composition():
     assert presheaf_law_problems(broken) == validate_presheaf(broken)
 
 
+def test_validation_sees_a_broken_composition_through_each_maximal_open():
+    # the whole discrete space on 0, 1, 2 has three maximal proper opens;
+    # only the triple through the last, {1, 2}, sees a restriction onto it
+    # that flips the value at 2
+    space = FinTop.discrete(FinSet(["0", "1", "2"]))
+    store = function_presheaf(space, {"0": ["a"], "1": ["a"], "2": ["a", "b"]})
+    full, last = frozenset(["0", "1", "2"]), frozenset(["1", "2"])
+    res = dict(store.res)
+    res[(full, last)] = FinFn(store.sections[full], store.sections[last],
+                              {"0=a;1=a;2=a": "1=a;2=b",
+                               "0=a;1=a;2=b": "1=a;2=a"})
+    broken = PresheafStore(store.lattice, store.sections, res)
+    assert validate_presheaf(broken) == [
+        "restriction composition ['0', '1', '2'] -> ['1', '2'] -> ['2'] "
+        "disagrees with the direct map"]
+    assert presheaf_law_problems(broken) == validate_presheaf(broken)
+
+
 @st.composite
 def restriction_systems(draw):
     """A function presheaf on a space of one to four points, with up to three
@@ -111,6 +131,120 @@ def test_validation_matches_the_triple_oracle():
 
     check()
     assert broken.count(True) >= 100
+
+
+@st.composite
+def presheaves_to_decide(draw):
+    """A presheaf on a space of one to four points: a function presheaf,
+    or a sub-presheaf of one (sections dropped at random, then every section
+    with a dropped restriction too), with one section duplicated at an
+    open that is not a minimal neighbourhood in about a third of the cases.
+    The duplicate restricts as its original does and no restriction reaches
+    it, so the laws hold and the joint restriction along the basic cover of
+    that open is not injective."""
+    carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 4)))])
+    seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
+                                   max_size=len(carrier)), max_size=4))
+    space = FinTop(carrier, close_family(carrier, [
+        frozenset(x for x, keep in zip(carrier, bits) if keep)
+        for bits in seeds]))
+    full = function_presheaf(space, {
+        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    lat = full.lattice
+    kept = {}
+    for o in lat.opens:    # by size, so every smaller open comes first
+        labels = full.sections[o].labels
+        dropped = draw(st.sets(st.sampled_from(labels))) \
+            if draw(st.booleans()) else set()
+        kept[o] = [s for s in labels if s not in dropped
+                   and all(full.res[(o, v)].mapping[s] in kept[v]
+                           for v in lat.opens if v < o)]
+    basics = set(space.nbhd.values())
+    doubled = [o for o in lat.opens if o not in basics and kept[o]]
+    twin = None
+    if doubled and draw(st.integers(0, 2)) == 0:
+        twin = draw(st.sampled_from(doubled))
+        original = draw(st.sampled_from(kept[twin]))
+    sections = {o: FinSet(kept[o] + ["twin"] * (o == twin))
+                for o in lat.opens}
+    res = {}
+    for w, v in lat.pairs_below():
+        mapping = {s: full.res[(w, v)].mapping[s] for s in kept[w]}
+        if w == twin:
+            mapping["twin"] = "twin" if v == w else mapping[original]
+        res[(w, v)] = FinFn(sections[w], sections[v], mapping)
+    return PresheafStore(lat, sections, res)
+
+
+def test_basic_verdicts_match_every_covering():
+    kinds = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(presheaves_to_decide())
+    @example(constant_presheaf(sierpinski(), ["a", "b"]))
+    @example(function_presheaf(FinTop.discrete(FinSet(["0", "1", "2"])),
+                               {"0": ["a", "b"], "1": ["a"], "2": ["a", "b"]}))
+    def check(store):
+        assert validate_presheaf(store) == []
+        lat = store.lattice
+        basic = basic_coverings(lat)
+        every = all_coverings(lat)
+        separated = is_separated(store, every)
+        sheaf = is_sheaf(store, every)
+        assert is_separated(store, basic)[0] == separated[0]
+        assert is_sheaf(store, basic)[0] == sheaf[0]
+        listed = default_coverings(lat)
+        doc = Document("presheaf", presheaf_doc(store)["payload"], "1")
+        for covers, flags, scans in (
+                ("default", {}, (is_separated(store, listed),
+                                 is_sheaf(store, listed))),
+                ("exhaustive", {"covers": "exhaustive"}, (separated, sheaf))):
+            report = execute("check-sheaf", doc, flags)
+            (sep, sep_counter), (glued, counter) = scans
+            assert report["verdicts"] == {"separated": sep, "sheaf": glued}
+            assert report["diagnostics"] == {
+                "separation_counterexample": described(lat, sep_counter),
+                "sheaf_counterexample": described(lat, counter)}, covers
+        kinds.append((separated[0], sheaf[0]))
+
+    check()
+    assert kinds.count((False, False)) >= 20
+    assert kinds.count((True, False)) >= 20
+    assert kinds.count((True, True)) >= 20
+
+
+def described(lat, counter):
+    """A counterexample of ``is_separated`` or ``is_sheaf`` as ``check-sheaf``
+    reports it."""
+    if counter is None:
+        return None
+    out = {"open": lat.key(counter["open"]),
+           "parts": [lat.key(v) for v in counter["parts"]]}
+    for name in ("sections", "family"):
+        if name in counter:
+            out[name] = list(counter[name])
+    if "kind" in counter:
+        out["kind"] = counter["kind"]
+    return out
+
+
+def test_basic_coverings_of_small_spaces():
+    # the Sierpinski space: {1} is the neighbourhood of 1 and {0, 1} that
+    # of 0, so only the empty open needs a cover
+    assert basic_coverings(OpenLattice(sierpinski())) == [(frozenset(), [])]
+    # the discrete space on p, q: the whole space is covered by the points
+    p, q = frozenset(["p"]), frozenset(["q"])
+    assert basic_coverings(OpenLattice(two_point_discrete())) == [
+        (frozenset(), []), (p | q, [p, q])]
+    # the chain 0 < 01 < 012 with a point 3 beside it: the neighbourhood {0}
+    # of 0 is below that of 1, so only the maximal ones are parts
+    space = FinTop.from_nbhd(FinSet(["0", "1", "2", "3"]), {
+        "0": frozenset("0"), "1": frozenset("01"), "2": frozenset("012"),
+        "3": frozenset("3")})
+    covers = dict(basic_coverings(OpenLattice(space)))
+    assert covers[frozenset("013")] == [frozenset("3"), frozenset("01")]
+    assert covers[frozenset("03")] == [frozenset("0"), frozenset("3")]
+    assert frozenset("012") not in covers
 
 
 def test_constant_presheaf_valid():
