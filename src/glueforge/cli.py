@@ -297,22 +297,40 @@ def _parse_openkey(key, space):
     return members
 
 
+def _open_keys(lattice):
+    """Each open of ``lattice`` by its canonical key: its points in carrier
+    order, joined by commas."""
+    return {lattice.key(o): o for o in lattice.opens}
+
+
+def _lookup_openkey(key, keys, space):
+    """The open a key names: looked up when the key is canonical, else
+    parsed, so every other spelling is accepted or refused as before."""
+    try:
+        return keys[key]
+    except KeyError:
+        return _parse_openkey(key, space)
+
+
 def _parse_presheaf_body(body, space):
+    """The presheaf store of a ``{sections, restrictions}`` node, and the
+    canonical keys of the opens of its lattice."""
     for p in space.carrier:
         if "," in p:
             raise StructuralError("point label %r may not contain ','" % p)
     lat = OpenLattice(space)
+    keys = _open_keys(lat)
     sections = {}
     for key, labels in body["sections"].items():
-        sections[_parse_openkey(key, space)] = FinSet(labels)
+        sections[_lookup_openkey(key, keys, space)] = FinSet(labels)
     res = {}
     for key, mapping in body["restrictions"].items():
         if ">" not in key:
             raise StructuralError("restriction key %r must look like 'W>V'"
                                   % key)
         wkey, vkey = key.split(">", 1)
-        w = _parse_openkey(wkey, space)
-        v = _parse_openkey(vkey, space)
+        w = _lookup_openkey(wkey, keys, space)
+        v = _lookup_openkey(vkey, keys, space)
         if not v <= w:
             raise StructuralError("restriction key %r is not an inclusion"
                                   % key)
@@ -320,18 +338,18 @@ def _parse_presheaf_body(body, space):
             raise StructuralError("restriction %r mentions opens without "
                                   "sections" % key)
         res[(w, v)] = FinFn(sections[w], sections[v], mapping)
-    return PresheafStore(lat, sections, res)
+    return PresheafStore(lat, sections, res), keys
 
 
 def parse_presheaf(payload):
     _, space = parse_object(payload["space"], "top")
-    store = _parse_presheaf_body(payload["presheaf"], space)
+    store, keys = _parse_presheaf_body(payload["presheaf"], space)
     coverings = None
     if "coverings" in payload:
         coverings = []
         for node in payload["coverings"]:
-            u = _parse_openkey(node["open"], space)
-            parts = [_parse_openkey(p, space) for p in node["parts"]]
+            u = _lookup_openkey(node["open"], keys, space)
+            parts = [_lookup_openkey(p, keys, space) for p in node["parts"]]
             coverings.append((u, parts))
     glue_map = payload.get("glue_map")
     return space, store, coverings, glue_map
@@ -348,7 +366,7 @@ def parse_gluing_datum(payload):
         if name not in payload["locals"]:
             raise StructuralError("no local presheaf for chart %r" % name)
         sub = space.subspace(members)
-        locals_[name] = _parse_presheaf_body(payload["locals"][name], sub)
+        locals_[name] = _parse_presheaf_body(payload["locals"][name], sub)[0]
     members = dict(charts)
     transitions = {}
     for node in payload["transitions"]:
@@ -361,9 +379,10 @@ def parse_gluing_datum(payload):
             raise StructuralError("transition %r -> %r is listed twice"
                                   % (a, b))
         sub = space.subspace(members[a] & members[b])
+        keys = _open_keys(OpenLattice(sub))
         comp = {}
         for key, mapping in node["components"].items():
-            o = _parse_openkey(key, sub)
+            o = _lookup_openkey(key, keys, sub)
             comp[o] = FinFn(locals_[a].sections[o], locals_[b].sections[o],
                             mapping)
         transitions[(a, b)] = comp
@@ -566,7 +585,7 @@ def _glue_map_command(doc, flags):
     space, store, _, glue_map = parse_presheaf(doc.payload)
     if glue_map is None:
         raise StructuralError("glue-map needs a glue_map block in the payload")
-    target = _parse_presheaf_body(glue_map["target"], space)
+    target = _parse_presheaf_body(glue_map["target"], space)[0]
     for role, checked in (("source", store), ("target", target)):
         problems = validate_presheaf(checked)
         if problems:
@@ -580,10 +599,10 @@ def _glue_map_command(doc, flags):
             raise StructuralError("no part for chart %r" % name)
         sub_s = restrict(store, members)
         sub_t = restrict(target, members)
-        sub_space = space.subspace(members)
+        keys = _open_keys(sub_s.lattice)
         comps = {}
         for key, mapping in glue_map["parts"][name].items():
-            o = _parse_openkey(key, sub_space)
+            o = _lookup_openkey(key, keys, sub_s.lattice.space)
             comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], mapping)
         parts[name] = NatTrans(sub_s, sub_t, comps)
     glued = glue_nat_trans(space, charts, store, target, parts)

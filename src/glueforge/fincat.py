@@ -5,7 +5,9 @@ them.  Finite topological spaces are carriers with the minimal open
 neighbourhood of each point, from which every topology is built by a direct
 rule, and continuous maps between those, with their openness recorded.
 Everything is immutable after construction and every operation is a pure
-function, so shared values are safe to use concurrently.
+function, so shared values are safe to use concurrently.  A space keeps its
+list of opens and its subspaces once built; both are functions of the space,
+so a value kept by one caller is the value any other would build.
 
 The public constructors validate what they are given.  Values the engine
 builds correct by construction (composites, identities, pullbacks,
@@ -196,7 +198,7 @@ class FinTop:
     ``nbhd[x]`` of each point ``x``: the opens are exactly the unions of these
     sets (Alexandroff 1937; Stong 1966)."""
 
-    __slots__ = ("carrier", "nbhd")
+    __slots__ = ("carrier", "nbhd", "_opens", "_subspaces")
 
     def __init__(self, carrier, opens):
         """Validate a listed family of opens: with the empty set in it, it is a
@@ -246,24 +248,44 @@ class FinTop:
 
     @property
     def opens(self):
-        """Every open set, ordered by size and then by point positions.  The
-        family at most doubles per point and is charged to the cap each time."""
-        family = {frozenset()}
-        for x in self.carrier:
-            u = self.nbhd[x]
-            family |= {o | u for o in family}
-            charge("opens of a %d-point space" % len(self.carrier), len(family))
-        pos = self.carrier.position
-        return tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o)))))
+        """Every open set, ordered by size and then by point positions.
+
+        The family at most doubles per point and its size is charged to the
+        cap after each point.  The list is built once per space; each later
+        access charges the same sizes again, so under any budget it raises,
+        or not, exactly as a first listing would.  A refused listing is not
+        kept."""
+        what = "opens of a %d-point space" % len(self.carrier)
+        kept = getattr(self, "_opens", None)    # unset until first listed
+        if kept is None:
+            kept = _list_opens(self, what)
+            object.__setattr__(self, "_opens", kept)
+        else:
+            for size in kept[1]:
+                charge(what, size)
+        return kept[0]
 
     def is_open(self, subset):
         subset = frozenset(subset)
         return all(x in self.nbhd and self.nbhd[x] <= subset for x in subset)
 
     def subspace(self, members):
+        """The subspace on the points of ``members``, built once per member
+        set and shared: the space itself when it has every point."""
         members = frozenset(members)
-        sub = FinSet([x for x in self.carrier if x in members])
-        return FinTop.from_nbhd(sub, {x: self.nbhd[x] & members for x in sub})
+        kept = getattr(self, "_subspaces", None)    # unset until first asked
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, "_subspaces", kept)
+        sub = kept.get(members)
+        if sub is None:
+            labels = [x for x in self.carrier if x in members]
+            if len(labels) == len(self.carrier):
+                return self
+            sub = FinTop.from_nbhd(FinSet.from_distinct(labels),
+                                   {x: self.nbhd[x] & members for x in labels})
+            kept[members] = sub
+        return sub
 
     def __eq__(self, other):
         return (isinstance(other, FinTop) and self.carrier == other.carrier
@@ -274,6 +296,22 @@ class FinTop:
 
     def __repr__(self):
         return "FinTop(%r, %r)" % (list(self.carrier), self.nbhd)
+
+
+def _list_opens(space, what):
+    """The opens of ``space`` in ``FinTop.opens`` order, with the family size
+    charged after each point: the unions of minimal neighbourhoods, the
+    family at most doubling per point."""
+    family = {frozenset()}
+    sizes = []
+    for x in space.carrier:
+        u = space.nbhd[x]
+        family |= {o | u for o in family}
+        charge(what, len(family))
+        sizes.append(len(family))
+    pos = space.carrier.position
+    return (tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o))))),
+            tuple(sizes))
 
 
 class TopMap:

@@ -6,7 +6,10 @@ unordered pair and mirrored automatically with an identity swap, which is the
 classical regime where the diagonal carries identity structure.
 """
 
+import importlib
+import os
 import random
+import sys
 
 from hypothesis import strategies as st
 
@@ -368,3 +371,25 @@ def presheaf_doc(store):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def benchmark_docs():
+    """The benchmark's document generators, ``perfbench/docs.py``, imported
+    without writing byte code."""
+    here = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench")
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, here)
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module("docs")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+
+
+def benchmark_items(workloads=None):
+    """The seed-1 document lists of the benchmark workloads (all of them by
+    default), as ``(workload, item)`` pairs."""
+    docs = benchmark_docs()
+    return [(workload, item) for workload in workloads or sorted(docs.WORKLOADS)
+            for item in docs.build(workload, 1)]

@@ -7,8 +7,9 @@ equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
 apex, a sink's target as a cone with a leg at every overlap, stability of
 a colimit under pullback by gluing the whole pulled-back diagram, the
-presheaf laws by composing restriction maps as functions, and commuting
-paths and isomorphisms by building composites and continuous maps.
+presheaf laws and naturality by composing restriction maps as functions
+at every pair of opens, and commuting paths and isomorphisms by building
+composites and continuous maps.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -42,6 +43,7 @@ from glueforge.gluing import (
     mediating_map,
 )
 from glueforge.indexcat import NONSPLIT, gen_endpoints
+from glueforge.presheaf import OpenLattice
 from glueforge.site import canonical_sink_functor
 
 
@@ -274,4 +276,45 @@ def presheaf_law_problems(store):
                         "restriction composition %r -> %r -> %r disagrees "
                         "with the direct map"
                         % (sorted(x), sorted(w), sorted(v)))
+    return problems
+
+
+def unnatural_pairs(comp, source, target, lattice):
+    """The pairs ``(w, v)`` of ``lattice``, every ``v <= w``, at which the
+    components ``comp`` do not commute with the restrictions, each square
+    compared as two composites."""
+    return [(w, v) for w, v in lattice.pairs_below()
+            if comp[w].then(target.res[(w, v)])
+            != source.res[(w, v)].then(comp[v])]
+
+
+def gluing_datum_problems(datum):
+    """The broken laws of a gluing datum, in the order and words of
+    ``GluingDatum.validate``, with every transition's naturality scanned at
+    every pair of its overlap lattice."""
+    problems = []
+    for name, _ in datum.charts:
+        problems.extend("chart %s: %s" % (name, p)
+                        for p in presheaf_law_problems(datum.locals[name]))
+    for (a, b), comp in datum.transitions.items():
+        source, target = datum.locals[a], datum.locals[b]
+        for o, fn in comp.items():
+            if fn.domain != source.sections[o] \
+                    or fn.codomain != target.sections[o]:
+                problems.append("transition %r -> %r at %r has wrong "
+                                "endpoints" % (a, b, sorted(o)))
+            elif not (fn.is_injective() and fn.is_surjective()):
+                problems.append("transition %r -> %r at %r is not a "
+                                "bijection" % (a, b, sorted(o)))
+        inverse = datum.transitions[(b, a)]
+        for o, fn in comp.items():
+            if fn.then(inverse[o]) != FinFn.identity(fn.domain):
+                problems.append("transitions %r <-> %r at %r are not "
+                                "mutually inverse" % (a, b, sorted(o)))
+        overlap = datum.members(a) & datum.members(b)
+        lattice = OpenLattice(datum.space.subspace(overlap))
+        problems.extend("transition %r -> %r is not natural from %r to %r"
+                        % (a, b, sorted(w), sorted(v))
+                        for w, v in unnatural_pairs(comp, source, target,
+                                                    lattice))
     return problems

@@ -1,0 +1,259 @@
+"""Each space lists its opens once and shares its subspaces, without
+changing what the cap refuses or what equality sees; documents name opens
+through a table of canonical keys that answers as ``_parse_openkey`` does;
+and a presheaf command lists each point set's opens at most once."""
+
+import io
+import json
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glueforge import cli, fincat
+from glueforge.cli import Document, execute, load_document, render_report
+from glueforge.errors import ResourceError, StructuralError, budget
+from glueforge.fincat import FinSet, FinTop
+from glueforge.presheaf import OpenLattice
+
+from fixtures import (
+    benchmark_docs,
+    benchmark_items,
+    chain_space,
+    close_family,
+    seeded,
+)
+
+
+@st.composite
+def small_spaces(draw):
+    """A space of one to five points whose opens close a few random sets."""
+    carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 5)))])
+    seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
+                                   max_size=len(carrier)), max_size=4))
+    return FinTop(carrier, close_family(carrier, [
+        frozenset(x for x, keep in zip(carrier, bits) if keep)
+        for bits in seeds]))
+
+
+def listing(space, cap):
+    """The opens of ``space`` under ``cap``, or what the refusal says."""
+    with budget(cap):
+        try:
+            return space.opens
+        except ResourceError as err:
+            return str(err), err.size, err.cap
+
+
+def copy_of(space):
+    return FinTop.from_nbhd(space.carrier, dict(space.nbhd))
+
+
+def test_kept_opens_are_charged_again_on_every_access():
+    refused = []
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(small_spaces(), st.integers(0, 40))
+    def check(space, cap):
+        opens = space.opens    # listed under the default cap, and kept
+        again = listing(space, cap)
+        assert again == listing(copy_of(space), cap)
+        # a listing refused once is refused again, and is not kept
+        fresh = copy_of(space)
+        assert listing(fresh, cap) == again
+        assert listing(fresh, cap) == again
+        assert fresh.opens == opens
+        refused.append(isinstance(again[0], str))
+
+    check()
+    assert refused.count(True) >= 20
+    assert refused.count(False) >= 20
+
+
+def test_kept_opens_and_subspaces_leave_the_value_alone():
+    space = chain_space(["a", "b", "c"])
+    space.opens
+    space.subspace(["b", "c"])
+    fresh = chain_space(["a", "b", "c"])
+    assert space == fresh and fresh == space
+    assert hash(space) == hash(fresh)
+    for name in ("carrier", "nbhd", "_opens", "_subspaces"):
+        with pytest.raises(AttributeError, match="FinTop is immutable"):
+            setattr(space, name, None)
+
+
+def test_one_subspace_per_member_set():
+    space = chain_space(["a", "b", "c"])
+    members = [frozenset(s) for s in
+               ([], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
+                ["c", "z"])]
+    built = [space.subspace(m) for m in members]
+    for m, sub in zip(members, built):
+        assert space.subspace(sorted(m)) is sub
+        labels = [x for x in space.carrier if x in m]
+        assert sub == FinTop.from_nbhd(
+            FinSet(labels), {x: space.nbhd[x] & m for x in labels})
+    assert space.subspace(["c", "b", "a"]) is space
+    assert space.subspace(["a", "b", "c", "z"]) is space
+
+
+def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
+    listed = []
+    list_opens = fincat._list_opens
+
+    def counted(space, what):
+        listed.append(frozenset(space.carrier.labels))
+        return list_opens(space, what)
+
+    parsed = []
+    parse_openkey = cli._parse_openkey
+
+    def parsed_key(key, space):
+        parsed.append(key)
+        return parse_openkey(key, space)
+
+    monkeypatch.setattr(fincat, "_list_opens", counted)
+    monkeypatch.setattr(cli, "_parse_openkey", parsed_key)
+    commands = set()
+    for _, item in benchmark_items(["sheaf-checks"]):
+        listed.clear()
+        doc = load_document(io.StringIO(json.dumps(item["doc"])))
+        render_report(execute(item["command"], doc, item["flags"]))
+        assert listed and len(listed) == len(set(listed)), item["name"]
+        commands.add(item["command"])
+    assert commands == {"check-sheaf", "glue-sheaves", "glue-map"}
+    # every key the benchmark writes is canonical, so none is parsed
+    assert parsed == []
+
+
+# keys spelled in every way a document may spell them
+
+SPELLINGS = ["canonical", "permuted", "doubled comma", "leading comma",
+             "trailing comma", "repeated point", "empty", "subset",
+             "unknown point"]
+
+
+def respelled(draw, key, points):
+    """``key``, the canonical key of an open, spelled another way or
+    replaced by a key of any set of points, open or not, known or not."""
+    pts = [p for p in key.split(",") if p]
+    kind = draw(st.sampled_from(SPELLINGS))
+    if kind == "permuted":
+        return ",".join(draw(st.permutations(pts)))
+    if kind == "doubled comma":
+        return ",,".join(pts)
+    if kind == "leading comma":
+        return "," + key
+    if kind == "trailing comma":
+        return key + ","
+    if kind == "repeated point":
+        return ",".join(pts + pts[:1])
+    if kind == "empty":
+        return ""
+    if kind == "subset":
+        return ",".join(p for p in points if draw(st.booleans()))
+    if kind == "unknown point":
+        return ",".join(pts + ["zz"])
+    return key
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except StructuralError as err:
+        return "refused", str(err)
+
+
+@st.composite
+def respelled_documents(draw):
+    """A benchmark presheaf document of one of the three presheaf commands
+    with one open key respelled, the space the key names an open of, and
+    the old and new key."""
+    docs = benchmark_docs()
+    rng = seeded(draw(st.integers(0, 10 ** 6)))
+    shape = draw(st.sampled_from(["discrete", "chain", "sierpinski"]))
+    n = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(["check-sheaf", "glue-sheaves",
+                                    "glue-map"]))
+    if command == "check-sheaf":
+        doc = docs.sheaf_doc(rng, shape, n, 2)
+    elif command == "glue-sheaves":
+        # three charts on the whole space, or one per maximal point
+        charts = docs._triple_whole if draw(st.booleans()) \
+            else docs._open_charts
+        doc, _ = docs.gluing_datum(rng, shape, n, 2, charts)
+        if not doc["payload"]["transitions"]:
+            doc, _ = docs.gluing_datum(rng, shape, n, 2, docs._triple_whole)
+    else:
+        doc, _ = docs.glue_map_doc(rng, shape, n, 2, 2)
+    payload = doc["payload"]
+    _, space = cli.parse_object(payload["space"], "top")
+    points = list(space.carrier)
+    if command == "check-sheaf":
+        keys = sorted(payload["presheaf"]["sections"])
+        payload["coverings"] = [{"open": k, "parts": [k]} for k in keys]
+        where = draw(st.sampled_from(["sections", "restrictions",
+                                      "coverings"]))
+        if where == "sections":
+            table = payload["presheaf"]["sections"]
+        elif where == "restrictions":
+            table = payload["presheaf"]["restrictions"]
+        else:
+            node = draw(st.sampled_from(payload["coverings"]))
+            old = node["open"]
+            new = respelled(draw, old, points)
+            if draw(st.booleans()):
+                node["open"] = new
+            else:
+                node["parts"] = [new]
+            return command, doc, space, old, new
+    elif command == "glue-sheaves":
+        node = draw(st.sampled_from(payload["transitions"]))
+        table = node["components"]
+        members = {c["name"]: c["members"] for c in payload["charts"]}
+        space = space.subspace(set(members[node["from"]])
+                               & set(members[node["to"]]))
+    else:
+        name = draw(st.sampled_from(sorted(payload["glue_map"]["parts"])))
+        table = payload["glue_map"]["parts"][name]
+        members = {c["name"]: c["members"]
+                   for c in payload["glue_map"]["charts"]}
+        space = space.subspace(members[name])
+    key = draw(st.sampled_from(sorted(table)))
+    if ">" in key:
+        sides = key.split(">")
+        side = draw(st.integers(0, 1))
+        old = sides[side]
+        sides[side] = new = respelled(draw, old, points)
+        table[">".join(sides)] = table.pop(key)
+    else:
+        old = key
+        new = respelled(draw, key, points)
+        table[new] = table.pop(key)
+    return command, doc, space, old, new
+
+
+def test_key_table_answers_as_the_key_parser():
+    seen = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(respelled_documents())
+    def check(case):
+        command, doc, space, old, new = case
+        keys = cli._open_keys(OpenLattice(space))
+        assert outcome(lambda: cli._lookup_openkey(new, keys, space)) == \
+            outcome(lambda: cli._parse_openkey(new, space))
+        document = Document("presheaf" if command != "glue-sheaves"
+                            else "gluing-datum", doc["payload"], "1")
+        with_table = outcome(lambda: execute(command, document, {}))
+        with mock.patch.object(cli, "_open_keys", lambda lattice: {}):
+            parsed = outcome(lambda: execute(command, document, {}))
+        assert with_table == parsed
+        seen.append((command, new == old, isinstance(parsed, tuple)))
+
+    check()
+    for command in ("check-sheaf", "glue-sheaves", "glue-map"):
+        respelled_ones = [r for c, same, r in seen if c == command and not same]
+        assert respelled_ones.count(True) >= 10, command
+        assert respelled_ones.count(False) >= 10, command

@@ -28,8 +28,9 @@ from glueforge.presheaf import (
     validate_presheaf,
 )
 
-from fixtures import close_family, presheaf_doc, seeded
-from oracles import presheaf_law_problems
+from fixtures import chain_space, close_family, presheaf_doc, seeded
+from oracles import gluing_datum_problems, presheaf_law_problems, \
+    unnatural_pairs
 
 
 def sierpinski():
@@ -692,3 +693,220 @@ def test_sheaf_preservation_on_random_data():
         assert flag, counter
         sep, _ = is_separated(glued, default_coverings(glued.lattice))
         assert sep
+
+
+# naturality decided on covering pairs, against the scan of every pair
+
+def two_chart_swap(space, stalks, changed):
+    """Two charts on the whole space with the function presheaf of
+    ``stalks``, and a transition that is the identity except at the opens
+    of ``changed``, where it exchanges the first two sections."""
+    charts = [("1", space.carrier.labels), ("2", space.carrier.labels)]
+    datum = chart_datum(space, charts, stalks)
+    comp = dict(datum.transitions[("1", "2")])
+    for o in changed:
+        first, second = comp[o].domain.labels[:2]
+        comp[o] = FinFn(comp[o].domain, comp[o].codomain,
+                        {**comp[o].mapping, first: second, second: first})
+    return GluingDatum(space, datum.charts, datum.locals,
+                       {("1", "2"): comp, ("2", "1"): comp})
+
+
+def lawless_datum():
+    """Two charts on the whole discrete space on p, q with one local
+    presheaf whose restriction from the whole space to the empty open is
+    constant while every other restriction is the identity, so composition
+    fails through both points; the transition exchanges the two sections at
+    every open.  It commutes with every restriction between covering pairs
+    and not with the direct one from the whole space to the empty open."""
+    space = two_point_discrete()
+    lat = OpenLattice(space)
+    two = FinSet(["0", "1"])
+    res = {(w, v): FinFn.identity(two) for w, v in lat.pairs_below()}
+    whole, empty = frozenset(["p", "q"]), frozenset()
+    res[(whole, empty)] = FinFn.constant(two, two, "0")
+    store = PresheafStore(lat, {o: two for o in lat.opens}, res)
+    swap = {o: FinFn(two, two, {"0": "1", "1": "0"}) for o in lat.opens}
+    charts = [("1", whole), ("2", whole)]
+    return GluingDatum(space, charts, {"1": store, "2": store},
+                       {("1", "2"): swap, ("2", "1"): swap})
+
+
+def test_lawless_locals_name_every_unnatural_pair():
+    composition = ("restriction composition ['p', 'q'] -> [%r] -> [] "
+                   "disagrees with the direct map")
+    assert lawless_datum().validate() == [
+        "chart 1: " + composition % "p", "chart 1: " + composition % "q",
+        "chart 2: " + composition % "p", "chart 2: " + composition % "q",
+        "transition '1' -> '2' is not natural from ['p', 'q'] to []",
+        "transition '2' -> '1' is not natural from ['p', 'q'] to []"]
+
+
+@st.composite
+def whole_chart_data(draw):
+    """Two charts on the whole of a discrete space or a chain of two or
+    three points, so the overlap lattice is the space's, with a random
+    stalk permutation per point as the transition."""
+    labels = ["p%d" % k for k in range(draw(st.integers(2, 3)))]
+    space = FinTop.discrete(FinSet(labels)) if draw(st.booleans()) \
+        else chain_space(labels)
+    carrier = space.carrier
+    stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}
+    twists = {}
+    for p in carrier:
+        perm = dict(zip(stalks[p], draw(st.permutations(stalks[p]))))
+        twists[("1", "2", p)] = perm
+        twists[("2", "1", p)] = {v: k for k, v in perm.items()}
+    charts = [("1", carrier.labels), ("2", carrier.labels)]
+    return chart_datum(space, charts, stalks, twists=twists)
+
+
+@st.composite
+def datum_with_one_changed_transition(draw):
+    """A twisted chart datum, with the transition between two charts
+    replaced, in about two thirds of the cases, by another bijection at one
+    overlap open, its values shifted along the section list (its reverse by
+    the inverse), which may break naturality at any pair through that
+    open."""
+    datum = draw(st.one_of(twisted_chart_data(), whole_chart_data()))
+    transitions = {k: dict(v) for k, v in datum.transitions.items()}
+    pairs = [(a, b, o) for (a, b), comp in sorted(datum.transitions.items(),
+                                                  key=repr)
+             if a != b for o in comp if len(comp[o].domain) > 1]
+    if pairs and draw(st.integers(0, 2)):
+        a, b, o = draw(st.sampled_from(pairs))
+        fn = transitions[(a, b)][o]
+        image = [fn.mapping[s] for s in fn.domain]
+        shift = draw(st.integers(1, len(image) - 1))
+        transitions[(a, b)][o] = FinFn(fn.domain, fn.codomain, dict(zip(
+            fn.domain.labels, image[shift:] + image[:shift])))
+        transitions[(b, a)][o] = transitions[(a, b)][o].inverse()
+    return GluingDatum(datum.space, datum.charts, datum.locals, transitions)
+
+
+def test_datum_naturality_on_covering_pairs_matches_every_pair():
+    kinds = []
+    discrete = two_point_discrete()
+    stalks = {"p": ["a", "b"], "q": ["x", "y"]}
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(datum_with_one_changed_transition())
+    @example(lawless_datum())
+    # unnatural only through the second maximal open of the whole space
+    @example(two_chart_swap(discrete, stalks, [frozenset(["q"])]))
+    @example(two_chart_swap(discrete, stalks, [frozenset(["p", "q"])]))
+    def check(datum):
+        problems = datum.validate()
+        assert problems == gluing_datum_problems(datum)
+        kinds.append(any("is not natural" in p for p in problems))
+
+    check()
+    assert kinds.count(True) >= 20
+    assert kinds.count(False) >= 20
+
+
+@st.composite
+def glue_map_parts(draw):
+    """Function presheaves ``source`` and ``target`` on a discrete space or
+    a chain of one to three points, a cover by open charts, and per chart
+    the transformation of a pointwise map of stalks (the identity, a twist
+    or any map) between their restrictions, one value of one component of
+    one part changed in about two thirds of the cases."""
+    labels = ["p%d" % k for k in range(draw(st.integers(1, 3)))]
+    space = FinTop.discrete(FinSet(labels)) if draw(st.booleans()) \
+        else chain_space(labels)
+    carrier = space.carrier
+    stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}
+    kind = draw(st.sampled_from(["identity", "twist", "any"]))
+    if kind == "any":
+        target_stalks = {p: ["u", "v"][:draw(st.integers(1, 2))]
+                         for p in carrier}
+        phi = {p: {v: draw(st.sampled_from(target_stalks[p]))
+                   for v in stalks[p]} for p in carrier}
+    else:
+        target_stalks = stalks
+        phi = {p: dict(zip(stalks[p], stalks[p] if kind == "identity"
+                           else draw(st.permutations(stalks[p]))))
+               for p in carrier}
+    source = function_presheaf(space, stalks)
+    target = function_presheaf(space, target_stalks)
+    opens = [o for o in space.opens if o]
+    members = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=3))
+    if frozenset().union(*members) != frozenset(carrier):
+        members.append(frozenset(carrier))
+    charts = [("c%d" % k, m) for k, m in enumerate(members)]
+    parts = {}
+    for name, m in charts:
+        sub_s, sub_t = restrict(source, m), restrict(target, m)
+        comps = {}
+        for o in sub_s.lattice.opens:
+            pts = sorted(o, key=carrier.position)
+            comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], {
+                s: ";".join("%s=%s" % (p, phi[p][v.split("=")[1]])
+                            for p, v in zip(pts, s.split(";"))) if pts
+                else s for s in sub_s.sections[o]})
+        parts[name] = NatTrans(sub_s, sub_t, comps)
+    changeable = [(name, o) for name, _ in charts
+                  for o, fn in parts[name].components.items()
+                  if len(fn.codomain) > 1]
+    if changeable and draw(st.integers(0, 2)):
+        name, o = draw(st.sampled_from(changeable))
+        part = parts[name]
+        fn = part.components[o]
+        comps = dict(part.components)
+        s = draw(st.sampled_from(fn.domain.labels))
+        comps[o] = FinFn(fn.domain, fn.codomain, {**fn.mapping, s: draw(
+            st.sampled_from([t for t in fn.codomain if t != fn.mapping[s]]))})
+        parts[name] = NatTrans(part.source, part.target, comps)
+    return space, charts, source, target, parts
+
+
+def swapped_part(changed):
+    """The identity transformation of a function presheaf on the discrete
+    space on p, q, one chart, its component at ``changed`` exchanging the
+    two sections."""
+    space = two_point_discrete()
+    store = function_presheaf(space, {"p": ["a"], "q": ["x", "y"]})
+    comps = {o: FinFn.identity(store.sections[o]) for o in store.lattice.opens}
+    first, second = store.sections[changed].labels
+    comps[changed] = FinFn(store.sections[changed], store.sections[changed],
+                           {first: second, second: first})
+    whole = frozenset(["p", "q"])
+    return (space, [("all", whole)], store, store,
+            {"all": NatTrans(store, store, comps)})
+
+
+def test_part_naturality_on_covering_pairs_matches_every_pair():
+    kinds = []
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(glue_map_parts())
+    # unnatural only through the second maximal open of the whole space
+    @example(swapped_part(frozenset(["q"])))
+    @example(swapped_part(frozenset(["p", "q"])))
+    def check(case):
+        space, charts, source, target, parts = case
+        expected = None
+        for name, _ in charts:
+            part = parts[name]
+            unnatural = unnatural_pairs(part.components, part.source,
+                                        part.target, part.source.lattice)
+            if unnatural:
+                expected = "part %r is not natural: %s" % (name, "; ".join(
+                    "naturality fails from %r to %r" % (sorted(w), sorted(v))
+                    for w, v in unnatural))
+                break
+        try:
+            glue_nat_trans(space, charts, source, target, parts)
+            message = None
+        except StructuralError as err:
+            message = str(err)
+        if expected is None:
+            assert message is None or "is not natural" not in message
+        else:
+            assert message == expected
+        kinds.append(expected is not None)
+
+    check()
+    assert kinds.count(True) >= 20
+    assert kinds.count(False) >= 20

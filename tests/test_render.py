@@ -2,11 +2,8 @@
 indent=2)`` writes, on generated reports and on every report of the
 benchmark's seed-1 documents, and refuses any type a report cannot hold."""
 
-import importlib
 import io
 import json
-import os
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +12,7 @@ from hypothesis import strategies as st
 from glueforge.cli import execute, load_document, render_report
 from glueforge.errors import GlueforgeError
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from fixtures import benchmark_items
 
 
 def dumped(report):
@@ -65,21 +62,6 @@ def test_emitter_matches_json_dumps_on_edge_cases(report):
 def test_emitter_refuses_what_a_report_cannot_hold(report):
     with pytest.raises(TypeError):
         render_report(report)
-
-
-def benchmark_items():
-    """The seed-1 document lists of every benchmark workload, built by the
-    benchmark's own generators (imported without writing byte code)."""
-    here = os.path.join(ROOT, "perfbench")
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.path.insert(0, here)
-    sys.dont_write_bytecode = True
-    try:
-        docs = importlib.import_module("docs")
-    finally:
-        sys.path[:], sys.dont_write_bytecode = saved
-    return [(workload, item) for workload in sorted(docs.WORKLOADS)
-            for item in docs.build(workload, 1)]
 
 
 def test_emitter_matches_json_dumps_on_benchmark_reports():
