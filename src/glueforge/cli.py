@@ -32,6 +32,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
@@ -201,10 +202,19 @@ def parse_gluing(payload):
         if "," in label:
             raise StructuralError("index label %r may not contain ','" % label)
     cat = IndexCat(mode, index)
+    known = set(cat.objects)
+    named = {}
     objects = {}
     spaces = {}
     for key, node in payload["objects"].items():
         obj = _parse_objkey(key, mode, cat)
+        if obj not in known:
+            raise StructuralError("objects entry %r names no index object"
+                                  % key)
+        if obj in named:
+            raise StructuralError("objects entries %r and %r name the same "
+                                  "index object" % (named[obj], key))
+        named[obj] = key
         carrier, space = parse_object(node, ambient)
         objects[obj] = carrier
         if space is not None:
@@ -217,6 +227,7 @@ def parse_gluing(payload):
         return objects[obj]
 
     arrows = {}
+    taus = {}
     for entry in payload["arrows"]:
         pair = _parse_objkey(entry["pair"], mode, cat)
         if len(pair) != 2:
@@ -226,6 +237,9 @@ def parse_gluing(payload):
             if i not in pair:
                 raise StructuralError("edge source %r not in pair %r"
                                       % (i, entry["pair"]))
+            if ("incl", i, pair) in arrows:
+                raise StructuralError("edge from %r to pair %r is given twice"
+                                      % (i, entry["pair"]))
             if direction == FROM_OVERLAPS:
                 dom, cod = carrier(pair), carrier((i,))
             else:
@@ -233,6 +247,10 @@ def parse_gluing(payload):
             arrows[("incl", i, pair)] = FinFn(dom, cod, entry["map"])
         else:
             i, j = pair
+            if pair in taus:
+                raise StructuralError("tau for pair %r is given twice"
+                                      % entry["pair"])
+            taus[pair] = entry["pair"]
             if (j, i) not in objects:
                 raise StructuralError("tau needs both pair orientations, "
                                       "%r is missing" % ((j, i),))
@@ -241,10 +259,16 @@ def parse_gluing(payload):
             # the generator carrying that map depends on the direction
             key = ("tau", (j, i)) if direction == FROM_OVERLAPS \
                 else ("tau", (i, j))
-            arrows.setdefault(key, fn)
             inverse_key = ("tau", (i, j)) if direction == FROM_OVERLAPS \
                 else ("tau", (j, i))
-            arrows.setdefault(inverse_key, fn.inverse())
+            inverse = fn.inverse()
+            # an entry for (j, i) gave this generator already, as its inverse
+            if arrows.get(key, fn) != fn:
+                raise StructuralError("tau for pair %r is not the inverse of "
+                                      "the tau for pair %r"
+                                      % (entry["pair"], taus[(j, i)]))
+            arrows[inverse_key] = inverse
+            arrows[key] = fn    # last: the two keys agree on the diagonal
     return GluingData(cat, ambient, objects, arrows, direction,
                       spaces or None)
 
@@ -412,7 +436,8 @@ def jsonable_object(carrier, space):
 
 
 def jsonable_fn(fn):
-    return {x: fn.mapping[x] for x in fn.domain}
+    # the mapping holds exactly the domain labels, and reports sort keys
+    return dict(fn.mapping)
 
 
 def glued_object_to_json(glued):
@@ -438,11 +463,12 @@ def _glue_command(doc, flags):
         if data.direction != FROM_OVERLAPS:
             raise StructuralError("colimit gluing needs from-overlaps data")
         glued = colimit_glue(data)
-        artifacts = {
-            "glued": glued_object_to_json(glued),
-            "classes": {k: sorted(v) for k, v
-                        in sorted(glued.witness["classes"].items())},
-        }
+        # every apex label is a class of itself unless it names a merged one
+        apex = glued.apex.labels
+        classes = dict(zip(apex, map(list, zip(apex))))
+        classes.update({name: sorted(members) for name, members
+                        in glued.witness["merged"].items()})
+        artifacts = {"glued": glued_object_to_json(glued), "classes": classes}
         if "delta" in doc.payload:
             node = doc.payload["delta"]
             comp = node["component"]
@@ -677,19 +703,36 @@ def report_exit_code(report):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _only(kind, items):
+    """Whether every one of ``items`` has exactly the type ``kind``."""
+    kinds = list(map(type, items))
+    return kinds.count(kind) == len(kinds)
+
+
 def _emit(node, indent):
     """``node`` as JSON, where ``indent`` is the newline and indentation of
-    the line it starts on; string members are encoded in place."""
+    the line it starts on; string members are encoded in place.
+
+    A dict whose values are all non-empty lists of strings only is written
+    by one comprehension, with no call of the emitter per value.  Whether to
+    try is decided from the type of its first value, so other dicts pay one
+    type test."""
     kind = type(node)
     if kind is dict:
         if not node:
             return "{}"
         inner = indent + "  "
         # the encoder raises TypeError on a key that is not a string
+        items = sorted(node.items())
+        first = items[0][1]
+        if type(first) is list and first and type(first[0]) is str \
+                and _only(list, node.values()) and all(node.values()) \
+                and _only(str, chain.from_iterable(node.values())):
+            return _emit_string_lists(items, indent, inner)
         return "{" + inner + ("," + inner).join([
             _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
                                      else _emit(v, inner))
-            for k, v in sorted(node.items())]) + indent + "}"
+            for k, v in items]) + indent + "}"
     if kind is list:
         if not node:
             return "[]"
@@ -708,6 +751,18 @@ def _emit(node, indent):
     if kind is int:
         return int.__repr__(node)
     raise TypeError("a report cannot hold a %s: %r" % (kind.__name__, node))
+
+
+def _emit_string_lists(items, indent, inner):
+    """The dict of these sorted ``(key, list)`` items, each list non-empty
+    and of strings only; kept apart from ``_emit`` so that the names its
+    comprehension reads cost the recursive calls nothing."""
+    deeper = inner + "  "
+    head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
+    return "{" + inner + ("," + inner).join([
+        _encode_str(k) + head + (_encode_str(v[0]) if len(v) == 1
+                                 else sep.join(map(_encode_str, v)))
+        + tail for k, v in items]) + indent + "}"
 
 
 def render_report(report):

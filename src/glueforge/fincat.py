@@ -6,8 +6,9 @@ neighbourhood of each point, from which every topology is built by a direct
 rule, and continuous maps between those, with their openness recorded.
 Everything is immutable after construction and every operation is a pure
 function, so shared values are safe to use concurrently.  A space keeps its
-list of opens and its subspaces once built; both are functions of the space,
-so a value kept by one caller is the value any other would build.
+list of opens, the maximal proper opens of each and its subspaces once
+built; all are functions of the space, so a value kept by one caller is the
+value any other would build.
 
 The public constructors validate what they are given.  Values the engine
 builds correct by construction (composites, identities, pullbacks,
@@ -30,6 +31,7 @@ classes) are built with the reserved separator ``|``; document parsers reject
 input labels containing it, which keeps generated names collision-free.
 """
 
+from itertools import compress, repeat
 from itertools import product as iproduct
 
 from .errors import StructuralError, charge
@@ -53,15 +55,13 @@ class FinSet:
 
     def __init__(self, labels):
         labels = tuple(labels)
-        pos = {}
-        for k, lab in enumerate(labels):
-            if not isinstance(lab, str):
-                raise StructuralError("labels must be strings, got %r" % (lab,))
-            if lab in pos:
-                raise StructuralError("duplicate label %r" % lab)
-            pos[lab] = k
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_pos", pos)
+        if all(map(isinstance, labels, repeat(str))):
+            pos = dict(zip(labels, range(len(labels))))
+            if len(pos) == len(labels):
+                object.__setattr__(self, "labels", labels)
+                object.__setattr__(self, "_pos", pos)
+                return
+        _refuse_labels(labels)
 
     @classmethod
     def from_distinct(cls, labels):
@@ -71,7 +71,7 @@ class FinSet:
         labels = tuple(labels)
         pos = dict(zip(labels, range(len(labels))))
         if len(pos) != len(labels):
-            return cls(labels)    # raises, naming the first duplicate
+            _refuse_labels(labels)
         fs = object.__new__(cls)
         object.__setattr__(fs, "labels", labels)
         object.__setattr__(fs, "_pos", pos)
@@ -106,6 +106,18 @@ class FinSet:
         return "FinSet(%r)" % (list(self.labels),)
 
 
+def _refuse_labels(labels):
+    """Raise naming the first label that is not a string or repeats one
+    before it; the constructors call this only once their bulk check fails."""
+    seen = set()
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise StructuralError("labels must be strings, got %r" % (lab,))
+        if lab in seen:
+            raise StructuralError("duplicate label %r" % lab)
+        seen.add(lab)
+
+
 class FinFn:
     """A total map between two finite sets, stored label to label."""
 
@@ -115,16 +127,13 @@ class FinFn:
         if not isinstance(domain, FinSet) or not isinstance(codomain, FinSet):
             raise StructuralError("FinFn endpoints must be FinSet")
         mapping = dict(mapping)
-        for x in domain:
-            if x not in mapping:
-                raise StructuralError("no value assigned to domain label %r" % x)
-            if mapping[x] not in codomain:
-                raise StructuralError(
-                    "value %r of %r is not a codomain label" % (mapping[x], x))
-        extra = set(mapping) - set(domain.labels)
-        if extra:
-            raise StructuralError("mapping assigns labels outside the domain: %r"
-                                  % sorted(extra))
+        try:
+            total = mapping.keys() == domain._pos.keys() and \
+                all(map(codomain._pos.__contains__, mapping.values()))
+        except TypeError:    # an unhashable value, worded in domain order
+            total = False
+        if not total:
+            _refuse_mapping(domain, codomain, mapping)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mapping", mapping)
@@ -193,12 +202,28 @@ class FinFn:
                                         self.mapping)
 
 
+def _refuse_mapping(domain, codomain, mapping):
+    """Raise naming the first domain label, in domain order, with no value or
+    with a value outside the codomain, else the labels outside the domain;
+    ``FinFn`` calls this only once its bulk check fails."""
+    for x in domain:
+        if x not in mapping:
+            raise StructuralError("no value assigned to domain label %r" % x)
+        if mapping[x] not in codomain:
+            raise StructuralError(
+                "value %r of %r is not a codomain label" % (mapping[x], x))
+    extra = set(mapping) - set(domain.labels)
+    if extra:
+        raise StructuralError("mapping assigns labels outside the domain: %r"
+                              % sorted(extra))
+
+
 class FinTop:
     """A finite topological space, stored as the minimal open neighbourhood
     ``nbhd[x]`` of each point ``x``: the opens are exactly the unions of these
     sets (Alexandroff 1937; Stong 1966)."""
 
-    __slots__ = ("carrier", "nbhd", "_opens", "_subspaces")
+    __slots__ = ("carrier", "nbhd", "_opens", "_subspaces", "_maximal")
 
     def __init__(self, carrier, opens):
         """Validate a listed family of opens: with the empty set in it, it is a
@@ -265,6 +290,17 @@ class FinTop:
                 charge(what, size)
         return kept[0]
 
+    def maximal_proper(self):
+        """Each open's maximal proper open subsets: a dict over ``opens`` in
+        their order, each list in that order too.  Built once per space from
+        its opens, charged as an access to them, and shared, so callers do
+        not change it."""
+        kept = getattr(self, "_maximal", None)    # unset until first asked
+        if kept is None:
+            kept = _maximal_proper(self, self.opens)
+            object.__setattr__(self, "_maximal", kept)
+        return kept
+
     def is_open(self, subset):
         subset = frozenset(subset)
         return all(x in self.nbhd and self.nbhd[x] <= subset for x in subset)
@@ -312,6 +348,20 @@ def _list_opens(space, what):
     pos = space.carrier.position
     return (tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o))))),
             tuple(sizes))
+
+
+def _maximal_proper(space, opens):
+    """Each open's maximal proper open subsets, in the order of ``opens``.
+    Each is the interior of the open minus one of its points ``p``: the
+    points whose minimal neighbourhood misses ``p``."""
+    nbhd = space.nbhd
+    rank = {o: k for k, o in enumerate(opens)}
+    out = {}
+    for u in opens:
+        inner = {frozenset(y for y in u if p not in nbhd[y]) for p in u}
+        out[u] = sorted((w for w in inner if not any(w < c for c in inner)),
+                        key=rank.__getitem__)
+    return out
 
 
 class TopMap:
@@ -517,38 +567,59 @@ def quotient_by_pairs(carrier, pairs):
     """Quotient a finite set by the equivalence closure of the given pairs.
 
     Each class is labelled by its lexicographically smallest member; classes
-    are ordered by first occurrence in the carrier.  Returns the quotient set
-    and the projection map, whose mapping lists the carrier in order.
+    are ordered by first occurrence in the carrier.  Returns the quotient set,
+    the projection map, whose mapping lists the carrier in order, and the
+    classes of two or more members: each under its name, in quotient order,
+    with its members in carrier order.  Every other label is a class of its
+    own, named by itself.
 
     Union-find over carrier positions (Tarjan 1975) with path halving: a
     union links the later root below the earlier, so every pointer runs
-    toward the front and each root is the first member of its class.  One
-    pass in carrier order then resolves every position to its root.
+    toward the front and each root is the first member of its class.  Only
+    the positions a union moved below a root are then resolved and named,
+    in carrier order, so the interpreted work follows the pairs; the names,
+    the roots and the projection come from bulk passes over the carrier.
     """
     at = carrier._pos
-    parent = list(range(len(carrier)))
+    labels = carrier.labels
+    n = len(labels)
+    parent = list(range(n))
+    moved = []    # each root linked below another, once
     for a, b in pairs:
-        if a not in at or b not in at:
-            raise StructuralError("pair (%r, %r) mentions labels outside the carrier"
-                                  % (a, b))
-        ra, rb = at[a], at[b]
+        try:
+            ra, rb = at[a], at[b]
+        except KeyError:
+            raise StructuralError("pair (%r, %r) mentions labels outside the "
+                                  "carrier" % (a, b)) from None
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
         while parent[rb] != rb:
             parent[rb] = rb = parent[parent[rb]]
         if ra < rb:
             parent[rb] = ra
+            moved.append(rb)
         elif rb < ra:
             parent[ra] = rb
-    for k, p in enumerate(parent):
-        parent[k] = parent[p]
-    members = {}
-    for x, r in zip(carrier.labels, parent):
-        members.setdefault(r, []).append(x)
-    name = {r: min(cls) for r, cls in members.items()}
-    q = FinSet.from_distinct(name.values())
-    return q, FinFn.from_total(carrier, q,
-                               dict(zip(carrier.labels, map(name.get, parent))))
+            moved.append(ra)
+    # in carrier order each moved position's pointer leads to a root or to
+    # an earlier moved position, which is resolved by then; the roots are
+    # the positions kept as quotient labels
+    keep = bytearray(b"\x01") * n
+    groups = {}
+    for k in sorted(moved):
+        parent[k] = r = parent[parent[k]]
+        keep[k] = 0
+        groups.setdefault(r, [r]).append(k)
+    names = list(labels)
+    classes = {}
+    for r in sorted(groups):
+        members = [labels[k] for k in groups[r]]
+        name = min(members)
+        for k in groups[r]:
+            names[k] = name
+        classes[name] = members
+    q = FinSet.from_distinct(compress(names, keep))
+    return q, FinFn.from_total(carrier, q, dict(zip(labels, names))), classes
 
 
 def induce_topology(mode, carrier, maps, spaces):

@@ -37,7 +37,6 @@ from .fincat import (
     map_properties,
     pullback,
     quotient_by_pairs,
-    tag,
     top_pullback,
 )
 from .indexcat import NONSPLIT, SPLIT, gen_endpoints
@@ -229,15 +228,24 @@ def _overlap_maps(data):
         else:
             t = data.tau_from((j, i)).mapping    # ambient map G(i,j) -> G(j,i)
             e_j = data.edge(j, (j, i)).mapping
-            into_j = {u: e_j[t[u]] for u in overlap}
+            into_j = dict(zip(overlap.labels, map(
+                e_j.__getitem__, map(t.__getitem__, overlap.labels))))
         out.append((i, j, overlap, data.edge(i, pair_obj).mapping, into_j))
     return out
 
 
+def _tagged(i, labels):
+    """``tag(i, x)`` for each of ``labels``, in one pass."""
+    return map((i + SEP).__add__, labels)
+
+
 def colimit_relation_pairs(data):
     """The generating identifications on the tagged disjoint union."""
-    return [(tag(i, e_i[u]), tag(j, e_j[u]))
-            for i, j, overlap, e_i, e_j in _overlap_maps(data) for u in overlap]
+    pairs = []
+    for i, j, overlap, e_i, e_j in _overlap_maps(data):
+        pairs.extend(zip(_tagged(i, map(e_i.__getitem__, overlap.labels)),
+                         _tagged(j, map(e_j.__getitem__, overlap.labels))))
+    return pairs
 
 
 def colimit_glue(data):
@@ -245,29 +253,30 @@ def colimit_glue(data):
     components modulo the congruence closure of the overlap identifications.
 
     The partition is built once, by ``quotient_by_pairs`` on the tagged
-    coproduct, and kept in ``witness["classes"]``: each class name, in apex
-    order, with its members in coproduct order.  Component legs are slices
-    of the projection at each component's offset; overlap legs factor
-    through the stored edge maps.  In the top ambient the apex carries the
-    final topology over the component legs.
+    coproduct, whose classes of two or more members are kept in
+    ``witness["merged"]``: each class name, in apex order, with its members
+    in coproduct order.  Every other apex label is a class of one coproduct
+    label, itself.  Component legs are slices of the projection at each
+    component's offset; overlap legs factor through the stored edge maps.
+    In the top ambient the apex carries the final topology over the
+    component legs.
     """
     _require_valid(data, FROM_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
-    coproduct = FinSet.from_distinct(
-        [tag(i, x) for i, carrier in zip(comps, carriers) for x in carrier])
-    apex, pi = quotient_by_pairs(coproduct, colimit_relation_pairs(data))
-    classes = {}
-    for x, q in pi.mapping.items():
-        classes.setdefault(q, []).append(x)
-    values = list(pi.mapping.values())
-    legs = {}
-    offset = 0
+    labels = []
     for i, carrier in zip(comps, carriers):
-        legs[(i,)] = FinFn.from_total(carrier, apex, dict(
-            zip(carrier.labels, values[offset:offset + len(carrier)])))
-        offset += len(carrier)
+        labels.extend(_tagged(i, carrier.labels))
+    coproduct = FinSet.from_distinct(labels)
+    apex, pi, merged = quotient_by_pairs(coproduct,
+                                         colimit_relation_pairs(data))
+    # the projection lists the components in turn, and zip stops on the
+    # exhausted carrier before drawing past its component
+    values = iter(pi.mapping.values())
+    legs = {(i,): FinFn.from_total(carrier, apex,
+                                   dict(zip(carrier.labels, values)))
+            for i, carrier in zip(comps, carriers)}
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
@@ -281,7 +290,7 @@ def colimit_glue(data):
             leg_props[obj] = map_properties(
                 TopMap(legs[obj], data.space(obj), space))
     return GluedObject("colimit", apex, space, legs, leg_props,
-                       {"coproduct": coproduct, "classes": classes})
+                       {"coproduct": coproduct, "merged": merged})
 
 
 def _limit_constraints(data):

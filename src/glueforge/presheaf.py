@@ -14,9 +14,10 @@ relations of the lattice of opens.  A listed family of coverings is scanned
 only to name the first counterexample of a false verdict.  Naturality of
 transitions and of the parts of a glued transformation is decided on the
 same covering relations, between presheaves whose laws hold; every pair is
-scanned only otherwise, or to name a failure.  A space lists its opens
-once and shares its subspaces, so the chart, overlap and triple-overlap
-lattices of one datum are built from one listing each.
+scanned only otherwise, or to name a failure.  A space lists its opens,
+and the maximal proper opens of each, once and shares its subspaces, so
+the chart, overlap and triple-overlap lattices of one datum are built from
+one listing each.
 """
 
 from itertools import product as iproduct
@@ -84,27 +85,13 @@ class PresheafStore:
         return self.sections[frozenset(o)]
 
 
-def _maximal_proper(lattice):
-    """Each open's maximal proper open subsets, in lattice order.  Each is the
-    interior of the open minus one of its points ``p``: the points whose
-    minimal neighbourhood misses ``p``."""
-    nbhd = lattice.space.nbhd
-    rank = {o: k for k, o in enumerate(lattice.opens)}
-    out = {}
-    for u in lattice.opens:
-        inner = {frozenset(y for y in u if p not in nbhd[y]) for p in u}
-        out[u] = sorted((w for w in inner if not any(w < c for c in inner)),
-                        key=rank.__getitem__)
-    return out
-
-
 def _composes_on_covers(store, below):
     """Whether res(x, v) = res(w, v) . res(x, w) wherever ``w`` is a maximal
     proper open of ``x`` and ``v`` is below ``w``.  With the identities this
     gives every triple, by induction on the length of a chain from x to w.
     Each map is read as the tuple of its values on the sections over x."""
     res = store.res
-    for x, maximal in _maximal_proper(store.lattice).items():
+    for x, maximal in store.lattice.space.maximal_proper().items():
         labels = store.sections[x].labels
         if not labels:    # nothing to compare, and no itemgetter of nothing
             continue
@@ -208,10 +195,10 @@ def default_coverings(lattice):
     """The default covering list: trivial covers, maximal-proper-open covers
     where those cover, and the empty cover of the empty open."""
     covers = []
-    for u, maximal in _maximal_proper(lattice).items():
+    for u, maximal in lattice.space.maximal_proper().items():
         covers.append((u, [u]))
         if maximal and frozenset().union(*maximal) == u:
-            covers.append((u, maximal))
+            covers.append((u, list(maximal)))
     covers.append((frozenset(), []))
     return covers
 
@@ -465,7 +452,7 @@ def _natural_on_covers(comp, source, target, lattice):
     the laws it says nothing, and callers scan with ``_unnatural``."""
     return all(commutes((comp[w], target.res[(w, u)]),
                         (source.res[(w, u)], comp[u]))
-               for w, maximal in _maximal_proper(lattice).items()
+               for w, maximal in lattice.space.maximal_proper().items()
                for u in maximal)
 
 

@@ -229,7 +229,7 @@ def compose_gluings(meta):
     for (i, j), idents in meta.overlaps.items():
         for (a, x), (b, y) in idents:
             pairs.append((_meta_tag(i, a, x), _meta_tag(j, b, y)))
-    apex, pi = quotient_by_pairs(coproduct, pairs)
+    apex, pi, _ = quotient_by_pairs(coproduct, pairs)
     legs = {}
     for i in meta.index:
         node = meta.nodes[i]

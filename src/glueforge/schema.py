@@ -11,7 +11,11 @@ WWW 2016): ``$ref``, ``type`` (string/array/object), ``minLength``,
 ``$id``, ``title`` and ``$defs`` are annotations.  Any other keyword, a
 non-string ``enum``/``const`` value or a recursive ``$ref`` raises
 ``SchemaCompileError``, so a schema edit that the compiler does not
-understand fails at import instead of being skipped.
+understand fails at import instead of being skipped.  A container of string
+leaves (``items``, or ``additionalProperties`` with no named properties,
+whose schema accepts exactly the strings of some least length) is checked
+by one comprehension over the whole container rather than one call per
+member.
 
 The compiled checker accepts exactly the documents jsonschema accepts
 (``tests/test_schema.py`` compares the two); jsonschema is imported only
@@ -27,11 +31,19 @@ IMPLEMENTED = frozenset({"$ref", "type", "minLength", "enum", "const", "items",
                          "required", "properties", "additionalProperties",
                          "oneOf"})
 IGNORED = frozenset({"$schema", "$id", "title", "$defs"})
+# the keywords of a schema that accepts exactly the strings of a least length
+LEAF = frozenset({"$ref", "type", "minLength"})
 TYPES = {"string": str, "array": list, "object": dict}
 
 
 class SchemaCompileError(ValueError):
     """A schema uses something the compiler does not implement."""
+
+
+def _strings(values, least):
+    """Whether every one of ``values`` is a string of at least ``least``
+    characters: one pass over the container, with no call per member."""
+    return all([isinstance(v, str) and len(v) >= least for v in values])
 
 
 def _all(checks):
@@ -51,22 +63,39 @@ def compile_schemas(schemas):
     by_id = {s["$id"]: s for s in schemas}
     done = {}
 
-    def ref(target, base):
+    def resolve(target, base):
         uri, _, pointer = target.partition("#")
         uri = uri or base
-        key = uri + "#" + pointer
+        try:
+            node = by_id[uri]
+            for part in filter(None, pointer.split("/")):
+                node = node[part.replace("~1", "/").replace("~0", "~")]
+        except (KeyError, TypeError):
+            raise SchemaCompileError("unresolvable $ref %r" % target)
+        return uri + "#" + pointer, node, uri
+
+    def ref(target, base):
+        key, node, uri = resolve(target, base)
         if key not in done:
             done[key] = None
-            try:
-                node = by_id[uri]
-                for part in filter(None, pointer.split("/")):
-                    node = node[part.replace("~1", "/").replace("~0", "~")]
-            except (KeyError, TypeError):
-                raise SchemaCompileError("unresolvable $ref %r" % target)
             done[key] = build(node, uri)
         if done[key] is None:
             raise SchemaCompileError("recursive $ref %r" % target)
         return done[key]
+
+    def leaf(s, base, seen=()):
+        """The least length when ``s`` accepts exactly the strings of some
+        least length, through any ``$ref``; None for any other schema."""
+        if not isinstance(s, dict) or set(s) - LEAF - IGNORED:
+            return None
+        least = s.get("minLength", 0)
+        if type(least) is not int or s.get("type", "string") != "string":
+            return None
+        if "$ref" in s:
+            key, node, uri = resolve(s["$ref"], base)
+            inner = None if key in seen else leaf(node, uri, seen + (key,))
+            return None if inner is None else max(least, inner)
+        return least if "type" in s else None
 
     def build(s, base):
         if isinstance(s, bool):
@@ -95,10 +124,20 @@ def compile_schemas(schemas):
                 checks.append(lambda x, ok=frozenset(ok):
                               isinstance(x, str) and x in ok)
         if "items" in s:
-            item = build(s["items"], base)
-            checks.append(lambda x: not isinstance(x, list)
-                          or all(map(item, x)))
-        if {"required", "properties", "additionalProperties"} & set(s):
+            shortest = leaf(s["items"], base)
+            if shortest is not None:
+                checks.append(lambda x: not isinstance(x, list)
+                              or _strings(x, shortest))
+            else:
+                item = build(s["items"], base)
+                checks.append(lambda x: not isinstance(x, list)
+                              or all(map(item, x)))
+        # a string-valued object with no named properties: its values at once
+        least = leaf(s.get("additionalProperties"), base)
+        if least is not None and not {"required", "properties"} & set(s):
+            checks.append(lambda x: not isinstance(x, dict)
+                          or _strings(x.values(), least))
+        elif {"required", "properties", "additionalProperties"} & set(s):
             required = s.get("required", ())
             props = {k: build(v, base)
                      for k, v in s.get("properties", {}).items()}

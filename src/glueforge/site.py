@@ -294,9 +294,11 @@ def effective_gluing_check(data):
     for a, b in colimit_relation_pairs(data):
         rel |= {(a, b), (b, a)}
     # rel is symmetric and reflexive, so it is transitive exactly when it is
-    # the equivalence it generates, whose classes are those of the glued apex
-    transitive = len(rel) == sum(
-        len(members) ** 2 for members in glued.witness["classes"].values())
+    # the equivalence it generates, whose classes are those of the glued
+    # apex: the merged ones and a singleton for every other apex label
+    merged = glued.witness["merged"].values()
+    transitive = len(rel) == sum(len(members) ** 2 for members in merged) \
+        + len(glued.apex) - len(merged)
 
     diagnostics = {"pairs": {}, "legs": {}}
     edge_emb = {}

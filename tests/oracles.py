@@ -212,7 +212,7 @@ def two_stage_partition(meta):
     pairs = [(tag(i, node_glued[i].legs[a](x)), tag(j, node_glued[j].legs[b](y)))
              for (i, j), idents in meta.overlaps.items()
              for (a, x), (b, y) in idents]
-    _, pi = quotient_by_pairs(elements, pairs)
+    _, pi, _ = quotient_by_pairs(elements, pairs)
     classes = {}
     for i in meta.index:
         node = meta.nodes[i]

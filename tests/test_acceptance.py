@@ -69,9 +69,13 @@ def test_criterion_1_colimit_oracle_equivalence():
         oracle = naive_closure_partition(labels, colimit_relation_pairs(data))
         assert glued_partition(data, glued) == oracle
         assert len(glued.apex) == len(oracle)
-        # the kept partition: each class under its smallest member, classes
-        # in apex order, members in coproduct order
-        classes = glued.witness["classes"]
+        # the kept partition: each class of two or more members under its
+        # smallest member, classes in apex order, members in coproduct
+        # order; every other apex label is the class of itself alone
+        merged = glued.witness["merged"]
+        assert all(len(members) > 1 for members in merged.values())
+        assert list(merged) == [q for q in glued.apex if q in merged]
+        classes = {q: merged.get(q, [q]) for q in glued.apex}
         assert list(classes) == list(glued.apex.labels)
         assert {frozenset(c) for c in classes.values()} == oracle
         at = {x: k for k, x in enumerate(labels)}

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -961,3 +962,121 @@ def test_refine_with_invalid_source_data_is_structural(tmp_path, capsys):
     assert captured.err == ("glueforge: structural error: invalid gluing "
                             "data: generator ('incl', '3', ('2', '3')) has "
                             "no arrow\n")
+
+
+# documents whose meaning would depend on the order of their entries
+
+GOLDEN_COLIMIT = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "perfbench", "golden", "glue-colimit-sets.json")
+
+
+def golden_colimit_doc():
+    with open(GOLDEN_COLIMIT, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def split_pair_doc(taus):
+    """Split data on two one-point components glued along a one-point
+    overlap, with these tau entries."""
+    doc = e1_payload()
+    doc["payload"].update(mode="split", objects={
+        "1": ["a"], "2": ["b"], "1,2": ["u"], "2,1": ["v"]}, arrows=[
+        {"kind": "edge", "from": "1", "pair": "1,2", "map": {"u": "a"}},
+        {"kind": "edge", "from": "2", "pair": "2,1", "map": {"v": "b"}},
+    ] + taus)
+    return doc
+
+
+def structural_error(tmp_path, capsys, doc):
+    path = write_doc(tmp_path, doc, "ambiguous.json")
+    assert main(["glue", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_a_second_edge_for_the_same_pair_is_structural(tmp_path, capsys):
+    doc = golden_colimit_doc()
+    arrows = doc["payload"]["arrows"]
+    # the same edge again with another value: either order would be taken
+    arrows.append(dict(arrows[0], map={"o1_2_0": "x1_0"}))
+    for order in (arrows, [arrows[-1]] + arrows[:-1]):
+        doc["payload"]["arrows"] = order
+        assert structural_error(tmp_path, capsys, doc) == (
+            "glueforge: structural error: edge from '1' to pair '1,2' is "
+            "given twice\n")
+
+
+def test_an_edge_under_the_reversed_nonsplit_pair_is_a_second_edge(
+        tmp_path, capsys):
+    doc = e1_payload()
+    doc["payload"]["arrows"].append(
+        {"kind": "edge", "from": "2", "pair": "2,1", "map": {"u": "b1"}})
+    assert structural_error(tmp_path, capsys, doc) == (
+        "glueforge: structural error: edge from '2' to pair '2,1' is given "
+        "twice\n")
+
+
+def test_a_repeated_tau_is_structural(tmp_path, capsys):
+    tau = {"kind": "tau", "pair": "1,2", "map": {"u": "v"}}
+    doc = split_pair_doc([tau, dict(tau)])
+    assert structural_error(tmp_path, capsys, doc) == (
+        "glueforge: structural error: tau for pair '1,2' is given twice\n")
+
+
+def test_taus_of_both_orientations_must_be_inverse(tmp_path, capsys):
+    agree = split_pair_doc([{"kind": "tau", "pair": "1,2", "map": {"u": "v"}},
+                            {"kind": "tau", "pair": "2,1", "map": {"v": "u"}}])
+    path = write_doc(tmp_path, agree, "agree.json")
+    assert main(["glue", "--input", path]) == 0
+    capsys.readouterr()
+    # one orientation of a two-point overlap swaps, the other does not
+    doc = split_pair_doc([])
+    doc["payload"]["objects"].update({"1,2": ["u", "w"], "2,1": ["v", "z"]})
+    doc["payload"]["arrows"][0]["map"] = {"u": "a", "w": "a"}
+    doc["payload"]["arrows"][1]["map"] = {"v": "b", "z": "b"}
+    taus = [{"kind": "tau", "pair": "1,2", "map": {"u": "v", "w": "z"}},
+            {"kind": "tau", "pair": "2,1", "map": {"v": "w", "z": "u"}}]
+    for order, second, first in ((taus, "2,1", "1,2"),
+                                 (taus[::-1], "1,2", "2,1")):
+        doc["payload"]["arrows"][2:] = order
+        assert structural_error(tmp_path, capsys, doc) == (
+            "glueforge: structural error: tau for pair %r is not the inverse "
+            "of the tau for pair %r\n" % (second, first))
+
+
+def test_a_repeated_diagonal_tau_is_structural(tmp_path, capsys):
+    tau = {"kind": "tau", "pair": "1,1", "map": {"a": "a"}}
+    doc = split_pair_doc([tau, dict(tau)])
+    doc["payload"]["objects"]["1,1"] = ["a"]
+    assert structural_error(tmp_path, capsys, doc) == (
+        "glueforge: structural error: tau for pair '1,1' is given twice\n")
+
+
+def test_both_spellings_of_a_nonsplit_pair_are_structural(tmp_path, capsys):
+    doc = golden_colimit_doc()
+    objects = doc["payload"]["objects"]
+    # "2,1" names the object "1,2" names; the later entry would win
+    for first, second in (("1,2", "2,1"), ("2,1", "1,2")):
+        entries = {k: v for k, v in objects.items() if k != "1,2"}
+        entries.update({first: objects["1,2"], second: ["o1_2_0", "extra"]})
+        doc["payload"]["objects"] = entries
+        assert structural_error(tmp_path, capsys, doc) == (
+            "glueforge: structural error: objects entries %r and %r name the "
+            "same index object\n" % (first, second))
+
+
+@pytest.mark.parametrize("mode, key", [("nonsplit", "4"), ("split", "4"),
+                                       ("split", "1,4")])
+def test_an_objects_entry_off_the_index_is_structural(tmp_path, capsys, mode,
+                                                      key):
+    doc = golden_colimit_doc()
+    payload = doc["payload"]
+    if mode == "split":
+        doc = split_pair_doc([{"kind": "tau", "pair": "1,2",
+                               "map": {"u": "v"}}])
+        payload = doc["payload"]
+    payload["objects"][key] = ["stray"]
+    assert structural_error(tmp_path, capsys, doc) == (
+        "glueforge: structural error: objects entry %r names no index "
+        "object\n" % key)

@@ -25,6 +25,45 @@ def test_finset_rejects_duplicates():
         FinSet(["a", "a"])
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["a", "b", "a", "b"], "duplicate label 'a'"),
+    (["a", "b", "b", "a"], "duplicate label 'b'"),
+    (["a", 1, "a"], "labels must be strings, got 1"),
+    (["a", "a", 1], "duplicate label 'a'"),
+    (["a", None, 2.5], "labels must be strings, got None"),
+    ([["a"], "a"], "labels must be strings, got ['a']"),
+])
+def test_finset_names_the_first_bad_label(labels, message):
+    with pytest.raises(StructuralError) as err:
+        FinSet(labels)
+    assert str(err.value) == message
+    if all(isinstance(x, str) for x in labels):
+        with pytest.raises(StructuralError) as err:
+            FinSet.from_distinct(labels)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"y": "0"}, "no value assigned to domain label 'x'"),
+    ({"x": "0", "z": "1"}, "no value assigned to domain label 'y'"),
+    ({"x": "2", "y": "3"}, "value '2' of 'x' is not a codomain label"),
+    ({"y": "3", "x": "0"}, "value '3' of 'y' is not a codomain label"),
+    ({"x": "0", "y": "1", "w": "0", "v": "1"},
+     "mapping assigns labels outside the domain: ['v', 'w']"),
+    ({"x": "0", "y": 1}, "value 1 of 'y' is not a codomain label"),
+])
+def test_finfn_names_the_first_bad_label(mapping, message):
+    with pytest.raises(StructuralError) as err:
+        FinFn(FinSet(["x", "y"]), FinSet(["0", "1"]), mapping)
+    assert str(err.value) == message
+
+
+def test_finfn_keeps_its_own_copy_of_a_valid_mapping():
+    mapping = {"y": "1", "x": "0"}
+    fn = FinFn(FinSet(["x", "y"]), FinSet(["0", "1"]), mapping)
+    assert fn.mapping == mapping and fn.mapping is not mapping
+
+
 def test_finset_keeps_order():
     s = FinSet(["b", "a", "c"])
     assert list(s) == ["b", "a", "c"]
@@ -103,14 +142,14 @@ def test_pullback_symmetric_up_to_swap():
 
 def test_quotient_empty_relation_is_identity():
     s = FinSet(["a", "b", "c"])
-    q, pi = quotient_by_pairs(s, [])
+    q, pi, _ = quotient_by_pairs(s, [])
     assert list(q) == ["a", "b", "c"]
     assert all(pi(x) == x for x in s)
 
 
 def test_quotient_transitive_chain():
     s = FinSet(["a", "b", "c"])
-    q, pi = quotient_by_pairs(s, [("a", "b"), ("b", "c")])
+    q, pi, _ = quotient_by_pairs(s, [("a", "b"), ("b", "c")])
     assert list(q) == ["a"]
     assert naive_closure_partition(s.labels, [("a", "b"), ("b", "c")]) == {
         frozenset(["a", "b", "c"])}
@@ -118,7 +157,7 @@ def test_quotient_transitive_chain():
 
 def test_quotient_two_classes():
     s = FinSet(["a", "b", "c", "d"])
-    q, pi = quotient_by_pairs(s, [("a", "b"), ("c", "d")])
+    q, pi, _ = quotient_by_pairs(s, [("a", "b"), ("c", "d")])
     assert list(q) == ["a", "c"]
     assert pi("b") == "a" and pi("d") == "c"
 
@@ -137,7 +176,7 @@ def test_quotient_matches_naive_closure_on_random_instances():
         s = FinSet(labels)
         pairs = [(rng.choice(labels), rng.choice(labels))
                  for _ in range(rng.randint(0, 20))]
-        q, pi = quotient_by_pairs(s, pairs)
+        q, pi, _ = quotient_by_pairs(s, pairs)
         got = {frozenset(x for x in labels if pi(x) == c) for c in q}
         assert got == naive_closure_partition(labels, pairs)
         # canonical class labels
@@ -162,19 +201,30 @@ def test_quotient_classes_names_and_order_match_the_naive_closure():
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(carriers_with_pairs())
     @example(([], []))
+    @example((["b", "a", "c"], []))
     @example((["b", "a"], [("b", "b")]))
+    @example((["b", "a"], [("b", "b"), ("a", "a"), ("b", "b")]))
     @example((["c", "b", "a"], [("c", "a"), ("c", "a"), ("a", "c")]))
+    # pairs that touch every position
+    @example((["c", "b", "a", "d"], [("c", "b"), ("a", "d")]))
+    @example((["c", "b", "a", "d"], [("d", "a"), ("b", "a"), ("c", "d")]))
     def check(case):
         labels, pairs = case
         carrier = FinSet(labels)
-        q, pi = quotient_by_pairs(carrier, pairs)
+        q, pi, merged = quotient_by_pairs(carrier, pairs)
         assert list(pi.mapping) == labels
         classes = [[x for x in labels if pi(x) == c] for c in q]
-        assert {frozenset(c) for c in classes} == \
-            naive_closure_partition(labels, pairs)
+        naive = naive_closure_partition(labels, pairs)
+        assert {frozenset(c) for c in classes} == naive
         assert list(q) == [min(c) for c in classes]
         firsts = [labels.index(c[0]) for c in classes]
         assert firsts == sorted(firsts)
+        # the merged classes, in quotient order, members in carrier order
+        assert merged == {min(c): c for c in classes if len(c) > 1}
+        assert list(merged) == [min(c) for c in classes if len(c) > 1]
+        # the sum of squared class sizes the effectiveness check compares
+        assert sum(len(c) ** 2 for c in merged.values()) + len(q) \
+            - len(merged) == sum(len(c) ** 2 for c in naive)
         # "d" is outside the drawn alphabet
         for bad in [("dddd", "dddd")] + [(x, "dddd") for x in labels[:1]]:
             with pytest.raises(StructuralError, match="outside the carrier"):

@@ -1,7 +1,8 @@
-"""Each space lists its opens once and shares its subspaces, without
-changing what the cap refuses or what equality sees; documents name opens
-through a table of canonical keys that answers as ``_parse_openkey`` does;
-and a presheaf command lists each point set's opens at most once."""
+"""Each space lists its opens and their maximal proper opens once and
+shares its subspaces, without changing what the cap refuses or what
+equality sees; documents name opens through a table of canonical keys that
+answers as ``_parse_openkey`` does; and a presheaf command lists each point
+set's opens, and finds their maximal proper opens, at most once."""
 
 import io
 import json
@@ -78,7 +79,7 @@ def test_kept_opens_and_subspaces_leave_the_value_alone():
     fresh = chain_space(["a", "b", "c"])
     assert space == fresh and fresh == space
     assert hash(space) == hash(fresh)
-    for name in ("carrier", "nbhd", "_opens", "_subspaces"):
+    for name in ("carrier", "nbhd", "_opens", "_subspaces", "_maximal"):
         with pytest.raises(AttributeError, match="FinTop is immutable"):
             setattr(space, name, None)
 
@@ -125,6 +126,44 @@ def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
     assert commands == {"check-sheaf", "glue-sheaves", "glue-map"}
     # every key the benchmark writes is canonical, so none is parsed
     assert parsed == []
+
+
+def test_a_presheaf_command_finds_each_space_s_maximal_opens_once(
+        monkeypatch):
+    found = []
+    maximal_proper = fincat._maximal_proper
+
+    def counted(space, opens):
+        found.append(frozenset(space.carrier.labels))
+        return maximal_proper(space, opens)
+
+    monkeypatch.setattr(fincat, "_maximal_proper", counted)
+    asked = 0
+    for _, item in benchmark_items(["sheaf-checks"]):
+        found.clear()
+        doc = load_document(io.StringIO(json.dumps(item["doc"])))
+        render_report(execute(item["command"], doc, item["flags"]))
+        assert len(found) == len(set(found)), item["name"]
+        asked += len(found)
+    assert asked > 0
+
+
+def test_kept_maximal_opens_are_those_of_a_fresh_space():
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(small_spaces())
+    def check(space):
+        kept = space.maximal_proper()
+        assert space.maximal_proper() is kept
+        fresh = copy_of(space)
+        assert fresh.maximal_proper() == kept
+        assert list(kept) == list(space.opens)
+        for u, maximal in kept.items():
+            # the open sets properly inside u with no open set between them
+            inside = [w for w in space.opens if w < u]
+            assert maximal == [w for w in inside
+                               if not any(w < c for c in inside)]
+
+    check()
 
 
 # keys spelled in every way a document may spell them

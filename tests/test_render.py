@@ -40,10 +40,43 @@ def test_emitter_matches_json_dumps(report):
     assert render_report(report) == dumped(report)
 
 
+# containers the emitter writes in bulk, each with one foreign member
+# planted at a random position, or none
+FOREIGN = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.just([]), st.just({}), st.lists(TEXT, max_size=2),
+                    st.dictionaries(TEXT, TEXT, max_size=2))
+
+
+@st.composite
+def planted(draw, members):
+    """A list of ``members``, maybe with one foreign member planted."""
+    items = draw(st.lists(members, max_size=12))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(FOREIGN))
+    return items
+
+
+STRING_LISTS = planted(TEXT)
+LISTS_OF_STRING_LISTS = st.dictionaries(
+    TEXT, st.one_of(st.lists(TEXT, min_size=1, max_size=6), STRING_LISTS,
+                    FOREIGN), max_size=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(STRING_LISTS, LISTS_OF_STRING_LISTS,
+                 st.lists(STRING_LISTS, max_size=4)))
+def test_emitter_matches_json_dumps_on_homogeneous_containers(node):
+    report = {"a": node, "b": {"c": node}}
+    assert render_report(report) == dumped(report)
+
+
 @pytest.mark.parametrize("report", [
     {}, {"a": []}, {"a": {}}, {"a": [[], {}, [{}]]}, {"": ""},
     {"b": 1, "a": True, "c": None, "d": False, "e": -0, "f": 10 ** 30},
     {"z": {"y": [1, "x", {"w": [None]}]}, "Z": "é \U0001f600"},
+    # dicts that start as a dict of string lists and then stop being one
+    {"a": {"b": ["x"], "c": []}}, {"a": {"b": ["x"], "c": "y"}},
+    {"a": {"b": ["x"], "c": [["y"]]}}, {"a": {"b": ["x", "y"], "c": None}},
 ])
 def test_emitter_matches_json_dumps_on_edge_cases(report):
     assert render_report(report) == dumped(report)
@@ -58,6 +91,12 @@ def test_emitter_matches_json_dumps_on_edge_cases(report):
     {"a": {None: 1}},
     {"a": [{True: 1}]},
     {"a": {"b", "c"}},
+    # containers that start as the emitter's bulk paths expect
+    {"a": ["x", 0.5]},
+    {"a": {"b": ["x", ("y",)]}},
+    {"a": {"b": ["x"], "c": [1.5]}},
+    {"a": {"b": ["x"], 2: ["y"]}},
+    {"a": ["x", type("Text", (str,), {})("y")]},
 ])
 def test_emitter_refuses_what_a_report_cannot_hold(report):
     with pytest.raises(TypeError):

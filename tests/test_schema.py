@@ -204,6 +204,60 @@ def test_own_schemas_agree_with_jsonschema(own, instance):
     assert checker(instance) == oracle(instance, "test:own", registry)
 
 
+class Text(str):
+    """A string of a subclass, which both checkers take as a string."""
+
+
+# string-leaf containers, checked over the whole container at once
+LEAF_ITEMS = {"type": "array", "items": {"$ref": "#/$defs/label"},
+              "$defs": {"label": {"type": "string", "minLength": 2}}}
+LEAF_VALUES = {"type": "object",
+               "additionalProperties": {"type": "string", "minLength": 1}}
+REF_CHAIN = {"items": {"$ref": "#/$defs/s", "minLength": 3},
+             "additionalProperties": {"$ref": "#/$defs/t"},
+             "$defs": {"s": {"$ref": "#/$defs/t", "minLength": 1},
+                       "t": {"type": "string"}}}
+UNTYPED_ITEMS = {"items": {"minLength": 2},
+                 "additionalProperties": {"minLength": 1}}
+NAMED_AND_LEAF = {"required": ["k"], "properties": {"k": {"type": "array"}},
+                  "additionalProperties": {"type": "string"}}
+LEAF_CONTAINERS = [
+    [], [""], ["a"], ["ab"], ["ab", "a"], ["abc", "ab", ""], ["ab", 1],
+    [1, "ab"], ["ab", None], ["ab", ["ab"]], [Text("ab")], [Text("a")],
+    {}, {"k": ""}, {"k": "a"}, {"k": "abc", "l": ""}, {"k": 1},
+    {"k": "a", "l": Text("b")}, {"k": ["a"]}, {"k": [], "l": "a"},
+    {"l": "a"}, "ab", 1,
+]
+
+
+@pytest.mark.parametrize("own", [LEAF_ITEMS, LEAF_VALUES, REF_CHAIN,
+                                 UNTYPED_ITEMS, NAMED_AND_LEAF])
+@pytest.mark.parametrize("instance", LEAF_CONTAINERS)
+def test_string_leaf_containers_agree_with_jsonschema(own, instance):
+    own = dict(own, **{"$schema": DRAFT, "$id": "test:own"})
+    registry = Registry().with_resource(own["$id"],
+                                        Resource.from_contents(own))
+    checker = schema.compile_schemas([own])["test:own"]
+    assert checker(instance) == oracle(instance, "test:own", registry)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("index", ["1", ""]), ("index", ["1", 2]), ("index", ["1", Text("2")]),
+    ("index", []), ("objects", {"1": ["a0", ""], "2": ["b0"], "1,2": ["u"]}),
+    ("objects", {"1": ["a0", None], "2": ["b0"], "1,2": ["u"]}),
+    ("map", {"u": ""}), ("map", {"u": 1}), ("map", {"u": Text("a2")}),
+    ("map", {}),
+])
+def test_shipped_label_arrays_and_mappings_agree_with_jsonschema(where,
+                                                                   value):
+    doc = e1_document()
+    if where == "map":
+        doc["payload"]["arrows"][0]["map"] = value
+    else:
+        doc["payload"][where] = value
+    assert_agrees(doc)
+
+
 def e1_document():
     return {"version": "1", "kind": "gluing", "payload": {
         "mode": "nonsplit", "ambient": "sets", "direction": "from-overlaps",
