@@ -170,17 +170,44 @@ def load_document(stream_or_path):
     return Document(kind, raw["payload"], raw["version"])
 
 
-def parse_object(node, ambient):
-    """An object node: a label list in sets, points plus opens in top."""
+def parse_object(node, ambient, table=None):
+    """An object node: a label list in sets, points plus opens in top.
+
+    ``table`` holds the objects one parse has built so far, under the tuple
+    of their points.  A node equal to an earlier one gets the same carrier
+    and space, built and validated once; a node with the same points and
+    other opens gets the same carrier and a space of its own."""
     if ambient == "sets":
         if not isinstance(node, list):
             raise StructuralError("set objects are label arrays")
-        return FinSet(node), None
-    if not isinstance(node, dict):
+        points, opens = node, None
+    elif not isinstance(node, dict):
         raise StructuralError("top objects need points and opens")
-    carrier = FinSet(node["points"])
-    space = FinTop(carrier, [frozenset(o) for o in node["opens"]])
+    else:
+        points, opens = node["points"], node["opens"]
+    kept = []
+    if table is not None:
+        try:
+            kept = table.setdefault(tuple(points), kept)
+        except TypeError:    # an unhashable label, which FinSet words
+            pass
+    for listed, carrier, space in kept:
+        if listed == opens:
+            return carrier, space
+    carrier = kept[0][1] if kept else FinSet(points)
+    space = None if opens is None else FinTop(carrier, opens)
+    kept.append((opens, carrier, space))
     return carrier, space
+
+
+def _claim(named, resolved, key, entries, what):
+    """Record that document key ``key`` of ``entries`` names ``resolved``,
+    refusing a key that names what an earlier key named: the later entry
+    would otherwise win, and the document would mean what its order says."""
+    earlier = named.setdefault(resolved, key)
+    if earlier != key:
+        raise StructuralError("%s entries %r and %r name the same %s"
+                              % (entries, earlier, key, what))
 
 
 def _parse_objkey(key, mode, cat):
@@ -193,7 +220,11 @@ def _parse_objkey(key, mode, cat):
     raise StructuralError("bad index object key %r" % key)
 
 
-def parse_gluing(payload):
+def parse_gluing(payload, table=None):
+    """The gluing data of a payload; ``table`` is ``parse_object``'s, shared
+    when one document holds several gluings."""
+    if table is None:
+        table = {}
     mode = payload["mode"]
     ambient = payload["ambient"]
     direction = payload["direction"]
@@ -211,11 +242,8 @@ def parse_gluing(payload):
         if obj not in known:
             raise StructuralError("objects entry %r names no index object"
                                   % key)
-        if obj in named:
-            raise StructuralError("objects entries %r and %r name the same "
-                                  "index object" % (named[obj], key))
-        named[obj] = key
-        carrier, space = parse_object(node, ambient)
+        _claim(named, obj, key, "objects", "index object")
+        carrier, space = parse_object(node, ambient, table)
         objects[obj] = carrier
         if space is not None:
             spaces[obj] = space
@@ -273,12 +301,12 @@ def parse_gluing(payload):
                       spaces or None)
 
 
-def _parse_sink_body(body, ambient):
+def _parse_sink_body(body, ambient, table):
     """A ``{target, sources}`` node as a Sink."""
-    target, target_space = parse_object(body["target"], ambient)
+    target, target_space = parse_object(body["target"], ambient, table)
     sources = []
     for node in body["sources"]:
-        carrier, space = parse_object(node["object"], ambient)
+        carrier, space = parse_object(node["object"], ambient, table)
         fn = FinFn(carrier, target, node["map"])
         sources.append((node["name"], space if ambient == "top" else carrier,
                         fn))
@@ -287,25 +315,27 @@ def _parse_sink_body(body, ambient):
 
 def parse_sink(payload):
     ambient = payload["ambient"]
-    sink = _parse_sink_body(payload, ambient)
+    table = {}
+    sink = _parse_sink_body(payload, ambient, table)
     tests = []
     for node in payload.get("tests", []):
-        carrier, space = parse_object(node["object"], ambient)
+        carrier, space = parse_object(node["object"], ambient, table)
         fn = FinFn(carrier, sink.target, node["map"])
         tests.append((fn, space) if ambient == "top" else fn)
-    inner = {name: _parse_sink_body(body, ambient)
+    inner = {name: _parse_sink_body(body, ambient, table)
              for name, body in payload.get("inner", {}).items()}
     return sink, tests, inner
 
 
 def parse_site(payload):
     ambient = payload["ambient"]
-    coverings = [_parse_sink_body(body, ambient)
+    table = {}
+    coverings = [_parse_sink_body(body, ambient, table)
                  for body in payload["coverings"]]
     morphisms = []
     for node in payload["morphisms"]:
-        dom, dom_space = parse_object(node["dom"], ambient)
-        cod, cod_space = parse_object(node["cod"], ambient)
+        dom, dom_space = parse_object(node["dom"], ambient, table)
+        cod, cod_space = parse_object(node["cod"], ambient, table)
         fn = FinFn(dom, cod, node["map"])
         if ambient == "top":
             morphisms.append(TopMap(fn, dom_space, cod_space))
@@ -345,9 +375,13 @@ def _parse_presheaf_body(body, space):
     lat = OpenLattice(space)
     keys = _open_keys(lat)
     sections = {}
+    named = {}
     for key, labels in body["sections"].items():
-        sections[_lookup_openkey(key, keys, space)] = FinSet(labels)
+        o = _lookup_openkey(key, keys, space)
+        _claim(named, o, key, "sections", "open set")
+        sections[o] = FinSet(labels)
     res = {}
+    named = {}
     for key, mapping in body["restrictions"].items():
         if ">" not in key:
             raise StructuralError("restriction key %r must look like 'W>V'"
@@ -361,6 +395,7 @@ def _parse_presheaf_body(body, space):
         if w not in sections or v not in sections:
             raise StructuralError("restriction %r mentions opens without "
                                   "sections" % key)
+        _claim(named, (w, v), key, "restrictions", "inclusion")
         res[(w, v)] = FinFn(sections[w], sections[v], mapping)
     return PresheafStore(lat, sections, res), keys
 
@@ -405,8 +440,10 @@ def parse_gluing_datum(payload):
         sub = space.subspace(members[a] & members[b])
         keys = _open_keys(OpenLattice(sub))
         comp = {}
+        named = {}
         for key, mapping in node["components"].items():
             o = _lookup_openkey(key, keys, sub)
+            _claim(named, o, key, "components", "open set")
             comp[o] = FinFn(locals_[a].sections[o], locals_[b].sections[o],
                             mapping)
         transitions[(a, b)] = comp
@@ -414,14 +451,17 @@ def parse_gluing_datum(payload):
 
 
 def parse_refinement(payload):
-    source = parse_gluing(payload["source"])
-    target = parse_gluing(payload["target"])
+    table = {}
+    source = parse_gluing(payload["source"], table)
+    target = parse_gluing(payload["target"], table)
     gamma = FinFn(target.indexcat.index, source.indexcat.index,
                   payload["gamma"])
     stub = Refinement(source, target, gamma, {})
     components = {}
+    named = {}
     for key, mapping in payload["components"].items():
         obj = _parse_objkey(key, target.indexcat.mode, target.indexcat)
+        _claim(named, obj, key, "components", "index object")
         dom = source.carrier(stub.reindexed(obj))
         components[obj] = FinFn(dom, target.carrier(obj), mapping)
     return Refinement(source, target, gamma, components)
@@ -431,7 +471,7 @@ def jsonable_object(carrier, space):
     if space is None:
         return list(carrier.labels)
     return {"points": list(space.carrier.labels),
-            "opens": [sorted(o, key=space.carrier.position)
+            "opens": [sorted(o, key=space.carrier._pos.__getitem__)
                       for o in space.opens]}
 
 
@@ -627,8 +667,10 @@ def _glue_map_command(doc, flags):
         sub_t = restrict(target, members)
         keys = _open_keys(sub_s.lattice)
         comps = {}
+        named = {}
         for key, mapping in glue_map["parts"][name].items():
             o = _lookup_openkey(key, keys, sub_s.lattice.space)
+            _claim(named, o, key, "parts", "open set")
             comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], mapping)
         parts[name] = NatTrans(sub_s, sub_t, comps)
     glued = glue_nat_trans(space, charts, store, target, parts)

@@ -31,8 +31,10 @@ classes) are built with the reserved separator ``|``; document parsers reject
 input labels containing it, which keeps generated names collision-free.
 """
 
+from functools import reduce
 from itertools import compress, repeat
 from itertools import product as iproduct
+from operator import and_, or_
 
 from .errors import StructuralError, charge
 
@@ -221,34 +223,46 @@ def _refuse_mapping(domain, codomain, mapping):
 class FinTop:
     """A finite topological space, stored as the minimal open neighbourhood
     ``nbhd[x]`` of each point ``x``: the opens are exactly the unions of these
-    sets (Alexandroff 1937; Stong 1966)."""
+    sets (Alexandroff 1937; Stong 1966).  The document parsers build one
+    space per distinct object of a document, so equal objects there are one
+    instance, validated once and sharing its kept opens and subspaces."""
 
     __slots__ = ("carrier", "nbhd", "_opens", "_subspaces", "_maximal")
 
     def __init__(self, carrier, opens):
-        """Validate a listed family of opens: with the empty set in it, it is a
-        topology exactly when it holds ``O | nbhd[x]`` for every member ``O``
-        and point ``x``, ``nbhd[x]`` being the meet of the members around x."""
+        """Validate a listed family of opens: with the empty set and the
+        carrier in it, it is a topology exactly when it holds ``O | nbhd[x]``
+        for every member ``O`` and point ``x``, ``nbhd[x]`` being the meet of
+        the members around x.
+
+        The check runs on int masks over carrier positions, one bit a point:
+        a member's mask is the OR of its points' bits, ``nbhd[x]`` the AND of
+        the masks holding x's bit.  Only the neighbourhoods become frozensets,
+        each the set of a listed member.  A family that fails is scanned
+        again as frozensets, which names what is wrong."""
         if not isinstance(carrier, FinSet):
             raise StructuralError("carrier must be a FinSet")
-        opens = [frozenset(o) for o in opens]
-        family = set(opens)
-        full = frozenset(carrier.labels)
-        for o in opens:
-            if not o <= full:
-                raise StructuralError("open set %r is not a subset of the carrier"
-                                      % sorted(o))
-        if frozenset() not in family or full not in family:
-            raise StructuralError("opens must contain the empty set and the carrier")
-        nbhd = {x: full.intersection(*[o for o in family if x in o])
-                for x in carrier}
-        missing = [o | nbhd[x] for o in opens for x in carrier
-                   if o | nbhd[x] not in family]
-        if missing:
-            raise StructuralError("opens not closed under union and "
-                                  "intersection: %r is missing" % sorted(missing[0]))
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "nbhd", nbhd)
+        opens = list(opens)
+        labels = carrier.labels
+        bits = dict(zip(labels, map((1).__lshift__, range(len(labels)))))
+        try:
+            masks = [reduce(or_, map(bits.__getitem__, o), 0) for o in opens]
+        except (KeyError, TypeError):    # a member with a point not listed
+            masks = ()
+        family = set(masks)
+        full = (1 << len(labels)) - 1
+        if 0 in family and full in family:
+            nb = [reduce(and_, [m for m in family if m & b], full)
+                  for b in bits.values()]
+            hoods = set(nb)
+            if {o | u for o in family for u in hoods} <= family:
+                listed = dict(zip(masks, opens))
+                hoods = {u: frozenset(listed[u]) for u in hoods}
+                object.__setattr__(self, "carrier", carrier)
+                object.__setattr__(self, "nbhd",
+                                   dict(zip(labels, map(hoods.__getitem__, nb))))
+                return
+        _refuse_opens(carrier, opens)
 
     @classmethod
     def from_nbhd(cls, carrier, nbhd):
@@ -324,14 +338,39 @@ class FinTop:
         return sub
 
     def __eq__(self, other):
-        return (isinstance(other, FinTop) and self.carrier == other.carrier
-                and self.nbhd == other.nbhd)
+        return self is other or (isinstance(other, FinTop)
+                                 and self.carrier == other.carrier
+                                 and self.nbhd == other.nbhd)
 
     def __hash__(self):
         return hash((self.carrier, tuple(self.nbhd[x] for x in self.carrier)))
 
     def __repr__(self):
         return "FinTop(%r, %r)" % (list(self.carrier), self.nbhd)
+
+
+def _refuse_opens(carrier, opens):
+    """Raise naming, in this order, the first listed open that is not a
+    subset of the carrier, a missing empty set or carrier, or the first
+    union ``O | nbhd[x]``, in list and carrier order, that is not listed;
+    ``FinTop`` calls this only once its check on masks fails."""
+    opens = [frozenset(o) for o in opens]
+    family = set(opens)
+    full = frozenset(carrier.labels)
+    for o in opens:
+        if not o <= full:
+            raise StructuralError("open set %r is not a subset of the carrier"
+                                  % sorted(o))
+    if frozenset() not in family or full not in family:
+        raise StructuralError("opens must contain the empty set and the carrier")
+    nbhd = {x: full.intersection(*[o for o in family if x in o])
+            for x in carrier}
+    for o in opens:
+        for x in carrier:
+            if o | nbhd[x] not in family:
+                raise StructuralError("opens not closed under union and "
+                                      "intersection: %r is missing"
+                                      % sorted(o | nbhd[x]))
 
 
 def _list_opens(space, what):
@@ -377,9 +416,11 @@ class TopMap:
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
         is_open = True
-        for x in dom.carrier:
-            image = frozenset(fn.mapping[y] for y in dom.nbhd[x])
-            target = cod.nbhd[fn.mapping[x]]
+        mapping = fn.mapping
+        image_of = mapping.__getitem__
+        for x, u in dom.nbhd.items():
+            image = frozenset(map(image_of, u))
+            target = cod.nbhd[mapping[x]]
             if not image <= target:
                 raise StructuralError("map is not continuous at %r" % x)
             is_open = is_open and image == target

@@ -15,7 +15,10 @@ understand fails at import instead of being skipped.  A container of string
 leaves (``items``, or ``additionalProperties`` with no named properties,
 whose schema accepts exactly the strings of some least length) is checked
 by one comprehension over the whole container rather than one call per
-member.
+member.  So is a container of such containers (arrays of label arrays,
+objects of label arrays or of string mappings), over all its members' strings
+at once; only when that check fails are the members checked one by one,
+which keeps every verdict exact.
 
 The compiled checker accepts exactly the documents jsonschema accepts
 (``tests/test_schema.py`` compares the two); jsonschema is imported only
@@ -24,6 +27,7 @@ to word the error of a rejected document.
 
 import json
 from importlib import resources
+from itertools import chain
 
 NAMES = ("document", "defs", "gluing", "sink", "site", "presheaf",
          "gluing-datum", "refinement")
@@ -44,6 +48,17 @@ def _strings(values, least):
     """Whether every one of ``values`` is a string of at least ``least``
     characters: one pass over the container, with no call per member."""
     return all([isinstance(v, str) and len(v) >= least for v in values])
+
+
+def _nested_strings(members, kind, least):
+    """Whether every one of ``members`` has exactly the type ``kind`` (list
+    or dict) and holds, as items or as values, only strings of at least
+    ``least`` characters: one pass over all the members' strings."""
+    if not all([type(m) is kind for m in members]):
+        return False
+    if kind is dict:
+        members = [m.values() for m in members]
+    return _strings(chain.from_iterable(members), least)
 
 
 def _all(checks):
@@ -97,6 +112,28 @@ def compile_schemas(schemas):
             return None if inner is None else max(least, inner)
         return least if "type" in s else None
 
+    def nested(s, base, seen=()):
+        """``(list, least)`` when ``s`` accepts exactly the arrays whose
+        items are strings of some least length, ``(dict, least)`` when
+        exactly the objects whose values are, through any ``$ref``; None for
+        any other schema."""
+        if not isinstance(s, dict):
+            return None
+        if "$ref" in s:
+            if set(s) - {"$ref"} - IGNORED:
+                return None
+            key, node, uri = resolve(s["$ref"], base)
+            return None if key in seen else nested(node, uri, seen + (key,))
+        words = set(s) - IGNORED
+        if words == {"type", "items"} and s["type"] == "array":
+            kind, least = list, leaf(s["items"], base)
+        elif words == {"type", "additionalProperties"} \
+                and s["type"] == "object":
+            kind, least = dict, leaf(s["additionalProperties"], base)
+        else:
+            return None
+        return None if least is None else (kind, least)
+
     def build(s, base):
         if isinstance(s, bool):
             return (lambda x: True) if s else (lambda x: False)
@@ -130,8 +167,14 @@ def compile_schemas(schemas):
                               or _strings(x, shortest))
             else:
                 item = build(s["items"], base)
-                checks.append(lambda x: not isinstance(x, list)
-                              or all(map(item, x)))
+                inner = nested(s["items"], base)
+                if inner is None:
+                    checks.append(lambda x: not isinstance(x, list)
+                                  or all(map(item, x)))
+                else:
+                    checks.append(lambda x: not isinstance(x, list)
+                                  or _nested_strings(x, *inner)
+                                  or all(map(item, x)))
         # a string-valued object with no named properties: its values at once
         least = leaf(s.get("additionalProperties"), base)
         if least is not None and not {"required", "properties"} & set(s):
@@ -155,7 +198,14 @@ def compile_schemas(schemas):
                     if c is not None and not c(v):
                         return False
                 return True
-            checks.append(obj)
+            inner = None if {"required", "properties"} & set(s) \
+                else nested(s.get("additionalProperties"), base)
+            if inner is None:
+                checks.append(obj)
+            else:
+                checks.append(lambda x: not isinstance(x, dict)
+                              or _nested_strings(x.values(), *inner)
+                              or obj(x))
         if "oneOf" in s:
             branches = [build(b, base) for b in s["oneOf"]]
             checks.append(lambda x: sum(b(x) for b in branches) == 1)

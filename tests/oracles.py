@@ -1,7 +1,8 @@
 """Reference recomputations that the engine's fast paths are tested against.
 
 Each oracle computes its answer the long way round, by a different
-construction from the one in ``glueforge``: a quotient's classes as the
+construction from the one in ``glueforge``: a space's neighbourhoods by
+intersecting frozensets rather than bitmasks, a quotient's classes as the
 closure of a relation grown to a fixed point, the limit as a literal
 equalizer of two maps between products, the composite gluing in two
 stages, the hom bijection by enumerating every map out of the glued
@@ -66,6 +67,32 @@ def naive_closure_partition(labels, pairs):
                 related[x] = grown
                 changed = True
     return {frozenset(related[x]) for x in labels}
+
+
+def nbhd_by_frozensets(carrier, opens):
+    """The minimal neighbourhoods of a listed family of opens, validated on
+    frozensets: each member is a subset of the carrier, the empty set and the
+    carrier are listed, and ``O | nbhd[x]`` is listed for every member ``O``
+    and point ``x``, ``nbhd[x]`` being the meet of the members around x.
+    Raises, as ``FinTop`` must, on the first check that fails, the unions
+    taken in list and carrier order.  No bitmasks."""
+    opens = [frozenset(o) for o in opens]
+    family = set(opens)
+    full = frozenset(carrier.labels)
+    for o in opens:
+        if not o <= full:
+            raise StructuralError("open set %r is not a subset of the carrier"
+                                  % sorted(o))
+    if frozenset() not in family or full not in family:
+        raise StructuralError("opens must contain the empty set and the carrier")
+    nbhd = {x: full.intersection(*[o for o in family if x in o])
+            for x in carrier}
+    missing = [o | nbhd[x] for o in opens for x in carrier
+               if o | nbhd[x] not in family]
+    if missing:
+        raise StructuralError("opens not closed under union and "
+                              "intersection: %r is missing" % sorted(missing[0]))
+    return nbhd
 
 
 def commutes_by_composites(path, other=()):

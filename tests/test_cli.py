@@ -1080,3 +1080,132 @@ def test_an_objects_entry_off_the_index_is_structural(tmp_path, capsys, mode,
     assert structural_error(tmp_path, capsys, doc) == (
         "glueforge: structural error: objects entry %r names no index "
         "object\n" % key)
+
+
+def golden_doc(name):
+    with open(os.path.join(os.path.dirname(GOLDEN_COLIMIT), name + ".json"),
+              encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def with_entry(entries, key, value, before):
+    """``entries`` with ``key: value`` added as the first or the last entry."""
+    added = {key: value}
+    return dict(added, **entries) if before else dict(entries, **added)
+
+
+def respelling_error(tmp_path, capsys, command, doc, before, original,
+                     respelled, entries, what):
+    """Run ``command`` on ``doc``, which holds ``respelled`` beside
+    ``original``, and check the error names both, in document order."""
+    path = write_doc(tmp_path, doc, "respelled.json")
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first, second = (respelled, original) if before else (original, respelled)
+    assert captured.err == (
+        "glueforge: structural error: %s entries %r and %r name the same %s\n"
+        % (entries, first, second, what))
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_both_spellings_of_a_refinement_component_are_structural(
+        tmp_path, capsys, before):
+    doc = golden_doc("refine-limit")
+    payload = doc["payload"]
+    # a 3-cycle where "1,2" is the identity; the later entry would win
+    payload["components"] = with_entry(
+        payload["components"], "2,1", {"k0": "k1", "k1": "k2", "k2": "k0"},
+        before)
+    respelling_error(tmp_path, capsys, "refine", doc, before, "1,2", "2,1",
+                     "components", "index object")
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_both_spellings_of_a_sections_key_are_structural(tmp_path, capsys,
+                                                         before):
+    doc = golden_doc("check-sheaf")
+    body = doc["payload"]["presheaf"]
+    body["sections"] = with_entry(
+        body["sections"], "p0,p1",
+        body["sections"]["p1,p0"] + ["p1=v2;p0=v0"], before)
+    respelling_error(tmp_path, capsys, "check-sheaf", doc, before, "p1,p0",
+                     "p0,p1", "sections", "open set")
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_both_spellings_of_a_restrictions_key_are_structural(tmp_path, capsys,
+                                                             before):
+    doc = golden_doc("check-sheaf")
+    body = doc["payload"]["presheaf"]
+    body["restrictions"] = with_entry(
+        body["restrictions"], "p0,p1>p0",
+        dict.fromkeys(body["restrictions"]["p1,p0>p0"], "p0=v0"), before)
+    respelling_error(tmp_path, capsys, "check-sheaf", doc, before,
+                     "p1,p0>p0", "p0,p1>p0", "restrictions", "inclusion")
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_both_spellings_of_a_transition_component_are_structural(
+        tmp_path, capsys, before):
+    doc = golden_doc("glue-sheaves")
+    node = doc["payload"]["transitions"][0]
+    # "," spells the empty open as "" does
+    node["components"] = with_entry(node["components"], ",", {"()": "()"},
+                                    before)
+    respelling_error(tmp_path, capsys, "glue-sheaves", doc, before, "", ",",
+                     "components", "open set")
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_both_spellings_of_a_glue_map_part_are_structural(tmp_path, capsys,
+                                                          before):
+    doc = golden_doc("glue-map")
+    parts = doc["payload"]["glue_map"]["parts"]
+    parts["c0"] = with_entry(parts["c0"], "p0,p1", parts["c0"]["p1,p0"],
+                             before)
+    respelling_error(tmp_path, capsys, "glue-map", doc, before, "p1,p0",
+                     "p0,p1", "parts", "open set")
+
+
+def discrete_object(points):
+    return {"points": points,
+            "opens": [[]] + [[p] for p in points] + [points]}
+
+
+def test_equal_objects_in_one_sink_document_share_one_space():
+    payload = {"ambient": "top", "target": discrete_object(["a", "b"]),
+               "sources": [{"name": "u", "object": discrete_object(["a"]),
+                            "map": {"a": "a"}},
+                           {"name": "v", "object": discrete_object(["b"]),
+                            "map": {"b": "b"}}],
+               "tests": [{"object": discrete_object(["a"]),
+                          "map": {"a": "b"}},
+                         {"object": discrete_object(["a", "b"]),
+                          "map": {"a": "a", "b": "b"}}]}
+    sink, tests, _ = cli.parse_sink(payload)
+    (_, u, _), (_, v, _) = sink.sources
+    (first, first_space), (second, second_space) = tests
+    assert first_space is u and first.domain is u.carrier
+    assert second_space is sink.target_space
+    assert second.domain is sink.target
+    assert v is not u
+    # another document builds its spaces anew
+    again, _, _ = cli.parse_sink(payload)
+    assert again.target_space is not sink.target_space
+    assert again.target_space == sink.target_space
+
+
+def test_equal_points_with_other_opens_give_two_spaces():
+    points = ["a", "b"]
+    sierpinski = {"points": points, "opens": [[], ["a"], ["a", "b"]]}
+    payload = {"ambient": "top", "target": sierpinski,
+               "sources": [{"name": "u", "object": discrete_object(points),
+                            "map": {"a": "a", "b": "b"}}]}
+    sink, _, _ = cli.parse_sink(payload)
+    (_, u, _), = sink.sources
+    assert u.carrier is sink.target
+    assert u is not sink.target_space
+    assert u != sink.target_space
+    assert u.nbhd == {"a": {"a"}, "b": {"b"}}
+    assert sink.target_space.nbhd == {"a": {"a"}, "b": {"a", "b"}}

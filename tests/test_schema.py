@@ -241,6 +241,44 @@ def test_string_leaf_containers_agree_with_jsonschema(own, instance):
     assert checker(instance) == oracle(instance, "test:own", registry)
 
 
+# containers of string-leaf containers, checked over all members at once
+NESTED_ITEMS = {"type": "array", "items": {"$ref": "#/$defs/labels"},
+                "$defs": {"labels": {"type": "array",
+                                     "items": {"type": "string",
+                                               "minLength": 1}}}}
+NESTED_VALUES = {"type": "object",
+                 "additionalProperties": {"$ref": "#/$defs/labels"},
+                 "$defs": {"labels": {"type": "array",
+                                      "items": {"type": "string",
+                                                "minLength": 1}}}}
+NESTED_MAPPINGS = {"type": "object",
+                   "additionalProperties": {"type": "object",
+                                            "additionalProperties": {
+                                                "type": "string"}}}
+NESTED_WITH_SIBLING = {"items": {"$ref": "#/$defs/labels", "minLength": 2},
+                       "$defs": {"labels": {"type": "array",
+                                            "items": {"type": "string"}}}}
+NESTED_CONTAINERS = [
+    [], [[]], [["a"], ["b", "c"]], [["a"], [""]], [["a"], "b"], [["a"], 1],
+    [["a"], {"k": "a"}], [{"k": "a"}], [["a", ["b"]]], [[Text("a")]],
+    [["a"], None], {}, {"k": []}, {"k": ["a"], "l": ["b"]}, {"k": ["a", ""]},
+    {"k": ["a"], "l": "b"}, {"k": {"a": "b"}}, {"k": {"a": ""}},
+    {"k": {"a": 1}}, {"k": {"a": "b"}, "l": ["c"]}, {"k": {}},
+    {"k": {"a": Text("b")}}, {"k": {"a": ["b"]}}, "ab", 1,
+]
+
+
+@pytest.mark.parametrize("own", [NESTED_ITEMS, NESTED_VALUES, NESTED_MAPPINGS,
+                                 NESTED_WITH_SIBLING])
+@pytest.mark.parametrize("instance", NESTED_CONTAINERS)
+def test_nested_string_containers_agree_with_jsonschema(own, instance):
+    own = dict(own, **{"$schema": DRAFT, "$id": "test:own"})
+    registry = Registry().with_resource(own["$id"],
+                                        Resource.from_contents(own))
+    checker = schema.compile_schemas([own])["test:own"]
+    assert checker(instance) == oracle(instance, "test:own", registry)
+
+
 @pytest.mark.parametrize("where, value", [
     ("index", ["1", ""]), ("index", ["1", 2]), ("index", ["1", Text("2")]),
     ("index", []), ("objects", {"1": ["a0", ""], "2": ["b0"], "1,2": ["u"]}),

@@ -3,6 +3,7 @@ definitions on listed open families: closure of rectangles and preimages,
 traces of opens, the scan of all subsets, and preimages and images of opens."""
 
 import json
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from glueforge.fincat import (
     top_pullback,
 )
 
+import oracles
 from fixtures import close_family
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -186,6 +188,49 @@ def test_fintop_accepts_exactly_the_topologies(data):
     else:
         with pytest.raises(StructuralError):
             FinTop(carrier, family)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_fintop_agrees_with_the_frozenset_scan(data):
+    """Verdict, neighbourhoods and error text match the frozenset oracle on
+    topologies, families with a member dropped (the empty set, the carrier
+    or another), random families with and without the empty set and the
+    carrier, and families with a point off the carrier, each open a
+    frozenset or a label list with repeats."""
+    carrier = FinSet(["p%d" % k for k in range(data.draw(st.integers(0, 6)))])
+    subsets = st.lists(st.booleans(), min_size=len(carrier),
+                       max_size=len(carrier)).map(
+        lambda bits: list(compress(carrier.labels, bits)))
+    seeds = data.draw(st.lists(subsets, max_size=5))
+    family = [frozenset(o) for o in seeds]
+    kind = data.draw(st.sampled_from(["topology", "dropped", "random", "bare",
+                                      "stray"]))
+    if kind == "random":
+        family += [frozenset(), frozenset(carrier.labels)]
+    if kind not in ("random", "bare"):
+        family = sorted(close_family(carrier, family),
+                        key=lambda o: sorted(o))
+        family = data.draw(st.permutations(family))
+    if kind == "dropped" and family:
+        del family[data.draw(st.integers(0, len(family) - 1))]
+    if kind == "stray":
+        family.insert(data.draw(st.integers(0, len(family))),
+                      frozenset(data.draw(subsets)) | {"q"})
+    if data.draw(st.booleans()):
+        # label lists in a drawn order, some with a point repeated
+        family = [data.draw(st.permutations(sorted(o)))
+                  + data.draw(st.lists(st.sampled_from(sorted(o)), max_size=1)
+                              if o else st.just([]))
+                  for o in family]
+    try:
+        expected = oracles.nbhd_by_frozensets(carrier, family)
+    except StructuralError as err:
+        with pytest.raises(StructuralError) as got:
+            FinTop(carrier, family)
+        assert str(got.value) == str(err)
+    else:
+        assert FinTop(carrier, family).nbhd == expected
 
 
 def test_product_of_two_4_point_discrete_spaces():
