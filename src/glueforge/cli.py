@@ -418,6 +418,11 @@ def parse_gluing_datum(payload):
     _, space = parse_object(payload["space"], "top")
     charts = [(node["name"], frozenset(node["members"]))
               for node in payload["charts"]]
+    names = set()
+    for name, _ in charts:
+        if name in names:
+            raise StructuralError("chart %r is listed twice" % name)
+        names.add(name)
     locals_ = {}
     for name, members in charts:
         if not space.is_open(members):

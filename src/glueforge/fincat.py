@@ -41,11 +41,6 @@ from .errors import StructuralError, charge
 SEP = "|"
 
 
-def tag(component, label):
-    """Canonical coproduct label for element ``label`` of component ``component``."""
-    return component + SEP + label
-
-
 def pair_label(a, b):
     return a + SEP + b
 

@@ -235,7 +235,7 @@ def _overlap_maps(data):
 
 
 def _tagged(i, labels):
-    """``tag(i, x)`` for each of ``labels``, in one pass."""
+    """The coproduct label ``i|x`` of each ``x`` of ``labels``, in one pass."""
     return map((i + SEP).__add__, labels)
 
 
@@ -495,50 +495,3 @@ def universal_glue_check(data, glued, delta, v_space=None):
         "fiber_sizes": {obj: len(ps.members)
                         for obj, ps in zip(comps, pulled)},
     }
-
-
-def reindex(data, fun):
-    """Compose gluing data with a functor into its index category.
-
-    ``fun`` maps some index category into ``data.indexcat``; the result is
-    the gluing data of the composite diagram, with each generating arrow
-    evaluated by chaining the stored ambient maps of the image word.
-    """
-    if fun.target != data.indexcat:
-        raise StructuralError("functor does not land in the data's index "
-                              "category")
-    objects = {}
-    spaces = {} if data.ambient == "top" else None
-    for obj in fun.source.objects:
-        image = fun.apply_obj(obj)
-        objects[obj] = data.carrier(image)
-        if spaces is not None:
-            spaces[obj] = data.space(image)
-    arrows = {}
-    for g in fun.source.generators:
-        _, _, word = fun.apply_mor(fun.source.gen_mor(g))
-        fns = [data.arrow(key) for key in word]
-        src, dst = gen_endpoints(g)
-        if data.direction == FROM_OVERLAPS:
-            out = FinFn.identity(objects[dst])
-            for fn in reversed(fns):
-                out = out.then(fn)
-        else:
-            out = FinFn.identity(objects[src])
-            for fn in fns:
-                out = out.then(fn)
-        arrows[g] = out
-    return GluingData(fun.source, data.ambient, objects, arrows,
-                      data.direction, spaces)
-
-
-def compose_with_sorting(data, sorting):
-    """Restrict split colimit-side data to the nonsplit category along a
-    pair sorting map; cones correspond one to one when the diagonal carries
-    identity structure."""
-    if data.indexcat.mode != SPLIT:
-        raise StructuralError("sorting composition starts from split data")
-    _require_valid(data, FROM_OVERLAPS)
-    from .indexcat import sorting_functors
-    funs = sorting_functors(data.indexcat.index, sorting)
-    return reindex(data, funs["A_c"])

@@ -1,4 +1,4 @@
-"""Truncated power-set index categories and the functors between them.
+"""Truncated power-set index categories.
 
 Objects are tuples of index labels: ``(i,)`` for a singleton, a sorted pair
 ``(i, j)`` in nonsplit mode (an unordered two-element subset), an arbitrary
@@ -17,7 +17,6 @@ involution that need not be the identity).
 from itertools import combinations, product as iproduct
 
 from .errors import StructuralError
-from .fincat import FinFn, FinSet, tag
 
 NONSPLIT = "nonsplit"
 SPLIT = "split"
@@ -141,244 +140,3 @@ class IndexCat:
                 if src2 == mid:
                     out.append((g1, g2))
         return out
-
-
-def build_index_category(index, mode):
-    """Construct the index category over a nonempty finite index set."""
-    return IndexCat(mode, index)
-
-
-class SortingMap:
-    """A choice of one ordered pair per unordered pair of the index set."""
-
-    __slots__ = ("index", "choice")
-
-    def __init__(self, index, choice):
-        choice = {frozenset(k): tuple(v) for k, v in choice.items()}
-        for i, j in combinations(index.labels, 2):
-            key = frozenset((i, j))
-            if key not in choice:
-                raise StructuralError("sorting map misses the pair {%s, %s}" % (i, j))
-            if set(choice[key]) != key or len(choice[key]) != 2:
-                raise StructuralError("sorting value %r does not order {%s, %s}"
-                                      % (choice[key], i, j))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "choice", choice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SortingMap is immutable")
-
-    @staticmethod
-    def positional(index):
-        """The sorting map picking index order on every pair."""
-        return SortingMap(index, {frozenset((i, j)): (i, j)
-                                  for i, j in combinations(index.labels, 2)})
-
-    def sort(self, pair):
-        pair = frozenset(pair)
-        if len(pair) == 1:
-            (i,) = pair
-            return (i,)
-        return self.choice[pair]
-
-
-class IndexFunctor:
-    """A functor between index categories, stored on objects and generators."""
-
-    __slots__ = ("source", "target", "object_map", "morphism_map")
-
-    def __init__(self, source, target, object_map, morphism_map):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "object_map", dict(object_map))
-        object.__setattr__(self, "morphism_map", dict(morphism_map))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexFunctor is immutable")
-
-    def apply_obj(self, obj):
-        try:
-            return self.object_map[obj]
-        except KeyError:
-            raise StructuralError("object %r not mapped" % (obj,))
-
-    def apply_mor(self, mor):
-        src, dst, word = mor
-        out = self.target.id_mor(self.apply_obj(src))
-        for key in word:
-            out = self.target.compose(self.morphism_map[key], out)
-        expect = self.apply_obj(dst)
-        if out[1] != expect:
-            raise StructuralError(
-                "functor image of %r ends at %r, expected %r" % (mor, out[1], expect))
-        return out
-
-    def then(self, other):
-        if other.source is not self.target and other.source != self.target:
-            raise StructuralError("functors are not composable")
-        objs = {a: other.apply_obj(b) for a, b in self.object_map.items()}
-        mors = {g: other.apply_mor(m) for g, m in self.morphism_map.items()}
-        return IndexFunctor(self.source, other.target, objs, mors)
-
-    def validate(self):
-        """All functor-law violations, checked exhaustively on generators."""
-        problems = []
-        for obj in self.source.objects:
-            if obj not in self.object_map:
-                problems.append("object %r not mapped" % (obj,))
-            elif not self.target.has_object(self.object_map[obj]):
-                problems.append("object %r mapped outside the target" % (obj,))
-        for g in self.source.generators:
-            if g not in self.morphism_map:
-                problems.append("generator %r not mapped" % (g,))
-                continue
-            src, dst = gen_endpoints(g)
-            img = self.morphism_map[g]
-            if img[0] != self.object_map.get(src) or img[1] != self.object_map.get(dst):
-                problems.append("generator %r image has wrong endpoints" % (g,))
-        if problems:
-            return problems
-        for g1, g2 in self.source.composable_generator_pairs():
-            lhs = self.apply_mor(self.source.compose(
-                self.source.gen_mor(g2), self.source.gen_mor(g1)))
-            rhs = self.target.compose(self.morphism_map[g2], self.morphism_map[g1])
-            if lhs != rhs:
-                problems.append("composition %r after %r not preserved" % (g2, g1))
-        return problems
-
-    def equals_on_generators(self, other):
-        if self.source.objects != other.source.objects:
-            return False
-        if any(self.apply_obj(a) != other.apply_obj(a) for a in self.source.objects):
-            return False
-        return all(self.apply_mor(self.source.gen_mor(g))
-                   == other.apply_mor(other.source.gen_mor(g))
-                   for g in self.source.generators)
-
-
-def identity_functor(cat):
-    return IndexFunctor(cat, cat,
-                        {a: a for a in cat.objects},
-                        {g: cat.gen_mor(g) for g in cat.generators})
-
-
-def coproduct_index(index):
-    """The index set I + I, with elements tagged by their copy (1 or 2)."""
-    return FinSet([tag(copy, i) for copy in ("1", "2") for i in index])
-
-
-def _split_copair(copy_i, i, j, scat):
-    # inclusion image rules for a mixed pair whose sorting-first element is i
-    if copy_i == "1":
-        return {
-            "first": scat.incl(i, j),
-            "second": scat.compose(scat.tau(j, i), scat.incl(j, i)),
-        }
-    return {
-        "first": scat.compose(scat.tau(i, j), scat.incl(i, j)),
-        "second": scat.incl(j, i),
-    }
-
-
-def sorting_functors(index, sorting):
-    """The translation functors attached to a pair sorting map.
-
-    Returns a dict with the pair-sorting embedding ``A_c`` from the nonsplit
-    category into the split one, its left inverse ``B_I``, and the doubled
-    variant ``A'_c`` defined on the nonsplit category of I + I.
-    """
-    pcat = IndexCat(NONSPLIT, index)
-    scat = IndexCat(SPLIT, index)
-
-    a_obj = {}
-    a_mor = {}
-    for obj in pcat.objects:
-        a_obj[obj] = sorting.sort(obj)
-    for g in pcat.generators:
-        _, i, pair = g
-        si, sj = sorting.sort(pair)
-        if i == si:
-            a_mor[g] = scat.incl(si, sj)
-        else:
-            a_mor[g] = scat.compose(scat.tau(sj, si), scat.incl(sj, si))
-    a_c = IndexFunctor(pcat, scat, a_obj, a_mor)
-
-    b_obj = {}
-    b_mor = {}
-    for obj in scat.objects:
-        if len(obj) == 1:
-            b_obj[obj] = obj
-        else:
-            i, j = obj
-            b_obj[obj] = (i,) if i == j else pcat.pair(i, j)
-    for g in scat.generators:
-        if g[0] == "tau":
-            b_mor[g] = pcat.id_mor(b_obj[g[1]])
-        else:
-            _, i, pair = g
-            if pair[0] == pair[1]:
-                b_mor[g] = pcat.id_mor((i,))
-            else:
-                b_mor[g] = pcat.incl(i, pair[1] if pair[0] == i else pair[0])
-    b_i = IndexFunctor(scat, pcat, b_obj, b_mor)
-
-    dcat = IndexCat(NONSPLIT, coproduct_index(index))
-    ap_obj = {}
-    ap_mor = {}
-    for obj in dcat.objects:
-        if len(obj) == 1:
-            copy, i = obj[0].split("|", 1)
-            ap_obj[obj] = (i,)
-        else:
-            (ca, a), (cb, b) = (x.split("|", 1) for x in obj)
-            if a == b:
-                ap_obj[obj] = (a, a)
-            else:
-                si, sj = sorting.sort((a, b))
-                copy_first = ca if a == si else cb
-                ap_obj[obj] = (si, sj) if copy_first == "1" else (sj, si)
-    for g in dcat.generators:
-        _, x, pair = g
-        copy_x, i = x.split("|", 1)
-        other = pair[1] if pair[0] == x else pair[0]
-        copy_o, j = other.split("|", 1)
-        if i == j:
-            base = scat.incl(i, i)
-            ap_mor[g] = base if copy_x == "1" \
-                else scat.compose(scat.tau(i, i), base)
-        else:
-            si, sj = sorting.sort((i, j))
-            if i == si:
-                ap_mor[g] = _split_copair(copy_x, si, sj, scat)["first"]
-            else:
-                ap_mor[g] = _split_copair(copy_o, si, sj, scat)["second"]
-    a_prime = IndexFunctor(dcat, scat, ap_obj, ap_mor)
-
-    for name, fun in (("A_c", a_c), ("B_I", b_i), ("A_prime_c", a_prime)):
-        problems = fun.validate()
-        if problems:
-            raise StructuralError("functor %s violates laws: %s" % (name, problems))
-    return {"A_c": a_c, "B_I": b_i, "A_prime_c": a_prime}
-
-
-def p2_of_map(gamma):
-    """The functor between nonsplit index categories induced by a map of
-    index sets; a collapsed pair goes to the singleton of its common image."""
-    if not isinstance(gamma, FinFn):
-        raise StructuralError("gamma must be a FinFn between index sets")
-    src = IndexCat(NONSPLIT, gamma.domain)
-    dst = IndexCat(NONSPLIT, gamma.codomain)
-    objs = {}
-    mors = {}
-    for obj in src.objects:
-        if len(obj) == 1:
-            objs[obj] = (gamma(obj[0]),)
-        else:
-            gi, gj = gamma(obj[0]), gamma(obj[1])
-            objs[obj] = (gi,) if gi == gj else dst.pair(gi, gj)
-    for g in src.generators:
-        _, i, pair = g
-        j = pair[1] if pair[0] == i else pair[0]
-        gi, gj = gamma(i), gamma(j)
-        mors[g] = dst.id_mor((gi,)) if gi == gj else dst.incl(gi, gj)
-    return IndexFunctor(src, dst, objs, mors)

@@ -20,7 +20,6 @@ the chart, overlap and triple-overlap lattices of one datum are built from
 one listing each.
 """
 
-from itertools import product as iproduct
 from math import prod
 from operator import itemgetter
 
@@ -145,50 +144,6 @@ def validate_presheaf(store):
                         "with the direct map"
                         % (sorted(x), sorted(w), sorted(v)))
     return problems
-
-
-def function_presheaf(space, stalks):
-    """The presheaf of sections of the family ``stalks``: a section over an
-    open is a choice of one stalk value per point. This is a sheaf for every
-    covering, including the empty cover of the empty open."""
-    carrier = space.carrier
-    for p in carrier:
-        if p not in stalks or not stalks[p]:
-            raise StructuralError("every point needs a nonempty stalk")
-    lat = OpenLattice(space)
-    labels = {}
-    tuples = {}
-    sections = {}
-    for o in lat.opens:
-        pts = sorted(o, key=carrier.position)
-        opts = []
-        for combo in iproduct(*[stalks[p] for p in pts]):
-            lab = ";".join("%s=%s" % (p, v) for p, v in zip(pts, combo)) \
-                if pts else EMPTY_SECTION
-            opts.append(lab)
-            tuples[(o, lab)] = dict(zip(pts, combo))
-        labels[o] = opts
-        sections[o] = FinSet(opts)
-    res = {}
-    for w, v in lat.pairs_below():
-        pts_v = sorted(v, key=carrier.position)
-        mapping = {}
-        for lab in labels[w]:
-            choice = tuples[(w, lab)]
-            sub = ";".join("%s=%s" % (p, choice[p]) for p in pts_v) \
-                if pts_v else EMPTY_SECTION
-            mapping[lab] = sub
-        res[(w, v)] = FinFn(sections[w], sections[v], mapping)
-    return PresheafStore(lat, sections, res)
-
-
-def constant_presheaf(space, values):
-    """All restriction maps are the identity on a fixed value set."""
-    lat = OpenLattice(space)
-    vs = FinSet(values)
-    sections = {o: vs for o in lat.opens}
-    res = {(w, v): FinFn.identity(vs) for w, v in lat.pairs_below()}
-    return PresheafStore(lat, sections, res)
 
 
 def default_coverings(lattice):
@@ -371,21 +326,6 @@ def sheaf_verdicts(store, listed, check_listed=False):
                                        for covering in coverings)), None)
     return (sep_counter is None, sep_counter,
             sheaf_counter is None, sheaf_counter)
-
-
-def direct_image(topmap, store):
-    """Transport a presheaf forward: sections over an open are the sections
-    over its preimage."""
-    if store.lattice.space != topmap.dom:
-        raise StructuralError("presheaf does not live on the map source")
-    lat = OpenLattice(topmap.cod)
-    sections = {}
-    res = {}
-    for o in lat.opens:
-        sections[o] = store.sections[topmap.fn.preimage(o)]
-    for w, v in lat.pairs_below():
-        res[(w, v)] = store.res[(topmap.fn.preimage(w), topmap.fn.preimage(v))]
-    return PresheafStore(lat, sections, res)
 
 
 def restrict(store, members):
@@ -748,19 +688,3 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
         components[v] = FinFn.from_total(source.sections[v],
                                          target.sections[v], mapping)
     return NatTrans(source, target, components)
-
-
-def canonical_presheaf_functor(store, charts):
-    """The gluing datum of a presheaf and a cover: locals are the chart
-    restrictions, transitions are identities on the shared overlap sections."""
-    charts = [(name, frozenset(m)) for name, m in charts]
-    locals_ = {name: restrict(store, members) for name, members in charts}
-    transitions = {}
-    for a, am in charts:
-        for b, bm in charts:
-            overlap = am & bm
-            comp = {}
-            for o in store.lattice.space.subspace(overlap).opens:
-                comp[o] = FinFn.identity(store.sections[o])
-            transitions[(a, b)] = comp
-    return GluingDatum(store.lattice.space, charts, locals_, transitions)

@@ -1,16 +1,10 @@
 """Refinement morphisms between gluing functors, the induced maps between
-their glued-up objects, and composition of gluings (both the meta route over
-node functors with concrete overlap identifications, and the sink route of
-flattening covers of covers)."""
+their glued-up objects, and composition of gluings by flattening covers of
+covers."""
 
 from .errors import StructuralError
-from .fincat import SEP, FinFn, FinSet, commutes, quotient_by_pairs, tag
-from .gluing import (
-    FROM_OVERLAPS,
-    TOWARD_OVERLAPS,
-    GluedObject,
-    colimit_relation_pairs,
-)
+from .fincat import SEP, FinFn, commutes
+from .gluing import TOWARD_OVERLAPS
 from .indexcat import NONSPLIT
 from .site import effective_epi_check, flatten_sinks
 
@@ -63,12 +57,6 @@ class Refinement:
         return self.source.edge(gi, robj)
 
 
-def identity_refinement(data):
-    comps = {obj: FinFn.identity(data.carrier(obj))
-             for obj in data.indexcat.objects}
-    return Refinement(data, data, FinFn.identity(data.indexcat.index), comps)
-
-
 def validate_refinement(ref):
     """Every missing component, endpoint clash, or failed naturality square."""
     problems = []
@@ -100,19 +88,6 @@ def validate_refinement(ref):
         if not commutes(*square):
             problems.append("naturality square at %r does not commute" % (g,))
     return problems
-
-
-def compose_refinements(outer, inner):
-    """The composite refinement applying ``inner`` first, then ``outer``;
-    gammas compose the other way around."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise StructuralError("refinements are not composable")
-    gamma = outer.gamma.then(inner.gamma)
-    comps = {}
-    for obj in outer.target.indexcat.objects:
-        mid = outer.reindexed(obj)
-        comps[obj] = inner.components[mid].then(outer.components[obj])
-    return Refinement(inner.source, outer.target, gamma, comps)
 
 
 def induced_limit_map(ref, glued_source, glued_target):
@@ -158,88 +133,6 @@ def induced_limit_map(ref, glued_source, glued_target):
             "induced class map is undefined on classes %r; gamma does not "
             "reach them" % missing)
     return FinFn(glued_source.apex, glued_target.apex, mapping)
-
-
-class MetaGluingData:
-    """A family of colimit-side node functors with concrete overlap data:
-    lists of identifications between elements of node components."""
-
-    __slots__ = ("index", "nodes", "overlaps")
-
-    def __init__(self, index, nodes, overlaps):
-        index = list(index)
-        nodes = dict(nodes)
-        overlaps = {k: list(v) for k, v in overlaps.items()}
-        for i in index:
-            if i not in nodes:
-                raise StructuralError("no node functor for %r" % i)
-        for (i, j), idents in overlaps.items():
-            if i not in nodes or j not in nodes:
-                raise StructuralError("overlap (%r, %r) mentions unknown nodes"
-                                      % (i, j))
-            for (a, x), (b, y) in idents:
-                if x not in nodes[i].carrier(a):
-                    raise StructuralError(
-                        "overlap entry %r is not in node %r component %r"
-                        % (x, i, a))
-                if y not in nodes[j].carrier(b):
-                    raise StructuralError(
-                        "overlap entry %r is not in node %r component %r"
-                        % (y, j, b))
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "overlaps", overlaps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MetaGluingData is immutable")
-
-    def validate(self):
-        return ["node %r is not colimit-side data" % i for i in self.index
-                if self.nodes[i].direction != FROM_OVERLAPS]
-
-
-def _meta_tag(node, comp, x):
-    return tag(node, tag(SEP.join(comp), x))
-
-
-def compose_gluings(meta):
-    """Glue the flattened diagram of all node components at once.
-
-    Its classes are those of the two-stage gluing (each node first, then the
-    node apexes along the overlap identifications), since both quotient the
-    same coproduct by the same identifications; the tests compare the two.
-    """
-    problems = meta.validate()
-    if problems:
-        raise StructuralError("invalid meta gluing data: " + "; ".join(problems))
-    elements = []
-    for i in meta.index:
-        node = meta.nodes[i]
-        for comp_obj in node.indexcat.singletons():
-            for x in node.carrier(comp_obj):
-                elements.append(_meta_tag(i, comp_obj, x))
-    coproduct = FinSet(elements)
-    pairs = []
-    for i in meta.index:
-        node = meta.nodes[i]
-        for a, b in colimit_relation_pairs(node):
-            ai, ax = a.split(SEP, 1)
-            bi, bx = b.split(SEP, 1)
-            pairs.append((_meta_tag(i, (ai,), ax), _meta_tag(i, (bi,), bx)))
-    for (i, j), idents in meta.overlaps.items():
-        for (a, x), (b, y) in idents:
-            pairs.append((_meta_tag(i, a, x), _meta_tag(j, b, y)))
-    apex, pi, _ = quotient_by_pairs(coproduct, pairs)
-    legs = {}
-    for i in meta.index:
-        node = meta.nodes[i]
-        for comp_obj in node.indexcat.singletons():
-            carrier = node.carrier(comp_obj)
-            legs[(i, comp_obj)] = FinFn(
-                carrier, apex, {x: pi(_meta_tag(i, comp_obj, x))
-                                for x in carrier})
-    return GluedObject("colimit", apex, None, legs, {},
-                       {"coproduct": coproduct})
 
 
 def compose_via_sinks(outer, inner):

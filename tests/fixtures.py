@@ -10,12 +10,15 @@ import importlib
 import os
 import random
 import sys
+from itertools import product as iproduct
 
 from hypothesis import strategies as st
 
+from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
+from glueforge.presheaf import EMPTY_SECTION, OpenLattice, PresheafStore
 from glueforge.site import Sink
 
 
@@ -351,6 +354,50 @@ def chain_cover():
         for name, space in spaces.items()], target_space=target)
 
 
+def function_presheaf(space, stalks):
+    """The presheaf of sections of the family ``stalks``: a section over an
+    open is a choice of one stalk value per point. This is a sheaf for every
+    covering, including the empty cover of the empty open."""
+    carrier = space.carrier
+    for p in carrier:
+        if p not in stalks or not stalks[p]:
+            raise StructuralError("every point needs a nonempty stalk")
+    lat = OpenLattice(space)
+    labels = {}
+    tuples = {}
+    sections = {}
+    for o in lat.opens:
+        pts = sorted(o, key=carrier.position)
+        opts = []
+        for combo in iproduct(*[stalks[p] for p in pts]):
+            lab = ";".join("%s=%s" % (p, v) for p, v in zip(pts, combo)) \
+                if pts else EMPTY_SECTION
+            opts.append(lab)
+            tuples[(o, lab)] = dict(zip(pts, combo))
+        labels[o] = opts
+        sections[o] = FinSet(opts)
+    res = {}
+    for w, v in lat.pairs_below():
+        pts_v = sorted(v, key=carrier.position)
+        mapping = {}
+        for lab in labels[w]:
+            choice = tuples[(w, lab)]
+            sub = ";".join("%s=%s" % (p, choice[p]) for p in pts_v) \
+                if pts_v else EMPTY_SECTION
+            mapping[lab] = sub
+        res[(w, v)] = FinFn(sections[w], sections[v], mapping)
+    return PresheafStore(lat, sections, res)
+
+
+def constant_presheaf(space, values):
+    """All restriction maps are the identity on a fixed value set."""
+    lat = OpenLattice(space)
+    vs = FinSet(values)
+    sections = {o: vs for o in lat.opens}
+    res = {(w, v): FinFn.identity(vs) for w, v in lat.pairs_below()}
+    return PresheafStore(lat, sections, res)
+
+
 def presheaf_doc(store):
     """The ``presheaf`` document of a presheaf store."""
     lat = store.lattice
@@ -373,18 +420,23 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def benchmark_docs():
-    """The benchmark's document generators, ``perfbench/docs.py``, imported
-    without writing byte code."""
+def perfbench_module(name):
+    """The module ``name`` of ``perfbench/``, imported without writing byte
+    code."""
     here = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "perfbench")
     saved = sys.path[:], sys.dont_write_bytecode
     sys.path.insert(0, here)
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("docs")
+        return importlib.import_module(name)
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
+
+
+def benchmark_docs():
+    """The benchmark's document generators, ``perfbench/docs.py``."""
+    return perfbench_module("docs")
 
 
 def benchmark_items(workloads=None):
@@ -393,3 +445,10 @@ def benchmark_items(workloads=None):
     docs = benchmark_docs()
     return [(workload, item) for workload in workloads or sorted(docs.WORKLOADS)
             for item in docs.build(workload, 1)]
+
+
+def item_argv(item):
+    """The command line of a benchmark item."""
+    return [item["command"]] + [
+        part for flag, value in sorted(item["flags"].items())
+        for part in ("--" + flag, str(value))]

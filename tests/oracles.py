@@ -28,7 +28,6 @@ from glueforge.fincat import (
     product_enumerate,
     pullback,
     quotient_by_pairs,
-    tag,
     top_pullback,
 )
 from glueforge.gluing import (
@@ -46,6 +45,8 @@ from glueforge.gluing import (
 from glueforge.indexcat import NONSPLIT, gen_endpoints
 from glueforge.presheaf import OpenLattice
 from glueforge.site import canonical_sink_functor
+
+from paper import tag
 
 
 def naive_closure_partition(labels, pairs):

@@ -5,7 +5,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 from itertools import product as iproduct
 
-from glueforge.fincat import FinFn, FinSet, tag
+from glueforge.fincat import FinFn, FinSet
 from glueforge.gluing import (
     colimit_glue,
     colimit_relation_pairs,
@@ -15,14 +15,13 @@ from glueforge.gluing import (
 from glueforge.presheaf import (
     NatTrans,
     default_coverings,
-    function_presheaf,
     glue_nat_trans,
     glue_presheaves,
     is_sheaf,
     presheaf_effective_check,
     restrict,
 )
-from glueforge.refine import compose_gluings, compose_via_sinks
+from glueforge.refine import compose_via_sinks
 from glueforge.site import (
     Sink,
     canonical_sink_functor,
@@ -33,6 +32,7 @@ from glueforge.site import (
 
 from fixtures import (
     e1,
+    function_presheaf,
     random_limit_data,
     random_nonsplit_colimit,
     random_split_colimit,
@@ -44,6 +44,7 @@ from oracles import (
     naive_closure_partition,
     sink_target_cone,
 )
+from paper import compose_gluings, tag
 from test_refine import flat_identification_oracle, torus_meta
 
 

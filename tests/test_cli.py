@@ -21,14 +21,19 @@ from glueforge.cli import (
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinSet, FinTop
 from glueforge.gluing import colimit_glue
-from glueforge.presheaf import constant_presheaf, function_presheaf
 from glueforge.site import (
     canonical_sink_functor,
     covering_axioms_check,
     sinks_equivalent,
 )
 
-from fixtures import chain_cover, e1, presheaf_doc
+from fixtures import (
+    chain_cover,
+    constant_presheaf,
+    e1,
+    function_presheaf,
+    presheaf_doc,
+)
 
 
 def e1_payload(extra=None):
@@ -1166,6 +1171,21 @@ def test_both_spellings_of_a_glue_map_part_are_structural(tmp_path, capsys,
                              before)
     respelling_error(tmp_path, capsys, "glue-map", doc, before, "p1,p0",
                      "p0,p1", "parts", "open set")
+
+
+@pytest.mark.parametrize("before", [False, True])
+def test_repeated_chart_is_refused_before_any_body_is_parsed(tmp_path, capsys,
+                                                             before):
+    doc = golden_doc("glue-sheaves")
+    charts = doc["payload"]["charts"]
+    # the first c0's local body names p0, which the other chart lacks
+    charts.insert(0 if before else 1, {"name": "c0", "members": ["p1"]})
+    path = write_doc(tmp_path, doc, "charts.json")
+    assert main(["glue-sheaves", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "glueforge: structural error: chart 'c0' is listed twice\n")
 
 
 def discrete_object(points):

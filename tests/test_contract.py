@@ -1,5 +1,6 @@
-"""The 0/1/2 exit contract of ``cli.main`` on mutated golden documents, and
-how many times one command checks its gluing data."""
+"""The 0/1/2 exit contract of ``cli.main`` on mutated golden documents and
+seed-1 benchmark documents, and how many times one command checks its
+gluing data."""
 
 import contextlib
 import copy
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 from glueforge import cli, gluing
 
+from fixtures import benchmark_items, item_argv
+
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
 
@@ -28,6 +31,9 @@ def golden_doc(name):
 
 
 DOCS = {case["name"]: golden_doc(case["name"]) for case in CASES}
+
+# (argv, document) of each seed-1 benchmark item
+BENCHMARK = [(item_argv(item), item["doc"]) for _, item in benchmark_items()]
 
 # labels that mean something to some document: index elements and pairs,
 # element labels of the generated charts, enum values, a reserved character
@@ -101,15 +107,12 @@ def mutate(doc, draw):
                      else label)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.sampled_from(CASES), st.integers(1, 3), st.integers(1, 1000),
-       st.data())
-def test_exit_contract_holds_on_mutated_golden_documents(case, mutations, cap,
-                                                         draws):
-    doc = copy.deepcopy(DOCS[case["name"]])
+def check_contract(argv, doc, mutations, cap, draws):
+    """Mutate a copy of ``doc`` and check the exit contract on it."""
+    doc = copy.deepcopy(doc)
     for _ in range(mutations):
         mutate(doc, draws.draw)
-    code, out, err = run(case["argv"] + ["--cap", str(cap)], doc)
+    code, out, err = run(argv + ["--cap", str(cap)], doc)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
@@ -119,6 +122,23 @@ def test_exit_contract_holds_on_mutated_golden_documents(case, mutations, cap,
     else:
         assert err == ""
         assert code == cli.report_exit_code(json.loads(out))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(CASES), st.integers(1, 3), st.integers(1, 1000),
+       st.data())
+def test_exit_contract_holds_on_mutated_golden_documents(case, mutations, cap,
+                                                         draws):
+    check_contract(case["argv"], DOCS[case["name"]], mutations, cap, draws)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(BENCHMARK), st.integers(1, 3), st.integers(1, 1000),
+       st.data())
+def test_exit_contract_holds_on_mutated_benchmark_documents(item, mutations,
+                                                            cap, draws):
+    argv, doc = item
+    check_contract(argv, doc, mutations, cap, draws)
 
 
 @pytest.mark.parametrize("name, checks", [

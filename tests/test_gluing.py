@@ -4,21 +4,19 @@ from hypothesis import strategies as st
 
 from glueforge import gluing
 from glueforge.errors import ResourceError, StructuralError, budget
-from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, tag
+from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.gluing import (
     ConeCandidate,
     GluedObject,
     GluingData,
     colimit_glue,
     colimit_relation_pairs,
-    compose_with_sorting,
     hom_transport,
     limit_glue,
     mediating_map,
-    reindex,
     universal_glue_check,
 )
-from glueforge.indexcat import IndexCat, SortingMap, sorting_functors
+from glueforge.indexcat import IndexCat
 
 from fixtures import (
     colimit_data,
@@ -37,6 +35,13 @@ from oracles import (
     equalizer_glue_oracle,
     hom_bijection_exhaustive,
     naive_closure_partition,
+)
+from paper import (
+    SortingMap,
+    compose_with_sorting,
+    reindex,
+    sorting_functors,
+    tag,
 )
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
-from glueforge.indexcat import (
+from glueforge.indexcat import IndexCat, gen_endpoints
+
+from paper import (
     SortingMap,
-    build_index_category,
     coproduct_index,
-    gen_endpoints,
     identity_functor,
     p2_of_map,
     sorting_functors,
@@ -17,31 +17,31 @@ from glueforge.indexcat import (
 
 
 def test_singleton_nonsplit():
-    cat = build_index_category(FinSet(["i"]), "nonsplit")
+    cat = IndexCat("nonsplit", FinSet(["i"]))
     assert cat.objects == (("i",),)
     assert cat.generators == ()
 
 
 def test_two_element_nonsplit():
-    cat = build_index_category(FinSet(["i", "j"]), "nonsplit")
+    cat = IndexCat("nonsplit", FinSet(["i", "j"]))
     assert set(cat.objects) == {("i",), ("j",), ("i", "j")}
     assert set(cat.generators) == {("incl", "i", ("i", "j")),
                                    ("incl", "j", ("i", "j"))}
 
 
 def test_singleton_split_has_loop():
-    cat = build_index_category(FinSet(["i"]), "split")
+    cat = IndexCat("split", FinSet(["i"]))
     assert set(cat.objects) == {("i",), ("i", "i")}
     assert set(cat.generators) == {("incl", "i", ("i", "i")), ("tau", ("i", "i"))}
 
 
 def test_empty_index_rejected():
     with pytest.raises(StructuralError):
-        build_index_category(FinSet([]), "nonsplit")
+        IndexCat("nonsplit", FinSet([]))
 
 
 def test_tau_involution_normalizes_away():
-    cat = build_index_category(FinSet(["i", "j"]), "split")
+    cat = IndexCat("split", FinSet(["i", "j"]))
     loop = cat.compose(cat.tau("j", "i"), cat.tau("i", "j"))
     assert loop == cat.id_mor(("i", "j"))
     selfloop = cat.compose(cat.tau("i", "i"), cat.tau("i", "i"))
@@ -52,7 +52,7 @@ def test_tau_involution_normalizes_away():
 
 def test_identity_stability_under_composition():
     for mode in ("nonsplit", "split"):
-        cat = build_index_category(FinSet(["a", "b"]), mode)
+        cat = IndexCat(mode, FinSet(["a", "b"]))
         for g in cat.generators:
             src, dst = gen_endpoints(g)
             m = cat.gen_mor(g)
@@ -71,7 +71,7 @@ def test_b_after_a_is_identity():
     funs = sorting_functors(idx, SortingMap.positional(idx))
     composite = funs["A_c"].then(funs["B_I"])
     assert composite.equals_on_generators(
-        identity_functor(build_index_category(idx, "nonsplit")))
+        identity_functor(IndexCat("nonsplit", idx)))
 
 
 def test_b_after_a_is_identity_any_sorting():
@@ -83,7 +83,7 @@ def test_b_after_a_is_identity_any_sorting():
         funs = sorting_functors(idx, SortingMap(idx, choice))
         composite = funs["A_c"].then(funs["B_I"])
         assert composite.equals_on_generators(
-            identity_functor(build_index_category(idx, "nonsplit")))
+            identity_functor(IndexCat("nonsplit", idx)))
 
 
 def test_a_c_reversed_inclusion_goes_through_tau():
@@ -119,7 +119,7 @@ def test_p2_identity():
     idx = FinSet(["1", "2"])
     fun = p2_of_map(FinFn.identity(idx))
     assert fun.equals_on_generators(
-        identity_functor(build_index_category(idx, "nonsplit")))
+        identity_functor(IndexCat("nonsplit", idx)))
 
 
 def test_p2_constant_collapses_pairs():

@@ -21,13 +21,11 @@ from glueforge.gluing import (
 from glueforge.presheaf import (
     GluingDatum,
     NatTrans,
-    function_presheaf,
     glue_presheaves,
     presheaf_effective_check,
 )
 from glueforge.refine import (
     Refinement,
-    identity_refinement,
     induced_limit_map,
     validate_refinement,
 )
@@ -41,11 +39,13 @@ from glueforge.site import (
 
 from fixtures import (
     close_family,
+    function_presheaf,
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
 )
 from oracles import commutes_by_composites, iso_by_topmap
+from paper import identity_refinement
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=400)
 

@@ -14,11 +14,7 @@ from glueforge.presheaf import (
     PresheafStore,
     all_coverings,
     basic_coverings,
-    canonical_presheaf_functor,
-    constant_presheaf,
     default_coverings,
-    direct_image,
-    function_presheaf,
     glue_nat_trans,
     glue_presheaves,
     is_separated,
@@ -28,9 +24,17 @@ from glueforge.presheaf import (
     validate_presheaf,
 )
 
-from fixtures import chain_space, close_family, presheaf_doc, seeded
+from fixtures import (
+    chain_space,
+    close_family,
+    constant_presheaf,
+    function_presheaf,
+    presheaf_doc,
+    seeded,
+)
 from oracles import gluing_datum_problems, presheaf_law_problems, \
     unnatural_pairs
+from paper import canonical_presheaf_functor, direct_image
 
 
 def sierpinski():

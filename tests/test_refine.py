@@ -6,12 +6,8 @@ from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
 from glueforge.gluing import colimit_glue, limit_glue, mediating_map, ConeCandidate
 from glueforge.refine import (
-    MetaGluingData,
     Refinement,
-    compose_gluings,
     compose_via_sinks,
-    compose_refinements,
-    identity_refinement,
     induced_limit_map,
     validate_refinement,
 )
@@ -19,6 +15,12 @@ from glueforge.site import Sink
 
 from fixtures import colimit_data, make_limit_data, make_nonsplit_colimit, seeded
 from oracles import naive_closure_partition, two_stage_partition
+from paper import (
+    MetaGluingData,
+    compose_gluings,
+    compose_refinements,
+    identity_refinement,
+)
 
 
 def two_chart_limit(swapped=False):

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
-from glueforge.fincat import FinFn, FinSet, FinTop, tag
+from glueforge.fincat import FinFn, FinSet, FinTop
 from glueforge.gluing import (
     colimit_glue,
     colimit_relation_pairs,
@@ -32,6 +32,7 @@ from fixtures import (
     seeded,
 )
 from oracles import effective_epi_by_colimit, universal_glue_by_pullback
+from paper import tag
 
 
 def inclusion_sink(target_labels, parts):
