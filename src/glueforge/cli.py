@@ -24,7 +24,7 @@ too.  Every error is reported on one stderr line, its text cut at
 
 Reports are written by a direct emitter, byte for byte what
 ``json.dumps(report, sort_keys=True, indent=2)`` gives; it knows only the
-types reports hold.
+types reports hold, and writes a tuple as an array, as json.dumps does.
 """
 
 import argparse
@@ -414,6 +414,14 @@ def parse_presheaf(payload):
     return space, store, coverings, glue_map
 
 
+def _refuse_unknown_charts(entries, names, what):
+    """Refuse the first key of ``entries`` that is not a chart name: the
+    entry would otherwise be dropped without a word."""
+    for key in entries:
+        if key not in names:
+            raise StructuralError("%s entry %r names no chart" % (what, key))
+
+
 def parse_gluing_datum(payload):
     _, space = parse_object(payload["space"], "top")
     charts = [(node["name"], frozenset(node["members"]))
@@ -423,6 +431,7 @@ def parse_gluing_datum(payload):
         if name in names:
             raise StructuralError("chart %r is listed twice" % name)
         names.add(name)
+    _refuse_unknown_charts(payload["locals"], names, "locals")
     locals_ = {}
     for name, members in charts:
         if not space.is_open(members):
@@ -510,8 +519,9 @@ def _glue_command(doc, flags):
         glued = colimit_glue(data)
         # every apex label is a class of itself unless it names a merged one
         apex = glued.apex.labels
-        classes = dict(zip(apex, map(list, zip(apex))))
-        classes.update({name: sorted(members) for name, members
+        # tuples of strings, which the garbage collector stops tracking
+        classes = dict(zip(apex, zip(apex)))
+        classes.update({name: tuple(sorted(members)) for name, members
                         in glued.witness["merged"].items()})
         artifacts = {"glued": glued_object_to_json(glued), "classes": classes}
         if "delta" in doc.payload:
@@ -664,6 +674,8 @@ def _glue_map_command(doc, flags):
                                   % (role, "; ".join(problems)))
     charts = [(node["name"], frozenset(node["members"]))
               for node in glue_map["charts"]]
+    _refuse_unknown_charts(glue_map["parts"], {name for name, _ in charts},
+                           "parts")
     parts = {}
     for name, members in charts:
         if name not in glue_map["parts"]:
@@ -760,27 +772,30 @@ def _emit(node, indent):
     """``node`` as JSON, where ``indent`` is the newline and indentation of
     the line it starts on; string members are encoded in place.
 
-    A dict whose values are all non-empty lists of strings only is written
-    by one comprehension, with no call of the emitter per value.  Whether to
-    try is decided from the type of its first value, so other dicts pay one
-    type test."""
+    A dict's keys are sorted on their own, so no ``(key, value)`` pair is
+    built per entry.  A dict whose values are all non-empty lists of
+    strings only, or all such tuples, is written by one comprehension, with
+    no call of the emitter per value.  Whether to try is decided from the
+    type of its first value, so other dicts pay one type test."""
     kind = type(node)
     if kind is dict:
         if not node:
             return "{}"
         inner = indent + "  "
         # the encoder raises TypeError on a key that is not a string
-        items = sorted(node.items())
-        first = items[0][1]
-        if type(first) is list and first and type(first[0]) is str \
-                and _only(list, node.values()) and all(node.values()) \
-                and _only(str, chain.from_iterable(node.values())):
-            return _emit_string_lists(items, indent, inner)
+        keys = sorted(node)
+        values = list(map(node.__getitem__, keys))
+        first = values[0]
+        held = type(first)
+        if (held is list or held is tuple) and first \
+                and type(first[0]) is str and _only(held, values) \
+                and all(values) and _only(str, chain.from_iterable(values)):
+            return _emit_string_lists(keys, values, indent, inner)
         return "{" + inner + ("," + inner).join([
             _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
                                      else _emit(v, inner))
-            for k, v in items]) + indent + "}"
-    if kind is list:
+            for k, v in zip(keys, values)]) + indent + "}"
+    if kind is list or kind is tuple:
         if not node:
             return "[]"
         inner = indent + "  "
@@ -800,22 +815,24 @@ def _emit(node, indent):
     raise TypeError("a report cannot hold a %s: %r" % (kind.__name__, node))
 
 
-def _emit_string_lists(items, indent, inner):
-    """The dict of these sorted ``(key, list)`` items, each list non-empty
-    and of strings only; kept apart from ``_emit`` so that the names its
-    comprehension reads cost the recursive calls nothing."""
+def _emit_string_lists(keys, values, indent, inner):
+    """The dict of these sorted ``keys`` and their ``values``, each value a
+    non-empty list or tuple of strings only; kept apart from ``_emit`` so
+    that the names its comprehension reads cost the recursive calls
+    nothing."""
     deeper = inner + "  "
     head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
     return "{" + inner + ("," + inner).join([
         _encode_str(k) + head + (_encode_str(v[0]) if len(v) == 1
                                  else sep.join(map(_encode_str, v)))
-        + tail for k, v in items]) + indent + "}"
+        + tail for k, v in zip(keys, values)]) + indent + "}"
 
 
 def render_report(report):
     """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
     it, plus a newline.  Reports hold str keys and str, int, bool, None,
-    list and dict values; anything else raises TypeError."""
+    list, tuple and dict values, a tuple written as an array as json.dumps
+    writes it; anything else raises TypeError."""
     return _emit(report, "\n") + "\n"
 
 

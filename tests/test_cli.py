@@ -106,6 +106,21 @@ def test_glue_reports_five_classes(tmp_path):
     assert sorted(report["artifacts"]["classes"]["1|a2"]) == ["1|a2", "2|b0"]
 
 
+def test_glue_lists_the_members_of_a_merged_class_sorted(tmp_path):
+    # component 1 lists a1 before a0, and both are glued to b0
+    doc = e1_payload({
+        "objects": {"1": ["a1", "a0", "a2"], "2": ["b0"], "1,2": ["u", "v"]},
+        "arrows": [
+            {"kind": "edge", "from": "1", "pair": "1,2",
+             "map": {"u": "a1", "v": "a0"}},
+            {"kind": "edge", "from": "2", "pair": "1,2",
+             "map": {"u": "b0", "v": "b0"}},
+        ]})
+    report = execute("glue", load_document(write_doc(tmp_path, doc)), {})
+    assert json.loads(render_report(report))["artifacts"]["classes"] == {
+        "1|a0": ["1|a0", "1|a1", "2|b0"], "1|a2": ["1|a2"]}
+
+
 def test_kind_command_mismatch(tmp_path):
     doc = load_document(write_doc(tmp_path, e1_payload()))
     with pytest.raises(StructuralError):
@@ -1186,6 +1201,24 @@ def test_repeated_chart_is_refused_before_any_body_is_parsed(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == (
         "glueforge: structural error: chart 'c0' is listed twice\n")
+
+
+@pytest.mark.parametrize("command, what", [("glue-sheaves", "locals"),
+                                           ("glue-map", "parts")])
+@pytest.mark.parametrize("before", [False, True])
+def test_an_entry_that_names_no_chart_is_structural(tmp_path, capsys,
+                                                    command, what, before):
+    doc = golden_doc(command)
+    holder = doc["payload"].get("glue_map", doc["payload"])
+    # a copy of a listed chart's entry, which would otherwise be dropped
+    holder[what] = with_entry(holder[what], "zz",
+                              copy.deepcopy(holder[what]["c0"]), before)
+    path = write_doc(tmp_path, doc, "unknown-chart.json")
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "glueforge: structural error: %s entry 'zz' names no chart\n" % what)
 
 
 def discrete_object(points):
