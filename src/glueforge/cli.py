@@ -24,7 +24,10 @@ too.  Every error is reported on one stderr line, its text cut at
 
 Reports are written by a direct emitter, byte for byte what
 ``json.dumps(report, sort_keys=True, indent=2)`` gives; it knows only the
-types reports hold, and writes a tuple as an array, as json.dumps does.
+types reports hold, and writes a tuple as an array, as json.dumps does.  A
+container of strings whose strings all need no escape is written by one
+join with the quotes inside the separators; only a container that holds a
+string needing an escape encodes its strings one by one.
 """
 
 import argparse
@@ -422,15 +425,22 @@ def _refuse_unknown_charts(entries, names, what):
             raise StructuralError("%s entry %r names no chart" % (what, key))
 
 
-def parse_gluing_datum(payload):
-    _, space = parse_object(payload["space"], "top")
-    charts = [(node["name"], frozenset(node["members"]))
-              for node in payload["charts"]]
+def _parse_charts(nodes):
+    """The ``(name, members)`` of each chart node and the set of names,
+    refusing a name listed twice: a later chart would otherwise take the
+    earlier one's entries."""
+    charts = [(node["name"], frozenset(node["members"])) for node in nodes]
     names = set()
     for name, _ in charts:
         if name in names:
             raise StructuralError("chart %r is listed twice" % name)
         names.add(name)
+    return charts, names
+
+
+def parse_gluing_datum(payload):
+    _, space = parse_object(payload["space"], "top")
+    charts, names = _parse_charts(payload["charts"])
     _refuse_unknown_charts(payload["locals"], names, "locals")
     locals_ = {}
     for name, members in charts:
@@ -672,10 +682,8 @@ def _glue_map_command(doc, flags):
         if problems:
             raise StructuralError("invalid %s presheaf: %s"
                                   % (role, "; ".join(problems)))
-    charts = [(node["name"], frozenset(node["members"]))
-              for node in glue_map["charts"]]
-    _refuse_unknown_charts(glue_map["parts"], {name for name, _ in charts},
-                           "parts")
+    charts, names = _parse_charts(glue_map["charts"])
+    _refuse_unknown_charts(glue_map["parts"], names, "parts")
     parts = {}
     for name, members in charts:
         if name not in glue_map["parts"]:
@@ -768,29 +776,53 @@ def _only(kind, items):
     return kinds.count(kind) == len(kinds)
 
 
+def _plain(text):
+    """Whether every string joined into ``text`` is its own JSON encoding
+    between quotes: printable ASCII with no quote and no backslash.  A
+    string that is not a ``str`` makes the join that builds ``text`` raise
+    TypeError, as the encoder would."""
+    return text.isascii() and text.isprintable() and '"' not in text \
+        and "\\" not in text
+
+
 def _emit(node, indent):
     """``node`` as JSON, where ``indent`` is the newline and indentation of
     the line it starts on; string members are encoded in place.
 
     A dict's keys are sorted on their own, so no ``(key, value)`` pair is
-    built per entry.  A dict whose values are all non-empty lists of
-    strings only, or all such tuples, is written by one comprehension, with
-    no call of the emitter per value.  Whether to try is decided from the
-    type of its first value, so other dicts pay one type test."""
+    built per entry.  Three shapes of container are written in bulk: a
+    list or tuple of strings only, a dict whose values are all strings, and
+    a dict whose values are all non-empty lists of strings only, or all
+    such tuples.  When all the strings of such a container are plain, it is
+    written by ``str.join`` with the quotes inside the separators, and no
+    string is encoded; otherwise each is encoded on its own.  Whether a
+    dict has a bulk shape is decided from the type of its first value, so
+    other dicts pay one type test."""
     kind = type(node)
     if kind is dict:
         if not node:
             return "{}"
         inner = indent + "  "
-        # the encoder raises TypeError on a key that is not a string
+        # the encoder, or the join of the plain check, raises TypeError on
+        # a key that is not a string
         keys = sorted(node)
         values = list(map(node.__getitem__, keys))
         first = values[0]
         held = type(first)
-        if (held is list or held is tuple) and first \
+        if held is str:
+            if _only(str, values) and _plain("".join(keys + values)):
+                return "".join((
+                    "{", inner, '"',
+                    ('",' + inner + '"').join(map('": "'.join,
+                                                  zip(keys, values))),
+                    '"', indent, "}"))
+        elif (held is list or held is tuple) and first \
                 and type(first[0]) is str and _only(held, values) \
-                and all(values) and _only(str, chain.from_iterable(values)):
-            return _emit_string_lists(keys, values, indent, inner)
+                and all(values):
+            members = list(chain.from_iterable(values))
+            if _only(str, members):
+                return _emit_string_lists(keys, values, members, indent,
+                                          inner)
         return "{" + inner + ("," + inner).join([
             _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
                                      else _emit(v, inner))
@@ -799,6 +831,10 @@ def _emit(node, indent):
         if not node:
             return "[]"
         inner = indent + "  "
+        if type(node[0]) is str and _only(str, node) \
+                and _plain("".join(node)):
+            return "".join(("[", inner, '"', ('",' + inner + '"').join(node),
+                            '"', indent, "]"))
         return "[" + inner + ("," + inner).join([
             _encode_str(v) if type(v) is str else _emit(v, inner)
             for v in node]) + indent + "]"
@@ -815,12 +851,21 @@ def _emit(node, indent):
     raise TypeError("a report cannot hold a %s: %r" % (kind.__name__, node))
 
 
-def _emit_string_lists(keys, values, indent, inner):
+def _emit_string_lists(keys, values, members, indent, inner):
     """The dict of these sorted ``keys`` and their ``values``, each value a
-    non-empty list or tuple of strings only; kept apart from ``_emit`` so
-    that the names its comprehension reads cost the recursive calls
-    nothing."""
+    non-empty list or tuple of strings only, whose strings in order are
+    ``members``; kept apart from ``_emit`` so that the names its
+    comprehension reads cost the recursive calls nothing.  Plain strings
+    are joined into one text entry by entry, each value's members first,
+    then each key with its value's text."""
     deeper = inner + "  "
+    if _plain("".join(keys + members)):
+        return "".join((
+            "{", inner, '"',
+            ('"' + inner + "]," + inner + '"').join(map(
+                ('": [' + deeper + '"').join,
+                zip(keys, map(('",' + deeper + '"').join, values)))),
+            '"', inner, "]", indent, "}"))
     head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
     return "{" + inner + ("," + inner).join([
         _encode_str(k) + head + (_encode_str(v[0]) if len(v) == 1
@@ -832,7 +877,10 @@ def render_report(report):
     """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
     it, plus a newline.  Reports hold str keys and str, int, bool, None,
     list, tuple and dict values, a tuple written as an array as json.dumps
-    writes it; anything else raises TypeError."""
+    writes it; anything else raises TypeError.  Lists of strings, dicts of
+    strings and dicts of string lists whose strings are all plain (see
+    ``_plain``) are joined whole, with no string encoded; every other
+    string goes through ``json.encoder.encode_basestring_ascii``."""
     return _emit(report, "\n") + "\n"
 
 

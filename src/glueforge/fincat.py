@@ -24,7 +24,9 @@ target is glued up from the sources) by ``is_effective_family``.
 Compatible families (pullbacks, limits, families of maps and of sections)
 come from one join kernel, ``compatible_tuples``, whose cost follows the
 partial answers instead of the full product.  Quotients come from one
-union-find, ``quotient_by_pairs``, over carrier positions.
+union-find, ``quotient_by_pairs``, which takes pairs of carrier positions
+and returns the class name at each position, so a caller that knows
+where its labels sit looks none of them up.
 
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
 classes) are built with the reserved separator ``|``; document parsers reject
@@ -32,7 +34,7 @@ input labels containing it, which keeps generated names collision-free.
 """
 
 from functools import reduce
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from itertools import product as iproduct
 from operator import and_, or_
 
@@ -599,34 +601,38 @@ def top_pullback(f, g, xtop, ytop):
     return PairedSubset(ps.members, ps.legs, space=space)
 
 
-def quotient_by_pairs(carrier, pairs):
-    """Quotient a finite set by the equivalence closure of the given pairs.
+def quotient_by_pairs(labels, pairs):
+    """Quotient a finite set by the equivalence closure of pairs of positions.
 
-    Each class is labelled by its lexicographically smallest member; classes
-    are ordered by first occurrence in the carrier.  Returns the quotient set,
-    the projection map, whose mapping lists the carrier in order, and the
-    classes of two or more members: each under its name, in quotient order,
-    with its members in carrier order.  Every other label is a class of its
-    own, named by itself.
+    ``labels`` lists the carrier, its labels pairwise distinct, and
+    ``pairs`` is a sequence of pairs of positions in it.  Each class is
+    labelled by its lexicographically smallest member; classes are ordered
+    by first occurrence in the carrier.  Returns the quotient set, the list
+    of class names by carrier position, and the classes of two or more
+    members: each under its name, in quotient order, with its members in
+    carrier order.  Every other label is a class of its own, named by
+    itself.  A position outside the carrier, a negative one included, is
+    refused.
 
     Union-find over carrier positions (Tarjan 1975) with path halving: a
     union links the later root below the earlier, so every pointer runs
     toward the front and each root is the first member of its class.  Only
     the positions a union moved below a root are then resolved and named,
-    in carrier order, so the interpreted work follows the pairs; the names,
-    the roots and the projection come from bulk passes over the carrier.
+    in carrier order, so the interpreted work follows the pairs; the names
+    and the roots come from bulk passes over the carrier, and no label is
+    looked up.
     """
-    at = carrier._pos
-    labels = carrier.labels
     n = len(labels)
+    if pairs:
+        ends = list(chain.from_iterable(pairs))
+        if min(ends) < 0 or max(ends) >= n:
+            a, b = next((a, b) for a, b in pairs
+                        if not (0 <= a < n and 0 <= b < n))
+            raise StructuralError("pair (%r, %r) mentions positions outside "
+                                  "the carrier of %d labels" % (a, b, n))
     parent = list(range(n))
     moved = []    # each root linked below another, once
-    for a, b in pairs:
-        try:
-            ra, rb = at[a], at[b]
-        except KeyError:
-            raise StructuralError("pair (%r, %r) mentions labels outside the "
-                                  "carrier" % (a, b)) from None
+    for ra, rb in pairs:
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
         while parent[rb] != rb:
@@ -654,8 +660,7 @@ def quotient_by_pairs(carrier, pairs):
         for k in groups[r]:
             names[k] = name
         classes[name] = members
-    q = FinSet.from_distinct(compress(names, keep))
-    return q, FinFn.from_total(carrier, q, dict(zip(labels, names))), classes
+    return FinSet.from_distinct(compress(names, keep)), names, classes
 
 
 def induce_topology(mode, carrier, maps, spaces):

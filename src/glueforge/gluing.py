@@ -248,35 +248,59 @@ def colimit_relation_pairs(data):
     return pairs
 
 
+def _position_pairs(data, offsets):
+    """The generating identifications as pairs of coproduct positions: for
+    each point of an overlap (i, j), the position of its image in component
+    i after that component's offset, and likewise in component j."""
+    pairs = []
+    for i, j, overlap, e_i, e_j in _overlap_maps(data):
+        at_i = data.carrier((i,))._pos
+        at_j = data.carrier((j,))._pos
+        pairs.extend(zip(
+            map(offsets[i].__add__, map(at_i.__getitem__, e_i.values())),
+            map(offsets[j].__add__,
+                map(at_j.__getitem__, map(e_j.__getitem__, e_i)))))
+    return pairs
+
+
 def colimit_glue(data):
     """The standard colimit-side representative: disjoint union of the
     components modulo the congruence closure of the overlap identifications.
 
-    The partition is built once, by ``quotient_by_pairs`` on the tagged
-    coproduct, whose classes of two or more members are kept in
-    ``witness["merged"]``: each class name, in apex order, with its members
-    in coproduct order.  Every other apex label is a class of one coproduct
-    label, itself.  Component legs are slices of the projection at each
-    component's offset; overlap legs factor through the stored edge maps.
-    In the top ambient the apex carries the final topology over the
-    component legs.
+    The coproduct is the list of tagged labels ``i|x``, component after
+    component; the partition is built once, by ``quotient_by_pairs`` on
+    pairs of positions in it, each the component's offset plus the point's
+    position in its carrier, so no tagged label is looked up.  The tagged
+    labels are distinct unless an index label holds the separator, and only
+    then are they checked.  The witness keeps the tagged labels, as a tuple
+    (``witness["coproduct"]``), and the classes of two or more members
+    (``witness["merged"]``): each class name, in apex order, with its
+    members in coproduct order.  Every other apex label is a class of one
+    coproduct label, itself.  Each component leg is cut from the slice of
+    the class names at its component's offset; overlap legs factor through
+    the stored edge maps.  In the top ambient the apex carries the final
+    topology over the component legs.
     """
     _require_valid(data, FROM_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
     labels = []
+    offsets = {}
     for i, carrier in zip(comps, carriers):
+        offsets[i] = len(labels)
         labels.extend(_tagged(i, carrier.labels))
-    coproduct = FinSet.from_distinct(labels)
-    apex, pi, merged = quotient_by_pairs(coproduct,
-                                         colimit_relation_pairs(data))
-    # the projection lists the components in turn, and zip stops on the
-    # exhausted carrier before drawing past its component
-    values = iter(pi.mapping.values())
-    legs = {(i,): FinFn.from_total(carrier, apex,
-                                   dict(zip(carrier.labels, values)))
-            for i, carrier in zip(comps, carriers)}
+    labels = tuple(labels)
+    if any(SEP in i for i in comps):
+        FinSet.from_distinct(labels)    # raises naming a repeated label
+    apex, names, merged = quotient_by_pairs(labels,
+                                            _position_pairs(data, offsets))
+    legs = {}
+    for i, carrier in zip(comps, carriers):
+        k = offsets[i]
+        legs[(i,)] = FinFn.from_total(
+            carrier, apex,
+            dict(zip(carrier.labels, names[k:k + len(carrier)])))
     for pair_obj in cat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
@@ -290,7 +314,7 @@ def colimit_glue(data):
             leg_props[obj] = map_properties(
                 TopMap(legs[obj], data.space(obj), space))
     return GluedObject("colimit", apex, space, legs, leg_props,
-                       {"coproduct": coproduct, "merged": merged})
+                       {"coproduct": labels, "merged": merged})
 
 
 def _limit_constraints(data):

@@ -240,14 +240,16 @@ def two_stage_partition(meta):
     pairs = [(tag(i, node_glued[i].legs[a](x)), tag(j, node_glued[j].legs[b](y)))
              for (i, j), idents in meta.overlaps.items()
              for (a, x), (b, y) in idents]
-    _, pi, _ = quotient_by_pairs(elements, pairs)
+    _, names, _ = quotient_by_pairs(
+        elements.labels,
+        [(elements.position(a), elements.position(b)) for a, b in pairs])
     classes = {}
     for i in meta.index:
         node = meta.nodes[i]
         for comp in node.indexcat.singletons():
             for x in node.carrier(comp):
-                cls = pi(tag(i, node_glued[i].legs[comp](x)))
-                classes.setdefault(cls, set()).add((i, comp, x))
+                at = elements.position(tag(i, node_glued[i].legs[comp](x)))
+                classes.setdefault(names[at], set()).add((i, comp, x))
     return {frozenset(c) for c in classes.values()}
 
 

@@ -405,17 +405,20 @@ def compose_gluings(meta):
     for (i, j), idents in meta.overlaps.items():
         for (a, x), (b, y) in idents:
             pairs.append((_meta_tag(i, a, x), _meta_tag(j, b, y)))
-    apex, pi, _ = quotient_by_pairs(coproduct, pairs)
+    apex, names, _ = quotient_by_pairs(
+        coproduct.labels,
+        [(coproduct.position(a), coproduct.position(b)) for a, b in pairs])
     legs = {}
     for i in meta.index:
         node = meta.nodes[i]
         for comp_obj in node.indexcat.singletons():
             carrier = node.carrier(comp_obj)
             legs[(i, comp_obj)] = FinFn(
-                carrier, apex, {x: pi(_meta_tag(i, comp_obj, x))
-                                for x in carrier})
+                carrier, apex,
+                {x: names[coproduct.position(_meta_tag(i, comp_obj, x))]
+                 for x in carrier})
     return GluedObject("colimit", apex, None, legs, {},
-                       {"coproduct": coproduct})
+                       {"coproduct": coproduct.labels})
 
 
 def direct_image(topmap, store):

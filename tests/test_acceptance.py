@@ -66,7 +66,7 @@ def test_criterion_1_colimit_oracle_equivalence():
     for _ in range(200):
         data = random_nonsplit_colimit(rng, max_index=4, max_size=6)
         glued = colimit_glue(data)
-        labels = list(glued.witness["coproduct"].labels)
+        labels = list(glued.witness["coproduct"])
         oracle = naive_closure_partition(labels, colimit_relation_pairs(data))
         assert glued_partition(data, glued) == oracle
         assert len(glued.apex) == len(oracle)

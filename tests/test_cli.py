@@ -1203,6 +1203,23 @@ def test_repeated_chart_is_refused_before_any_body_is_parsed(tmp_path, capsys,
         "glueforge: structural error: chart 'c0' is listed twice\n")
 
 
+@pytest.mark.parametrize("members", [["p1", "p0"], ["p1"]])
+@pytest.mark.parametrize("before", [False, True])
+def test_repeated_glue_map_chart_is_refused_before_any_part_is_parsed(
+        tmp_path, capsys, members, before):
+    doc = golden_doc("glue-map")
+    charts = doc["payload"]["glue_map"]["charts"]
+    # an identical copy of c0 would glue to the golden report, and c0's part
+    # names the open p1,p0, which a c0 on p1 alone lacks
+    charts.insert(0 if before else 1, {"name": "c0", "members": members})
+    path = write_doc(tmp_path, doc, "charts.json")
+    assert main(["glue-map", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "glueforge: structural error: chart 'c0' is listed twice\n")
+
+
 @pytest.mark.parametrize("command, what", [("glue-sheaves", "locals"),
                                            ("glue-map", "parts")])
 @pytest.mark.parametrize("before", [False, True])

@@ -140,31 +140,42 @@ def test_pullback_symmetric_up_to_swap():
         assert lhs == rhs
 
 
+def positions(labels, pairs):
+    """The pairs of labels as pairs of their positions in ``labels``."""
+    at = {x: k for k, x in enumerate(labels)}
+    return [(at[a], at[b]) for a, b in pairs]
+
+
 def test_quotient_empty_relation_is_identity():
-    s = FinSet(["a", "b", "c"])
-    q, pi, _ = quotient_by_pairs(s, [])
+    labels = ("a", "b", "c")
+    q, names, merged = quotient_by_pairs(labels, [])
     assert list(q) == ["a", "b", "c"]
-    assert all(pi(x) == x for x in s)
+    assert names == ["a", "b", "c"] and merged == {}
 
 
 def test_quotient_transitive_chain():
-    s = FinSet(["a", "b", "c"])
-    q, pi, _ = quotient_by_pairs(s, [("a", "b"), ("b", "c")])
+    labels = ("a", "b", "c")
+    q, names, merged = quotient_by_pairs(labels, [(0, 1), (1, 2)])
     assert list(q) == ["a"]
-    assert naive_closure_partition(s.labels, [("a", "b"), ("b", "c")]) == {
+    assert names == ["a", "a", "a"] and merged == {"a": ["a", "b", "c"]}
+    assert naive_closure_partition(labels, [("a", "b"), ("b", "c")]) == {
         frozenset(["a", "b", "c"])}
 
 
 def test_quotient_two_classes():
-    s = FinSet(["a", "b", "c", "d"])
-    q, pi, _ = quotient_by_pairs(s, [("a", "b"), ("c", "d")])
+    q, names, _ = quotient_by_pairs(("a", "b", "c", "d"), [(0, 1), (2, 3)])
     assert list(q) == ["a", "c"]
-    assert pi("b") == "a" and pi("d") == "c"
+    assert names[1] == "a" and names[3] == "c"
 
 
 def test_quotient_unknown_label():
-    with pytest.raises(StructuralError):
-        quotient_by_pairs(FinSet(["a"]), [("a", "z")])
+    """A label the carrier lacks is a position outside it: past its end,
+    or negative, which a list index would otherwise wrap to the end."""
+    for bad in [(0, 1), (1, 0), (0, -1), (-1, -1)]:
+        with pytest.raises(StructuralError, match="outside the carrier"):
+            quotient_by_pairs(("a",), [bad])
+    with pytest.raises(StructuralError, match=r"\(0, -3\)"):
+        quotient_by_pairs(("a", "b", "c"), [(0, 1), (0, -3), (2, 5)])
 
 
 def test_quotient_matches_naive_closure_on_random_instances():
@@ -173,14 +184,15 @@ def test_quotient_matches_naive_closure_on_random_instances():
         n = rng.randint(1, 12)
         labels = ["e%d" % k for k in range(n)]
         rng.shuffle(labels)
-        s = FinSet(labels)
         pairs = [(rng.choice(labels), rng.choice(labels))
                  for _ in range(rng.randint(0, 20))]
-        q, pi, _ = quotient_by_pairs(s, pairs)
-        got = {frozenset(x for x in labels if pi(x) == c) for c in q}
+        q, names, _ = quotient_by_pairs(labels, positions(labels, pairs))
+        got = {frozenset(x for x, c in zip(labels, names) if c == name)
+               for name in q}
         assert got == naive_closure_partition(labels, pairs)
         # canonical class labels
-        assert all(c == min(x for x in labels if pi(x) == c) for c in q)
+        assert all(c == min(x for x, name in zip(labels, names) if name == c)
+                   for c in q)
 
 
 @st.composite
@@ -210,10 +222,11 @@ def test_quotient_classes_names_and_order_match_the_naive_closure():
     @example((["c", "b", "a", "d"], [("d", "a"), ("b", "a"), ("c", "d")]))
     def check(case):
         labels, pairs = case
-        carrier = FinSet(labels)
-        q, pi, merged = quotient_by_pairs(carrier, pairs)
-        assert list(pi.mapping) == labels
-        classes = [[x for x in labels if pi(x) == c] for c in q]
+        q, names, merged = quotient_by_pairs(tuple(labels),
+                                             positions(labels, pairs))
+        assert len(names) == len(labels)
+        classes = [[x for x, name in zip(labels, names) if name == c]
+                   for c in q]
         naive = naive_closure_partition(labels, pairs)
         assert {frozenset(c) for c in classes} == naive
         assert list(q) == [min(c) for c in classes]
@@ -225,10 +238,12 @@ def test_quotient_classes_names_and_order_match_the_naive_closure():
         # the sum of squared class sizes the effectiveness check compares
         assert sum(len(c) ** 2 for c in merged.values()) + len(q) \
             - len(merged) == sum(len(c) ** 2 for c in naive)
-        # "d" is outside the drawn alphabet
-        for bad in [("dddd", "dddd")] + [(x, "dddd") for x in labels[:1]]:
+        # one past the end, and negative positions, at the end of the pairs
+        n = len(labels)
+        for bad in [(n, n), (-1, -1)] + [(0, n), (0, -1 - n)] * (n > 0):
             with pytest.raises(StructuralError, match="outside the carrier"):
-                quotient_by_pairs(carrier, pairs + [bad])
+                quotient_by_pairs(tuple(labels),
+                                  positions(labels, pairs) + [bad])
         shapes.append(any(min(c) != c[0] for c in classes))
 
     check()
@@ -381,7 +396,9 @@ def test_operations_are_deterministic():
         assert pullback(f, g).members == pullback(f, g).members
         pairs = [(rng.choice(a.labels), rng.choice(a.labels))
                  for _ in range(3)] if len(a) else []
-        assert quotient_by_pairs(a, pairs)[0] == quotient_by_pairs(a, pairs)[0]
+        at = positions(a.labels, pairs)
+        assert quotient_by_pairs(a.labels, at) == \
+            quotient_by_pairs(a.labels, at)
 
 
 def test_final_topology_makes_legs_continuous():

@@ -118,10 +118,31 @@ def test_colimit_matches_naive_closure_oracle():
     for _ in range(40):
         data = random_nonsplit_colimit(rng)
         glued = colimit_glue(data)
-        oracle = naive_closure_partition(glued.witness["coproduct"].labels,
+        oracle = naive_closure_partition(glued.witness["coproduct"],
                                          colimit_relation_pairs(data))
         assert len(oracle) == len(glued.apex)
         assert classes_of(data, glued) == oracle
+
+
+def test_colimit_refuses_colliding_tagged_labels():
+    """Index labels are checked for the separator only by the document
+    parsers, so library-built data can tag two points with one coproduct
+    label: ``a`` tags ``b|c`` and ``a|b`` tags ``c`` as ``a|b|c``.  The
+    overlap glues the two into one class, so the apex alone would not
+    show the collision."""
+    data = make_nonsplit_colimit(
+        ["a", "a|b"], {"a": ["0", "b|c"], "a|b": ["c"]},
+        {("a", "a|b"): (["u"], {"u": "b|c"}, {"u": "c"})})
+    with pytest.raises(StructuralError, match=r"duplicate label 'a\|b\|c'"):
+        colimit_glue(data)
+    # an index label holding the separator glues when no two tags collide
+    data = make_nonsplit_colimit(
+        ["a", "a|b"], {"a": ["x", "y"], "a|b": ["z"]},
+        {("a", "a|b"): (["u"], {"u": "y"}, {"u": "z"})})
+    glued = colimit_glue(data)
+    assert glued.witness["coproduct"] == ("a|x", "a|y", "a|b|z")
+    assert list(glued.apex) == ["a|x", "a|b|z"]
+    assert glued.witness["merged"] == {"a|b|z": ["a|y", "a|b|z"]}
 
 
 def test_cocone_law_exhaustive():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glueforge import cli
 from glueforge.cli import execute, load_document, render_report
 from glueforge.errors import GlueforgeError
 
@@ -122,6 +123,55 @@ def test_emitter_matches_json_dumps_on_edge_cases(report):
     {"a": {"b": ("x", type("Text", (str,), {})("y"))}},
 ])
 def test_emitter_refuses_what_a_report_cannot_hold(report):
+    with pytest.raises(TypeError):
+        render_report(report)
+
+
+# one string of each escape class: a quote, a backslash, control
+# characters, DEL, non-ASCII text, an astral character, a lone surrogate
+NON_PLAIN = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\x80", "é", "\u2028",
+             "\U0001f600", "\ud800"]
+
+
+def one_non_plain(bad):
+    """Each container the emitter writes in bulk, holding plain strings,
+    empty ones among them, and the one string ``"a" + bad`` as a key or as
+    a value or member."""
+    odd = "a" + bad
+    return [
+        ["", "x y", odd, "z"],
+        {"": "v", odd: "", "z": "w"},
+        {"": "", "k": odd, "z": "w"},
+        {odd: ("x",), "": ("", "y"), "z": ("w",)},
+        {"k": ["x", odd], "": [""], "z": ["w"]},
+    ]
+
+
+@pytest.mark.parametrize("bad", NON_PLAIN)
+def test_emitter_escapes_the_one_string_that_needs_it(bad):
+    for node in one_non_plain(bad):
+        report = {"a": node, "b": {"c": node}}
+        assert render_report(report) == dumped(report), (bad, node)
+
+
+def test_plain_containers_are_written_without_encoding_a_string(monkeypatch):
+    def refuse(text):
+        raise AssertionError("encoded %r" % text)
+
+    plain = [["", "x y", "~!#$%&'()*+,-./:;<=>?@[]^_`{|}", "z"],
+             ("",), {"": "v", "k": "", "z": "w"},
+             {"k": ("x",), "": ("", "y"), "z": ("w",)},
+             {"k": ["x", "y"], "": [""]}]
+    expected = list(map(dumped, plain))
+    monkeypatch.setattr(cli, "_encode_str", refuse)
+    assert list(map(render_report, plain)) == expected
+
+
+@pytest.mark.parametrize("report", [
+    {"a": {1: "x"}}, {"a": {None: ""}}, {"a": {("k",): "x"}},
+    {"a": {2: ["y"]}}, {"a": {1.5: ("x", "y")}},
+])
+def test_plain_path_refuses_a_key_that_is_not_a_string(report):
     with pytest.raises(TypeError):
         render_report(report)
 
