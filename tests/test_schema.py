@@ -1,13 +1,17 @@
-"""The compiled schema checker: it agrees with jsonschema on shipped and
-mutated documents, rejections keep jsonschema's wording, unknown keywords
-fail the compiler, and a CLI call imports jsonschema only to word an error."""
+"""The generated schema checker: it agrees with jsonschema on shipped and
+mutated documents and on awkward names and values, rejections keep
+jsonschema's wording, unknown keywords and malformed keyword values fail the
+compiler, the generated source keeps one function per target, and a CLI
+call imports jsonschema only to word an error."""
 
 import copy
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +413,133 @@ def test_unimplemented_keyword_fails_the_compiler(keyword, value, referenced):
         own["properties"] = {"index": {"$ref": "#/$defs/labels"}}
     with pytest.raises(schema.SchemaCompileError, match=keyword):
         schema.compile_schemas([own])
+
+
+# keyword values the generated source could not take as the keyword means
+# them; before they were refused, "minLength": "2" compiled and then raised a
+# bare TypeError, "required": "mode" checked for the keys m, o, d and e, and
+# "enum": "abc" accepted "a"
+@pytest.mark.parametrize("keyword, value", [
+    ("minLength", "2"), ("minLength", True), ("minLength", -1),
+    ("minLength", 1.0), ("required", "mode"), ("required", ["a", 1]),
+    ("enum", "abc"), ("enum", ["a", None]), ("const", 1),
+    ("properties", ["a"]), ("oneOf", []), ("$ref", 1),
+])
+def test_malformed_keyword_value_fails_the_compiler(keyword, value):
+    own = {"$id": "test:own", "type": "object",
+           "properties": {"a": {keyword: value}}}
+    if keyword == "properties":
+        own = {"$id": "test:own", keyword: value}
+    with pytest.raises(schema.SchemaCompileError) as err:
+        schema.compile_schemas([own])
+    assert keyword in str(err.value) and repr(value) in str(err.value)
+
+
+def test_recursive_ref_fails_the_compiler():
+    tree = {"$id": "test:own", "$defs": {
+        "tree": {"type": "array", "items": {"$ref": "#/$defs/tree"}}}}
+    loop = {"$id": "test:own", "items": {"$ref": "#/$defs/a"}, "$defs": {
+        "a": {"$ref": "#/$defs/b"}, "b": {"$ref": "#/$defs/a"}}}
+    for own in (tree, loop):
+        with pytest.raises(schema.SchemaCompileError, match="recursive"):
+            schema.compile_schemas([own])
+
+
+@pytest.mark.parametrize("target", ["#/$defs/missing", "test:other",
+                                    "#/type/string", "test:own#/items/0"])
+def test_unresolvable_ref_fails_the_compiler(target):
+    own = {"$id": "test:own", "type": "array", "items": {"$ref": target}}
+    with pytest.raises(schema.SchemaCompileError, match="unresolvable"):
+        schema.compile_schemas([own])
+
+
+# text that would break generated source pasted in without repr
+AWKWARD = ["it's", 'say "hi"', "back\\slash", "new\nline", "# no comment",
+           "naïve", "\U0001d50alue", "'''", "\\'", "')\n    return True\n#",
+           "\r\n", "\u2028", "~1/"]
+AWKWARD_OWN = {
+    "type": "object", "required": AWKWARD[:4],
+    "properties": {name: {"const": name} for name in AWKWARD},
+    "additionalProperties": {"$ref": "#/$defs/~01~1~0~1"},
+    "$defs": {"~1/~/": {"enum": AWKWARD[3:]}},
+}
+
+
+@pytest.mark.parametrize("instance", [
+    {name: name for name in AWKWARD},
+    {name: name for name in AWKWARD[:4]},
+    {name: name for name in AWKWARD[1:]},
+    dict({name: name for name in AWKWARD[:4]}, **{"#": "naïve"}),
+    dict({name: name for name in AWKWARD[:4]}, **{"#": "naive"}),
+    dict({name: name for name in AWKWARD[:4]}, **{AWKWARD[5]: "naive"}),
+    dict({name: name for name in AWKWARD[:4]}, **{AWKWARD[3]: "new line"}),
+    dict({name: name for name in AWKWARD[:4]}, **{AWKWARD[6]: "𝔊"}),
+    {name: AWKWARD[-1] for name in AWKWARD[:4]},
+])
+def test_awkward_names_and_values_agree_with_jsonschema(instance):
+    own = dict(AWKWARD_OWN, **{"$schema": DRAFT, "$id": "test:own"})
+    registry = Registry().with_resource(own["$id"],
+                                        Resource.from_contents(own))
+    checker = schema.compile_schemas([own])["test:own"]
+    assert checker(instance) == oracle(instance, "test:own", registry)
+
+
+def test_awkward_schema_id_stays_in_a_comment():
+    awkward = "test:" + "".join(AWKWARD).replace("#", "")  # no fragment
+    own = {"$id": awkward, "type": "array", "items": {"const": "a"}}
+    checker = schema.compile_schemas([own])[awkward]
+    assert checker(["a"]) and not checker(["b"]) and not checker({})
+
+
+def _normal(line):
+    """A generated line without indentation and with every variable
+    renamed, so a block matches a copy of itself at another depth."""
+    return re.sub(r"\b[xkv]\d*\b", "_", line.strip())
+
+
+def test_generated_source_has_one_function_per_target():
+    """The source is the same on every compile, with one function per $id,
+    per $defs entry, per other $ref target and per oneOf branch, and no
+    target's checks copied into another function."""
+    again = schema.compile_schemas(schema.SCHEMAS)[ENVELOPE]
+    assert again.__globals__["SOURCE"] == schema.SOURCE
+    targets, branches, properties = set(), [], []
+
+    def walk(node, base):
+        if not isinstance(node, dict):
+            return
+        if isinstance(node.get("$ref"), str):
+            uri, _, pointer = node["$ref"].partition("#")
+            targets.add((uri or base) + "#" + pointer)
+        properties.extend(node.get("properties", {}))
+        branches.extend(node.get("oneOf", []))
+        for sub in chain(node.get("properties", {}).values(),
+                         node.get("$defs", {}).values(), node.get("oneOf", []),
+                         [node.get("items"),
+                          node.get("additionalProperties")]):
+            walk(sub, base)
+
+    for s in schema.SCHEMAS:
+        targets.add(s["$id"] + "#")
+        targets.update(s["$id"] + "#/$defs/" + name
+                       for name in s.get("$defs", {}))
+        walk(s, s["$id"])
+    lines = schema.SOURCE.splitlines()
+    defs = [n for n, line in enumerate(lines) if line.startswith("def ")]
+    assert len(defs) == len(targets) + len(branches) == 23
+    # one dispatch line per named property of the schema files
+    dispatch = [line for line in lines
+                if re.match(r"\s+(el)?if k\d+ == ", line)]
+    assert len(dispatch) == len(properties)
+    normal = [_normal(line) for line in lines]
+    for start, end in zip(defs, defs[1:] + [len(lines) + 3]):
+        body = normal[start + 1:end - 3]
+        if len(body) > 1:
+            assert body[-1] == "return True"
+            body = body[:-1]
+            hits = [n for n in range(len(normal))
+                    if normal[n:n + len(body)] == body]
+            assert hits == [start + 1], lines[start]
 
 
 def test_shipped_keywords_are_the_implemented_set():
