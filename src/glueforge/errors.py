@@ -12,7 +12,8 @@ class StructuralError(GlueforgeError):
 
 
 class ResourceError(GlueforgeError):
-    """An enumeration would exceed the cap of the enclosing ``budget``."""
+    """An enumeration would exceed the cap of the enclosing ``budget``, or
+    a count would have more decimal digits than ``int`` can write."""
 
     def __init__(self, message, size=None, cap=None):
         super().__init__(message)

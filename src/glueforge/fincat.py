@@ -21,12 +21,13 @@ map is an isomorphism (a bijection, a homeomorphism between spaces) by
 ``is_iso``, and whether a family of maps is effective epimorphic (the
 target is glued up from the sources) by ``is_effective_family``.
 
-Compatible families (pullbacks, limits, families of maps and of sections)
-come from one join kernel, ``compatible_tuples``, whose cost follows the
-partial answers instead of the full product.  Quotients come from one
-union-find, ``quotient_by_pairs``, which takes pairs of carrier positions
-and returns the class name at each position, so a caller that knows
-where its labels sit looks none of them up.
+Compatible families (pullbacks, limits, sections) come from one join
+kernel, ``compatible_tuples``, whose cost follows the partial answers
+instead of the full product.  Quotients come from one union-find,
+``quotient_by_pairs``, which returns the class name at each of the carrier
+positions it is given pairs of, so a caller that knows where its labels
+sit looks none of them up.  Maps out of a quotient are one value per class:
+they are counted from its classes, never listed.
 
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
 classes) are built with the reserved separator ``|``; document parsers reject

@@ -20,10 +20,10 @@ its legs and the limit apex the initial topology; openness of legs is
 computed, never assumed.
 """
 
-from itertools import product as iproduct
+import sys
 from math import prod
 
-from .errors import StructuralError, charge
+from .errors import ResourceError, StructuralError, charge
 from .fincat import (
     SEP,
     FinFn,
@@ -263,28 +263,9 @@ def _position_pairs(data, offsets):
     return pairs
 
 
-def colimit_glue(data):
-    """The standard colimit-side representative: disjoint union of the
-    components modulo the congruence closure of the overlap identifications.
-
-    The coproduct is the list of tagged labels ``i|x``, component after
-    component; the partition is built once, by ``quotient_by_pairs`` on
-    pairs of positions in it, each the component's offset plus the point's
-    position in its carrier, so no tagged label is looked up.  The tagged
-    labels are distinct unless an index label holds the separator, and only
-    then are they checked.  The witness keeps the tagged labels, as a tuple
-    (``witness["coproduct"]``), and the classes of two or more members
-    (``witness["merged"]``): each class name, in apex order, with its
-    members in coproduct order.  Every other apex label is a class of one
-    coproduct label, itself.  Each component leg is cut from the slice of
-    the class names at its component's offset; overlap legs factor through
-    the stored edge maps.  In the top ambient the apex carries the final
-    topology over the component legs.
-    """
-    _require_valid(data, FROM_OVERLAPS)
-    cat = data.indexcat
-    comps = [obj[0] for obj in cat.singletons()]
-    carriers = [data.carrier((i,)) for i in comps]
+def _coproduct(comps, carriers):
+    """The tagged labels ``i|x`` of the disjoint union and each component's
+    offset; checked distinct only if an index label holds the separator."""
     labels = []
     offsets = {}
     for i, carrier in zip(comps, carriers):
@@ -293,6 +274,30 @@ def colimit_glue(data):
     labels = tuple(labels)
     if any(SEP in i for i in comps):
         FinSet.from_distinct(labels)    # raises naming a repeated label
+    return labels, offsets
+
+
+def colimit_glue(data):
+    """The standard colimit-side representative: disjoint union of the
+    components modulo the congruence closure of the overlap identifications.
+
+    The coproduct is the list of tagged labels ``i|x``, component after
+    component; the partition is built once, by ``quotient_by_pairs`` on
+    pairs of positions in it, each the component's offset plus the point's
+    position in its carrier, so no tagged label is looked up.  The witness
+    keeps the tagged labels, as a tuple (``witness["coproduct"]``), and the
+    classes of two or more members (``witness["merged"]``): each class
+    name, in apex order, with its members in coproduct order.  Every other
+    apex label is a class of one coproduct label, itself.  Each component
+    leg is cut from the slice of the class names at its component's offset;
+    overlap legs factor through the stored edge maps.  In the top ambient
+    the apex carries the final topology over the component legs.
+    """
+    _require_valid(data, FROM_OVERLAPS)
+    cat = data.indexcat
+    comps = [obj[0] for obj in cat.singletons()]
+    carriers = [data.carrier((i,)) for i in comps]
+    labels, offsets = _coproduct(comps, carriers)
     apex, names, merged = quotient_by_pairs(labels,
                                             _position_pairs(data, offsets))
     legs = {}
@@ -429,61 +434,53 @@ def hom_transport(data, z):
     """Compatible families of maps into ``z`` versus maps out of the glued
     apex; certifies that restriction along the legs is a bijection.
 
-    By the universal property of the colimit the certificate needs no map
-    out of the apex: restriction is injective when ``|z| <= 1`` or the legs
-    reach every class, lands in the families when ``|z| <= 1`` or the legs
-    form a cocone on every overlap, and is onto when every family is
-    constant on each class and, for an empty ``z`` with a family, the legs
-    reach every class.  Returns the glued object, both cardinalities and
-    the verified flag.
+    A family is one value of ``z`` per class of the data's own overlap
+    identifications (Mac Lane, CWM III.3-4), so ``|z| ** classes`` counts
+    them; nothing is listed or charged.  Restriction is injective when
+    ``|z| <= 1`` or the legs reach every apex class, lands in the families
+    when ``|z| <= 1`` or the legs form a cocone on every overlap, and is
+    onto when ``|z| == 1``, when ``|z| >= 2`` and the legs hit as many
+    classes as the data has (given the cocone, no leg merges two), and for
+    an empty ``z`` when there is no family or the legs reach every class.
     """
     _require_valid(data, FROM_OVERLAPS)
-    cat = data.indexcat
-    comps = [obj[0] for obj in cat.singletons()]
-    carriers = {i: data.carrier((i,)) for i in comps}
-    # a map out of a component is its tuple of values in carrier order; two
-    # maps are compatible when they agree on the overlap of their components
-    pos = {i: k for k, i in enumerate(comps)}
-    domains = []
-    for i in comps:
-        charge("maps from component %s into the transport target" % i,
-               len(z) ** len(carriers[i]))
-        domains.append(list(iproduct(z.labels, repeat=len(carriers[i]))))
-
-    def key(i, edge, overlap):
-        at = [carriers[i].position(edge[u]) for u in overlap]
-        return {v: tuple(v[p] for p in at) for v in domains[pos[i]]}
-
-    overlaps = _overlap_maps(data)
-    cons = [(pos[i], pos[j], key(i, e_i, overlap), key(j, e_j, overlap))
-            for i, j, overlap, e_i, e_j in overlaps]
-    families = compatible_tuples(domains, cons, "families of maps")
-
+    comps = [obj[0] for obj in data.indexcat.singletons()]
+    labels, offsets = _coproduct(comps, [data.carrier((i,)) for i in comps])
+    classes = len(quotient_by_pairs(labels, _position_pairs(data, offsets))[0])
+    family_count = _count_power("compatible families of maps", len(z), classes)
     glued = colimit_glue(data)
     legs = {i: glued.legs[(i,)].mapping for i in comps}
-    classes = {}
-    for i in comps:
-        for k, x in enumerate(carriers[i]):
-            classes.setdefault(legs[i][x], []).append((pos[i], k))
-    reaches_all = len(classes) == len(glued.apex)
+    hit = len(set().union(*map(dict.values, legs.values())))
+    reaches_all = hit == len(glued.apex)
     small = len(z) <= 1
-    injective = small or reaches_all
     lands = small or all(legs[i][e_i[u]] == legs[j][e_j[u]]
-                         for i, j, overlap, e_i, e_j in overlaps
+                         for i, j, overlap, e_i, e_j in _overlap_maps(data)
                          for u in overlap)
-    # a family factors through the apex when it is constant on each class:
-    # every member agrees with the first member of its class
-    ties = [(first, other) for first, *others in classes.values()
-            for other in others]
-    constant = all(f[a][k] == f[b][m]
-                   for f in families for (a, k), (b, m) in ties)
-    onto = constant and (len(z) > 0 or not families or reaches_all)
+    onto = hit == classes if not small else \
+        len(z) == 1 or classes > 0 or reaches_all
     return {
         "glued": glued,
-        "family_count": len(families),
-        "hom_count": len(z) ** len(glued.apex),
-        "bijection_verified": injective and lands and onto,
+        "family_count": family_count,
+        "hom_count": _count_power("maps out of the glued apex", len(z),
+                                  len(glued.apex)),
+        "bijection_verified": (small or reaches_all) and lands and onto,
     }
+
+
+def _count_power(what, base, exp):
+    """``base ** exp``, refused when ``int`` could not write it in decimal.
+    As ``2 ** 3 < 10 < 2 ** 4``, bit lengths decide all but the counts near
+    the limit, and the largest are refused before they are built."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit:
+        return base ** exp
+    if exp * (base.bit_length() - 1) < 4 * limit:
+        count = base ** exp
+        if count.bit_length() <= 3 * limit or count < 10 ** limit:
+            return count
+    raise ResourceError(
+        "%s number %d ** %d, more than the %d decimal digits a count can be "
+        "written with" % (what, base, exp, limit))
 
 
 def universal_glue_check(data, glued, delta, v_space=None):

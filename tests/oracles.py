@@ -5,12 +5,14 @@ construction from the one in ``glueforge``: a space's neighbourhoods by
 intersecting frozensets rather than bitmasks, a quotient's classes as the
 closure of a relation grown to a fixed point, the limit as a literal
 equalizer of two maps between products, the composite gluing in two
-stages, the hom bijection by enumerating every map out of the glued
-apex, a sink's target as a cone with a leg at every overlap, stability of
-a colimit under pullback by gluing the whole pulled-back diagram, the
-presheaf laws and naturality by composing restriction maps as functions
-at every pair of opens, and commuting paths and isomorphisms by building
-composites and continuous maps.
+stages, the compatible families of maps into a target by enumerating
+every family of values on the components, the hom bijection by also
+enumerating every map out of the glued apex, a sink's target as a cone
+with a leg at every overlap, stability of a colimit under pullback by
+gluing the whole pulled-back diagram, the presheaf laws and naturality
+by composing restriction maps as functions at every pair of opens, and
+commuting paths and isomorphisms by building composites and continuous
+maps.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -253,13 +255,9 @@ def two_stage_partition(meta):
     return {frozenset(c) for c in classes.values()}
 
 
-def hom_bijection_exhaustive(data, z, glued):
-    """Whether restricting maps ``glued.apex -> z`` along the component legs
-    is a bijection onto the compatible families of maps into ``z``.
-
-    Lists every family of maps out of the components and keeps those that
-    respect each generating identification, then restricts every one of the
-    ``|z| ** |apex|`` maps out of the apex."""
+def _hom_families(data, z):
+    """The points of the components in order, and every family of values
+    in ``z`` on them that respects each generating identification."""
     comps = [obj[0] for obj in data.indexcat.singletons()]
     elements = [(i, x) for i in comps for x in data.carrier((i,))]
     pairs = colimit_relation_pairs(data)
@@ -268,6 +266,23 @@ def hom_bijection_exhaustive(data, z, glued):
         at = {tag(i, x): v for (i, x), v in zip(elements, values)}
         if all(at[a] == at[b] for a, b in pairs):
             families.add(values)
+    return elements, families
+
+
+def hom_families_exhaustive(data, z):
+    """The number of compatible families of maps into ``z``, found by
+    listing all ``|z| ** points`` families of values on the components."""
+    return len(_hom_families(data, z)[1])
+
+
+def hom_bijection_exhaustive(data, z, glued):
+    """Whether restricting maps ``glued.apex -> z`` along the component legs
+    is a bijection onto the compatible families of maps into ``z``.
+
+    Lists every family of maps out of the components and keeps those that
+    respect each generating identification, then restricts every one of the
+    ``|z| ** |apex|`` maps out of the apex."""
+    elements, families = _hom_families(data, z)
     restrictions = set()
     maps = 0
     for values in iproduct(z.labels, repeat=len(glued.apex)):

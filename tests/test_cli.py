@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from glueforge import cli
+from glueforge import cli, gluing
 from glueforge.cli import (
     ERROR_TEXT_LIMIT,
     execute,
@@ -187,23 +187,29 @@ def test_unwritable_output_is_structural(tmp_path, capsys):
     assert "out.json" in captured.err
 
 
-def test_main_cap_flag_resource_error(tmp_path, capsys):
-    limit_doc = {
+def limit_doc(size):
+    """Two components of ``size`` points over one overlap point: the limit
+    charges ``size ** 2`` candidates."""
+    points = [str(k) for k in range(size)]
+    return {
         "version": "1", "kind": "gluing",
         "payload": {
             "mode": "nonsplit", "ambient": "sets",
             "direction": "toward-overlaps",
             "index": ["1", "2"],
-            "objects": {"1": ["0", "1"], "2": ["0", "1"], "1,2": ["s"]},
+            "objects": {"1": points, "2": points, "1,2": ["s"]},
             "arrows": [
                 {"kind": "edge", "from": "1", "pair": "1,2",
-                 "map": {"0": "s", "1": "s"}},
+                 "map": {p: "s" for p in points}},
                 {"kind": "edge", "from": "2", "pair": "1,2",
-                 "map": {"0": "s", "1": "s"}},
+                 "map": {p: "s" for p in points}},
             ],
         },
     }
-    path = write_doc(tmp_path, limit_doc, "limit.json")
+
+
+def test_main_cap_flag_resource_error(tmp_path, capsys):
+    path = write_doc(tmp_path, limit_doc(2), "limit.json")
     assert main(["glue", "--input", path, "--side", "limit"]) == 0
     capsys.readouterr()
     assert main(["glue", "--input", path, "--side", "limit",
@@ -211,25 +217,75 @@ def test_main_cap_flag_resource_error(tmp_path, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
-def test_hom_charges_each_component_on_its_own(tmp_path, capsys):
-    # 2^6 maps into the target from both components together, but 2^3 from
-    # each, and the two steps of the join visit 8 and 32 candidates
+def test_hom_charges_nothing(tmp_path, capsys):
+    # the families are counted from the 5 classes, so no cap refuses them
     path = write_doc(tmp_path, e1_payload(extra={"hom_target": ["0", "1"]}))
-    assert main(["hom", "--input", path, "--cap", "40"]) == 0
+    assert main(["hom", "--input", path, "--cap", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["bijection_verified"] is True
     assert out["artifacts"]["family_count"] == 32
 
 
-def test_hom_refuses_one_oversized_component(tmp_path, capsys):
+def test_hom_counts_one_large_component_from_its_classes(tmp_path, capsys):
+    # 2^6 maps out of component 1 alone, but 8 classes in all
     doc = e1_payload(extra={"hom_target": ["0", "1"]})
     doc["payload"]["objects"]["1"] = ["a%d" % k for k in range(6)]
     path = write_doc(tmp_path, doc)
-    assert main(["hom", "--input", path, "--cap", "40"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("glueforge: resource error:")
-    assert "maps from component 1 into the transport target would " \
-        "enumerate 64 items" in err
+    assert main(["hom", "--input", path, "--cap", "40"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"]["bijection_verified"] is True
+    assert out["artifacts"] == {"family_count": 256, "hom_count": 256}
+
+
+def test_hom_counts_23_classes_into_two_points(tmp_path, capsys):
+    doc = e1_payload(extra={"hom_target": ["0", "1"]})
+    doc["payload"]["objects"]["1"] = ["a%d" % k for k in range(12)]
+    doc["payload"]["objects"]["2"] = ["b%d" % k for k in range(12)]
+    path = write_doc(tmp_path, doc)
+    assert main(["hom", "--input", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdicts"]["bijection_verified"] is True
+    assert out["artifacts"] == {"family_count": 2 ** 23, "hom_count": 2 ** 23}
+
+
+def test_hom_lists_no_family(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom joined families")
+
+    monkeypatch.setattr(gluing, "compatible_tuples", refuse)
+    base = os.path.join(os.path.dirname(GOLDEN_COLIMIT), "hom")
+    assert main(["hom", "--input", base + ".json"]) == 0
+    with open(base + ".out", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default limit of 4300 decimal digits per written int, for
+    the test; the limit in force before is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes ints of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_hom_refuses_a_count_too_long_to_write(tmp_path, capsys,
+                                               default_int_digits):
+    # one component of 5,000 points into 10 labels: 10 ** 5000 families and
+    # maps, a count of 5,001 digits that int cannot write
+    doc = {"version": "1", "kind": "gluing", "payload": {
+        "mode": "nonsplit", "ambient": "sets", "direction": "from-overlaps",
+        "index": ["1"], "objects": {"1": ["a%d" % k for k in range(5000)]},
+        "arrows": [], "hom_target": [str(k) for k in range(10)]}}
+    path = write_doc(tmp_path, doc)
+    assert main(["hom", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("glueforge: resource error: ")
+    assert "10 ** 5000" in captured.err
 
 
 def sierpinski_presheaf_doc():
@@ -369,10 +425,11 @@ def test_glue_map_one_chart_when_the_basic_cover_passes_the_cap(tmp_path,
 
 
 def test_cap_env_variable(tmp_path, capsys, monkeypatch):
-    doc = e1_payload(extra={"hom_target": ["0", "1"]})
-    path = write_doc(tmp_path, doc, "cap.json")
+    path = write_doc(tmp_path, limit_doc(4), "cap.json")
+    assert main(["glue", "--input", path, "--side", "limit"]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("GLUEFORGE_CAP", "10")
-    assert main(["hom", "--input", path]) == 2
+    assert main(["glue", "--input", path, "--side", "limit"]) == 2
     assert "resource error" in capsys.readouterr().err
 
 

@@ -34,6 +34,7 @@ from fixtures import (
 from oracles import (
     equalizer_glue_oracle,
     hom_bijection_exhaustive,
+    hom_families_exhaustive,
     naive_closure_partition,
 )
 from paper import (
@@ -317,13 +318,22 @@ def hom_instances(draw):
     return data, z, kind
 
 
+def empty_component_data():
+    """Two components, the second empty, with an empty overlap."""
+    return make_nonsplit_colimit(["1", "2"], {"1": ["a"], "2": []},
+                                 {("1", "2"): ([], {}, {})})
+
+
 def test_hom_certificate_matches_exhaustive_oracle(monkeypatch):
     flags = []
+    seen = set()
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(hom_instances())
     @example((e1(), FinSet(["0", "1"]), "none"))
     @example((e1(), FinSet(["0", "1"]), "merged"))
+    @example((make_nonsplit_colimit(["1"], {"1": []}, {}), FinSet([]), "none"))
+    @example((empty_component_data(), FinSet([]), "unreached"))
     def check(instance):
         data, z, kind = instance
         glued = bend(colimit_glue(data), kind)
@@ -332,13 +342,41 @@ def test_hom_certificate_matches_exhaustive_oracle(monkeypatch):
             res = hom_transport(data, z)
         assert res["glued"] is glued
         assert res["hom_count"] == len(z) ** len(glued.apex)
+        # counted from the data's classes, whatever the bent glued object
+        assert res["family_count"] == hom_families_exhaustive(data, z)
         flag = res["bijection_verified"]
         assert flag == hom_bijection_exhaustive(data, z, glued)
         assert flag or kind != "none"
         flags.append(flag)
+        empty = any(not data.carrier(obj) for obj in data.indexcat.singletons())
+        seen.add((kind, len(z), empty))
 
     check()
     assert flags.count(False) >= 100
+    kinds = ("none", "unreached", "merged", "split")
+    assert {(k, n) for k, n, _ in seen} == {(k, n) for k in kinds
+                                           for n in range(4)}
+    assert {k for k, _, empty in seen if empty} == set(kinds)
+
+
+def test_hom_transport_refuses_a_count_too_long_to_write(monkeypatch):
+    # with ints written to at most 640 digits, 10 ** 639 and 2 ** 2126 fit
+    # and 10 ** 640 and 2 ** 2127 do not; 2 ** 2560 is refused unbuilt
+    monkeypatch.setattr(gluing.sys, "get_int_max_str_digits", lambda: 640,
+                        raising=False)
+    for size, points, fits in ((10, 639, True), (10, 640, False),
+                               (2, 2126, True), (2, 2127, False),
+                               (2, 2560, False)):
+        data = make_nonsplit_colimit(
+            ["1"], {"1": ["a%d" % k for k in range(points)]}, {})
+        z = FinSet([str(k) for k in range(size)])
+        if fits:
+            assert hom_transport(data, z)["family_count"] == size ** points
+        else:
+            with pytest.raises(ResourceError, match=r"^compatible families "
+                               r"of maps number %d \*\* %d, more than the "
+                               r"640 " % (size, points)):
+                hom_transport(data, z)
 
 
 def test_universal_check_identity_delta():
