@@ -19,7 +19,15 @@ which checks only that its labels are distinct.
 Whether two paths of maps agree is decided by ``commutes``, whether a
 map is an isomorphism (a bijection, a homeomorphism between spaces) by
 ``is_iso``, and whether a family of maps is effective epimorphic (the
-target is glued up from the sources) by ``is_effective_family``.
+target is glued up from the sources) by ``is_effective_family``.  A map
+the engine built continuous, or that a constructor validated, is not
+validated again: ``map_properties(fn, dom, cod)`` reports on it without
+building a ``TopMap``.
+
+Limits and colimits of spaces are those of sets with the initial or final
+topology added (the forgetful functor from spaces to sets is topological),
+so there is one ``pullback``: given the two domain spaces, its members
+carry the initial topology along its legs.
 
 Compatible families (pullbacks, limits, sections) come from one join
 kernel, ``compatible_tuples``, whose cost follows the partial answers
@@ -489,8 +497,9 @@ def is_iso(fn, dom=None, cod=None):
 
 
 class PairedSubset:
-    """The members of a pullback with its two projection legs and, for a
-    pullback of spaces, its topology."""
+    """The members of a pullback with its two projection legs and, when
+    ``pullback`` was given the spaces of both domains, the initial topology
+    along the legs; otherwise ``space`` is None."""
 
     __slots__ = ("members", "legs", "space")
 
@@ -563,12 +572,16 @@ def compatible_tuples(domains, constraints, what="compatible tuples"):
     return partial
 
 
-def pullback(f, g):
+def pullback(f, g, xtop=None, ytop=None):
     """The pullback of two maps with a shared codomain.
 
     Members are the pairs ``a|b`` with ``f(a) = g(b)``, listed in
     lexicographic order of coordinate positions; the legs are the two
-    coordinate projections restricted to the members.
+    coordinate projections restricted to the members.  Given the spaces
+    ``xtop`` and ``ytop`` of the two domains, the members carry the initial
+    topology along the legs, which is the subspace topology of the product:
+    the forgetful functor from spaces to sets is topological, so the
+    pullback of spaces is the pullback of sets with that topology.
     """
     if f.codomain != g.codomain:
         raise StructuralError("pullback requires a shared codomain")
@@ -581,7 +594,10 @@ def pullback(f, g):
                           dict(zip(labels, [a for a, _ in pairs])))
     p2 = FinFn.from_total(members, g.domain,
                           dict(zip(labels, [b for _, b in pairs])))
-    return PairedSubset(members, {"p1": p1, "p2": p2})
+    space = None
+    if xtop is not None and ytop is not None:
+        space = induce_topology("initial", members, [p1, p2], [xtop, ytop])
+    return PairedSubset(members, {"p1": p1, "p2": p2}, space)
 
 
 def top_product(x, y):
@@ -591,15 +607,6 @@ def top_product(x, y):
         pair_label(a, b): frozenset(pair_label(p, q)
                                     for p in x.nbhd[a] for q in y.nbhd[b])
         for a in x.carrier for b in y.carrier})
-
-
-def top_pullback(f, g, xtop, ytop):
-    """Pullback in spaces: the set-level pullback with the initial topology
-    along its two legs, which is the subspace topology of the product."""
-    ps = pullback(f, g)
-    space = induce_topology("initial", ps.members,
-                            [ps.legs["p1"], ps.legs["p2"]], [xtop, ytop])
-    return PairedSubset(ps.members, ps.legs, space=space)
 
 
 def quotient_by_pairs(labels, pairs):
@@ -719,25 +726,22 @@ def is_effective_family(carrier, maps, space=None, spaces=()):
         space.nbhd == induce_topology("final", carrier, maps, spaces).nbhd
 
 
-def map_properties(m):
-    """Exhaustively computed property report for a map.
-
-    For a plain FinFn only injective/surjective are meaningful; for a TopMap
-    the report also carries openness and whether the map is a topological
-    embedding (injective, continuous, homeomorphism onto its image with the
-    subspace topology), which is ``nbhd[x] = f^-1(nbhd[f(x)])`` everywhere.
-    """
-    if isinstance(m, TopMap):
-        fn = m.fn
-        report = {
-            "injective": fn.is_injective(),
-            "surjective": fn.is_surjective(),
-            "continuous": True,
-            "open": m.open,
-        }
-        report["embedding"] = report["injective"] and all(
-            m.dom.nbhd[x] == fn.preimage(m.cod.nbhd[fn.mapping[x]])
-            for x in fn.domain)
-        return report
-    return {"injective": m.is_injective(), "surjective": m.is_surjective(),
-            "continuous": None, "open": None, "embedding": None}
+def map_properties(fn, dom, cod):
+    """Property report of a map between finite spaces that the caller has
+    validated or built continuous, so no continuity is checked again: the
+    map is injective, surjective, open (``f(nbhd[x]) = nbhd[f(x)]``
+    everywhere) and a topological embedding (injective and a homeomorphism
+    onto its image with the subspace topology, which is
+    ``nbhd[x] = f^-1(nbhd[f(x)])`` everywhere)."""
+    mapping = fn.mapping
+    injective = fn.is_injective()
+    return {
+        "injective": injective,
+        "surjective": fn.is_surjective(),
+        "continuous": True,
+        "open": all(frozenset(map(mapping.__getitem__, u))
+                    == cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),
+        "embedding": injective and all(
+            u == fn.preimage(cod.nbhd[mapping[x]])
+            for x, u in dom.nbhd.items()),
+    }

@@ -37,7 +37,6 @@ from .fincat import (
     map_properties,
     pullback,
     quotient_by_pairs,
-    top_pullback,
 )
 from .indexcat import NONSPLIT, SPLIT, gen_endpoints
 
@@ -316,8 +315,7 @@ def colimit_glue(data):
             "final", apex,
             [legs[(i,)] for i in comps], [data.space((i,)) for i in comps])
         for obj in legs:
-            leg_props[obj] = map_properties(
-                TopMap(legs[obj], data.space(obj), space))
+            leg_props[obj] = map_properties(legs[obj], data.space(obj), space)
     return GluedObject("colimit", apex, space, legs, leg_props,
                        {"coproduct": labels, "merged": merged})
 
@@ -367,8 +365,7 @@ def limit_glue(data):
             "initial", apex,
             [legs[(i,)] for i in comps], [data.space((i,)) for i in comps])
         for obj in legs:
-            leg_props[obj] = map_properties(
-                TopMap(legs[obj], space, data.space(obj)))
+            leg_props[obj] = map_properties(legs[obj], space, data.space(obj))
     return GluedObject("limit", apex, space, legs, leg_props, {})
 
 
@@ -504,11 +501,10 @@ def universal_glue_check(data, glued, delta, v_space=None):
             raise StructuralError("the top ambient needs a topology on the "
                                   "source of delta")
         TopMap(delta, v_space, glued.space)
-        pulled = [top_pullback(glued.legs[obj], delta, data.space(obj), v_space)
-                  for obj in comps]
     else:
         v_space = None
-        pulled = [pullback(glued.legs[obj], delta) for obj in comps]
+    pulled = [pullback(glued.legs[obj], delta, data.spaces.get(obj), v_space)
+              for obj in comps]
     projections = [ps.legs["p2"] for ps in pulled]
     return {
         "is_glued_up": is_effective_family(

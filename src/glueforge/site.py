@@ -26,7 +26,6 @@ from .fincat import (
     map_properties,
     pair_label,
     pullback,
-    top_pullback,
 )
 from .gluing import (
     FROM_OVERLAPS,
@@ -86,14 +85,9 @@ class Sink:
         return obj.carrier if isinstance(obj, FinTop) else obj
 
     def space(self, name):
+        """The topology of a source, None in the set ambient."""
         obj, _ = self.source(name)
-        if not isinstance(obj, FinTop):
-            raise StructuralError("source %r carries no topology" % name)
-        return obj
-
-    def jointly_surjective(self):
-        return is_effective_family(self.target,
-                                   [fn for _, _, fn in self.sources])
+        return obj if isinstance(obj, FinTop) else None
 
 
 def canonical_sink_functor(sink):
@@ -109,17 +103,13 @@ def canonical_sink_functor(sink):
     pblegs = {}
     for i in names:
         objects[(i,)] = sink.carrier(i)
-        if sink.ambient == "top":
-            spaces[(i,)] = sink.space(i)
+        spaces[(i,)] = sink.space(i)
     for i in names:
         for j in names:
             _, fi = sink.source(i)
             _, fj = sink.source(j)
-            if sink.ambient == "top":
-                ps = top_pullback(fi, fj, sink.space(i), sink.space(j))
-                spaces[(i, j)] = ps.space
-            else:
-                ps = pullback(fi, fj)
+            ps = pullback(fi, fj, sink.space(i), sink.space(j))
+            spaces[(i, j)] = ps.space
             objects[(i, j)] = ps.members
             pblegs[(i, j)] = ps.legs
             arrows[("incl", i, (i, j))] = ps.legs["p1"]
@@ -136,7 +126,7 @@ def canonical_sink_functor(sink):
             # G(i,j) -> G(j,i) realizing the swap
             arrows[("tau", (j, i))] = FinFn(src, dst, mapping)
     return GluingData(cat, sink.ambient, objects, arrows, FROM_OVERLAPS,
-                      spaces or None)
+                      spaces if sink.ambient == "top" else None)
 
 
 def _inner_mismatch(sub, obj, ambient):
@@ -177,13 +167,10 @@ def base_change_sink(sink, fn, v_space=None):
     if sink.ambient == "top" and v_space is None:
         raise StructuralError("top base change needs a topology on the source")
     sources = []
-    for name, obj, leg in sink.sources:
-        if sink.ambient == "top":
-            ps = top_pullback(leg, fn, obj, v_space)
-            sources.append((name, ps.space, ps.legs["p2"]))
-        else:
-            ps = pullback(leg, fn)
-            sources.append((name, ps.members, ps.legs["p2"]))
+    for name, _, leg in sink.sources:
+        ps = pullback(leg, fn, sink.space(name), v_space)
+        sources.append((name, ps.members if ps.space is None else ps.space,
+                        ps.legs["p2"]))
     return Sink(sink.ambient, fn.domain, sources,
                 target_space=v_space if sink.ambient == "top" else None)
 
@@ -198,8 +185,6 @@ def effective_epi_check(sink):
     surjective and, in the top ambient, the target carries the final
     topology along it.
     """
-    if sink.ambient == "sets":
-        return sink.jointly_surjective()
     return is_effective_family(sink.target, [fn for _, _, fn in sink.sources],
                                sink.target_space,
                                [obj for _, obj, _ in sink.sources])
@@ -260,13 +245,6 @@ class EffectivenessReport:
         return len(set(self.flags())) == 1
 
 
-def _is_embedding_or_injective(data, fn, src_obj, dst_obj):
-    if data.ambient == "top":
-        rep = map_properties(TopMap(fn, data.space(src_obj), data.space(dst_obj)))
-        return rep["embedding"]
-    return fn.is_injective()
-
-
 def effective_gluing_check(data):
     """The three readings of effectiveness, evaluated independently.
 
@@ -300,20 +278,21 @@ def effective_gluing_check(data):
     transitive = len(rel) == sum(len(members) ** 2 for members in merged) \
         + len(glued.apex) - len(merged)
 
+    # the edges were validated with the data and the legs built continuous,
+    # whose reports the glued object keeps
+    top = data.ambient == "top"
+    spaces = data.spaces if top else {}
     diagnostics = {"pairs": {}, "legs": {}}
     edge_emb = {}
     for pair_obj in cat.pairs():
-        i, j = pair_obj
-        e = data.edge(i, pair_obj)
-        edge_emb[pair_obj] = _is_embedding_or_injective(data, e, pair_obj, (i,))
+        e = data.edge(pair_obj[0], pair_obj)
+        edge_emb[pair_obj] = map_properties(
+            e, spaces[pair_obj], spaces[pair_obj[:1]])["embedding"] if top \
+            else e.is_injective()
     leg_inj = {}
     for i in names:
-        leg = glued.legs[(i,)]
-        if data.ambient == "top":
-            rep = map_properties(TopMap(leg, data.space((i,)), glued.space))
-            leg_inj[i] = rep["embedding"]
-        else:
-            leg_inj[i] = leg.is_injective()
+        leg_inj[i] = glued.leg_props[(i,)]["embedding"] if top \
+            else glued.legs[(i,)].is_injective()
         diagnostics["legs"][i] = {"leg_embeds": leg_inj[i]}
 
     intersection_ok = {}
@@ -326,18 +305,15 @@ def effective_gluing_check(data):
                 & {leg_j(y) for y in data.carrier((j,))})
         intersection_ok[pair_obj] = edge_image == both
 
-        if data.ambient == "top":
-            ps = top_pullback(leg_i, leg_j, data.space((i,)), data.space((j,)))
-        else:
-            ps = pullback(leg_i, leg_j)
+        ps = pullback(leg_i, leg_j, spaces.get((i,)), spaces.get((j,)))
         mapping = {u: pair_label(e_i[u], into_j[u]) for u in overlap}
         try:
             canonical = FinFn(overlap, ps.members, mapping)
         except StructuralError:
             canonical_bij[pair_obj] = False
         else:
-            dom = data.space(pair_obj) if data.ambient == "top" else None
-            canonical_bij[pair_obj] = is_iso(canonical, dom, ps.space)
+            canonical_bij[pair_obj] = is_iso(canonical, spaces.get(pair_obj),
+                                             ps.space)
         diagnostics["pairs"][pair_obj] = {
             "edge_embeds": edge_emb[pair_obj],
             "edge_onto_component": data.edge(i, pair_obj).is_surjective(),
@@ -417,29 +393,23 @@ def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
 
 def sinks_equivalent(a, b):
     """Whether two sinks agree up to a bijection of their source families
-    and fibered isomorphisms of the sources."""
-    if a.ambient != b.ambient or a.target != b.target:
-        return False
-    if a.ambient == "top" and a.target_space != b.target_space:
-        return False
-    if len(a.sources) != len(b.sources):
+    and fibered isomorphisms of the sources.  Fibered isomorphism is an
+    equivalence relation, so each source of ``a`` may take the first
+    remaining source of ``b`` that matches it: no choice made so needs
+    undoing."""
+    if a.ambient != b.ambient or a.target != b.target \
+            or a.target_space != b.target_space \
+            or len(a.sources) != len(b.sources):
         return False
     remaining = list(b.sources)
-
-    def match(sources):
-        if not sources:
-            return True
-        name, obj, fn = sources[0]
+    for _, obj, fn in a.sources:
         for k, (_, obj2, fn2) in enumerate(remaining):
             if _fibered_iso_exists(obj, fn, obj2, fn2, a.ambient):
-                kept = remaining.pop(k)
-                if match(sources[1:]):
-                    remaining.insert(k, kept)
-                    return True
-                remaining.insert(k, kept)
-        return False
-
-    return match(list(a.sources))
+                del remaining[k]
+                break
+        else:
+            return False
+    return True
 
 
 def _declared(spec, sink):

@@ -416,6 +416,12 @@ def presheaf_doc(store):
     return {"version": "1", "kind": "presheaf", "payload": payload}
 
 
+def jointly_surjective(sink):
+    """Whether the maps of a sink reach every point of its target."""
+    return {y for _, _, fn in sink.sources for y in fn.mapping.values()} \
+        == set(sink.target.labels)
+
+
 def seeded(seed):
     return random.Random(seed)
 

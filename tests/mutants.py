@@ -1,0 +1,134 @@
+"""Mutation checks of the engine: each mutant changes one snippet of
+``src/`` and must make one of its test modules fail.
+
+    python3 tests/mutants.py            # run every mutant
+    python3 tests/mutants.py 0 3        # run the mutants at these indexes
+    python3 tests/mutants.py --list     # list them
+
+For each entry of ``MUTANTS`` the script copies ``src/`` to a temporary
+directory, replaces the snippet, which occurs exactly once in ``src/``, by
+its replacement, and runs the entry's test modules with pytest against the
+copy.  A mutant is killed when they fail and survives when they pass.  The
+exit status is 1 when a mutant survives or its snippet is not found once.
+
+Pytest does not collect this file (its name does not start with ``test_``);
+``tests/test_mutants.py`` checks that every snippet still occurs once.
+"""
+
+import glob
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+# (file under src/glueforge, snippet, replacement, test modules, what breaks)
+MUTANTS = [
+    ("site.py",
+     "                del remaining[k]\n",
+     "                pass\n",
+     ["tests/test_site.py"],
+     "the greedy sink matcher keeps a matched source"),
+    ("fincat.py",
+     "            u == fn.preimage(cod.nbhd[mapping[x]])\n",
+     "            u <= fn.preimage(cod.nbhd[mapping[x]])\n",
+     ["tests/test_topology.py", "tests/test_fincat.py"],
+     "map_properties calls a continuous injection an embedding"),
+    ("fincat.py",
+     "    if xtop is not None and ytop is not None:\n",
+     "    if False:\n",
+     ["tests/test_topology.py"],
+     "pullback ignores the spaces"),
+    ("site.py",
+     'glued.leg_props[(i,)]["embedding"]',
+     'glued.leg_props[(i,)]["open"]',
+     ["tests/test_site.py"],
+     "effective_gluing_check reads openness as embedding"),
+    ("fincat.py",
+     "                    == cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),\n",
+     "                    <= cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),\n",
+     ["tests/test_topology.py", "tests/test_fincat.py"],
+     "map_properties calls every continuous map open"),
+    ("site.py",
+     "            e, spaces[pair_obj], spaces[pair_obj[:1]])",
+     "            e, spaces[pair_obj[:1]], spaces[pair_obj[:1]])",
+     ["tests/test_site.py"],
+     "effective_gluing_check asks about the edges between the wrong spaces"),
+    # recorded with earlier changes, each killed when it was made
+    ("presheaf.py",
+     "            if lawful and ends_ok and _natural_on_covers(",
+     "            if ends_ok and _natural_on_covers(",
+     ["tests/test_presheaf.py"],
+     "glue-map checks naturality of lawless locals"),
+    ("presheaf.py",
+     "                           if not any(b < c for c in inside)]))",
+     "                           if not any(b < c for c in inside)][:-1]))",
+     ["tests/test_presheaf.py", "tests/test_acceptance.py"],
+     "a basic cover misses one maximal neighbourhood"),
+    ("schema.py",
+     "        return all([isinstance(v, str) and len(v) >= least "
+     "for v in values])",
+     "        return False",
+     ["tests/test_schema.py"],
+     "the string-leaf schema check refuses every container"),
+    ("cli.py",
+     "        keys = sorted(node)",
+     "        keys = list(node)",
+     ["tests/test_render.py"],
+     "the report emitter leaves keys unsorted"),
+]
+
+
+def occurrences(snippet, src=SRC):
+    """How many times ``snippet`` occurs in the Python files under ``src``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            total += handle.read().count(snippet)
+    return total
+
+
+def run_mutant(entry):
+    """True when the mutant's test modules fail against the mutated copy."""
+    name, snippet, replacement, modules, _ = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = os.path.join(tmp, "src")
+        shutil.copytree(SRC, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = os.path.join(copy, "glueforge", name)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text.replace(snippet, replacement))
+        env = dict(os.environ, PYTHONPATH=copy, PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", *modules],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    return run.returncode != 0
+
+
+def main(argv):
+    if argv == ["--list"]:
+        for k, entry in enumerate(MUTANTS):
+            print("%d  %s: %s" % (k, entry[0], entry[4]))
+        return 0
+    chosen = [MUTANTS[int(k)] for k in argv] if argv else MUTANTS
+    survivors = 0
+    for entry in chosen:
+        if occurrences(entry[1]) != 1:
+            print("not found once  %s: %s" % (entry[0], entry[4]))
+            survivors += 1
+            continue
+        killed = run_mutant(entry)
+        survivors += not killed
+        print("%-8s  %s: %s" % ("killed" if killed else "SURVIVED",
+                                entry[0], entry[4]))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

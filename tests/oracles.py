@@ -10,9 +10,9 @@ every family of values on the components, the hom bijection by also
 enumerating every map out of the glued apex, a sink's target as a cone
 with a leg at every overlap, stability of a colimit under pullback by
 gluing the whole pulled-back diagram, the presheaf laws and naturality
-by composing restriction maps as functions at every pair of opens, and
+by composing restriction maps as functions at every pair of opens,
 commuting paths and isomorphisms by building composites and continuous
-maps.
+maps, and equivalent sinks by backtracking over matchings of sources.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -30,7 +30,6 @@ from glueforge.fincat import (
     product_enumerate,
     pullback,
     quotient_by_pairs,
-    top_pullback,
 )
 from glueforge.gluing import (
     FROM_OVERLAPS,
@@ -46,7 +45,7 @@ from glueforge.gluing import (
 )
 from glueforge.indexcat import NONSPLIT, gen_endpoints
 from glueforge.presheaf import OpenLattice
-from glueforge.site import canonical_sink_functor
+from glueforge.site import _fibered_iso_exists, canonical_sink_functor
 
 from paper import tag
 
@@ -207,11 +206,8 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
     top = data.ambient == "top"
     members = {}
     for obj in cat.objects:
-        if top:
-            members[obj] = top_pullback(glued.legs[obj], delta,
-                                        data.space(obj), v_space)
-        else:
-            members[obj] = pullback(glued.legs[obj], delta)
+        members[obj] = pullback(glued.legs[obj], delta,
+                                data.space(obj) if top else None, v_space)
     arrows = {}
     for g in cat.generators:
         dst, src = gen_endpoints(g)     # from-overlaps: the map runs back
@@ -229,6 +225,36 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
                          space=v_space if top else None)
     _, iso = mediating_map(pulled, colimit_glue(pulled), cone)
     return iso
+
+
+def sinks_equivalent_by_backtracking(a, b):
+    """Whether two sinks agree up to a bijection of their source families
+    and fibered isomorphisms of the sources, by backtracking over the
+    bijections: a source of ``a`` tries each remaining source of ``b`` it
+    matches, and a match that leaves the rest unmatched is undone.
+    ``site.sinks_equivalent`` keeps the first match instead."""
+    if a.ambient != b.ambient or a.target != b.target:
+        return False
+    if a.ambient == "top" and a.target_space != b.target_space:
+        return False
+    if len(a.sources) != len(b.sources):
+        return False
+    remaining = list(b.sources)
+
+    def match(sources):
+        if not sources:
+            return True
+        _, obj, fn = sources[0]
+        for k, (_, obj2, fn2) in enumerate(remaining):
+            if _fibered_iso_exists(obj, fn, obj2, fn2, a.ambient):
+                kept = remaining.pop(k)
+                found = match(sources[1:])
+                remaining.insert(k, kept)
+                if found:
+                    return True
+        return False
+
+    return match(list(a.sources))
 
 
 def two_stage_partition(meta):

@@ -33,6 +33,7 @@ from glueforge.site import (
 from fixtures import (
     e1,
     function_presheaf,
+    jointly_surjective,
     random_limit_data,
     random_nonsplit_colimit,
     random_split_colimit,
@@ -172,7 +173,7 @@ def test_criterion_5_effective_epi_agrees_with_mediating_route():
 def random_passing_sink(rng):
     while True:
         sink = random_sink(rng)
-        if sink.jointly_surjective():
+        if jointly_surjective(sink):
             return sink
 
 
@@ -196,7 +197,7 @@ def test_criterion_6_composites_of_passing_sinks_pass():
                 fn = FinFn(src, carrier,
                            {x: rng.choice(carrier.labels) for x in labels})
                 cand = Sink("sets", carrier, [("1", src, fn)])
-                if cand.jointly_surjective():
+                if jointly_surjective(cand):
                     inner[name] = cand
                     break
         result = compose_via_sinks(outer, inner)

