@@ -18,9 +18,24 @@ scanned only otherwise, or to name a failure.  A space lists its opens,
 and the maximal proper opens of each, once and shares its subspaces, so
 the chart, overlap and triple-overlap lattices of one datum are built from
 one listing each.
+
+Chart data is read once per unordered pair and per set of three charts.
+The transitions of a checked datum are mutually inverse bijections, so
+the condition a pair of charts puts on glued sections through
+phi_ba = phi_ab^-1 is the one it puts through phi_ab, and one ordering of
+three distinct charts gives the cocycle on all six (Mac Lane and Moerdijk
+1992; Hartshorne, Ex. II.1.22).  ``GluingDatum.validate`` checks each
+transition only from the earlier chart to the later one, or to itself,
+when every local presheaf is lawful; the reverse is then the inverse of a
+natural bijection, and the two-way scan runs only to name a failure.  A
+diagonal transition constrains glued sections only where it is not the
+identity, and a degenerate triple holds exactly when the identity
+condition does.  Finally, no compatibility constraint goes through an
+open with at most one section: any two restrictions into such a set
+agree.
 """
 
-from math import prod
+from itertools import combinations
 from operator import itemgetter
 
 from .errors import ResourceError, StructuralError, charge
@@ -216,6 +231,8 @@ def _compatible_families(store, parts):
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
             meet = parts[a] & parts[b]
+            if len(store.sections[meet]) <= 1:    # any two restrictions agree
+                continue
             cons.append((a, b, store.res[(parts[a], meet)].mapping,
                          store.res[(parts[b], meet)].mapping))
     return compatible_tuples([store.sections[v].labels for v in parts], cons,
@@ -470,16 +487,43 @@ class GluingDatum:
     def transition(self, a, b, o):
         return self.transitions[(a, b)][frozenset(o)]
 
+    def _holds_one_way(self):
+        """Whether each transition a -> b with a no later than b in chart
+        order has the right endpoints, is a bijection, is undone by b -> a
+        at each open and is natural on the covering pairs of its overlap
+        lattice.  Between lawful local presheaves b -> a is then the
+        inverse of a natural bijection, so it passes the same checks."""
+        for k, (a, _) in enumerate(self.charts):
+            for b, _ in self.charts[k:]:
+                comp, inv = self.transitions[(a, b)], self.transitions[(b, a)]
+                source, target = self.locals[a], self.locals[b]
+                if comp.keys() != inv.keys():
+                    return False
+                for o, fn in comp.items():
+                    if fn.domain != source.sections[o] \
+                            or fn.codomain != target.sections[o] \
+                            or not is_iso(fn) or not commutes((fn, inv[o])):
+                        return False
+                lattice = OpenLattice(self.space.subspace(
+                    self.members(a) & self.members(b)))
+                if not _natural_on_covers(comp, source, target, lattice):
+                    return False
+        return True
+
     def validate(self):
-        """The broken laws of the datum.  Naturality is decided on the
-        covering pairs of each overlap lattice when every local presheaf
-        satisfies the laws and the transition's endpoints are right;
-        otherwise, and to name a failure, every pair is scanned."""
+        """The broken laws of the datum.  When every local presheaf
+        satisfies the laws, each transition is checked one way only
+        (``_holds_one_way``), naturality on the covering pairs of each
+        overlap lattice.  Otherwise, and to name a failure, both ways are
+        scanned, naturality on the covering pairs where the laws hold and
+        the transition's endpoints are right, and at every pair else."""
         problems = []
         for name, _ in self.charts:
             problems.extend("chart %s: %s" % (name, p)
                             for p in validate_presheaf(self.locals[name]))
         lawful = not problems
+        if lawful and self._holds_one_way():
+            return problems
         for (a, b), comp in self.transitions.items():
             ends_ok = True
             for o, fn in comp.items():
@@ -515,8 +559,17 @@ def glue_presheaves(datum):
 
     Sections over an open are the transition-compatible tuples of local
     sections over the chart traces; restrictions act componentwise.  Returns
-    the glued presheaf together with the projection transformations onto the
-    chart sides.
+    the glued presheaf together with the projections onto the chart sides,
+    each over the opens of its own chart, the only ones
+    ``presheaf_effective_check`` reads.
+
+    Compatibility is one constraint per pair of charts a < b: through the
+    inverse of phi_ab, which the datum's check has confirmed, b -> a states
+    the same condition.  The diagonal constraint of a chart is kept only
+    where its transition is not the identity, and no constraint goes
+    through a meet with at most one section, where it holds always.  Each
+    step of the enumeration is charged to the cap, not the product of the
+    trace section sets.
 
     The datum is checked and each local presheaf must be a sheaf on its
     default coverings; it is when it is a sheaf on its basic coverings, and
@@ -546,13 +599,15 @@ def glue_presheaves(datum):
     for o in lat.opens:
         traces = [o & m for m in members]
         domains = [loc.sections[tr].labels for loc, tr in zip(locals_, traces)]
-        charge("glued sections at one open", prod(map(len, domains)))
         cons = []
         for a, na in enumerate(names):
-            for b, nb in enumerate(names):
+            for b in range(a, len(names)):
                 meet = traces[a] & traces[b]
+                across = datum.transition(na, names[b], meet).mapping
+                if len(across) <= 1 or a == b and all(
+                        x == y for x, y in across.items()):
+                    continue
                 to_meet = locals_[a].res[(traces[a], meet)].mapping
-                across = datum.transition(na, nb, meet).mapping
                 key_a = {x: across[y] for x, y in to_meet.items()}
                 key_b = locals_[b].res[(traces[b], meet)].mapping
                 cons.append((a, b, key_a, key_b))
@@ -575,41 +630,39 @@ def glue_presheaves(datum):
     for k, n in enumerate(names):
         projections[n] = {
             o: FinFn.from_total(
-                sections[o], locals_[k].sections[o & members[k]],
+                sections[o], locals_[k].sections[o],
                 {lab: tuples[(o, lab)][k] for lab in sections[o]})
-            for o in lat.opens}
+            for o in datum.space.subspace(members[k]).opens}
     return glued, projections
 
 
 def presheaf_effective_check(datum, projections):
-    """The identity and triple-overlap cocycle conditions on the transitions,
-    and, independently, whether every projection restricted to its own chart
-    is a componentwise bijection; reports all three so their equivalence is
-    observable."""
+    """The identity and triple-overlap cocycle conditions on the transitions
+    of a checked datum, and, independently, whether every projection over
+    the opens of its own chart is a componentwise bijection; reports all
+    three so their equivalence is observable.
+
+    The transitions are mutually inverse bijections.  So every degenerate
+    triple, such as (a, a, c), (a, c, c) or (a, c, a), holds exactly when
+    every diagonal transition is the identity, and one ordering of three
+    distinct charts holds exactly when all six do.  The cocycle condition
+    is therefore the identity condition and the cocycle on each set of
+    three charts in chart order.
+    """
     names = datum.names()
-    identity_ok = True
-    for n in names:
-        members = datum.members(n)
-        for o in datum.space.subspace(members).opens:
-            fn = datum.transition(n, n, o)
-            if any(fn.mapping[x] != x for x in fn.domain):
-                identity_ok = False
-    cocycle_ok = True
-    for a in names:
-        for b in names:
-            for c in names:
-                triple = datum.members(a) & datum.members(b) & datum.members(c)
-                for o in datum.space.subspace(triple).opens:
-                    if not commutes((datum.transition(a, b, o),
-                                     datum.transition(b, c, o)),
-                                    (datum.transition(a, c, o),)):
-                        cocycle_ok = False
-    psi_ok = True
-    for n in names:
-        members = datum.members(n)
-        for o in datum.space.subspace(members).opens:
-            if not is_iso(projections[n][frozenset(o)]):
-                psi_ok = False
+    chart_opens = {n: datum.space.subspace(datum.members(n)).opens
+                   for n in names}
+    identity_ok = all(
+        all(x == y for x, y in datum.transition(n, n, o).mapping.items())
+        for n in names for o in chart_opens[n])
+    cocycle_ok = identity_ok and all(
+        commutes((datum.transition(a, b, o), datum.transition(b, c, o)),
+                 (datum.transition(a, c, o),))
+        for a, b, c in combinations(names, 3)
+        for o in datum.space.subspace(
+            datum.members(a) & datum.members(b) & datum.members(c)).opens)
+    psi_ok = all(is_iso(projections[n][o]) for n in names
+                 for o in chart_opens[n])
     return {
         "identity_ok": identity_ok,
         "cocycle_ok": cocycle_ok,

@@ -68,6 +68,31 @@ MUTANTS = [
      "                           if not any(b < c for c in inside)][:-1]))",
      ["tests/test_presheaf.py", "tests/test_acceptance.py"],
      "a basic cover misses one maximal neighbourhood"),
+    ("presheaf.py",
+     "            if len(store.sections[meet]) <= 1:",
+     "            if len(store.sections[meet]) <= 2:",
+     ["tests/test_presheaf.py"],
+     "covering families skip constraints through two sections"),
+    ("presheaf.py",
+     "                if len(across) <= 1 or a == b and all(",
+     "                if len(across) <= 2 or a == b and all(",
+     ["tests/test_presheaf.py"],
+     "glued sections skip constraints through two sections"),
+    ("presheaf.py",
+     "                if len(across) <= 1 or a == b and all(",
+     "                if len(across) <= 1 or a == b or a == b and all(",
+     ["tests/test_presheaf.py"],
+     "glued sections skip every diagonal constraint"),
+    ("presheaf.py",
+     "    cocycle_ok = identity_ok and all(",
+     "    cocycle_ok = all(",
+     ["tests/test_presheaf.py"],
+     "the cocycle condition ignores the identity condition"),
+    ("presheaf.py",
+     "                            or not is_iso(fn) or not commutes((fn, inv[o])):",
+     "                            or not is_iso(fn):",
+     ["tests/test_presheaf.py"],
+     "one-way validation does not check the reverse undoes a transition"),
     ("schema.py",
      "        return all([isinstance(v, str) and len(v) >= least "
      "for v in values])",

@@ -12,7 +12,10 @@ with a leg at every overlap, stability of a colimit under pullback by
 gluing the whole pulled-back diagram, the presheaf laws and naturality
 by composing restriction maps as functions at every pair of opens,
 commuting paths and isomorphisms by building composites and continuous
-maps, and equivalent sinks by backtracking over matchings of sources.
+maps, equivalent sinks by backtracking over matchings of sources, and the
+glued sections, the cocycle condition and the compatible families of a
+covering with a constraint for every ordered pair or triple of charts or
+parts.
 They are exponential on purpose and run only on small instances.
 """
 
@@ -44,7 +47,7 @@ from glueforge.gluing import (
     mediating_map,
 )
 from glueforge.indexcat import NONSPLIT, gen_endpoints
-from glueforge.presheaf import OpenLattice
+from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import _fibered_iso_exists, canonical_sink_functor
 
 from paper import tag
@@ -361,8 +364,8 @@ def unnatural_pairs(comp, source, target, lattice):
 
 def gluing_datum_problems(datum):
     """The broken laws of a gluing datum, in the order and words of
-    ``GluingDatum.validate``, with every transition's naturality scanned at
-    every pair of its overlap lattice."""
+    ``GluingDatum.validate``: every transition scanned in both orientations,
+    its naturality at every pair of its overlap lattice."""
     problems = []
     for name, _ in datum.charts:
         problems.extend("chart %s: %s" % (name, p)
@@ -389,3 +392,76 @@ def gluing_datum_problems(datum):
                         for w, v in unnatural_pairs(comp, source, target,
                                                     lattice))
     return problems
+
+
+def glued_sections_by_ordered_pairs(datum):
+    """The section labels per open of the glued presheaf of a checked datum,
+    in the order ``glue_presheaves`` lists them: every tuple of the product
+    of the local sections over the chart traces, kept when it meets a
+    constraint for every ordered pair of charts, diagonals included."""
+    names = datum.names()
+    out = {}
+    for o in datum.space.opens:
+        traces = [o & datum.members(n) for n in names]
+        locals_ = [datum.locals[n] for n in names]
+        kept = []
+        for combo in iproduct(*[loc.sections[tr].labels
+                                for loc, tr in zip(locals_, traces)]):
+            if all(datum.transition(na, nb, traces[a] & traces[b]).mapping[
+                    locals_[a].res[(traces[a], traces[a] & traces[b])]
+                    .mapping[combo[a]]]
+                   == locals_[b].res[(traces[b], traces[a] & traces[b])]
+                   .mapping[combo[b]]
+                   for a, na in enumerate(names)
+                   for b, nb in enumerate(names)):
+                kept.append(SEP.join(combo) if combo else EMPTY_SECTION)
+        out[o] = kept
+    return out
+
+
+def cocycle_by_ordered_triples(datum):
+    """The cocycle condition of a datum at every ordered triple of charts,
+    degenerate ones included, each composite built and compared whole."""
+    names = datum.names()
+    return all(datum.transition(a, b, o).then(datum.transition(b, c, o))
+               == datum.transition(a, c, o)
+               for a in names for b in names for c in names
+               for o in datum.space.subspace(
+                   datum.members(a) & datum.members(b)
+                   & datum.members(c)).opens)
+
+
+def sheaf_verdicts_by_every_constraint(store, coverings):
+    """``(separated, separation counterexample, sheaf, sheaf counterexample)``
+    along ``coverings`` in order, in the form ``is_separated`` and
+    ``is_sheaf`` give them.  The compatible families of a covering are
+    filtered from the whole product by a constraint for every pair of
+    parts, however few sections their meet has."""
+    sep_counter = sheaf_counter = None
+    for u, parts in coverings:
+        image, clash = {}, None
+        for s in store.sections[u]:
+            key = tuple(store.res[(u, v)].mapping[s] for v in parts)
+            if key in image:
+                clash = (image[key], s)
+                break
+            image[key] = s
+        if clash and sep_counter is None:
+            sep_counter = {"open": u, "parts": parts, "sections": clash}
+        if sheaf_counter is None and clash:
+            sheaf_counter = {"open": u, "parts": parts, "sections": clash,
+                             "kind": "separation"}
+        elif sheaf_counter is None:
+            for fam in iproduct(*[store.sections[v].labels for v in parts]):
+                if fam not in image and all(
+                        store.res[(parts[a], parts[a] & parts[b])]
+                        .mapping[fam[a]]
+                        == store.res[(parts[b], parts[a] & parts[b])]
+                        .mapping[fam[b]]
+                        for a in range(len(parts))
+                        for b in range(len(parts))):
+                    sheaf_counter = {"open": u, "parts": parts,
+                                     "family": fam, "kind": "gluing"}
+                    break
+    return (sep_counter is None, sep_counter,
+            sheaf_counter is None, sheaf_counter)

@@ -656,6 +656,39 @@ def test_glue_sheaves_command(tmp_path, capsys):
     assert len(out["artifacts"]["sections"]["p,q"]) == 4
 
 
+def whole_charts_datum():
+    """Three charts on a one-point space, each the whole space, five values
+    at the point and identity transitions: 125 tuples of chart sections
+    over the point, five of them glued sections."""
+    values = ["p=v%d" % k for k in range(5)]
+    local = {"sections": {"": ["()"], "p": values},
+             "restrictions": {"p>": {v: "()" for v in values}}}
+    identity = {"": {"()": "()"}, "p": {v: v for v in values}}
+    return {
+        "version": "1", "kind": "gluing-datum",
+        "payload": {
+            "space": {"points": ["p"], "opens": [[], ["p"]]},
+            "charts": [{"name": n, "members": ["p"]} for n in "123"],
+            "locals": {n: local for n in "123"},
+            "transitions": [{"from": a, "to": b, "components": identity}
+                            for a, b in (("1", "2"), ("1", "3"),
+                                         ("2", "3"))],
+        },
+    }
+
+
+def test_glue_sheaves_charges_each_step_not_the_product(tmp_path, capsys):
+    path = write_doc(tmp_path, whole_charts_datum(), "datum.json")
+    assert main(["glue-sheaves", "--input", path, "--cap", "25"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["artifacts"]["sections"]["p"]) == 5
+    # the enumeration's first step lists the five sections of chart 1
+    assert main(["glue-sheaves", "--input", path, "--cap", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "glueforge: resource error: glued sections at one open would "
+        "enumerate 5 items, above the cap of 4\n")
+
+
 @pytest.mark.parametrize("end", ["from", "to"])
 def test_transition_on_unknown_chart_is_structural(tmp_path, capsys, end):
     doc = two_chart_datum()

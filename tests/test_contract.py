@@ -1,6 +1,6 @@
 """The 0/1/2 exit contract of ``cli.main`` on mutated golden documents and
 seed-1 benchmark documents, and how many times one command checks its
-gluing data and builds continuous maps."""
+gluing data, builds continuous maps and reads its chart data."""
 
 import contextlib
 import copy
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glueforge import cli, fincat, gluing
+from glueforge import cli, fincat, gluing, presheaf
 
 from fixtures import benchmark_items, item_argv
 
@@ -194,3 +194,30 @@ def test_maps_are_validated_once_where_they_are_built(monkeypatch, name,
     assert not {"colimit_glue", "limit_glue",
                 "effective_gluing_check"} & set(callers)
     assert len(callers) == built
+
+
+@pytest.mark.parametrize("name, constraints, calls", [
+    # every ordered pair and triple of charts: 24 constraints, 21 calls
+    ("glue-sheaves", 0, 9),
+    # every ordered pair and triple of charts: 18 constraints, 81 calls
+    ("glue-sheaves-broken", 3, 20),
+])
+def test_chart_data_is_read_per_unordered_pair_and_triple(monkeypatch, name,
+                                                          constraints, calls):
+    handed, commuted = [], []
+    real_tuples, real_commutes = presheaf.compatible_tuples, presheaf.commutes
+
+    def tuples(domains, cons, what):
+        handed.extend(cons)
+        return real_tuples(domains, cons, what)
+
+    def commutes(*paths):
+        commuted.append(paths)
+        return real_commutes(*paths)
+
+    monkeypatch.setattr(presheaf, "compatible_tuples", tuples)
+    monkeypatch.setattr(presheaf, "commutes", commutes)
+    case = next(c for c in CASES if c["name"] == name)
+    code, _, _ = run(case["argv"], DOCS[name])
+    assert code == case["exit"]
+    assert (len(handed), len(commuted)) == (constraints, calls)

@@ -1,4 +1,6 @@
+from itertools import combinations
 from itertools import product as iproduct
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from glueforge.presheaf import (
     is_sheaf,
     presheaf_effective_check,
     restrict,
+    sheaf_verdicts,
     validate_presheaf,
 )
 
@@ -32,8 +35,14 @@ from fixtures import (
     presheaf_doc,
     seeded,
 )
-from oracles import gluing_datum_problems, presheaf_law_problems, \
-    unnatural_pairs
+from oracles import (
+    cocycle_by_ordered_triples,
+    glued_sections_by_ordered_pairs,
+    gluing_datum_problems,
+    presheaf_law_problems,
+    sheaf_verdicts_by_every_constraint,
+    unnatural_pairs,
+)
 from paper import canonical_presheaf_functor, direct_image
 
 
@@ -373,7 +382,9 @@ def chart_datum(space, charts, stalks, twists=None):
     """Gluing datum with function-presheaf locals and pointwise transitions.
 
     ``twists`` maps (i, j, point) to a stalk permutation dict; the default is
-    the identity on every overlap point.
+    the identity on every overlap point.  A diagonal transition is listed
+    only where ``twists`` names one of its points, and is the identity
+    otherwise.
     """
     locals_ = {}
     for name, members in charts:
@@ -384,7 +395,7 @@ def chart_datum(space, charts, stalks, twists=None):
     lookup = {name: frozenset(m) for name, m in charts}
     for a in names:
         for b in names:
-            if a == b:
+            if a == b and not any(k[:2] == (a, a) for k in twists or {}):
                 continue
             overlap = lookup[a] & lookup[b]
             comp = {}
@@ -628,12 +639,21 @@ def test_canonical_functor_of_non_separated_presheaf_differs_at_empty():
 
 
 @st.composite
-def twisted_chart_data(draw):
+def twisted_chart_cases(draw, break_inverse=False):
     """A gluing datum of function-presheaf locals on a space of one to three
-    points, covered by up to three open charts, with a random stalk
-    permutation per chart pair and overlap point: the reverse transition
-    inverts it, and three charts sharing a point break the cocycle
-    condition whenever their permutations do not compose."""
+    points, covered by up to four open charts (five when the drawn ones do
+    not cover), with a random stalk permutation per chart pair and overlap
+    point, and the set of the kinds drawn.  Three or more charts sharing a
+    point break the cocycle condition whenever their permutations do not
+    compose; where three share a point with two or more values, in half the
+    cases one transition is set to break it there.
+
+    Kinds: ``"diagonal"``, one chart's transition to itself an involution
+    that is not the identity; ``"both ways"``, a pair listed in both
+    orientations; ``"one way"``, a pair listed one way only, the datum
+    inverting it; and, only when ``break_inverse``, ``"not inverse"``, a
+    pair listed both ways with a reverse that is a bijection but not the
+    inverse."""
     carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 3)))])
     seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
                                    max_size=len(carrier)), max_size=2))
@@ -642,18 +662,67 @@ def twisted_chart_data(draw):
         for bits in seeds]))
     stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}
     opens = [o for o in space.opens if o]
-    members = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=3))
+    members = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=4))
     if frozenset().union(*members) != frozenset(carrier):
         members.append(frozenset(carrier))
     charts = [("c%d" % k, sorted(m)) for k, m in enumerate(members)]
+    kinds = set()
     twists = {}
+    one_way = set()
     for a, (na, ma) in enumerate(charts):
         for nb, mb in charts[a + 1:]:
-            for p in set(ma) & set(mb):
+            for p in sorted(set(ma) & set(mb)):
                 perm = dict(zip(stalks[p], draw(st.permutations(stalks[p]))))
                 twists[(na, nb, p)] = perm
                 twists[(nb, na, p)] = {v: k for k, v in perm.items()}
-    return chart_datum(space, charts, stalks, twists=twists)
+            if draw(st.booleans()):
+                one_way.add((nb, na))
+    triples = [(na, nb, nc, p)
+               for (na, ma), (nb, mb), (nc, mc) in combinations(charts, 3)
+               for p in sorted(set(ma) & set(mb) & set(mc))
+               if len(stalks[p]) > 1]
+    if triples and draw(st.booleans()):
+        na, nb, nc, p = draw(st.sampled_from(triples))
+        # the composite through nb after exchanging the first two values
+        x, y = stalks[p][:2]
+        broken = {v: twists[(nb, nc, p)][twists[(na, nb, p)][
+            {x: y, y: x}.get(v, v)]] for v in stalks[p]}
+        twists[(na, nc, p)] = broken
+        twists[(nc, na, p)] = {v: k for k, v in broken.items()}
+    if draw(st.integers(0, 3)) == 0:
+        name, points = draw(st.sampled_from(charts))
+        for p in points:
+            if len(stalks[p]) > 1:
+                x, y = draw(st.lists(st.sampled_from(stalks[p]), min_size=2,
+                                     max_size=2, unique=True))
+                twists[(name, name, p)] = {**{v: v for v in stalks[p]},
+                                           x: y, y: x}
+                kinds.add("diagonal")
+    shared = [(na, nb, p) for a, (na, ma) in enumerate(charts)
+              for nb, mb in charts[a + 1:]
+              for p in sorted(set(ma) & set(mb)) if len(stalks[p]) > 1]
+    if break_inverse and shared and draw(st.integers(0, 3)) == 0:
+        na, nb, p = draw(st.sampled_from(shared))
+        # the inverse after exchanging the first two values
+        inverse = twists[(nb, na, p)]
+        x, y = stalks[p][:2]
+        twists[(nb, na, p)] = {v: inverse[{x: y, y: x}.get(v, v)]
+                               for v in stalks[p]}
+        one_way.discard((nb, na))
+        kinds.add("not inverse")
+    datum = chart_datum(space, charts, stalks, twists=twists)
+    for a, (na, _) in enumerate(charts):
+        for nb, _ in charts[a + 1:]:
+            kinds.add("one way" if (nb, na) in one_way else "both ways")
+    return GluingDatum(space, datum.charts, datum.locals,
+                       {k: v for k, v in datum.transitions.items()
+                        if k not in one_way}), kinds
+
+
+def twisted_chart_data():
+    """The datum of a ``twisted_chart_cases`` case whose transitions are
+    mutually inverse."""
+    return twisted_chart_cases().map(itemgetter(0))
 
 
 def test_glued_presheaf_is_a_sheaf_on_every_covering():
@@ -673,6 +742,106 @@ def test_glued_presheaf_is_a_sheaf_on_every_covering():
     check()
     assert cocycles.count(False) >= 10
     assert cocycles.count(True) >= 10
+
+
+def test_chart_pairs_and_triples_match_every_ordering():
+    kinds = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(twisted_chart_cases(break_inverse=True))
+    @example((broken_cocycle_datum(), {"both ways"}))
+    def check(case):
+        datum, drawn = case
+        problems = datum.validate()
+        assert problems == gluing_datum_problems(datum)
+        if problems:
+            with pytest.raises(StructuralError) as err:
+                glue_presheaves(datum)
+            assert str(err.value) == \
+                "invalid gluing datum: " + "; ".join(problems)
+            kinds.append(drawn)
+            return
+        glued, projections = glue_presheaves(datum)
+        assert {o: list(glued.sections[o].labels) for o in glued.lattice.opens} \
+            == glued_sections_by_ordered_pairs(datum)
+        for name in datum.names():
+            assert tuple(projections[name]) == \
+                datum.space.subspace(datum.members(name)).opens
+        report = presheaf_effective_check(datum, projections)
+        assert report["cocycle_ok"] == cocycle_by_ordered_triples(datum)
+        assert report["equivalence_holds"]
+        if report["identity_ok"] and not report["cocycle_ok"]:
+            drawn = drawn | {"cocycle broken on %d charts" % len(datum.charts)}
+        kinds.append(drawn)
+
+    check()
+    for kind in ("diagonal", "both ways", "one way", "not inverse",
+                 "cocycle broken on 3 charts", "cocycle broken on 4 charts"):
+        assert sum(kind in drawn for drawn in kinds) >= 20, kind
+
+
+def empty_presheaf(space):
+    """The presheaf with no section at any open: its laws hold, and it is
+    not a sheaf, the empty cover of the empty open having one family."""
+    lat = OpenLattice(space)
+    none = FinSet([])
+    return PresheafStore(lat, {o: none for o in lat.opens},
+                         {(w, v): FinFn.identity(none)
+                          for w, v in lat.pairs_below()})
+
+
+@st.composite
+def presheaves_missing_a_gluing(draw):
+    """A function presheaf on a space of one to four points with one section
+    dropped at a nonempty open that is not a minimal neighbourhood, and
+    with it every section that restricts to it.  The laws hold, the empty
+    open keeps its one section, and the restrictions of the dropped section
+    to the basic cover of its open are a compatible family that glues to
+    nothing; with no such open the function presheaf is returned whole."""
+    carrier = FinSet(["p%d" % k for k in range(draw(st.integers(1, 4)))])
+    seeds = draw(st.lists(st.lists(st.booleans(), min_size=len(carrier),
+                                   max_size=len(carrier)), max_size=4))
+    space = FinTop(carrier, close_family(carrier, [
+        frozenset(x for x, keep in zip(carrier, bits) if keep)
+        for bits in seeds]))
+    full = function_presheaf(space, {
+        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    lat = full.lattice
+    basics = set(space.nbhd.values())
+    gaps = [o for o in lat.opens if o and o not in basics]
+    if not gaps:
+        return full
+    gap = draw(st.sampled_from(gaps))
+    dropped = draw(st.sampled_from(full.sections[gap].labels))
+    sections = {o: FinSet([s for s in full.sections[o] if not (
+        gap <= o and full.res[(o, gap)].mapping[s] == dropped)])
+        for o in lat.opens}
+    return PresheafStore(lat, sections, {
+        (w, v): FinFn(sections[w], sections[v],
+                      {s: full.res[(w, v)].mapping[s] for s in sections[w]})
+        for w, v in lat.pairs_below()})
+
+
+def test_constraints_through_one_section_decide_nothing():
+    empties = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(presheaves_to_decide(), presheaves_missing_a_gluing()))
+    @example(constant_presheaf(sierpinski(), ["a", "b"]))
+    @example(empty_presheaf(sierpinski()))
+    def check(store):
+        lat = store.lattice
+        for coverings in (default_coverings(lat), all_coverings(lat)):
+            expected = sheaf_verdicts_by_every_constraint(store, coverings)
+            assert is_separated(store, coverings) == expected[:2]
+            assert is_sheaf(store, coverings) == expected[2:]
+            assert sheaf_verdicts(store, lambda: coverings) == expected
+        if not expected[2]:
+            empties.append(len(store.sections[frozenset()]))
+
+    check()
+    for count in (0, 1, 2):    # sections at the empty open of a non-sheaf
+        assert empties.count(count) >= 20, count
 
 
 def test_sheaf_preservation_on_random_data():
