@@ -492,16 +492,19 @@ def parse_refinement(payload):
 
 
 def jsonable_object(carrier, space):
+    """An object as a report writes it: the label tuple of a set, shared
+    with the carrier, or a space's points and opens."""
     if space is None:
-        return list(carrier.labels)
+        return carrier.labels
+    at = space.carrier._pos.__getitem__
     return {"points": list(space.carrier.labels),
-            "opens": [sorted(o, key=space.carrier._pos.__getitem__)
-                      for o in space.opens]}
+            "opens": [sorted(o, key=at) for o in space.opens]}
 
 
 def jsonable_fn(fn):
-    # the mapping holds exactly the domain labels, and reports sort keys
-    return dict(fn.mapping)
+    # the mapping itself, shared and not copied: it holds exactly the domain
+    # labels, reports sort keys and nothing writes to a report
+    return fn.mapping
 
 
 def glued_object_to_json(glued):
@@ -776,13 +779,38 @@ def _only(kind, items):
     return kinds.count(kind) == len(kinds)
 
 
+# the bytes a string may hold to be its own JSON encoding between quotes:
+# printable ASCII but the quote (34) and the backslash (92)
+PLAIN_BYTES = bytes(b for b in range(32, 127) if b not in (34, 92))
+
+
 def _plain(text):
     """Whether every string joined into ``text`` is its own JSON encoding
-    between quotes: printable ASCII with no quote and no backslash.  A
-    string that is not a ``str`` makes the join that builds ``text`` raise
-    TypeError, as the encoder would."""
-    return text.isascii() and text.isprintable() and '"' not in text \
-        and "\\" not in text
+    between quotes: printable ASCII with no quote and no backslash.  After
+    ``isascii``, a long text is decided in one pass by a bytes translate
+    that deletes every plain byte, leaving those that are not; a short one
+    by ``isprintable`` and two ``in`` tests, which cost less there than the
+    translate's set-up.  A string that is not a ``str`` makes the join that
+    builds ``text`` raise TypeError, as the encoder would."""
+    if not text.isascii():
+        return False
+    if len(text) < 64:
+        return text.isprintable() and '"' not in text and "\\" not in text
+    return not text.encode("ascii").translate(None, PLAIN_BYTES)
+
+
+def _joined(head, keys, mid, texts, sep, tail):
+    """``head``, each key with ``mid`` and its text, ``sep`` between two
+    entries, then ``tail``: one ``str.join`` over a list filled by slice
+    assignment, so no string is built per entry."""
+    n = len(keys)
+    parts = [sep] * (4 * n + 1)
+    parts[0] = head
+    parts[1::4] = keys
+    parts[2::4] = [mid] * n
+    parts[3::4] = texts
+    parts[-1] = tail
+    return "".join(parts)
 
 
 def _emit(node, indent):
@@ -793,11 +821,12 @@ def _emit(node, indent):
     built per entry.  Three shapes of container are written in bulk: a
     list or tuple of strings only, a dict whose values are all strings, and
     a dict whose values are all non-empty lists of strings only, or all
-    such tuples.  When all the strings of such a container are plain, it is
-    written by ``str.join`` with the quotes inside the separators, and no
-    string is encoded; otherwise each is encoded on its own.  Whether a
-    dict has a bulk shape is decided from the type of its first value, so
-    other dicts pay one type test."""
+    such tuples.  When all the strings of such a container are plain (see
+    ``_plain``), it is written by one ``str.join`` with the quotes inside
+    the separators, a dict's keys and values put into one list by slice
+    assignment (``_joined``), and no string is encoded; otherwise each is
+    encoded on its own.  Whether a dict has a bulk shape is decided from
+    the type of its first value, so other dicts pay one type test."""
     kind = type(node)
     if kind is dict:
         if not node:
@@ -811,11 +840,8 @@ def _emit(node, indent):
         held = type(first)
         if held is str:
             if _only(str, values) and _plain("".join(keys + values)):
-                return "".join((
-                    "{", inner, '"',
-                    ('",' + inner + '"').join(map('": "'.join,
-                                                  zip(keys, values))),
-                    '"', indent, "}"))
+                return _joined("{" + inner + '"', keys, '": "', values,
+                               '",' + inner + '"', '"' + indent + "}")
         elif (held is list or held is tuple) and first \
                 and type(first[0]) is str and _only(held, values) \
                 and all(values):
@@ -855,17 +881,15 @@ def _emit_string_lists(keys, values, members, indent, inner):
     """The dict of these sorted ``keys`` and their ``values``, each value a
     non-empty list or tuple of strings only, whose strings in order are
     ``members``; kept apart from ``_emit`` so that the names its
-    comprehension reads cost the recursive calls nothing.  Plain strings
-    are joined into one text entry by entry, each value's members first,
-    then each key with its value's text."""
+    comprehension reads cost the recursive calls nothing.  When the strings
+    are plain, each value's members are joined into one text and the keys
+    and texts into the dict by ``_joined``."""
     deeper = inner + "  "
     if _plain("".join(keys + members)):
-        return "".join((
-            "{", inner, '"',
-            ('"' + inner + "]," + inner + '"').join(map(
-                ('": [' + deeper + '"').join,
-                zip(keys, map(('",' + deeper + '"').join, values)))),
-            '"', inner, "]", indent, "}"))
+        return _joined("{" + inner + '"', keys, '": [' + deeper + '"',
+                       map(('",' + deeper + '"').join, values),
+                       '"' + inner + "]," + inner + '"',
+                       '"' + inner + "]" + indent + "}")
     head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
     return "{" + inner + ("," + inner).join([
         _encode_str(k) + head + (_encode_str(v[0]) if len(v) == 1
@@ -879,8 +903,11 @@ def render_report(report):
     list, tuple and dict values, a tuple written as an array as json.dumps
     writes it; anything else raises TypeError.  Lists of strings, dicts of
     strings and dicts of string lists whose strings are all plain (see
-    ``_plain``) are joined whole, with no string encoded; every other
-    string goes through ``json.encoder.encode_basestring_ascii``."""
+    ``_plain``) are joined whole, with no string encoded and, for the
+    dicts, no string built per entry; every other string goes through
+    ``json.encoder.encode_basestring_ascii``.  A report may share lists,
+    tuples and dicts with the engine (a leg's mapping, an apex's label
+    tuple): rendering only reads them."""
     return _emit(report, "\n") + "\n"
 
 

@@ -10,11 +10,19 @@ list of opens, the maximal proper opens of each and its subspaces once
 built; all are functions of the space, so a value kept by one caller is the
 value any other would build.
 
-The public constructors validate what they are given.  Values the engine
-builds correct by construction (composites, identities, pullbacks,
-quotients, the legs of glued objects) come from ``FinFn.from_total`` and
-``FinTop.from_nbhd``, which check nothing, and ``FinSet.from_distinct``,
-which checks only that its labels are distinct.
+The public constructors validate what they are given: ``FinSet`` that its
+labels are distinct strings, ``FinFn`` that its mapping is total into the
+codomain, ``FinTop`` that its opens are a topology, ``TopMap`` that its map
+is continuous.  Values the engine builds correct by construction
+(composites, identities, pullbacks, quotients, the legs of glued objects)
+come from ``FinFn.from_total`` and ``FinTop.from_nbhd``, which check
+nothing, ``FinSet.from_distinct``, which checks only that its labels are
+distinct, and ``FinSet.from_trusted``, which checks nothing and is used
+for the apex of a quotient, whose class names are distinct by
+construction.  A set's label-to-position index is built at its first use
+(``position``, ``in``, or a ``FinFn`` validated against the set); the two
+checking ``FinSet`` constructors build it at once, as their distinctness
+check, so a quotient apex that no caller looks into never builds one.
 
 Whether two paths of maps agree is decided by ``commutes``, whether a
 map is an isomorphism (a bijection, a homeomorphism between spaces) by
@@ -59,7 +67,7 @@ def pair_label(a, b):
 class FinSet:
     """An ordered finite set of pairwise-distinct string labels."""
 
-    __slots__ = ("labels", "_pos")
+    __slots__ = ("labels", "_index")
 
     def __init__(self, labels):
         labels = tuple(labels)
@@ -67,9 +75,17 @@ class FinSet:
             pos = dict(zip(labels, range(len(labels))))
             if len(pos) == len(labels):
                 object.__setattr__(self, "labels", labels)
-                object.__setattr__(self, "_pos", pos)
+                object.__setattr__(self, "_index", pos)
                 return
         _refuse_labels(labels)
+
+    @classmethod
+    def from_trusted(cls, labels):
+        """The set of these labels, unchecked and with no index built:
+        ``labels`` are strings, pairwise distinct by construction."""
+        fs = object.__new__(cls)
+        object.__setattr__(fs, "labels", tuple(labels))
+        return fs
 
     @classmethod
     def from_distinct(cls, labels):
@@ -82,8 +98,20 @@ class FinSet:
             _refuse_labels(labels)
         fs = object.__new__(cls)
         object.__setattr__(fs, "labels", labels)
-        object.__setattr__(fs, "_pos", pos)
+        object.__setattr__(fs, "_index", pos)
         return fs
+
+    @property
+    def _pos(self):
+        """The label -> position dict.  The checking constructors build it
+        as their distinctness check; a set from ``from_trusted`` builds it
+        here, at its first read."""
+        try:
+            return self._index
+        except AttributeError:    # unset until first read
+            pos = dict(zip(self.labels, range(len(self))))
+            object.__setattr__(self, "_index", pos)
+            return pos
 
     def __setattr__(self, name, value):
         raise AttributeError("FinSet is immutable")
@@ -390,7 +418,7 @@ def _list_opens(space, what):
         family |= {o | u for o in family}
         charge(what, len(family))
         sizes.append(len(family))
-    pos = space.carrier.position
+    pos = space.carrier._pos.__getitem__
     return (tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o))))),
             tuple(sizes))
 
@@ -615,8 +643,9 @@ def quotient_by_pairs(labels, pairs):
     ``labels`` lists the carrier, its labels pairwise distinct, and
     ``pairs`` is a sequence of pairs of positions in it.  Each class is
     labelled by its lexicographically smallest member; classes are ordered
-    by first occurrence in the carrier.  Returns the quotient set, the list
-    of class names by carrier position, and the classes of two or more
+    by first occurrence in the carrier.  Returns the quotient set, built
+    with no position index (its names are distinct by construction), the
+    list of class names by carrier position, and the classes of two or more
     members: each under its name, in quotient order, with its members in
     carrier order.  Every other label is a class of its own, named by
     itself.  A position outside the carrier, a negative one included, is
@@ -663,12 +692,14 @@ def quotient_by_pairs(labels, pairs):
     names = list(labels)
     classes = {}
     for r in sorted(groups):
-        members = [labels[k] for k in groups[r]]
+        ks = groups[r]
+        members = list(map(labels.__getitem__, ks))
         name = min(members)
-        for k in groups[r]:
+        for k in ks:
             names[k] = name
         classes[name] = members
-    return FinSet.from_distinct(compress(names, keep)), names, classes
+    # one name per class, each a member of its own class: distinct
+    return FinSet.from_trusted(compress(names, keep)), names, classes
 
 
 def induce_topology(mode, carrier, maps, spaces):

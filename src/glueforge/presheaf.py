@@ -57,7 +57,8 @@ class OpenLattice:
         raise AttributeError("OpenLattice is immutable")
 
     def key(self, o):
-        return ",".join(sorted(o, key=self.space.carrier.position))
+        """The points of the open ``o`` in carrier order, comma-joined."""
+        return ",".join(sorted(o, key=self.space.carrier._pos.__getitem__))
 
     def pairs_below(self):
         """All comparable pairs (W, V) with V a subset of W."""
@@ -450,11 +451,17 @@ class GluingDatum:
         for a, am in charts:
             for b, bm in charts:
                 overlap_opens = [o for o in space.subspace(am & bm).opens]
-                if (a, b) in transitions:
-                    comp = transitions[(a, b)]
-                elif (b, a) in transitions:
-                    comp = {o: transitions[(b, a)][o].inverse()
-                            for o in transitions[(b, a)]}
+                given = (a, b) if (a, b) in transitions else (b, a)
+                if given in transitions:
+                    comp = transitions[given]
+                    outside = [o for o in comp if o not in overlap_opens]
+                    if outside:
+                        raise StructuralError(
+                            "transition %r -> %r has a component at %r, an "
+                            "open outside the overlap"
+                            % (given + (sorted(outside[0]),)))
+                    if given != (a, b):
+                        comp = {o: fn.inverse() for o, fn in comp.items()}
                 elif a == b:
                     comp = {o: FinFn.identity(locals_[a].sections[o])
                             for o in overlap_opens}

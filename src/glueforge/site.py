@@ -38,7 +38,14 @@ from .indexcat import SPLIT, IndexCat
 
 
 class Sink:
-    """A target object together with a finite family of maps into it."""
+    """A target object together with a finite family of maps into it.
+
+    The constructor validates each map: into the target, from its source's
+    carrier and, in the top ambient, continuous.  Sinks the engine builds
+    from maps that are correct by construction (pullback projections,
+    composites of validated maps, validated morphisms) come from
+    ``Sink.from_valid``, which checks only that source names are distinct.
+    """
 
     __slots__ = ("ambient", "target", "target_space", "sources")
 
@@ -67,6 +74,25 @@ class Sink:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "target_space", target_space)
         object.__setattr__(self, "sources", tuple(checked))
+
+    @classmethod
+    def from_valid(cls, ambient, target, sources, target_space=None):
+        """The sink of these ``(name, object, map)`` sources, whose maps the
+        caller built or validated from each object into the target
+        (continuous between the spaces in the top ambient), so only the
+        names are checked: generated names such as ``a.b`` can collide."""
+        sources = tuple(sources)
+        names = set()
+        for name, _, _ in sources:
+            if name in names:
+                raise StructuralError("duplicate source name %r" % name)
+            names.add(name)
+        sink = object.__new__(cls)
+        object.__setattr__(sink, "ambient", ambient)
+        object.__setattr__(sink, "target", target)
+        object.__setattr__(sink, "target_space", target_space)
+        object.__setattr__(sink, "sources", sources)
+        return sink
 
     def __setattr__(self, name, value):
         raise AttributeError("Sink is immutable")
@@ -156,8 +182,8 @@ def flatten_sinks(outer, inner):
         for sub_name, sub_obj, sub_fn in sub.sources:
             sources.append(("%s.%s" % (name, sub_name), sub_obj,
                             sub_fn.then(fn)))
-    return Sink(outer.ambient, outer.target, sources,
-                target_space=outer.target_space)
+    return Sink.from_valid(outer.ambient, outer.target, sources,
+                           target_space=outer.target_space)
 
 
 def base_change_sink(sink, fn, v_space=None):
@@ -171,8 +197,9 @@ def base_change_sink(sink, fn, v_space=None):
         ps = pullback(leg, fn, sink.space(name), v_space)
         sources.append((name, ps.members if ps.space is None else ps.space,
                         ps.legs["p2"]))
-    return Sink(sink.ambient, fn.domain, sources,
-                target_space=v_space if sink.ambient == "top" else None)
+    return Sink.from_valid(
+        sink.ambient, fn.domain, sources,
+        target_space=v_space if sink.ambient == "top" else None)
 
 
 def effective_epi_check(sink):
@@ -423,9 +450,9 @@ def covering_axioms_check(spec):
     for entry in spec.morphisms:
         fn, dom_space, cod_space = spec.morphism_parts(entry)
         if is_iso(fn, dom_space, cod_space):
-            single = Sink(spec.ambient, fn.codomain,
-                          [("v", dom_space or fn.domain, fn)],
-                          target_space=cod_space)
+            single = Sink.from_valid(spec.ambient, fn.codomain,
+                                     [("v", dom_space or fn.domain, fn)],
+                                     target_space=cod_space)
             if not _declared(spec, single):
                 violations.append(
                     "isomorphism sink onto %r is not declared"

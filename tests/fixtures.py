@@ -458,3 +458,9 @@ def item_argv(item):
     return [item["command"]] + [
         part for flag, value in sorted(item["flags"].items())
         for part in ("--" + flag, str(value))]
+
+
+def indexed(carrier):
+    """Whether a set's position index is built: reading its slot, unlike
+    reading ``_pos``, builds nothing."""
+    return hasattr(carrier, "_index")

@@ -27,6 +27,38 @@ SRC = os.path.join(ROOT, "src")
 
 # (file under src/glueforge, snippet, replacement, test modules, what breaks)
 MUTANTS = [
+    ("cli.py",
+     "if b not in (34, 92))",
+     "if b not in (92,))",
+     ["tests/test_render.py"],
+     "the plain bytes admit the quote (34)"),
+    ("cli.py",
+     "if b not in (34, 92))",
+     "if b not in (34,))",
+     ["tests/test_render.py"],
+     "the plain bytes admit the backslash (92)"),
+    ("cli.py",
+     "bytes(b for b in range(32, 127)",
+     "bytes(b for b in range(32, 128)",
+     ["tests/test_render.py"],
+     "the plain bytes admit DEL (127)"),
+    ("fincat.py",
+     "pos = dict(zip(self.labels, range(len(self))))",
+     "pos = dict(zip(self.labels[1:], range(len(self))))",
+     ["tests/test_fincat.py"],
+     "the lazy index is built over labels[1:]"),
+    ("cli.py",
+     "    parts[1::4] = keys\n",
+     "    parts[2::4] = keys\n",
+     ["tests/test_render.py"],
+     "the bulk join puts the keys where the separators after them go"),
+    ("cli.py",
+     "    return Sink(ambient, target, sources, target_space=target_space)",
+     "    return Sink.from_valid(ambient, target, sources,\n"
+     "                           target_space=target_space)",
+     ["tests/test_cli.py"],
+     "a document's own sink is built unchecked"),
+    # recorded with earlier changes, each killed when it was made
     ("site.py",
      "                del remaining[k]\n",
      "                pass\n",
@@ -57,7 +89,6 @@ MUTANTS = [
      "            e, spaces[pair_obj[:1]], spaces[pair_obj[:1]])",
      ["tests/test_site.py"],
      "effective_gluing_check asks about the edges between the wrong spaces"),
-    # recorded with earlier changes, each killed when it was made
     ("presheaf.py",
      "            if lawful and ends_ok and _natural_on_covers(",
      "            if ends_ok and _natural_on_covers(",

@@ -1369,3 +1369,24 @@ def test_equal_points_with_other_opens_give_two_spaces():
     assert u != sink.target_space
     assert u.nbhd == {"a": {"a"}, "b": {"b"}}
     assert sink.target_space.nbhd == {"a": {"a"}, "b": {"a", "b"}}
+
+
+@pytest.mark.parametrize("command, name", [("check-cover", "check-cover-top"),
+                                           ("check-site", "check-site-top")])
+def test_a_document_sink_map_that_is_not_continuous_is_structural(
+        tmp_path, capsys, command, name):
+    # the sinks a check builds are trusted; a document's own are not
+    doc = golden_doc(name)
+    sink = doc["payload"] if command == "check-cover" \
+        else doc["payload"]["coverings"][0]
+    # the source u0 made indiscrete: its map, an inclusion, sends the
+    # neighbourhood {r, b0_0} of r outside r's neighbourhood {r}
+    source = sink["sources"][0]
+    assert source["name"] == "u0" and ["r"] in sink["target"]["opens"]
+    source["object"]["opens"] = [[], source["object"]["points"]]
+    path = write_doc(tmp_path, doc, "discontinuous.json")
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("glueforge: structural error: map is not "
+                            "continuous at 'r'\n")

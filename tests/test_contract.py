@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from glueforge import cli, fincat, gluing, presheaf
 
-from fixtures import benchmark_items, item_argv
+from fixtures import benchmark_items, indexed, item_argv
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
@@ -175,8 +175,11 @@ def test_gluing_data_is_checked_once_where_it_is_built(monkeypatch, name,
     ("glue-top-discrete", 8),
     ("glue-top-limit", 2),
     ("check-effective-top-e4", 18),
-    ("check-cover-top", 4),       # the sink's maps
-    ("check-site-top", 23),       # the morphisms and the sinks' maps
+    # the document sink's maps; none for the sink pulled back to the test
+    ("check-cover-top", 2),
+    # the morphisms and the declared sinks' maps; none for the isomorphism,
+    # composite and base-change sinks the check builds
+    ("check-site-top", 8),
 ])
 def test_maps_are_validated_once_where_they_are_built(monkeypatch, name,
                                                       built):
@@ -221,3 +224,28 @@ def test_chart_data_is_read_per_unordered_pair_and_triple(monkeypatch, name,
     code, _, _ = run(case["argv"], DOCS[name])
     assert code == case["exit"]
     assert (len(handed), len(commuted)) == (constraints, calls)
+
+
+def test_glue_documents_build_no_apex_index(monkeypatch):
+    """The apex of a colimit is built with no position index, and the 24
+    seed-1 ``colimit-atlas`` ``glue`` documents report it without building
+    one; the two ``refine`` documents look labels up in theirs."""
+    apexes = []
+    real = gluing.quotient_by_pairs
+
+    def recorded(labels, pairs):
+        result = real(labels, pairs)
+        apexes.append(result[0])
+        return result
+
+    monkeypatch.setattr(gluing, "quotient_by_pairs", recorded)
+    built = {}
+    for _, item in benchmark_items(["colimit-atlas"]):
+        apexes.clear()
+        code, out, _ = run(item_argv(item), item["doc"])
+        assert code == 0 and out, item["name"]
+        assert apexes, item["name"]
+        built.setdefault(item["command"], []).append(
+            sum(map(indexed, apexes)))
+    assert built["glue"] == [0] * 24
+    assert len(built["refine"]) == 2 and all(built["refine"])

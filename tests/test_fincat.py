@@ -17,6 +17,7 @@ from glueforge.fincat import (
     quotient_by_pairs,
 )
 
+from fixtures import indexed
 from oracles import equalizer, naive_closure_partition
 
 
@@ -125,6 +126,48 @@ def test_engine_values_equal_validated_ones():
     fn = FinFn.from_total(s, s, {"x": "y", "y": "y"})
     assert fn == FinFn(s, s, {"x": "y", "y": "y"})
     assert FinFn.identity(s).then(fn) == fn
+
+
+def outcome(fn, *args):
+    """What a call returns, or the text of the StructuralError it raises."""
+    try:
+        return ("value", fn(*args))
+    except StructuralError as err:
+        return ("error", str(err))
+
+
+LABEL = st.text("abc|", max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(LABEL, unique=True, max_size=8), st.lists(LABEL, max_size=4),
+       st.data())
+def test_a_lazily_indexed_set_behaves_as_an_eagerly_indexed_one(labels, probes,
+                                                                data):
+    eager = FinSet(labels)
+    lazy = FinSet.from_trusted(labels)
+    assert indexed(eager) and not indexed(lazy)
+    # the first use of the lazy index is drawn, each use on a fresh set
+    uses = [
+        lambda s, x: s.position(x),
+        lambda s, x: x in s,
+        lambda s, x: (s == eager, eager == s, s == FinSet(labels[::-1]),
+                      hash(s) == hash(eager)),
+        lambda s, x: FinFn(s, s, {y: x for y in s}),
+        lambda s, x: FinFn(FinSet([x]), s, {x: x}),
+        lambda s, x: FinFn(s, FinSet(labels + [x]) if x not in labels
+                           else s, dict(zip(labels, labels))),
+    ]
+    for x in labels + probes:
+        for use in data.draw(st.permutations(uses)):
+            lazy = FinSet.from_trusted(labels)
+            assert outcome(use, lazy, x) == outcome(use, eager, x)
+            assert lazy.labels == eager.labels
+    # a fresh lazy set compares and hashes with no index built
+    lazy = FinSet.from_trusted(labels)
+    assert lazy == eager and hash(lazy) == hash(eager) and not indexed(lazy)
+    if labels:
+        assert lazy.position(labels[-1]) == len(labels) - 1 and indexed(lazy)
 
 
 def test_pullback_symmetric_up_to_swap():

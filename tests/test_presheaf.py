@@ -454,6 +454,32 @@ def test_swap_transition_filters_families():
     assert got == {"p=a|p=b", "p=b|p=a"}
 
 
+def test_a_transition_component_outside_the_overlap_is_refused():
+    # charts {p} and {q} overlap in the empty open only; a component at {p}
+    # used to be kept and then raise a bare KeyError from ``validate``
+    space = two_point_discrete()
+    datum = chart_datum(space, [("1", ["p"]), ("2", ["q"])],
+                        {"p": ["a", "b"], "q": ["x", "y"]})
+    empty, p = frozenset(), frozenset(["p"])
+    transitions = {("1", "2"): {
+        empty: datum.transitions[("1", "2")][empty],
+        p: FinFn.identity(datum.locals["1"].sections[p])}}
+    with pytest.raises(StructuralError) as err:
+        GluingDatum(space, datum.charts, datum.locals, transitions)
+    assert str(err.value) == ("transition '1' -> '2' has a component at "
+                              "['p'], an open outside the overlap")
+    # given the other way round, it is named as given, before any inverse
+    # of the components is built
+    at_p = datum.locals["1"].sections[p]
+    transitions = {("2", "1"): {
+        empty: datum.transitions[("2", "1")][empty],
+        p: FinFn.constant(at_p, at_p, at_p.labels[0])}}
+    with pytest.raises(StructuralError) as err:
+        GluingDatum(space, datum.charts, datum.locals, transitions)
+    assert str(err.value) == ("transition '2' -> '1' has a component at "
+                              "['p'], an open outside the overlap")
+
+
 def test_effective_check_identity_transitions():
     space = two_point_discrete()
     datum = chart_datum(space, [("1", ["p", "q"]), ("2", ["q"])],

@@ -154,6 +154,37 @@ def test_emitter_escapes_the_one_string_that_needs_it(bad):
         assert render_report(report) == dumped(report), (bad, node)
 
 
+def plain_by_scans(text):
+    """The plain test as three scans: printable ASCII, no quote, no
+    backslash."""
+    return text.isascii() and text.isprintable() and '"' not in text \
+        and "\\" not in text
+
+
+# a plain text longer than any that ``_plain`` decides by scans
+PAD = "a ~!#$%&'()*+,-./0123456789:;<=>?@[]^_`{|}" * 3
+
+
+def test_plain_agrees_with_the_scans_on_every_code_point():
+    assert len(PAD) >= 64 and plain_by_scans(PAD) and cli._plain(PAD)
+    for text in map(chr, range(0x110000)):
+        for padded in (text, PAD + text):
+            assert cli._plain(padded) == plain_by_scans(padded), \
+                (padded[-1], len(padded))
+
+
+@pytest.mark.parametrize("bad", NON_PLAIN + ["\x01", "\x1b", "\x7e\x7f", "\xff",
+                                             "\x85", "\u00a0"])
+@pytest.mark.parametrize("size", [63, 64, 65, 1000, 1300000])
+def test_plain_finds_one_bad_character_in_a_long_text(bad, size):
+    plain = (PAD * (size // len(PAD) + 1))[:size]
+    assert cli._plain(plain)
+    for at in (0, size // 2, size):
+        text = plain[:at] + bad + plain[at:]
+        assert not plain_by_scans(text)
+        assert not cli._plain(text), (bad, size, at)
+
+
 def test_plain_containers_are_written_without_encoding_a_string(monkeypatch):
     def refuse(text):
         raise AssertionError("encoded %r" % text)

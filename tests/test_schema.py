@@ -46,6 +46,8 @@ def oracle(instance, schema_id, registry=REGISTRY):
 
 
 def gluing_payload(data):
+    """The document payload of gluing data, as JSON text reads back: the
+    report helpers share tuples and dicts with the engine."""
     arrows = []
     for key, fn in data.arrows.items():
         if key[0] == "incl":
@@ -54,7 +56,7 @@ def gluing_payload(data):
         else:
             arrows.append({"kind": "tau", "pair": ",".join(key[1]),
                            "map": jsonable_fn(fn)})
-    return {
+    return json.loads(json.dumps({
         "mode": data.indexcat.mode,
         "ambient": data.ambient,
         "direction": data.direction,
@@ -62,7 +64,7 @@ def gluing_payload(data):
         "objects": {",".join(obj): jsonable_object(c, data.spaces.get(obj))
                     for obj, c in data.objects.items()},
         "arrows": arrows,
-    }
+    }))
 
 
 def corpus():

@@ -1,8 +1,10 @@
 """The unchecked constructors are used only where the value is correct by
-construction: with each one replaced by its validating constructor, the
-golden corpus gives the same bytes and the acceptance criteria still pass,
-so no trusted value would have failed its own check.  The same holds for
-the maps that ``map_properties`` trusts to be continuous: with each report
+construction: with each one (``FinSet.from_distinct`` and
+``FinSet.from_trusted``, ``FinFn.from_total``, ``FinTop.from_nbhd`` and
+``Sink.from_valid``) replaced by its validating constructor, the golden
+corpus gives the same bytes and the acceptance criteria still pass, so no
+trusted value would have failed its own check.  The same holds for the
+maps that ``map_properties`` trusts to be continuous: with each report
 preceded by a ``TopMap``, which raises on a map that is not, nothing
 changes."""
 
@@ -17,6 +19,7 @@ import pytest
 from glueforge import cli, fincat
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
+from glueforge.site import Sink
 
 import test_acceptance
 
@@ -40,8 +43,11 @@ def validating_space(cls, carrier, nbhd):
 
 @pytest.fixture
 def validating(monkeypatch):
-    monkeypatch.setattr(FinSet, "from_distinct",
-                        classmethod(lambda cls, labels: cls(labels)))
+    for name in ("from_distinct", "from_trusted"):
+        monkeypatch.setattr(FinSet, name,
+                            classmethod(lambda cls, labels: cls(labels)))
+    monkeypatch.setattr(Sink, "from_valid", classmethod(
+        lambda cls, *args, **kwargs: cls(*args, **kwargs)))
     monkeypatch.setattr(FinFn, "from_total",
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
@@ -60,8 +66,9 @@ def validating(monkeypatch):
 
 
 def test_validating_swap_checks(validating):
-    with pytest.raises(StructuralError, match="duplicate label"):
-        FinSet.from_distinct(["a", "a"])
+    for build in (FinSet.from_distinct, FinSet.from_trusted):
+        with pytest.raises(StructuralError, match="duplicate label"):
+            build(["a", "a"])
     a = FinSet(["a"])
     with pytest.raises(StructuralError, match="not a codomain label"):
         FinFn.from_total(a, a, {"a": "b"})
@@ -71,6 +78,10 @@ def test_validating_swap_checks(validating):
                                               "b": frozenset("a")})
     # the identity from the indiscrete onto the discrete pair
     pair = FinSet(["a", "b"])
+    with pytest.raises(StructuralError, match="not continuous"):
+        Sink.from_valid("top", pair, [("1", FinTop.indiscrete(pair),
+                                       FinFn.identity(pair))],
+                        target_space=FinTop.discrete(pair))
     for module in ("fincat", "gluing", "site"):
         with pytest.raises(StructuralError, match="not continuous"):
             getattr(sys.modules["glueforge." + module], "map_properties")(
