@@ -496,9 +496,7 @@ def jsonable_object(carrier, space):
     with the carrier, or a space's points and opens."""
     if space is None:
         return carrier.labels
-    at = space.carrier._pos.__getitem__
-    return {"points": list(space.carrier.labels),
-            "opens": [sorted(o, key=at) for o in space.opens]}
+    return {"points": list(space.carrier.labels), "opens": space.open_lists()}
 
 
 def jsonable_fn(fn):

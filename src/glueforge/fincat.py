@@ -4,6 +4,12 @@ Carriers are finite sets of string labels; morphisms are total maps between
 them.  Finite topological spaces are carriers with the minimal open
 neighbourhood of each point, from which every topology is built by a direct
 rule, and continuous maps between those, with their openness recorded.
+A space is its specialization preorder (Stong 1966; Barmak 2011), stored as
+one int mask per carrier position, and the topology kernels work on those
+rows with bitwise operations, reading a map as the list of the positions of
+its values.  Labels return only where a caller outside this module reads
+them: the label sets of ``opens``, ``maximal_proper()``, ``subspace()`` and
+``is_open()``, the label lists of reports, and error texts.
 Everything is immutable after construction and every operation is a pure
 function, so shared values are safe to use concurrently.  A space keeps its
 list of opens, the maximal proper opens of each and its subspaces once
@@ -34,8 +40,10 @@ building a ``TopMap``.
 
 Limits and colimits of spaces are those of sets with the initial or final
 topology added (the forgetful functor from spaces to sets is topological),
-so there is one ``pullback``: given the two domain spaces, its members
-carry the initial topology along its legs.
+so there is one ``pullback``: given the two domain spaces, each member
+``a|b`` gets the row ``U1[a] & U2[b]`` of the initial topology along its
+legs, ``U1[a]`` being the members whose first coordinate lies in the
+neighbourhood of ``a``.
 
 Compatible families (pullbacks, limits, sections) come from one join
 kernel, ``compatible_tuples``, whose cost follows the partial answers
@@ -51,7 +59,7 @@ input labels containing it, which keeps generated names collision-free.
 """
 
 from functools import reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from itertools import product as iproduct
 from operator import and_, or_
 
@@ -216,10 +224,6 @@ class FinFn:
     def is_surjective(self):
         return set(self.mapping.values()) == set(self.codomain.labels)
 
-    def preimage(self, labels):
-        labels = set(labels)
-        return frozenset(x for x in self.domain if self.mapping[x] in labels)
-
     def inverse(self):
         if not (self.is_injective() and self.is_surjective()):
             raise StructuralError("only bijections can be inverted")
@@ -255,13 +259,25 @@ def _refuse_mapping(domain, codomain, mapping):
 
 
 class FinTop:
-    """A finite topological space, stored as the minimal open neighbourhood
-    ``nbhd[x]`` of each point ``x``: the opens are exactly the unions of these
-    sets (Alexandroff 1937; Stong 1966).  The document parsers build one
-    space per distinct object of a document, so equal objects there are one
-    instance, validated once and sharing its kept opens and subspaces."""
+    """A finite topological space, stored as its specialization preorder:
+    one int mask per carrier position, where bit ``q`` of ``rows[p]`` means
+    that point ``q`` lies in the minimal open neighbourhood of point ``p``.
+    The opens are exactly the unions of these neighbourhoods (Alexandroff
+    1937; Stong 1966), and every kernel of this module works on the rows
+    with bitwise operations.  Labels appear only in the views that callers
+    outside it read: ``opens``, ``maximal_proper()``, ``subspace()`` and
+    ``is_open()``, and the label lists of ``open_lists()`` that reports
+    write.  The document parsers build one space per distinct object
+    of a document, so equal objects there are one instance, validated once
+    and sharing its kept opens and subspaces.
 
-    __slots__ = ("carrier", "nbhd", "_opens", "_subspaces", "_maximal")
+    ``rows`` is a list that no caller changes.  It is not a tuple because a
+    command drops its spaces together, and tuples of every carrier size
+    freed at once would stay in CPython's tuple free lists, up to 2,000 of
+    each length, for the rest of the process."""
+
+    __slots__ = ("carrier", "rows", "_opens", "_open_sets", "_subspaces",
+                 "_maximal")
 
     def __init__(self, carrier, opens):
         """Validate a listed family of opens: with the empty set and the
@@ -271,9 +287,9 @@ class FinTop:
 
         The check runs on int masks over carrier positions, one bit a point:
         a member's mask is the OR of its points' bits, ``nbhd[x]`` the AND of
-        the masks holding x's bit.  Only the neighbourhoods become frozensets,
-        each the set of a listed member.  A family that fails is scanned
-        again as frozensets, which names what is wrong."""
+        the masks holding x's bit, and those meets are the rows kept.  A
+        family that fails is scanned again as frozensets, which names what is
+        wrong."""
         if not isinstance(carrier, FinSet):
             raise StructuralError("carrier must be a FinSet")
         opens = list(opens)
@@ -286,25 +302,22 @@ class FinTop:
         family = set(masks)
         full = (1 << len(labels)) - 1
         if 0 in family and full in family:
-            nb = [reduce(and_, [m for m in family if m & b], full)
-                  for b in bits.values()]
-            hoods = set(nb)
+            rows = [reduce(and_, [m for m in family if m & b], full)
+                    for b in bits.values()]
+            hoods = set(rows)
             if {o | u for o in family for u in hoods} <= family:
-                listed = dict(zip(masks, opens))
-                hoods = {u: frozenset(listed[u]) for u in hoods}
                 object.__setattr__(self, "carrier", carrier)
-                object.__setattr__(self, "nbhd",
-                                   dict(zip(labels, map(hoods.__getitem__, nb))))
+                object.__setattr__(self, "rows", rows)
                 return
         _refuse_opens(carrier, opens)
 
     @classmethod
-    def from_nbhd(cls, carrier, nbhd):
-        """The space with these minimal neighbourhoods, unchecked: ``nbhd[x]``
-        holds ``x`` and the neighbourhood of each of its points."""
+    def from_nbhd(cls, carrier, rows):
+        """The space with these rows, one per carrier position, unchecked:
+        row ``p`` holds bit ``p`` and the row of each point it holds."""
         space = object.__new__(cls)
         object.__setattr__(space, "carrier", carrier)
-        object.__setattr__(space, "nbhd", nbhd)
+        object.__setattr__(space, "rows", list(rows))
         return space
 
     def __setattr__(self, name, value):
@@ -312,22 +325,20 @@ class FinTop:
 
     @staticmethod
     def discrete(carrier):
-        return FinTop.from_nbhd(carrier, {x: frozenset([x]) for x in carrier})
+        return FinTop.from_nbhd(carrier, map((1).__lshift__,
+                                             range(len(carrier))))
 
     @staticmethod
     def indiscrete(carrier):
-        full = frozenset(carrier.labels)
-        return FinTop.from_nbhd(carrier, {x: full for x in carrier})
+        return FinTop.from_nbhd(carrier,
+                                [(1 << len(carrier)) - 1] * len(carrier))
 
-    @property
-    def opens(self):
-        """Every open set, ordered by size and then by point positions.
-
-        The family at most doubles per point and its size is charged to the
-        cap after each point.  The list is built once per space; each later
-        access charges the same sizes again, so under any budget it raises,
-        or not, exactly as a first listing would.  A refused listing is not
-        kept."""
+    def _listing(self):
+        """The masks of the opens in ``opens`` order.  Listed once per
+        space and kept with the family sizes charged while listing; each
+        later access charges the same sizes again, so under any budget it
+        raises, or not, exactly as a first listing would.  A refused
+        listing is not kept."""
         what = "opens of a %d-point space" % len(self.carrier)
         kept = getattr(self, "_opens", None)    # unset until first listed
         if kept is None:
@@ -338,6 +349,30 @@ class FinTop:
                 charge(what, size)
         return kept[0]
 
+    @property
+    def opens(self):
+        """Every open set, as a frozenset of labels, ordered by size and
+        then by point positions.  The family at most doubles per point and
+        its size is charged to the cap after each point, at every access;
+        the sets are made once per space."""
+        return self._sets(self._listing())
+
+    def _sets(self, masks):
+        """The label sets of the listed opens ``masks``, made once."""
+        sets = getattr(self, "_open_sets", None)    # unset until first made
+        if sets is None:
+            labels = self.carrier.labels
+            sets = tuple(frozenset(compress(labels, _flags(o))) for o in masks)
+            object.__setattr__(self, "_open_sets", sets)
+        return sets
+
+    def open_lists(self):
+        """Every open as the list of its labels in carrier order, in
+        ``opens`` order and charged as ``opens`` is: the form a report
+        writes, made without label sets."""
+        labels = self.carrier.labels
+        return [list(compress(labels, _flags(o))) for o in self._listing()]
+
     def maximal_proper(self):
         """Each open's maximal proper open subsets: a dict over ``opens`` in
         their order, each list in that order too.  Built once per space from
@@ -345,17 +380,30 @@ class FinTop:
         not change it."""
         kept = getattr(self, "_maximal", None)    # unset until first asked
         if kept is None:
-            kept = _maximal_proper(self, self.opens)
+            masks = self._listing()
+            named = dict(zip(masks, self._sets(masks)))
+            kept = {named[u]: [named[w] for w in inner] for u, inner
+                    in _maximal_proper(self, masks).items()}
             object.__setattr__(self, "_maximal", kept)
         return kept
 
     def is_open(self, subset):
-        subset = frozenset(subset)
-        return all(x in self.nbhd and self.nbhd[x] <= subset for x in subset)
+        """Whether the labels of ``subset`` are points whose rows add no
+        other point."""
+        pos, rows = self.carrier._pos, self.rows
+        mask = union = 0
+        try:
+            for p in map(pos.__getitem__, subset):
+                mask |= 1 << p
+                union |= rows[p]
+        except KeyError:    # a label that is not a point
+            return False
+        return union == mask
 
     def subspace(self, members):
-        """The subspace on the points of ``members``, built once per member
-        set and shared: the space itself when it has every point."""
+        """The subspace on the points among the labels of ``members``, built
+        once per label set asked for and shared: the space itself when it
+        has every point."""
         members = frozenset(members)
         kept = getattr(self, "_subspaces", None)    # unset until first asked
         if kept is None:
@@ -363,24 +411,97 @@ class FinTop:
             object.__setattr__(self, "_subspaces", kept)
         sub = kept.get(members)
         if sub is None:
-            labels = [x for x in self.carrier if x in members]
-            if len(labels) == len(self.carrier):
+            pos = self.carrier._pos
+            mask = reduce(or_, [1 << pos[x] for x in members if x in pos], 0)
+            if mask == (1 << len(self.carrier)) - 1:
                 return self
-            sub = FinTop.from_nbhd(FinSet.from_distinct(labels),
-                                   {x: self.nbhd[x] & members for x in labels})
+            at = _members(mask)
+            sub = FinTop.from_nbhd(
+                FinSet.from_distinct(map(self.carrier.labels.__getitem__, at)),
+                [_squeeze(self.rows[p] & mask, at) for p in at])
             kept[members] = sub
         return sub
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FinTop)
                                  and self.carrier == other.carrier
-                                 and self.nbhd == other.nbhd)
+                                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.carrier, tuple(self.nbhd[x] for x in self.carrier)))
+        return hash((self.carrier, tuple(self.rows)))
 
     def __repr__(self):
-        return "FinTop(%r, %r)" % (list(self.carrier), self.nbhd)
+        labels = self.carrier.labels
+        return "FinTop(%r, %r)" % (list(labels), [
+            list(compress(labels, _flags(row))) for row in self.rows])
+
+
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask):
+    """One byte per position of ``mask``, 1 where its bit is set and 0
+    where not, from position 0 up to its highest set bit: the selectors with
+    which ``itertools.compress`` picks the labels of a mask's points."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
+
+
+def _members(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    return list(compress(count(), _flags(mask)))
+
+
+def _squeeze(mask, at):
+    """The bits of ``mask`` at the positions ``at``, renumbered 0, 1, ... in
+    that order."""
+    return reduce(or_, [1 << k for k, p in enumerate(at) if mask >> p & 1], 0)
+
+
+def _positions(fn):
+    """The codomain position of the image of each domain point of ``fn``, in
+    domain order."""
+    return list(map(fn.codomain._pos.__getitem__,
+                    map(fn.mapping.__getitem__, fn.domain.labels)))
+
+
+def _gather(mask, parts):
+    """The OR of ``parts[p]`` over the positions ``p`` of the set bits of
+    ``mask``, taken lowest bit first: the image of a row when ``parts``
+    holds the bit of each point's image, the preimage of one when it holds
+    the mask of each point's fibre."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= parts[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _fibres(img):
+    """The mask of each fibre of the map that sends position ``k`` to
+    position ``img[k]``, by image position, in order of first image."""
+    fibres = {}
+    for k, q in enumerate(img):
+        fibres[q] = fibres.get(q, 0) | 1 << k
+    return fibres
+
+
+def _image_rows(img, rows):
+    """The image of each of ``rows`` under the map that sends position ``k``
+    to position ``img[k]``: the image points whose fibre meets the row."""
+    parts = [(1 << q, fibre) for q, fibre in _fibres(img).items()]
+    return [sum([bit for bit, fibre in parts if fibre & row]) for row in rows]
+
+
+def _preimage_rows(img, rows):
+    """For each position ``k`` of the domain of the map that sends ``k`` to
+    ``img[k]``, the preimage of the codomain row ``rows[img[k]]``: the mask
+    of the domain points whose image lies in it.  One preimage per image
+    point, gathered from the mask of each fibre."""
+    fibres = _fibres(img)
+    parts = [fibres.get(q, 0) for q in range(len(rows))]
+    pre = {q: _gather(rows[q], parts) for q in fibres}
+    return list(map(pre.__getitem__, img))
 
 
 def _refuse_opens(carrier, opens):
@@ -408,40 +529,45 @@ def _refuse_opens(carrier, opens):
 
 
 def _list_opens(space, what):
-    """The opens of ``space`` in ``FinTop.opens`` order, with the family size
-    charged after each point: the unions of minimal neighbourhoods, the
-    family at most doubling per point."""
-    family = {frozenset()}
+    """The opens of ``space`` as masks in ``FinTop.opens`` order, with the
+    family size charged after each point: the unions of the rows, the
+    family at most doubling per point.  Of two opens of one size, the one
+    holding the lowest position where they differ comes first, which is
+    the larger one with its binary digits read from position 0 up: so the
+    masks sort by size up and then by those digits down."""
+    family = {0}
     sizes = []
-    for x in space.carrier:
-        u = space.nbhd[x]
-        family |= {o | u for o in family}
+    for row in space.rows:
+        family |= {o | row for o in family}
         charge(what, len(family))
         sizes.append(len(family))
-    pos = space.carrier._pos.__getitem__
-    return (tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o))))),
-            tuple(sizes))
+    ordered = sorted(family, key=lambda o: (-o.bit_count(), bin(o)[:1:-1]),
+                     reverse=True)
+    return tuple(ordered), tuple(sizes)
 
 
 def _maximal_proper(space, opens):
-    """Each open's maximal proper open subsets, in the order of ``opens``.
-    Each is the interior of the open minus one of its points ``p``: the
-    points whose minimal neighbourhood misses ``p``."""
-    nbhd = space.nbhd
+    """Each open's maximal proper open subsets, as masks in the order of the
+    masks ``opens``.  Each is the interior of the open minus one of its
+    points ``p``: the open less the points above ``p``, those whose row
+    holds ``p``.  That interior is maximal exactly when ``p`` is a top
+    point of the open, every point above it in the open lying in its own
+    row too, so no two interiors are compared."""
+    rows = space.rows
+    above = [reduce(or_, [1 << y for y, row in enumerate(rows)
+                          if row >> p & 1], 0) for p in range(len(rows))]
     rank = {o: k for k, o in enumerate(opens)}
-    out = {}
-    for u in opens:
-        inner = {frozenset(y for y in u if p not in nbhd[y]) for p in u}
-        out[u] = sorted((w for w in inner if not any(w < c for c in inner)),
-                        key=rank.__getitem__)
-    return out
+    return {u: sorted({u & ~above[p] for p in _members(u)
+                       if not above[p] & u & ~rows[p]}, key=rank.__getitem__)
+            for u in opens}
 
 
 class TopMap:
     """A continuous map between finite spaces.
 
-    Continuity, ``f(nbhd[x]) <= nbhd[f(x)]``, is validated at construction;
-    openness, equality there, is stored in ``open``.
+    Continuity, ``f(nbhd[x]) <= nbhd[f(x)]``, is validated at construction,
+    on the image of each row; openness, equality there, is stored in
+    ``open``.
     """
 
     __slots__ = ("fn", "dom", "cod", "open")
@@ -449,15 +575,15 @@ class TopMap:
     def __init__(self, fn, dom, cod):
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
+        img = _positions(fn)
+        bits = [1 << q for q in img]
+        rows = cod.rows
         is_open = True
-        mapping = fn.mapping
-        image_of = mapping.__getitem__
-        for x, u in dom.nbhd.items():
-            image = frozenset(map(image_of, u))
-            target = cod.nbhd[mapping[x]]
-            if not image <= target:
+        for x, row, q in zip(dom.carrier.labels, dom.rows, img):
+            image = _gather(row, bits)
+            if image & ~rows[q]:
                 raise StructuralError("map is not continuous at %r" % x)
-            is_open = is_open and image == target
+            is_open = is_open and image == rows[q]
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
@@ -520,8 +646,10 @@ def is_iso(fn, dom=None, cod=None):
         return True
     if fn.domain != dom.carrier or fn.codomain != cod.carrier:
         raise StructuralError("map endpoints do not match the given spaces")
-    return all(frozenset(fn.mapping[y] for y in dom.nbhd[x])
-               == cod.nbhd[fn.mapping[x]] for x in dom.carrier)
+    img = _positions(fn)
+    bits = [1 << q for q in img]
+    return all(_gather(row, bits) == cod.rows[q]
+               for row, q in zip(dom.rows, img))
 
 
 class PairedSubset:
@@ -604,37 +732,53 @@ def pullback(f, g, xtop=None, ytop=None):
     """The pullback of two maps with a shared codomain.
 
     Members are the pairs ``a|b`` with ``f(a) = g(b)``, listed in
-    lexicographic order of coordinate positions; the legs are the two
-    coordinate projections restricted to the members.  Given the spaces
-    ``xtop`` and ``ytop`` of the two domains, the members carry the initial
-    topology along the legs, which is the subspace topology of the product:
-    the forgetful functor from spaces to sets is topological, so the
-    pullback of spaces is the pullback of sets with that topology.
+    lexicographic order of coordinate positions; the join kernel runs on
+    those positions and charges its steps under ``"pullback"``.  The legs
+    are the two coordinate projections restricted to the members.  Given the
+    spaces ``xtop`` and ``ytop`` of the two domains, the members carry the
+    initial topology along the legs, which is the subspace topology of the
+    product: member ``a|b`` gets the row ``U1[a] & U2[b]``, where ``U1[a]``
+    is the mask of the members whose first coordinate lies in the
+    neighbourhood of ``a``, and ``U2[b]`` likewise.  The forgetful functor
+    from spaces to sets is topological, so the pullback of spaces is the
+    pullback of sets with that topology.
     """
     if f.codomain != g.codomain:
         raise StructuralError("pullback requires a shared codomain")
-    charge("product of 2 factors", len(f.domain) * len(g.domain))
-    pairs = compatible_tuples([f.domain.labels, g.domain.labels],
-                              [(0, 1, f.mapping, g.mapping)], "pullback")
-    labels = [pair_label(a, b) for a, b in pairs]
+    xs, ys = f.domain.labels, g.domain.labels
+    pairs = compatible_tuples(
+        [range(len(xs)), range(len(ys))],
+        [(0, 1, list(map(f.mapping.__getitem__, xs)),
+          list(map(g.mapping.__getitem__, ys)))], "pullback")
+    firsts = [a for a, _ in pairs]
+    seconds = [b for _, b in pairs]
+    left = list(map(xs.__getitem__, firsts))
+    right = list(map(ys.__getitem__, seconds))
+    labels = list(map(pair_label, left, right))
     members = FinSet.from_distinct(labels)
-    p1 = FinFn.from_total(members, f.domain,
-                          dict(zip(labels, [a for a, _ in pairs])))
-    p2 = FinFn.from_total(members, g.domain,
-                          dict(zip(labels, [b for _, b in pairs])))
+    p1 = FinFn.from_total(members, f.domain, dict(zip(labels, left)))
+    p2 = FinFn.from_total(members, g.domain, dict(zip(labels, right)))
     space = None
     if xtop is not None and ytop is not None:
-        space = induce_topology("initial", members, [p1, p2], [xtop, ytop])
+        if xtop.carrier != f.domain or ytop.carrier != g.domain:
+            raise StructuralError("pullback spaces must be those of the "
+                                  "map domains")
+        space = FinTop.from_nbhd(members, map(
+            and_, _preimage_rows(firsts, xtop.rows),
+            _preimage_rows(seconds, ytop.rows)))
     return PairedSubset(members, {"p1": p1, "p2": p2}, space)
 
 
 def top_product(x, y):
-    """Product space: the neighbourhood of ``a|b`` is ``nbhd[a] x nbhd[b]``."""
+    """Product space: the neighbourhood of ``a|b`` is ``nbhd[a] x nbhd[b]``,
+    the row of ``b`` copied into the block of each point in the row of
+    ``a``."""
     carrier = product_enumerate([x.carrier, y.carrier])
-    return FinTop.from_nbhd(carrier, {
-        pair_label(a, b): frozenset(pair_label(p, q)
-                                    for p in x.nbhd[a] for q in y.nbhd[b])
-        for a in x.carrier for b in y.carrier})
+    width = len(y.carrier)
+    blocks = [p * width for p in range(len(x.carrier))]
+    return FinTop.from_nbhd(carrier, [
+        _gather(ra, [rb << shift for shift in blocks])
+        for ra in x.rows for rb in y.rows])
 
 
 def quotient_by_pairs(labels, pairs):
@@ -707,38 +851,37 @@ def induce_topology(mode, carrier, maps, spaces):
 
     ``mode='final'``: the maps run from the given spaces into the carrier, an
     open is any subset all of whose preimages are open, and a neighbourhood is
-    all that is reachable along images of source neighbourhoods.
+    all that is reachable along images of source neighbourhoods: the rows
+    start as those images and are closed transitively (Warshall 1962).
     ``mode='initial'``: the maps run from the carrier into the given spaces and
     a neighbourhood is the meet of the preimages of those around the images.
     """
     if len(maps) != len(spaces):
         raise StructuralError("need one space per map")
+    n = len(carrier)
     if mode == "final":
         for fn, sp in zip(maps, spaces):
             if fn.codomain != carrier or fn.domain != sp.carrier:
                 raise StructuralError("final mode needs maps into the carrier")
-        step = {q: {q} for q in carrier}
+        rows = [1 << q for q in range(n)]
         for fn, sp in zip(maps, spaces):
-            for x in sp.carrier:
-                step[fn.mapping[x]].update(fn.mapping[y] for y in sp.nbhd[x])
-        nbhd = {}
-        for q in carrier:
-            seen, stack = {q}, [q]
-            while stack:
-                new = step[stack.pop()] - seen
-                seen |= new
-                stack.extend(new)
-            nbhd[q] = frozenset(seen)
-        return FinTop.from_nbhd(carrier, nbhd)
+            img = _positions(fn)
+            for q, image in zip(img, _image_rows(img, sp.rows)):
+                rows[q] |= image
+        for k in range(n):
+            row, bit = rows[k], 1 << k
+            if row != bit:    # k's row adds nothing when it is k alone
+                rows = [r | row if r & bit else r for r in rows]
+        return FinTop.from_nbhd(carrier, rows)
     if mode == "initial":
         for fn, sp in zip(maps, spaces):
             if fn.domain != carrier or fn.codomain != sp.carrier:
                 raise StructuralError("initial mode needs maps out of the carrier")
-        nbhd = {x: frozenset(carrier.labels) for x in carrier}
+        rows = [(1 << n) - 1] * n
         for fn, sp in zip(maps, spaces):
-            pre = {y: fn.preimage(sp.nbhd[y]) for y in set(fn.mapping.values())}
-            nbhd = {x: u & pre[fn.mapping[x]] for x, u in nbhd.items()}
-        return FinTop.from_nbhd(carrier, nbhd)
+            rows = list(map(and_, rows, _preimage_rows(_positions(fn),
+                                                       sp.rows)))
+        return FinTop.from_nbhd(carrier, rows)
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
 
@@ -754,7 +897,7 @@ def is_effective_family(carrier, maps, space=None, spaces=()):
     if not hit.issuperset(carrier):
         return False
     return space is None or \
-        space.nbhd == induce_topology("final", carrier, maps, spaces).nbhd
+        space.rows == induce_topology("final", carrier, maps, spaces).rows
 
 
 def map_properties(fn, dom, cod):
@@ -763,16 +906,26 @@ def map_properties(fn, dom, cod):
     map is injective, surjective, open (``f(nbhd[x]) = nbhd[f(x)]``
     everywhere) and a topological embedding (injective and a homeomorphism
     onto its image with the subspace topology, which is
-    ``nbhd[x] = f^-1(nbhd[f(x)])`` everywhere)."""
-    mapping = fn.mapping
-    injective = fn.is_injective()
+    ``nbhd[x] = f^-1(nbhd[f(x)])`` everywhere).
+
+    On rows, continuity puts the image of each row inside the row of the
+    point's image, so the two are equal exactly when they are as large, and
+    an injective image of a row is as large as the row.  For an injective
+    map ``f^-1(nbhd[f(x)])`` has as many points as ``nbhd[f(x)]`` has in
+    the image, and holds ``nbhd[x]``, so the embedding test too compares
+    popcounts and scans no preimage."""
+    img = _positions(fn)
+    hit = set(img)
+    injective = len(hit) == len(img)
+    targets = list(map(cod.rows.__getitem__, img))
+    sizes = list(map(int.bit_count, dom.rows if injective
+                     else _image_rows(img, dom.rows)))
+    image = reduce(or_, map((1).__lshift__, hit), 0)
     return {
         "injective": injective,
-        "surjective": fn.is_surjective(),
+        "surjective": len(hit) == len(cod.carrier),
         "continuous": True,
-        "open": all(frozenset(map(mapping.__getitem__, u))
-                    == cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),
-        "embedding": injective and all(
-            u == fn.preimage(cod.nbhd[mapping[x]])
-            for x, u in dom.nbhd.items()),
+        "open": sizes == list(map(int.bit_count, targets)),
+        "embedding": injective
+        and sizes == [(target & image).bit_count() for target in targets],
     }

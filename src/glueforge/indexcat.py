@@ -90,8 +90,8 @@ class IndexCat:
         if self.mode == NONSPLIT:
             if i == j:
                 raise StructuralError("nonsplit pairs need distinct indices")
-            a, b = sorted([i, j], key=self.index.position)
-            return (a, b)
+            at = self.index.position
+            return (i, j) if at(i) < at(j) else (j, i)
         return (i, j)
 
     def singletons(self):

@@ -184,9 +184,15 @@ def basic_coverings(lattice):
     whose laws hold is separated, or a sheaf, for every covering exactly
     when it is for these (Curry 2014; Mac Lane and Moerdijk 1992, on sheaves
     given on a basis).  A minimal neighbourhood needs no cover of its own:
-    each of its coverings holds it.
+    each of its coverings holds it.  The minimal neighbourhoods are the
+    opens with exactly one maximal proper open, the join-irreducibles of
+    the lattice (Birkhoff 1937): below ``nbhd[x]`` that open is ``nbhd[x]``
+    less the points whose neighbourhood holds ``x``, and an open that is a
+    union of two incomparable neighbourhoods loses either one's top point
+    on its own.
     """
-    nbhds = set(lattice.space.nbhd.values())
+    nbhds = {u for u, maximal in lattice.space.maximal_proper().items()
+             if len(maximal) == 1}
     basis = [o for o in lattice.opens if o in nbhds]
     covers = []
     for u in lattice.opens:

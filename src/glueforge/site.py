@@ -12,6 +12,7 @@ finite, caller-supplied family of test maps, and in the set ambient joint
 surjectivity is recorded as the complete closed form.
 """
 
+from collections import Counter
 from itertools import count, permutations, product as iproduct
 from math import prod
 
@@ -21,6 +22,7 @@ from .fincat import (
     FinSet,
     FinTop,
     TopMap,
+    induce_topology,
     is_effective_family,
     is_iso,
     map_properties,
@@ -282,12 +284,21 @@ def effective_gluing_check(data):
     of each overlap is exactly the intersection of the component images, and
     both the component legs and the overlap arrows are injective
     (embeddings).  Strong reading: for distinct indices the canonical
-    comparison from each overlap to the fibered product of the two
-    components over the glued object is a bijection (homeomorphism), with
-    injective (embedded) overlap arrows.  Surjectivity of the overlap arrows
-    onto their components is recorded per pair as the diagnostic
-    ``edge_onto_component`` and does not enter the flags: in these ambients
-    every map is a regular quotient onto its image.
+    comparison ``u -> (e_i(u), into_j(u))`` from each overlap to the fibered
+    product of the two components over the glued object is a bijection
+    (homeomorphism), with injective (embedded) overlap arrows.  Surjectivity
+    of the overlap arrows onto their components is recorded per pair as the
+    diagnostic ``edge_onto_component`` and does not enter the flags: in
+    these ambients every map is a regular quotient onto its image.
+
+    The comparison is decided per ordered pair, ``(i, i)`` included, and
+    no fibered product is built.  The legs form a cocone, so the map always
+    lands in the fibered product; it is a bijection exactly when its pairs
+    are distinct and as many as the product's members,
+    ``sum_z |leg_i^-1(z)| * |leg_j^-1(z)|``.  A bijection is a
+    homeomorphism exactly when the overlap carries the initial topology
+    along ``e_i`` and ``into_j``, as the product's members do along its
+    legs.
     """
     if data.indexcat.mode != SPLIT:
         raise StructuralError("effectiveness is defined for split data")
@@ -295,14 +306,16 @@ def effective_gluing_check(data):
     names = [obj[0] for obj in cat.singletons()]
     glued = colimit_glue(data)
 
-    rel = {(x, x) for x in glued.witness["coproduct"]}
-    for a, b in colimit_relation_pairs(data):
-        rel |= {(a, b), (b, a)}
-    # rel is symmetric and reflexive, so it is transitive exactly when it is
-    # the equivalence it generates, whose classes are those of the glued
-    # apex: the merged ones and a singleton for every other apex label
+    # the identifications made symmetric and reflexive hold each coproduct
+    # label with itself and each unordered pair of distinct labels both
+    # ways; they are transitive exactly when they are the equivalence they
+    # generate, whose classes are those of the glued apex: the merged ones
+    # and a singleton for every other apex label
+    distinct = {(a, b) if a < b else (b, a)
+                for a, b in colimit_relation_pairs(data) if a != b}
     merged = glued.witness["merged"].values()
-    transitive = len(rel) == sum(len(members) ** 2 for members in merged) \
+    transitive = len(glued.witness["coproduct"]) + 2 * len(distinct) \
+        == sum(len(members) ** 2 for members in merged) \
         + len(glued.apex) - len(merged)
 
     # the edges were validated with the data and the legs built continuous,
@@ -324,23 +337,29 @@ def effective_gluing_check(data):
 
     intersection_ok = {}
     canonical_bij = {}
+    # how many points of each component each leg sends to each apex label;
+    # the keys are the leg's image
+    fibres = {i: Counter(glued.legs[(i,)].mapping.values()) for i in names}
     for i, j, overlap, e_i, into_j in _overlap_maps(data):
         pair_obj = (i, j)
-        leg_i, leg_j = glued.legs[(i,)], glued.legs[(j,)]
-        edge_image = {leg_i(e_i[u]) for u in overlap}
-        both = ({leg_i(x) for x in data.carrier((i,))}
-                & {leg_j(y) for y in data.carrier((j,))})
-        intersection_ok[pair_obj] = edge_image == both
+        edge_image = set(map(glued.legs[(i,)].mapping.__getitem__,
+                             map(e_i.__getitem__, overlap.labels)))
+        intersection_ok[pair_obj] = \
+            edge_image == fibres[i].keys() & fibres[j].keys()
 
-        ps = pullback(leg_i, leg_j, spaces.get((i,)), spaces.get((j,)))
-        mapping = {u: pair_label(e_i[u], into_j[u]) for u in overlap}
-        try:
-            canonical = FinFn(overlap, ps.members, mapping)
-        except StructuralError:
-            canonical_bij[pair_obj] = False
-        else:
-            canonical_bij[pair_obj] = is_iso(canonical, spaces.get(pair_obj),
-                                             ps.space)
+        # the canonical map lands in the fibre product, the legs being a
+        # cocone: it is onto exactly when it hits as many pairs as that has
+        canonical_bij[pair_obj] = \
+            len(set(zip(map(e_i.__getitem__, overlap.labels),
+                        map(into_j.__getitem__, overlap.labels)))) \
+            == len(overlap) \
+            == sum(n * fibres[j][z] for z, n in fibres[i].items())
+        if top and canonical_bij[pair_obj]:
+            canonical_bij[pair_obj] = spaces[pair_obj] == induce_topology(
+                "initial", overlap,
+                [data.edge(i, pair_obj),
+                 FinFn.from_total(overlap, data.carrier((j,)), into_j)],
+                [spaces[(i,)], spaces[(j,)]])
         diagnostics["pairs"][pair_obj] = {
             "edge_embeds": edge_emb[pair_obj],
             "edge_onto_component": data.edge(i, pair_obj).is_surjective(),

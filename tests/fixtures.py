@@ -333,10 +333,33 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
                       FROM_OVERLAPS, spaces)
 
 
+def label_nbhd(space):
+    """The minimal open neighbourhood of each point of ``space`` as a dict
+    from its label to a frozenset of labels: the space's rows read through
+    its carrier.  Tests read neighbourhoods only through this."""
+    labels = space.carrier.labels
+    return {x: frozenset(y for k, y in enumerate(labels) if row >> k & 1)
+            for x, row in zip(labels, space.rows)}
+
+
+def space_from_nbhd(carrier, nbhd):
+    """The space on ``carrier`` with these minimal neighbourhoods, a dict
+    from each label to the labels around it, unchecked as
+    ``FinTop.from_nbhd`` is."""
+    return FinTop.from_nbhd(carrier, [
+        sum(1 << carrier.position(y) for y in nbhd[x]) for x in carrier])
+
+
+def preimage(fn, labels):
+    """The domain labels of ``fn`` whose image is among ``labels``."""
+    labels = set(labels)
+    return frozenset(x for x in fn.domain if fn.mapping[x] in labels)
+
+
 def chain_space(labels):
     """The chain on ``labels``, each point below the ones after it: the
     smallest open around a point holds it and every later point."""
-    return FinTop.from_nbhd(FinSet(labels), {
+    return space_from_nbhd(FinSet(labels), {
         x: frozenset(labels[k:]) for k, x in enumerate(labels)})
 
 

@@ -65,8 +65,8 @@ MUTANTS = [
      ["tests/test_site.py"],
      "the greedy sink matcher keeps a matched source"),
     ("fincat.py",
-     "            u == fn.preimage(cod.nbhd[mapping[x]])\n",
-     "            u <= fn.preimage(cod.nbhd[mapping[x]])\n",
+     "        and sizes == [(target & image).bit_count() for target in targets],\n",
+     "        and sizes <= [(target & image).bit_count() for target in targets],\n",
      ["tests/test_topology.py", "tests/test_fincat.py"],
      "map_properties calls a continuous injection an embedding"),
     ("fincat.py",
@@ -74,14 +74,35 @@ MUTANTS = [
      "    if False:\n",
      ["tests/test_topology.py"],
      "pullback ignores the spaces"),
+    ("fincat.py",
+     "            and_, _preimage_rows(firsts, xtop.rows),\n",
+     "            or_, _preimage_rows(firsts, xtop.rows),\n",
+     ["tests/test_topology.py"],
+     "pullback rows join the two preimages instead of meeting them"),
+    ("site.py",
+     "            == sum(n * fibres[j][z] for z, n in fibres[i].items())\n",
+     "            <= sum(n * fibres[j][z] for z, n in fibres[i].items())\n",
+     ["tests/test_site.py"],
+     "the strong reading takes an injection short of the fibre product "
+     "for a bijection"),
+    ("site.py",
+     "            len(set(zip(map(e_i.__getitem__, overlap.labels),\n",
+     "            len(list(zip(map(e_i.__getitem__, overlap.labels),\n",
+     ["tests/test_site.py"],
+     "the strong reading counts repeated canonical pairs as distinct"),
+    ("site.py",
+     "        if top and canonical_bij[pair_obj]:\n",
+     "        if False:\n",
+     ["tests/test_site.py"],
+     "the strong reading takes every bijection for a homeomorphism"),
     ("site.py",
      'glued.leg_props[(i,)]["embedding"]',
      'glued.leg_props[(i,)]["open"]',
      ["tests/test_site.py"],
      "effective_gluing_check reads openness as embedding"),
     ("fincat.py",
-     "                    == cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),\n",
-     "                    <= cod.nbhd[mapping[x]] for x, u in dom.nbhd.items()),\n",
+     '        "open": sizes == list(map(int.bit_count, targets)),\n',
+     '        "open": True,\n',
      ["tests/test_topology.py", "tests/test_fincat.py"],
      "map_properties calls every continuous map open"),
     ("site.py",

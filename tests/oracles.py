@@ -12,7 +12,10 @@ with a leg at every overlap, stability of a colimit under pullback by
 gluing the whole pulled-back diagram, the presheaf laws and naturality
 by composing restriction maps as functions at every pair of opens,
 commuting paths and isomorphisms by building composites and continuous
-maps, equivalent sinks by backtracking over matchings of sources, and the
+maps, the opens, maximal proper opens, induced topologies and map
+properties of a space from its neighbourhoods as label frozensets, the
+strong effectiveness reading from built pullbacks, equivalent sinks by
+backtracking over matchings of sources, and the
 glued sections, the cocycle condition and the compatible families of a
 covering with a constraint for every ordered pair or triple of charts or
 parts.
@@ -30,6 +33,7 @@ from glueforge.fincat import (
     PairedSubset,
     TopMap,
     induce_topology,
+    is_iso,
     product_enumerate,
     pullback,
     quotient_by_pairs,
@@ -41,6 +45,7 @@ from glueforge.gluing import (
     GluedObject,
     GluingData,
     _limit_constraints,
+    _overlap_maps,
     _require_valid,
     colimit_glue,
     colimit_relation_pairs,
@@ -50,6 +55,7 @@ from glueforge.indexcat import NONSPLIT, gen_endpoints
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import _fibered_iso_exists, canonical_sink_functor
 
+from fixtures import label_nbhd, preimage
 from paper import tag
 
 
@@ -98,6 +104,106 @@ def nbhd_by_frozensets(carrier, opens):
         raise StructuralError("opens not closed under union and "
                               "intersection: %r is missing" % sorted(missing[0]))
     return nbhd
+
+
+def opens_by_frozensets(space):
+    """The opens of ``space`` in ``FinTop.opens`` order, with the family size
+    after each point: the unions of the label neighbourhoods, ordered by
+    size and then by the sorted positions of their points.  Uncharged; no
+    masks."""
+    family = {frozenset()}
+    sizes = []
+    for u in label_nbhd(space).values():
+        family |= {o | u for o in family}
+        sizes.append(len(family))
+    pos = space.carrier.position
+    return (tuple(sorted(family, key=lambda o: (len(o), sorted(map(pos, o))))),
+            tuple(sizes))
+
+
+def maximal_proper_by_frozensets(space, opens):
+    """Each open's maximal proper open subsets, in the order of ``opens``:
+    the maximal ones among the interiors of the open less one point, each
+    interior being the points whose neighbourhood misses that point."""
+    nbhd = label_nbhd(space)
+    rank = {o: k for k, o in enumerate(opens)}
+    out = {}
+    for u in opens:
+        inner = {frozenset(y for y in u if p not in nbhd[y]) for p in u}
+        out[u] = sorted((w for w in inner if not any(w < c for c in inner)),
+                        key=rank.__getitem__)
+    return out
+
+
+def induce_topology_by_frozensets(mode, carrier, maps, spaces):
+    """The label neighbourhoods of the final or the initial topology on
+    ``carrier`` along ``maps``: final by walking from each point along the
+    images of source neighbourhoods until nothing new is reached, initial by
+    intersecting the preimages of the neighbourhoods around the images.
+    No masks."""
+    nbhds = [label_nbhd(sp) for sp in spaces]
+    if mode == "final":
+        step = {q: {q} for q in carrier}
+        for fn, nbhd in zip(maps, nbhds):
+            for x in fn.domain:
+                step[fn.mapping[x]].update(fn.mapping[y] for y in nbhd[x])
+        out = {}
+        for q in carrier:
+            seen, stack = {q}, [q]
+            while stack:
+                new = step[stack.pop()] - seen
+                seen |= new
+                stack.extend(new)
+            out[q] = frozenset(seen)
+        return out
+    out = {x: frozenset(carrier.labels) for x in carrier}
+    for fn, nbhd in zip(maps, nbhds):
+        out = {x: u & preimage(fn, nbhd[fn.mapping[x]])
+               for x, u in out.items()}
+    return out
+
+
+def map_properties_by_frozensets(fn, dom, cod):
+    """``fincat.map_properties`` on label neighbourhoods: open when each
+    neighbourhood's image is the neighbourhood of the image, an embedding
+    when injective and each neighbourhood is the preimage of the one around
+    its image."""
+    mapping = fn.mapping
+    dom_nbhd, cod_nbhd = label_nbhd(dom), label_nbhd(cod)
+    injective = fn.is_injective()
+    return {
+        "injective": injective,
+        "surjective": fn.is_surjective(),
+        "continuous": True,
+        "open": all(frozenset(map(mapping.__getitem__, u))
+                    == cod_nbhd[mapping[x]] for x, u in dom_nbhd.items()),
+        "embedding": injective and all(
+            u == preimage(fn, cod_nbhd[mapping[x]])
+            for x, u in dom_nbhd.items()),
+    }
+
+
+def canonical_bijective_by_pullback(data, glued):
+    """Per ordered pair ``(i, j)`` of split colimit-side data, whether the
+    canonical map from the overlap to the fibered product of components i
+    and j over the glued object is a bijection, and in the top ambient a
+    homeomorphism: the pullback of the two legs is built, with its initial
+    topology, and the map into its members is checked with ``is_iso``.
+    ``site.effective_gluing_check`` decides the same without a pullback."""
+    top = data.ambient == "top"
+    spaces = data.spaces if top else {}
+    out = {}
+    for i, j, overlap, e_i, into_j in _overlap_maps(data):
+        ps = pullback(glued.legs[(i,)], glued.legs[(j,)],
+                      spaces.get((i,)), spaces.get((j,)))
+        mapping = {u: SEP.join((e_i[u], into_j[u])) for u in overlap}
+        try:
+            canonical = FinFn(overlap, ps.members, mapping)
+        except StructuralError:
+            out[(i, j)] = False
+        else:
+            out[(i, j)] = is_iso(canonical, spaces.get((i, j)), ps.space)
+    return out
 
 
 def commutes_by_composites(path, other=()):

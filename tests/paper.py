@@ -29,6 +29,8 @@ from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import GluingDatum, OpenLattice, PresheafStore, restrict
 from glueforge.refine import Refinement
 
+from fixtures import preimage
+
 
 def tag(component, label):
     """Canonical coproduct label for element ``label`` of component ``component``."""
@@ -430,9 +432,10 @@ def direct_image(topmap, store):
     sections = {}
     res = {}
     for o in lat.opens:
-        sections[o] = store.sections[topmap.fn.preimage(o)]
+        sections[o] = store.sections[preimage(topmap.fn, o)]
     for w, v in lat.pairs_below():
-        res[(w, v)] = store.res[(topmap.fn.preimage(w), topmap.fn.preimage(v))]
+        res[(w, v)] = store.res[(preimage(topmap.fn, w),
+                                 preimage(topmap.fn, v))]
     return PresheafStore(lat, sections, res)
 
 

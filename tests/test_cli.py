@@ -32,6 +32,7 @@ from fixtures import (
     constant_presheaf,
     e1,
     function_presheaf,
+    label_nbhd,
     presheaf_doc,
 )
 
@@ -940,6 +941,19 @@ def test_check_site_charges_the_fibre_permutation_search(tmp_path, capsys):
     assert "fibre permutations" in err
 
 
+def test_base_change_charges_its_join_not_its_product(capsys):
+    # each 3-point source pulled back along the 3-point test map: 9 pairs in
+    # the product, at most 3 candidates in either step of the join
+    path = os.path.join(os.path.dirname(GOLDEN_COLIMIT), "check-cover-sets")
+    assert main(["check-cover", "--input", path + ".json", "--cap", "3"]) == 0
+    with open(path + ".out", encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+    assert main(["check-cover", "--input", path + ".json", "--cap", "2"]) == 2
+    assert capsys.readouterr().err == ("glueforge: resource error: pullback "
+                                       "would enumerate 3 items, above the "
+                                       "cap of 2\n")
+
+
 def test_refine_command(tmp_path, capsys):
     limit_payload = {
         "mode": "nonsplit", "ambient": "sets",
@@ -1367,8 +1381,8 @@ def test_equal_points_with_other_opens_give_two_spaces():
     assert u.carrier is sink.target
     assert u is not sink.target_space
     assert u != sink.target_space
-    assert u.nbhd == {"a": {"a"}, "b": {"b"}}
-    assert sink.target_space.nbhd == {"a": {"a"}, "b": {"a", "b"}}
+    assert label_nbhd(u) == {"a": {"a"}, "b": {"b"}}
+    assert label_nbhd(sink.target_space) == {"a": {"a"}, "b": {"a", "b"}}
 
 
 @pytest.mark.parametrize("command, name", [("check-cover", "check-cover-top"),

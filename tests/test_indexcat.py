@@ -40,6 +40,25 @@ def test_empty_index_rejected():
         IndexCat("nonsplit", FinSet([]))
 
 
+def test_nonsplit_pairs_follow_index_positions():
+    # index order, not label order: "b" comes before "a" here
+    cat = IndexCat("nonsplit", FinSet(["b", "a", "c"]))
+    assert cat.pair("a", "b") == cat.pair("b", "a") == ("b", "a")
+    assert cat.pair("c", "a") == ("a", "c")
+    assert cat.pairs() == [("b", "a"), ("b", "c"), ("a", "c")]
+    split = IndexCat("split", FinSet(["b", "a"]))
+    assert split.pair("a", "b") == ("a", "b")
+    with pytest.raises(StructuralError) as err:
+        cat.pair("a", "z")
+    assert str(err.value) == "label 'z' not in carrier ('b', 'a', 'c')"
+    with pytest.raises(StructuralError) as err:
+        cat.pair("y", "z")
+    assert str(err.value) == "label 'y' not in carrier ('b', 'a', 'c')"
+    with pytest.raises(StructuralError,
+                       match="nonsplit pairs need distinct indices"):
+        cat.pair("a", "a")
+
+
 def test_tau_involution_normalizes_away():
     cat = IndexCat("split", FinSet(["i", "j"]))
     loop = cat.compose(cat.tau("j", "i"), cat.tau("i", "j"))

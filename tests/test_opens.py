@@ -23,7 +23,9 @@ from fixtures import (
     benchmark_items,
     chain_space,
     close_family,
+    label_nbhd,
     seeded,
+    space_from_nbhd,
 )
 
 
@@ -48,7 +50,7 @@ def listing(space, cap):
 
 
 def copy_of(space):
-    return FinTop.from_nbhd(space.carrier, dict(space.nbhd))
+    return FinTop.from_nbhd(space.carrier, space.rows)
 
 
 def test_kept_opens_are_charged_again_on_every_access():
@@ -79,7 +81,7 @@ def test_kept_opens_and_subspaces_leave_the_value_alone():
     fresh = chain_space(["a", "b", "c"])
     assert space == fresh and fresh == space
     assert hash(space) == hash(fresh)
-    for name in ("carrier", "nbhd", "_opens", "_subspaces", "_maximal"):
+    for name in ("carrier", "rows", "_opens", "_subspaces", "_maximal"):
         with pytest.raises(AttributeError, match="FinTop is immutable"):
             setattr(space, name, None)
 
@@ -93,8 +95,8 @@ def test_one_subspace_per_member_set():
     for m, sub in zip(members, built):
         assert space.subspace(sorted(m)) is sub
         labels = [x for x in space.carrier if x in m]
-        assert sub == FinTop.from_nbhd(
-            FinSet(labels), {x: space.nbhd[x] & m for x in labels})
+        assert sub == space_from_nbhd(
+            FinSet(labels), {x: label_nbhd(space)[x] & m for x in labels})
     assert space.subspace(["c", "b", "a"]) is space
     assert space.subspace(["a", "b", "c", "z"]) is space
 

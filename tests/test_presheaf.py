@@ -32,8 +32,10 @@ from fixtures import (
     close_family,
     constant_presheaf,
     function_presheaf,
+    label_nbhd,
     presheaf_doc,
     seeded,
+    space_from_nbhd,
 )
 from oracles import (
     cocycle_by_ordered_triples,
@@ -173,7 +175,7 @@ def presheaves_to_decide(draw):
         kept[o] = [s for s in labels if s not in dropped
                    and all(full.res[(o, v)].mapping[s] in kept[v]
                            for v in lat.opens if v < o)]
-    basics = set(space.nbhd.values())
+    basics = set(label_nbhd(space).values())
     doubled = [o for o in lat.opens if o not in basics and kept[o]]
     twin = None
     if doubled and draw(st.integers(0, 2)) == 0:
@@ -252,7 +254,7 @@ def test_basic_coverings_of_small_spaces():
         (frozenset(), []), (p | q, [p, q])]
     # the chain 0 < 01 < 012 with a point 3 beside it: the neighbourhood {0}
     # of 0 is below that of 1, so only the maximal ones are parts
-    space = FinTop.from_nbhd(FinSet(["0", "1", "2", "3"]), {
+    space = space_from_nbhd(FinSet(["0", "1", "2", "3"]), {
         "0": frozenset("0"), "1": frozenset("01"), "2": frozenset("012"),
         "3": frozenset("3")})
     covers = dict(basic_coverings(OpenLattice(space)))
@@ -833,7 +835,7 @@ def presheaves_missing_a_gluing(draw):
     full = function_presheaf(space, {
         p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
     lat = full.lattice
-    basics = set(space.nbhd.values())
+    basics = set(label_nbhd(space).values())
     gaps = [o for o in lat.opens if o and o not in basics]
     if not gaps:
         return full

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop
 from glueforge.gluing import (
+    FROM_OVERLAPS,
+    GluingData,
+    _overlap_maps,
     colimit_glue,
     colimit_relation_pairs,
     universal_glue_check,
@@ -23,17 +26,22 @@ from glueforge.site import (
 
 from fixtures import (
     chain_cover,
+    chain_space,
     close_family,
     colimit_data,
     e3,
     e4_split,
     jointly_surjective,
     make_split_colimit,
+    preimage,
     random_top_colimit,
     seeded,
+    space_from_nbhd,
 )
 from oracles import (
+    canonical_bijective_by_pullback,
     effective_epi_by_colimit,
+    induce_topology_by_frozensets,
     sinks_equivalent_by_backtracking,
     universal_glue_by_pullback,
 )
@@ -117,6 +125,91 @@ def test_strong_flag_implies_congruence_direction():
         report = effective_gluing_check(data)
         if report.strong_bijections:
             assert report.congruence_and_injective is True
+
+
+TOPOLOGIES = {
+    "discrete": FinTop.discrete,
+    "indiscrete": FinTop.indiscrete,
+    "chain": lambda carrier: chain_space(list(carrier.labels)),
+}
+
+
+@st.composite
+def strong_reading_data(draw):
+    """Split colimit-side data over one to three indices, in the set or the
+    top ambient.  Components have zero to three points, each discrete,
+    indiscrete or a chain.  Each unordered pair and each index has an
+    overlap of zero to three points with drawn maps into its components
+    (a diagonal overlap maps into its component twice, through the
+    identity swap), carrying the discrete topology or the initial one
+    along its two maps."""
+    index = ["1", "2", "3"][:draw(st.integers(1, 3))]
+    components = {i: ["c%s_%d" % (i, k)
+                      for k in range(draw(st.integers(0, 3)))] for i in index}
+
+    def overlap(i, j):
+        size = draw(st.integers(0, 3)) if components[i] and components[j] \
+            else 0
+        labels = ["o%s_%s_%d" % (i, j, k) for k in range(size)]
+        return (labels,
+                {u: draw(st.sampled_from(components[i])) for u in labels},
+                {u: draw(st.sampled_from(components[j])) for u in labels})
+
+    overlaps = {(i, j): overlap(i, j)
+                for a, i in enumerate(index) for j in index[a + 1:]}
+    selves = {}
+    for i in index:
+        labels, to_i, _ = overlap(i, i)
+        selves[i] = (labels, to_i, {u: u for u in labels})
+    data = make_split_colimit(index, components, overlaps,
+                              self_overlaps=selves)
+    if draw(st.booleans()):
+        return data
+    spaces = {(i,): TOPOLOGIES[draw(st.sampled_from(sorted(TOPOLOGIES)))](
+        data.carrier((i,))) for i in index}
+    for i, j, ov, e_i, into_j in _overlap_maps(data):
+        if (j, i) in spaces:    # an unordered pair shares its overlap
+            spaces[(i, j)] = spaces[(j, i)]
+        elif draw(st.booleans()):
+            spaces[(i, j)] = FinTop.discrete(ov)
+        else:
+            spaces[(i, j)] = space_from_nbhd(ov, induce_topology_by_frozensets(
+                "initial", ov,
+                [FinFn(ov, data.carrier((i,)), e_i),
+                 FinFn(ov, data.carrier((j,)), into_j)],
+                [spaces[(i,)], spaces[(j,)]]))
+    return GluingData(data.indexcat, "top", data.objects, data.arrows,
+                      FROM_OVERLAPS, spaces)
+
+
+def test_strong_reading_matches_the_pullback_oracle():
+    """``canonical_bijective`` of every ordered pair equals the reading
+    from built pullbacks, on draws that include diagonal pairs, empty
+    overlaps, canonical maps that are not injective, and canonical
+    bijections that are not homeomorphisms."""
+    seen = {"diagonal": 0, "empty": 0, "not injective": 0,
+            "bijective, not homeomorphic": 0}
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(strong_reading_data())
+    def check(data):
+        glued = colimit_glue(data)
+        got = {pair: diag["canonical_bijective"] for pair, diag
+               in effective_gluing_check(data).diagnostics["pairs"].items()}
+        assert got == canonical_bijective_by_pullback(data, glued)
+        bare = GluingData(data.indexcat, "sets", data.objects, data.arrows,
+                          FROM_OVERLAPS)
+        as_sets = canonical_bijective_by_pullback(bare, colimit_glue(bare))
+        for i, j, ov, e_i, into_j in _overlap_maps(data):
+            seen["diagonal"] += i == j
+            seen["empty"] += not len(ov)
+            seen["not injective"] += \
+                len({(e_i[u], into_j[u]) for u in ov}) < len(ov)
+            seen["bijective, not homeomorphic"] += \
+                as_sets[(i, j)] and not got[(i, j)]
+
+    check()
+    assert all(seen.values()), seen
 
 
 def make_split_colimit_random(rng):
@@ -499,7 +592,7 @@ def embeds(fn, dom, cod):
     """Whether ``fn`` is injective and the opens of ``dom`` are exactly the
     preimages of the opens of ``cod``."""
     return fn.is_injective() and \
-        set(dom.opens) == {fn.preimage(o) for o in cod.opens}
+        set(dom.opens) == {preimage(fn, o) for o in cod.opens}
 
 
 def test_top_embedding_diagnostics_match_the_opens():

@@ -1,6 +1,7 @@
-"""Finite spaces stored as minimal neighbourhoods, checked against the
-definitions on listed open families: closure of rectangles and preimages,
-traces of opens, the scan of all subsets, and preimages and images of opens."""
+"""Finite spaces stored as bit rows, checked against the definitions on
+listed open families: closure of rectangles and preimages, traces of opens,
+the scan of all subsets, and preimages and images of opens; and the mask
+kernels checked against their frozenset oracles in ``oracles``."""
 
 import json
 from itertools import compress
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glueforge.errors
+from glueforge import fincat
 from glueforge.cli import main
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import (
@@ -25,7 +27,7 @@ from glueforge.fincat import (
 )
 
 import oracles
-from fixtures import close_family
+from fixtures import close_family, label_nbhd, preimage
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -104,7 +106,7 @@ def test_initial_topology_is_the_closure_of_preimages(data):
         fn = data.draw(maps(carrier, space.carrier))
         fns.append(fn)
         targets.append(space)
-        preimages.extend(fn.preimage(o) for o in family)
+        preimages.extend(preimage(fn, o) for o in family)
     got = induce_topology("initial", carrier, fns, targets)
     assert_space(got, carrier, close_family(carrier, preimages))
 
@@ -122,7 +124,7 @@ def test_final_topology_scans_subsets_with_open_preimages(data):
     got = induce_topology("final", carrier, fns, sources)
     assert_space(got, carrier, [
         s for s in all_subsets(carrier)
-        if all(fn.preimage(s) in fam for fn, fam in zip(fns, families))])
+        if all(preimage(fn, s) in fam for fn, fam in zip(fns, families))])
 
 
 @PROPERTY
@@ -145,7 +147,7 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
     if not len(cod.carrier) and len(dom.carrier):
         return
     fn = data.draw(maps(dom.carrier, cod.carrier))
-    continuous = all(fn.preimage(o) in dfam for o in cfam)
+    continuous = all(preimage(fn, o) in dfam for o in cfam)
     forward = {frozenset(fn.mapping[x] for x in o) for o in dfam}
     if not continuous:
         with pytest.raises(StructuralError):
@@ -230,7 +232,56 @@ def test_fintop_agrees_with_the_frozenset_scan(data):
             FinTop(carrier, family)
         assert str(got.value) == str(err)
     else:
-        assert FinTop(carrier, family).nbhd == expected
+        assert label_nbhd(FinTop(carrier, family)) == expected
+
+
+@PROPERTY
+@given(spaces())
+def test_opens_and_maximal_opens_match_the_frozenset_oracles(space):
+    space, _ = space
+    opens, sizes = oracles.opens_by_frozensets(space)
+    assert space.opens == opens
+    assert fincat._list_opens(space, "opens")[1] == sizes
+    assert list(space.maximal_proper().items()) == list(
+        oracles.maximal_proper_by_frozensets(space, opens).items())
+
+
+@PROPERTY
+@given(st.sampled_from(["final", "initial"]), st.data())
+def test_induced_topologies_match_the_frozenset_oracle(mode, data):
+    carrier = FinSet(["c%d" % k for k in range(data.draw(st.integers(0, 5)))])
+    fns, others = [], []
+    for k in range(data.draw(st.integers(0, 3))):
+        space, _ = data.draw(spaces("s%d_" % k, 4))
+        dom, cod = (space.carrier, carrier) if mode == "final" \
+            else (carrier, space.carrier)
+        if len(dom) and not len(cod):
+            continue
+        fns.append(data.draw(maps(dom, cod)))
+        others.append(space)
+    assert label_nbhd(induce_topology(mode, carrier, fns, others)) == \
+        oracles.induce_topology_by_frozensets(mode, carrier, fns, others)
+
+
+@PROPERTY
+@given(spaces("a", 4), spaces("b", 4), st.booleans(), st.data())
+def test_map_properties_match_the_frozenset_oracle(dom, cod, final, data):
+    """On continuous maps: into the drawn space when the map is continuous
+    there, else, or when ``final`` is drawn, into its codomain with the
+    final topology along it."""
+    (dom, _), (cod, _) = dom, cod
+    if len(dom.carrier) and not len(cod.carrier):
+        return
+    fn = data.draw(maps(dom.carrier, cod.carrier))
+    if not final:
+        try:
+            TopMap(fn, dom, cod)
+        except StructuralError:
+            final = True
+    if final:
+        cod = induce_topology("final", cod.carrier, [fn], [dom])
+    assert map_properties(fn, dom, cod) == \
+        oracles.map_properties_by_frozensets(fn, dom, cod)
 
 
 def test_product_of_two_4_point_discrete_spaces():
@@ -239,7 +290,7 @@ def test_product_of_two_4_point_discrete_spaces():
     with budget(1000):
         prod = top_product(x, y)
     assert len(prod.carrier) == 16
-    assert all(prod.nbhd[p] == {p} for p in prod.carrier)
+    assert all(nbhd == {p} for p, nbhd in label_nbhd(prod).items())
     for k, factor in enumerate((x, y)):
         proj = FinFn(prod.carrier, factor.carrier,
                      {pair_label(a, b): (a, b)[k]

@@ -22,6 +22,7 @@ from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.site import Sink
 
 import test_acceptance
+from fixtures import label_nbhd
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
@@ -35,9 +36,14 @@ def listed_opens(nbhd):
     return family
 
 
-def validating_space(cls, carrier, nbhd):
+UNCHECKED = FinTop.from_nbhd
+
+
+def validating_space(cls, carrier, rows):
+    nbhd = label_nbhd(UNCHECKED(carrier, rows))
     space = cls(carrier, listed_opens(nbhd))
-    assert space.nbhd == nbhd, "not the minimal neighbourhoods of a topology"
+    assert label_nbhd(space) == nbhd, \
+        "not the minimal neighbourhoods of a topology"
     return space
 
 
@@ -72,10 +78,9 @@ def test_validating_swap_checks(validating):
     a = FinSet(["a"])
     with pytest.raises(StructuralError, match="not a codomain label"):
         FinFn.from_total(a, a, {"a": "b"})
-    # b is missing from its own neighbourhood
+    # b is missing from its own neighbourhood, the row 0b01 of a alone
     with pytest.raises(AssertionError):
-        FinTop.from_nbhd(FinSet(["a", "b"]), {"a": frozenset("ab"),
-                                              "b": frozenset("a")})
+        FinTop.from_nbhd(FinSet(["a", "b"]), [0b11, 0b01])
     # the identity from the indiscrete onto the discrete pair
     pair = FinSet(["a", "b"])
     with pytest.raises(StructuralError, match="not continuous"):
