@@ -57,6 +57,7 @@ from .presheaf import (
     PresheafStore,
     all_coverings,
     default_coverings,
+    describe,
     glue_nat_trans,
     glue_presheaves,
     presheaf_effective_check,
@@ -347,11 +348,11 @@ def parse_site(payload):
     return SiteSpec(ambient, coverings, morphisms)
 
 
-def _parse_openkey(key, space):
-    members = frozenset(k for k in key.split(",") if k)
-    if not space.is_open(members):
+def _parse_openkey(key, lattice):
+    o = lattice.find(k for k in key.split(",") if k)
+    if o is None:
         raise StructuralError("key %r does not name an open set" % key)
-    return members
+    return o
 
 
 def _open_keys(lattice):
@@ -360,27 +361,28 @@ def _open_keys(lattice):
     return {lattice.key(o): o for o in lattice.opens}
 
 
-def _lookup_openkey(key, keys, space):
+def _lookup_openkey(key, keys, lattice):
     """The open a key names: looked up when the key is canonical, else
     parsed, so every other spelling is accepted or refused as before."""
     try:
         return keys[key]
     except KeyError:
-        return _parse_openkey(key, space)
+        return _parse_openkey(key, lattice)
 
 
-def _parse_presheaf_body(body, space):
-    """The presheaf store of a ``{sections, restrictions}`` node, and the
-    canonical keys of the opens of its lattice."""
-    for p in space.carrier:
+def _parse_presheaf_body(body, space, top=None):
+    """The presheaf store of a ``{sections, restrictions}`` node on the
+    lattice of the opens of ``space`` inside ``top``, and the canonical
+    keys of those opens."""
+    for p in space.carrier if top is None else space.points(top):
         if "," in p:
             raise StructuralError("point label %r may not contain ','" % p)
-    lat = OpenLattice(space)
+    lat = OpenLattice(space, top)
     keys = _open_keys(lat)
     sections = {}
     named = {}
     for key, labels in body["sections"].items():
-        o = _lookup_openkey(key, keys, space)
+        o = _lookup_openkey(key, keys, lat)
         _claim(named, o, key, "sections", "open set")
         sections[o] = FinSet(labels)
     res = {}
@@ -390,9 +392,9 @@ def _parse_presheaf_body(body, space):
             raise StructuralError("restriction key %r must look like 'W>V'"
                                   % key)
         wkey, vkey = key.split(">", 1)
-        w = _lookup_openkey(wkey, keys, space)
-        v = _lookup_openkey(vkey, keys, space)
-        if not v <= w:
+        w = _lookup_openkey(wkey, keys, lat)
+        v = _lookup_openkey(vkey, keys, lat)
+        if v & ~w:
             raise StructuralError("restriction key %r is not an inclusion"
                                   % key)
         if w not in sections or v not in sections:
@@ -410,8 +412,9 @@ def parse_presheaf(payload):
     if "coverings" in payload:
         coverings = []
         for node in payload["coverings"]:
-            u = _lookup_openkey(node["open"], keys, space)
-            parts = [_lookup_openkey(p, keys, space) for p in node["parts"]]
+            u = _lookup_openkey(node["open"], keys, store.lattice)
+            parts = [_lookup_openkey(p, keys, store.lattice)
+                     for p in node["parts"]]
             coverings.append((u, parts))
     glue_map = payload.get("glue_map")
     return space, store, coverings, glue_map
@@ -425,11 +428,12 @@ def _refuse_unknown_charts(entries, names, what):
             raise StructuralError("%s entry %r names no chart" % (what, key))
 
 
-def _parse_charts(nodes):
-    """The ``(name, members)`` of each chart node and the set of names,
-    refusing a name listed twice: a later chart would otherwise take the
-    earlier one's entries."""
-    charts = [(node["name"], frozenset(node["members"])) for node in nodes]
+def _parse_charts(nodes, lattice):
+    """The ``(name, open)`` of each chart node and the set of names,
+    refusing a name listed twice, for a later chart would otherwise take
+    the earlier one's entries; the open is None when the members name
+    none of ``lattice``."""
+    charts = [(node["name"], lattice.find(node["members"])) for node in nodes]
     names = set()
     for name, _ in charts:
         if name in names:
@@ -440,16 +444,16 @@ def _parse_charts(nodes):
 
 def parse_gluing_datum(payload):
     _, space = parse_object(payload["space"], "top")
-    charts, names = _parse_charts(payload["charts"])
+    charts, names = _parse_charts(payload["charts"], OpenLattice(space))
     _refuse_unknown_charts(payload["locals"], names, "locals")
     locals_ = {}
     for name, members in charts:
-        if not space.is_open(members):
+        if members is None:
             raise StructuralError("chart %r is not open" % name)
         if name not in payload["locals"]:
             raise StructuralError("no local presheaf for chart %r" % name)
-        sub = space.subspace(members)
-        locals_[name] = _parse_presheaf_body(payload["locals"][name], sub)[0]
+        locals_[name] = _parse_presheaf_body(payload["locals"][name], space,
+                                             members)[0]
     members = dict(charts)
     transitions = {}
     for node in payload["transitions"]:
@@ -461,12 +465,12 @@ def parse_gluing_datum(payload):
         if (a, b) in transitions:
             raise StructuralError("transition %r -> %r is listed twice"
                                   % (a, b))
-        sub = space.subspace(members[a] & members[b])
-        keys = _open_keys(OpenLattice(sub))
+        overlap = OpenLattice(space, members[a] & members[b])
+        keys = _open_keys(overlap)
         comp = {}
         named = {}
         for key, mapping in node["components"].items():
-            o = _lookup_openkey(key, keys, sub)
+            o = _lookup_openkey(key, keys, overlap)
             _claim(named, o, key, "components", "open set")
             comp[o] = FinFn(locals_[a].sections[o], locals_[b].sections[o],
                             mapping)
@@ -496,7 +500,8 @@ def jsonable_object(carrier, space):
     with the carrier, or a space's points and opens."""
     if space is None:
         return carrier.labels
-    return {"points": list(space.carrier.labels), "opens": space.open_lists()}
+    return {"points": list(space.carrier.labels),
+            "opens": list(map(space.points, space.open_masks()))}
 
 
 def jsonable_fn(fn):
@@ -633,23 +638,9 @@ def _check_sheaf_command(doc, flags):
     separated, sep_counter, sheaf, sheaf_counter = sheaf_verdicts(
         store, listed, check_listed=coverings is not None)
     lat = store.lattice
-
-    def describe(counter):
-        if counter is None:
-            return None
-        out = {"open": lat.key(counter["open"]),
-               "parts": [lat.key(p) for p in counter["parts"]]}
-        if "sections" in counter:
-            out["sections"] = list(counter["sections"])
-        if "family" in counter:
-            out["family"] = list(counter["family"])
-        if "kind" in counter:
-            out["kind"] = counter["kind"]
-        return out
-
     return ({"separated": separated, "sheaf": sheaf}, {},
-            {"separation_counterexample": describe(sep_counter),
-             "sheaf_counterexample": describe(sheaf_counter)})
+            {"separation_counterexample": describe(lat, sep_counter),
+             "sheaf_counterexample": describe(lat, sheaf_counter)})
 
 
 def _glue_sheaves_command(doc, flags):
@@ -683,25 +674,27 @@ def _glue_map_command(doc, flags):
         if problems:
             raise StructuralError("invalid %s presheaf: %s"
                                   % (role, "; ".join(problems)))
-    charts, names = _parse_charts(glue_map["charts"])
+    charts, names = _parse_charts(glue_map["charts"], store.lattice)
     _refuse_unknown_charts(glue_map["parts"], names, "parts")
     parts = {}
-    for name, members in charts:
+    for (name, top), node in zip(charts, glue_map["charts"]):
         if name not in glue_map["parts"]:
             raise StructuralError("no part for chart %r" % name)
-        sub_s = restrict(store, members)
-        sub_t = restrict(target, members)
+        if top is None:
+            raise StructuralError("%r is not open" % sorted(set(node["members"])))
+        sub_s = restrict(store, top)
+        sub_t = restrict(target, top)
         keys = _open_keys(sub_s.lattice)
         comps = {}
         named = {}
         for key, mapping in glue_map["parts"][name].items():
-            o = _lookup_openkey(key, keys, sub_s.lattice.space)
+            o = _lookup_openkey(key, keys, sub_s.lattice)
             _claim(named, o, key, "parts", "open set")
             comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], mapping)
         parts[name] = NatTrans(sub_s, sub_t, comps)
     glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
-    artifacts = {"components": {lat.key(o): jsonable_fn(glued.at(o))
+    artifacts = {"components": {lat.key(o): jsonable_fn(glued.components[o])
                                 for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 

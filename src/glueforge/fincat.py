@@ -7,14 +7,15 @@ rule, and continuous maps between those, with their openness recorded.
 A space is its specialization preorder (Stong 1966; Barmak 2011), stored as
 one int mask per carrier position, and the topology kernels work on those
 rows with bitwise operations, reading a map as the list of the positions of
-its values.  Labels return only where a caller outside this module reads
-them: the label sets of ``opens``, ``maximal_proper()``, ``subspace()`` and
-``is_open()``, the label lists of reports, and error texts.
+its values.  An open is an int mask over carrier positions everywhere, the
+presheaf layer included.  Labels return only at the boundary: the label
+sets of ``opens``, the labels of a mask (``points``) and the mask of
+labels (``mask``), the label lists of reports, and error texts.
 Everything is immutable after construction and every operation is a pure
 function, so shared values are safe to use concurrently.  A space keeps its
-list of opens, the maximal proper opens of each and its subspaces once
-built; all are functions of the space, so a value kept by one caller is the
-value any other would build.
+list of opens and the maximal proper opens of each once built; both are
+functions of the space, so a value kept by one caller is the value any
+other would build.
 
 The public constructors validate what they are given: ``FinSet`` that its
 labels are distinct strings, ``FinFn`` that its mapping is total into the
@@ -264,20 +265,18 @@ class FinTop:
     that point ``q`` lies in the minimal open neighbourhood of point ``p``.
     The opens are exactly the unions of these neighbourhoods (Alexandroff
     1937; Stong 1966), and every kernel of this module works on the rows
-    with bitwise operations.  Labels appear only in the views that callers
-    outside it read: ``opens``, ``maximal_proper()``, ``subspace()`` and
-    ``is_open()``, and the label lists of ``open_lists()`` that reports
-    write.  The document parsers build one space per distinct object
+    with bitwise operations.  Labels appear only in the label sets of
+    ``opens`` and in ``points()`` and ``mask()``, which convert between a
+    mask and labels.  The document parsers build one space per distinct object
     of a document, so equal objects there are one instance, validated once
-    and sharing its kept opens and subspaces.
+    and sharing its kept opens.
 
     ``rows`` is a list that no caller changes.  It is not a tuple because a
     command drops its spaces together, and tuples of every carrier size
     freed at once would stay in CPython's tuple free lists, up to 2,000 of
     each length, for the rest of the process."""
 
-    __slots__ = ("carrier", "rows", "_opens", "_open_sets", "_subspaces",
-                 "_maximal")
+    __slots__ = ("carrier", "rows", "_opens", "_open_sets", "_maximal")
 
     def __init__(self, carrier, opens):
         """Validate a listed family of opens: with the empty set and the
@@ -333,7 +332,7 @@ class FinTop:
         return FinTop.from_nbhd(carrier,
                                 [(1 << len(carrier)) - 1] * len(carrier))
 
-    def _listing(self):
+    def open_masks(self):
         """The masks of the opens in ``opens`` order.  Listed once per
         space and kept with the family sizes charged while listing; each
         later access charges the same sizes again, so under any budget it
@@ -355,7 +354,7 @@ class FinTop:
         then by point positions.  The family at most doubles per point and
         its size is charged to the cap after each point, at every access;
         the sets are made once per space."""
-        return self._sets(self._listing())
+        return self._sets(self.open_masks())
 
     def _sets(self, masks):
         """The label sets of the listed opens ``masks``, made once."""
@@ -366,61 +365,33 @@ class FinTop:
             object.__setattr__(self, "_open_sets", sets)
         return sets
 
-    def open_lists(self):
-        """Every open as the list of its labels in carrier order, in
-        ``opens`` order and charged as ``opens`` is: the form a report
-        writes, made without label sets."""
-        labels = self.carrier.labels
-        return [list(compress(labels, _flags(o))) for o in self._listing()]
-
-    def maximal_proper(self):
-        """Each open's maximal proper open subsets: a dict over ``opens`` in
-        their order, each list in that order too.  Built once per space from
-        its opens, charged as an access to them, and shared, so callers do
-        not change it."""
+    def maximal_masks(self):
+        """Each open's maximal proper open subsets, as masks: a dict over
+        ``open_masks()`` in their order, each list in that order too.  Built
+        once per space, charged as an access to its opens, and shared, so
+        callers do not change it."""
         kept = getattr(self, "_maximal", None)    # unset until first asked
         if kept is None:
-            masks = self._listing()
-            named = dict(zip(masks, self._sets(masks)))
-            kept = {named[u]: [named[w] for w in inner] for u, inner
-                    in _maximal_proper(self, masks).items()}
+            kept = _maximal_proper(self, self.open_masks())
             object.__setattr__(self, "_maximal", kept)
         return kept
 
-    def is_open(self, subset):
-        """Whether the labels of ``subset`` are points whose rows add no
-        other point."""
-        pos, rows = self.carrier._pos, self.rows
-        mask = union = 0
-        try:
-            for p in map(pos.__getitem__, subset):
-                mask |= 1 << p
-                union |= rows[p]
-        except KeyError:    # a label that is not a point
-            return False
-        return union == mask
+    def is_open(self, mask):
+        """Whether the points of ``mask`` hold every point their rows hold."""
+        return _gather(mask, self.rows) == mask
 
-    def subspace(self, members):
-        """The subspace on the points among the labels of ``members``, built
-        once per label set asked for and shared: the space itself when it
-        has every point."""
-        members = frozenset(members)
-        kept = getattr(self, "_subspaces", None)    # unset until first asked
-        if kept is None:
-            kept = {}
-            object.__setattr__(self, "_subspaces", kept)
-        sub = kept.get(members)
-        if sub is None:
-            pos = self.carrier._pos
-            mask = reduce(or_, [1 << pos[x] for x in members if x in pos], 0)
-            if mask == (1 << len(self.carrier)) - 1:
-                return self
-            at = _members(mask)
-            sub = FinTop.from_nbhd(
-                FinSet.from_distinct(map(self.carrier.labels.__getitem__, at)),
-                [_squeeze(self.rows[p] & mask, at) for p in at])
-            kept[members] = sub
-        return sub
+    def mask(self, labels):
+        """The mask of the points that ``labels`` name, or None when one of
+        them names no point."""
+        pos = self.carrier._pos
+        try:
+            return reduce(or_, [1 << pos[x] for x in labels], 0)
+        except KeyError:
+            return None
+
+    def points(self, mask):
+        """The labels of the points of ``mask``, in carrier order."""
+        return list(compress(self.carrier.labels, _flags(mask)))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FinTop)
@@ -449,12 +420,6 @@ def _flags(mask):
 def _members(mask):
     """The positions of the set bits of ``mask``, lowest first."""
     return list(compress(count(), _flags(mask)))
-
-
-def _squeeze(mask, at):
-    """The bits of ``mask`` at the positions ``at``, renumbered 0, 1, ... in
-    that order."""
-    return reduce(or_, [1 << k for k, p in enumerate(at) if mask >> p & 1], 0)
 
 
 def _positions(fn):

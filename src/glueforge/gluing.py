@@ -48,7 +48,8 @@ class GluingData:
     """A functor from an index category into finite sets or finite spaces,
     checked once, on construction; the operations trust it."""
 
-    __slots__ = ("indexcat", "ambient", "objects", "arrows", "direction", "spaces")
+    __slots__ = ("indexcat", "ambient", "objects", "arrows", "direction", "spaces",
+                 "_overlaps")
 
     def __init__(self, indexcat, ambient, objects, arrows, direction, spaces=None):
         if ambient not in ("sets", "top"):
@@ -216,7 +217,11 @@ class ConeCandidate:
 
 def _overlap_maps(data):
     """Per overlap (i, j) of colimit-side data: its carrier and the maps from
-    it into components i and j, as dicts."""
+    it into components i and j, as dicts.  Built at first use and kept on
+    the data, so callers do not change it."""
+    kept = getattr(data, "_overlaps", None)    # unset until first asked
+    if kept is not None:
+        return kept
     cat = data.indexcat
     out = []
     for pair_obj in cat.pairs():
@@ -230,7 +235,8 @@ def _overlap_maps(data):
             into_j = dict(zip(overlap.labels, map(
                 e_j.__getitem__, map(t.__getitem__, overlap.labels))))
         out.append((i, j, overlap, data.edge(i, pair_obj).mapping, into_j))
-    return out
+    object.__setattr__(data, "_overlaps", tuple(out))
+    return data._overlaps
 
 
 def _tagged(i, labels):

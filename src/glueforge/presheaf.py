@@ -14,10 +14,11 @@ relations of the lattice of opens.  A listed family of coverings is scanned
 only to name the first counterexample of a false verdict.  Naturality of
 transitions and of the parts of a glued transformation is decided on the
 same covering relations, between presheaves whose laws hold; every pair is
-scanned only otherwise, or to name a failure.  A space lists its opens,
-and the maximal proper opens of each, once and shares its subspaces, so
-the chart, overlap and triple-overlap lattices of one datum are built from
-one listing each.
+scanned only otherwise, or to name a failure.  Every lattice is the opens
+of one document space inside an open U (a chart, an overlap, a triple),
+which for U open are those of the subspace on U, in the same order.  So
+opens are int masks of that space's points, filtered from its one listing,
+and labels appear only in keys and error texts.
 
 Chart data is read once per unordered pair and per set of three charts.
 The transitions of a checked datum are mutually inverse bijections, so
@@ -35,8 +36,9 @@ open with at most one section: any two restrictions into such a set
 agree.
 """
 
-from itertools import combinations
-from operator import itemgetter
+from functools import reduce
+from itertools import combinations, tee
+from operator import itemgetter, or_
 
 from .errors import ResourceError, StructuralError, charge
 from .fincat import SEP, FinFn, FinSet, commutes, compatible_tuples, is_iso
@@ -45,30 +47,48 @@ EMPTY_SECTION = "()"
 
 
 class OpenLattice:
-    """The opens of a finite space, ordered by inclusion."""
+    """The opens of a finite space inside its open ``top`` (the whole space
+    when None), as masks in ``FinTop.opens`` order, ordered by inclusion."""
 
-    __slots__ = ("space", "opens")
+    __slots__ = ("space", "top", "opens")
 
-    def __init__(self, space):
+    def __init__(self, space, top=None):
+        if top is None:
+            top = (1 << len(space.carrier)) - 1
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "opens", space.opens)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "opens", tuple(
+            o for o in space.open_masks() if not o & ~top))
 
     def __setattr__(self, name, value):
         raise AttributeError("OpenLattice is immutable")
 
     def key(self, o):
         """The points of the open ``o`` in carrier order, comma-joined."""
-        return ",".join(sorted(o, key=self.space.carrier._pos.__getitem__))
+        return ",".join(self.space.points(o))
+
+    def names(self, o):
+        """The sorted labels of the points of ``o``, for error texts."""
+        return sorted(self.space.points(o))
+
+    def find(self, labels):
+        """The open whose points ``labels`` name, else None, also when a
+        label names no point."""
+        o = self.space.mask(labels)
+        return o if o in self.opens else None
+
+    def maximal(self):
+        """Each open with its maximal proper opens (the space's), in order."""
+        kept = self.space.maximal_masks()
+        return [(u, kept[u]) for u in self.opens]
 
     def pairs_below(self):
         """All comparable pairs (W, V) with V a subset of W."""
-        return [(w, v) for w in self.opens for v in self.opens if v <= w]
+        return [(w, v) for w in self.opens for v in self.opens if not v & ~w]
 
     def __eq__(self, other):
-        return isinstance(other, OpenLattice) and self.space == other.space
-
-    def __hash__(self):
-        return hash(self.space)
+        return isinstance(other, OpenLattice) and self.top == other.top \
+            and self.space == other.space
 
 
 class PresheafStore:
@@ -76,28 +96,24 @@ class PresheafStore:
 
     __slots__ = ("lattice", "sections", "res")
 
-    def __init__(self, lattice, sections, res):
+    def __init__(self, lat, sections, res):
         sections = dict(sections)
         res = dict(res)
-        for o in lattice.opens:
+        for o in lat.opens:
             if o not in sections:
-                raise StructuralError("no section set at open %r"
-                                      % sorted(o))
-        for w, v in lattice.pairs_below():
+                raise StructuralError("no section set at open %r" % lat.names(o))
+        for w, v in lat.pairs_below():
             if w == v:
                 res.setdefault((w, v), FinFn.identity(sections[w]))
             elif (w, v) not in res:
                 raise StructuralError("no restriction map from %r to %r"
-                                      % (sorted(w), sorted(v)))
-        object.__setattr__(self, "lattice", lattice)
+                                      % (lat.names(w), lat.names(v)))
+        object.__setattr__(self, "lattice", lat)
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "res", res)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresheafStore is immutable")
-
-    def at(self, o):
-        return self.sections[frozenset(o)]
 
 
 def _composes_on_covers(store, below):
@@ -106,7 +122,7 @@ def _composes_on_covers(store, below):
     gives every triple, by induction on the length of a chain from x to w.
     Each map is read as the tuple of its values on the sections over x."""
     res = store.res
-    for x, maximal in store.lattice.space.maximal_proper().items():
+    for x, maximal in store.lattice.maximal():
         labels = store.sections[x].labels
         if not labels:    # nothing to compare, and no itemgetter of nothing
             continue
@@ -135,30 +151,28 @@ def validate_presheaf(store):
         fn = store.res[(w, v)]
         if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
             problems.append("restriction %r -> %r has wrong endpoints"
-                            % (sorted(w), sorted(v)))
+                            % (lat.names(w), lat.names(v)))
     if problems:
         return problems
     for o in lat.opens:
         fn = store.res[(o, o)]
         if any(fn.mapping[s] != s for s in store.sections[o]):
-            problems.append("restriction at %r is not the identity" % sorted(o))
+            problems.append("restriction at %r is not the identity"
+                            % lat.names(o))
     if not problems and _composes_on_covers(store, below):
         return problems
-    for x in lat.opens:
-        for w in lat.opens:
-            if not w <= x:
+    for x, w in lat.pairs_below():
+        first = store.res[(x, w)].mapping
+        for v in lat.opens:
+            if v & ~w:
                 continue
-            first = store.res[(x, w)].mapping
-            for v in lat.opens:
-                if not v <= w:
-                    continue
-                direct = store.res[(x, v)].mapping
-                then = store.res[(w, v)].mapping
-                if any(direct[s] != then[first[s]] for s in store.sections[x]):
-                    problems.append(
-                        "restriction composition %r -> %r -> %r disagrees "
-                        "with the direct map"
-                        % (sorted(x), sorted(w), sorted(v)))
+            direct = store.res[(x, v)].mapping
+            then = store.res[(w, v)].mapping
+            if any(direct[s] != then[first[s]] for s in store.sections[x]):
+                problems.append(
+                    "restriction composition %r -> %r -> %r disagrees "
+                    "with the direct map"
+                    % (lat.names(x), lat.names(w), lat.names(v)))
     return problems
 
 
@@ -166,11 +180,11 @@ def default_coverings(lattice):
     """The default covering list: trivial covers, maximal-proper-open covers
     where those cover, and the empty cover of the empty open."""
     covers = []
-    for u, maximal in lattice.space.maximal_proper().items():
+    for u, maximal in lattice.maximal():
         covers.append((u, [u]))
-        if maximal and frozenset().union(*maximal) == u:
+        if maximal and reduce(or_, maximal) == u:
             covers.append((u, list(maximal)))
-    covers.append((frozenset(), []))
+    covers.append((0, []))
     return covers
 
 
@@ -191,46 +205,43 @@ def basic_coverings(lattice):
     union of two incomparable neighbourhoods loses either one's top point
     on its own.
     """
-    nbhds = {u for u, maximal in lattice.space.maximal_proper().items()
-             if len(maximal) == 1}
+    nbhds = {u for u, maximal in lattice.maximal() if len(maximal) == 1}
     basis = [o for o in lattice.opens if o in nbhds]
     covers = []
     for u in lattice.opens:
         if u in nbhds:
             continue
-        inside = [b for b in basis if b <= u]
+        inside = [b for b in basis if not b & ~u]
         covers.append((u, [b for b in inside
-                           if not any(b < c for c in inside)]))
+                           if not any(b != c and not b & ~c for c in inside)]))
     return covers
 
 
 def all_coverings(lattice):
-    """Every covering of every open; exponential, so cap-guarded."""
-    covers = []
+    """Every covering of every open, listed lazily in lattice order, each
+    open's families picked by the bits of an ascending mask.  Exponential,
+    so each family examined is charged as the count of its open's so far."""
     for u in lattice.opens:
-        below = [v for v in lattice.opens if v <= u]
-        charge("coverings of one open", 2 ** len(below))
-        for mask in range(2 ** len(below)):
-            parts = [below[k] for k in range(len(below)) if mask >> k & 1]
-            union = frozenset().union(*parts) if parts else frozenset()
-            if union == u:
-                covers.append((u, parts))
-    return covers
+        below = [v for v in lattice.opens if not v & ~u]
+        for pick in range(1 << len(below)):
+            charge("coverings of one open", pick + 1)
+            parts = [below[k] for k in range(len(below)) if pick >> k & 1]
+            if reduce(or_, parts, 0) == u:
+                yield u, parts
 
 
-def _check_covering(lattice, covering):
+def _check_covering(lat, covering):
     u, parts = covering
-    if not lattice.space.is_open(u):
-        raise StructuralError("covered set %r is not open" % sorted(u))
+    if u not in lat.opens:
+        raise StructuralError("covered set %r is not open" % lat.names(u))
     for v in parts:
-        if not lattice.space.is_open(v):
-            raise StructuralError("covering member %r is not open" % sorted(v))
-        if not v <= u:
+        if v not in lat.opens:
+            raise StructuralError("covering member %r is not open" % lat.names(v))
+        if v & ~u:
             raise StructuralError("covering member %r is not below %r"
-                                  % (sorted(v), sorted(u)))
-    union = frozenset().union(*parts) if parts else frozenset()
-    if union != u:
-        raise StructuralError("family does not cover %r" % sorted(u))
+                                  % (lat.names(v), lat.names(u)))
+    if reduce(or_, parts, 0) != u:
+        raise StructuralError("family does not cover %r" % lat.names(u))
 
 
 def _compatible_families(store, parts):
@@ -283,6 +294,19 @@ def _unglued(store, covering):
     return None
 
 
+def describe(lat, counter):
+    """A counterexample of ``is_separated`` or ``is_sheaf`` as reports and
+    error texts word it: its opens by their keys, its sections as lists."""
+    if counter is None:
+        return None
+    out = dict(counter, open=lat.key(counter["open"]),
+               parts=[lat.key(v) for v in counter["parts"]])
+    for name in ("sections", "family"):
+        if name in out:
+            out[name] = list(out[name])
+    return out
+
+
 def is_separated(store, coverings):
     """Injectivity of the joint restriction along every listed covering."""
     for covering in coverings:
@@ -324,10 +348,13 @@ def sheaf_verdicts(store, listed, check_listed=False):
     cap, and a true one holds for every covering.  Only a false one is
     worded by scanning the listed coverings in order, so the counterexamples
     are the scans' own.  ``listed`` is a function of no arguments that
-    returns the listed coverings.  It is called only when a verdict is
-    false, or when ``check_listed`` asks for every listed covering to be
-    checked, as for coverings read from a document.  Each is checked once,
-    as far as the scans would have checked it.
+    returns the listed coverings, as a list or lazily.  It is called only
+    when a verdict is false, or when ``check_listed`` asks for every listed
+    covering to be checked, as for coverings read from a document.  The
+    separation scan checks what it reads, and runs only then or for a
+    presheaf that is not separated; the sheaf scan reads no further, except
+    over the engine's own listings, valid by construction.  The scans share
+    one listing, and neither reads past its counterexample.
     """
     lat = store.lattice
     if _sheaf_everywhere(store):
@@ -336,32 +363,32 @@ def sheaf_verdicts(store, listed, check_listed=False):
                 _check_covering(lat, covering)
         return True, None, True, None
     separated = is_separated(store, basic_coverings(lat))[0]
-    coverings = listed()
+    first, second = tee(listed())
     sep_counter = None
-    for covering in coverings:
-        _check_covering(lat, covering)
-        if not separated:
-            sep_counter = _unseparated(store, covering)
-            if sep_counter:
-                break
+    if check_listed or not separated:
+        for covering in first:
+            _check_covering(lat, covering)
+            if not separated:
+                sep_counter = _unseparated(store, covering)
+                if sep_counter:
+                    break
     # the sheaf scan stops at the separation counterexample at the latest,
     # so it meets only coverings checked above
     sheaf_counter = next(filter(None, (_unglued(store, covering)
-                                       for covering in coverings)), None)
+                                       for covering in second)), None)
     return (sep_counter is None, sep_counter,
             sheaf_counter is None, sheaf_counter)
 
 
-def restrict(store, members):
-    """The presheaf restricted to an open subset, on that subset's lattice."""
-    members = frozenset(members)
-    if not store.lattice.space.is_open(members):
-        raise StructuralError("%r is not open" % sorted(members))
-    sub = store.lattice.space.subspace(members)
-    lat = OpenLattice(sub)
-    sections = {o: store.sections[o] for o in lat.opens}
-    res = {(w, v): store.res[(w, v)] for w, v in lat.pairs_below()}
-    return PresheafStore(lat, sections, res)
+def restrict(store, top):
+    """The presheaf restricted to its open ``top``, on that open's lattice."""
+    lat = store.lattice
+    if top not in lat.opens:
+        raise StructuralError("%r is not open" % lat.names(top))
+    sub = OpenLattice(lat.space, top)
+    sections = {o: store.sections[o] for o in sub.opens}
+    res = {(w, v): store.res[(w, v)] for w, v in sub.pairs_below()}
+    return PresheafStore(sub, sections, res)
 
 
 class NatTrans:
@@ -373,14 +400,15 @@ class NatTrans:
     def __init__(self, source, target, components):
         if source.lattice != target.lattice:
             raise StructuralError("natural transformations need a shared lattice")
-        components = {frozenset(k): v for k, v in components.items()}
-        for o in source.lattice.opens:
+        lat = source.lattice
+        components = dict(components)
+        for o in lat.opens:
             if o not in components:
-                raise StructuralError("no component at open %r" % sorted(o))
+                raise StructuralError("no component at open %r" % lat.names(o))
             fn = components[o]
             if fn.domain != source.sections[o] or fn.codomain != target.sections[o]:
                 raise StructuralError("component at %r has wrong endpoints"
-                                      % sorted(o))
+                                      % lat.names(o))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
@@ -388,13 +416,11 @@ class NatTrans:
     def __setattr__(self, name, value):
         raise AttributeError("NatTrans is immutable")
 
-    def at(self, o):
-        return self.components[frozenset(o)]
-
     def validate(self):
-        return ["naturality fails from %r to %r" % (sorted(w), sorted(v))
+        lat = self.source.lattice
+        return ["naturality fails from %r to %r" % (lat.names(w), lat.names(v))
                 for w, v in _unnatural(self.components, self.source,
-                                       self.target, self.source.lattice)]
+                                       self.target, lat)]
 
 
 def _unnatural(comp, source, target, lattice):
@@ -416,13 +442,13 @@ def _natural_on_covers(comp, source, target, lattice):
     the laws it says nothing, and callers scan with ``_unnatural``."""
     return all(commutes((comp[w], target.res[(w, u)]),
                         (source.res[(w, u)], comp[u]))
-               for w, maximal in lattice.space.maximal_proper().items()
-               for u in maximal)
+               for w, maximal in lattice.maximal() for u in maximal)
 
 
 class GluingDatum:
-    """A cover of a space by named open charts, a presheaf per chart, and a
-    natural family of transition bijections over the pairwise overlaps.
+    """A cover of a space by named open charts (masks), a presheaf per chart
+    on its lattice, and a natural family of transition bijections over the
+    pairwise overlaps.
 
     Transitions are oriented chart-i side to chart-j side; the inverse
     orientation is filled in automatically and the convention that the two
@@ -433,55 +459,52 @@ class GluingDatum:
     __slots__ = ("space", "charts", "locals", "transitions")
 
     def __init__(self, space, charts, locals_, transitions):
-        charts = [(name, frozenset(members)) for name, members in charts]
+        charts = tuple(charts)
         names = [name for name, _ in charts]
         if len(set(names)) != len(names):
             raise StructuralError("duplicate chart names")
-        union = frozenset().union(*[m for _, m in charts]) if charts \
-            else frozenset()
-        if union != frozenset(space.carrier.labels):
+        if reduce(or_, [m for _, m in charts], 0) \
+                != (1 << len(space.carrier)) - 1:
             raise StructuralError("charts do not cover the space")
         for name, members in charts:
             if not space.is_open(members):
                 raise StructuralError("chart %r is not open" % name)
             if name not in locals_:
                 raise StructuralError("no local presheaf for chart %r" % name)
-            expected = OpenLattice(space.subspace(members))
-            if locals_[name].lattice != expected:
+            if locals_[name].lattice != OpenLattice(space, members):
                 raise StructuralError(
                     "local presheaf of chart %r lives on the wrong lattice"
                     % name)
-        transitions = {k: {frozenset(o): fn for o, fn in v.items()}
-                       for k, v in transitions.items()}
+        transitions = {k: dict(v) for k, v in transitions.items()}
         full = {}
         for a, am in charts:
             for b, bm in charts:
-                overlap_opens = [o for o in space.subspace(am & bm).opens]
+                lattice = OpenLattice(space, am & bm)
                 given = (a, b) if (a, b) in transitions else (b, a)
                 if given in transitions:
                     comp = transitions[given]
-                    outside = [o for o in comp if o not in overlap_opens]
+                    outside = [o for o in comp if o not in lattice.opens]
                     if outside:
                         raise StructuralError(
                             "transition %r -> %r has a component at %r, an "
                             "open outside the overlap"
-                            % (given + (sorted(outside[0]),)))
+                            % (given + (lattice.names(outside[0]),)))
                     if given != (a, b):
                         comp = {o: fn.inverse() for o, fn in comp.items()}
                 elif a == b:
                     comp = {o: FinFn.identity(locals_[a].sections[o])
-                            for o in overlap_opens}
+                            for o in lattice.opens}
                 else:
                     raise StructuralError("no transition between charts %r "
                                           "and %r" % (a, b))
-                for o in overlap_opens:
+                for o in lattice.opens:
                     if o not in comp:
                         raise StructuralError(
                             "transition %r -> %r misses the overlap open %r"
-                            % (a, b, sorted(o)))
+                            % (a, b, lattice.names(o)))
                 full[(a, b)] = comp
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "charts", tuple(charts))
+        object.__setattr__(self, "charts", charts)
         object.__setattr__(self, "locals", dict(locals_))
         object.__setattr__(self, "transitions", full)
 
@@ -498,7 +521,7 @@ class GluingDatum:
         raise StructuralError("no chart named %r" % name)
 
     def transition(self, a, b, o):
-        return self.transitions[(a, b)][frozenset(o)]
+        return self.transitions[(a, b)][o]
 
     def _holds_one_way(self):
         """Whether each transition a -> b with a no later than b in chart
@@ -517,8 +540,8 @@ class GluingDatum:
                             or fn.codomain != target.sections[o] \
                             or not is_iso(fn) or not commutes((fn, inv[o])):
                         return False
-                lattice = OpenLattice(self.space.subspace(
-                    self.members(a) & self.members(b)))
+                lattice = OpenLattice(self.space,
+                                      self.members(a) & self.members(b))
                 if not _natural_on_covers(comp, source, target, lattice):
                     return False
         return True
@@ -538,30 +561,30 @@ class GluingDatum:
         if lawful and self._holds_one_way():
             return problems
         for (a, b), comp in self.transitions.items():
+            lattice = OpenLattice(self.space, self.members(a) & self.members(b))
             ends_ok = True
             for o, fn in comp.items():
                 if fn.domain != self.locals[a].sections[o] \
                         or fn.codomain != self.locals[b].sections[o]:
                     problems.append("transition %r -> %r at %r has wrong "
-                                    "endpoints" % (a, b, sorted(o)))
+                                    "endpoints" % (a, b, lattice.names(o)))
                     ends_ok = False
                     continue
                 if not is_iso(fn):
                     problems.append("transition %r -> %r at %r is not a "
-                                    "bijection" % (a, b, sorted(o)))
+                                    "bijection" % (a, b, lattice.names(o)))
             inv = self.transitions[(b, a)]
             for o, fn in comp.items():
                 if not commutes((fn, inv[o])):
                     problems.append("transitions %r <-> %r at %r are not "
-                                    "mutually inverse" % (a, b, sorted(o)))
-            overlap = self.members(a) & self.members(b)
-            lattice = OpenLattice(self.space.subspace(overlap))
+                                    "mutually inverse"
+                                    % (a, b, lattice.names(o)))
             if lawful and ends_ok and _natural_on_covers(
                     comp, self.locals[a], self.locals[b], lattice):
                 continue
             problems.extend(
                 "transition %r -> %r is not natural from %r to %r"
-                % (a, b, sorted(w), sorted(v))
+                % (a, b, lattice.names(w), lattice.names(v))
                 for w, v in _unnatural(comp, self.locals[a], self.locals[b],
                                        lattice))
         return problems
@@ -603,7 +626,7 @@ def glue_presheaves(datum):
         if not ok:
             raise StructuralError(
                 "local presheaf of chart %r is not a sheaf: %r"
-                % (name, counter))
+                % (name, describe(local.lattice, counter)))
     locals_ = [datum.locals[n] for n in names]
     members = [datum.members(n) for n in names]
     lat = OpenLattice(datum.space)
@@ -645,7 +668,7 @@ def glue_presheaves(datum):
             o: FinFn.from_total(
                 sections[o], locals_[k].sections[o],
                 {lab: tuples[(o, lab)][k] for lab in sections[o]})
-            for o in datum.space.subspace(members[k]).opens}
+            for o in locals_[k].lattice.opens}
     return glued, projections
 
 
@@ -663,8 +686,7 @@ def presheaf_effective_check(datum, projections):
     three charts in chart order.
     """
     names = datum.names()
-    chart_opens = {n: datum.space.subspace(datum.members(n)).opens
-                   for n in names}
+    chart_opens = {n: datum.locals[n].lattice.opens for n in names}
     identity_ok = all(
         all(x == y for x, y in datum.transition(n, n, o).mapping.items())
         for n in names for o in chart_opens[n])
@@ -672,8 +694,8 @@ def presheaf_effective_check(datum, projections):
         commutes((datum.transition(a, b, o), datum.transition(b, c, o)),
                  (datum.transition(a, c, o),))
         for a, b, c in combinations(names, 3)
-        for o in datum.space.subspace(
-            datum.members(a) & datum.members(b) & datum.members(c)).opens)
+        for o in OpenLattice(datum.space, datum.members(a) & datum.members(b)
+                             & datum.members(c)).opens)
     psi_ok = all(is_iso(projections[n][o]) for n in names
                  for o in chart_opens[n])
     return {
@@ -697,12 +719,10 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
     transformation natural and make it restrict back to every part, so
     neither is checked again and its components are built unchecked.
     """
-    charts = [(name, frozenset(m)) for name, m in charts]
     lat = source.lattice
-    if lat != target.lattice or lat.space != datum_space:
+    if lat != target.lattice or lat != OpenLattice(datum_space):
         raise StructuralError("source and target must live on the cover space")
-    union = frozenset().union(*[m for _, m in charts]) if charts else frozenset()
-    if union != frozenset(datum_space.carrier.labels):
+    if reduce(or_, [m for _, m in charts], 0) != lat.top:
         raise StructuralError("charts do not cover the space")
     for name, members in charts:
         if name not in parts:
@@ -714,18 +734,18 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
         if problems:
             raise StructuralError("part %r is not natural: %s"
                                   % (name, "; ".join(problems)))
-        if part.source.lattice.space != datum_space.subspace(members):
+        if part.source.lattice != OpenLattice(datum_space, members):
             raise StructuralError("part %r lives on the wrong chart" % name)
     for a, am in charts:
         for b, bm in charts:
             if a >= b:
                 continue
-            overlap = am & bm
-            for o in datum_space.subspace(overlap).opens:
-                if parts[a].at(o) != parts[b].at(o):
+            overlap = OpenLattice(datum_space, am & bm)
+            for o in overlap.opens:
+                if parts[a].components[o] != parts[b].components[o]:
                     raise StructuralError(
                         "parts %r and %r disagree at the overlap open %r"
-                        % (a, b, sorted(o)))
+                        % (a, b, overlap.names(o)))
     # sheaf condition of the target on the induced covers; it holds when the
     # target is a sheaf on its basic covers, so they are scanned only otherwise
     if not _sheaf_everywhere(target):
@@ -735,21 +755,21 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
             if not ok:
                 raise StructuralError(
                     "target fails the sheaf condition on the induced cover of "
-                    "%r: %r" % (sorted(v), counter))
+                    "%r: %r" % (lat.names(v), describe(lat, counter)))
     # the target is separated on each induced cover, so a tuple of chart
     # sections names at most one section of the target
     components = {}
     for v in lat.opens:
         traces = [v & m for _, m in charts]
         image, _ = _joint_restriction(target, v, traces)
-        steps = [(source.res[(v, tr)].mapping, parts[name].at(tr))
+        steps = [(source.res[(v, tr)].mapping, parts[name].components[tr])
                  for (name, _), tr in zip(charts, traces)]
         mapping = {}
         for s in source.sections[v]:
             wanted = tuple(part(to_tr[s]) for to_tr, part in steps)
             if wanted not in image:
                 raise StructuralError("gluing failed at open %r: 0 candidate "
-                                      "sections" % sorted(v))
+                                      "sections" % lat.names(v))
             mapping[s] = image[wanted]
         components[v] = FinFn.from_total(source.sections[v],
                                          target.sections[v], mapping)

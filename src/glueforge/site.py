@@ -434,7 +434,10 @@ def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
                 return True
         return False
 
-    return assemble(list(fibers_a.keys()), {})
+    try:
+        return assemble(list(fibers_a.keys()), {})
+    finally:
+        del assemble    # the closure reaches itself through its own cell
 
 
 def sinks_equivalent(a, b):

@@ -283,7 +283,7 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
         cat = IndexCat("split", FinSet(index))
         for k, i in enumerate(index):
             members = charts[k]
-            spc = total.subspace(members)
+            spc = subspace(total, members)
             components[i] = list(spc.carrier.labels)
             objects[(i,)] = spc.carrier
             spaces[(i,)] = spc
@@ -350,6 +350,15 @@ def space_from_nbhd(carrier, nbhd):
         sum(1 << carrier.position(y) for y in nbhd[x]) for x in carrier])
 
 
+def subspace(space, labels):
+    """The subspace of ``space`` on the points among ``labels``: the traces
+    of the label neighbourhoods, built as a space of its own."""
+    nbhd, wanted = label_nbhd(space), set(labels)
+    keep = [x for x in space.carrier if x in wanted]
+    return space_from_nbhd(FinSet(keep), {x: nbhd[x] & set(keep)
+                                          for x in keep})
+
+
 def preimage(fn, labels):
     """The domain labels of ``fn`` whose image is among ``labels``."""
     labels = set(labels)
@@ -377,20 +386,20 @@ def chain_cover():
         for name, space in spaces.items()], target_space=target)
 
 
-def function_presheaf(space, stalks):
-    """The presheaf of sections of the family ``stalks``: a section over an
-    open is a choice of one stalk value per point. This is a sheaf for every
-    covering, including the empty cover of the empty open."""
-    carrier = space.carrier
-    for p in carrier:
+def function_presheaf(space, stalks, top=None):
+    """The presheaf of sections of the family ``stalks`` on the opens of
+    ``space`` inside the open mask ``top`` (all of them when it is None): a
+    section over an open is a choice of one stalk value per point. This is a
+    sheaf for every covering, including the empty cover of the empty open."""
+    lat = OpenLattice(space, top)
+    for p in space.points(lat.top):
         if p not in stalks or not stalks[p]:
             raise StructuralError("every point needs a nonempty stalk")
-    lat = OpenLattice(space)
     labels = {}
     tuples = {}
     sections = {}
     for o in lat.opens:
-        pts = sorted(o, key=carrier.position)
+        pts = space.points(o)
         opts = []
         for combo in iproduct(*[stalks[p] for p in pts]):
             lab = ";".join("%s=%s" % (p, v) for p, v in zip(pts, combo)) \
@@ -401,7 +410,7 @@ def function_presheaf(space, stalks):
         sections[o] = FinSet(opts)
     res = {}
     for w, v in lat.pairs_below():
-        pts_v = sorted(v, key=carrier.position)
+        pts_v = space.points(v)
         mapping = {}
         for lab in labels[w]:
             choice = tuples[(w, lab)]
@@ -412,9 +421,10 @@ def function_presheaf(space, stalks):
     return PresheafStore(lat, sections, res)
 
 
-def constant_presheaf(space, values):
-    """All restriction maps are the identity on a fixed value set."""
-    lat = OpenLattice(space)
+def constant_presheaf(space, values, top=None):
+    """All restriction maps are the identity on a fixed value set, on the
+    opens of ``space`` inside the open mask ``top``."""
+    lat = OpenLattice(space, top)
     vs = FinSet(values)
     sections = {o: vs for o in lat.opens}
     res = {(w, v): FinFn.identity(vs) for w, v in lat.pairs_below()}
@@ -427,8 +437,7 @@ def presheaf_doc(store):
     points = lat.space.carrier
     payload = {
         "space": {"points": list(points),
-                  "opens": [sorted(o, key=points.position)
-                            for o in lat.opens]},
+                  "opens": [lat.space.points(o) for o in lat.opens]},
         "presheaf": {
             "sections": {lat.key(o): list(store.sections[o].labels)
                          for o in lat.opens},

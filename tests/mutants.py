@@ -116,8 +116,8 @@ MUTANTS = [
      ["tests/test_presheaf.py"],
      "glue-map checks naturality of lawless locals"),
     ("presheaf.py",
-     "                           if not any(b < c for c in inside)]))",
-     "                           if not any(b < c for c in inside)][:-1]))",
+     "                           if not any(b != c and not b & ~c for c in inside)]))",
+     "                           if not any(b != c and not b & ~c for c in inside)][:-1]))",
      ["tests/test_presheaf.py", "tests/test_acceptance.py"],
      "a basic cover misses one maximal neighbourhood"),
     ("presheaf.py",
@@ -145,6 +145,16 @@ MUTANTS = [
      "                            or not is_iso(fn):",
      ["tests/test_presheaf.py"],
      "one-way validation does not check the reverse undoes a transition"),
+    ("presheaf.py",
+     "            o for o in space.open_masks() if not o & ~top))",
+     "            o for o in space.open_masks()))",
+     ["tests/test_opens.py", "tests/test_presheaf.py"],
+     "a lattice keeps the opens outside its top"),
+    ("presheaf.py",
+     "for w in self.opens for v in self.opens if not v & ~w]",
+     "for w in self.opens for v in self.opens if not w & ~v]",
+     ["tests/test_presheaf.py"],
+     "a lattice pairs each open with the opens above it"),
     ("schema.py",
      "        return all([isinstance(v, str) and len(v) >= least "
      "for v in values])",

@@ -15,7 +15,8 @@ commuting paths and isomorphisms by building composites and continuous
 maps, the opens, maximal proper opens, induced topologies and map
 properties of a space from its neighbourhoods as label frozensets, the
 strong effectiveness reading from built pullbacks, equivalent sinks by
-backtracking over matchings of sources, and the
+backtracking over matchings of sources, every covering of every open
+listed at once, and the
 glued sections, the cocycle condition and the compatible families of a
 covering with a constraint for every ordered pair or triple of charts or
 parts.
@@ -437,25 +438,26 @@ def presheaf_law_problems(store):
         fn = store.res[(w, v)]
         if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
             problems.append("restriction %r -> %r has wrong endpoints"
-                            % (sorted(w), sorted(v)))
+                            % (lat.names(w), lat.names(v)))
     if problems:
         return problems
     for o in lat.opens:
         if store.res[(o, o)] != FinFn.identity(store.sections[o]):
-            problems.append("restriction at %r is not the identity" % sorted(o))
+            problems.append("restriction at %r is not the identity"
+                            % lat.names(o))
     for x in lat.opens:
         for w in lat.opens:
-            if not w <= x:
+            if w | x != x:
                 continue
             for v in lat.opens:
-                if not v <= w:
+                if v | w != w:
                     continue
                 composed = store.res[(x, w)].then(store.res[(w, v)])
                 if store.res[(x, v)] != composed:
                     problems.append(
                         "restriction composition %r -> %r -> %r disagrees "
                         "with the direct map"
-                        % (sorted(x), sorted(w), sorted(v)))
+                        % (lat.names(x), lat.names(w), lat.names(v)))
     return problems
 
 
@@ -478,23 +480,23 @@ def gluing_datum_problems(datum):
                         for p in presheaf_law_problems(datum.locals[name]))
     for (a, b), comp in datum.transitions.items():
         source, target = datum.locals[a], datum.locals[b]
+        overlap = datum.members(a) & datum.members(b)
+        lattice = OpenLattice(datum.space, overlap)
         for o, fn in comp.items():
             if fn.domain != source.sections[o] \
                     or fn.codomain != target.sections[o]:
                 problems.append("transition %r -> %r at %r has wrong "
-                                "endpoints" % (a, b, sorted(o)))
+                                "endpoints" % (a, b, lattice.names(o)))
             elif not (fn.is_injective() and fn.is_surjective()):
                 problems.append("transition %r -> %r at %r is not a "
-                                "bijection" % (a, b, sorted(o)))
+                                "bijection" % (a, b, lattice.names(o)))
         inverse = datum.transitions[(b, a)]
         for o, fn in comp.items():
             if fn.then(inverse[o]) != FinFn.identity(fn.domain):
                 problems.append("transitions %r <-> %r at %r are not "
-                                "mutually inverse" % (a, b, sorted(o)))
-        overlap = datum.members(a) & datum.members(b)
-        lattice = OpenLattice(datum.space.subspace(overlap))
+                                "mutually inverse" % (a, b, lattice.names(o)))
         problems.extend("transition %r -> %r is not natural from %r to %r"
-                        % (a, b, sorted(w), sorted(v))
+                        % (a, b, lattice.names(w), lattice.names(v))
                         for w, v in unnatural_pairs(comp, source, target,
                                                     lattice))
     return problems
@@ -507,7 +509,7 @@ def glued_sections_by_ordered_pairs(datum):
     constraint for every ordered pair of charts, diagonals included."""
     names = datum.names()
     out = {}
-    for o in datum.space.opens:
+    for o in OpenLattice(datum.space).opens:
         traces = [o & datum.members(n) for n in names]
         locals_ = [datum.locals[n] for n in names]
         kept = []
@@ -532,9 +534,23 @@ def cocycle_by_ordered_triples(datum):
     return all(datum.transition(a, b, o).then(datum.transition(b, c, o))
                == datum.transition(a, c, o)
                for a in names for b in names for c in names
-               for o in datum.space.subspace(
-                   datum.members(a) & datum.members(b)
-                   & datum.members(c)).opens)
+               for o in OpenLattice(datum.space, datum.members(a)
+                                    & datum.members(b)
+                                    & datum.members(c)).opens)
+
+
+def coverings_listed_eagerly(lattice):
+    """Every covering of every open, as one list: the opens in lattice
+    order, and for each every family of the opens below it, picked by the
+    bits of an ascending mask, whose union is the open.  Uncharged."""
+    covers = []
+    for u in lattice.opens:
+        below = [v for v in lattice.opens if v | u == u]
+        for pick in range(2 ** len(below)):
+            parts = [below[k] for k in range(len(below)) if pick >> k & 1]
+            if reduce(lambda x, y: x | y, parts, 0) == u:
+                covers.append((u, parts))
+    return covers
 
 
 def sheaf_verdicts_by_every_constraint(store, coverings):

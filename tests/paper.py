@@ -429,27 +429,24 @@ def direct_image(topmap, store):
     if store.lattice.space != topmap.dom:
         raise StructuralError("presheaf does not live on the map source")
     lat = OpenLattice(topmap.cod)
-    sections = {}
-    res = {}
-    for o in lat.opens:
-        sections[o] = store.sections[preimage(topmap.fn, o)]
-    for w, v in lat.pairs_below():
-        res[(w, v)] = store.res[(preimage(topmap.fn, w),
-                                 preimage(topmap.fn, v))]
+    pre = {o: topmap.dom.mask(preimage(topmap.fn, topmap.cod.points(o)))
+           for o in lat.opens}
+    sections = {o: store.sections[pre[o]] for o in lat.opens}
+    res = {(w, v): store.res[(pre[w], pre[v])] for w, v in lat.pairs_below()}
     return PresheafStore(lat, sections, res)
 
 
 def canonical_presheaf_functor(store, charts):
     """The gluing datum of a presheaf and a cover: locals are the chart
-    restrictions, transitions are identities on the shared overlap sections."""
-    charts = [(name, frozenset(m)) for name, m in charts]
+    restrictions, transitions are identities on the shared overlap sections.
+    The charts are given by the labels of their points."""
+    space = store.lattice.space
+    charts = [(name, space.mask(m)) for name, m in charts]
     locals_ = {name: restrict(store, members) for name, members in charts}
     transitions = {}
     for a, am in charts:
         for b, bm in charts:
-            overlap = am & bm
-            comp = {}
-            for o in store.lattice.space.subspace(overlap).opens:
-                comp[o] = FinFn.identity(store.sections[o])
-            transitions[(a, b)] = comp
-    return GluingDatum(store.lattice.space, charts, locals_, transitions)
+            transitions[(a, b)] = {
+                o: FinFn.identity(store.sections[o])
+                for o in OpenLattice(space, am & bm).opens}
+    return GluingDatum(space, charts, locals_, transitions)

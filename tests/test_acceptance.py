@@ -14,6 +14,7 @@ from glueforge.gluing import (
 )
 from glueforge.presheaf import (
     NatTrans,
+    OpenLattice,
     default_coverings,
     glue_nat_trans,
     glue_presheaves,
@@ -318,7 +319,7 @@ def random_nat_trans_instance(rng):
                   for p in pts}
 
     def section_map(sub, o, store_s, store_t):
-        pts_o = sorted(o, key=space.carrier.position)
+        pts_o = space.points(o)
         mapping = {}
         for lab in store_s.sections[o]:
             if not pts_o:
@@ -332,11 +333,11 @@ def random_nat_trans_instance(rng):
 
     charts = []
     if len(pts) == 1:
-        charts = [("1", pts)]
+        charts = [("1", space.mask(pts))]
     else:
-        charts = [("1", [pts[0]]), ("2", [pts[1]])]
+        charts = [("1", space.mask(pts[:1])), ("2", space.mask(pts[1:]))]
         if rng.random() < 0.5:
-            charts.append(("both", pts))
+            charts.append(("both", space.mask(pts)))
     parts = {}
     for name, members in charts:
         sub_s = restrict(source, members)
@@ -375,17 +376,17 @@ def test_criterion_9_nat_trans_gluing():
         space, charts, source, target, parts = random_nat_trans_instance(rng)
         glued = glue_nat_trans(space, charts, source, target, parts)
         for name, members in charts:
-            for o in space.subspace(frozenset(members)).opens:
-                assert glued.at(o) == parts[name].at(o)
+            for o in OpenLattice(space, members).opens:
+                assert glued.components[o] == parts[name].components[o]
         candidates, total = count_and_collect_nat_trans(source, target)
         if candidates is not None and len(candidates) <= 200:
             matching = [
                 cand for cand in candidates
-                if all(cand.at(o) == parts[name].at(o)
+                if all(cand.components[o] == parts[name].components[o]
                        for name, members in charts
-                       for o in space.subspace(frozenset(members)).opens)]
+                       for o in OpenLattice(space, members).opens)]
             assert len(matching) == 1
-            assert all(matching[0].at(o) == glued.at(o)
+            assert all(matching[0].components[o] == glued.components[o]
                        for o in source.lattice.opens)
             uniqueness_checked += 1
         checked += 1

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
@@ -28,12 +29,14 @@ from glueforge.site import (
 )
 
 from fixtures import (
+    benchmark_docs,
     chain_cover,
     constant_presheaf,
     e1,
     function_presheaf,
     label_nbhd,
     presheaf_doc,
+    subspace,
 )
 
 
@@ -1041,7 +1044,7 @@ def test_glue_reports_a_colimit_that_pullback_does_not_keep(tmp_path, capsys):
     # topology along the pulled-back components
     sink = chain_cover()
     payload = split_colimit_payload(canonical_sink_functor(sink))
-    v = sink.target_space.subspace(["y0", "y2"])
+    v = subspace(sink.target_space, ["y0", "y2"])
     payload["delta"] = {"component": "3", "object": jsonable_object(v.carrier, v),
                         "map": {"y0": "c0", "y2": "c2"}}
     path = write_doc(tmp_path, {"version": "1", "kind": "gluing",
@@ -1404,3 +1407,23 @@ def test_a_document_sink_map_that_is_not_continuous_is_structural(
     assert captured.out == ""
     assert captured.err == ("glueforge: structural error: map is not "
                             "continuous at 'r'\n")
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exhaustive_covers_are_listed_only_to_the_counterexample(
+        tmp_path, capsys, n):
+    # the constant presheaf fails on the empty cover of the empty open, the
+    # first covering listed; listing every covering of the whole space first
+    # would take 2 ** (2 ** n) families
+    doc = benchmark_docs().sheaf_doc(random.Random(1), "discrete", n, 2,
+                                     constant=True)
+    path = write_doc(tmp_path, doc)
+    argv = ["check-sheaf", "--covers", "exhaustive", "--input", path]
+    assert main(argv + ["--cap", str(2 ** n)]) == 1
+    counter = {"open": "", "parts": [], "sections": ["c0", "c1"]}
+    assert json.loads(capsys.readouterr().out) == {
+        "artifacts": {}, "command": "check-sheaf",
+        "diagnostics": {"separation_counterexample": counter,
+                        "sheaf_counterexample": {**counter,
+                                                 "kind": "separation"}},
+        "verdicts": {"separated": False, "sheaf": False}}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glueforge import cli, fincat, gluing, presheaf
+from glueforge import cli, fincat, gluing, presheaf, site
 
 from fixtures import benchmark_items, indexed, item_argv
 
@@ -254,3 +254,32 @@ def test_glue_documents_build_no_apex_index(monkeypatch):
             sum(map(indexed, apexes)))
     assert built["glue"] == [0] * 24
     assert len(built["refine"]) == 2 and all(built["refine"])
+
+
+def test_overlap_maps_are_built_once_per_check(monkeypatch):
+    handed = []
+    real = gluing._overlap_maps
+
+    def recorded(data):
+        handed.append(real(data))
+        return handed[-1]
+
+    for module in (gluing, site):
+        monkeypatch.setattr(module, "_overlap_maps", recorded)
+    case = next(c for c in CASES if c["name"] == "check-effective-sets")
+    code, _, _ = run(case["argv"], DOCS[case["name"]])
+    assert code == case["exit"]
+    # the glue, the relation pairs and the check each ask; one list answers
+    assert len(handed) == 3
+    assert all(maps is handed[0] for maps in handed)
+
+
+def test_glue_sheaves_lists_the_document_space_first():
+    # each chart's lattice is the opens of the document space inside it, so
+    # the first listing refused is the document space's: it used to be the
+    # first chart's own subspace, "opens of a 2-point space would enumerate
+    # 3 items, above the cap of 2"
+    code, out, err = run(["glue-sheaves", "--cap", "2"], DOCS["glue-sheaves"])
+    assert (code, out) == (2, "")
+    assert err == ("glueforge: resource error: opens of a 3-point space would "
+                   "enumerate 3 items, above the cap of 2\n")

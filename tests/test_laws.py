@@ -158,8 +158,8 @@ def test_is_iso_is_false_on_a_bijection_that_is_not_continuous():
 SIERPINSKI = FinTop(FinSet(["0", "1"]),
                     [frozenset(), frozenset(["0"]), frozenset(["0", "1"])])
 STALKS = {"0": ["a", "b"], "1": ["x"]}
-LOW = frozenset(["0"])
-FULL = frozenset(["0", "1"])
+LOW = SIERPINSKI.mask(["0"])
+FULL = SIERPINSKI.mask(["0", "1"])
 
 
 def swapped_at(store, o):
@@ -220,10 +220,10 @@ def test_effective_check_reports_one_broken_cocycle():
     names = ["1", "2", "3"]
     transitions = {}
     for a, b in iproduct(names, names):
-        comp = swapped_at(store, frozenset(["p"])) if {a, b} == {"1", "3"} \
+        comp = swapped_at(store, point.mask(["p"])) if {a, b} == {"1", "3"} \
             else {o: FinFn.identity(store.sections[o]) for o in store.lattice.opens}
         transitions[(a, b)] = comp
-    datum = GluingDatum(point, [(n, ["p"]) for n in names],
+    datum = GluingDatum(point, [(n, point.mask(["p"])) for n in names],
                         {n: store for n in names}, transitions)
     _, projections = glue_presheaves(datum)
     assert presheaf_effective_check(datum, projections) == {

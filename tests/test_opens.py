@@ -1,8 +1,9 @@
-"""Each space lists its opens and their maximal proper opens once and
-shares its subspaces, without changing what the cap refuses or what
-equality sees; documents name opens through a table of canonical keys that
-answers as ``_parse_openkey`` does; and a presheaf command lists each point
-set's opens, and finds their maximal proper opens, at most once."""
+"""Each space lists its opens and their maximal proper opens once, without
+changing what the cap refuses or what equality sees; documents name opens
+through a table of canonical keys that answers as ``_parse_openkey`` does;
+a presheaf command lists the opens of its document space once and of no
+other space, and finds their maximal proper opens once; and the lattice of
+the opens inside an open U is that of the subspace on U."""
 
 import io
 import json
@@ -23,10 +24,10 @@ from fixtures import (
     benchmark_items,
     chain_space,
     close_family,
-    label_nbhd,
     seeded,
-    space_from_nbhd,
+    subspace,
 )
+from oracles import maximal_proper_by_frozensets, opens_by_frozensets
 
 
 @st.composite
@@ -74,31 +75,16 @@ def test_kept_opens_are_charged_again_on_every_access():
     assert refused.count(False) >= 20
 
 
-def test_kept_opens_and_subspaces_leave_the_value_alone():
+def test_kept_opens_and_maximal_opens_leave_the_value_alone():
     space = chain_space(["a", "b", "c"])
     space.opens
-    space.subspace(["b", "c"])
+    space.maximal_masks()
     fresh = chain_space(["a", "b", "c"])
     assert space == fresh and fresh == space
     assert hash(space) == hash(fresh)
-    for name in ("carrier", "rows", "_opens", "_subspaces", "_maximal"):
+    for name in ("carrier", "rows", "_opens", "_open_sets", "_maximal"):
         with pytest.raises(AttributeError, match="FinTop is immutable"):
             setattr(space, name, None)
-
-
-def test_one_subspace_per_member_set():
-    space = chain_space(["a", "b", "c"])
-    members = [frozenset(s) for s in
-               ([], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"],
-                ["c", "z"])]
-    built = [space.subspace(m) for m in members]
-    for m, sub in zip(members, built):
-        assert space.subspace(sorted(m)) is sub
-        labels = [x for x in space.carrier if x in m]
-        assert sub == space_from_nbhd(
-            FinSet(labels), {x: label_nbhd(space)[x] & m for x in labels})
-    assert space.subspace(["c", "b", "a"]) is space
-    assert space.subspace(["a", "b", "c", "z"]) is space
 
 
 def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
@@ -112,9 +98,9 @@ def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
     parsed = []
     parse_openkey = cli._parse_openkey
 
-    def parsed_key(key, space):
+    def parsed_key(key, lattice):
         parsed.append(key)
-        return parse_openkey(key, space)
+        return parse_openkey(key, lattice)
 
     monkeypatch.setattr(fincat, "_list_opens", counted)
     monkeypatch.setattr(cli, "_parse_openkey", parsed_key)
@@ -123,7 +109,9 @@ def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
         listed.clear()
         doc = load_document(io.StringIO(json.dumps(item["doc"])))
         render_report(execute(item["command"], doc, item["flags"]))
-        assert listed and len(listed) == len(set(listed)), item["name"]
+        # the document space only: every lattice is one of its opens
+        assert listed == [frozenset(item["doc"]["payload"]["space"]
+                                    ["points"])], item["name"]
         commands.add(item["command"])
     assert commands == {"check-sheaf", "glue-sheaves", "glue-map"}
     # every key the benchmark writes is canonical, so none is parsed
@@ -154,16 +142,16 @@ def test_kept_maximal_opens_are_those_of_a_fresh_space():
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(small_spaces())
     def check(space):
-        kept = space.maximal_proper()
-        assert space.maximal_proper() is kept
+        kept = space.maximal_masks()
+        assert space.maximal_masks() is kept
         fresh = copy_of(space)
-        assert fresh.maximal_proper() == kept
-        assert list(kept) == list(space.opens)
+        assert fresh.maximal_masks() == kept
+        assert list(kept) == list(space.open_masks())
         for u, maximal in kept.items():
             # the open sets properly inside u with no open set between them
-            inside = [w for w in space.opens if w < u]
-            assert maximal == [w for w in inside
-                               if not any(w < c for c in inside)]
+            inside = [w for w in kept if w != u and w | u == u]
+            assert maximal == [w for w in inside if not any(
+                w != c and w | c == c for c in inside)]
 
     check()
 
@@ -209,7 +197,7 @@ def outcome(thunk):
 @st.composite
 def respelled_documents(draw):
     """A benchmark presheaf document of one of the three presheaf commands
-    with one open key respelled, the space the key names an open of, and
+    with one open key respelled, the lattice the key names an open of, and
     the old and new key."""
     docs = benchmark_docs()
     rng = seeded(draw(st.integers(0, 10 ** 6)))
@@ -230,6 +218,7 @@ def respelled_documents(draw):
         doc, _ = docs.glue_map_doc(rng, shape, n, 2, 2)
     payload = doc["payload"]
     _, space = cli.parse_object(payload["space"], "top")
+    lattice = OpenLattice(space)
     points = list(space.carrier)
     if command == "check-sheaf":
         keys = sorted(payload["presheaf"]["sections"])
@@ -248,19 +237,19 @@ def respelled_documents(draw):
                 node["open"] = new
             else:
                 node["parts"] = [new]
-            return command, doc, space, old, new
+            return command, doc, lattice, old, new
     elif command == "glue-sheaves":
         node = draw(st.sampled_from(payload["transitions"]))
         table = node["components"]
         members = {c["name"]: c["members"] for c in payload["charts"]}
-        space = space.subspace(set(members[node["from"]])
-                               & set(members[node["to"]]))
+        lattice = OpenLattice(space, space.mask(
+            set(members[node["from"]]) & set(members[node["to"]])))
     else:
         name = draw(st.sampled_from(sorted(payload["glue_map"]["parts"])))
         table = payload["glue_map"]["parts"][name]
         members = {c["name"]: c["members"]
                    for c in payload["glue_map"]["charts"]}
-        space = space.subspace(members[name])
+        lattice = OpenLattice(space, space.mask(members[name]))
     key = draw(st.sampled_from(sorted(table)))
     if ">" in key:
         sides = key.split(">")
@@ -272,7 +261,7 @@ def respelled_documents(draw):
         old = key
         new = respelled(draw, key, points)
         table[new] = table.pop(key)
-    return command, doc, space, old, new
+    return command, doc, lattice, old, new
 
 
 def test_key_table_answers_as_the_key_parser():
@@ -281,10 +270,10 @@ def test_key_table_answers_as_the_key_parser():
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(respelled_documents())
     def check(case):
-        command, doc, space, old, new = case
-        keys = cli._open_keys(OpenLattice(space))
-        assert outcome(lambda: cli._lookup_openkey(new, keys, space)) == \
-            outcome(lambda: cli._parse_openkey(new, space))
+        command, doc, lattice, old, new = case
+        keys = cli._open_keys(lattice)
+        assert outcome(lambda: cli._lookup_openkey(new, keys, lattice)) == \
+            outcome(lambda: cli._parse_openkey(new, lattice))
         document = Document("presheaf" if command != "glue-sheaves"
                             else "gluing-datum", doc["payload"], "1")
         with_table = outcome(lambda: execute(command, document, {}))
@@ -298,3 +287,30 @@ def test_key_table_answers_as_the_key_parser():
         respelled_ones = [r for c, same, r in seen if c == command and not same]
         assert respelled_ones.count(True) >= 10, command
         assert respelled_ones.count(False) >= 10, command
+
+
+@st.composite
+def spaces_with_an_open(draw):
+    """A small space and the mask of one of its opens."""
+    space = draw(small_spaces())
+    return space, draw(st.sampled_from(space.open_masks()))
+
+
+def test_the_lattice_below_an_open_is_the_subspace_s():
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(spaces_with_an_open())
+    def check(case):
+        space, top = case
+        lat = OpenLattice(space, top)
+        sub = subspace(space, space.points(top))
+        opens = opens_by_frozensets(sub)[0]
+        assert [frozenset(space.points(o)) for o in lat.opens] == list(opens)
+        expected = maximal_proper_by_frozensets(sub, opens)
+        assert [(frozenset(space.points(u)),
+                 [frozenset(space.points(w)) for w in maximal])
+                for u, maximal in lat.maximal()] == list(expected.items())
+        assert [(lat.key(w), lat.key(v)) for w, v in lat.pairs_below()] == [
+            (",".join(sub.points(w)), ",".join(sub.points(v)))
+            for w, v in OpenLattice(sub).pairs_below()]
+
+    check()

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from glueforge.gluing import (
 )
 from glueforge.site import (
     SiteSpec,
+    _fibered_iso_exists,
     Sink,
     base_change_sink,
     canonical_sink_functor,
@@ -37,6 +40,7 @@ from fixtures import (
     random_top_colimit,
     seeded,
     space_from_nbhd,
+    subspace,
 )
 from oracles import (
     canonical_bijective_by_pullback,
@@ -467,8 +471,8 @@ def maps_into(draw, prefix, target, space):
     object is a space: a subspace with its inclusion, or a discrete space
     with any map."""
     if space is not None and draw(st.booleans()):
-        sub = space.subspace(draw(st.frozensets(st.sampled_from(target.labels)))
-                             if len(target) else ())
+        sub = subspace(space, draw(st.frozensets(st.sampled_from(target.labels)))
+                       if len(target) else ())
         return sub, FinFn(sub.carrier, target, {x: x for x in sub.carrier})
     size = draw(st.integers(0, 3)) if len(target) else 0
     carrier = FinSet(["%s%d" % (prefix, k) for k in range(size)])
@@ -516,7 +520,7 @@ def covering_top_sinks(draw):
     parts += [{x} for x in target if not any(x in p for p in parts)]
     sources = []
     for k, part in enumerate(parts):
-        sub = space.subspace(part)
+        sub = subspace(space, part)
         sources.append((str(k + 1), sub,
                         FinFn(sub.carrier, target, {x: x for x in sub.carrier})))
     return Sink("top", target, sources, target_space=space)
@@ -545,7 +549,7 @@ def chain_cover_case():
     sink = chain_cover()
     data = canonical_sink_functor(sink)
     glued = colimit_glue(data)
-    v = sink.target_space.subspace(["y0", "y2"])
+    v = subspace(sink.target_space, ["y0", "y2"])
     into = FinFn(v.carrier, sink.carrier("3"), {"y0": "c0", "y2": "c2"})
     return data, glued, v, into.then(glued.legs[("3",)])
 
@@ -656,3 +660,24 @@ def test_greedy_sink_matching_agrees_with_backtracking():
     check()
     assert verdicts == {(ambient, decision) for ambient in ("sets", "top")
                         for decision in (True, False)}
+
+
+def test_fibred_isomorphism_search_leaves_no_reference_cycle():
+    # a chain and a discrete space on two points over one point: equal fibre
+    # profiles, so every permutation of the fibre is tried, and none is a
+    # homeomorphism
+    chain = chain_space(["a0", "a1"])
+    discrete = FinTop.discrete(FinSet(["b0", "b1"]))
+    point = FinSet(["y"])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert not _fibered_iso_exists(
+            chain, FinFn.constant(chain.carrier, point, "y"),
+            discrete, FinFn.constant(discrete.carrier, point, "y"), "top")
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []

@@ -27,7 +27,7 @@ from glueforge.fincat import (
 )
 
 import oracles
-from fixtures import close_family, label_nbhd, preimage
+from fixtures import close_family, label_nbhd, preimage, subspace
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -89,7 +89,7 @@ def test_subspace_takes_traces_of_opens(space, data):
     space, family = space
     members = data.draw(st.sets(st.sampled_from(space.carrier.labels))
                         if len(space.carrier) else st.just(set()))
-    got = space.subspace(members)
+    got = subspace(space, members)
     assert_space(got, FinSet([x for x in space.carrier if x in members]),
                  {o & frozenset(members) for o in family})
 
@@ -167,8 +167,8 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
 def test_is_open_is_membership_in_the_listed_opens(space):
     space, family = space
     for s in all_subsets(space.carrier):
-        assert space.is_open(s) == (s in family)
-    assert not space.is_open(["outside"])
+        assert space.is_open(space.mask(s)) == (s in family)
+    assert space.mask(["outside"]) is None
 
 
 @PROPERTY
@@ -242,7 +242,9 @@ def test_opens_and_maximal_opens_match_the_frozenset_oracles(space):
     opens, sizes = oracles.opens_by_frozensets(space)
     assert space.opens == opens
     assert fincat._list_opens(space, "opens")[1] == sizes
-    assert list(space.maximal_proper().items()) == list(
+    assert [(frozenset(space.points(u)),
+             [frozenset(space.points(w)) for w in maximal])
+            for u, maximal in space.maximal_masks().items()] == list(
         oracles.maximal_proper_by_frozensets(space, opens).items())
 
 
