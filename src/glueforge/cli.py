@@ -39,7 +39,7 @@ from itertools import chain
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
-from .fincat import SEP, FinFn, FinSet, FinTop, TopMap
+from .fincat import SEP, FinFn, FinSet, FinTop, TopMap, _refuse_mapping
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
@@ -355,36 +355,43 @@ def _parse_openkey(key, lattice):
     return o
 
 
-def _open_keys(lattice):
-    """Each open of ``lattice`` by its canonical key: its points in carrier
-    order, joined by commas."""
-    return {lattice.key(o): o for o in lattice.opens}
-
-
-def _lookup_openkey(key, keys, lattice):
-    """The open a key names: looked up when the key is canonical, else
-    parsed, so every other spelling is accepted or refused as before."""
+def _lookup_openkey(key, lattice):
+    """The open a key names: looked up among the lattice's canonical keys
+    (its points in carrier order, joined by commas), else parsed, so every
+    other spelling is accepted or refused as before."""
     try:
-        return keys[key]
+        return lattice.keys[key]
     except KeyError:
         return _parse_openkey(key, lattice)
 
 
+def _table(mapping, domain, codomain):
+    """The table of a document's ``mapping`` from the section labels
+    ``domain`` into the ``FinSet`` ``codomain``, one lookup per entry,
+    refused as ``FinFn`` refuses a mapping that is not total into it."""
+    pos = codomain._pos
+    try:
+        if len(mapping) == len(domain):
+            return [pos[mapping[x]] for x in domain]
+    except (KeyError, TypeError):    # a missing label, a value outside
+        pass
+    _refuse_mapping(domain, codomain, mapping)
+
+
 def _parse_presheaf_body(body, space, top=None):
     """The presheaf store of a ``{sections, restrictions}`` node on the
-    lattice of the opens of ``space`` inside ``top``, and the canonical
-    keys of those opens."""
+    lattice of the opens of ``space`` inside ``top``, and the section set
+    at each open, which maps into it are read against."""
     for p in space.carrier if top is None else space.points(top):
         if "," in p:
             raise StructuralError("point label %r may not contain ','" % p)
     lat = OpenLattice(space, top)
-    keys = _open_keys(lat)
-    sections = {}
+    sets = {}
     named = {}
     for key, labels in body["sections"].items():
-        o = _lookup_openkey(key, keys, lat)
+        o = _lookup_openkey(key, lat)
         _claim(named, o, key, "sections", "open set")
-        sections[o] = FinSet(labels)
+        sets[o] = FinSet(labels)
     res = {}
     named = {}
     for key, mapping in body["restrictions"].items():
@@ -392,29 +399,30 @@ def _parse_presheaf_body(body, space, top=None):
             raise StructuralError("restriction key %r must look like 'W>V'"
                                   % key)
         wkey, vkey = key.split(">", 1)
-        w = _lookup_openkey(wkey, keys, lat)
-        v = _lookup_openkey(vkey, keys, lat)
+        w = _lookup_openkey(wkey, lat)
+        v = _lookup_openkey(vkey, lat)
         if v & ~w:
             raise StructuralError("restriction key %r is not an inclusion"
                                   % key)
-        if w not in sections or v not in sections:
+        if w not in sets or v not in sets:
             raise StructuralError("restriction %r mentions opens without "
                                   "sections" % key)
         _claim(named, (w, v), key, "restrictions", "inclusion")
-        res[(w, v)] = FinFn(sections[w], sections[v], mapping)
-    return PresheafStore(lat, sections, res), keys
+        res[(w, v)] = _table(mapping, sets[w].labels, sets[v])
+    sections = {o: fs.labels for o, fs in sets.items()}
+    return PresheafStore(lat, sections, res), sets
 
 
 def parse_presheaf(payload):
     _, space = parse_object(payload["space"], "top")
-    store, keys = _parse_presheaf_body(payload["presheaf"], space)
+    store = _parse_presheaf_body(payload["presheaf"], space)[0]
     coverings = None
     if "coverings" in payload:
+        lat = store.lattice
         coverings = []
         for node in payload["coverings"]:
-            u = _lookup_openkey(node["open"], keys, store.lattice)
-            parts = [_lookup_openkey(p, keys, store.lattice)
-                     for p in node["parts"]]
+            u = _lookup_openkey(node["open"], lat)
+            parts = [_lookup_openkey(p, lat) for p in node["parts"]]
             coverings.append((u, parts))
     glue_map = payload.get("glue_map")
     return space, store, coverings, glue_map
@@ -447,13 +455,14 @@ def parse_gluing_datum(payload):
     charts, names = _parse_charts(payload["charts"], OpenLattice(space))
     _refuse_unknown_charts(payload["locals"], names, "locals")
     locals_ = {}
+    sets = {}
     for name, members in charts:
         if members is None:
             raise StructuralError("chart %r is not open" % name)
         if name not in payload["locals"]:
             raise StructuralError("no local presheaf for chart %r" % name)
-        locals_[name] = _parse_presheaf_body(payload["locals"][name], space,
-                                             members)[0]
+        locals_[name], sets[name] = _parse_presheaf_body(
+            payload["locals"][name], space, members)
     members = dict(charts)
     transitions = {}
     for node in payload["transitions"]:
@@ -466,14 +475,12 @@ def parse_gluing_datum(payload):
             raise StructuralError("transition %r -> %r is listed twice"
                                   % (a, b))
         overlap = OpenLattice(space, members[a] & members[b])
-        keys = _open_keys(overlap)
         comp = {}
         named = {}
         for key, mapping in node["components"].items():
-            o = _lookup_openkey(key, keys, overlap)
+            o = _lookup_openkey(key, overlap)
             _claim(named, o, key, "components", "open set")
-            comp[o] = FinFn(locals_[a].sections[o], locals_[b].sections[o],
-                            mapping)
+            comp[o] = _table(mapping, locals_[a].sections[o], sets[b][o])
         transitions[(a, b)] = comp
     return GluingDatum(space, charts, locals_, transitions)
 
@@ -637,22 +644,22 @@ def _check_sheaf_command(doc, flags):
         listed = lambda: lister(store.lattice)
     separated, sep_counter, sheaf, sheaf_counter = sheaf_verdicts(
         store, listed, check_listed=coverings is not None)
-    lat = store.lattice
     return ({"separated": separated, "sheaf": sheaf}, {},
-            {"separation_counterexample": describe(lat, sep_counter),
-             "sheaf_counterexample": describe(lat, sheaf_counter)})
+            {"separation_counterexample": describe(store, sep_counter),
+             "sheaf_counterexample": describe(store, sheaf_counter)})
 
 
 def _glue_sheaves_command(doc, flags):
     datum = parse_gluing_datum(doc.payload)
     glued, projections = glue_presheaves(datum)
     report = presheaf_effective_check(datum, projections)
-    lat = glued.lattice
+    lat, sections = glued.lattice, glued.sections
     artifacts = {
-        "sections": {lat.key(o): list(glued.sections[o].labels)
-                     for o in lat.opens},
+        "sections": {lat.key(o): list(sections[o]) for o in lat.opens},
         "restrictions": {
-            "%s>%s" % (lat.key(w), lat.key(v)): jsonable_fn(glued.res[(w, v)])
+            "%s>%s" % (lat.key(w), lat.key(v)):
+                dict(zip(sections[w], map(sections[v].__getitem__,
+                                          glued.res[(w, v)])))
             for w, v in lat.pairs_below() if v != w},
     }
     verdicts = {
@@ -668,7 +675,7 @@ def _glue_map_command(doc, flags):
     space, store, _, glue_map = parse_presheaf(doc.payload)
     if glue_map is None:
         raise StructuralError("glue-map needs a glue_map block in the payload")
-    target = _parse_presheaf_body(glue_map["target"], space)[0]
+    target, target_sets = _parse_presheaf_body(glue_map["target"], space)
     for role, checked in (("source", store), ("target", target)):
         problems = validate_presheaf(checked)
         if problems:
@@ -684,18 +691,18 @@ def _glue_map_command(doc, flags):
             raise StructuralError("%r is not open" % sorted(set(node["members"])))
         sub_s = restrict(store, top)
         sub_t = restrict(target, top)
-        keys = _open_keys(sub_s.lattice)
         comps = {}
         named = {}
         for key, mapping in glue_map["parts"][name].items():
-            o = _lookup_openkey(key, keys, sub_s.lattice)
+            o = _lookup_openkey(key, sub_s.lattice)
             _claim(named, o, key, "parts", "open set")
-            comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], mapping)
+            comps[o] = _table(mapping, store.sections[o], target_sets[o])
         parts[name] = NatTrans(sub_s, sub_t, comps)
     glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
-    artifacts = {"components": {lat.key(o): jsonable_fn(glued.components[o])
-                                for o in lat.opens}}
+    artifacts = {"components": {lat.key(o): dict(zip(
+        store.sections[o], map(target.sections[o].__getitem__,
+                               glued.components[o]))) for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 
 

@@ -13,9 +13,10 @@ sets of ``opens``, the labels of a mask (``points``) and the mask of
 labels (``mask``), the label lists of reports, and error texts.
 Everything is immutable after construction and every operation is a pure
 function, so shared values are safe to use concurrently.  A space keeps its
-list of opens and the maximal proper opens of each once built; both are
-functions of the space, so a value kept by one caller is the value any
-other would build.
+list of opens and the maximal proper opens of each once built, and through
+``keep`` the other values made of it alone, such as the presheaf layer's
+lattices; all are functions of the space, so a value kept by one caller is
+the value any other would build.
 
 The public constructors validate what they are given: ``FinSet`` that its
 labels are distinct strings, ``FinFn`` that its mapping is total into the
@@ -253,7 +254,7 @@ def _refuse_mapping(domain, codomain, mapping):
         if mapping[x] not in codomain:
             raise StructuralError(
                 "value %r of %r is not a codomain label" % (mapping[x], x))
-    extra = set(mapping) - set(domain.labels)
+    extra = set(mapping) - set(domain)
     if extra:
         raise StructuralError("mapping assigns labels outside the domain: %r"
                               % sorted(extra))
@@ -276,7 +277,7 @@ class FinTop:
     freed at once would stay in CPython's tuple free lists, up to 2,000 of
     each length, for the rest of the process."""
 
-    __slots__ = ("carrier", "rows", "_opens", "_open_sets", "_maximal")
+    __slots__ = ("carrier", "rows", "_opens", "_open_sets", "_maximal", "_kept")
 
     def __init__(self, carrier, opens):
         """Validate a listed family of opens: with the empty set and the
@@ -375,6 +376,21 @@ class FinTop:
             kept = _maximal_proper(self, self.open_masks())
             object.__setattr__(self, "_maximal", kept)
         return kept
+
+    def keep(self, key, build):
+        """The value ``build()`` made at the first ask for ``key`` and kept
+        with the space for every later one: for values that are functions
+        of the space alone, such as the presheaf layer's lattices of
+        opens.  Callers do not change what they get."""
+        kept = getattr(self, "_kept", None)    # unset until first asked
+        if kept is None:
+            kept = {}
+            object.__setattr__(self, "_kept", kept)
+        try:
+            return kept[key]
+        except KeyError:
+            value = kept[key] = build()
+            return value
 
     def is_open(self, mask):
         """Whether the points of ``mask`` hold every point their rows hold."""
@@ -540,15 +556,21 @@ class TopMap:
     def __init__(self, fn, dom, cod):
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
-        img = _positions(fn)
-        bits = [1 << q for q in img]
+        pos, mapping = cod.carrier._pos, fn.mapping
+        img = [pos[mapping[x]] for x in dom.carrier.labels]
         rows = cod.rows
         is_open = True
-        for x, row, q in zip(dom.carrier.labels, dom.rows, img):
-            image = _gather(row, bits)
-            if image & ~rows[q]:
-                raise StructuralError("map is not continuous at %r" % x)
-            is_open = is_open and image == rows[q]
+        for p, row in enumerate(dom.rows):
+            image = 0
+            while row:    # the bits of the images of the row, lowest first
+                low = row & -row
+                image |= 1 << img[low.bit_length() - 1]
+                row ^= low
+            target = rows[img[p]]
+            if image & ~target:
+                raise StructuralError("map is not continuous at %r"
+                                      % dom.carrier.labels[p])
+            is_open = is_open and image == target
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)

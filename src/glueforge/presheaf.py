@@ -7,65 +7,117 @@ trivial cover, the cover by all maximal proper open subsets when they do
 cover, and the empty cover of the empty open (which forces a one-point
 section set at the empty open for sheaves).
 
-The minimal neighbourhoods of the points form a basis, so separation and the
-sheaf condition are decided on one basic cover per open
-(``basic_coverings``), and composition of restrictions on the covering
-relations of the lattice of opens.  A listed family of coverings is scanned
-only to name the first counterexample of a false verdict.  Naturality of
-transitions and of the parts of a glued transformation is decided on the
-same covering relations, between presheaves whose laws hold; every pair is
-scanned only otherwise, or to name a failure.  Every lattice is the opens
-of one document space inside an open U (a chart, an overlap, a triple),
-which for U open are those of the subspace on U, in the same order.  So
-opens are int masks of that space's points, filtered from its one listing,
-and labels appear only in keys and error texts.
+A presheaf on a finite space is a functor on its specialization preorder
+(Alexandroff 1937; Mac Lane and Moerdijk 1992), so everything here is
+positions and tables of ints.  An open is an int mask of the points of the
+one document space, and its lattice, the opens inside an open U (a chart,
+an overlap, a triple), is kept with the space.  The sections over an open
+are the positions of a tuple of labels, and every restriction, transition
+and component is a list giving each section the position of its image.
+Labels appear only in keys, reports and error texts.
 
-Chart data is read once per unordered pair and per set of three charts.
-The transitions of a checked datum are mutually inverse bijections, so
-the condition a pair of charts puts on glued sections through
-phi_ba = phi_ab^-1 is the one it puts through phi_ab, and one ordering of
-three distinct charts gives the cocycle on all six (Mac Lane and Moerdijk
-1992; Hartshorne, Ex. II.1.22).  ``GluingDatum.validate`` checks each
-transition only from the earlier chart to the later one, or to itself,
-when every local presheaf is lawful; the reverse is then the inverse of a
-natural bijection, and the two-way scan runs only to name a failure.  A
-diagonal transition constrains glued sections only where it is not the
-identity, and a degenerate triple holds exactly when the identity
-condition does.  Finally, no compatibility constraint goes through an
-open with at most one section: any two restrictions into such a set
-agree.
+Laws are decided on the covering pairs of each lattice, and separation and
+the sheaf condition on one basic cover per open (``basic_coverings``); a
+listed family of pairs or coverings is scanned only to name a failure.
+Chart data is read once per unordered pair and per set of three charts:
+the transitions of a checked datum are mutually inverse bijections, so
+phi_ba = phi_ab^-1 puts the condition phi_ab puts on glued sections, and
+one ordering of three distinct charts gives the cocycle on all six (Mac
+Lane and Moerdijk 1992; Hartshorne, Ex. II.1.22).  No compatibility
+constraint goes through an open with at most one section: any two
+restrictions into such a set agree.
 """
 
 from functools import reduce
-from itertools import combinations, tee
-from operator import itemgetter, or_
+from itertools import combinations, repeat, tee
+from operator import getitem, or_
 
 from .errors import ResourceError, StructuralError, charge
-from .fincat import SEP, FinFn, FinSet, commutes, compatible_tuples, is_iso
+from .fincat import SEP, _refuse_labels, compatible_tuples
 
 EMPTY_SECTION = "()"
 
 
+def trusted_table(values, domain, codomain):
+    """A table the engine built from the sections ``domain`` into
+    ``codomain``, checked only for its length; parsers check each entry of
+    the tables they read."""
+    if len(values) != len(domain):
+        raise StructuralError("a table of %d values from %d sections into %d"
+                              % (len(values), len(domain), len(codomain)))
+    return values
+
+
+def _composite(first, then):
+    """The table of ``first`` followed by ``then``."""
+    return list(map(then.__getitem__, first))
+
+
+def _identity(sections):
+    return trusted_table(list(range(len(sections))), sections, sections)
+
+
+def _is_identity(table):
+    return table == list(range(len(table)))
+
+
+def _bijective(table, size):
+    """Whether ``table`` is a bijection onto a set of ``size`` sections."""
+    return len(set(table)) == len(table) == size
+
+
 class OpenLattice:
     """The opens of a finite space inside its open ``top`` (the whole space
-    when None), as masks in ``FinTop.opens`` order, ordered by inclusion."""
+    when None), as masks in ``FinTop.opens`` order, ordered by inclusion.
 
-    __slots__ = ("space", "top", "opens")
+    One lattice is kept per space and top: ``OpenLattice(space, top)``
+    builds it at the first ask, with what every use reads, and returns the
+    kept one after, charging the listing of the space's opens at each ask
+    as ``FinTop.open_masks`` does.  ``below`` holds the opens below each
+    open, ``keys`` each open by its key, and ``covering`` the pairs (W, U)
+    with U a maximal proper open of W: a law of restrictions that holds
+    on those and on identities holds on every pair, by induction on the
+    length of a chain of opens, so laws are decided there and every pair
+    is scanned only to name a failure."""
 
-    def __init__(self, space, top=None):
+    __slots__ = ("space", "top", "opens", "below", "keys", "covering",
+                 "_key", "_pairs", "_maximal")
+
+    def __new__(cls, space, top=None):
+        masks = space.open_masks()
         if top is None:
             top = (1 << len(space.carrier)) - 1
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "opens", tuple(
-            o for o in space.open_masks() if not o & ~top))
+        return space.keep(("open lattice", top),
+                          lambda: cls._build(space, top, masks))
+
+    @classmethod
+    def _build(cls, space, top, masks):
+        lat = object.__new__(cls)
+        opens = tuple(o for o in masks if not o & ~top)
+        below = {w: [v for v in opens if not v & ~w] for w in opens}
+        named = space.keep("open keys", lambda: {
+            o: ",".join(space.points(o)) for o in masks})
+        keys = list(map(named.__getitem__, opens))
+        kept = space.maximal_masks()
+        for name, value in (
+                ("space", space), ("top", top), ("opens", opens),
+                ("below", below), ("keys", dict(zip(keys, opens))),
+                ("_key", dict(zip(opens, keys))),
+                ("_pairs", [(w, v) for w in opens for v in below[w]]),
+                ("_maximal", [(u, kept[u]) for u in opens]),
+                ("covering", [(w, u) for w in opens for u in kept[w]])):
+            object.__setattr__(lat, name, value)
+        return lat
 
     def __setattr__(self, name, value):
         raise AttributeError("OpenLattice is immutable")
 
+    def __contains__(self, o):
+        return o in self.below
+
     def key(self, o):
         """The points of the open ``o`` in carrier order, comma-joined."""
-        return ",".join(self.space.points(o))
+        return self._key[o]
 
     def names(self, o):
         """The sorted labels of the points of ``o``, for error texts."""
@@ -75,39 +127,43 @@ class OpenLattice:
         """The open whose points ``labels`` name, else None, also when a
         label names no point."""
         o = self.space.mask(labels)
-        return o if o in self.opens else None
+        return o if o in self.below else None
 
     def maximal(self):
         """Each open with its maximal proper opens (the space's), in order."""
-        kept = self.space.maximal_masks()
-        return [(u, kept[u]) for u in self.opens]
+        return self._maximal
 
     def pairs_below(self):
         """All comparable pairs (W, V) with V a subset of W."""
-        return [(w, v) for w in self.opens for v in self.opens if not v & ~w]
+        return self._pairs
 
     def __eq__(self, other):
-        return isinstance(other, OpenLattice) and self.top == other.top \
-            and self.space == other.space
+        return self is other or isinstance(other, OpenLattice) \
+            and self.top == other.top and self.space == other.space
 
 
 class PresheafStore:
-    """Sections per open plus a restriction map for every inclusion."""
+    """Sections per open plus a restriction table for every inclusion.
+
+    The sections over an open ``o`` are the positions of the label tuple
+    ``sections[o]``; the labels are read only by keys, reports and error
+    texts.  ``res[(w, v)]`` is a list that gives each section over ``w``
+    the position of its restriction to ``v``."""
 
     __slots__ = ("lattice", "sections", "res")
 
     def __init__(self, lat, sections, res):
-        sections = dict(sections)
-        res = dict(res)
+        sections, res = dict(sections), dict(res)
         for o in lat.opens:
             if o not in sections:
                 raise StructuralError("no section set at open %r" % lat.names(o))
         for w, v in lat.pairs_below():
-            if w == v:
-                res.setdefault((w, v), FinFn.identity(sections[w]))
-            elif (w, v) not in res:
+            if (w, v) in res:
+                continue
+            if w != v:
                 raise StructuralError("no restriction map from %r to %r"
                                       % (lat.names(w), lat.names(v)))
+            res[(w, w)] = _identity(sections[w])
         object.__setattr__(self, "lattice", lat)
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "res", res)
@@ -116,63 +172,31 @@ class PresheafStore:
         raise AttributeError("PresheafStore is immutable")
 
 
-def _composes_on_covers(store, below):
-    """Whether res(x, v) = res(w, v) . res(x, w) wherever ``w`` is a maximal
-    proper open of ``x`` and ``v`` is below ``w``.  With the identities this
-    gives every triple, by induction on the length of a chain from x to w.
-    Each map is read as the tuple of its values on the sections over x."""
-    res = store.res
-    for x, maximal in store.lattice.maximal():
-        labels = store.sections[x].labels
-        if not labels:    # nothing to compare, and no itemgetter of nothing
-            continue
-        direct = itemgetter(*labels)
-        for w in maximal:
-            first = res[(x, w)].mapping
-            composite = itemgetter(*map(first.__getitem__, labels))
-            for v in below[w]:
-                if composite(res[(w, v)].mapping) != \
-                        direct(res[(x, v)].mapping):
-                    return False
-    return True
+def _uncomposed(store, pairs):
+    """The triples (x, w, v), (x, w) in ``pairs`` and v below w, at which
+    res(x, v) is not res(w, v) . res(x, w), lazily."""
+    res, below = store.res, store.lattice.below
+    for x, w in pairs:
+        first = res[(x, w)]
+        for v in below[w]:
+            if _composite(first, res[(w, v)]) != res[(x, v)]:
+                yield x, w, v
 
 
 def validate_presheaf(store):
-    """Violated identity or composition laws among the restriction maps.
+    """Violated identity or composition laws among the restriction tables.
 
     Composition is decided on the covering pairs of the lattice of opens;
     only when that or an identity fails is every triple v <= w <= x scanned,
     to name each one that fails."""
-    problems = []
-    lat = store.lattice
-    below = {o: [] for o in lat.opens}
-    for w, v in lat.pairs_below():
-        below[w].append(v)
-        fn = store.res[(w, v)]
-        if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
-            problems.append("restriction %r -> %r has wrong endpoints"
-                            % (lat.names(w), lat.names(v)))
-    if problems:
-        return problems
-    for o in lat.opens:
-        fn = store.res[(o, o)]
-        if any(fn.mapping[s] != s for s in store.sections[o]):
-            problems.append("restriction at %r is not the identity"
-                            % lat.names(o))
-    if not problems and _composes_on_covers(store, below):
-        return problems
-    for x, w in lat.pairs_below():
-        first = store.res[(x, w)].mapping
-        for v in lat.opens:
-            if v & ~w:
-                continue
-            direct = store.res[(x, v)].mapping
-            then = store.res[(w, v)].mapping
-            if any(direct[s] != then[first[s]] for s in store.sections[x]):
-                problems.append(
-                    "restriction composition %r -> %r -> %r disagrees "
-                    "with the direct map"
-                    % (lat.names(x), lat.names(w), lat.names(v)))
+    lat, res = store.lattice, store.res
+    problems = ["restriction at %r is not the identity" % lat.names(o)
+                for o in lat.opens if not _is_identity(res[(o, o)])]
+    if problems or next(_uncomposed(store, lat.covering), None):
+        problems.extend("restriction composition %r -> %r -> %r disagrees "
+                        "with the direct map"
+                        % (lat.names(x), lat.names(w), lat.names(v))
+                        for x, w, v in _uncomposed(store, lat.pairs_below()))
     return problems
 
 
@@ -232,10 +256,10 @@ def all_coverings(lattice):
 
 def _check_covering(lat, covering):
     u, parts = covering
-    if u not in lat.opens:
+    if u not in lat:
         raise StructuralError("covered set %r is not open" % lat.names(u))
     for v in parts:
-        if v not in lat.opens:
+        if v not in lat:
             raise StructuralError("covering member %r is not open" % lat.names(v))
         if v & ~u:
             raise StructuralError("covering member %r is not below %r"
@@ -251,20 +275,20 @@ def _compatible_families(store, parts):
             meet = parts[a] & parts[b]
             if len(store.sections[meet]) <= 1:    # any two restrictions agree
                 continue
-            cons.append((a, b, store.res[(parts[a], meet)].mapping,
-                         store.res[(parts[b], meet)].mapping))
-    return compatible_tuples([store.sections[v].labels for v in parts], cons,
-                             "families over a covering")
+            cons.append((a, b, store.res[(parts[a], meet)],
+                         store.res[(parts[b], meet)]))
+    return compatible_tuples([range(len(store.sections[v])) for v in parts],
+                             cons, "families over a covering")
 
 
 def _joint_restriction(store, u, parts):
     """The joint restriction F(u) -> prod F(v) over ``parts``: each section
     over ``u`` keyed by its tuple of restrictions, and the first two sections
     that share a key (``None`` when it is injective; the scan stops there)."""
-    maps = [store.res[(u, v)].mapping for v in parts]
+    maps = [store.res[(u, v)] for v in parts]
     image = {}
-    for s in store.sections[u]:
-        key = tuple(m[s] for m in maps)
+    for s, key in enumerate(zip(*maps) if maps
+                            else repeat((), len(store.sections[u]))):
         if key in image:
             return image, (image[key], s)
         image[key] = s
@@ -275,9 +299,7 @@ def _unseparated(store, covering):
     """The separation counterexample of one checked covering, or None."""
     u, parts = covering
     _, clash = _joint_restriction(store, u, parts)
-    if clash:
-        return {"open": u, "parts": parts, "sections": clash}
-    return None
+    return clash and {"open": u, "parts": parts, "sections": clash}
 
 
 def _unglued(store, covering):
@@ -294,37 +316,41 @@ def _unglued(store, covering):
     return None
 
 
-def describe(lat, counter):
+def describe(store, counter):
     """A counterexample of ``is_separated`` or ``is_sheaf`` as reports and
-    error texts word it: its opens by their keys, its sections as lists."""
+    error texts word it: its opens by their keys, its sections by their
+    labels, as lists."""
     if counter is None:
         return None
-    out = dict(counter, open=lat.key(counter["open"]),
-               parts=[lat.key(v) for v in counter["parts"]])
-    for name in ("sections", "family"):
-        if name in out:
-            out[name] = list(out[name])
+    lat, sections = store.lattice, store.sections
+    u, parts = counter["open"], counter["parts"]
+    out = dict(counter, open=lat.key(u), parts=[lat.key(v) for v in parts])
+    if "sections" in out:
+        out["sections"] = [sections[u][s] for s in counter["sections"]]
+    if "family" in out:
+        out["family"] = [sections[v][x] for v, x in zip(parts, out["family"])]
     return out
+
+
+def _scan(store, coverings, counterexample):
+    """``(True, None)``, else False and the first counterexample along
+    ``coverings``, each checked before it is read."""
+    for covering in coverings:
+        _check_covering(store.lattice, covering)
+        counter = counterexample(store, covering)
+        if counter:
+            return False, counter
+    return True, None
 
 
 def is_separated(store, coverings):
     """Injectivity of the joint restriction along every listed covering."""
-    for covering in coverings:
-        _check_covering(store.lattice, covering)
-        counter = _unseparated(store, covering)
-        if counter:
-            return False, counter
-    return True, None
+    return _scan(store, coverings, _unseparated)
 
 
 def is_sheaf(store, coverings):
     """Bijectivity between sections and compatible families per covering."""
-    for covering in coverings:
-        _check_covering(store.lattice, covering)
-        counter = _unglued(store, covering)
-        if counter:
-            return False, counter
-    return True, None
+    return _scan(store, coverings, _unglued)
 
 
 def _sheaf_everywhere(store):
@@ -347,14 +373,12 @@ def sheaf_verdicts(store, listed, check_listed=False):
     Both verdicts are decided on ``basic_coverings`` where those fit the
     cap, and a true one holds for every covering.  Only a false one is
     worded by scanning the listed coverings in order, so the counterexamples
-    are the scans' own.  ``listed`` is a function of no arguments that
-    returns the listed coverings, as a list or lazily.  It is called only
-    when a verdict is false, or when ``check_listed`` asks for every listed
-    covering to be checked, as for coverings read from a document.  The
-    separation scan checks what it reads, and runs only then or for a
-    presheaf that is not separated; the sheaf scan reads no further, except
-    over the engine's own listings, valid by construction.  The scans share
-    one listing, and neither reads past its counterexample.
+    are the scans' own.  ``listed()`` returns the listed coverings, as a
+    list or lazily, and is called only then, or when ``check_listed`` asks
+    for each to be checked, as for coverings read from a document.  The
+    sheaf scan reads only coverings the separation scan has checked, or
+    the engine's own listings; the scans share one listing, and neither
+    reads past its counterexample.
     """
     lat = store.lattice
     if _sheaf_everywhere(store):
@@ -383,17 +407,17 @@ def sheaf_verdicts(store, listed, check_listed=False):
 def restrict(store, top):
     """The presheaf restricted to its open ``top``, on that open's lattice."""
     lat = store.lattice
-    if top not in lat.opens:
+    if top not in lat:
         raise StructuralError("%r is not open" % lat.names(top))
     sub = OpenLattice(lat.space, top)
-    sections = {o: store.sections[o] for o in sub.opens}
-    res = {(w, v): store.res[(w, v)] for w, v in sub.pairs_below()}
-    return PresheafStore(sub, sections, res)
+    return PresheafStore(sub, {o: store.sections[o] for o in sub.opens},
+                         {pair: store.res[pair] for pair in sub.pairs_below()})
 
 
 class NatTrans:
-    """A transformation between presheaves on one lattice, one component map
-    per open; naturality with restrictions is a checked law."""
+    """A transformation between presheaves on one lattice, one component
+    table per open, from the sections of ``source`` to those of ``target``;
+    naturality with restrictions is a checked law."""
 
     __slots__ = ("source", "target", "components")
 
@@ -405,10 +429,6 @@ class NatTrans:
         for o in lat.opens:
             if o not in components:
                 raise StructuralError("no component at open %r" % lat.names(o))
-            fn = components[o]
-            if fn.domain != source.sections[o] or fn.codomain != target.sections[o]:
-                raise StructuralError("component at %r has wrong endpoints"
-                                      % lat.names(o))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "components", components)
@@ -420,41 +440,42 @@ class NatTrans:
         lat = self.source.lattice
         return ["naturality fails from %r to %r" % (lat.names(w), lat.names(v))
                 for w, v in _unnatural(self.components, self.source,
-                                       self.target, lat)]
+                                       self.target, lat.pairs_below())]
 
 
-def _unnatural(comp, source, target, lattice):
-    """The pairs ``(w, v)`` of ``lattice`` at which the components ``comp``
-    do not commute with the restrictions of ``source`` and ``target``."""
-    return [(w, v) for w, v in lattice.pairs_below()
-            if not commutes((comp[w], target.res[(w, v)]),
-                            (source.res[(w, v)], comp[v]))]
+def _unnatural(comp, source, target, pairs):
+    """The pairs (w, v) of ``pairs`` at which the components ``comp`` do not
+    commute with the restrictions of ``source`` and ``target``, lazily.
+
+    Between presheaves whose laws hold, naturality on the lattice's
+    ``covering`` pairs is naturality at every pair v <= w: for v < w pick a
+    maximal proper u of w above v, and the square at (w, v) is the square
+    at (u, v) pasted to the one at (w, u)."""
+    for w, v in pairs:
+        if _composite(comp[w], target.res[(w, v)]) \
+                != _composite(source.res[(w, v)], comp[v]):
+            yield w, v
 
 
-def _natural_on_covers(comp, source, target, lattice):
-    """Whether the components ``comp`` commute with the restrictions at each
-    pair (w, u), u a maximal proper open of w.
+def _natural(comp, source, target, pairs):
+    return next(_unnatural(comp, source, target, pairs), None) is None
 
-    When ``source`` and ``target`` satisfy the presheaf laws this is
-    naturality at every pair v <= w: for v < w pick a maximal proper u of w
-    above v, and the square at (w, v) is the square at (u, v) pasted to the
-    one at (w, u); the squares at (w, w) hold by the identity laws.  Without
-    the laws it says nothing, and callers scan with ``_unnatural``."""
-    return all(commutes((comp[w], target.res[(w, u)]),
-                        (source.res[(w, u)], comp[u]))
-               for w, maximal in lattice.maximal() for u in maximal)
+
+def _inverse(table, size):
+    """The inverse of the bijection ``table`` onto ``size`` sections: the
+    sections in the order of their values."""
+    if not _bijective(table, size):
+        raise StructuralError("only bijections can be inverted")
+    return sorted(range(size), key=table.__getitem__)
 
 
 class GluingDatum:
     """A cover of a space by named open charts (masks), a presheaf per chart
     on its lattice, and a natural family of transition bijections over the
-    pairwise overlaps.
-
-    Transitions are oriented chart-i side to chart-j side; the inverse
-    orientation is filled in automatically and the convention that the two
-    orientations are mutually inverse is enforced.  The diagonal transition
-    defaults to the identity.
-    """
+    pairwise overlaps, each component a table from chart a's sections to
+    chart b's.  An orientation not given is filled in as the inverse of the
+    other, and a diagonal transition not given is the identity; that the
+    two orientations are mutually inverse is a checked law."""
 
     __slots__ = ("space", "charts", "locals", "transitions")
 
@@ -475,25 +496,26 @@ class GluingDatum:
                 raise StructuralError(
                     "local presheaf of chart %r lives on the wrong lattice"
                     % name)
-        transitions = {k: dict(v) for k, v in transitions.items()}
         full = {}
         for a, am in charts:
             for b, bm in charts:
                 lattice = OpenLattice(space, am & bm)
                 given = (a, b) if (a, b) in transitions else (b, a)
+                here, there = locals_[a].sections, locals_[b].sections
                 if given in transitions:
-                    comp = transitions[given]
-                    outside = [o for o in comp if o not in lattice.opens]
+                    comp = dict(transitions[given])
+                    outside = [o for o in comp if o not in lattice]
                     if outside:
                         raise StructuralError(
                             "transition %r -> %r has a component at %r, an "
                             "open outside the overlap"
                             % (given + (lattice.names(outside[0]),)))
                     if given != (a, b):
-                        comp = {o: fn.inverse() for o, fn in comp.items()}
+                        comp = {o: trusted_table(_inverse(t, len(here[o])),
+                                                 here[o], there[o])
+                                for o, t in comp.items()}
                 elif a == b:
-                    comp = {o: FinFn.identity(locals_[a].sections[o])
-                            for o in lattice.opens}
+                    comp = {o: _identity(here[o]) for o in lattice.opens}
                 else:
                     raise StructuralError("no transition between charts %r "
                                           "and %r" % (a, b))
@@ -523,70 +545,45 @@ class GluingDatum:
     def transition(self, a, b, o):
         return self.transitions[(a, b)][o]
 
-    def _holds_one_way(self):
-        """Whether each transition a -> b with a no later than b in chart
-        order has the right endpoints, is a bijection, is undone by b -> a
-        at each open and is natural on the covering pairs of its overlap
-        lattice.  Between lawful local presheaves b -> a is then the
-        inverse of a natural bijection, so it passes the same checks."""
-        for k, (a, _) in enumerate(self.charts):
-            for b, _ in self.charts[k:]:
-                comp, inv = self.transitions[(a, b)], self.transitions[(b, a)]
-                source, target = self.locals[a], self.locals[b]
-                if comp.keys() != inv.keys():
-                    return False
-                for o, fn in comp.items():
-                    if fn.domain != source.sections[o] \
-                            or fn.codomain != target.sections[o] \
-                            or not is_iso(fn) or not commutes((fn, inv[o])):
-                        return False
-                lattice = OpenLattice(self.space,
-                                      self.members(a) & self.members(b))
-                if not _natural_on_covers(comp, source, target, lattice):
-                    return False
-        return True
+    def _transition_problems(self, pairs, lawful):
+        """The broken laws of the transitions a -> b, (a, b) in ``pairs``,
+        lazily: components not bijective or not undone by b -> a, and
+        naturality, decided on covering pairs between ``lawful`` locals."""
+        for a, b in pairs:
+            comp, inv = self.transitions[(a, b)], self.transitions[(b, a)]
+            source, target = self.locals[a], self.locals[b]
+            lattice = OpenLattice(self.space, self.members(a) & self.members(b))
+            for o, t in comp.items():
+                if not _bijective(t, len(target.sections[o])):
+                    yield ("transition %r -> %r at %r is not a bijection"
+                           % (a, b, lattice.names(o)))
+            for o, t in comp.items():
+                if not _is_identity(_composite(t, inv[o])):
+                    yield ("transitions %r <-> %r at %r are not mutually "
+                           "inverse" % (a, b, lattice.names(o)))
+            if lawful and _natural(comp, source, target, lattice.covering):
+                continue
+            for w, v in _unnatural(comp, source, target,
+                                   lattice.pairs_below()):
+                yield ("transition %r -> %r is not natural from %r to %r"
+                       % (a, b, lattice.names(w), lattice.names(v)))
 
     def validate(self):
         """The broken laws of the datum.  When every local presheaf
-        satisfies the laws, each transition is checked one way only
-        (``_holds_one_way``), naturality on the covering pairs of each
-        overlap lattice.  Otherwise, and to name a failure, both ways are
-        scanned, naturality on the covering pairs where the laws hold and
-        the transition's endpoints are right, and at every pair else."""
+        satisfies the laws, each transition is checked one way only, from
+        a chart to itself or a later one, up to its first failure: b -> a
+        is then the inverse of a natural bijection, so it passes too.
+        Otherwise, and to name a failure, both ways are scanned."""
         problems = []
         for name, _ in self.charts:
             problems.extend("chart %s: %s" % (name, p)
                             for p in validate_presheaf(self.locals[name]))
         lawful = not problems
-        if lawful and self._holds_one_way():
-            return problems
-        for (a, b), comp in self.transitions.items():
-            lattice = OpenLattice(self.space, self.members(a) & self.members(b))
-            ends_ok = True
-            for o, fn in comp.items():
-                if fn.domain != self.locals[a].sections[o] \
-                        or fn.codomain != self.locals[b].sections[o]:
-                    problems.append("transition %r -> %r at %r has wrong "
-                                    "endpoints" % (a, b, lattice.names(o)))
-                    ends_ok = False
-                    continue
-                if not is_iso(fn):
-                    problems.append("transition %r -> %r at %r is not a "
-                                    "bijection" % (a, b, lattice.names(o)))
-            inv = self.transitions[(b, a)]
-            for o, fn in comp.items():
-                if not commutes((fn, inv[o])):
-                    problems.append("transitions %r <-> %r at %r are not "
-                                    "mutually inverse"
-                                    % (a, b, lattice.names(o)))
-            if lawful and ends_ok and _natural_on_covers(
-                    comp, self.locals[a], self.locals[b], lattice):
-                continue
-            problems.extend(
-                "transition %r -> %r is not natural from %r to %r"
-                % (a, b, lattice.names(w), lattice.names(v))
-                for w, v in _unnatural(comp, self.locals[a], self.locals[b],
-                                       lattice))
+        names = self.names()
+        one_way = [(a, b) for k, a in enumerate(names) for b in names[k:]]
+        if not lawful or next(self._transition_problems(one_way, True), None):
+            problems.extend(self._transition_problems(self.transitions,
+                                                      lawful))
         return problems
 
 
@@ -594,16 +591,12 @@ def glue_presheaves(datum):
     """The standard glued presheaf of a gluing datum.
 
     Sections over an open are the transition-compatible tuples of local
-    sections over the chart traces; restrictions act componentwise.  Returns
-    the glued presheaf together with the projections onto the chart sides,
-    each over the opens of its own chart, the only ones
-    ``presheaf_effective_check`` reads.
-
-    Compatibility is one constraint per pair of charts a < b: through the
-    inverse of phi_ab, which the datum's check has confirmed, b -> a states
-    the same condition.  The diagonal constraint of a chart is kept only
-    where its transition is not the identity, and no constraint goes
-    through a meet with at most one section, where it holds always.  Each
+    sections over the chart traces, each labelled by the ``|``-join of its
+    local labels; restrictions act componentwise.  Returns the glued
+    presheaf together with the projections onto the chart sides, each over
+    the opens of its own chart, the only ones ``presheaf_effective_check``
+    reads.  Compatibility is one constraint per pair of charts a < b, and
+    one per chart whose transition to itself is not the identity; each
     step of the enumeration is charged to the cap, not the product of the
     trace section sets.
 
@@ -626,48 +619,50 @@ def glue_presheaves(datum):
         if not ok:
             raise StructuralError(
                 "local presheaf of chart %r is not a sheaf: %r"
-                % (name, describe(local.lattice, counter)))
+                % (name, describe(local, counter)))
     locals_ = [datum.locals[n] for n in names]
     members = [datum.members(n) for n in names]
     lat = OpenLattice(datum.space)
     sections = {}
-    tuples = {}
+    combos = {}
     for o in lat.opens:
         traces = [o & m for m in members]
-        domains = [loc.sections[tr].labels for loc, tr in zip(locals_, traces)]
         cons = []
         for a, na in enumerate(names):
             for b in range(a, len(names)):
                 meet = traces[a] & traces[b]
-                across = datum.transition(na, names[b], meet).mapping
-                if len(across) <= 1 or a == b and all(
-                        x == y for x, y in across.items()):
+                across = datum.transition(na, names[b], meet)
+                if len(across) <= 1 or a == b and _is_identity(across):
                     continue
-                to_meet = locals_[a].res[(traces[a], meet)].mapping
-                key_a = {x: across[y] for x, y in to_meet.items()}
-                key_b = locals_[b].res[(traces[b], meet)].mapping
-                cons.append((a, b, key_a, key_b))
-        labels = []
-        for combo in compatible_tuples(domains, cons, "glued sections at one open"):
-            labels.append(SEP.join(combo) if combo else EMPTY_SECTION)
-            tuples[(o, labels[-1])] = combo
-        sections[o] = FinSet.from_distinct(labels)
+                cons.append((a, b,
+                             _composite(locals_[a].res[(traces[a], meet)],
+                                        across),
+                             locals_[b].res[(traces[b], meet)]))
+        combos[o] = compatible_tuples(
+            [range(len(loc.sections[tr])) for loc, tr in zip(locals_, traces)],
+            cons, "glued sections at one open")
+        local = [loc.sections[tr] for loc, tr in zip(locals_, traces)]
+        labels = [SEP.join(map(getitem, local, combo)) if combo
+                  else EMPTY_SECTION for combo in combos[o]]
+        if len(set(labels)) != len(labels):
+            _refuse_labels(labels)    # a local label holds the separator
+        sections[o] = tuple(labels)
     res = {}
-    for w, v in lat.pairs_below():
-        maps = [loc.res[(w & m, v & m)].mapping
-                for loc, m in zip(locals_, members)]
-        mapping = {}
-        for lab in sections[w]:
-            restricted = [f[x] for f, x in zip(maps, tuples[(w, lab)])]
-            mapping[lab] = SEP.join(restricted) if restricted else EMPTY_SECTION
-        res[(w, v)] = FinFn.from_total(sections[w], sections[v], mapping)
+    for v in lat.opens:
+        at = dict(zip(combos[v], range(len(combos[v]))))
+        for w in lat.opens:
+            if w == v or v & ~w:
+                continue
+            maps = [loc.res[(w & m, v & m)] for loc, m in zip(locals_, members)]
+            res[(w, v)] = trusted_table(
+                [at[tuple(map(getitem, maps, combo))]
+                 for combo in combos[w]], sections[w], sections[v])
     glued = PresheafStore(lat, sections, res)
     projections = {}
     for k, n in enumerate(names):
         projections[n] = {
-            o: FinFn.from_total(
-                sections[o], locals_[k].sections[o],
-                {lab: tuples[(o, lab)][k] for lab in sections[o]})
+            o: trusted_table([combo[k] for combo in combos[o]], sections[o],
+                             locals_[k].sections[o])
             for o in locals_[k].lattice.opens}
     return glued, projections
 
@@ -687,17 +682,17 @@ def presheaf_effective_check(datum, projections):
     """
     names = datum.names()
     chart_opens = {n: datum.locals[n].lattice.opens for n in names}
-    identity_ok = all(
-        all(x == y for x, y in datum.transition(n, n, o).mapping.items())
-        for n in names for o in chart_opens[n])
+    identity_ok = all(_is_identity(datum.transition(n, n, o))
+                      for n in names for o in chart_opens[n])
     cocycle_ok = identity_ok and all(
-        commutes((datum.transition(a, b, o), datum.transition(b, c, o)),
-                 (datum.transition(a, c, o),))
+        _composite(datum.transition(a, b, o), datum.transition(b, c, o))
+        == datum.transition(a, c, o)
         for a, b, c in combinations(names, 3)
         for o in OpenLattice(datum.space, datum.members(a) & datum.members(b)
                              & datum.members(c)).opens)
-    psi_ok = all(is_iso(projections[n][o]) for n in names
-                 for o in chart_opens[n])
+    psi_ok = all(_bijective(projections[n][o],
+                            len(datum.locals[n].sections[o]))
+                 for n in names for o in chart_opens[n])
     return {
         "identity_ok": identity_ok,
         "cocycle_ok": cocycle_ok,
@@ -711,14 +706,12 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
 
     ``charts`` is the open cover, ``parts`` maps chart names to NatTrans on
     the chart lattices between the restrictions of ``source`` and ``target``.
-    Each part must be natural, the parts must agree on pairwise overlaps and
-    the target must satisfy the sheaf condition for all covers induced by
-    the charts; all three are checked for a source and target whose laws
-    hold (``glue-map`` checks them first), so naturality is decided on the
-    covering pairs of each chart lattice.  They make the glued
-    transformation natural and make it restrict back to every part, so
-    neither is checked again and its components are built unchecked.
-    """
+    Each part must be natural (decided on the covering pairs of its chart
+    lattice, for a source and target whose laws hold, which ``glue-map``
+    checks first), the parts must agree on pairwise overlaps and the target
+    must be a sheaf on the covers the charts induce.  So the glued
+    transformation is natural and restricts to every part, and its
+    components are built unchecked."""
     lat = source.lattice
     if lat != target.lattice or lat != OpenLattice(datum_space):
         raise StructuralError("source and target must live on the cover space")
@@ -728,9 +721,9 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
         if name not in parts:
             raise StructuralError("no part for chart %r" % name)
         part = parts[name]
-        problems = [] if _natural_on_covers(
-            part.components, part.source, part.target,
-            part.source.lattice) else part.validate()
+        problems = [] if _natural(part.components, part.source, part.target,
+                                  part.source.lattice.covering) \
+            else part.validate()
         if problems:
             raise StructuralError("part %r is not natural: %s"
                                   % (name, "; ".join(problems)))
@@ -755,22 +748,21 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
             if not ok:
                 raise StructuralError(
                     "target fails the sheaf condition on the induced cover of "
-                    "%r: %r" % (lat.names(v), describe(lat, counter)))
+                    "%r: %r" % (lat.names(v), describe(target, counter)))
     # the target is separated on each induced cover, so a tuple of chart
     # sections names at most one section of the target
     components = {}
     for v in lat.opens:
         traces = [v & m for _, m in charts]
         image, _ = _joint_restriction(target, v, traces)
-        steps = [(source.res[(v, tr)].mapping, parts[name].components[tr])
+        steps = [_composite(source.res[(v, tr)], parts[name].components[tr])
                  for (name, _), tr in zip(charts, traces)]
-        mapping = {}
-        for s in source.sections[v]:
-            wanted = tuple(part(to_tr[s]) for to_tr, part in steps)
-            if wanted not in image:
-                raise StructuralError("gluing failed at open %r: 0 candidate "
-                                      "sections" % lat.names(v))
-            mapping[s] = image[wanted]
-        components[v] = FinFn.from_total(source.sections[v],
-                                         target.sections[v], mapping)
+        keys = zip(*steps) if steps else repeat((), len(source.sections[v]))
+        try:
+            table = [image[key] for key in keys]
+        except KeyError:
+            raise StructuralError("gluing failed at open %r: 0 candidate "
+                                  "sections" % lat.names(v)) from None
+        components[v] = trusted_table(table, source.sections[v],
+                                      target.sections[v])
     return NatTrans(source, target, components)

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
@@ -418,7 +419,7 @@ def function_presheaf(space, stalks, top=None):
                 if pts_v else EMPTY_SECTION
             mapping[lab] = sub
         res[(w, v)] = FinFn(sections[w], sections[v], mapping)
-    return PresheafStore(lat, sections, res)
+    return store_from_labels(lat, sections, res)
 
 
 def constant_presheaf(space, values, top=None):
@@ -428,13 +429,75 @@ def constant_presheaf(space, values, top=None):
     vs = FinSet(values)
     sections = {o: vs for o in lat.opens}
     res = {(w, v): FinFn.identity(vs) for w, v in lat.pairs_below()}
-    return PresheafStore(lat, sections, res)
+    return store_from_labels(lat, sections, res)
+
+
+def table(fn):
+    """A ``FinFn`` as the engine's table: the codomain position of the
+    value of each domain label, in domain order."""
+    return [fn.codomain.position(fn.mapping[x]) for x in fn.domain]
+
+
+def tables(components):
+    """Each ``FinFn`` of a dict as its table."""
+    return {key: table(fn) for key, fn in components.items()}
+
+
+def identities(store):
+    """The identity table of the sections at each open of ``store``."""
+    return {o: list(range(len(store.sections[o]))) for o in store.lattice.opens}
+
+
+def label_fn(values, domain, codomain):
+    """A table from the section labels ``domain`` to ``codomain`` as the
+    ``FinFn`` between their ``FinSet``s, validated."""
+    return FinFn(FinSet(domain), FinSet(codomain),
+                 {x: codomain[y] for x, y in zip(domain, values)})
+
+
+def store_from_labels(lat, sections, res):
+    """The presheaf store on ``lat`` of section ``FinSet``s and restriction
+    ``FinFn``s, each restriction read into its table; missing identities
+    are filled in by the store."""
+    return PresheafStore(lat, {o: fs.labels for o, fs in sections.items()},
+                         tables(res))
+
+
+def label_store(store):
+    """The label view of a presheaf store, as tests and oracles read it:
+    ``lattice``, a ``FinSet`` of the sections at each open and a ``FinFn``
+    for each restriction."""
+    sections = store.sections
+    return SimpleNamespace(
+        lattice=store.lattice,
+        sections={o: FinSet(labels) for o, labels in sections.items()},
+        res={(w, v): label_fn(values, sections[w], sections[v])
+             for (w, v), values in store.res.items()})
+
+
+def label_components(components, source, target):
+    """Component tables between two presheaf stores as ``FinFn``s."""
+    return {o: label_fn(values, source.sections[o], target.sections[o])
+            for o, values in components.items()}
+
+
+def label_datum(datum):
+    """The label view of a gluing datum: its space and charts, the label
+    view of each local presheaf, and each transition as a dict of
+    ``FinFn``s."""
+    return SimpleNamespace(
+        space=datum.space, charts=datum.charts,
+        locals={n: label_store(loc) for n, loc in datum.locals.items()},
+        transitions={(a, b): label_components(comp, datum.locals[a],
+                                              datum.locals[b])
+                     for (a, b), comp in datum.transitions.items()})
 
 
 def presheaf_doc(store):
     """The ``presheaf`` document of a presheaf store."""
     lat = store.lattice
     points = lat.space.carrier
+    store = label_store(store)
     payload = {
         "space": {"points": list(points),
                   "opens": [lat.space.points(o) for o in lat.opens]},

@@ -431,16 +431,10 @@ def hom_bijection_exhaustive(data, z, glued):
 def presheaf_law_problems(store):
     """The problems ``validate_presheaf`` must report, found by building the
     composite ``FinFn`` of every triple v <= w <= x of opens and comparing
-    it as a whole with the direct restriction x -> v."""
+    it as a whole with the direct restriction x -> v.  ``store`` is the label
+    view of a presheaf (``fixtures.label_store``)."""
     problems = []
     lat = store.lattice
-    for w, v in lat.pairs_below():
-        fn = store.res[(w, v)]
-        if fn.domain != store.sections[w] or fn.codomain != store.sections[v]:
-            problems.append("restriction %r -> %r has wrong endpoints"
-                            % (lat.names(w), lat.names(v)))
-    if problems:
-        return problems
     for o in lat.opens:
         if store.res[(o, o)] != FinFn.identity(store.sections[o]):
             problems.append("restriction at %r is not the identity"
@@ -464,7 +458,8 @@ def presheaf_law_problems(store):
 def unnatural_pairs(comp, source, target, lattice):
     """The pairs ``(w, v)`` of ``lattice``, every ``v <= w``, at which the
     components ``comp`` do not commute with the restrictions, each square
-    compared as two composites."""
+    compared as two composites; the components are ``FinFn``s and the
+    presheaves label views."""
     return [(w, v) for w, v in lattice.pairs_below()
             if comp[w].then(target.res[(w, v)])
             != source.res[(w, v)].then(comp[v])]
@@ -473,21 +468,18 @@ def unnatural_pairs(comp, source, target, lattice):
 def gluing_datum_problems(datum):
     """The broken laws of a gluing datum, in the order and words of
     ``GluingDatum.validate``: every transition scanned in both orientations,
-    its naturality at every pair of its overlap lattice."""
+    its naturality at every pair of its overlap lattice.  ``datum`` is the
+    label view of a datum (``fixtures.label_datum``)."""
     problems = []
+    members = dict(datum.charts)
     for name, _ in datum.charts:
         problems.extend("chart %s: %s" % (name, p)
                         for p in presheaf_law_problems(datum.locals[name]))
     for (a, b), comp in datum.transitions.items():
         source, target = datum.locals[a], datum.locals[b]
-        overlap = datum.members(a) & datum.members(b)
-        lattice = OpenLattice(datum.space, overlap)
+        lattice = OpenLattice(datum.space, members[a] & members[b])
         for o, fn in comp.items():
-            if fn.domain != source.sections[o] \
-                    or fn.codomain != target.sections[o]:
-                problems.append("transition %r -> %r at %r has wrong "
-                                "endpoints" % (a, b, lattice.names(o)))
-            elif not (fn.is_injective() and fn.is_surjective()):
+            if not (fn.is_injective() and fn.is_surjective()):
                 problems.append("transition %r -> %r at %r is not a "
                                 "bijection" % (a, b, lattice.names(o)))
         inverse = datum.transitions[(b, a)]
@@ -503,40 +495,96 @@ def gluing_datum_problems(datum):
 
 
 def glued_sections_by_ordered_pairs(datum):
-    """The section labels per open of the glued presheaf of a checked datum,
-    in the order ``glue_presheaves`` lists them: every tuple of the product
+    """The section labels per open of the glued presheaf of a checked datum
+    (its label view), in the order ``glue_presheaves`` lists them."""
+    return {o: [SEP.join(combo) if combo else EMPTY_SECTION
+                for combo in combos]
+            for o, combos in glued_tuples_by_ordered_pairs(datum).items()}
+
+
+def glued_tuples_by_ordered_pairs(datum):
+    """The tuples of local section labels per open that the glued presheaf
+    of a checked datum (its label view) keeps: every tuple of the product
     of the local sections over the chart traces, kept when it meets a
     constraint for every ordered pair of charts, diagonals included."""
-    names = datum.names()
+    names = [name for name, _ in datum.charts]
+    members = dict(datum.charts)
     out = {}
     for o in OpenLattice(datum.space).opens:
-        traces = [o & datum.members(n) for n in names]
+        traces = [o & members[n] for n in names]
         locals_ = [datum.locals[n] for n in names]
         kept = []
         for combo in iproduct(*[loc.sections[tr].labels
                                 for loc, tr in zip(locals_, traces)]):
-            if all(datum.transition(na, nb, traces[a] & traces[b]).mapping[
+            if all(datum.transitions[(na, nb)][traces[a] & traces[b]].mapping[
                     locals_[a].res[(traces[a], traces[a] & traces[b])]
                     .mapping[combo[a]]]
                    == locals_[b].res[(traces[b], traces[a] & traces[b])]
                    .mapping[combo[b]]
                    for a, na in enumerate(names)
                    for b, nb in enumerate(names)):
-                kept.append(SEP.join(combo) if combo else EMPTY_SECTION)
+                kept.append(combo)
         out[o] = kept
     return out
 
 
+def glued_restrictions_componentwise(datum):
+    """The restriction maps of the glued presheaf of a checked datum (its
+    label view) between distinct opens, each as a dict from section labels
+    to section labels: a tuple of local sections, kept as in
+    ``glued_sections_by_ordered_pairs``, goes to the tuple of their local
+    restrictions."""
+    names = [name for name, _ in datum.charts]
+    members = dict(datum.charts)
+    kept = glued_tuples_by_ordered_pairs(datum)
+
+    def label(combo):
+        return SEP.join(combo) if combo else EMPTY_SECTION
+
+    out = {}
+    for w, v in OpenLattice(datum.space).pairs_below():
+        if w != v:
+            maps = [datum.locals[n].res[(w & members[n], v & members[n])]
+                    for n in names]
+            out[(w, v)] = {label(combo): label(
+                [f.mapping[x] for f, x in zip(maps, combo)])
+                for combo in kept[w]}
+    return out
+
+
+def glued_components_by_candidates(charts, source, target, parts):
+    """The components of the transformation glued from ``parts`` (dicts of
+    ``FinFn`` components per chart name) between the label views ``source``
+    and ``target``: each source section over an open goes to the one target
+    section whose restriction to each chart trace is the part's image of
+    the source section's, found by trying every target section; None when
+    some section has no such target section or more than one."""
+    out = {}
+    for v in source.lattice.opens:
+        mapping = {}
+        for s in source.sections[v]:
+            found = [t for t in target.sections[v] if all(
+                target.res[(v, v & m)].mapping[t]
+                == parts[name][v & m].mapping[source.res[(v, v & m)]
+                                              .mapping[s]]
+                for name, m in charts)]
+            if len(found) != 1:
+                return None
+            mapping[s] = found[0]
+        out[v] = mapping
+    return out
+
+
 def cocycle_by_ordered_triples(datum):
-    """The cocycle condition of a datum at every ordered triple of charts,
-    degenerate ones included, each composite built and compared whole."""
-    names = datum.names()
-    return all(datum.transition(a, b, o).then(datum.transition(b, c, o))
-               == datum.transition(a, c, o)
-               for a in names for b in names for c in names
-               for o in OpenLattice(datum.space, datum.members(a)
-                                    & datum.members(b)
-                                    & datum.members(c)).opens)
+    """The cocycle condition of a datum (its label view) at every ordered
+    triple of charts, degenerate ones included, each composite built and
+    compared whole."""
+    members = dict(datum.charts)
+    phi = datum.transitions
+    return all(phi[(a, b)][o].then(phi[(b, c)][o]) == phi[(a, c)][o]
+               for a in members for b in members for c in members
+               for o in OpenLattice(datum.space, members[a] & members[b]
+                                    & members[c]).opens)
 
 
 def coverings_listed_eagerly(lattice):
@@ -555,10 +603,11 @@ def coverings_listed_eagerly(lattice):
 
 def sheaf_verdicts_by_every_constraint(store, coverings):
     """``(separated, separation counterexample, sheaf, sheaf counterexample)``
-    along ``coverings`` in order, in the form ``is_separated`` and
-    ``is_sheaf`` give them.  The compatible families of a covering are
-    filtered from the whole product by a constraint for every pair of
-    parts, however few sections their meet has."""
+    of the label view ``store`` along ``coverings`` in order, in the form
+    ``is_separated`` and ``is_sheaf`` give them, sections named by labels.
+    The compatible families of a covering are filtered from the whole
+    product by a constraint for every pair of parts, however few sections
+    their meet has."""
     sep_counter = sheaf_counter = None
     for u, parts in coverings:
         image, clash = {}, None

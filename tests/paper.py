@@ -447,6 +447,6 @@ def canonical_presheaf_functor(store, charts):
     for a, am in charts:
         for b, bm in charts:
             transitions[(a, b)] = {
-                o: FinFn.identity(store.sections[o])
+                o: list(range(len(store.sections[o])))
                 for o in OpenLattice(space, am & bm).opens}
     return GluingDatum(space, charts, locals_, transitions)

@@ -40,6 +40,7 @@ from fixtures import (
     random_split_colimit,
     random_top_colimit,
     seeded,
+    table,
 )
 from oracles import (
     equalizer_glue_oracle,
@@ -329,7 +330,8 @@ def random_nat_trans_instance(rng):
             out = ";".join("%s=%s" % (p, point_maps[p][parts[p]])
                            for p in pts_o)
             mapping[lab] = out
-        return FinFn(store_s.sections[o], store_t.sections[o], mapping)
+        return table(FinFn(FinSet(store_s.sections[o]),
+                           FinSet(store_t.sections[o]), mapping))
 
     charts = []
     if len(pts) == 1:
@@ -358,9 +360,8 @@ def count_and_collect_nat_trans(source, target, cap_count=200):
     out = []
     pools = []
     for o in opens:
-        src, tgt = source.sections[o], target.sections[o]
-        pools.append([FinFn(src, tgt, dict(zip(src.labels, values)))
-                      for values in iproduct(tgt.labels, repeat=len(src))])
+        pools.append([list(values) for values in iproduct(
+            range(len(target.sections[o])), repeat=len(source.sections[o]))])
     for combo in iproduct(*pools):
         cand = NatTrans(source, target, dict(zip(opens, combo)))
         if cand.validate() == []:

@@ -40,6 +40,7 @@ from glueforge.site import (
 from fixtures import (
     close_family,
     function_presheaf,
+    identities,
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
@@ -165,10 +166,9 @@ FULL = SIERPINSKI.mask(["0", "1"])
 def swapped_at(store, o):
     """Identity components on ``store`` with the two sections at ``o``
     exchanged."""
-    comps = {w: FinFn.identity(store.sections[w]) for w in store.lattice.opens}
-    first, second = store.sections[o].labels
-    comps[o] = FinFn(store.sections[o], store.sections[o],
-                     {first: second, second: first})
+    comps = identities(store)
+    assert len(store.sections[o]) == 2
+    comps[o] = [1, 0]
     return comps
 
 
@@ -186,7 +186,7 @@ def two_chart_datum(ab=None, ba=None):
     locals_ = {"1": store, "2": store}
     transitions = {}
     for key, changes in ((("1", "2"), ab), (("2", "1"), ba)):
-        comp = {o: FinFn.identity(store.sections[o]) for o in store.lattice.opens}
+        comp = identities(store)
         comp.update(changes or {})
         transitions[key] = comp
     return GluingDatum(SIERPINSKI, charts, locals_, transitions)
@@ -205,8 +205,8 @@ def test_gluing_datum_names_each_broken_law():
         "transition '1' -> '2' is not natural from ['0', '1'] to ['0']",
         "transitions '2' <-> '1' at ['0'] are not mutually inverse"]
     # collapsed at {0}: not a bijection
-    sections = store.sections[LOW]
-    collapse = FinFn.constant(sections, sections, sections.labels[0])
+    assert len(store.sections[LOW]) == 2
+    collapse = [0, 0]
     assert two_chart_datum({LOW: collapse}).validate() == [
         "transition '1' -> '2' at ['0'] is not a bijection",
         "transitions '1' <-> '2' at ['0'] are not mutually inverse",
@@ -221,7 +221,7 @@ def test_effective_check_reports_one_broken_cocycle():
     transitions = {}
     for a, b in iproduct(names, names):
         comp = swapped_at(store, point.mask(["p"])) if {a, b} == {"1", "3"} \
-            else {o: FinFn.identity(store.sections[o]) for o in store.lattice.opens}
+            else identities(store)
         transitions[(a, b)] = comp
     datum = GluingDatum(point, [(n, point.mask(["p"])) for n in names],
                         {n: store for n in names}, transitions)
@@ -360,8 +360,7 @@ def refuse_composites(monkeypatch):
 
 def test_validators_build_no_composite(monkeypatch):
     store = function_presheaf(SIERPINSKI, STALKS)
-    nat = NatTrans(store, store, {o: FinFn.identity(store.sections[o])
-                                  for o in store.lattice.opens})
+    nat = NatTrans(store, store, identities(store))
     datum = two_chart_datum()
     _, projections = glue_presheaves(datum)
     split = make_split_colimit(["1", "2"], {"1": ["x"], "2": ["y"]},

@@ -87,6 +87,21 @@ def test_kept_opens_and_maximal_opens_leave_the_value_alone():
             setattr(space, name, None)
 
 
+def test_kept_lattices_leave_the_value_alone_and_charge_every_ask():
+    space = chain_space(["a", "b", "c"])
+    lat, low = OpenLattice(space), OpenLattice(space, space.mask(["c"]))
+    assert OpenLattice(space) is lat and OpenLattice(space, lat.top) is lat
+    assert OpenLattice(space, space.mask(["c"])) is low and low != lat
+    fresh = chain_space(["a", "b", "c"])
+    assert space == fresh and hash(space) == hash(fresh)
+    assert OpenLattice(fresh) == lat and OpenLattice(fresh) is not lat
+    with pytest.raises(AttributeError, match="FinTop is immutable"):
+        setattr(space, "_kept", None)
+    # a kept lattice charges the listing of the space's opens again
+    with budget(2), pytest.raises(ResourceError):
+        OpenLattice(space)
+
+
 def test_a_presheaf_command_lists_each_point_set_once(monkeypatch):
     listed = []
     list_opens = fincat._list_opens
@@ -271,13 +286,12 @@ def test_key_table_answers_as_the_key_parser():
     @given(respelled_documents())
     def check(case):
         command, doc, lattice, old, new = case
-        keys = cli._open_keys(lattice)
-        assert outcome(lambda: cli._lookup_openkey(new, keys, lattice)) == \
+        assert outcome(lambda: cli._lookup_openkey(new, lattice)) == \
             outcome(lambda: cli._parse_openkey(new, lattice))
         document = Document("presheaf" if command != "glue-sheaves"
                             else "gluing-datum", doc["payload"], "1")
         with_table = outcome(lambda: execute(command, document, {}))
-        with mock.patch.object(cli, "_open_keys", lambda lattice: {}):
+        with mock.patch.object(cli, "_lookup_openkey", cli._parse_openkey):
             parsed = outcome(lambda: execute(command, document, {}))
         assert with_table == parsed
         seen.append((command, new == old, isinstance(parsed, tuple)))

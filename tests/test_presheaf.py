@@ -32,14 +32,22 @@ from fixtures import (
     close_family,
     constant_presheaf,
     function_presheaf,
+    identities,
+    label_components,
+    label_datum,
     label_nbhd,
+    label_store,
     presheaf_doc,
     seeded,
     space_from_nbhd,
+    store_from_labels,
+    table,
 )
 from oracles import (
     cocycle_by_ordered_triples,
     coverings_listed_eagerly,
+    glued_components_by_candidates,
+    glued_restrictions_componentwise,
     glued_sections_by_ordered_pairs,
     gluing_datum_problems,
     presheaf_law_problems,
@@ -71,7 +79,7 @@ def test_validation_names_broken_identity():
     res = {(w, v): FinFn.identity(two) for w, v in lat.pairs_below()}
     full = space.mask(["0", "1"])
     res[(full, full)] = FinFn(two, two, {"a": "b", "b": "a"})
-    store = PresheafStore(lat, sections, res)
+    store = store_from_labels(lat, sections, res)
     problems = validate_presheaf(store)
     assert any("not the identity" in p for p in problems)
 
@@ -83,14 +91,16 @@ def test_validation_names_one_broken_composition():
     space = FinTop(chain, [frozenset(chain.labels[:k]) for k in range(4)])
     store = function_presheaf(space, {"0": ["a", "b"], "1": ["a"], "2": ["a"]})
     full, low = space.mask(chain), space.mask(["0"])
-    res = dict(store.res)
-    res[(full, low)] = FinFn(store.sections[full], store.sections[low],
+    view = label_store(store)
+    res = dict(view.res)
+    res[(full, low)] = FinFn(view.sections[full], view.sections[low],
                              {"0=a;1=a;2=a": "0=b", "0=b;1=a;2=a": "0=a"})
-    broken = PresheafStore(store.lattice, store.sections, res)
+    broken = store_from_labels(store.lattice, view.sections, res)
     assert validate_presheaf(broken) == [
         "restriction composition ['0', '1', '2'] -> ['0', '1'] -> ['0'] "
         "disagrees with the direct map"]
-    assert presheaf_law_problems(broken) == validate_presheaf(broken)
+    assert presheaf_law_problems(label_store(broken)) \
+        == validate_presheaf(broken)
 
 
 def test_validation_sees_a_broken_composition_through_each_maximal_open():
@@ -100,15 +110,17 @@ def test_validation_sees_a_broken_composition_through_each_maximal_open():
     space = FinTop.discrete(FinSet(["0", "1", "2"]))
     store = function_presheaf(space, {"0": ["a"], "1": ["a"], "2": ["a", "b"]})
     full, last = space.mask(["0", "1", "2"]), space.mask(["1", "2"])
-    res = dict(store.res)
-    res[(full, last)] = FinFn(store.sections[full], store.sections[last],
+    view = label_store(store)
+    res = dict(view.res)
+    res[(full, last)] = FinFn(view.sections[full], view.sections[last],
                               {"0=a;1=a;2=a": "1=a;2=b",
                                "0=a;1=a;2=b": "1=a;2=a"})
-    broken = PresheafStore(store.lattice, store.sections, res)
+    broken = store_from_labels(store.lattice, view.sections, res)
     assert validate_presheaf(broken) == [
         "restriction composition ['0', '1', '2'] -> ['1', '2'] -> ['2'] "
         "disagrees with the direct map"]
-    assert presheaf_law_problems(broken) == validate_presheaf(broken)
+    assert presheaf_law_problems(label_store(broken)) \
+        == validate_presheaf(broken)
 
 
 @st.composite
@@ -122,8 +134,8 @@ def restriction_systems(draw):
     space = FinTop(carrier, close_family(carrier, [
         frozenset(x for x, keep in zip(carrier, bits) if keep)
         for bits in seeds]))
-    store = function_presheaf(space, {
-        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    store = label_store(function_presheaf(space, {
+        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier}))
     res = dict(store.res)
     pairs = [(w, v) for w, v in store.lattice.pairs_below()
              if len(store.sections[v]) > 1]
@@ -132,7 +144,7 @@ def restriction_systems(draw):
         target = store.sections[v].labels
         res[(w, v)] = FinFn(store.sections[w], store.sections[v], {
             s: draw(st.sampled_from(target)) for s in store.sections[w]})
-    return PresheafStore(store.lattice, store.sections, res)
+    return store_from_labels(store.lattice, store.sections, res)
 
 
 def test_validation_matches_the_triple_oracle():
@@ -143,7 +155,7 @@ def test_validation_matches_the_triple_oracle():
     @example(constant_presheaf(sierpinski(), ["a", "b"]))
     def check(store):
         problems = validate_presheaf(store)
-        assert problems == presheaf_law_problems(store)
+        assert problems == presheaf_law_problems(label_store(store))
         broken.append(bool(problems))
 
     check()
@@ -165,8 +177,8 @@ def presheaves_to_decide(draw):
     space = FinTop(carrier, close_family(carrier, [
         frozenset(x for x, keep in zip(carrier, bits) if keep)
         for bits in seeds]))
-    full = function_presheaf(space, {
-        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    full = label_store(function_presheaf(space, {
+        p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier}))
     lat = full.lattice
     kept = {}
     for o in lat.opens:    # by size, so every smaller open comes first
@@ -190,7 +202,7 @@ def presheaves_to_decide(draw):
         if w == twin:
             mapping["twin"] = "twin" if v == w else mapping[original]
         res[(w, v)] = FinFn(sections[w], sections[v], mapping)
-    return PresheafStore(lat, sections, res)
+    return store_from_labels(lat, sections, res)
 
 
 def test_basic_verdicts_match_every_covering():
@@ -220,8 +232,8 @@ def test_basic_verdicts_match_every_covering():
             (sep, sep_counter), (glued, counter) = scans
             assert report["verdicts"] == {"separated": sep, "sheaf": glued}
             assert report["diagnostics"] == {
-                "separation_counterexample": described(lat, sep_counter),
-                "sheaf_counterexample": described(lat, counter)}, covers
+                "separation_counterexample": described(store, sep_counter),
+                "sheaf_counterexample": described(store, counter)}, covers
         kinds.append((separated[0], sheaf[0]))
 
     check()
@@ -230,19 +242,43 @@ def test_basic_verdicts_match_every_covering():
     assert kinds.count((True, True)) >= 20
 
 
-def described(lat, counter):
+def described(store, counter):
     """A counterexample of ``is_separated`` or ``is_sheaf`` as ``check-sheaf``
     reports it."""
+    return reported(store.lattice, in_labels(store, counter))
+
+
+def reported(lat, counter):
+    """A counterexample with its sections named by labels, as
+    ``check-sheaf`` reports it."""
     if counter is None:
         return None
-    out = {"open": lat.key(counter["open"]),
-           "parts": [lat.key(v) for v in counter["parts"]]}
-    for name in ("sections", "family"):
-        if name in counter:
-            out[name] = list(counter[name])
-    if "kind" in counter:
-        out["kind"] = counter["kind"]
+    return dict(counter, open=lat.key(counter["open"]),
+                parts=[lat.key(v) for v in counter["parts"]],
+                **{name: list(counter[name]) for name in ("sections", "family")
+                   if name in counter})
+
+
+def in_labels(store, counter):
+    """A counterexample of the engine with its sections named by their
+    labels, as the oracles name them."""
+    if counter is None:
+        return None
+    out = dict(counter)
+    if "sections" in counter:
+        over = store.sections[counter["open"]]
+        out["sections"] = tuple(over[s] for s in counter["sections"])
+    if "family" in counter:
+        out["family"] = tuple(store.sections[v][x] for v, x in zip(
+            counter["parts"], counter["family"]))
     return out
+
+
+def labelled(store, verdicts):
+    """The verdicts of ``is_separated``, ``is_sheaf`` or ``sheaf_verdicts``
+    with their counterexamples ``in_labels``."""
+    return tuple(in_labels(store, v) if isinstance(v, dict) else v
+                 for v in verdicts)
 
 
 def test_basic_coverings_of_small_spaces():
@@ -283,7 +319,7 @@ def test_constant_presheaf_fails_empty_cover():
     covers = default_coverings(store.lattice)
     flag, counter = is_separated(store, covers)
     assert flag is False
-    assert set(counter["sections"]) == {"a", "b"}
+    assert set(in_labels(store, counter)["sections"]) == {"a", "b"}
     flag, counter = is_sheaf(store, covers)
     assert flag is False
     assert counter["kind"] == "separation"
@@ -418,8 +454,8 @@ def chart_datum(space, charts, stalks, twists=None):
                     dst = ";".join("%s=%s" % (p, v) for p, v in out) \
                         if pts else "()"
                     mapping[src] = dst
-                comp[o] = FinFn(locals_[a].sections[o], locals_[b].sections[o],
-                                mapping)
+                comp[o] = table(FinFn(FinSet(locals_[a].sections[o]),
+                                      FinSet(locals_[b].sections[o]), mapping))
             transitions[(a, b)] = comp
     return GluingDatum(space, charts, locals_, transitions)
 
@@ -430,8 +466,8 @@ def test_single_chart_glue_is_the_local():
                         {"0": ["a", "b"], "1": ["x"]})
     glued, projections = glue_presheaves(datum)
     for o in glued.lattice.opens:
-        fn = projections["1"][o]
-        assert fn.is_injective() and fn.is_surjective()
+        assert sorted(projections["1"][o]) \
+            == list(range(len(datum.locals["1"].sections[o])))
 
 
 def test_two_chart_identity_transitions_give_function_presheaf():
@@ -456,7 +492,7 @@ def test_swap_transition_filters_families():
     full = space.mask(["p"])
     # families (s1, s2) with swap(s1) = s2
     assert len(glued.sections[full]) == 2
-    got = set(glued.sections[full].labels)
+    got = set(glued.sections[full])
     assert got == {"p=a|p=b", "p=b|p=a"}
 
 
@@ -469,7 +505,7 @@ def test_a_transition_component_outside_the_overlap_is_refused():
     empty, p = 0, space.mask(["p"])
     transitions = {("1", "2"): {
         empty: datum.transitions[("1", "2")][empty],
-        p: FinFn.identity(datum.locals["1"].sections[p])}}
+        p: list(range(len(datum.locals["1"].sections[p])))}}
     with pytest.raises(StructuralError) as err:
         GluingDatum(space, datum.charts, datum.locals, transitions)
     assert str(err.value) == ("transition '1' -> '2' has a component at "
@@ -479,7 +515,7 @@ def test_a_transition_component_outside_the_overlap_is_refused():
     at_p = datum.locals["1"].sections[p]
     transitions = {("2", "1"): {
         empty: datum.transitions[("2", "1")][empty],
-        p: FinFn.constant(at_p, at_p, at_p.labels[0])}}
+        p: [0] * len(at_p)}}
     with pytest.raises(StructuralError) as err:
         GluingDatum(space, datum.charts, datum.locals, transitions)
     assert str(err.value) == ("transition '2' -> '1' has a component at "
@@ -539,11 +575,9 @@ def test_glue_nat_trans_identity_parts():
     parts = {}
     for name, members in charts:
         sub = restrict(store, members)
-        comps = {o: FinFn.identity(sub.sections[o]) for o in sub.lattice.opens}
-        parts[name] = NatTrans(sub, sub, comps)
+        parts[name] = NatTrans(sub, sub, identities(sub))
     glued = glue_nat_trans(space, charts, store, store, parts)
-    for o in store.lattice.opens:
-        assert all(glued.components[o](s) == s for s in store.sections[o])
+    assert glued.components == identities(store)
 
 
 def test_glue_nat_trans_single_chart():
@@ -551,10 +585,7 @@ def test_glue_nat_trans_single_chart():
     store = function_presheaf(space, {"0": ["a"], "1": ["x", "y"]})
     charts = [("1", space.mask(["0", "1"]))]
     sub = restrict(store, space.mask(["0", "1"]))
-    swap_full = {}
-    for o in sub.lattice.opens:
-        swap_full[o] = FinFn.identity(sub.sections[o])
-    parts = {"1": NatTrans(sub, sub, swap_full)}
+    parts = {"1": NatTrans(sub, sub, identities(sub))}
     glued = glue_nat_trans(space, charts, store, store, parts)
     assert glued.validate() == []
 
@@ -564,11 +595,8 @@ def all_nat_trans(source, target):
     opens = list(source.lattice.opens)
     pools = []
     for o in opens:
-        src = source.sections[o]
-        tgt = target.sections[o]
-        maps = [FinFn(src, tgt, dict(zip(src.labels, values)))
-                for values in iproduct(tgt.labels, repeat=len(src))]
-        pools.append(maps)
+        pools.append([list(values) for values in iproduct(
+            range(len(target.sections[o])), repeat=len(source.sections[o]))])
     out = []
     for combo in iproduct(*pools):
         cand = NatTrans(source, target, dict(zip(opens, combo)))
@@ -586,18 +614,11 @@ def test_glue_nat_trans_two_charts_unique_by_enumeration():
     parts = {}
     sub_s1 = restrict(source, p)
     sub_t1 = restrict(target, p)
-    parts["1"] = NatTrans(sub_s1, sub_t1, {
-        o: FinFn(sub_s1.sections[o], sub_t1.sections[o],
-                 {s: t for s, t in zip(sub_s1.sections[o].labels,
-                                       sub_t1.sections[o].labels)})
-        for o in sub_s1.lattice.opens})
+    # each section to the one at its position
+    parts["1"] = NatTrans(sub_s1, sub_t1, identities(sub_s1))
     sub_s2 = restrict(source, q)
     sub_t2 = restrict(target, q)
-    parts["2"] = NatTrans(sub_s2, sub_t2, {
-        o: FinFn(sub_s2.sections[o], sub_t2.sections[o],
-                 {s: t for s, t in zip(sub_s2.sections[o].labels,
-                                       sub_t2.sections[o].labels)})
-        for o in sub_s2.lattice.opens})
+    parts["2"] = NatTrans(sub_s2, sub_t2, identities(sub_s2))
     glued = glue_nat_trans(space, charts, source, target, parts)
     matches = [cand for cand in all_nat_trans(source, target)
                if all(cand.components[o] == parts[name].components[o]
@@ -614,14 +635,9 @@ def test_glue_nat_trans_rejects_disagreeing_parts():
     p = space.mask(["p"])
     charts = [("1", p), ("2", p)]
     sub = restrict(store, p)
-    ident = {o: FinFn.identity(sub.sections[o]) for o in sub.lattice.opens}
-    swap = {}
-    for o in sub.lattice.opens:
-        if o:
-            swap[o] = FinFn(sub.sections[o], sub.sections[o],
-                            {"p=a": "p=b", "p=b": "p=a"})
-        else:
-            swap[o] = FinFn.identity(sub.sections[o])
+    ident = identities(sub)
+    assert sub.sections[p] == ("p=a", "p=b")
+    swap = {**ident, p: [1, 0]}
     parts = {"1": NatTrans(sub, sub, ident), "2": NatTrans(sub, sub, swap)}
     with pytest.raises(StructuralError) as err:
         glue_nat_trans(space, charts, store, store, parts)
@@ -646,13 +662,14 @@ def test_canonical_functor_of_sheaf_recovers_it():
     glued, _ = glue_presheaves(datum)
     # the canonical comparison (restrict a section to every chart trace) is a
     # bijection onto the glued sections at every open
+    view = label_store(store)
     for o in store.lattice.opens:
         image = set()
-        for s in store.sections[o]:
-            traces = [store.res[(o, o & space.mask(m))].mapping[s]
+        for s in view.sections[o]:
+            traces = [view.res[(o, o & space.mask(m))].mapping[s]
                       for _, m in charts]
             image.add("|".join(traces))
-        assert image == set(glued.sections[o].labels)
+        assert image == set(glued.sections[o])
         assert len(image) == len(store.sections[o])
 
 
@@ -780,7 +797,8 @@ def test_chart_pairs_and_triples_match_every_ordering():
     def check(case):
         datum, drawn = case
         problems = datum.validate()
-        assert problems == gluing_datum_problems(datum)
+        view = label_datum(datum)
+        assert problems == gluing_datum_problems(view)
         if problems:
             with pytest.raises(StructuralError) as err:
                 glue_presheaves(datum)
@@ -789,13 +807,13 @@ def test_chart_pairs_and_triples_match_every_ordering():
             kinds.append(drawn)
             return
         glued, projections = glue_presheaves(datum)
-        assert {o: list(glued.sections[o].labels) for o in glued.lattice.opens} \
-            == glued_sections_by_ordered_pairs(datum)
+        assert {o: list(glued.sections[o]) for o in glued.lattice.opens} \
+            == glued_sections_by_ordered_pairs(view)
         for name in datum.names():
             assert tuple(projections[name]) == \
                 OpenLattice(datum.space, datum.members(name)).opens
         report = presheaf_effective_check(datum, projections)
-        assert report["cocycle_ok"] == cocycle_by_ordered_triples(datum)
+        assert report["cocycle_ok"] == cocycle_by_ordered_triples(view)
         assert report["equivalence_holds"]
         if report["identity_ok"] and not report["cocycle_ok"]:
             drawn = drawn | {"cocycle broken on %d charts" % len(datum.charts)}
@@ -811,10 +829,8 @@ def empty_presheaf(space):
     """The presheaf with no section at any open: its laws hold, and it is
     not a sheaf, the empty cover of the empty open having one family."""
     lat = OpenLattice(space)
-    none = FinSet([])
-    return PresheafStore(lat, {o: none for o in lat.opens},
-                         {(w, v): FinFn.identity(none)
-                          for w, v in lat.pairs_below()})
+    return PresheafStore(lat, {o: () for o in lat.opens},
+                         {pair: [] for pair in lat.pairs_below()})
 
 
 @st.composite
@@ -831,19 +847,20 @@ def presheaves_missing_a_gluing(draw):
     space = FinTop(carrier, close_family(carrier, [
         frozenset(x for x, keep in zip(carrier, bits) if keep)
         for bits in seeds]))
-    full = function_presheaf(space, {
+    store = function_presheaf(space, {
         p: ["a", "b"][:draw(st.integers(1, 2))] for p in carrier})
+    full = label_store(store)
     lat = full.lattice
     basics = {space.mask(u) for u in label_nbhd(space).values()}
     gaps = [o for o in lat.opens if o and o not in basics]
     if not gaps:
-        return full
+        return store
     gap = draw(st.sampled_from(gaps))
     dropped = draw(st.sampled_from(full.sections[gap].labels))
     sections = {o: FinSet([s for s in full.sections[o] if not (
         not gap & ~o and full.res[(o, gap)].mapping[s] == dropped)])
         for o in lat.opens}
-    return PresheafStore(lat, sections, {
+    return store_from_labels(lat, sections, {
         (w, v): FinFn(sections[w], sections[v],
                       {s: full.res[(w, v)].mapping[s] for s in sections[w]})
         for w, v in lat.pairs_below()})
@@ -859,10 +876,13 @@ def test_constraints_through_one_section_decide_nothing():
     def check(store):
         lat = store.lattice
         for coverings in (default_coverings(lat), list(all_coverings(lat))):
-            expected = sheaf_verdicts_by_every_constraint(store, coverings)
-            assert is_separated(store, coverings) == expected[:2]
-            assert is_sheaf(store, coverings) == expected[2:]
-            assert sheaf_verdicts(store, lambda: coverings) == expected
+            expected = sheaf_verdicts_by_every_constraint(label_store(store),
+                                                          coverings)
+            assert labelled(store, is_separated(store, coverings)) \
+                == expected[:2]
+            assert labelled(store, is_sheaf(store, coverings)) == expected[2:]
+            assert labelled(store, sheaf_verdicts(store, lambda: coverings)) \
+                == expected
         if not expected[2]:
             empties.append(len(store.sections[0]))
 
@@ -875,14 +895,14 @@ def dropped_at_the_top(n):
     """The function presheaf of two values per point on the discrete space
     on ``n`` points, less one section of the whole space: the laws hold,
     and only the whole space, the last open listed, fails to glue."""
-    store = function_presheaf(FinTop.discrete(FinSet(
+    store = label_store(function_presheaf(FinTop.discrete(FinSet(
         ["p%d" % k for k in range(n)])), {"p%d" % k: ["a", "b"]
-                                          for k in range(n)})
+                                          for k in range(n)}))
     lat = store.lattice
     top = lat.opens[-1]
     sections = dict(store.sections)
     sections[top] = FinSet(store.sections[top].labels[1:])
-    return PresheafStore(lat, sections, {
+    return store_from_labels(lat, sections, {
         (w, v): FinFn(sections[w], sections[v],
                       {s: store.res[(w, v)].mapping[s] for s in sections[w]})
         for w, v in lat.pairs_below()})
@@ -905,7 +925,8 @@ def test_lazy_coverings_match_the_eager_listing():
             return (drawn.append(c) or c for c in all_coverings(lat))
 
         verdicts = sheaf_verdicts(store, listed)
-        assert verdicts == sheaf_verdicts_by_every_constraint(store, eager)
+        assert labelled(store, verdicts) \
+            == sheaf_verdicts_by_every_constraint(label_store(store), eager)
         # the scans share one listing and neither reads past its
         # counterexample
         read = max([eager.index((c["open"], c["parts"]))
@@ -935,11 +956,14 @@ def test_oracles_agree_on_the_lattice_below_an_open():
            restricted_to_an_open(st.one_of(presheaves_to_decide(),
                                            presheaves_missing_a_gluing())))
     def check(lawless, lawful):
-        assert validate_presheaf(lawless) == presheaf_law_problems(lawless)
+        assert validate_presheaf(lawless) \
+            == presheaf_law_problems(label_store(lawless))
         lat = lawful.lattice
         for coverings in (default_coverings(lat), list(all_coverings(lat))):
-            expected = sheaf_verdicts_by_every_constraint(lawful, coverings)
-            assert sheaf_verdicts(lawful, lambda: coverings) == expected
+            expected = sheaf_verdicts_by_every_constraint(label_store(lawful),
+                                                          coverings)
+            assert labelled(lawful, sheaf_verdicts(lawful, lambda: coverings)) \
+                == expected
         proper.append(lat != OpenLattice(lat.space))
 
     check()
@@ -989,9 +1013,7 @@ def two_chart_swap(space, stalks, changed):
     datum = chart_datum(space, charts, stalks)
     comp = dict(datum.transitions[("1", "2")])
     for o in changed:
-        first, second = comp[o].domain.labels[:2]
-        comp[o] = FinFn(comp[o].domain, comp[o].codomain,
-                        {**comp[o].mapping, first: second, second: first})
+        comp[o] = [1, 0] + comp[o][2:]
     return GluingDatum(space, datum.charts, datum.locals,
                        {("1", "2"): comp, ("2", "1"): comp})
 
@@ -1009,8 +1031,8 @@ def lawless_datum():
     res = {(w, v): FinFn.identity(two) for w, v in lat.pairs_below()}
     whole, empty = space.mask(["p", "q"]), 0
     res[(whole, empty)] = FinFn.constant(two, two, "0")
-    store = PresheafStore(lat, {o: two for o in lat.opens}, res)
-    swap = {o: FinFn(two, two, {"0": "1", "1": "0"}) for o in lat.opens}
+    store = store_from_labels(lat, {o: two for o in lat.opens}, res)
+    swap = {o: [1, 0] for o in lat.opens}
     charts = [("1", whole), ("2", whole)]
     return GluingDatum(space, charts, {"1": store, "2": store},
                        {("1", "2"): swap, ("2", "1"): swap})
@@ -1056,15 +1078,15 @@ def datum_with_one_changed_transition(draw):
     transitions = {k: dict(v) for k, v in datum.transitions.items()}
     pairs = [(a, b, o) for (a, b), comp in sorted(datum.transitions.items(),
                                                   key=repr)
-             if a != b for o in comp if len(comp[o].domain) > 1]
+             if a != b for o in comp if len(comp[o]) > 1]
     if pairs and draw(st.integers(0, 2)):
         a, b, o = draw(st.sampled_from(pairs))
-        fn = transitions[(a, b)][o]
-        image = [fn.mapping[s] for s in fn.domain]
+        image = transitions[(a, b)][o]
         shift = draw(st.integers(1, len(image) - 1))
-        transitions[(a, b)][o] = FinFn(fn.domain, fn.codomain, dict(zip(
-            fn.domain.labels, image[shift:] + image[:shift])))
-        transitions[(b, a)][o] = transitions[(a, b)][o].inverse()
+        shifted = transitions[(a, b)][o] = image[shift:] + image[:shift]
+        inverse = transitions[(b, a)][o] = [0] * len(shifted)
+        for s, y in enumerate(shifted):
+            inverse[y] = s
     return GluingDatum(datum.space, datum.charts, datum.locals, transitions)
 
 
@@ -1081,7 +1103,7 @@ def test_datum_naturality_on_covering_pairs_matches_every_pair():
     @example(two_chart_swap(discrete, stalks, [discrete.mask(["p", "q"])]))
     def check(datum):
         problems = datum.validate()
-        assert problems == gluing_datum_problems(datum)
+        assert problems == gluing_datum_problems(label_datum(datum))
         kinds.append(any("is not natural" in p for p in problems))
 
     check()
@@ -1125,23 +1147,25 @@ def glue_map_parts(draw):
         comps = {}
         for o in sub_s.lattice.opens:
             pts = space.points(o)
-            comps[o] = FinFn(sub_s.sections[o], sub_t.sections[o], {
-                s: ";".join("%s=%s" % (p, phi[p][v.split("=")[1]])
-                            for p, v in zip(pts, s.split(";"))) if pts
-                else s for s in sub_s.sections[o]})
+            comps[o] = table(FinFn(
+                FinSet(sub_s.sections[o]), FinSet(sub_t.sections[o]), {
+                    s: ";".join("%s=%s" % (p, phi[p][v.split("=")[1]])
+                                for p, v in zip(pts, s.split(";"))) if pts
+                    else s for s in sub_s.sections[o]}))
         parts[name] = NatTrans(sub_s, sub_t, comps)
     changeable = [(name, o) for name, _ in charts
-                  for o, fn in parts[name].components.items()
-                  if len(fn.codomain) > 1]
+                  for o in parts[name].components
+                  if len(parts[name].target.sections[o]) > 1]
     if changeable and draw(st.integers(0, 2)):
         name, o = draw(st.sampled_from(changeable))
         part = parts[name]
-        fn = part.components[o]
-        comps = dict(part.components)
-        s = draw(st.sampled_from(fn.domain.labels))
-        comps[o] = FinFn(fn.domain, fn.codomain, {**fn.mapping, s: draw(
-            st.sampled_from([t for t in fn.codomain if t != fn.mapping[s]]))})
-        parts[name] = NatTrans(part.source, part.target, comps)
+        values = list(part.components[o])
+        s = draw(st.sampled_from(range(len(values))))
+        values[s] = draw(st.sampled_from(
+            [t for t in range(len(part.target.sections[o]))
+             if t != values[s]]))
+        parts[name] = NatTrans(part.source, part.target,
+                               {**part.components, o: values})
     return space, charts, source, target, parts
 
 
@@ -1151,11 +1175,10 @@ def swapped_part(changed):
     two sections."""
     space = two_point_discrete()
     store = function_presheaf(space, {"p": ["a"], "q": ["x", "y"]})
-    comps = {o: FinFn.identity(store.sections[o]) for o in store.lattice.opens}
+    comps = identities(store)
     changed = space.mask(changed)
-    first, second = store.sections[changed].labels
-    comps[changed] = FinFn(store.sections[changed], store.sections[changed],
-                           {first: second, second: first})
+    assert len(store.sections[changed]) == 2
+    comps[changed] = [1, 0]
     return (space, [("all", space.mask(["p", "q"]))], store, store,
             {"all": NatTrans(store, store, comps)})
 
@@ -1173,8 +1196,10 @@ def test_part_naturality_on_covering_pairs_matches_every_pair():
         expected = None
         for name, _ in charts:
             part = parts[name]
-            unnatural = unnatural_pairs(part.components, part.source,
-                                        part.target, part.source.lattice)
+            unnatural = unnatural_pairs(
+                label_components(part.components, part.source, part.target),
+                label_store(part.source), label_store(part.target),
+                part.source.lattice)
             if unnatural:
                 expected = "part %r is not natural: %s" % (name, "; ".join(
                     "naturality fails from %r to %r"
@@ -1195,3 +1220,66 @@ def test_part_naturality_on_covering_pairs_matches_every_pair():
     check()
     assert kinds.count(True) >= 20
     assert kinds.count(False) >= 20
+
+
+# the engine on tables against the oracles on the label view
+
+
+def test_positional_engine_matches_the_label_oracles():
+    seen = []
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(restriction_systems(),
+           st.one_of(presheaves_to_decide(), presheaves_missing_a_gluing()),
+           twisted_chart_data(), glue_map_parts(), st.data())
+    def check(lawless, lawful, datum, case, data):
+        assert validate_presheaf(lawless) \
+            == presheaf_law_problems(label_store(lawless))
+        # verdicts and counterexamples of check-sheaf under each listing
+        lat = lawful.lattice
+        every = coverings_listed_eagerly(lat)
+        listed = data.draw(st.lists(st.sampled_from(every), max_size=4))
+        payload = presheaf_doc(lawful)["payload"]
+        for flags, coverings, extra in (
+                ({}, default_coverings(lat), {}),
+                ({"covers": "exhaustive"}, every, {}),
+                ({}, listed, {"coverings": [
+                    {"open": lat.key(u), "parts": [lat.key(v) for v in parts]}
+                    for u, parts in listed]})):
+            report = execute("check-sheaf", Document(
+                "presheaf", dict(payload, **extra), "1"), flags)
+            sep, sep_counter, sheaf, sheaf_counter = \
+                sheaf_verdicts_by_every_constraint(label_store(lawful),
+                                                   coverings)
+            assert report["verdicts"] == {"separated": sep, "sheaf": sheaf}
+            assert report["diagnostics"] == {
+                "separation_counterexample": reported(lat, sep_counter),
+                "sheaf_counterexample": reported(lat, sheaf_counter)}
+            seen.append("sheaf" if sheaf else "not a sheaf")
+        # glued sections and restrictions
+        glued, _ = glue_presheaves(datum)
+        view = label_datum(datum)
+        assert {o: list(glued.sections[o]) for o in glued.lattice.opens} \
+            == glued_sections_by_ordered_pairs(view)
+        assert {pair: fn.mapping
+                for pair, fn in label_store(glued).res.items()
+                if pair[0] != pair[1]} \
+            == glued_restrictions_componentwise(view)
+        # glued transformations
+        space, charts, source, target, parts = case
+        try:
+            nat = glue_nat_trans(space, charts, source, target, parts)
+        except StructuralError:
+            return
+        expected = glued_components_by_candidates(
+            charts, label_store(source), label_store(target),
+            {name: label_components(part.components, part.source,
+                                    part.target)
+             for name, part in parts.items()})
+        assert {o: fn.mapping for o, fn in label_components(
+            nat.components, source, target).items()} == expected
+        seen.append("glued transformation")
+
+    check()
+    for kind in ("sheaf", "not a sheaf", "glued transformation"):
+        assert seen.count(kind) >= 40, kind

@@ -1,7 +1,8 @@
 """The unchecked constructors are used only where the value is correct by
 construction: with each one (``FinSet.from_distinct`` and
-``FinSet.from_trusted``, ``FinFn.from_total``, ``FinTop.from_nbhd`` and
-``Sink.from_valid``) replaced by its validating constructor, the golden
+``FinSet.from_trusted``, ``FinFn.from_total``, ``FinTop.from_nbhd``,
+``Sink.from_valid`` and the presheaf layer's ``trusted_table``) replaced
+by its validating constructor, the golden
 corpus gives the same bytes and the acceptance criteria still pass, so no
 trusted value would have failed its own check.  The same holds for the
 maps that ``map_properties`` trusts to be continuous: with each report
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from glueforge import cli, fincat
+from glueforge import cli, fincat, presheaf
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.site import Sink
@@ -47,6 +48,16 @@ def validating_space(cls, carrier, rows):
     return space
 
 
+def checking_table(values, domain, codomain):
+    """A table built from the sections ``domain`` into ``codomain``,
+    refused unless it has one position of ``codomain`` per section."""
+    if len(values) != len(domain) or not all(
+            type(y) is int and 0 <= y < len(codomain) for y in values):
+        raise StructuralError("table %r does not map %d sections into %d"
+                              % (values, len(domain), len(codomain)))
+    return values
+
+
 @pytest.fixture
 def validating(monkeypatch):
     for name in ("from_distinct", "from_trusted"):
@@ -57,6 +68,7 @@ def validating(monkeypatch):
     monkeypatch.setattr(FinFn, "from_total",
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
+    monkeypatch.setattr(presheaf, "trusted_table", checking_table)
     real = fincat.map_properties
 
     def validating_properties(fn, dom, cod):
@@ -78,6 +90,9 @@ def test_validating_swap_checks(validating):
     a = FinSet(["a"])
     with pytest.raises(StructuralError, match="not a codomain label"):
         FinFn.from_total(a, a, {"a": "b"})
+    for values in ([0, 2], [0], [0, -1], [0, 1.0]):
+        with pytest.raises(StructuralError, match="does not map"):
+            presheaf.trusted_table(values, ("s", "t"), ("u", "v"))
     # b is missing from its own neighbourhood, the row 0b01 of a alone
     with pytest.raises(AssertionError):
         FinTop.from_nbhd(FinSet(["a", "b"]), [0b11, 0b01])
