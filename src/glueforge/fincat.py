@@ -833,6 +833,17 @@ def quotient_by_pairs(labels, pairs):
     return FinSet.from_trusted(compress(names, keep)), names, classes
 
 
+def _closure(rows):
+    """The transitive closure of ``rows``, each of which holds its own
+    bit: every row that holds ``k`` takes in row ``k``, for each ``k`` in
+    turn (Warshall 1962)."""
+    for k in range(len(rows)):
+        row, bit = rows[k], 1 << k
+        if row != bit:    # k's row adds nothing when it is k alone
+            rows = [r | row if r & bit else r for r in rows]
+    return rows
+
+
 def induce_topology(mode, carrier, maps, spaces):
     """Final or initial topology on ``carrier`` along a family of maps.
 
@@ -855,11 +866,7 @@ def induce_topology(mode, carrier, maps, spaces):
             img = _positions(fn)
             for q, image in zip(img, _image_rows(img, sp.rows)):
                 rows[q] |= image
-        for k in range(n):
-            row, bit = rows[k], 1 << k
-            if row != bit:    # k's row adds nothing when it is k alone
-                rows = [r | row if r & bit else r for r in rows]
-        return FinTop.from_nbhd(carrier, rows)
+        return FinTop.from_nbhd(carrier, _closure(rows))
     if mode == "initial":
         for fn, sp in zip(maps, spaces):
             if fn.domain != carrier or fn.codomain != sp.carrier:
@@ -885,6 +892,45 @@ def is_effective_family(carrier, maps, space=None, spaces=()):
         return False
     return space is None or \
         space.rows == induce_topology("final", carrier, maps, spaces).rows
+
+
+def is_effective_after_base_change(fn, maps, space=None, spaces=()):
+    """Whether ``maps``, into the codomain of ``fn``, pulled back along
+    ``fn`` form an effective epimorphic family over its domain, decided
+    with no pullback built: the image of ``fn`` lies in the joint image of
+    the maps and, given the domain ``space`` and one source space per map,
+    the domain carries the final topology along the pulled-back legs.
+
+    The pullback of a source along ``fn`` has a member ``x|v`` for each
+    source point ``x`` over ``fn(v)``, whose row holds the members in
+    ``nbhd[x] x nbhd[v]``; its image in the domain is
+    ``nbhd[v] & fn^-1(f(nbhd[x]))``.  So the final topology starts from
+    the row of ``v`` met with the union of ``fn^-1(f(nbhd[x]))`` over the
+    fibre of every map over ``fn(v)``, and is that closed transitively:
+    the domain carries it when its rows are those."""
+    hit = set()
+    for f in maps:
+        hit.update(f.mapping.values())
+    if not hit.issuperset(fn.mapping.values()):
+        return False
+    if space is None:
+        return True
+    img = _positions(fn)
+    fibres = _fibres(img)
+    parts = [fibres.get(q, 0) for q in range(len(fn.codomain))]
+    # for each point y that fn hits, the union of fn^-1(f(nbhd[x])) over
+    # the source points x over y
+    reach = dict.fromkeys(fibres, 0)
+    for f, sp in zip(maps, spaces):
+        f_img = _positions(f)
+        pre = list(map(parts.__getitem__, f_img))
+        for q, row in zip(f_img, sp.rows):
+            if q in reach:
+                reach[q] |= _gather(row, pre)
+    # each row keeps its own point: some source point x lies over fn(v),
+    # and fn^-1(f(nbhd[x])) holds v
+    rows = [row & reach[q] for row, q in zip(space.rows, img)]
+    return _closure(rows) == space.rows
 
 
 def map_properties(fn, dom, cod):

@@ -148,15 +148,17 @@ class PresheafStore:
     The sections over an open ``o`` are the positions of the label tuple
     ``sections[o]``; the labels are read only by keys, reports and error
     texts.  ``res[(w, v)]`` is a list that gives each section over ``w``
-    the position of its restriction to ``v``."""
+    the position of its restriction to ``v``.  An identity restriction not
+    given is filled in, and ``filled`` holds the opens where it was."""
 
-    __slots__ = ("lattice", "sections", "res")
+    __slots__ = ("lattice", "sections", "res", "filled")
 
     def __init__(self, lat, sections, res):
         sections, res = dict(sections), dict(res)
         for o in lat.opens:
             if o not in sections:
                 raise StructuralError("no section set at open %r" % lat.names(o))
+        filled = set()
         for w, v in lat.pairs_below():
             if (w, v) in res:
                 continue
@@ -164,9 +166,11 @@ class PresheafStore:
                 raise StructuralError("no restriction map from %r to %r"
                                       % (lat.names(w), lat.names(v)))
             res[(w, w)] = _identity(sections[w])
+            filled.add(w)
         object.__setattr__(self, "lattice", lat)
         object.__setattr__(self, "sections", sections)
         object.__setattr__(self, "res", res)
+        object.__setattr__(self, "filled", filled)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresheafStore is immutable")
@@ -188,10 +192,12 @@ def validate_presheaf(store):
 
     Composition is decided on the covering pairs of the lattice of opens;
     only when that or an identity fails is every triple v <= w <= x scanned,
-    to name each one that fails."""
-    lat, res = store.lattice, store.res
+    to name each one that fails.  The identities the store filled in are
+    not checked again."""
+    lat, res, filled = store.lattice, store.res, store.filled
     problems = ["restriction at %r is not the identity" % lat.names(o)
-                for o in lat.opens if not _is_identity(res[(o, o)])]
+                for o in lat.opens
+                if o not in filled and not _is_identity(res[(o, o)])]
     if problems or next(_uncomposed(store, lat.covering), None):
         problems.extend("restriction composition %r -> %r -> %r disagrees "
                         "with the direct map"

@@ -7,9 +7,18 @@ its canonical functor.  In finite sets and finite spaces that holds exactly
 when the family is jointly surjective and the target carries the final
 topology along it, and ``fincat.is_effective_family`` decides it so, with no
 functor built.  The universal quantifier over base changes is not
-enumerable: the same certificate is applied after base change along a
-finite, caller-supplied family of test maps, and in the set ambient joint
-surjectivity is recorded as the complete closed form.
+enumerable: the sink is tested after base change along a finite,
+caller-supplied family of test maps, each verdict decided by
+``fincat.is_effective_after_base_change`` on positions and rows with no
+pullback built, and in the set ambient joint surjectivity is recorded as
+the complete closed form.
+
+The covering axioms look each candidate sink up among the declared
+coverings by key: a source's key is its fibre counts over the target, and
+two sources are isomorphic over the target in sets exactly when their keys
+are equal.  The keys of isomorphism, composite and base-change candidates
+are computed from positions; only in the top ambient, and only on a key
+hit, is a candidate built and compared with ``sinks_equivalent``.
 """
 
 from collections import Counter
@@ -22,7 +31,9 @@ from .fincat import (
     FinSet,
     FinTop,
     TopMap,
+    _positions,
     induce_topology,
+    is_effective_after_base_change,
     is_effective_family,
     is_iso,
     map_properties,
@@ -188,12 +199,21 @@ def flatten_sinks(outer, inner):
                            target_space=outer.target_space)
 
 
-def base_change_sink(sink, fn, v_space=None):
-    """The sink over the source of ``fn`` with the pulled-back family."""
+def _refuse_base_change(sink, fn, v_space):
+    """Raise when ``fn``, with the space ``v_space`` on its domain in the
+    top ambient, is no map to change the base of ``sink`` along."""
     if fn.codomain != sink.target:
         raise StructuralError("base change map must land in the sink target")
     if sink.ambient == "top" and v_space is None:
         raise StructuralError("top base change needs a topology on the source")
+    if v_space is not None and v_space.carrier != fn.domain:
+        raise StructuralError("pullback spaces must be those of the map "
+                              "domains")
+
+
+def base_change_sink(sink, fn, v_space=None):
+    """The sink over the source of ``fn`` with the pulled-back family."""
+    _refuse_base_change(sink, fn, v_space)
     sources = []
     for name, _, leg in sink.sources:
         ps = pullback(leg, fn, sink.space(name), v_space)
@@ -224,24 +244,26 @@ def universal_effective_epi_check(sink, tests=()):
 
     The report carries the base verdict, one verdict per test map, and in the
     set ambient the closed-form criterion (joint surjectivity), which decides
-    effectiveness under arbitrary base change there.
+    effectiveness under arbitrary base change there.  Each test's verdict is
+    that of the pulled-back sink, decided without building it.
     """
     report = {
         "base": effective_epi_check(sink),
         "per_test": [],
     }
-    if sink.ambient == "sets":
+    top = sink.ambient == "top"
+    if not top:
         # the set-ambient verdict is joint surjectivity itself
         report["jointly_surjective"] = report["base"]
+    maps = [fn for _, _, fn in sink.sources]
+    spaces = [obj for _, obj, _ in sink.sources] if top else ()
     for entry in tests:
-        if sink.ambient == "top":
-            fn, v_space = entry
-        else:
-            fn, v_space = entry, None
-        changed = base_change_sink(sink, fn, v_space=v_space)
+        fn, v_space = entry if top else (entry, None)
+        _refuse_base_change(sink, fn, v_space)
         report["per_test"].append({
             "map_domain": list(fn.domain.labels),
-            "effective": effective_epi_check(changed),
+            "effective": is_effective_after_base_change(fn, maps, v_space,
+                                                        spaces),
         })
     report["all_effective"] = report["base"] and all(
         t["effective"] for t in report["per_test"])
@@ -399,16 +421,28 @@ class SiteSpec:
         return entry, None, None
 
 
-def _source_profile(fn, target):
-    fibers = {}
-    for x in fn.domain:
-        fibers.setdefault(fn.mapping[x], 0)
-        fibers[fn.mapping[x]] += 1
-    return tuple(sorted((u, fibers.get(u, 0)) for u in target.labels))
+def _fibre_counts(fn):
+    """The key of a source over its target: how many of its points ``fn``
+    sends to each target point, in target order.  Sources over one target
+    are isomorphic over it as sets exactly when their keys are equal."""
+    counts = dict.fromkeys(fn.codomain.labels, 0)
+    for y in fn.mapping.values():
+        counts[y] += 1
+    return tuple(counts.values())
+
+
+def _pushed_counts(counts, img, size):
+    """The key over a target of ``size`` points of a composite: ``counts``
+    is the first map's key over the middle object, whose position ``k``
+    the second map sends to ``img[k]``; each fibre's counts add up."""
+    out = [0] * size
+    for n, q in zip(counts, img):
+        out[q] += n
+    return tuple(out)
 
 
 def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
-    if _source_profile(fn_a, fn_a.codomain) != _source_profile(fn_b, fn_b.codomain):
+    if _fibre_counts(fn_a) != _fibre_counts(fn_b):
         return False
     if ambient == "sets":
         return True
@@ -461,44 +495,85 @@ def sinks_equivalent(a, b):
     return True
 
 
-def _declared(spec, sink):
-    return any(sinks_equivalent(sink, c) for c in spec.coverings)
+def _found_by_key(index, top, target, keys, build):
+    """Whether a candidate sink over ``target`` whose sources have the keys
+    ``keys`` is one of the declared coverings that ``index`` holds by target
+    and sorted keys.  In the set ambient a hit decides; in the top ambient
+    ``build()`` makes the candidate, and only on a hit, to compare it with
+    the coverings under the key in declared order."""
+    bucket = index.get((target, tuple(sorted(keys))))
+    if not bucket:
+        return False
+    if not top:
+        return True
+    sink = build()
+    return any(sinks_equivalent(sink, c) for c in bucket)
 
 
 def covering_axioms_check(spec):
     """Checks the identity, composability, and base-change axioms on the
-    declared fragment; every violation is named in the report."""
+    declared fragment; every violation is named in the report.
+
+    Each candidate sink (the sink of an isomorphism, each composite of
+    declared coverings, each base change of one) is looked up among the
+    declared coverings by its target and its sources' keys, computed from
+    positions: a base change's count at ``v`` is the covering's count at
+    ``fn(v)``, and a composite's count at ``t`` the sum of the inner counts
+    over the outer fibre of ``t``."""
+    top = spec.ambient == "top"
+    coverings = spec.coverings
+    keys = [[_fibre_counts(fn) for _, _, fn in cov.sources]
+            for cov in coverings]
+    index = {}
+    for cov, ks in zip(coverings, keys):
+        index.setdefault((cov.target, tuple(sorted(ks))), []).append(cov)
     violations = []
     for entry in spec.morphisms:
         fn, dom_space, cod_space = spec.morphism_parts(entry)
-        if is_iso(fn, dom_space, cod_space):
-            single = Sink.from_valid(spec.ambient, fn.codomain,
-                                     [("v", dom_space or fn.domain, fn)],
-                                     target_space=cod_space)
-            if not _declared(spec, single):
-                violations.append(
-                    "isomorphism sink onto %r is not declared"
-                    % (list(fn.codomain.labels),))
-    for cov in spec.coverings:
+        if is_iso(fn, dom_space, cod_space) and not _found_by_key(
+                index, top, fn.codomain, [_fibre_counts(fn)],
+                lambda: Sink.from_valid(spec.ambient, fn.codomain,
+                                        [("v", dom_space or fn.domain, fn)],
+                                        target_space=cod_space)):
+            violations.append(
+                "isomorphism sink onto %r is not declared"
+                % (list(fn.codomain.labels),))
+    # composite names such as ``a.b`` can collide only when a source name
+    # holds a dot; then every composite is built, to be refused as before
+    dotted = any("." in name for cov in coverings for name in cov.names())
+    for cov in coverings:
         # enumerate all families of declared coverings of the sources
         names = cov.names()
-        options = [[c for c in spec.coverings
+        options = [[k for k, c in enumerate(coverings)
                     if _inner_mismatch(c, obj, spec.ambient) is None]
                    for _, obj, _ in cov.sources]
         charge("refinement families of one covering", prod(map(len, options)))
+        # the keys of the composites through each source, per inner covering
+        size = len(cov.target)
+        imgs = [_positions(fn) for _, _, fn in cov.sources]
+        pushed = [{k: [_pushed_counts(counts, img, size) for counts in keys[k]]
+                   for k in opts} for opts, img in zip(options, imgs)]
         for combo in iproduct(*options):
-            flattened = flatten_sinks(cov, dict(zip(names, combo)))
-            if not _declared(spec, flattened):
+            composite = [key for part, k in zip(pushed, combo)
+                         for key in part[k]]
+            build = lambda: flatten_sinks(
+                cov, dict(zip(names, map(coverings.__getitem__, combo))))
+            if dotted:
+                build()    # refuses composite names that collide
+            if not _found_by_key(index, top, cov.target, composite, build):
                 violations.append(
                     "composite of covering of %r is not declared"
                     % (list(cov.target.labels),))
-    for cov in spec.coverings:
+    for cov, ks in zip(coverings, keys):
         for entry in spec.morphisms:
             fn, dom_space, cod_space = spec.morphism_parts(entry)
             if fn.codomain != cov.target:
                 continue
-            changed = base_change_sink(cov, fn, v_space=dom_space)
-            if not _declared(spec, changed):
+            img = _positions(fn)
+            changed = [tuple(map(counts.__getitem__, img)) for counts in ks]
+            if not _found_by_key(
+                    index, top, fn.domain, changed,
+                    lambda: base_change_sink(cov, fn, v_space=dom_space)):
                 violations.append(
                     "base change of a covering of %r along a map from %r "
                     "is not declared" % (list(cov.target.labels),

@@ -157,8 +157,8 @@ MUTANTS = [
      ["tests/test_presheaf.py"],
      "a lattice pairs each open with the opens above it"),
     ("presheaf.py",
-     "for o in lat.opens if not _is_identity(res[(o, o)])]",
-     "for o in lat.opens if len(res[(o, o)]) != len(store.sections[o])]",
+     "if o not in filled and not _is_identity(res[(o, o)])]",
+     "if o not in filled and len(res[(o, o)]) != len(store.sections[o])]",
      ["tests/test_presheaf.py"],
      "the identity law is checked on the length of the table only"),
     ("presheaf.py",
@@ -182,6 +182,26 @@ MUTANTS = [
      "        keys = list(node)",
      ["tests/test_render.py"],
      "the report emitter leaves keys unsorted"),
+    ("fincat.py",
+     "row & reach[q] for row, q",
+     "row & reduce(or_, reach.values(), 0) for row, q",
+     ["tests/test_site.py"],
+     "a per-test verdict ORs over every source point, not over the fibre"),
+    ("fincat.py",
+     "[row & reach[q] for",
+     "[reach[q] for",
+     ["tests/test_site.py"],
+     "a per-test verdict drops the meet with the test point's row"),
+    ("fincat.py",
+     "    if not hit.issuperset(fn.mapping.values()):\n",
+     "    if False:\n",
+     ["tests/test_site.py"],
+     "a per-test verdict skips the image containment"),
+    ("site.py",
+     "        counts[y] += 1\n",
+     "        counts[y] = 1\n",
+     ["tests/test_site.py"],
+     "a source key counts distinct images, not multiplicities"),
 ]
 
 

@@ -15,7 +15,9 @@ commuting paths and isomorphisms by building composites and continuous
 maps, the opens, maximal proper opens, induced topologies and map
 properties of a space from its neighbourhoods as label frozensets, the
 strong effectiveness reading from built pullbacks, equivalent sinks by
-backtracking over matchings of sources, every covering of every open
+backtracking over matchings of sources, the covering axioms by building
+every candidate sink and comparing it with every declared covering, every
+covering of every open
 listed at once, and the
 glued sections, the cocycle condition and the compatible families of a
 covering with a constraint for every ordered pair or triple of charts or
@@ -25,8 +27,9 @@ They are exponential on purpose and run only on small instances.
 
 from functools import reduce
 from itertools import product as iproduct
+from math import prod
 
-from glueforge.errors import StructuralError
+from glueforge.errors import StructuralError, charge
 from glueforge.fincat import (
     SEP,
     FinFn,
@@ -54,7 +57,15 @@ from glueforge.gluing import (
 )
 from glueforge.indexcat import NONSPLIT, gen_endpoints
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice
-from glueforge.site import _fibered_iso_exists, canonical_sink_functor
+from glueforge.site import (
+    Sink,
+    _fibered_iso_exists,
+    _inner_mismatch,
+    base_change_sink,
+    canonical_sink_functor,
+    flatten_sinks,
+    sinks_equivalent,
+)
 
 from fixtures import label_nbhd, preimage
 from paper import tag
@@ -365,6 +376,52 @@ def sinks_equivalent_by_backtracking(a, b):
         return False
 
     return match(list(a.sources))
+
+
+def covering_axioms_by_scan(spec):
+    """The covering axioms checked by building every candidate sink (the
+    sink of each isomorphism, each composite of declared coverings, each
+    base change of one) and comparing it with each declared covering in
+    turn; ``site.covering_axioms_check`` looks each candidate up by the
+    fibre counts of its sources instead.  Charges as that check did before
+    it used keys: a pullback per base change, and the fibre permutations of
+    every comparison."""
+    def declared(sink):
+        return any(sinks_equivalent(sink, c) for c in spec.coverings)
+
+    violations = []
+    for entry in spec.morphisms:
+        fn, dom_space, cod_space = spec.morphism_parts(entry)
+        if is_iso(fn, dom_space, cod_space):
+            single = Sink.from_valid(spec.ambient, fn.codomain,
+                                     [("v", dom_space or fn.domain, fn)],
+                                     target_space=cod_space)
+            if not declared(single):
+                violations.append(
+                    "isomorphism sink onto %r is not declared"
+                    % (list(fn.codomain.labels),))
+    for cov in spec.coverings:
+        names = cov.names()
+        options = [[c for c in spec.coverings
+                    if _inner_mismatch(c, obj, spec.ambient) is None]
+                   for _, obj, _ in cov.sources]
+        charge("refinement families of one covering", prod(map(len, options)))
+        for combo in iproduct(*options):
+            if not declared(flatten_sinks(cov, dict(zip(names, combo)))):
+                violations.append(
+                    "composite of covering of %r is not declared"
+                    % (list(cov.target.labels),))
+    for cov in spec.coverings:
+        for entry in spec.morphisms:
+            fn, dom_space, cod_space = spec.morphism_parts(entry)
+            if fn.codomain != cov.target:
+                continue
+            if not declared(base_change_sink(cov, fn, v_space=dom_space)):
+                violations.append(
+                    "base change of a covering of %r along a map from %r "
+                    "is not declared" % (list(cov.target.labels),
+                                         list(fn.domain.labels)))
+    return {"violations": violations, "ok": not violations}
 
 
 def two_stage_partition(meta):

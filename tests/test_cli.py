@@ -23,6 +23,7 @@ from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import FinSet, FinTop
 from glueforge.gluing import colimit_glue
 from glueforge.site import (
+    base_change_sink,
     canonical_sink_functor,
     covering_axioms_check,
     sinks_equivalent,
@@ -945,16 +946,23 @@ def test_check_site_charges_the_fibre_permutation_search(tmp_path, capsys):
 
 
 def test_base_change_charges_its_join_not_its_product(capsys):
-    # each 3-point source pulled back along the 3-point test map: 9 pairs in
-    # the product, at most 3 candidates in either step of the join
+    # check-cover decides each test map on positions, with no pullback
+    # built, so it charges nothing even at a cap of 1
     path = os.path.join(os.path.dirname(GOLDEN_COLIMIT), "check-cover-sets")
-    assert main(["check-cover", "--input", path + ".json", "--cap", "3"]) == 0
+    assert main(["check-cover", "--input", path + ".json", "--cap", "1"]) == 0
     with open(path + ".out", encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
-    assert main(["check-cover", "--input", path + ".json", "--cap", "2"]) == 2
-    assert capsys.readouterr().err == ("glueforge: resource error: pullback "
-                                       "would enumerate 3 items, above the "
-                                       "cap of 2\n")
+    # a base change that is built charges its join: each 3-point source
+    # pulled back along the 3-point test map has 9 pairs in the product, at
+    # most 3 candidates in either step of the join
+    with open(path + ".json", encoding="utf-8") as handle:
+        sink, tests, _ = cli.parse_sink(json.load(handle)["payload"])
+    with budget(3):
+        assert len(base_change_sink(sink, tests[0]).sources) == 3
+    with budget(2), pytest.raises(ResourceError) as raised:
+        base_change_sink(sink, tests[0])
+    assert str(raised.value) == ("pullback would enumerate 3 items, above "
+                                 "the cap of 2")
 
 
 def test_refine_command(tmp_path, capsys):
