@@ -879,22 +879,31 @@ def induce_topology(mode, carrier, maps, spaces):
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
 
-def is_effective_family(carrier, maps, space=None, spaces=()):
+def joint_image(maps):
+    """The set of labels that some map of ``maps`` hits."""
+    hit = set()
+    for fn in maps:
+        hit.update(fn.mapping.values())
+    return hit
+
+
+def is_effective_family(carrier, maps, space=None, spaces=(), hit=None):
     """Whether maps into ``carrier`` form an effective epimorphic family:
     they are jointly surjective and, given the target ``space`` and one
     source space per map, the target carries the final topology along them.
     In finite sets and finite spaces this is the whole condition, so no
-    colimit is built to decide it."""
-    hit = set()
-    for fn in maps:
-        hit.update(fn.mapping.values())
+    colimit is built to decide it.  ``hit`` is the maps' ``joint_image``,
+    built here when not given."""
+    if hit is None:
+        hit = joint_image(maps)
     if not hit.issuperset(carrier):
         return False
     return space is None or \
         space.rows == induce_topology("final", carrier, maps, spaces).rows
 
 
-def is_effective_after_base_change(fn, maps, space=None, spaces=()):
+def is_effective_after_base_change(fn, maps, space=None, spaces=(),
+                                   hit=None):
     """Whether ``maps``, into the codomain of ``fn``, pulled back along
     ``fn`` form an effective epimorphic family over its domain, decided
     with no pullback built: the image of ``fn`` lies in the joint image of
@@ -907,10 +916,10 @@ def is_effective_after_base_change(fn, maps, space=None, spaces=()):
     ``nbhd[v] & fn^-1(f(nbhd[x]))``.  So the final topology starts from
     the row of ``v`` met with the union of ``fn^-1(f(nbhd[x]))`` over the
     fibre of every map over ``fn(v)``, and is that closed transitively:
-    the domain carries it when its rows are those."""
-    hit = set()
-    for f in maps:
-        hit.update(f.mapping.values())
+    the domain carries it when its rows are those.  ``hit`` is the maps'
+    ``joint_image``, built here when not given."""
+    if hit is None:
+        hit = joint_image(maps)
     if not hit.issuperset(fn.mapping.values()):
         return False
     if space is None:

@@ -19,6 +19,10 @@ Labels appear only in keys, reports and error texts.
 Laws are decided on the covering pairs of each lattice, and separation and
 the sheaf condition on one basic cover per open (``basic_coverings``); a
 listed family of pairs or coverings is scanned only to name a failure.
+A covering is decided by counting: separation by the distinct keys of its
+joint restriction and, where no constraint is left, the sheaf condition by
+the product of its part sizes, charged at each step as the join would;
+its families are listed only to name a counterexample.
 Chart data is read once per unordered pair and per set of three charts:
 the transitions of a checked datum are mutually inverse bijections, so
 phi_ba = phi_ab^-1 puts the condition phi_ab puts on glued sections, and
@@ -29,7 +33,7 @@ restrictions into such a set agree.
 """
 
 from functools import reduce
-from itertools import combinations, repeat, tee
+from itertools import combinations, product, repeat, tee
 from operator import getitem, or_
 
 from .errors import ResourceError, StructuralError, charge
@@ -274,7 +278,9 @@ def _check_covering(lat, covering):
         raise StructuralError("family does not cover %r" % lat.names(u))
 
 
-def _compatible_families(store, parts):
+def _constraints(store, parts):
+    """The compatibility constraints of a covering, one per two parts whose
+    meet has two sections or more."""
     cons = []
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
@@ -283,8 +289,17 @@ def _compatible_families(store, parts):
                 continue
             cons.append((a, b, store.res[(parts[a], meet)],
                          store.res[(parts[b], meet)]))
-    return compatible_tuples([range(len(store.sections[v])) for v in parts],
-                             cons, "families over a covering")
+    return cons
+
+
+def _injective(store, u, parts):
+    """Whether the joint restriction F(u) -> prod F(v) over ``parts`` is
+    injective: its keys are as many as the sections, and the empty cover
+    separates at most one section."""
+    size = len(store.sections[u])
+    if not parts:
+        return size <= 1
+    return len(set(zip(*[store.res[(u, v)] for v in parts]))) == size
 
 
 def _joint_restriction(store, u, parts):
@@ -302,16 +317,37 @@ def _joint_restriction(store, u, parts):
 
 
 def _unseparated(store, covering):
-    """The separation counterexample of one checked covering, or None."""
+    """The separation counterexample of one checked covering, or None; the
+    joint restriction is scanned only to name its first clash."""
     u, parts = covering
+    if _injective(store, u, parts):
+        return None
     _, clash = _joint_restriction(store, u, parts)
-    return clash and {"open": u, "parts": parts, "sections": clash}
+    return {"open": u, "parts": parts, "sections": clash}
 
 
 def _unglued(store, covering):
-    """The sheaf counterexample of one checked covering, or None."""
+    """The sheaf counterexample of one checked covering, or None.
+
+    With no constraint left every tuple of the product of the part sizes is
+    a compatible family, so the covering glues exactly when the joint
+    restriction is injective and the product counts the sections over the
+    open.  That count is charged at each step as the join charges its
+    candidates, and the families are listed only to name a counterexample,
+    or where a constraint is left."""
     u, parts = covering
-    families = _compatible_families(store, parts)
+    cons = _constraints(store, parts)
+    domains = [range(len(store.sections[v])) for v in parts]
+    if cons:
+        families = compatible_tuples(domains, cons, "families over a covering")
+    else:
+        count = 1
+        for dom in domains:
+            count *= len(dom)
+            charge("families over a covering", count)
+        if count == len(store.sections[u]) and _injective(store, u, parts):
+            return None
+        families = product(*domains)    # in the join's order
     image, clash = _joint_restriction(store, u, parts)
     if clash:
         return {"open": u, "parts": parts, "sections": clash,
@@ -355,18 +391,21 @@ def is_separated(store, coverings):
 
 
 def is_sheaf(store, coverings):
-    """Bijectivity between sections and compatible families per covering."""
+    """Bijectivity between sections and compatible families per covering;
+    a covering with no constraint left is decided by counting its families,
+    which are listed only to name a counterexample."""
     return _scan(store, coverings, _unglued)
 
 
-def _sheaf_everywhere(store):
-    """Whether a presheaf whose laws hold is a sheaf for every covering.
+def _sheaf_everywhere(store, basic):
+    """Whether a presheaf whose laws hold is a sheaf for every covering,
+    given its ``basic_coverings``.
 
-    False also when its basic coverings would enumerate past the cap: the
-    verdict is then left to the caller's own scans, which charge what they
-    would have charged without this check."""
+    False also when those would enumerate past the cap: the verdict is then
+    left to the caller's own scans, which charge what they would have
+    charged without this check."""
     try:
-        return is_sheaf(store, basic_coverings(store.lattice))[0]
+        return is_sheaf(store, basic)[0]
     except ResourceError:
         return False
 
@@ -387,12 +426,13 @@ def sheaf_verdicts(store, listed, check_listed=False):
     reads past its counterexample.
     """
     lat = store.lattice
-    if _sheaf_everywhere(store):
+    basic = basic_coverings(lat)
+    if _sheaf_everywhere(store, basic):
         if check_listed:
             for covering in listed():
                 _check_covering(lat, covering)
         return True, None, True, None
-    separated = is_separated(store, basic_coverings(lat))[0]
+    separated = is_separated(store, basic)[0]
     first, second = tee(listed())
     sep_counter = None
     if check_listed or not separated:
@@ -619,7 +659,7 @@ def glue_presheaves(datum):
     names = datum.names()
     for name in names:
         local = datum.locals[name]
-        if _sheaf_everywhere(local):
+        if _sheaf_everywhere(local, basic_coverings(local.lattice)):
             continue
         ok, counter = is_sheaf(local, default_coverings(local.lattice))
         if not ok:
@@ -747,7 +787,7 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
                         % (a, b, overlap.names(o)))
     # sheaf condition of the target on the induced covers; it holds when the
     # target is a sheaf on its basic covers, so they are scanned only otherwise
-    if not _sheaf_everywhere(target):
+    if not _sheaf_everywhere(target, basic_coverings(lat)):
         for v in lat.opens:
             induced = (v, [v & m for _, m in charts])
             ok, counter = is_sheaf(target, [induced])

@@ -36,6 +36,7 @@ from .fincat import (
     is_effective_after_base_change,
     is_effective_family,
     is_iso,
+    joint_image,
     map_properties,
     pair_label,
     pullback,
@@ -224,7 +225,7 @@ def base_change_sink(sink, fn, v_space=None):
         target_space=v_space if sink.ambient == "top" else None)
 
 
-def effective_epi_check(sink):
+def effective_epi_check(sink, hit=None):
     """Whether the family is an effective epimorphism: the target, with its
     own maps as legs, is the glued-up object of the canonical functor.
 
@@ -232,11 +233,12 @@ def effective_epi_check(sink):
     final topology, and the target's maps factor through it injectively, so
     the factoring map is an isomorphism exactly when the family is jointly
     surjective and, in the top ambient, the target carries the final
-    topology along it.
+    topology along it.  ``hit`` is the sources' ``joint_image``, built
+    when not given.
     """
     return is_effective_family(sink.target, [fn for _, _, fn in sink.sources],
                                sink.target_space,
-                               [obj for _, obj, _ in sink.sources])
+                               [obj for _, obj, _ in sink.sources], hit)
 
 
 def universal_effective_epi_check(sink, tests=()):
@@ -245,17 +247,19 @@ def universal_effective_epi_check(sink, tests=()):
     The report carries the base verdict, one verdict per test map, and in the
     set ambient the closed-form criterion (joint surjectivity), which decides
     effectiveness under arbitrary base change there.  Each test's verdict is
-    that of the pulled-back sink, decided without building it.
+    that of the pulled-back sink, decided without building it; the joint
+    image of the sources is built once for all of them.
     """
+    maps = [fn for _, _, fn in sink.sources]
+    hit = joint_image(maps)
     report = {
-        "base": effective_epi_check(sink),
+        "base": effective_epi_check(sink, hit),
         "per_test": [],
     }
     top = sink.ambient == "top"
     if not top:
         # the set-ambient verdict is joint surjectivity itself
         report["jointly_surjective"] = report["base"]
-    maps = [fn for _, _, fn in sink.sources]
     spaces = [obj for _, obj, _ in sink.sources] if top else ()
     for entry in tests:
         fn, v_space = entry if top else (entry, None)
@@ -263,7 +267,7 @@ def universal_effective_epi_check(sink, tests=()):
         report["per_test"].append({
             "map_domain": list(fn.domain.labels),
             "effective": is_effective_after_base_change(fn, maps, v_space,
-                                                        spaces),
+                                                        spaces, hit),
         })
     report["all_effective"] = report["base"] and all(
         t["effective"] for t in report["per_test"])

@@ -202,6 +202,21 @@ MUTANTS = [
      "        counts[y] = 1\n",
      ["tests/test_site.py"],
      "a source key counts distinct images, not multiplicities"),
+    ("presheaf.py",
+     "            count *= len(dom)\n",
+     "            count += len(dom)\n",
+     ["tests/test_presheaf.py"],
+     "the family count adds the part sizes instead of multiplying them"),
+    ("presheaf.py",
+     "        if count == len(store.sections[u]) and _injective(store, u, parts):",
+     "        if count == len(store.sections[u]):",
+     ["tests/test_presheaf.py"],
+     "a matching family count alone glues, with no set-size test"),
+    ("presheaf.py",
+     "        return size <= 1\n",
+     "        return size <= 2\n",
+     ["tests/test_presheaf.py"],
+     "the empty cover separates two sections"),
 ]
 
 

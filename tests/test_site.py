@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from glueforge import fincat, site
 from glueforge.errors import ResourceError, StructuralError, budget
 from glueforge.fincat import (
     FinFn,
@@ -276,6 +277,26 @@ def test_universal_check_jointly_surjective():
     report = universal_effective_epi_check(sink, tests)
     assert report["jointly_surjective"] is True
     assert report["all_effective"] is True
+
+
+def test_universal_check_builds_one_joint_image_per_sink(monkeypatch):
+    built = []
+    real = fincat.joint_image
+
+    def counted(maps):
+        built.append(maps)
+        return real(maps)
+
+    for module in (fincat, site):
+        monkeypatch.setattr(module, "joint_image", counted)
+    sink = inclusion_sink(["p", "q"], [["p"], ["q"]])
+    v = FinSet(["x", "y"])
+    tests = [FinFn(v, sink.target, {"x": "p", "y": "q"}),
+             FinFn(v, sink.target, {"x": "q", "y": "q"}),
+             FinFn.identity(sink.target)]
+    report = universal_effective_epi_check(sink, tests)
+    assert report["all_effective"] is True
+    assert len(built) == 1
 
 
 def test_universal_check_fails_at_identity():
