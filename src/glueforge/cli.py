@@ -44,6 +44,7 @@ from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
     GluingData,
+    _inverse,
     colimit_glue,
     hom_transport,
     limit_glue,
@@ -226,7 +227,12 @@ def _parse_objkey(key, mode, cat):
 
 def parse_gluing(payload, table=None):
     """The gluing data of a payload; ``table`` is ``parse_object``'s, shared
-    when one document holds several gluings."""
+    when one document holds several gluings.  Each map is read straight
+    into its position table against the carriers it runs between, refused
+    as ``FinFn`` refuses it, and a swap's inverse is built from its table.
+    Every key is looked up among the index category's ``keys``; only a key
+    that is no spelling of an index object is parsed, which refuses it or
+    gives the tuple it names, no index object."""
     if table is None:
         table = {}
     mode = payload["mode"]
@@ -237,13 +243,14 @@ def parse_gluing(payload, table=None):
         if "," in label:
             raise StructuralError("index label %r may not contain ','" % label)
     cat = IndexCat(mode, index)
-    known = set(cat.objects)
+    keys = cat.keys
     named = {}
     objects = {}
     spaces = {}
     for key, node in payload["objects"].items():
-        obj = _parse_objkey(key, mode, cat)
-        if obj not in known:
+        obj = keys.get(key)
+        if obj is None:
+            _parse_objkey(key, mode, cat)    # refuses a malformed key
             raise StructuralError("objects entry %r names no index object"
                                   % key)
         _claim(named, obj, key, "objects", "index object")
@@ -261,7 +268,8 @@ def parse_gluing(payload, table=None):
     arrows = {}
     taus = {}
     for entry in payload["arrows"]:
-        pair = _parse_objkey(entry["pair"], mode, cat)
+        pair = keys.get(entry["pair"]) \
+            or _parse_objkey(entry["pair"], mode, cat)
         if len(pair) != 2:
             raise StructuralError("arrow pair %r is not a pair" % (entry["pair"],))
         if entry["kind"] == "edge":
@@ -276,7 +284,7 @@ def parse_gluing(payload, table=None):
                 dom, cod = carrier(pair), carrier((i,))
             else:
                 dom, cod = carrier((i,)), carrier(pair)
-            arrows[("incl", i, pair)] = FinFn(dom, cod, entry["map"])
+            arrows[("incl", i, pair)] = _table(entry["map"], dom.labels, cod)
         else:
             i, j = pair
             if pair in taus:
@@ -286,23 +294,24 @@ def parse_gluing(payload, table=None):
             if (j, i) not in objects:
                 raise StructuralError("tau needs both pair orientations, "
                                       "%r is missing" % ((j, i),))
-            fn = FinFn(carrier(pair), objects[(j, i)], entry["map"])
+            dom, cod = carrier(pair), objects[(j, i)]
+            t = _table(entry["map"], dom.labels, cod)
             # the document stores the ambient bijection G(i,j) -> G(j,i);
             # the generator carrying that map depends on the direction
             key = ("tau", (j, i)) if direction == FROM_OVERLAPS \
                 else ("tau", (i, j))
             inverse_key = ("tau", (i, j)) if direction == FROM_OVERLAPS \
                 else ("tau", (j, i))
-            inverse = fn.inverse()
+            inverse = _inverse(t, dom, cod)
             # an entry for (j, i) gave this generator already, as its inverse
-            if arrows.get(key, fn) != fn:
+            if arrows.get(key, t) != t:
                 raise StructuralError("tau for pair %r is not the inverse of "
                                       "the tau for pair %r"
                                       % (entry["pair"], taus[(j, i)]))
             arrows[inverse_key] = inverse
-            arrows[key] = fn    # last: the two keys agree on the diagonal
-    return GluingData(cat, ambient, objects, arrows, direction,
-                      spaces or None)
+            arrows[key] = t    # last: the two keys agree on the diagonal
+    return GluingData.from_tables(cat, ambient, objects, arrows, direction,
+                                  spaces or None)
 
 
 def _parse_sink_body(body, ambient, table):
@@ -366,9 +375,10 @@ def _lookup_openkey(key, lattice):
 
 
 def _table(mapping, domain, codomain):
-    """The table of a document's ``mapping`` from the section labels
-    ``domain`` into the ``FinSet`` ``codomain``, one lookup per entry,
-    refused as ``FinFn`` refuses a mapping that is not total into it."""
+    """The table of a document's ``mapping`` from the labels ``domain``
+    (the points of a carrier, the sections at an open) into the ``FinSet``
+    ``codomain``, one lookup per entry, refused as ``FinFn`` refuses a
+    mapping that is not total into it."""
     pos = codomain._pos
     try:
         if len(mapping) == len(domain):
@@ -495,7 +505,10 @@ def parse_refinement(payload):
     components = {}
     named = {}
     for key, mapping in payload["components"].items():
-        obj = _parse_objkey(key, target.indexcat.mode, target.indexcat)
+        # a key that is no spelling of an index object is parsed, which
+        # refuses it or names no object of the target
+        obj = target.indexcat.keys.get(key) \
+            or _parse_objkey(key, target.indexcat.mode, target.indexcat)
         _claim(named, obj, key, "components", "index object")
         dom = source.carrier(stub.reindexed(obj))
         components[obj] = FinFn(dom, target.carrier(obj), mapping)

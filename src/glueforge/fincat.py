@@ -27,7 +27,12 @@ come from ``FinFn.from_total`` and ``FinTop.from_nbhd``, which check
 nothing, ``FinSet.from_distinct``, which checks only that its labels are
 distinct, and ``FinSet.from_trusted``, which checks nothing and is used
 for the apex of a quotient, whose class names are distinct by
-construction.  A set's label-to-position index is built at its first use
+construction.  A map kept on positions is a position table, the list
+that gives each domain position the codomain position of its image;
+parsers check each entry of the tables they read, and the tables the
+engine builds come from ``trusted_table``, which checks only their length.
+``is_continuous`` and ``table_properties`` read a table between two
+spaces.  A set's label-to-position index is built at its first use
 (``position``, ``in``, or a ``FinFn`` validated against the set); the two
 checking ``FinSet`` constructors build it at once, as their distinctness
 check, so a quotient apex that no caller looks into never builds one.
@@ -52,7 +57,8 @@ kernel, ``compatible_tuples``, whose cost follows the partial answers
 instead of the full product.  Quotients come from one union-find,
 ``quotient_by_pairs``, which returns the class name at each of the carrier
 positions it is given pairs of, so a caller that knows where its labels
-sit looks none of them up.  Maps out of a quotient are one value per class:
+sit looks none of them up; ``class_count`` counts the classes of the same
+union-find and names none.  Maps out of a quotient are one value per class:
 they are counted from its classes, never listed.
 
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
@@ -242,6 +248,16 @@ class FinFn:
     def __repr__(self):
         return "FinFn(%r -> %r, %r)" % (list(self.domain), list(self.codomain),
                                         self.mapping)
+
+
+def trusted_table(values, domain, codomain):
+    """A position table the engine built from ``domain`` into ``codomain``
+    (carriers, or the section tuples of a presheaf), checked only for its
+    length; parsers check each entry of the tables they read."""
+    if len(values) != len(domain):
+        raise StructuralError("a table of %d values from %d points into %d"
+                              % (len(values), len(domain), len(codomain)))
+    return values
 
 
 def _refuse_mapping(domain, codomain, mapping):
@@ -623,6 +639,16 @@ def commutes(path, other=()):
     return True
 
 
+def is_continuous(img, dom, cod):
+    """Whether the map that sends position ``k`` of the space ``dom`` to
+    position ``img[k]`` of ``cod`` is continuous: the image of each row
+    lies in the row of the point's image."""
+    bits = [1 << q for q in img]
+    rows = cod.rows
+    return not any(_gather(row, bits) & ~rows[q]
+                   for row, q in zip(dom.rows, img))
+
+
 def is_iso(fn, dom=None, cod=None):
     """Whether ``fn`` is a bijection and, when both spaces are given, a
     homeomorphism between them: ``f(nbhd[x]) = nbhd[f(x)]`` at every point,
@@ -768,6 +794,41 @@ def top_product(x, y):
         for ra in x.rows for rb in y.rows])
 
 
+def _unions(n, pairs):
+    """The union-find forest over ``n`` positions once each pair of
+    ``pairs`` is united, and the roots linked below another, each once:
+    the parent of each position, and those roots in the order linked.  A
+    position outside ``range(n)``, a negative one included, is refused."""
+    if pairs:
+        ends = list(chain.from_iterable(pairs))
+        if min(ends) < 0 or max(ends) >= n:
+            a, b = next((a, b) for a, b in pairs
+                        if not (0 <= a < n and 0 <= b < n))
+            raise StructuralError("pair (%r, %r) mentions positions outside "
+                                  "the carrier of %d labels" % (a, b, n))
+    parent = list(range(n))
+    moved = []
+    for ra, rb in pairs:
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra < rb:
+            parent[rb] = ra
+            moved.append(rb)
+        elif rb < ra:
+            parent[ra] = rb
+            moved.append(ra)
+    return parent, moved
+
+
+def class_count(n, pairs):
+    """How many classes the equivalence closure of ``pairs``, pairs of
+    positions, has on ``n`` positions: each union that links two roots
+    merges two classes.  Nothing is named or labelled."""
+    return n - len(_unions(n, pairs)[1])
+
+
 def quotient_by_pairs(labels, pairs):
     """Quotient a finite set by the equivalence closure of pairs of positions.
 
@@ -791,26 +852,7 @@ def quotient_by_pairs(labels, pairs):
     looked up.
     """
     n = len(labels)
-    if pairs:
-        ends = list(chain.from_iterable(pairs))
-        if min(ends) < 0 or max(ends) >= n:
-            a, b = next((a, b) for a, b in pairs
-                        if not (0 <= a < n and 0 <= b < n))
-            raise StructuralError("pair (%r, %r) mentions positions outside "
-                                  "the carrier of %d labels" % (a, b, n))
-    parent = list(range(n))
-    moved = []    # each root linked below another, once
-    for ra, rb in pairs:
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        while parent[rb] != rb:
-            parent[rb] = rb = parent[parent[rb]]
-        if ra < rb:
-            parent[rb] = ra
-            moved.append(rb)
-        elif rb < ra:
-            parent[ra] = rb
-            moved.append(ra)
+    parent, moved = _unions(n, pairs)
     # in carrier order each moved position's pointer leads to a root or to
     # an earlier moved position, which is resolved by then; the roots are
     # the positions kept as quotient labels
@@ -943,8 +985,15 @@ def is_effective_after_base_change(fn, maps, space=None, spaces=(),
 
 
 def map_properties(fn, dom, cod):
-    """Property report of a map between finite spaces that the caller has
-    validated or built continuous, so no continuity is checked again: the
+    """``table_properties`` of the map ``fn``."""
+    return table_properties(_positions(fn), dom, cod)
+
+
+def table_properties(img, dom, cod):
+    """Property report of the map that sends position ``k`` of ``dom`` to
+    position ``img[k]`` of ``cod``, a map between finite spaces that the
+    caller has validated or built continuous, so no continuity is checked
+    again: the
     map is injective, surjective, open (``f(nbhd[x]) = nbhd[f(x)]``
     everywhere) and a topological embedding (injective and a homeomorphism
     onto its image with the subspace topology, which is
@@ -956,7 +1005,6 @@ def map_properties(fn, dom, cod):
     map ``f^-1(nbhd[f(x)])`` has as many points as ``nbhd[f(x)]`` has in
     the image, and holds ``nbhd[x]``, so the embedding test too compares
     popcounts and scans no preimage."""
-    img = _positions(fn)
     hit = set(img)
     injective = len(hit) == len(img)
     targets = list(map(cod.rows.__getitem__, img))

@@ -2,8 +2,11 @@
 glued-up objects.
 
 A ``GluingData`` stores a functor into the ambient category on objects and
-generating arrows.  Arrows are kept as plain maps of the ambient category,
-with the orientation fixed by ``direction``:
+generating arrows.  Each arrow is a position table: the list that gives
+each point of its domain carrier, in carrier order, the position of its
+image in the codomain carrier (the dictionary encoding of a map: its labels
+become positions and the kernels run on those).  The orientation is fixed
+by ``direction``:
 
 * ``from-overlaps`` (colimit side, the functor lands in the opposite
   category): the arrow stored for a generator ``a -> b`` is the ambient map
@@ -15,6 +18,14 @@ with the orientation fixed by ``direction``:
   map ``G(a) -> G(b)``.  The glued-up object is the set of compatible
   families inside the product of the components.
 
+The document parser reads each map straight into its table and hands the
+tables to ``GluingData.from_tables``; the constructor takes ``FinFn``
+arrows and reads each into its table.  Tables the engine builds (the
+identities of split defaults, inverses, composites) come from
+``fincat.trusted_table``.  Label-to-label maps appear only at the boundary:
+the legs of a glued object, and ``GluingData.fn``, which builds the
+``FinFn`` view of an arrow at each call and keeps nothing.
+
 In the topological ambient the colimit apex carries the final topology over
 its legs and the limit apex the initial topology; openness of legs is
 computed, never assumed.
@@ -22,6 +33,7 @@ computed, never assumed.
 
 import sys
 from math import prod
+from operator import getitem
 
 from .errors import ResourceError, StructuralError, charge
 from .fincat import (
@@ -29,14 +41,18 @@ from .fincat import (
     FinFn,
     FinSet,
     TopMap,
+    _positions,
+    class_count,
     commutes,
     compatible_tuples,
     induce_topology,
+    is_continuous,
     is_effective_family,
     is_iso,
     map_properties,
     pullback,
     quotient_by_pairs,
+    trusted_table,
 )
 from .indexcat import NONSPLIT, SPLIT, gen_endpoints
 
@@ -46,37 +62,84 @@ TOWARD_OVERLAPS = "toward-overlaps"
 
 class GluingData:
     """A functor from an index category into finite sets or finite spaces,
-    checked once, on construction; the operations trust it."""
+    its arrows stored as position tables, checked once, on construction;
+    the operations trust it."""
 
     __slots__ = ("indexcat", "ambient", "objects", "arrows", "direction", "spaces",
                  "_overlaps")
 
     def __init__(self, indexcat, ambient, objects, arrows, direction, spaces=None):
+        """The data whose arrows are the ``FinFn``s ``arrows`` gives the
+        generators, each with the endpoints ``expected_endpoints`` names,
+        read into tables; keys that are no generator are dropped."""
+        self._store(indexcat, ambient, objects, {}, direction, spaces)
+        problems = _object_problems(self) or self._read(arrows)
+        if problems:
+            raise StructuralError("invalid gluing data: "
+                                  + "; ".join(problems))
+        self._check()
+
+    @classmethod
+    def from_tables(cls, indexcat, ambient, objects, tables, direction,
+                    spaces=None):
+        """The data whose arrows are ``tables``, each read against the
+        carriers ``expected_endpoints`` names, so only the laws are
+        checked."""
+        data = object.__new__(cls)
+        data._store(indexcat, ambient, objects, tables, direction, spaces)
+        data._check()
+        return data
+
+    def _store(self, indexcat, ambient, objects, tables, direction, spaces):
         if ambient not in ("sets", "top"):
             raise StructuralError("ambient must be 'sets' or 'top'")
         if direction not in (FROM_OVERLAPS, TOWARD_OVERLAPS):
             raise StructuralError("direction must be %r or %r"
                                   % (FROM_OVERLAPS, TOWARD_OVERLAPS))
         objects = dict(objects)
-        arrows = dict(arrows)
+        tables = dict(tables)
         spaces = dict(spaces) if spaces else {}
         if indexcat.mode == SPLIT:
-            self._fill_split_defaults(indexcat, objects, arrows, spaces)
+            self._fill_split_defaults(indexcat, objects, tables, spaces)
         object.__setattr__(self, "indexcat", indexcat)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "arrows", tables)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "spaces", spaces)
+
+    def _read(self, arrows):
+        """Read the ``FinFn`` of each generator into its table; every
+        generator left with no arrow and every map with other endpoints
+        than expected, as strings."""
+        problems = []
+        for g in self.indexcat.generators:
+            if g not in arrows:
+                if g not in self.arrows:    # no split default either
+                    problems.append("generator %r has no arrow" % (g,))
+                continue
+            fn = arrows[g]
+            dom, cod = self.expected_endpoints(g)
+            if fn.domain != dom or fn.codomain != cod:
+                problems.append(
+                    "arrow for %r has endpoints %r -> %r, expected %r -> %r"
+                    % (g, list(fn.domain), list(fn.codomain), list(dom),
+                       list(cod)))
+            else:
+                self.arrows[g] = _positions(fn)
+        return problems
+
+    def _check(self):
         problems = validate_gluing_data(self)
         if problems:
-            raise StructuralError("invalid gluing data: " + "; ".join(problems))
+            raise StructuralError("invalid gluing data: "
+                                  + "; ".join(problems))
 
     def __setattr__(self, name, value):
         raise AttributeError("GluingData is immutable")
 
     @staticmethod
-    def _fill_split_defaults(cat, objects, arrows, spaces):
+    def _fill_split_defaults(cat, objects, tables, spaces):
         # classical split data: a missing diagonal object is the component
         # itself with identity structure, and tau on the diagonal defaults to
         # the identity involution
@@ -88,8 +151,8 @@ class GluingData:
                 objects[diag] = objects[(i,)]
                 if (i,) in spaces:
                     spaces[diag] = spaces[(i,)]
-                arrows.setdefault(("incl", i, diag), FinFn.identity(objects[(i,)]))
-            arrows.setdefault(("tau", diag), FinFn.identity(objects[diag]))
+                tables.setdefault(("incl", i, diag), _identity(objects[(i,)]))
+            tables.setdefault(("tau", diag), _identity(objects[diag]))
 
     def carrier(self, obj):
         try:
@@ -106,31 +169,65 @@ class GluingData:
             raise StructuralError("no space assigned to index object %r" % (obj,))
 
     def arrow(self, key):
+        """The table stored for the generator ``key``."""
         try:
             return self.arrows[key]
         except KeyError:
             raise StructuralError("no arrow assigned to generator %r" % (key,))
 
     def edge(self, i, pair):
-        """The stored map between component i and the overlap ``pair``."""
+        """The table stored between component i and the overlap ``pair``."""
         return self.arrow(("incl", i, pair))
 
     def tau_from(self, pair):
-        """The stored map attached to the swap generator with source ``pair``."""
+        """The table attached to the swap generator with source ``pair``."""
         return self.arrow(("tau", pair))
 
-    def expected_endpoints(self, key):
+    def fn(self, key):
+        """The ``FinFn`` view of the arrow stored for ``key``, built at each
+        call and not kept."""
+        table = self.arrow(key)
+        dom, cod = self.expected_endpoints(key)
+        return FinFn.from_total(dom, cod, dict(zip(
+            dom.labels, map(cod.labels.__getitem__, table))))
+
+    def arrow_objects(self, key):
+        """The index objects the arrow stored for ``key`` runs between."""
         src, dst = gen_endpoints(key)
-        if self.direction == FROM_OVERLAPS:
-            src, dst = dst, src
+        return (dst, src) if self.direction == FROM_OVERLAPS else (src, dst)
+
+    def expected_endpoints(self, key):
+        src, dst = self.arrow_objects(key)
         return self.carrier(src), self.carrier(dst)
 
 
-def validate_gluing_data(data):
-    """Every violated endpoint, continuity, or involution law, as strings."""
+def _identity(carrier):
+    return trusted_table(list(range(len(carrier))), carrier, carrier)
+
+
+def _composite(first, then, domain, codomain):
+    """The table of ``first`` followed by ``then``, from ``domain`` into
+    ``codomain``."""
+    return trusted_table(list(map(then.__getitem__, first)), domain, codomain)
+
+
+def _inverse(table, domain, codomain):
+    """The table of the inverse of the bijection ``table`` from ``domain``
+    onto ``codomain``, refused as ``FinFn.inverse`` refuses a map that is
+    not one."""
+    if len(set(table)) != len(table) or len(table) != len(codomain):
+        raise StructuralError("only bijections can be inverted")
+    inverse = [0] * len(table)
+    for k, q in enumerate(table):
+        inverse[q] = k
+    return trusted_table(inverse, codomain, domain)
+
+
+def _object_problems(data):
+    """Every index object with no carrier or, in the top ambient, with no
+    topology on its carrier, as strings."""
     problems = []
-    cat = data.indexcat
-    for obj in cat.objects:
+    for obj in data.indexcat.objects:
         if obj not in data.objects:
             problems.append("index object %r has no carrier" % (obj,))
         elif data.ambient == "top":
@@ -138,37 +235,40 @@ def validate_gluing_data(data):
                 problems.append("index object %r has no topology" % (obj,))
             elif data.spaces[obj].carrier != data.objects[obj]:
                 problems.append("topology of %r disagrees with its carrier" % (obj,))
+    return problems
+
+
+def validate_gluing_data(data):
+    """Every missing carrier, topology or arrow and every violated
+    continuity or involution law, as strings.  Each table was read against
+    the carriers of its endpoints, so those hold; continuity is checked on
+    the rows of the two spaces, with the table as the image, and the swaps
+    of a pair are mutually inverse when their composite table is the
+    identity's."""
+    problems = _object_problems(data)
     if problems:
         return problems
-    for g in cat.generators:
-        if g not in data.arrows:
-            problems.append("generator %r has no arrow" % (g,))
-            continue
-        fn = data.arrows[g]
-        dom, cod = data.expected_endpoints(g)
-        if fn.domain != dom or fn.codomain != cod:
-            problems.append("arrow for %r has endpoints %r -> %r, expected %r -> %r"
-                            % (g, list(fn.domain), list(fn.codomain),
-                               list(dom), list(cod)))
+    cat = data.indexcat
+    arrows = data.arrows
+    problems = ["generator %r has no arrow" % (g,)
+                for g in cat.generators if g not in arrows]
     if problems:
         return problems
     if data.ambient == "top":
         for g in cat.generators:
-            fn = data.arrows[g]
-            src, dst = gen_endpoints(g)
-            if data.direction == FROM_OVERLAPS:
-                src, dst = dst, src
-            try:
-                TopMap(fn, data.spaces[src], data.spaces[dst])
-            except StructuralError:
+            src, dst = data.arrow_objects(g)
+            if not is_continuous(arrows[g], data.spaces[src],
+                                 data.spaces[dst]):
                 problems.append("arrow for %r is not continuous" % (g,))
     if cat.mode == SPLIT:
-        for pair_obj in cat.pairs():
-            i, j = pair_obj
-            t1 = data.arrows[("tau", (i, j))]
-            t2 = data.arrows[("tau", (j, i))]
-            roundtrip = (t2, t1) if data.direction == FROM_OVERLAPS else (t1, t2)
-            if not commutes(roundtrip):
+        for i, j in cat.pairs():
+            t1 = arrows[("tau", (i, j))]
+            t2 = arrows[("tau", (j, i))]
+            # each way round, a map from G(i,j) back to it
+            first, then = (t2, t1) if data.direction == FROM_OVERLAPS \
+                else (t1, t2)
+            here = data.objects[(i, j)]
+            if _composite(first, then, here, here) != _identity(here):
                 problems.append("involution violated: tau%r then tau%r is not "
                                 "the identity" % ((i, j), (j, i)))
     return problems
@@ -216,8 +316,8 @@ class ConeCandidate:
 
 
 def _overlap_maps(data):
-    """Per overlap (i, j) of colimit-side data: its carrier and the maps from
-    it into components i and j, as dicts.  Built at first use and kept on
+    """Per overlap (i, j) of colimit-side data: its carrier and the tables
+    of its maps into components i and j.  Built at first use and kept on
     the data, so callers do not change it."""
     kept = getattr(data, "_overlaps", None)    # unset until first asked
     if kept is not None:
@@ -228,13 +328,12 @@ def _overlap_maps(data):
         i, j = pair_obj
         overlap = data.carrier(pair_obj)
         if cat.mode == NONSPLIT:
-            into_j = data.edge(j, pair_obj).mapping
+            into_j = data.edge(j, pair_obj)
         else:
-            t = data.tau_from((j, i)).mapping    # ambient map G(i,j) -> G(j,i)
-            e_j = data.edge(j, (j, i)).mapping
-            into_j = dict(zip(overlap.labels, map(
-                e_j.__getitem__, map(t.__getitem__, overlap.labels))))
-        out.append((i, j, overlap, data.edge(i, pair_obj).mapping, into_j))
+            # the ambient map G(i,j) -> G(j,i), then G(j,i) into G(j)
+            into_j = _composite(data.tau_from((j, i)), data.edge(j, (j, i)),
+                                overlap, data.carrier((j,)))
+        out.append((i, j, overlap, data.edge(i, pair_obj), into_j))
     object.__setattr__(data, "_overlaps", tuple(out))
     return data._overlaps
 
@@ -244,28 +343,25 @@ def _tagged(i, labels):
     return map((i + SEP).__add__, labels)
 
 
-def colimit_relation_pairs(data):
-    """The generating identifications on the tagged disjoint union."""
-    pairs = []
-    for i, j, overlap, e_i, e_j in _overlap_maps(data):
-        pairs.extend(zip(_tagged(i, map(e_i.__getitem__, overlap.labels)),
-                         _tagged(j, map(e_j.__getitem__, overlap.labels))))
-    return pairs
-
-
 def _position_pairs(data, offsets):
     """The generating identifications as pairs of coproduct positions: for
     each point of an overlap (i, j), the position of its image in component
     i after that component's offset, and likewise in component j."""
     pairs = []
-    for i, j, overlap, e_i, e_j in _overlap_maps(data):
-        at_i = data.carrier((i,))._pos
-        at_j = data.carrier((j,))._pos
-        pairs.extend(zip(
-            map(offsets[i].__add__, map(at_i.__getitem__, e_i.values())),
-            map(offsets[j].__add__,
-                map(at_j.__getitem__, map(e_j.__getitem__, e_i)))))
+    for i, j, _, e_i, into_j in _overlap_maps(data):
+        pairs.extend(zip(map(offsets[i].__add__, e_i),
+                         map(offsets[j].__add__, into_j)))
     return pairs
+
+
+def _offsets(data):
+    """Each component's offset in the coproduct, and the coproduct's
+    size."""
+    offsets, size = {}, 0
+    for obj in data.indexcat.singletons():
+        offsets[obj[0]] = size
+        size += len(data.carrier(obj))
+    return offsets, size
 
 
 def _coproduct(comps, carriers):
@@ -288,15 +384,16 @@ def colimit_glue(data):
 
     The coproduct is the list of tagged labels ``i|x``, component after
     component; the partition is built once, by ``quotient_by_pairs`` on
-    pairs of positions in it, each the component's offset plus the point's
-    position in its carrier, so no tagged label is looked up.  The witness
-    keeps the tagged labels, as a tuple (``witness["coproduct"]``), and the
-    classes of two or more members (``witness["merged"]``): each class
-    name, in apex order, with its members in coproduct order.  Every other
-    apex label is a class of one coproduct label, itself.  Each component
-    leg is cut from the slice of the class names at its component's offset;
-    overlap legs factor through the stored edge maps.  In the top ambient
-    the apex carries the final topology over the component legs.
+    pairs of positions in it, each the component's offset plus an entry of
+    an overlap's table, so no label is looked up.  The witness keeps the
+    tagged labels, as a tuple (``witness["coproduct"]``), and the classes
+    of two or more members (``witness["merged"]``): each class name, in
+    apex order, with its members in coproduct order.  Every other apex
+    label is a class of one coproduct label, itself.  Each component leg
+    is cut from the slice of the class names at its component's offset,
+    and each overlap leg read from that slice through the edge's table.
+    In the top ambient the apex carries the final topology over the
+    component legs.
     """
     _require_valid(data, FROM_OVERLAPS)
     cat = data.indexcat
@@ -313,7 +410,10 @@ def colimit_glue(data):
             dict(zip(carrier.labels, names[k:k + len(carrier)])))
     for pair_obj in cat.pairs():
         i = pair_obj[0]
-        legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
+        overlap = data.carrier(pair_obj)
+        legs[pair_obj] = FinFn.from_total(overlap, apex, dict(zip(
+            overlap.labels, map(names.__getitem__, map(
+                offsets[i].__add__, data.edge(i, pair_obj))))))
     space = None
     leg_props = {}
     if data.ambient == "top":
@@ -327,6 +427,9 @@ def colimit_glue(data):
 
 
 def _limit_constraints(data):
+    """Per pair (i, j) of limit-side data: the tables from components i
+    and j into the overlap on which a compatible family's two values
+    agree."""
     cat = data.indexcat
     cons = []
     if cat.mode == NONSPLIT:
@@ -336,14 +439,19 @@ def _limit_constraints(data):
     else:
         for pair_obj in cat.pairs():
             i, j = pair_obj
-            into_ji = data.edge(i, pair_obj).then(data.tau_from(pair_obj))
+            # G(i) into G(i,j), then the swap to G(j,i)
+            into_ji = _composite(data.edge(i, pair_obj),
+                                 data.tau_from(pair_obj), data.carrier((i,)),
+                                 data.carrier((j, i)))
             cons.append((i, j, into_ji, data.edge(j, (j, i))))
     return cons
 
 
 def limit_glue(data):
     """The standard limit-side representative: compatible families in the
-    product of the components, with coordinate projections as legs."""
+    product of the components, with coordinate projections as legs.  The
+    join runs on carrier positions with the tables as keys; each family's
+    label joins the labels at its positions."""
     _require_valid(data, TOWARD_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
@@ -351,19 +459,25 @@ def limit_glue(data):
     charge("limit over %d components" % len(comps), prod(map(len, carriers)))
     pos = {i: k for k, i in enumerate(comps)}
     members = compatible_tuples(
-        [c.labels for c in carriers],
-        [(pos[i], pos[j], f.mapping, g.mapping)
-         for i, j, f, g in _limit_constraints(data)],
+        [range(len(c)) for c in carriers],
+        [(pos[i], pos[j], f, g) for i, j, f, g in _limit_constraints(data)],
         "limit families")
-    labels = [SEP.join(combo) for combo in members]
+    # each family's values as labels
+    at = [c.labels for c in carriers]
+    combos = [tuple(map(getitem, at, m)) for m in members]
+    labels = [SEP.join(combo) for combo in combos]
     apex = FinSet.from_distinct(labels)
     legs = {}
     for k, i in enumerate(comps):
         legs[(i,)] = FinFn.from_total(
-            apex, carriers[k], dict(zip(labels, [c[k] for c in members])))
+            apex, carriers[k], dict(zip(labels, [c[k] for c in combos])))
     for pair_obj in cat.pairs():
-        i = pair_obj[0]
-        legs[pair_obj] = legs[(i,)].then(data.edge(i, pair_obj))
+        k = pos[pair_obj[0]]
+        edge = data.edge(pair_obj[0], pair_obj)
+        overlap = data.carrier(pair_obj)
+        into = overlap.labels
+        legs[pair_obj] = FinFn.from_total(apex, overlap, dict(zip(
+            labels, [into[edge[m[k]]] for m in members])))
     space = None
     leg_props = {}
     if data.ambient == "top":
@@ -383,7 +497,7 @@ def _check_cone(data, cone, side):
             raise StructuralError("cone has no leg at %r" % (obj,))
     for g in cat.generators:
         src, dst = gen_endpoints(g)
-        fn = data.arrow(g)
+        fn = data.fn(g)
         path = (fn, cone.legs[src]) if data.direction == FROM_OVERLAPS \
             else (cone.legs[src], fn)
         if not commutes(path, (cone.legs[dst],)):
@@ -439,26 +553,31 @@ def hom_transport(data, z):
 
     A family is one value of ``z`` per class of the data's own overlap
     identifications (Mac Lane, CWM III.3-4), so ``|z| ** classes`` counts
-    them; nothing is listed or charged.  Restriction is injective when
-    ``|z| <= 1`` or the legs reach every apex class, lands in the families
-    when ``|z| <= 1`` or the legs form a cocone on every overlap, and is
-    onto when ``|z| == 1``, when ``|z| >= 2`` and the legs hit as many
-    classes as the data has (given the cocone, no leg merges two), and for
-    an empty ``z`` when there is no family or the legs reach every class.
+    them; nothing is listed or charged.  The classes are counted on
+    coproduct positions by ``class_count``, with no label built, so the
+    count does not rest on the glued object it certifies.  Restriction
+    is injective when ``|z| <= 1`` or the legs reach every apex class,
+    lands in the families when ``|z| <= 1`` or the legs form a cocone on
+    every overlap, and is onto when ``|z| == 1``, when ``|z| >= 2`` and
+    the legs hit as many classes as the data has (given the cocone, no leg
+    merges two), and for an empty ``z`` when there is no family or the
+    legs reach every class.  The cocone is read through the overlaps'
+    tables, from each leg's value at every point of its component.
     """
     _require_valid(data, FROM_OVERLAPS)
-    comps = [obj[0] for obj in data.indexcat.singletons()]
-    labels, offsets = _coproduct(comps, [data.carrier((i,)) for i in comps])
-    classes = len(quotient_by_pairs(labels, _position_pairs(data, offsets))[0])
+    offsets, size = _offsets(data)
+    classes = class_count(size, _position_pairs(data, offsets))
     family_count = _count_power("compatible families of maps", len(z), classes)
     glued = colimit_glue(data)
-    legs = {i: glued.legs[(i,)].mapping for i in comps}
-    hit = len(set().union(*map(dict.values, legs.values())))
+    at = {obj[0]: list(map(glued.legs[obj].mapping.__getitem__,
+                           data.carrier(obj).labels))
+          for obj in data.indexcat.singletons()}
+    hit = len(set().union(*at.values()))
     reaches_all = hit == len(glued.apex)
     small = len(z) <= 1
-    lands = small or all(legs[i][e_i[u]] == legs[j][e_j[u]]
-                         for i, j, overlap, e_i, e_j in _overlap_maps(data)
-                         for u in overlap)
+    lands = small or all(at[i][a] == at[j][b]
+                         for i, j, _, e_i, into_j in _overlap_maps(data)
+                         for a, b in zip(e_i, into_j))
     onto = hit == classes if not small else \
         len(z) == 1 or classes > 0 or reaches_all
     return {

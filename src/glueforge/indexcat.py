@@ -12,6 +12,10 @@ to right; the empty word is the identity.  Generator keys are
 and normalization cancels adjacent inverse swaps, which encodes the law
 ``tau[j,i] . tau[i,j] = id`` (including ``i = j``, where the swap is an
 involution that need not be the identity).
+
+Documents name an object by its labels joined with commas; ``keys`` maps
+every spelling a document may use, ``i`` and ``i,j`` and in nonsplit mode
+``j,i`` too, to its object, so a parser resolves a key with one lookup.
 """
 
 from itertools import combinations, product as iproduct
@@ -49,7 +53,7 @@ def normalize(word):
 class IndexCat:
     """The (split) truncated power-set category of a finite index set."""
 
-    __slots__ = ("mode", "index", "objects", "generators")
+    __slots__ = ("mode", "index", "objects", "generators", "keys")
 
     def __init__(self, mode, index):
         if mode not in (NONSPLIT, SPLIT):
@@ -57,16 +61,19 @@ class IndexCat:
         if len(index) == 0:
             raise StructuralError("index set must be nonempty")
         objects = [(i,) for i in index]
+        keys = dict(zip(index.labels, objects))
         generators = []
         if mode == NONSPLIT:
             for i, j in combinations(index.labels, 2):
                 pair = (i, j)
                 objects.append(pair)
+                keys[i + "," + j] = keys[j + "," + i] = pair
                 generators.append(("incl", i, pair))
                 generators.append(("incl", j, pair))
         else:
             for i, j in iproduct(index.labels, index.labels):
                 objects.append((i, j))
+                keys[i + "," + j] = (i, j)
             for i, j in iproduct(index.labels, index.labels):
                 generators.append(("incl", i, (i, j)))
                 generators.append(("tau", (i, j)))
@@ -74,6 +81,7 @@ class IndexCat:
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "objects", tuple(objects))
         object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "keys", keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexCat is immutable")

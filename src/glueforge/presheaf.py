@@ -37,19 +37,9 @@ from itertools import combinations, product, repeat, tee
 from operator import getitem, or_
 
 from .errors import ResourceError, StructuralError, charge
-from .fincat import SEP, _refuse_labels, compatible_tuples
+from .fincat import SEP, _refuse_labels, compatible_tuples, trusted_table
 
 EMPTY_SECTION = "()"
-
-
-def trusted_table(values, domain, codomain):
-    """A table the engine built from the sections ``domain`` into
-    ``codomain``, checked only for its length; parsers check each entry of
-    the tables they read."""
-    if len(values) != len(domain):
-        raise StructuralError("a table of %d values from %d sections into %d"
-                              % (len(values), len(domain), len(codomain)))
-    return values
 
 
 def _composite(first, then):

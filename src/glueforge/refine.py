@@ -3,8 +3,8 @@ their glued-up objects, and composition of gluings by flattening covers of
 covers."""
 
 from .errors import StructuralError
-from .fincat import SEP, FinFn, commutes
-from .gluing import TOWARD_OVERLAPS
+from .fincat import SEP, FinFn, _positions
+from .gluing import TOWARD_OVERLAPS, _identity
 from .indexcat import NONSPLIT
 from .site import effective_epi_check, flatten_sinks
 
@@ -48,17 +48,20 @@ class Refinement:
         return (gi,) if gi == gj else self.source.indexcat.pair(gi, gj)
 
     def source_edge(self, i, pair_obj):
-        """The source arrow matching the target inclusion i -> pair, after
-        reindexing; the identity when the pair collapses."""
+        """The table of the source arrow matching the target inclusion
+        i -> pair, after reindexing; the identity's when the pair
+        collapses."""
         gi = self.gamma(i)
         robj = self.reindexed(pair_obj)
         if len(robj) == 1:
-            return FinFn.identity(self.source.carrier((gi,)))
+            return _identity(self.source.carrier((gi,)))
         return self.source.edge(gi, robj)
 
 
 def validate_refinement(ref):
-    """Every missing component, endpoint clash, or failed naturality square."""
+    """Every missing component, endpoint clash, or failed naturality square.
+    A square is decided on positions: each component is read into its
+    table, and the two composite tables are compared."""
     problems = []
     tcat = ref.target.indexcat
     for obj in tcat.objects:
@@ -75,19 +78,29 @@ def validate_refinement(ref):
                                           list(want_dom), list(want_cod)))
     if problems:
         return problems
+    comps = {obj: _positions(ref.components[obj]) for obj in tcat.objects}
     for g in tcat.generators:
         _, i, pair_obj = g
-        comp_i = ref.components[(i,)]
-        comp_pair = ref.components[pair_obj]
+        comp_i = comps[(i,)]
+        comp_pair = comps[pair_obj]
         src_edge = ref.source_edge(i, pair_obj)
         tgt_edge = ref.target.arrow(g)
         if ref.target.direction == TOWARD_OVERLAPS:
+            # from the source component at gamma(i) to the target pair
             square = (comp_i, tgt_edge), (src_edge, comp_pair)
         else:
+            # from the source object at gamma(pair) to the target component i
             square = (src_edge, comp_i), (comp_pair, tgt_edge)
-        if not commutes(*square):
+        if not _commutes(*square):
             problems.append("naturality square at %r does not commute" % (g,))
     return problems
+
+
+def _commutes(path, other):
+    """Whether two paths of two tables each, from one carrier, have the
+    same composite."""
+    return list(map(path[1].__getitem__, path[0])) \
+        == list(map(other[1].__getitem__, other[0]))
 
 
 def induced_limit_map(ref, glued_source, glued_target):

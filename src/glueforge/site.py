@@ -24,6 +24,7 @@ hit, is a candidate built and compared with ``sinks_equivalent``.
 from collections import Counter
 from itertools import count, permutations, product as iproduct
 from math import prod
+from operator import and_
 
 from .errors import StructuralError, charge
 from .fincat import (
@@ -32,21 +33,22 @@ from .fincat import (
     FinTop,
     TopMap,
     _positions,
-    induce_topology,
+    _preimage_rows,
     is_effective_after_base_change,
     is_effective_family,
     is_iso,
     joint_image,
-    map_properties,
     pair_label,
     pullback,
+    table_properties,
 )
 from .gluing import (
     FROM_OVERLAPS,
     GluingData,
+    _offsets,
     _overlap_maps,
+    _position_pairs,
     colimit_glue,
-    colimit_relation_pairs,
 )
 from .indexcat import SPLIT, IndexCat
 
@@ -331,16 +333,17 @@ def effective_gluing_check(data):
     cat = data.indexcat
     names = [obj[0] for obj in cat.singletons()]
     glued = colimit_glue(data)
+    offsets, size = _offsets(data)
 
     # the identifications made symmetric and reflexive hold each coproduct
-    # label with itself and each unordered pair of distinct labels both
-    # ways; they are transitive exactly when they are the equivalence they
-    # generate, whose classes are those of the glued apex: the merged ones
-    # and a singleton for every other apex label
+    # position with itself and each unordered pair of distinct positions
+    # both ways; they are transitive exactly when they are the equivalence
+    # they generate, whose classes are those of the glued apex: the merged
+    # ones and a singleton for every other apex label
     distinct = {(a, b) if a < b else (b, a)
-                for a, b in colimit_relation_pairs(data) if a != b}
+                for a, b in _position_pairs(data, offsets) if a != b}
     merged = glued.witness["merged"].values()
-    transitive = len(glued.witness["coproduct"]) + 2 * len(distinct) \
+    transitive = size + 2 * len(distinct) \
         == sum(len(members) ** 2 for members in merged) \
         + len(glued.apex) - len(merged)
 
@@ -352,9 +355,9 @@ def effective_gluing_check(data):
     edge_emb = {}
     for pair_obj in cat.pairs():
         e = data.edge(pair_obj[0], pair_obj)
-        edge_emb[pair_obj] = map_properties(
+        edge_emb[pair_obj] = table_properties(
             e, spaces[pair_obj], spaces[pair_obj[:1]])["embedding"] if top \
-            else e.is_injective()
+            else len(set(e)) == len(e)
     leg_inj = {}
     for i in names:
         leg_inj[i] = glued.leg_props[(i,)]["embedding"] if top \
@@ -363,32 +366,32 @@ def effective_gluing_check(data):
 
     intersection_ok = {}
     canonical_bij = {}
-    # how many points of each component each leg sends to each apex label;
-    # the keys are the leg's image
-    fibres = {i: Counter(glued.legs[(i,)].mapping.values()) for i in names}
+    # the apex label at each point of each component, and how many points
+    # of the component go to each apex label; the keys are the leg's image
+    at = {i: list(map(glued.legs[(i,)].mapping.__getitem__,
+                      data.carrier((i,)).labels)) for i in names}
+    fibres = {i: Counter(at[i]) for i in names}
     for i, j, overlap, e_i, into_j in _overlap_maps(data):
         pair_obj = (i, j)
-        edge_image = set(map(glued.legs[(i,)].mapping.__getitem__,
-                             map(e_i.__getitem__, overlap.labels)))
+        edge_image = set(map(at[i].__getitem__, e_i))
         intersection_ok[pair_obj] = \
             edge_image == fibres[i].keys() & fibres[j].keys()
 
         # the canonical map lands in the fibre product, the legs being a
         # cocone: it is onto exactly when it hits as many pairs as that has
         canonical_bij[pair_obj] = \
-            len(set(zip(map(e_i.__getitem__, overlap.labels),
-                        map(into_j.__getitem__, overlap.labels)))) \
+            len(set(zip(e_i, into_j))) \
             == len(overlap) \
             == sum(n * fibres[j][z] for z, n in fibres[i].items())
         if top and canonical_bij[pair_obj]:
-            canonical_bij[pair_obj] = spaces[pair_obj] == induce_topology(
-                "initial", overlap,
-                [data.edge(i, pair_obj),
-                 FinFn.from_total(overlap, data.carrier((j,)), into_j)],
-                [spaces[(i,)], spaces[(j,)]])
+            # the initial topology along e_i and into_j
+            canonical_bij[pair_obj] = spaces[pair_obj].rows == list(map(
+                and_, _preimage_rows(e_i, spaces[(i,)].rows),
+                _preimage_rows(into_j, spaces[(j,)].rows)))
         diagnostics["pairs"][pair_obj] = {
             "edge_embeds": edge_emb[pair_obj],
-            "edge_onto_component": data.edge(i, pair_obj).is_surjective(),
+            "edge_onto_component":
+                len(set(e_i)) == len(data.carrier((i,))),
             "intersection_ok": intersection_ok[pair_obj],
             "canonical_bijective": canonical_bij[pair_obj],
         }

@@ -330,8 +330,40 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
                 {u: rng.choice(components[j]) for u in labels})
     data = make_split_colimit(index, components, overlaps)
     spaces = {obj: FinTop.discrete(data.objects[obj]) for obj in data.objects}
-    return GluingData(data.indexcat, "top", data.objects, data.arrows,
-                      FROM_OVERLAPS, spaces)
+    return GluingData.from_tables(data.indexcat, "top", data.objects,
+                                  data.arrows, FROM_OVERLAPS, spaces)
+
+
+def label_arrows(data):
+    """The ``FinFn`` view of each arrow of gluing data, by generator."""
+    return {g: data.fn(g) for g in data.arrows}
+
+
+def label_overlap_maps(data):
+    """Per overlap (i, j) of colimit-side data: its carrier and its maps
+    into components i and j as label dicts, the split ones through the
+    swap, each composed with ``FinFn.then``."""
+    cat = data.indexcat
+    out = []
+    for i, j in cat.pairs():
+        into_i = data.fn(("incl", i, (i, j)))
+        if cat.mode == "nonsplit":
+            into_j = data.fn(("incl", j, (i, j)))
+        else:
+            into_j = data.fn(("tau", (j, i))).then(
+                data.fn(("incl", j, (j, i))))
+        out.append((i, j, data.carrier((i, j)), into_i.mapping,
+                    into_j.mapping))
+    return out
+
+
+def colimit_relation_pairs(data):
+    """The generating identifications of colimit-side data as pairs of
+    tagged labels ``i|x`` of the disjoint union, read from the label view
+    of each overlap's maps."""
+    return [(i + "|" + e_i[u], j + "|" + into_j[u])
+            for i, j, overlap, e_i, into_j in label_overlap_maps(data)
+            for u in overlap]
 
 
 def label_nbhd(space):

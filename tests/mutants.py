@@ -86,8 +86,8 @@ MUTANTS = [
      "the strong reading takes an injection short of the fibre product "
      "for a bijection"),
     ("site.py",
-     "            len(set(zip(map(e_i.__getitem__, overlap.labels),\n",
-     "            len(list(zip(map(e_i.__getitem__, overlap.labels),\n",
+     "            len(set(zip(e_i, into_j))) \\\n",
+     "            len(list(zip(e_i, into_j))) \\\n",
      ["tests/test_site.py"],
      "the strong reading counts repeated canonical pairs as distinct"),
     ("site.py",
@@ -217,6 +217,32 @@ MUTANTS = [
      "        return size <= 2\n",
      ["tests/test_presheaf.py"],
      "the empty cover separates two sections"),
+    ("cli.py",
+     "        if len(mapping) == len(domain):\n",
+     "        if True:\n",
+     ["tests/test_refusals.py"],
+     "a document map is read with no length test, so an extra key passes"),
+    ("indexcat.py",
+     "                keys[i + \",\" + j] = keys[j + \",\" + i] = pair\n",
+     "                keys[i + \",\" + j] = keys[j + \",\" + i] = pair\n"
+     "                keys[i + \",\" + i] = (i, i)\n",
+     ["tests/test_refusals.py"],
+     "the key table maps i,i to a pair in nonsplit mode"),
+    ("cli.py",
+     "            if arrows.get(key, t) != t:\n",
+     "            if len(arrows.get(key, t)) != len(t):\n",
+     ["tests/test_refusals.py"],
+     "the swaps of the two orientations are compared by length only"),
+    ("gluing.py",
+     "            if _composite(first, then, here, here) != _identity(here):\n",
+     "            if False:\n",
+     ["tests/test_gluing.py", "tests/test_laws.py"],
+     "the split involution law is not checked"),
+    ("fincat.py",
+     "    return not any(_gather(row, bits) & ~rows[q]\n",
+     "    return not any(False\n",
+     ["tests/test_refusals.py"],
+     "a table is continuous whatever the rows"),
 ]
 
 

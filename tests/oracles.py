@@ -42,20 +42,18 @@ from glueforge.fincat import (
     pullback,
     quotient_by_pairs,
 )
+from glueforge import cli
 from glueforge.gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
     ConeCandidate,
     GluedObject,
     GluingData,
-    _limit_constraints,
-    _overlap_maps,
     _require_valid,
     colimit_glue,
-    colimit_relation_pairs,
     mediating_map,
 )
-from glueforge.indexcat import NONSPLIT, gen_endpoints
+from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import (
     Sink,
@@ -67,7 +65,13 @@ from glueforge.site import (
     sinks_equivalent,
 )
 
-from fixtures import label_nbhd, preimage
+from fixtures import (
+    colimit_relation_pairs,
+    label_nbhd,
+    label_overlap_maps,
+    preimage,
+    space_from_nbhd,
+)
 from paper import tag
 
 
@@ -205,7 +209,7 @@ def canonical_bijective_by_pullback(data, glued):
     top = data.ambient == "top"
     spaces = data.spaces if top else {}
     out = {}
-    for i, j, overlap, e_i, into_j in _overlap_maps(data):
+    for i, j, overlap, e_i, into_j in label_overlap_maps(data):
         ps = pullback(glued.legs[(i,)], glued.legs[(j,)],
                       spaces.get((i,)), spaces.get((j,)))
         mapping = {u: SEP.join((e_i[u], into_j[u])) for u in overlap}
@@ -260,7 +264,14 @@ def equalizer_glue_oracle(data):
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
     prod = product_enumerate(carriers)
-    cons = _limit_constraints(data)
+    # per pair (i, j), the maps from components i and j into one overlap
+    if cat.mode == NONSPLIT:
+        cons = [(i, j, data.fn(("incl", i, (i, j))),
+                 data.fn(("incl", j, (i, j)))) for i, j in cat.pairs()]
+    else:
+        cons = [(i, j, data.fn(("incl", i, (i, j))).then(
+                    data.fn(("tau", (i, j)))),
+                 data.fn(("incl", j, (j, i)))) for i, j in cat.pairs()]
     if cat.mode == NONSPLIT:
         slot_carriers = [data.carrier(cat.pair(i, j)) for i, j, _, _ in cons]
     else:
@@ -284,7 +295,7 @@ def equalizer_glue_oracle(data):
         legs[(i,)] = FinFn(apex, carriers[k], {x: combos[x][k] for x in apex})
     for pair_obj in cat.pairs():
         i = pair_obj[0]
-        legs[pair_obj] = legs[(i,)].then(data.edge(i, pair_obj))
+        legs[pair_obj] = legs[(i,)].then(data.fn(("incl", i, pair_obj)))
     space = None
     if data.ambient == "top":
         space = induce_topology("initial", apex,
@@ -301,7 +312,7 @@ def sink_target_cone(sink, data):
     legs = {(i,): fn for i, _, fn in sink.sources}
     for pair_obj in data.indexcat.pairs():
         i = pair_obj[0]
-        legs[pair_obj] = data.edge(i, pair_obj).then(legs[(i,)])
+        legs[pair_obj] = data.fn(("incl", i, pair_obj)).then(legs[(i,)])
     return ConeCandidate(sink.target, legs,
                          space=sink.target_space if sink.ambient == "top"
                          else None)
@@ -333,8 +344,9 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
     for g in cat.generators:
         dst, src = gen_endpoints(g)     # from-overlaps: the map runs back
         legs = members[src].legs
+        arrow = data.fn(g)
         arrows[g] = FinFn(members[src].members, members[dst].members,
-                          {lab: data.arrow(g)(legs["p1"](lab)) + SEP
+                          {lab: arrow(legs["p1"](lab)) + SEP
                            + legs["p2"](lab) for lab in members[src].members})
     pulled = GluingData(cat, data.ambient,
                         {obj: ps.members for obj, ps in members.items()},
@@ -693,3 +705,336 @@ def sheaf_verdicts_by_every_constraint(store, coverings):
                     break
     return (sep_counter is None, sep_counter,
             sheaf_counter is None, sheaf_counter)
+
+
+# The label path of gluing data: how the engine read, checked and glued it
+# while each arrow was a checked ``FinFn``, before it kept position tables.
+
+class LabelGluing:
+    """Gluing data with a checked ``FinFn`` per generator, validated on
+    labels: the endpoints compared as carriers, continuity by building a
+    ``TopMap`` and each split involution by ``commutes``; a problem is
+    raised in the engine's words.  Split data gets the diagonal defaults:
+    a missing diagonal object is its component, with identity arrows."""
+
+    def __init__(self, indexcat, ambient, objects, arrows, direction,
+                 spaces=None):
+        objects, arrows = dict(objects), dict(arrows)
+        spaces = dict(spaces or {})
+        if indexcat.mode == SPLIT:
+            for i in indexcat.index:
+                diag = (i, i)
+                if diag not in objects:
+                    if (i,) not in objects:
+                        continue
+                    objects[diag] = objects[(i,)]
+                    if (i,) in spaces:
+                        spaces[diag] = spaces[(i,)]
+                    arrows.setdefault(("incl", i, diag),
+                                      FinFn.identity(objects[(i,)]))
+                arrows.setdefault(("tau", diag), FinFn.identity(objects[diag]))
+        self.indexcat, self.ambient, self.direction = indexcat, ambient, \
+            direction
+        self.objects, self.arrows, self.spaces = objects, arrows, spaces
+        problems = self.problems()
+        if problems:
+            raise StructuralError("invalid gluing data: "
+                                  + "; ".join(problems))
+
+    def carrier(self, obj):
+        return self.objects[obj]
+
+    def space(self, obj):
+        return self.spaces[obj]
+
+    def fn(self, key):
+        return self.arrows[key]
+
+    def ends(self, key):
+        """The index objects the arrow for ``key`` runs between."""
+        src, dst = gen_endpoints(key)
+        return (dst, src) if self.direction == FROM_OVERLAPS else (src, dst)
+
+    def problems(self):
+        problems = []
+        cat = self.indexcat
+        for obj in cat.objects:
+            if obj not in self.objects:
+                problems.append("index object %r has no carrier" % (obj,))
+            elif self.ambient == "top":
+                if obj not in self.spaces:
+                    problems.append("index object %r has no topology"
+                                    % (obj,))
+                elif self.spaces[obj].carrier != self.objects[obj]:
+                    problems.append("topology of %r disagrees with its "
+                                    "carrier" % (obj,))
+        if problems:
+            return problems
+        for g in cat.generators:
+            if g not in self.arrows:
+                problems.append("generator %r has no arrow" % (g,))
+                continue
+            fn = self.arrows[g]
+            dom, cod = (self.objects[obj] for obj in self.ends(g))
+            if fn.domain != dom or fn.codomain != cod:
+                problems.append(
+                    "arrow for %r has endpoints %r -> %r, expected %r -> %r"
+                    % (g, list(fn.domain), list(fn.codomain), list(dom),
+                       list(cod)))
+        if problems:
+            return problems
+        if self.ambient == "top":
+            for g in cat.generators:
+                src, dst = self.ends(g)
+                try:
+                    TopMap(self.arrows[g], self.spaces[src], self.spaces[dst])
+                except StructuralError:
+                    problems.append("arrow for %r is not continuous" % (g,))
+        if cat.mode == SPLIT:
+            for i, j in cat.pairs():
+                t1 = self.arrows[("tau", (i, j))]
+                t2 = self.arrows[("tau", (j, i))]
+                roundtrip = (t2, t1) if self.direction == FROM_OVERLAPS \
+                    else (t1, t2)
+                if not commutes_by_composites(roundtrip):
+                    problems.append("involution violated: tau%r then tau%r "
+                                    "is not the identity" % ((i, j), (j, i)))
+        return problems
+
+
+def parse_gluing_by_labels(payload, table=None):
+    """A gluing payload read into ``LabelGluing``: each key parsed, each map
+    a checked ``FinFn`` and the inverse of each swap ``FinFn.inverse``;
+    ``table`` is ``cli.parse_object``'s."""
+    table = {} if table is None else table
+    mode, ambient = payload["mode"], payload["ambient"]
+    direction = payload["direction"]
+    index = FinSet(payload["index"])
+    for label in index:
+        if "," in label:
+            raise StructuralError("index label %r may not contain ','" % label)
+    cat = IndexCat(mode, index)
+    named, objects, spaces = {}, {}, {}
+    for key, node in payload["objects"].items():
+        obj = cli._parse_objkey(key, mode, cat)
+        if obj not in cat.objects:
+            raise StructuralError("objects entry %r names no index object"
+                                  % key)
+        cli._claim(named, obj, key, "objects", "index object")
+        objects[obj], space = cli.parse_object(node, ambient, table)
+        if space is not None:
+            spaces[obj] = space
+
+    def carrier(obj):
+        if obj not in objects:
+            raise StructuralError("arrow needs an objects entry for %r"
+                                  % ",".join(obj))
+        return objects[obj]
+
+    arrows, taus = {}, {}
+    for entry in payload["arrows"]:
+        pair = cli._parse_objkey(entry["pair"], mode, cat)
+        if len(pair) != 2:
+            raise StructuralError("arrow pair %r is not a pair"
+                                  % (entry["pair"],))
+        if entry["kind"] == "edge":
+            i = entry["from"]
+            if i not in pair:
+                raise StructuralError("edge source %r not in pair %r"
+                                      % (i, entry["pair"]))
+            if ("incl", i, pair) in arrows:
+                raise StructuralError("edge from %r to pair %r is given twice"
+                                      % (i, entry["pair"]))
+            ends = (carrier(pair), carrier((i,))) \
+                if direction == FROM_OVERLAPS \
+                else (carrier((i,)), carrier(pair))
+            arrows[("incl", i, pair)] = FinFn(*ends, entry["map"])
+        else:
+            i, j = pair
+            if pair in taus:
+                raise StructuralError("tau for pair %r is given twice"
+                                      % entry["pair"])
+            taus[pair] = entry["pair"]
+            if (j, i) not in objects:
+                raise StructuralError("tau needs both pair orientations, "
+                                      "%r is missing" % ((j, i),))
+            fn = FinFn(carrier(pair), objects[(j, i)], entry["map"])
+            key, inverse_key = (("tau", (j, i)), ("tau", (i, j))) \
+                if direction == FROM_OVERLAPS \
+                else (("tau", (i, j)), ("tau", (j, i)))
+            inverse = fn.inverse()
+            if arrows.get(key, fn) != fn:
+                raise StructuralError("tau for pair %r is not the inverse of "
+                                      "the tau for pair %r"
+                                      % (entry["pair"], taus[(j, i)]))
+            arrows[inverse_key] = inverse
+            arrows[key] = fn
+    return LabelGluing(cat, ambient, objects, arrows, direction,
+                       spaces or None)
+
+
+def colimit_by_labels(data):
+    """The colimit of colimit-side label data as the closure of its tagged
+    label relation: each class named by its smallest member, the apex in
+    the order of the classes' first members, each overlap leg through its
+    edge.  In the top ambient the apex gets the final topology by
+    frozensets and each leg its properties."""
+    comps = [obj[0] for obj in data.indexcat.singletons()]
+    coproduct = [tag(i, x) for i in comps for x in data.carrier((i,))]
+    name = {}
+    for members in naive_closure_partition(coproduct,
+                                           colimit_relation_pairs(data)):
+        for x in members:
+            name[x] = min(members)
+    apex = FinSet(dict.fromkeys(name[x] for x in coproduct))
+    legs = {(i,): FinFn(data.carrier((i,)), apex,
+                        {x: name[tag(i, x)] for x in data.carrier((i,))})
+            for i in comps}
+    for pair_obj in data.indexcat.pairs():
+        legs[pair_obj] = data.fn(("incl", pair_obj[0], pair_obj)).then(
+            legs[pair_obj[:1]])
+    merged = {}
+    for x in coproduct:
+        merged.setdefault(name[x], []).append(x)
+    merged = {n: members for n, members in merged.items() if len(members) > 1}
+    space, props = None, {}
+    if data.ambient == "top":
+        space = space_from_nbhd(apex, induce_topology_by_frozensets(
+            "final", apex, [legs[(i,)] for i in comps],
+            [data.space((i,)) for i in comps]))
+        props = {obj: map_properties_by_frozensets(leg, data.space(obj), space)
+                 for obj, leg in legs.items()}
+    return GluedObject("colimit", apex, space, legs, props,
+                       {"merged": merged})
+
+
+def limit_by_labels(data):
+    """``equalizer_glue_oracle`` with the leg properties by frozensets."""
+    glued = equalizer_glue_oracle(data)
+    props = {}
+    if data.ambient == "top":
+        props = {obj: map_properties_by_frozensets(leg, glued.space,
+                                                   data.space(obj))
+                 for obj, leg in glued.legs.items()}
+    return GluedObject("limit", glued.apex, glued.space, glued.legs, props,
+                       {})
+
+
+def effectiveness_by_labels(data, glued):
+    """The three effectiveness flags and the diagnostics of split
+    colimit-side label data and its glued object: transitivity of the
+    symmetric, reflexive label relation pair by pair, embeddings by
+    frozensets, the intersection of component images by sets of labels,
+    and the strong reading by built pullbacks."""
+    top = data.ambient == "top"
+    comps = [obj[0] for obj in data.indexcat.singletons()]
+    rel = set()
+    for a, b in colimit_relation_pairs(data):
+        rel |= {(a, b), (b, a)}
+    for i in comps:
+        rel |= {(tag(i, x), tag(i, x)) for x in data.carrier((i,))}
+    transitive = all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+
+    def embeds(fn, dom, cod):
+        return map_properties_by_frozensets(fn, dom, cod)["embedding"] if top \
+            else fn.is_injective()
+
+    pairs = data.indexcat.pairs()
+    edge_emb = {p: embeds(data.fn(("incl", p[0], p)), data.spaces.get(p),
+                          data.spaces.get(p[:1])) for p in pairs}
+    leg_inj = {i: embeds(glued.legs[(i,)], data.spaces.get((i,)),
+                         glued.space) for i in comps}
+    images = {i: set(glued.legs[(i,)].mapping.values()) for i in comps}
+    canonical = canonical_bijective_by_pullback(data, glued)
+    diagnostics = {"pairs": {}, "legs": {i: {"leg_embeds": leg_inj[i]}
+                                         for i in comps}}
+    for i, j in pairs:
+        e = data.fn(("incl", i, (i, j)))
+        diagnostics["pairs"][(i, j)] = {
+            "edge_embeds": edge_emb[(i, j)],
+            "edge_onto_component": e.is_surjective(),
+            "intersection_ok": set(glued.legs[(i, j)].mapping.values())
+            == images[i] & images[j],
+            "canonical_bijective": canonical[(i, j)],
+        }
+    off = [p for p in pairs if p[0] != p[1]]
+    flags = (transitive and all(edge_emb.values()),
+             all(d["intersection_ok"] for d in diagnostics["pairs"].values())
+             and all(leg_inj.values()) and all(edge_emb.values()),
+             all(canonical[p] and edge_emb[p] for p in off))
+    return flags, diagnostics
+
+
+def refine_by_labels(payload):
+    """The ``refine`` report of a refinement payload on the label path:
+    both gluings read by labels, each naturality square compared by
+    composite ``FinFn``s, and the induced map read off the glued objects
+    of ``limit_by_labels`` or ``colimit_by_labels``."""
+    table = {}
+    source = parse_gluing_by_labels(payload["source"], table)
+    target = parse_gluing_by_labels(payload["target"], table)
+    tcat = target.indexcat
+    gamma = FinFn(tcat.index, source.indexcat.index, payload["gamma"])
+
+    def reindexed(obj):
+        gs = sorted({gamma(i) for i in obj},
+                    key=source.indexcat.index.position)
+        return tuple(gs)
+
+    components, named = {}, {}
+    for key, mapping in payload["components"].items():
+        obj = cli._parse_objkey(key, tcat.mode, tcat)
+        cli._claim(named, obj, key, "components", "index object")
+        components[obj] = FinFn(source.carrier(reindexed(obj)),
+                                target.carrier(obj), mapping)
+    violations = []
+    for obj in tcat.objects:
+        if obj not in components:
+            violations.append("no component at %r" % (obj,))
+    for g in ([] if violations else tcat.generators):
+        _, i, pair_obj = g
+        gi, robj = (gamma(i),), reindexed(pair_obj)
+        src_edge = FinFn.identity(source.carrier(gi)) if len(robj) == 1 \
+            else source.fn(("incl", gi[0], robj))
+        comp_i, comp_pair = components[(i,)], components[pair_obj]
+        if target.direction == TOWARD_OVERLAPS:
+            square = (comp_i, target.fn(g)), (src_edge, comp_pair)
+        else:
+            square = (src_edge, comp_i), (comp_pair, target.fn(g))
+        if not commutes_by_composites(*square):
+            violations.append("naturality square at %r does not commute"
+                              % (g,))
+    report = {"command": "refine", "verdicts": {"valid": not violations},
+              "artifacts": {}, "diagnostics": {"violations": violations}}
+    if violations:
+        return report
+    glue = limit_by_labels if target.direction == TOWARD_OVERLAPS \
+        else colimit_by_labels
+    gs, gt = glue(source), glue(target)
+    tcomps = [obj[0] for obj in tcat.singletons()]
+    mapping = {}
+    if target.direction == TOWARD_OVERLAPS:
+        for x in gs.apex:
+            label = SEP.join(components[(i,)](gs.legs[(gamma(i),)](x))
+                             for i in tcomps)
+            if label not in gt.apex:
+                raise StructuralError("induced family %r is not compatible "
+                                      "in the target" % label)
+            mapping[x] = label
+    else:
+        for i in tcomps:
+            for x in source.carrier((gamma(i),)):
+                cls = gs.legs[(gamma(i),)](x)
+                val = gt.legs[(i,)](components[(i,)](x))
+                if mapping.setdefault(cls, val) != val:
+                    raise StructuralError("induced class map is not well "
+                                          "defined at %r" % cls)
+        missing = [c for c in gs.apex if c not in mapping]
+        if missing:
+            raise StructuralError(
+                "induced class map is undefined on classes %r; gamma does "
+                "not reach them" % missing)
+    report["artifacts"] = {"induced_map": mapping,
+                           "source_apex_size": len(gs.apex),
+                           "target_apex_size": len(gt.apex)}
+    return report

@@ -23,13 +23,12 @@ from glueforge.gluing import (
     GluedObject,
     GluingData,
     _require_valid,
-    colimit_relation_pairs,
 )
 from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import GluingDatum, OpenLattice, PresheafStore, restrict
 from glueforge.refine import Refinement
 
-from fixtures import preimage
+from fixtures import colimit_relation_pairs, preimage
 
 
 def tag(component, label):
@@ -293,7 +292,7 @@ def reindex(data, fun):
     arrows = {}
     for g in fun.source.generators:
         _, _, word = fun.apply_mor(fun.source.gen_mor(g))
-        fns = [data.arrow(key) for key in word]
+        fns = [data.fn(key) for key in word]
         src, dst = gen_endpoints(g)
         if data.direction == FROM_OVERLAPS:
             out = FinFn.identity(objects[dst])

@@ -6,12 +6,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 from itertools import product as iproduct
 
 from glueforge.fincat import FinFn, FinSet
-from glueforge.gluing import (
-    colimit_glue,
-    colimit_relation_pairs,
-    hom_transport,
-    limit_glue,
-)
+from glueforge.gluing import colimit_glue, hom_transport, limit_glue
 from glueforge.presheaf import (
     NatTrans,
     OpenLattice,
@@ -32,6 +27,7 @@ from glueforge.site import (
 )
 
 from fixtures import (
+    colimit_relation_pairs,
     e1,
     function_presheaf,
     jointly_surjective,

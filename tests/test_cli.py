@@ -35,6 +35,7 @@ from fixtures import (
     constant_presheaf,
     e1,
     function_presheaf,
+    label_arrows,
     label_nbhd,
     presheaf_doc,
     subspace,
@@ -1028,7 +1029,7 @@ def split_colimit_payload(data):
     The reserved ``|`` of generated labels becomes ``~``."""
     top = data.ambient == "top"
     arrows = []
-    for key, fn in data.arrows.items():
+    for key, fn in label_arrows(data).items():
         if key[0] == "incl":
             arrows.append({"kind": "edge", "from": key[1],
                            "pair": ",".join(key[2]), "map": jsonable_fn(fn)})

@@ -10,7 +10,6 @@ from glueforge.gluing import (
     GluedObject,
     GluingData,
     colimit_glue,
-    colimit_relation_pairs,
     hom_transport,
     limit_glue,
     mediating_map,
@@ -20,6 +19,7 @@ from glueforge.indexcat import IndexCat
 
 from fixtures import (
     colimit_data,
+    colimit_relation_pairs,
     e1,
     e2,
     e3,
@@ -153,8 +153,8 @@ def test_cocone_law_exhaustive():
         glued = colimit_glue(data)
         for pair_obj in data.indexcat.pairs():
             i, j = pair_obj
-            e_i = data.edge(i, pair_obj)
-            e_j = data.edge(j, pair_obj)
+            e_i = data.fn(("incl", i, pair_obj))
+            e_j = data.fn(("incl", j, pair_obj))
             for u in data.carrier(pair_obj):
                 assert glued.leg(i)(e_i(u)) == glued.leg(j)(e_j(u))
                 assert glued.legs[pair_obj](u) == glued.leg(i)(e_i(u))
@@ -237,7 +237,7 @@ def test_mediating_e2_isomorphic_wiring():
               ("2",): {"b0": "c2", "b1": "c3", "b2": "c0"}}
     legs = {obj: FinFn(data.carrier(obj), apex, m) for obj, m in wiring.items()}
     pair = data.indexcat.pair("1", "2")
-    legs[pair] = data.edge("1", pair).then(legs[("1",)])
+    legs[pair] = data.fn(("incl", "1", pair)).then(legs[("1",)])
     med, iso = mediating_map(data, glued, ConeCandidate(apex, legs))
     assert iso is True
     # exhaustive bijectivity witness

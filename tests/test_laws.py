@@ -41,6 +41,7 @@ from fixtures import (
     close_family,
     function_presheaf,
     identities,
+    label_arrows,
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
@@ -242,7 +243,7 @@ def test_tau_involution_names_both_orientations(direction):
         data = make_limit_data(["1", "2"], {"1": ["x", "y"], "2": ["x", "y"]},
                                {("1", "2"): (["u", "v"], {"x": "u", "y": "v"},
                                              {"x": "u", "y": "v"})}, mode="split")
-    arrows = dict(data.arrows)
+    arrows = label_arrows(data)
     arrows[("tau", ("1", "2"))] = FinFn(ov, ov, {"u": "v", "v": "u"})
     with pytest.raises(StructuralError) as err:
         type(data)(data.indexcat, data.ambient, data.objects, arrows,

@@ -188,8 +188,8 @@ def flat_identification_oracle(meta):
         node = meta.nodes[i]
         for pair_obj in node.indexcat.pairs():
             p, q = pair_obj
-            e_p = node.edge(p, pair_obj)
-            e_q = node.edge(q, pair_obj)
+            e_p = node.fn(("incl", p, pair_obj))
+            e_q = node.fn(("incl", q, pair_obj))
             for u in node.carrier(pair_obj):
                 pairs.append(("%s/%s/%s" % (i, p, e_p(u)),
                               "%s/%s/%s" % (i, q, e_q(u))))

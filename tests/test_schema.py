@@ -49,7 +49,7 @@ def gluing_payload(data):
     """The document payload of gluing data, as JSON text reads back: the
     report helpers share tuples and dicts with the engine."""
     arrows = []
-    for key, fn in data.arrows.items():
+    for key, fn in fixtures.label_arrows(data).items():
         if key[0] == "incl":
             arrows.append({"kind": "edge", "from": key[1],
                            "pair": ",".join(key[2]), "map": jsonable_fn(fn)})

@@ -17,9 +17,7 @@ from glueforge.fincat import (
 from glueforge.gluing import (
     FROM_OVERLAPS,
     GluingData,
-    _overlap_maps,
     colimit_glue,
-    colimit_relation_pairs,
     universal_glue_check,
 )
 from glueforge.site import (
@@ -40,9 +38,11 @@ from fixtures import (
     chain_space,
     close_family,
     colimit_data,
+    colimit_relation_pairs,
     e3,
     e4_split,
     jointly_surjective,
+    label_overlap_maps,
     make_split_colimit,
     preimage,
     random_top_colimit,
@@ -119,7 +119,7 @@ def test_base_change_identity_is_same_shape():
     from glueforge.fincat import pair_label
     for pair_obj in base.indexcat.pairs():
         i = pair_obj[0]
-        lhs = changed.edge(i, pair_obj).then(strip[(i,)])
+        lhs = changed.fn(("incl", i, pair_obj)).then(strip[(i,)])
         # build the strip on the pair object from the coordinate strips
         mapping = {}
         for lab in changed.carrier(pair_obj):
@@ -127,7 +127,7 @@ def test_base_change_identity_is_same_shape():
             mapping[lab] = pair_label(a, b)
         pair_strip = FinFn(changed.carrier(pair_obj), base.carrier(pair_obj),
                            mapping)
-        rhs = pair_strip.then(base.edge(i, pair_obj))
+        rhs = pair_strip.then(base.fn(("incl", i, pair_obj)))
         assert lhs == rhs
 
 
@@ -180,7 +180,7 @@ def strong_reading_data(draw):
         return data
     spaces = {(i,): TOPOLOGIES[draw(st.sampled_from(sorted(TOPOLOGIES)))](
         data.carrier((i,))) for i in index}
-    for i, j, ov, e_i, into_j in _overlap_maps(data):
+    for i, j, ov, e_i, into_j in label_overlap_maps(data):
         if (j, i) in spaces:    # an unordered pair shares its overlap
             spaces[(i, j)] = spaces[(j, i)]
         elif draw(st.booleans()):
@@ -191,8 +191,8 @@ def strong_reading_data(draw):
                 [FinFn(ov, data.carrier((i,)), e_i),
                  FinFn(ov, data.carrier((j,)), into_j)],
                 [spaces[(i,)], spaces[(j,)]]))
-    return GluingData(data.indexcat, "top", data.objects, data.arrows,
-                      FROM_OVERLAPS, spaces)
+    return GluingData.from_tables(data.indexcat, "top", data.objects,
+                                  data.arrows, FROM_OVERLAPS, spaces)
 
 
 def test_strong_reading_matches_the_pullback_oracle():
@@ -210,10 +210,10 @@ def test_strong_reading_matches_the_pullback_oracle():
         got = {pair: diag["canonical_bijective"] for pair, diag
                in effective_gluing_check(data).diagnostics["pairs"].items()}
         assert got == canonical_bijective_by_pullback(data, glued)
-        bare = GluingData(data.indexcat, "sets", data.objects, data.arrows,
-                          FROM_OVERLAPS)
+        bare = GluingData.from_tables(data.indexcat, "sets", data.objects,
+                                      data.arrows, FROM_OVERLAPS)
         as_sets = canonical_bijective_by_pullback(bare, colimit_glue(bare))
-        for i, j, ov, e_i, into_j in _overlap_maps(data):
+        for i, j, ov, e_i, into_j in label_overlap_maps(data):
             seen["diagonal"] += i == j
             seen["empty"] += not len(ov)
             seen["not injective"] += \
@@ -479,7 +479,8 @@ def injective_split_colimits(draw):
 @example(e3())
 @example(e4_split())
 def test_congruence_flag_matches_pairwise_transitivity(data):
-    assert all(data.edge(p[0], p).is_injective() for p in data.indexcat.pairs())
+    assert all(data.fn(("incl", p[0], p)).is_injective()
+               for p in data.indexcat.pairs())
     report = effective_gluing_check(data)
     assert report.congruence_and_injective == pairwise_transitive(data)
 
@@ -643,7 +644,7 @@ def test_top_embedding_diagnostics_match_the_opens():
             assert diag["leg_embeds"] == want
             seen.add(("leg", want))
         for (i, j), diag in report.diagnostics["pairs"].items():
-            want = embeds(data.edge(i, (i, j)), data.space((i, j)),
+            want = embeds(data.fn(("incl", i, (i, j))), data.space((i, j)),
                           data.space((i,)))
             assert diag["edge_embeds"] == want
             seen.add(("edge", want))

@@ -1,13 +1,13 @@
 """The unchecked constructors are used only where the value is correct by
 construction: with each one (``FinSet.from_distinct`` and
 ``FinSet.from_trusted``, ``FinFn.from_total``, ``FinTop.from_nbhd``,
-``Sink.from_valid`` and the presheaf layer's ``trusted_table``) replaced
-by its validating constructor, the golden
-corpus gives the same bytes and the acceptance criteria still pass, so no
-trusted value would have failed its own check.  The same holds for the
-maps that ``map_properties`` trusts to be continuous: with each report
-preceded by a ``TopMap``, which raises on a map that is not, nothing
-changes."""
+``Sink.from_valid`` and ``trusted_table``, which builds the position tables
+of the presheaf and gluing layers) replaced by its validating constructor,
+the golden corpus gives the same bytes and the acceptance criteria still
+pass, so no trusted value would have failed its own check.  The same holds
+for the maps that ``map_properties`` and ``table_properties`` trust to be
+continuous: with each report preceded by a ``TopMap``, which raises on a
+map that is not, nothing changes."""
 
 import contextlib
 import io
@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from glueforge import cli, fincat, presheaf
+from glueforge import cli, fincat, gluing, presheaf, site
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.site import Sink
@@ -49,13 +49,31 @@ def validating_space(cls, carrier, rows):
 
 
 def checking_table(values, domain, codomain):
-    """A table built from the sections ``domain`` into ``codomain``,
-    refused unless it has one position of ``codomain`` per section."""
+    """A table built from the points or sections ``domain`` into
+    ``codomain``, refused unless it has one position of ``codomain`` per
+    member of ``domain``."""
     if len(values) != len(domain) or not all(
             type(y) is int and 0 <= y < len(codomain) for y in values):
-        raise StructuralError("table %r does not map %d sections into %d"
+        raise StructuralError("table %r does not map %d points into %d"
                               % (values, len(domain), len(codomain)))
     return values
+
+
+def table_view(img, dom, cod):
+    """The ``FinFn`` between the carriers of two spaces that sends position
+    ``k`` to position ``img[k]``."""
+    return FinFn(dom.carrier, cod.carrier, dict(zip(
+        dom.carrier.labels, map(cod.carrier.labels.__getitem__, img))))
+
+
+def swap_everywhere(monkeypatch, real, replacement):
+    """Replace ``real`` in every glueforge module that holds it, so that
+    each import of it is replaced."""
+    name = real.__name__
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("glueforge") and \
+                getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
 
 
 @pytest.fixture
@@ -68,19 +86,19 @@ def validating(monkeypatch):
     monkeypatch.setattr(FinFn, "from_total",
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
-    monkeypatch.setattr(presheaf, "trusted_table", checking_table)
-    real = fincat.map_properties
+    swap_everywhere(monkeypatch, fincat.trusted_table, checking_table)
+    real_map, real_table = fincat.map_properties, fincat.table_properties
 
-    def validating_properties(fn, dom, cod):
+    def map_properties(fn, dom, cod):
         TopMap(fn, dom, cod)
-        return real(fn, dom, cod)
+        return real_map(fn, dom, cod)
 
-    # every module that holds the name, so that each import of it is checked
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("glueforge") and \
-                getattr(module, "map_properties", None) is real:
-            monkeypatch.setattr(module, "map_properties",
-                                validating_properties)
+    def table_properties(img, dom, cod):
+        TopMap(table_view(img, dom, cod), dom, cod)
+        return real_table(img, dom, cod)
+
+    swap_everywhere(monkeypatch, real_map, map_properties)
+    swap_everywhere(monkeypatch, real_table, table_properties)
 
 
 def test_validating_swap_checks(validating):
@@ -90,9 +108,10 @@ def test_validating_swap_checks(validating):
     a = FinSet(["a"])
     with pytest.raises(StructuralError, match="not a codomain label"):
         FinFn.from_total(a, a, {"a": "b"})
-    for values in ([0, 2], [0], [0, -1], [0, 1.0]):
-        with pytest.raises(StructuralError, match="does not map"):
-            presheaf.trusted_table(values, ("s", "t"), ("u", "v"))
+    for module in (fincat, gluing, presheaf):
+        for values in ([0, 2], [0], [0, -1], [0, 1.0]):
+            with pytest.raises(StructuralError, match="does not map"):
+                module.trusted_table(values, ("s", "t"), ("u", "v"))
     # b is missing from its own neighbourhood, the row 0b01 of a alone
     with pytest.raises(AssertionError):
         FinTop.from_nbhd(FinSet(["a", "b"]), [0b11, 0b01])
@@ -102,11 +121,15 @@ def test_validating_swap_checks(validating):
         Sink.from_valid("top", pair, [("1", FinTop.indiscrete(pair),
                                        FinFn.identity(pair))],
                         target_space=FinTop.discrete(pair))
-    for module in ("fincat", "gluing", "site"):
+    for module in (fincat, gluing):
         with pytest.raises(StructuralError, match="not continuous"):
-            getattr(sys.modules["glueforge." + module], "map_properties")(
-                FinFn.identity(pair), FinTop.indiscrete(pair),
-                FinTop.discrete(pair))
+            module.map_properties(FinFn.identity(pair),
+                                  FinTop.indiscrete(pair),
+                                  FinTop.discrete(pair))
+    for module in (fincat, site):
+        with pytest.raises(StructuralError, match="not continuous"):
+            module.table_properties([0, 1], FinTop.indiscrete(pair),
+                                    FinTop.discrete(pair))
 
 
 def golden_cases():
