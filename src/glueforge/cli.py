@@ -39,7 +39,15 @@ from itertools import chain
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
-from .fincat import SEP, FinFn, FinSet, FinTop, TopMap, _refuse_mapping
+from .fincat import (
+    SEP,
+    FinFn,
+    FinSet,
+    FinTop,
+    _refuse_discontinuous,
+    _refuse_mapping,
+    is_continuous,
+)
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
@@ -50,7 +58,7 @@ from .gluing import (
     limit_glue,
     universal_glue_check,
 )
-from .indexcat import IndexCat
+from .indexcat import SPLIT, IndexCat
 from .presheaf import (
     GluingDatum,
     NatTrans,
@@ -71,6 +79,7 @@ from .refine import Refinement, compose_via_sinks, induced_limit_map, \
 from .site import (
     SiteSpec,
     Sink,
+    _carrier,
     covering_axioms_check,
     effective_gluing_check,
     universal_effective_epi_check,
@@ -268,8 +277,13 @@ def parse_gluing(payload, table=None):
     arrows = {}
     taus = {}
     for entry in payload["arrows"]:
-        pair = keys.get(entry["pair"]) \
-            or _parse_objkey(entry["pair"], mode, cat)
+        pair = keys.get(entry["pair"])
+        if pair is None:
+            # no spelling of an index object: refused by its form, or by
+            # the label it names outside the index, in either mode
+            pair = _parse_objkey(entry["pair"], mode, cat)
+            for label in pair if len(pair) == 2 else ():
+                index.position(label)
         if len(pair) != 2:
             raise StructuralError("arrow pair %r is not a pair" % (entry["pair"],))
         if entry["kind"] == "edge":
@@ -286,6 +300,9 @@ def parse_gluing(payload, table=None):
                 dom, cod = carrier((i,)), carrier(pair)
             arrows[("incl", i, pair)] = _table(entry["map"], dom.labels, cod)
         else:
+            if mode != SPLIT:
+                raise StructuralError("tau for pair %r: swap arrows exist "
+                                      "only in split mode" % entry["pair"])
             i, j = pair
             if pair in taus:
                 raise StructuralError("tau for pair %r is given twice"
@@ -314,33 +331,55 @@ def parse_gluing(payload, table=None):
                                   spaces or None)
 
 
+def _continuous(table, dom, cod):
+    """``table``, refused as ``TopMap`` refuses a map from the space ``dom``
+    to ``cod`` that is not continuous."""
+    if not is_continuous(table, dom, cod):
+        _refuse_discontinuous(table, dom, cod)
+    return table
+
+
 def _parse_sink_body(body, ambient, table):
-    """A ``{target, sources}`` node as a Sink."""
+    """A ``{target, sources}`` node as a Sink.  Every map is read into its
+    table first, refused as ``FinFn`` refuses it; then, source by source,
+    a repeated name is refused and, in the top ambient, a map that is not
+    continuous, checked on rows."""
     target, target_space = parse_object(body["target"], ambient, table)
     sources = []
     for node in body["sources"]:
         carrier, space = parse_object(node["object"], ambient, table)
-        fn = FinFn(carrier, target, node["map"])
-        sources.append((node["name"], space if ambient == "top" else carrier,
-                        fn))
-    return Sink(ambient, target, sources, target_space=target_space)
+        sources.append((node["name"], carrier if space is None else space,
+                        _table(node["map"], carrier.labels, target)))
+    if target_space is not None:
+        names = set()
+        for name, space, t in sources:
+            if name in names:
+                break    # Sink refuses the repeated name
+            names.add(name)
+            _continuous(t, space, target_space)
+    return Sink(ambient, target, sources, target_space)
 
 
 def parse_sink(payload):
+    """The sink of a payload, its test maps as ``(object, table)`` pairs,
+    and its inner sinks by source name."""
     ambient = payload["ambient"]
     table = {}
     sink = _parse_sink_body(payload, ambient, table)
     tests = []
     for node in payload.get("tests", []):
         carrier, space = parse_object(node["object"], ambient, table)
-        fn = FinFn(carrier, sink.target, node["map"])
-        tests.append((fn, space) if ambient == "top" else fn)
+        tests.append((carrier if space is None else space,
+                      _table(node["map"], carrier.labels, sink.target)))
     inner = {name: _parse_sink_body(body, ambient, table)
              for name, body in payload.get("inner", {}).items()}
     return sink, tests, inner
 
 
 def parse_site(payload):
+    """The declared coverings and the ``(dom, cod, table)`` morphisms of a
+    payload, each morphism refused as ``FinFn`` and then ``TopMap`` refuse
+    it."""
     ambient = payload["ambient"]
     table = {}
     coverings = [_parse_sink_body(body, ambient, table)
@@ -349,11 +388,12 @@ def parse_site(payload):
     for node in payload["morphisms"]:
         dom, dom_space = parse_object(node["dom"], ambient, table)
         cod, cod_space = parse_object(node["cod"], ambient, table)
-        fn = FinFn(dom, cod, node["map"])
+        t = _table(node["map"], dom.labels, cod)
         if ambient == "top":
-            morphisms.append(TopMap(fn, dom_space, cod_space))
+            morphisms.append((dom_space, cod_space,
+                              _continuous(t, dom_space, cod_space)))
         else:
-            morphisms.append(fn)
+            morphisms.append((dom, cod, t))
     return SiteSpec(ambient, coverings, morphisms)
 
 
@@ -496,11 +536,13 @@ def parse_gluing_datum(payload):
 
 
 def parse_refinement(payload):
+    """The refinement of a payload: gamma and each component read into its
+    table, refused as ``FinFn`` refuses it."""
     table = {}
     source = parse_gluing(payload["source"], table)
     target = parse_gluing(payload["target"], table)
-    gamma = FinFn(target.indexcat.index, source.indexcat.index,
-                  payload["gamma"])
+    gamma = _table(payload["gamma"], target.indexcat.index.labels,
+                   source.indexcat.index)
     stub = Refinement(source, target, gamma, {})
     components = {}
     named = {}
@@ -511,7 +553,7 @@ def parse_refinement(payload):
             or _parse_objkey(key, target.indexcat.mode, target.indexcat)
         _claim(named, obj, key, "components", "index object")
         dom = source.carrier(stub.reindexed(obj))
-        components[obj] = FinFn(dom, target.carrier(obj), mapping)
+        components[obj] = _table(mapping, dom.labels, target.carrier(obj))
     return Refinement(source, target, gamma, components)
 
 
@@ -628,9 +670,11 @@ def _compose_command(doc, flags):
     result = compose_via_sinks(sink, inner)
     verdicts = {"is_glued_up": result["is_glued_up"]}
     flat = result["sink"]
+    labels = flat.target.labels
     artifacts = {
-        "flattened_sources": {name: jsonable_fn(fn)
-                              for name, _, fn in flat.sources},
+        "flattened_sources": {
+            name: dict(zip(_carrier(obj).labels, map(labels.__getitem__, t)))
+            for name, obj, t in flat.sources},
     }
     return verdicts, artifacts, {}
 

@@ -31,16 +31,19 @@ construction.  A map kept on positions is a position table, the list
 that gives each domain position the codomain position of its image;
 parsers check each entry of the tables they read, and the tables the
 engine builds come from ``trusted_table``, which checks only their length.
-``is_continuous`` and ``table_properties`` read a table between two
-spaces.  A set's label-to-position index is built at its first use
+``is_continuous``, ``is_iso_table`` and ``table_properties`` read a
+table between two spaces, and ``is_effective_family`` and
+``is_effective_after_base_change`` read the tables of a family of maps.
+A set's label-to-position index is built at its first use
 (``position``, ``in``, or a ``FinFn`` validated against the set); the two
 checking ``FinSet`` constructors build it at once, as their distinctness
 check, so a quotient apex that no caller looks into never builds one.
 
 Whether two paths of maps agree is decided by ``commutes``, whether a
 map is an isomorphism (a bijection, a homeomorphism between spaces) by
-``is_iso``, and whether a family of maps is effective epimorphic (the
-target is glued up from the sources) by ``is_effective_family``.  A map
+``is_iso`` or ``is_iso_table``, and whether a family of maps is effective
+epimorphic (the target is glued up from the sources) by
+``is_effective_family``.  A map
 the engine built continuous, or that a constructor validated, is not
 validated again: ``map_properties(fn, dom, cod)`` reports on it without
 building a ``TopMap``.
@@ -210,14 +213,6 @@ class FinFn:
         except KeyError:
             raise StructuralError("label %r not in domain" % label)
 
-    @staticmethod
-    def identity(carrier):
-        return FinFn.from_total(carrier, carrier, {x: x for x in carrier})
-
-    @staticmethod
-    def constant(domain, codomain, value):
-        return FinFn(domain, codomain, {x: value for x in domain})
-
     def then(self, other):
         """Diagrammatic composite: ``self`` first, then ``other``."""
         if other.domain != self.codomain:
@@ -228,15 +223,6 @@ class FinFn:
 
     def is_injective(self):
         return len(set(self.mapping.values())) == len(self.domain)
-
-    def is_surjective(self):
-        return set(self.mapping.values()) == set(self.codomain.labels)
-
-    def inverse(self):
-        if not (self.is_injective() and self.is_surjective()):
-            raise StructuralError("only bijections can be inverted")
-        return FinFn(self.codomain, self.domain,
-                     {y: x for x, y in self.mapping.items()})
 
     def __eq__(self, other):
         return (isinstance(other, FinFn) and self.domain == other.domain
@@ -338,16 +324,6 @@ class FinTop:
 
     def __setattr__(self, name, value):
         raise AttributeError("FinTop is immutable")
-
-    @staticmethod
-    def discrete(carrier):
-        return FinTop.from_nbhd(carrier, map((1).__lshift__,
-                                             range(len(carrier))))
-
-    @staticmethod
-    def indiscrete(carrier):
-        return FinTop.from_nbhd(carrier,
-                                [(1 << len(carrier)) - 1] * len(carrier))
 
     def open_masks(self):
         """The masks of the opens in ``opens`` order.  Listed once per
@@ -563,8 +539,8 @@ class TopMap:
     """A continuous map between finite spaces.
 
     Continuity, ``f(nbhd[x]) <= nbhd[f(x)]``, is validated at construction,
-    on the image of each row; openness, equality there, is stored in
-    ``open``.
+    on the image of each row (``is_continuous``); openness, equality there,
+    is stored in ``open``.
     """
 
     __slots__ = ("fn", "dom", "cod", "open")
@@ -572,31 +548,19 @@ class TopMap:
     def __init__(self, fn, dom, cod):
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
-        pos, mapping = cod.carrier._pos, fn.mapping
-        img = [pos[mapping[x]] for x in dom.carrier.labels]
-        rows = cod.rows
-        is_open = True
-        for p, row in enumerate(dom.rows):
-            image = 0
-            while row:    # the bits of the images of the row, lowest first
-                low = row & -row
-                image |= 1 << img[low.bit_length() - 1]
-                row ^= low
-            target = rows[img[p]]
-            if image & ~target:
-                raise StructuralError("map is not continuous at %r"
-                                      % dom.carrier.labels[p])
-            is_open = is_open and image == target
+        img = _positions(fn)
+        if not is_continuous(img, dom, cod):
+            _refuse_discontinuous(img, dom, cod)
+        bits = [1 << q for q in img]
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "open", is_open)
+        object.__setattr__(self, "open", all(
+            _gather(row, bits) == cod.rows[q]
+            for row, q in zip(dom.rows, img)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TopMap is immutable")
-
-    def __call__(self, label):
-        return self.fn(label)
 
     def __eq__(self, other):
         return (isinstance(other, TopMap) and self.fn == other.fn
@@ -649,17 +613,41 @@ def is_continuous(img, dom, cod):
                    for row, q in zip(dom.rows, img))
 
 
+def _refuse_discontinuous(img, dom, cod):
+    """Raise naming the first point of ``dom``, in carrier order, at which
+    the map sending position ``k`` to position ``img[k]`` of ``cod`` is not
+    continuous; ``TopMap`` and the parsers call this only once
+    ``is_continuous`` is False."""
+    bits = [1 << q for q in img]
+    for p, (row, q) in enumerate(zip(dom.rows, img)):
+        if _gather(row, bits) & ~cod.rows[q]:
+            raise StructuralError("map is not continuous at %r"
+                                  % dom.carrier.labels[p])
+
+
 def is_iso(fn, dom=None, cod=None):
     """Whether ``fn`` is a bijection and, when both spaces are given, a
-    homeomorphism between them: ``f(nbhd[x]) = nbhd[f(x)]`` at every point,
-    which for a bijection is continuity and openness at once."""
-    if not (fn.is_injective() and fn.is_surjective()):
+    homeomorphism between them (see ``is_iso_table``)."""
+    img = _positions(fn)
+    if not is_iso_table(img, len(fn.codomain)):
         return False
     if dom is None or cod is None:
         return True
     if fn.domain != dom.carrier or fn.codomain != cod.carrier:
         raise StructuralError("map endpoints do not match the given spaces")
-    img = _positions(fn)
+    return is_iso_table(img, len(fn.codomain), dom, cod)
+
+
+def is_iso_table(img, size, dom=None, cod=None):
+    """Whether the map sending position ``k`` to position ``img[k]`` of a
+    carrier of ``size`` points is a bijection and, when both spaces are
+    given, a homeomorphism between them: ``f(nbhd[x]) = nbhd[f(x)]`` at
+    every point, which for a bijection is continuity and openness at
+    once."""
+    if not len(set(img)) == len(img) == size:
+        return False
+    if dom is None or cod is None:
+        return True
     bits = [1 << q for q in img]
     return all(_gather(row, bits) == cod.rows[q]
                for row, q in zip(dom.rows, img))
@@ -903,12 +891,8 @@ def induce_topology(mode, carrier, maps, spaces):
         for fn, sp in zip(maps, spaces):
             if fn.codomain != carrier or fn.domain != sp.carrier:
                 raise StructuralError("final mode needs maps into the carrier")
-        rows = [1 << q for q in range(n)]
-        for fn, sp in zip(maps, spaces):
-            img = _positions(fn)
-            for q, image in zip(img, _image_rows(img, sp.rows)):
-                rows[q] |= image
-        return FinTop.from_nbhd(carrier, _closure(rows))
+        return FinTop.from_nbhd(carrier, _final_rows(
+            n, list(map(_positions, maps)), spaces))
     if mode == "initial":
         for fn, sp in zip(maps, spaces):
             if fn.domain != carrier or fn.codomain != sp.carrier:
@@ -921,36 +905,48 @@ def induce_topology(mode, carrier, maps, spaces):
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
 
-def joint_image(maps):
-    """The set of labels that some map of ``maps`` hits."""
+def _final_rows(n, tables, spaces):
+    """The rows of the final topology on ``n`` points along the maps whose
+    tables are ``tables``, one from each of ``spaces``: the images of the
+    source rows, closed transitively (Warshall 1962)."""
+    rows = [1 << q for q in range(n)]
+    for img, sp in zip(tables, spaces):
+        for q, image in zip(img, _image_rows(img, sp.rows)):
+            rows[q] |= image
+    return _closure(rows)
+
+
+def joint_image(tables):
+    """The set of the positions that some table of ``tables`` hits."""
     hit = set()
-    for fn in maps:
-        hit.update(fn.mapping.values())
+    for img in tables:
+        hit.update(img)
     return hit
 
 
-def is_effective_family(carrier, maps, space=None, spaces=(), hit=None):
-    """Whether maps into ``carrier`` form an effective epimorphic family:
-    they are jointly surjective and, given the target ``space`` and one
-    source space per map, the target carries the final topology along them.
-    In finite sets and finite spaces this is the whole condition, so no
-    colimit is built to decide it.  ``hit`` is the maps' ``joint_image``,
-    built here when not given."""
+def is_effective_family(size, tables, space=None, spaces=(), hit=None):
+    """Whether maps into a carrier of ``size`` points, given by their
+    ``tables``, form an effective epimorphic family: they are jointly
+    surjective and, given the target ``space`` and one source space per
+    map, the target carries the final topology along them.  In finite sets
+    and finite spaces this is the whole condition, so no colimit is built
+    to decide it.  ``hit`` is the tables' ``joint_image``, built here when
+    not given."""
     if hit is None:
-        hit = joint_image(maps)
-    if not hit.issuperset(carrier):
+        hit = joint_image(tables)
+    if len(hit) != size:
         return False
-    return space is None or \
-        space.rows == induce_topology("final", carrier, maps, spaces).rows
+    return space is None or space.rows == _final_rows(size, tables, spaces)
 
 
-def is_effective_after_base_change(fn, maps, space=None, spaces=(),
+def is_effective_after_base_change(img, tables, space=None, spaces=(),
                                    hit=None):
-    """Whether ``maps``, into the codomain of ``fn``, pulled back along
-    ``fn`` form an effective epimorphic family over its domain, decided
-    with no pullback built: the image of ``fn`` lies in the joint image of
-    the maps and, given the domain ``space`` and one source space per map,
-    the domain carries the final topology along the pulled-back legs.
+    """Whether the maps given by ``tables``, into the codomain of the map
+    ``img`` (the table of a test map), pulled back along it form an
+    effective epimorphic family over its domain, decided with no pullback
+    built: the image of ``img`` lies in the joint image of the maps and,
+    given the domain ``space`` and one source space per map, the domain
+    carries the final topology along the pulled-back legs.
 
     The pullback of a source along ``fn`` has a member ``x|v`` for each
     source point ``x`` over ``fn(v)``, whose row holds the members in
@@ -961,20 +957,17 @@ def is_effective_after_base_change(fn, maps, space=None, spaces=(),
     the domain carries it when its rows are those.  ``hit`` is the maps'
     ``joint_image``, built here when not given."""
     if hit is None:
-        hit = joint_image(maps)
-    if not hit.issuperset(fn.mapping.values()):
+        hit = joint_image(tables)
+    if not hit.issuperset(img):
         return False
     if space is None:
         return True
-    img = _positions(fn)
     fibres = _fibres(img)
-    parts = [fibres.get(q, 0) for q in range(len(fn.codomain))]
     # for each point y that fn hits, the union of fn^-1(f(nbhd[x])) over
     # the source points x over y
     reach = dict.fromkeys(fibres, 0)
-    for f, sp in zip(maps, spaces):
-        f_img = _positions(f)
-        pre = list(map(parts.__getitem__, f_img))
+    for f_img, sp in zip(tables, spaces):
+        pre = [fibres.get(q, 0) for q in f_img]
         for q, row in zip(f_img, sp.rows):
             if q in reach:
                 reach[q] |= _gather(row, pre)

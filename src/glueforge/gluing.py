@@ -213,8 +213,8 @@ def _composite(first, then, domain, codomain):
 
 def _inverse(table, domain, codomain):
     """The table of the inverse of the bijection ``table`` from ``domain``
-    onto ``codomain``, refused as ``FinFn.inverse`` refuses a map that is
-    not one."""
+    onto ``codomain``, refused as "only bijections can be inverted" when
+    it is no bijection."""
     if len(set(table)) != len(table) or len(table) != len(codomain):
         raise StructuralError("only bijections can be inverted")
     inverse = [0] * len(table)
@@ -630,10 +630,11 @@ def universal_glue_check(data, glued, delta, v_space=None):
         v_space = None
     pulled = [pullback(glued.legs[obj], delta, data.spaces.get(obj), v_space)
               for obj in comps]
-    projections = [ps.legs["p2"] for ps in pulled]
+    projections = [_positions(ps.legs["p2"]) for ps in pulled]
     return {
         "is_glued_up": is_effective_family(
-            delta.domain, projections, v_space, [ps.space for ps in pulled]),
+            len(delta.domain), projections, v_space,
+            [ps.space for ps in pulled]),
         "fiber_sizes": {obj: len(ps.members)
                         for obj, ps in zip(comps, pulled)},
     }

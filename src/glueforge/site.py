@@ -1,28 +1,43 @@
 """Sinks, canonical gluing functors of sinks, base change, effective
-epimorphism decisions, and the effectiveness criteria for split colimit-side
-gluing data.
+epimorphism decisions, the covering axioms of a declared site fragment, and
+the effectiveness criteria for split colimit-side gluing data.
+
+A sink is a target with a finite family of maps into it, and each map is
+kept as a position table: the list that gives each point of the source, in
+carrier order, the target position of its image.  Test maps, the
+morphisms of a site and composite and pulled-back sources are tables too;
+labels return only in reports.
 
 A sink is an effective epimorphism when its target is the glued-up object of
 its canonical functor.  In finite sets and finite spaces that holds exactly
 when the family is jointly surjective and the target carries the final
-topology along it, and ``fincat.is_effective_family`` decides it so, with no
-functor built.  The universal quantifier over base changes is not
-enumerable: the sink is tested after base change along a finite,
-caller-supplied family of test maps, each verdict decided by
-``fincat.is_effective_after_base_change`` on positions and rows with no
-pullback built, and in the set ambient joint surjectivity is recorded as
-the complete closed form.
+topology along it, and ``fincat.is_effective_family`` decides it so on
+tables and rows, with no functor built.  The universal quantifier over base
+changes is not enumerable: the sink is tested after base change along a
+finite, caller-supplied family of test maps, each verdict decided by
+``fincat.is_effective_after_base_change`` with no pullback built.  Both
+ambients have a closed form for universal effectiveness.  In sets it is
+joint surjectivity, which the report records.  In spaces a sink is a
+universal effective epimorphism exactly when its map from the coproduct of
+the sources is biquotient (Day and Kelly 1970); no kernel here decides that
+yet, so top reports carry the per-test verdicts only.
 
 The covering axioms look each candidate sink up among the declared
-coverings by key: a source's key is its fibre counts over the target, and
-two sources are isomorphic over the target in sets exactly when their keys
-are equal.  The keys of isomorphism, composite and base-change candidates
-are computed from positions; only in the top ambient, and only on a key
-hit, is a candidate built and compared with ``sinks_equivalent``.
+coverings by key, with no candidate built.  A sink's key is its target and
+the sorted keys of its sources, and two sinks agree up to a bijection of
+their sources and fibred isomorphisms of matched sources exactly when their
+keys are equal.  In sets a source's key is its fibre counts over the
+target.  In spaces it is the canonical form of the source's specialization
+preorder with each point coloured by its target position
+(``_canonical_form``): colour refinement, then individualization with
+backtracking, keeping the least form (McKay and Piperno 2014).  Refinement
+alone does not tell every pair of preorders apart (Cai, Fuerer and
+Immerman 1992), so the backtracking stays, and each individualization is
+charged to the budget.
 """
 
 from collections import Counter
-from itertools import count, permutations, product as iproduct
+from itertools import count, product as iproduct
 from math import prod
 from operator import and_
 
@@ -31,12 +46,13 @@ from .fincat import (
     FinFn,
     FinSet,
     FinTop,
-    TopMap,
+    _members,
     _positions,
     _preimage_rows,
+    compatible_tuples,
     is_effective_after_base_change,
     is_effective_family,
-    is_iso,
+    is_iso_table,
     joint_image,
     pair_label,
     pullback,
@@ -53,62 +69,36 @@ from .gluing import (
 from .indexcat import SPLIT, IndexCat
 
 
-class Sink:
-    """A target object together with a finite family of maps into it.
+def _carrier(obj):
+    """The carrier of a source object: a space's, or the set itself."""
+    return obj.carrier if isinstance(obj, FinTop) else obj
 
-    The constructor validates each map: into the target, from its source's
-    carrier and, in the top ambient, continuous.  Sinks the engine builds
-    from maps that are correct by construction (pullback projections,
-    composites of validated maps, validated morphisms) come from
-    ``Sink.from_valid``, which checks only that source names are distinct.
+
+class Sink:
+    """A target carrier, with its space in the top ambient, and a finite
+    family of ``(name, object, table)`` sources: the object is the source's
+    carrier in the set ambient and its space in the top ambient, and the
+    table gives each of its points the target position of its image.
+
+    Callers hand tables that a parser checked (total into the target and,
+    in the top ambient, continuous) or that are correct by construction
+    (composites of checked tables, pullback projections), so only the
+    names are checked: generated names such as ``a.b`` can collide.
     """
 
     __slots__ = ("ambient", "target", "target_space", "sources")
 
     def __init__(self, ambient, target, sources, target_space=None):
-        if ambient not in ("sets", "top"):
-            raise StructuralError("ambient must be 'sets' or 'top'")
-        if ambient == "top" and target_space is None:
-            raise StructuralError("top sinks need a target space")
-        checked = []
-        names = set()
-        for entry in sources:
-            name, obj, fn = entry
-            if name in names:
-                raise StructuralError("duplicate source name %r" % name)
-            names.add(name)
-            carrier = obj.carrier if isinstance(obj, FinTop) else obj
-            if fn.domain != carrier or fn.codomain != target:
-                raise StructuralError("source %r does not map into the target"
-                                      % name)
-            if ambient == "top":
-                if not isinstance(obj, FinTop):
-                    raise StructuralError("top sinks need source spaces")
-                TopMap(fn, obj, target_space)
-            checked.append((name, obj, fn))
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "target_space", target_space)
-        object.__setattr__(self, "sources", tuple(checked))
-
-    @classmethod
-    def from_valid(cls, ambient, target, sources, target_space=None):
-        """The sink of these ``(name, object, map)`` sources, whose maps the
-        caller built or validated from each object into the target
-        (continuous between the spaces in the top ambient), so only the
-        names are checked: generated names such as ``a.b`` can collide."""
         sources = tuple(sources)
         names = set()
         for name, _, _ in sources:
             if name in names:
                 raise StructuralError("duplicate source name %r" % name)
             names.add(name)
-        sink = object.__new__(cls)
-        object.__setattr__(sink, "ambient", ambient)
-        object.__setattr__(sink, "target", target)
-        object.__setattr__(sink, "target_space", target_space)
-        object.__setattr__(sink, "sources", sources)
-        return sink
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target_space", target_space)
+        object.__setattr__(self, "sources", sources)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sink is immutable")
@@ -116,20 +106,13 @@ class Sink:
     def names(self):
         return [name for name, _, _ in self.sources]
 
-    def source(self, name):
-        for n, obj, fn in self.sources:
-            if n == name:
-                return obj, fn
-        raise StructuralError("no source named %r" % name)
 
-    def carrier(self, name):
-        obj, _ = self.source(name)
-        return obj.carrier if isinstance(obj, FinTop) else obj
-
-    def space(self, name):
-        """The topology of a source, None in the set ambient."""
-        obj, _ = self.source(name)
-        return obj if isinstance(obj, FinTop) else None
+def _label_fn(obj, target, table):
+    """The ``FinFn`` view of a table from a source object into ``target``,
+    for the label kernels of the functor and base change builders."""
+    carrier = _carrier(obj)
+    return FinFn.from_total(carrier, target, dict(zip(
+        carrier.labels, map(target.labels.__getitem__, table))))
 
 
 def canonical_sink_functor(sink):
@@ -137,20 +120,21 @@ def canonical_sink_functor(sink):
     sources, overlaps are the fibered products over the target, the swap
     arrows are the canonical pullback symmetries.  No command builds it:
     the tests glue it to check ``effective_epi_check`` against."""
+    top = sink.ambient == "top"
     names = sink.names()
     cat = IndexCat(SPLIT, FinSet(names))
     objects = {}
     spaces = {}
     arrows = {}
     pblegs = {}
-    for i in names:
-        objects[(i,)] = sink.carrier(i)
-        spaces[(i,)] = sink.space(i)
+    for i, obj, table in sink.sources:
+        objects[(i,)] = _carrier(obj)
+        spaces[(i,)] = obj if top else None
+    legs = {i: _label_fn(obj, sink.target, table)
+            for i, obj, table in sink.sources}
     for i in names:
         for j in names:
-            _, fi = sink.source(i)
-            _, fj = sink.source(j)
-            ps = pullback(fi, fj, sink.space(i), sink.space(j))
+            ps = pullback(legs[i], legs[j], spaces[(i,)], spaces[(j,)])
             spaces[(i, j)] = ps.space
             objects[(i, j)] = ps.members
             pblegs[(i, j)] = ps.legs
@@ -168,15 +152,14 @@ def canonical_sink_functor(sink):
             # G(i,j) -> G(j,i) realizing the swap
             arrows[("tau", (j, i))] = FinFn(src, dst, mapping)
     return GluingData(cat, sink.ambient, objects, arrows, FROM_OVERLAPS,
-                      spaces if sink.ambient == "top" else None)
+                      spaces if top else None)
 
 
 def _inner_mismatch(sub, obj, ambient):
     """Why the sink ``sub`` is not a sink over the source object ``obj``, or
     None when it is: it must target the same carrier, and in the top ambient
     the same space."""
-    carrier = obj.carrier if isinstance(obj, FinTop) else obj
-    if sub.target != carrier:
+    if sub.target != _carrier(obj):
         return "does not target that source"
     if ambient == "top" and sub.target_space != obj:
         return "carries a different topology"
@@ -186,45 +169,37 @@ def _inner_mismatch(sub, obj, ambient):
 def flatten_sinks(outer, inner):
     """The sink of composites through an outer sink: ``inner`` maps each
     source name of ``outer`` to a sink over that source, and source ``s`` of
-    the inner sink at ``name`` becomes ``name.s``, followed by the outer map."""
+    the inner sink at ``name`` becomes ``name.s``, its table the inner
+    table followed by the outer one."""
     sources = []
-    for name, obj, fn in outer.sources:
+    for name, obj, table in outer.sources:
         if name not in inner:
             raise StructuralError("no inner sink for source %r" % name)
         sub = inner[name]
         why = _inner_mismatch(sub, obj, outer.ambient)
         if why:
             raise StructuralError("inner sink for %r %s" % (name, why))
-        for sub_name, sub_obj, sub_fn in sub.sources:
+        for sub_name, sub_obj, sub_table in sub.sources:
             sources.append(("%s.%s" % (name, sub_name), sub_obj,
-                            sub_fn.then(fn)))
-    return Sink.from_valid(outer.ambient, outer.target, sources,
-                           target_space=outer.target_space)
+                            list(map(table.__getitem__, sub_table))))
+    return Sink(outer.ambient, outer.target, sources, outer.target_space)
 
 
-def _refuse_base_change(sink, fn, v_space):
-    """Raise when ``fn``, with the space ``v_space`` on its domain in the
-    top ambient, is no map to change the base of ``sink`` along."""
-    if fn.codomain != sink.target:
-        raise StructuralError("base change map must land in the sink target")
-    if sink.ambient == "top" and v_space is None:
-        raise StructuralError("top base change needs a topology on the source")
-    if v_space is not None and v_space.carrier != fn.domain:
-        raise StructuralError("pullback spaces must be those of the map "
-                              "domains")
-
-
-def base_change_sink(sink, fn, v_space=None):
-    """The sink over the source of ``fn`` with the pulled-back family."""
-    _refuse_base_change(sink, fn, v_space)
+def base_change_sink(sink, test):
+    """The sink over the domain of the test map ``test``, an ``(object,
+    table)`` pair as ``cli.parse_sink`` reads it, with each source pulled
+    back along it by ``pullback``.  No command builds it: the per-test
+    verdicts and the covering axioms need no pulled-back sink."""
+    v_obj, img = test
+    top = sink.ambient == "top"
+    fn = _label_fn(v_obj, sink.target, img)
     sources = []
-    for name, _, leg in sink.sources:
-        ps = pullback(leg, fn, sink.space(name), v_space)
-        sources.append((name, ps.members if ps.space is None else ps.space,
-                        ps.legs["p2"]))
-    return Sink.from_valid(
-        sink.ambient, fn.domain, sources,
-        target_space=v_space if sink.ambient == "top" else None)
+    for name, obj, table in sink.sources:
+        ps = pullback(_label_fn(obj, sink.target, table), fn,
+                      obj if top else None, v_obj if top else None)
+        sources.append((name, ps.space if top else ps.members,
+                        _positions(ps.legs["p2"])))
+    return Sink(sink.ambient, fn.domain, sources, v_obj if top else None)
 
 
 def effective_epi_check(sink, hit=None):
@@ -238,13 +213,15 @@ def effective_epi_check(sink, hit=None):
     topology along it.  ``hit`` is the sources' ``joint_image``, built
     when not given.
     """
-    return is_effective_family(sink.target, [fn for _, _, fn in sink.sources],
+    return is_effective_family(len(sink.target),
+                               [table for _, _, table in sink.sources],
                                sink.target_space,
                                [obj for _, obj, _ in sink.sources], hit)
 
 
 def universal_effective_epi_check(sink, tests=()):
-    """Effectiveness after base change along each supplied test map.
+    """Effectiveness after base change along each supplied test map, an
+    ``(object, table)`` pair.
 
     The report carries the base verdict, one verdict per test map, and in the
     set ambient the closed-form criterion (joint surjectivity), which decides
@@ -252,8 +229,8 @@ def universal_effective_epi_check(sink, tests=()):
     that of the pulled-back sink, decided without building it; the joint
     image of the sources is built once for all of them.
     """
-    maps = [fn for _, _, fn in sink.sources]
-    hit = joint_image(maps)
+    tables = [table for _, _, table in sink.sources]
+    hit = joint_image(tables)
     report = {
         "base": effective_epi_check(sink, hit),
         "per_test": [],
@@ -263,13 +240,11 @@ def universal_effective_epi_check(sink, tests=()):
         # the set-ambient verdict is joint surjectivity itself
         report["jointly_surjective"] = report["base"]
     spaces = [obj for _, obj, _ in sink.sources] if top else ()
-    for entry in tests:
-        fn, v_space = entry if top else (entry, None)
-        _refuse_base_change(sink, fn, v_space)
+    for v_obj, img in tests:
         report["per_test"].append({
-            "map_domain": list(fn.domain.labels),
-            "effective": is_effective_after_base_change(fn, maps, v_space,
-                                                        spaces, hit),
+            "map_domain": list(_carrier(v_obj).labels),
+            "effective": is_effective_after_base_change(
+                img, tables, v_obj if top else None, spaces, hit),
         })
     report["all_effective"] = report["base"] and all(
         t["effective"] for t in report["per_test"])
@@ -407,7 +382,9 @@ def effective_gluing_check(data):
 
 class SiteSpec:
     """An explicitly declared fragment of a Grothendieck topology: a list of
-    coverings and a list of morphisms available for base change."""
+    coverings and a list of ``(dom, cod, table)`` morphisms available for
+    base change, their ends carriers in the set ambient and spaces in the
+    top ambient."""
 
     __slots__ = ("ambient", "coverings", "morphisms")
 
@@ -422,20 +399,16 @@ class SiteSpec:
     def __setattr__(self, name, value):
         raise AttributeError("SiteSpec is immutable")
 
-    def morphism_parts(self, entry):
-        if self.ambient == "top":
-            return entry.fn, entry.dom, entry.cod
-        return entry, None, None
 
-
-def _fibre_counts(fn):
-    """The key of a source over its target: how many of its points ``fn``
-    sends to each target point, in target order.  Sources over one target
-    are isomorphic over it as sets exactly when their keys are equal."""
-    counts = dict.fromkeys(fn.codomain.labels, 0)
-    for y in fn.mapping.values():
-        counts[y] += 1
-    return tuple(counts.values())
+def _fibre_counts(table, size):
+    """The key of a set source over a target of ``size`` points: how many
+    of its points ``table`` sends to each target position.  Sources over
+    one target are isomorphic over it as sets exactly when their keys are
+    equal."""
+    counts = [0] * size
+    for q in table:
+        counts[q] += 1
+    return tuple(counts)
 
 
 def _pushed_counts(counts, img, size):
@@ -448,73 +421,194 @@ def _pushed_counts(counts, img, size):
     return tuple(out)
 
 
-def _fibered_iso_exists(obj_a, fn_a, obj_b, fn_b, ambient):
-    if _fibre_counts(fn_a) != _fibre_counts(fn_b):
-        return False
-    if ambient == "sets":
-        return True
-    fibers_a = {}
-    fibers_b = {}
-    for x in fn_a.domain:
-        fibers_a.setdefault(fn_a.mapping[x], []).append(x)
-    for x in fn_b.domain:
-        fibers_b.setdefault(fn_b.mapping[x], []).append(x)
-    tried = count(1)
+def _refined(colour, ups, downs):
+    """The coarsest stable refinement of the colouring ``colour`` of the
+    points of a preorder, where ``ups[p]`` lists the points above ``p`` (its
+    row) and ``downs[p]`` those below: each point's signature is its colour
+    and the sorted colours of its up-set and of its down-set, and the new
+    colours are the ranks of the signatures in sorted order, until no
+    colour splits.  Ranks keep the order of the cells they refine."""
+    while True:
+        sigs = [(c, tuple(sorted(map(colour.__getitem__, up))),
+                 tuple(sorted(map(colour.__getitem__, down))))
+                for c, up, down in zip(colour, ups, downs)]
+        rank = {sig: k for k, sig in enumerate(sorted(set(sigs)))}
+        refined = list(map(rank.__getitem__, sigs))
+        if len(rank) == len(set(colour)):
+            return refined
+        colour = refined
 
-    def assemble(keys, acc):
-        if not keys:
-            return is_iso(FinFn(fn_a.domain, fn_b.domain, acc), obj_a, obj_b)
-        u, rest = keys[0], keys[1:]
-        fa = fibers_a.get(u, [])
-        fb = fibers_b.get(u, [])
-        for perm in permutations(fb):
-            charge("fibre permutations between two sources", next(tried))
-            acc2 = dict(acc)
-            acc2.update(zip(fa, perm))
-            if assemble(rest, acc2):
-                return True
-        return False
 
+def _uniform_form(rows, table, cells):
+    """The form of the ordered partition ``cells`` of a coloured preorder,
+    or None unless every cell, and every pair of cells, is uniformly
+    related: either each point of the first holds each other point of the
+    second in its row, or none does.  The form lists each cell's target
+    position and size, then whether each ordered pair of cells is related;
+    a preorder is determined by it up to isomorphism, since any bijection
+    that keeps the cells keeps every relation."""
+    masks = [sum(1 << p for p in cell) for cell in cells]
+    related = []
+    for cell in cells:
+        for mask in masks:
+            kinds = set()
+            for p in cell:
+                others = mask & ~(1 << p)
+                if others:
+                    held = rows[p] & others
+                    if held and held != others:
+                        return None
+                    kinds.add(bool(held))
+            if len(kinds) > 1:
+                return None
+            related.append(True in kinds)
+    return (tuple((table[cell[0]], len(cell)) for cell in cells),
+            tuple(related))
+
+
+class _KeySearch:
+    """The search tree of one source's canonical form: its coloured
+    preorder, the first and the least leaf found, with the order of their
+    points, and the automorphisms that leaves with equal forms reveal."""
+
+    def __init__(self, rows, table, ups, downs):
+        self.rows, self.table, self.ups, self.downs = rows, table, ups, downs
+        self.tried = count(1)
+        self.first = self.best = None
+        self.automorphisms = []
+
+    def search(self, colour, fixed):
+        """Visit the leaves below the stable colouring ``colour``, reached
+        by individualizing the points of ``fixed``: a leaf when its cells
+        are uniformly related, else each point of its first cell of more
+        than one point individualized (given a colour below every other)
+        and refined in turn.  A point that an automorphism fixing
+        ``fixed`` maps to one already tried leads to the same forms, and
+        is skipped."""
+        cells = {}
+        for p, c in enumerate(colour):
+            cells.setdefault(c, []).append(p)
+        cells = [cells[c] for c in sorted(cells)]
+        form = _uniform_form(self.rows, self.table, cells)
+        if form is not None:
+            self.leaf(form, [p for cell in cells for p in cell])
+            return
+        tried = []
+        for p in next(cell for cell in cells if len(cell) > 1):
+            if tried and self.in_orbit(p, tried, fixed):
+                continue
+            charge("individualized points in one source's key",
+                   next(self.tried))
+            marked = list(colour)
+            marked[p] = -1
+            self.search(_refined(marked, self.ups, self.downs),
+                        fixed + (p,))
+            tried.append(p)
+
+    def leaf(self, form, order):
+        """Keep the first and the least leaf; a leaf whose form equals one
+        of theirs gives the automorphism sending each point of that leaf's
+        order to the point at its place in ``order``: the cells of both
+        are uniformly related alike, so any map that keeps them keeps
+        every relation."""
+        if self.first is None:
+            self.first = self.best = (form, order)
+            return
+        for kept, kept_order in (self.first, self.best):
+            if form == kept:
+                image = [0] * len(order)
+                for a, b in zip(kept_order, order):
+                    image[a] = b
+                self.automorphisms.append(image)
+                break
+        if form < self.best[0]:
+            self.best = (form, order)
+
+    def in_orbit(self, p, tried, fixed):
+        """Whether the automorphisms found that fix every point of
+        ``fixed`` join ``p`` to a point of ``tried``."""
+        parent = list(range(len(self.table)))
+
+        def root(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for image in self.automorphisms:
+            if all(image[x] == x for x in fixed):
+                for x, y in enumerate(image):
+                    parent[root(x)] = root(y)
+        return root(p) in {root(q) for q in tried}
+
+
+def _canonical_form(rows, table):
+    """The key of a top source over its target, from its ``rows`` and its
+    ``table``: the least form (``_uniform_form``) over the leaves of the
+    search tree of individualization and refinement, started from each
+    point's target position as its colour.  The tree and the forms are
+    functions of the coloured preorder alone, so two sources are
+    homeomorphic over the target exactly when their keys are equal.
+    Discrete, indiscrete and chain sources stop at the root, and
+    automorphisms found on the way prune the points they join (McKay and
+    Piperno 2014), so that disjoint copies of one component do not cost
+    the factorial of their number."""
+    ups = [_members(row) for row in rows]
+    downs = [[] for _ in rows]
+    for p, up in enumerate(ups):
+        for q in up:
+            downs[q].append(p)
+    keys = _KeySearch(rows, table, ups, downs)
+    keys.search(_refined(list(table), ups, downs), ())
+    return keys.best[0]
+
+
+def _source_key(obj, table, size, forms):
+    """The key of a source over a target of ``size`` points: its canonical
+    form when ``obj`` is a space, kept in ``forms``, else its fibre
+    counts."""
+    if not isinstance(obj, FinTop):
+        return _fibre_counts(table, size)
+    return _kept_form(obj.rows, table, forms)
+
+
+def _kept_form(rows, table, forms):
+    """``_canonical_form(rows, table)``, made once per ``forms``."""
+    key = (tuple(rows), tuple(table))
     try:
-        return assemble(list(fibers_a.keys()), {})
-    finally:
-        del assemble    # the closure reaches itself through its own cell
+        return forms[key]
+    except KeyError:
+        form = forms[key] = _canonical_form(rows, table)
+        return form
 
 
 def sinks_equivalent(a, b):
     """Whether two sinks agree up to a bijection of their source families
-    and fibered isomorphisms of the sources.  Fibered isomorphism is an
-    equivalence relation, so each source of ``a`` may take the first
-    remaining source of ``b`` that matches it: no choice made so needs
-    undoing."""
-    if a.ambient != b.ambient or a.target != b.target \
-            or a.target_space != b.target_space \
-            or len(a.sources) != len(b.sources):
-        return False
-    remaining = list(b.sources)
-    for _, obj, fn in a.sources:
-        for k, (_, obj2, fn2) in enumerate(remaining):
-            if _fibered_iso_exists(obj, fn, obj2, fn2, a.ambient):
-                del remaining[k]
-                break
-        else:
-            return False
-    return True
+    and fibered isomorphisms of the sources: their targets, with their
+    spaces, and the sorted keys of their sources are equal.  No command
+    calls it; ``covering_axioms_check`` compares keys itself."""
+    forms = {}
+
+    def key(sink):
+        size = len(sink.target)
+        return (sink.target, sink.target_space, sorted(
+            _source_key(obj, table, size, forms)
+            for _, obj, table in sink.sources))
+
+    return a.ambient == b.ambient and key(a) == key(b)
 
 
-def _found_by_key(index, top, target, keys, build):
-    """Whether a candidate sink over ``target`` whose sources have the keys
-    ``keys`` is one of the declared coverings that ``index`` holds by target
-    and sorted keys.  In the set ambient a hit decides; in the top ambient
-    ``build()`` makes the candidate, and only on a hit, to compare it with
-    the coverings under the key in declared order."""
-    bucket = index.get((target, tuple(sorted(keys))))
-    if not bucket:
-        return False
-    if not top:
-        return True
-    sink = build()
-    return any(sinks_equivalent(sink, c) for c in bucket)
+def _pulled_back(rows, leg, v_rows, img):
+    """The rows and the table over the test domain of the pullback of a
+    source (its ``rows`` and table ``leg``) along the map ``img`` from a
+    space with ``v_rows``, joined and charged as ``fincat.pullback`` joins
+    them: a member ``(x, v)`` for each ``leg[x] == img[v]``, whose row
+    holds the members in ``nbhd[x] x nbhd[v]``."""
+    pairs = compatible_tuples([range(len(leg)), range(len(img))],
+                              [(0, 1, leg, img)], "pullback")
+    firsts = [x for x, _ in pairs]
+    seconds = [v for _, v in pairs]
+    return list(map(and_, _preimage_rows(firsts, rows),
+                    _preimage_rows(seconds, v_rows))), seconds
 
 
 def covering_axioms_check(spec):
@@ -523,28 +617,32 @@ def covering_axioms_check(spec):
 
     Each candidate sink (the sink of an isomorphism, each composite of
     declared coverings, each base change of one) is looked up among the
-    declared coverings by its target and its sources' keys, computed from
-    positions: a base change's count at ``v`` is the covering's count at
+    declared coverings by its key, with no candidate built.  In the set
+    ambient a base change's count at ``v`` is the covering's count at
     ``fn(v)``, and a composite's count at ``t`` the sum of the inner counts
-    over the outer fibre of ``t``."""
+    over the outer fibre of ``t``.  In the top ambient a composite source
+    is the inner source with the composite table, and a base change the
+    rows of the pullback on positions.  The keys of the composites through
+    each outer source are made once per inner covering."""
     top = spec.ambient == "top"
     coverings = spec.coverings
-    keys = [[_fibre_counts(fn) for _, _, fn in cov.sources]
-            for cov in coverings]
-    index = {}
-    for cov, ks in zip(coverings, keys):
-        index.setdefault((cov.target, tuple(sorted(ks))), []).append(cov)
+    # a source recurs in many candidates: the keys of identity coverings
+    # and of composites through them are those of their sources
+    forms = {}
+    keys = [[_source_key(obj, table, len(cov.target), forms)
+             for _, obj, table in cov.sources] for cov in coverings]
+    declared = {(cov.target, cov.target_space, tuple(sorted(ks)))
+                for cov, ks in zip(coverings, keys)}
     violations = []
-    for entry in spec.morphisms:
-        fn, dom_space, cod_space = spec.morphism_parts(entry)
-        if is_iso(fn, dom_space, cod_space) and not _found_by_key(
-                index, top, fn.codomain, [_fibre_counts(fn)],
-                lambda: Sink.from_valid(spec.ambient, fn.codomain,
-                                        [("v", dom_space or fn.domain, fn)],
-                                        target_space=cod_space)):
-            violations.append(
-                "isomorphism sink onto %r is not declared"
-                % (list(fn.codomain.labels),))
+    for dom, cod, table in spec.morphisms:
+        carrier = _carrier(cod)
+        ends = (dom, cod) if top else ()
+        if is_iso_table(table, len(carrier), *ends) and (
+                carrier, cod if top else None,
+                (_source_key(dom, table, len(carrier), forms),)) \
+                not in declared:
+            violations.append("isomorphism sink onto %r is not declared"
+                              % (list(carrier.labels),))
     # composite names such as ``a.b`` can collide only when a source name
     # holds a dot; then every composite is built, to be refused as before
     dotted = any("." in name for cov in coverings for name in cov.names())
@@ -555,34 +653,45 @@ def covering_axioms_check(spec):
                     if _inner_mismatch(c, obj, spec.ambient) is None]
                    for _, obj, _ in cov.sources]
         charge("refinement families of one covering", prod(map(len, options)))
-        # the keys of the composites through each source, per inner covering
+        if not all(options):
+            continue
         size = len(cov.target)
-        imgs = [_positions(fn) for _, _, fn in cov.sources]
-        pushed = [{k: [_pushed_counts(counts, img, size) for counts in keys[k]]
-                   for k in opts} for opts, img in zip(options, imgs)]
+        if top:
+            pushed = [{k: [_kept_form(sub.rows, list(map(
+                img.__getitem__, sub_table)), forms)
+                for _, sub, sub_table in coverings[k].sources]
+                for k in opts} for opts, (_, _, img) in zip(options,
+                                                            cov.sources)]
+        else:
+            pushed = [{k: [_pushed_counts(counts, img, size)
+                           for counts in keys[k]] for k in opts}
+                      for opts, (_, _, img) in zip(options, cov.sources)]
         for combo in iproduct(*options):
+            if dotted:    # refuses composite names that collide
+                flatten_sinks(cov, dict(zip(names, map(coverings.__getitem__,
+                                                       combo))))
             composite = [key for part, k in zip(pushed, combo)
                          for key in part[k]]
-            build = lambda: flatten_sinks(
-                cov, dict(zip(names, map(coverings.__getitem__, combo))))
-            if dotted:
-                build()    # refuses composite names that collide
-            if not _found_by_key(index, top, cov.target, composite, build):
+            if (cov.target, cov.target_space,
+                    tuple(sorted(composite))) not in declared:
                 violations.append(
                     "composite of covering of %r is not declared"
                     % (list(cov.target.labels),))
     for cov, ks in zip(coverings, keys):
-        for entry in spec.morphisms:
-            fn, dom_space, cod_space = spec.morphism_parts(entry)
-            if fn.codomain != cov.target:
+        for dom, cod, img in spec.morphisms:
+            if _carrier(cod) != cov.target:
                 continue
-            img = _positions(fn)
-            changed = [tuple(map(counts.__getitem__, img)) for counts in ks]
-            if not _found_by_key(
-                    index, top, fn.domain, changed,
-                    lambda: base_change_sink(cov, fn, v_space=dom_space)):
+            if top:
+                changed = [_kept_form(*_pulled_back(obj.rows, leg,
+                                                    dom.rows, img), forms)
+                           for _, obj, leg in cov.sources]
+            else:
+                changed = [tuple(map(counts.__getitem__, img))
+                           for counts in ks]
+            if (_carrier(dom), dom if top else None,
+                    tuple(sorted(changed))) not in declared:
                 violations.append(
                     "base change of a covering of %r along a map from %r "
                     "is not declared" % (list(cov.target.labels),
-                                         list(fn.domain.labels)))
+                                         list(_carrier(dom).labels)))
     return {"violations": violations, "ok": not violations}

@@ -16,11 +16,47 @@ from types import SimpleNamespace
 from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
-from glueforge.fincat import FinFn, FinSet, FinTop
+from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice, PresheafStore
-from glueforge.site import Sink
+from glueforge.refine import Refinement
+from glueforge.site import SiteSpec, Sink, _carrier
+
+
+def identity_fn(carrier):
+    """The identity map of a carrier."""
+    return FinFn.from_total(carrier, carrier, {x: x for x in carrier})
+
+
+def constant_fn(domain, codomain, value):
+    """The map sending every point of ``domain`` to ``value``."""
+    return FinFn(domain, codomain, {x: value for x in domain})
+
+
+def surjective(fn):
+    """Whether ``fn`` hits every codomain label."""
+    return set(fn.mapping.values()) == set(fn.codomain.labels)
+
+
+def inverse_fn(fn):
+    """The inverse of a bijection, refused for any other map."""
+    if not (fn.is_injective() and surjective(fn)):
+        raise StructuralError("only bijections can be inverted")
+    return FinFn(fn.codomain, fn.domain,
+                 {y: x for x, y in fn.mapping.items()})
+
+
+def discrete_space(carrier):
+    """The discrete space on a carrier: each point its own
+    neighbourhood."""
+    return FinTop.from_nbhd(carrier, map((1).__lshift__, range(len(carrier))))
+
+
+def indiscrete_space(carrier):
+    """The indiscrete space on a carrier: every point's neighbourhood is
+    the whole carrier."""
+    return FinTop.from_nbhd(carrier, [(1 << len(carrier)) - 1] * len(carrier))
 
 
 def make_nonsplit_colimit(index, components, overlaps, ambient="sets", spaces=None):
@@ -52,8 +88,8 @@ def make_split_colimit(index, components, overlaps, ambient="sets", spaces=None,
         objects[(j, i)] = ov
         arrows[("incl", i, (i, j))] = FinFn(ov, objects[(i,)], to_i)
         arrows[("incl", j, (j, i))] = FinFn(ov, objects[(j,)], to_j)
-        arrows[("tau", (i, j))] = FinFn.identity(ov)
-        arrows[("tau", (j, i))] = FinFn.identity(ov)
+        arrows[("tau", (i, j))] = identity_fn(ov)
+        arrows[("tau", (j, i))] = identity_fn(ov)
     for i, (labels, to_i, tau) in (self_overlaps or {}).items():
         ov = FinSet(labels)
         objects[(i, i)] = ov
@@ -80,15 +116,15 @@ def make_limit_data(index, components, overlaps, mode="nonsplit", ambient="sets"
             objects[(j, i)] = ov
             arrows[("incl", i, (i, j))] = FinFn(objects[(i,)], ov, from_i)
             arrows[("incl", j, (j, i))] = FinFn(objects[(j,)], ov, from_j)
-            arrows[("tau", (i, j))] = FinFn.identity(ov)
-            arrows[("tau", (j, i))] = FinFn.identity(ov)
+            arrows[("tau", (i, j))] = identity_fn(ov)
+            arrows[("tau", (j, i))] = identity_fn(ov)
     if mode == "split":
         for i in index:
             if (i, i) not in objects:
                 comp = objects[(i,)]
                 objects[(i, i)] = comp
-                arrows[("incl", i, (i, i))] = FinFn.identity(comp)
-                arrows[("tau", (i, i))] = FinFn.identity(comp)
+                arrows[("incl", i, (i, i))] = identity_fn(comp)
+                arrows[("tau", (i, i))] = identity_fn(comp)
     return GluingData(cat, ambient, objects, arrows, TOWARD_OVERLAPS, spaces)
 
 
@@ -329,7 +365,7 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
                 {u: rng.choice(components[i]) for u in labels},
                 {u: rng.choice(components[j]) for u in labels})
     data = make_split_colimit(index, components, overlaps)
-    spaces = {obj: FinTop.discrete(data.objects[obj]) for obj in data.objects}
+    spaces = {obj: discrete_space(data.objects[obj]) for obj in data.objects}
     return GluingData.from_tables(data.indexcat, "top", data.objects,
                                   data.arrows, FROM_OVERLAPS, spaces)
 
@@ -412,8 +448,8 @@ def chain_cover():
     subspace on ``y0, y2``."""
     target = chain_space(["y0", "y1", "y2"])
     spaces = {"1": chain_space(["a0", "a1"]), "2": chain_space(["b1", "b2"]),
-              "3": FinTop.discrete(FinSet(["c0", "c2"]))}
-    return Sink("top", target.carrier, [
+              "3": discrete_space(FinSet(["c0", "c2"]))}
+    return label_sink("top", target.carrier, [
         (name, space, FinFn(space.carrier, target.carrier,
                             {x: "y" + x[1] for x in space.carrier}))
         for name, space in spaces.items()], target_space=target)
@@ -460,7 +496,7 @@ def constant_presheaf(space, values, top=None):
     lat = OpenLattice(space, top)
     vs = FinSet(values)
     sections = {o: vs for o in lat.opens}
-    res = {(w, v): FinFn.identity(vs) for w, v in lat.pairs_below()}
+    res = {(w, v): identity_fn(vs) for w, v in lat.pairs_below()}
     return store_from_labels(lat, sections, res)
 
 
@@ -545,8 +581,107 @@ def presheaf_doc(store):
 
 def jointly_surjective(sink):
     """Whether the maps of a sink reach every point of its target."""
-    return {y for _, _, fn in sink.sources for y in fn.mapping.values()} \
+    return {y for _, _, fn in source_fns(sink) for y in fn.mapping.values()} \
         == set(sink.target.labels)
+
+
+# Sinks, site morphisms and refinements hold position tables.  Tests build
+# them from label maps through these, which check what the parsers check
+# (each map total between the right carriers, continuous between spaces),
+# and read them back through label views.
+
+
+def checked_table(fn, dom, cod, dom_space=None, cod_space=None):
+    """The table of the ``FinFn`` ``fn`` from ``dom`` to ``cod``, refused
+    unless it runs between them and, given both spaces, is continuous."""
+    if fn.domain != dom or fn.codomain != cod:
+        raise StructuralError("map endpoints %r -> %r, expected %r -> %r"
+                              % (list(fn.domain), list(fn.codomain),
+                                 list(dom), list(cod)))
+    if dom_space is not None and cod_space is not None:
+        TopMap(fn, dom_space, cod_space)
+    return table(fn)
+
+
+def label_sink(ambient, target, sources, target_space=None):
+    """The sink over ``target`` of ``(name, object, FinFn)`` sources, each
+    map checked into the target (and continuous in the top ambient) and
+    read into its table."""
+    top = ambient == "top"
+    return Sink(ambient, target, [
+        (name, obj, checked_table(fn, _carrier(obj), target,
+                                  obj if top else None, target_space))
+        for name, obj, fn in sources], target_space=target_space)
+
+
+def view(obj, target, values):
+    """The ``FinFn`` from the carrier of ``obj`` into ``target`` whose
+    table is ``values``."""
+    carrier = _carrier(obj)
+    return FinFn(carrier, target, dict(zip(
+        carrier.labels, map(target.labels.__getitem__, values))))
+
+
+def source_fns(sink):
+    """The ``(name, object, FinFn)`` label view of each source of a sink."""
+    return [(name, obj, view(obj, sink.target, values))
+            for name, obj, values in sink.sources]
+
+
+def label_test(fn, space=None):
+    """A test map as ``cli.parse_sink`` reads it: ``(object, table)``, the
+    object the domain's space when one is given, else its carrier."""
+    return (fn.domain if space is None else space, table(fn))
+
+
+def label_morphism(fn, dom=None, cod=None):
+    """A site morphism as ``cli.parse_site`` reads it: ``(dom, cod,
+    table)``, between the spaces when given (checked continuous), else
+    between the carriers."""
+    if dom is None:
+        return (fn.domain, fn.codomain, table(fn))
+    return (dom, cod, checked_table(fn, dom.carrier, cod.carrier, dom, cod))
+
+
+def morphism_fn(entry):
+    """The ``FinFn`` view of a site morphism, with its two spaces (None in
+    the set ambient)."""
+    dom, cod, values = entry
+    fn = view(dom, _carrier(cod), values)
+    if isinstance(dom, FinTop):
+        return fn, dom, cod
+    return fn, None, None
+
+
+def label_site(ambient, coverings, morphisms):
+    """The site of these sinks and ``FinFn`` or ``TopMap`` morphisms."""
+    return SiteSpec(ambient, coverings, [
+        label_morphism(m) if isinstance(m, FinFn)
+        else label_morphism(m.fn, m.dom, m.cod) for m in morphisms])
+
+
+def label_refinement(source, target, gamma, components):
+    """The refinement of these gluing data along the ``FinFn`` ``gamma``
+    with ``FinFn`` components, each checked to run between the carriers
+    it must and read into its table."""
+    gamma_table = checked_table(gamma, target.indexcat.index,
+                                source.indexcat.index)
+    stub = Refinement(source, target, gamma_table, {})
+    return Refinement(source, target, gamma_table, {
+        obj: checked_table(fn, source.carrier(stub.reindexed(obj)),
+                           target.carrier(obj))
+        for obj, fn in components.items()})
+
+
+def refinement_fns(ref):
+    """The ``FinFn`` view of gamma and of each component of a
+    refinement."""
+    gamma = view(ref.target.indexcat.index, ref.source.indexcat.index,
+                 ref.gamma)
+    return gamma, {
+        obj: view(ref.source.carrier(ref.reindexed(obj)),
+                  ref.target.carrier(obj), values)
+        for obj, values in ref.components.items()}
 
 
 def seeded(seed):

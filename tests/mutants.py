@@ -53,17 +53,36 @@ MUTANTS = [
      ["tests/test_render.py"],
      "the bulk join puts the keys where the separators after them go"),
     ("cli.py",
-     "    return Sink(ambient, target, sources, target_space=target_space)",
-     "    return Sink.from_valid(ambient, target, sources,\n"
-     "                           target_space=target_space)",
-     ["tests/test_cli.py"],
-     "a document's own sink is built unchecked"),
+     "            _continuous(t, space, target_space)\n",
+     "            pass\n",
+     ["tests/test_refusals.py"],
+     "a document sink's sources are not checked continuous"),
     # recorded with earlier changes, each killed when it was made
     ("site.py",
-     "                del remaining[k]\n",
+     "                 tuple(sorted(map(colour.__getitem__, down))))\n",
+     "                 ())\n",
+     ["tests/test_site.py"],
+     "colour refinement ignores down-sets"),
+    ("site.py",
+     "        for mask in masks:\n",
+     "        for mask in [sum(1 << p for p in cell)]:\n",
+     ["tests/test_site.py"],
+     "the uniform-cell stop skips its check between cells"),
+    ("site.py",
+     "        if form < self.best[0]:\n",
+     "        if False:\n",
+     ["tests/test_site.py"],
+     "the key search keeps its first form, not the least"),
+    ("site.py",
+     "            marked[p] = -1\n",
+     "            marked[p] = colour[p]\n",
+     ["tests/test_site.py"],
+     "individualization does not set the point apart"),
+    ("site.py",
+     "                self.automorphisms.append(image)\n",
      "                pass\n",
      ["tests/test_site.py"],
-     "the greedy sink matcher keeps a matched source"),
+     "equal leaves reveal no automorphism, so nothing is pruned"),
     ("fincat.py",
      "        and sizes == [(target & image).bit_count() for target in targets],\n",
      "        and sizes <= [(target & image).bit_count() for target in targets],\n",
@@ -193,13 +212,13 @@ MUTANTS = [
      ["tests/test_site.py"],
      "a per-test verdict drops the meet with the test point's row"),
     ("fincat.py",
-     "    if not hit.issuperset(fn.mapping.values()):\n",
+     "    if not hit.issuperset(img):\n",
      "    if False:\n",
      ["tests/test_site.py"],
      "a per-test verdict skips the image containment"),
     ("site.py",
-     "        counts[y] += 1\n",
-     "        counts[y] = 1\n",
+     "        counts[q] += 1\n",
+     "        counts[q] = 1\n",
      ["tests/test_site.py"],
      "a source key counts distinct images, not multiplicities"),
     ("presheaf.py",
@@ -222,6 +241,12 @@ MUTANTS = [
      "        if True:\n",
      ["tests/test_refusals.py"],
      "a document map is read with no length test, so an extra key passes"),
+    ("cli.py",
+     "        if len(mapping) == len(domain):\n",
+     "        if True:\n",
+     ["tests/test_tables.py"],
+     "the table read drops its length test, so a sink, test, morphism "
+     "or gamma map with an extra key is read"),
     ("indexcat.py",
      "                keys[i + \",\" + j] = keys[j + \",\" + i] = pair\n",
      "                keys[i + \",\" + j] = keys[j + \",\" + i] = pair\n"

@@ -14,7 +14,8 @@ by composing restriction maps as functions at every pair of opens,
 commuting paths and isomorphisms by building composites and continuous
 maps, the opens, maximal proper opens, induced topologies and map
 properties of a space from its neighbourhoods as label frozensets, the
-strong effectiveness reading from built pullbacks, equivalent sinks by
+strong effectiveness reading from built pullbacks, fibred isomorphism of
+two sources by trying every permutation of every fibre, equivalent sinks by
 backtracking over matchings of sources, the covering axioms by building
 every candidate sink and comparing it with every declared covering, every
 covering of every open
@@ -26,7 +27,7 @@ They are exponential on purpose and run only on small instances.
 """
 
 from functools import reduce
-from itertools import product as iproduct
+from itertools import count, permutations, product as iproduct
 from math import prod
 
 from glueforge.errors import StructuralError, charge
@@ -56,21 +57,26 @@ from glueforge.gluing import (
 from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import (
+    SiteSpec,
     Sink,
-    _fibered_iso_exists,
     _inner_mismatch,
     base_change_sink,
     canonical_sink_functor,
     flatten_sinks,
-    sinks_equivalent,
 )
 
 from fixtures import (
     colimit_relation_pairs,
+    identity_fn,
+    inverse_fn,
     label_nbhd,
     label_overlap_maps,
+    morphism_fn,
     preimage,
+    source_fns,
     space_from_nbhd,
+    surjective,
+    table,
 )
 from paper import tag
 
@@ -189,7 +195,7 @@ def map_properties_by_frozensets(fn, dom, cod):
     injective = fn.is_injective()
     return {
         "injective": injective,
-        "surjective": fn.is_surjective(),
+        "surjective": surjective(fn),
         "continuous": True,
         "open": all(frozenset(map(mapping.__getitem__, u))
                     == cod_nbhd[mapping[x]] for x, u in dom_nbhd.items()),
@@ -231,7 +237,7 @@ def commutes_by_composites(path, other=()):
     start = (path or other)[0].domain
 
     def composite(p):
-        return reduce(FinFn.then, p) if p else FinFn.identity(start)
+        return reduce(FinFn.then, p) if p else identity_fn(start)
 
     return composite(path) == composite(other)
 
@@ -240,7 +246,7 @@ def iso_by_topmap(fn, dom=None, cod=None):
     """Bijective, and between two given spaces ``TopMap(...).open``: a
     continuous open bijection is a homeomorphism.  Raises where ``TopMap``
     does, for a map that is not continuous among others."""
-    bijective = fn.is_injective() and fn.is_surjective()
+    bijective = fn.is_injective() and surjective(fn)
     if dom is None or cod is None:
         return bijective
     return bijective and TopMap(fn, dom, cod).open
@@ -309,7 +315,7 @@ def sink_target_cone(sink, data):
     ``data``: the sink's own maps at the components and, at each overlap, the
     composite through the stored inclusion.  ``gluing.mediating_map``
     checks every square of this cone."""
-    legs = {(i,): fn for i, _, fn in sink.sources}
+    legs = {(i,): fn for i, _, fn in source_fns(sink)}
     for pair_obj in data.indexcat.pairs():
         i = pair_obj[0]
         legs[pair_obj] = data.fn(("incl", i, pair_obj)).then(legs[(i,)])
@@ -360,26 +366,93 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
     return iso
 
 
+def fibre_counts_by_labels(fn):
+    """How many points ``fn`` sends to each codomain label, in codomain
+    order."""
+    counts = dict.fromkeys(fn.codomain.labels, 0)
+    for y in fn.mapping.values():
+        counts[y] += 1
+    return tuple(counts.values())
+
+
+def fibered_iso_by_permutations(obj_a, fn_a, obj_b, fn_b, ambient):
+    """Whether two sources are isomorphic over their common target, by
+    trying every permutation of every fibre, charged as it goes, and
+    checking each assembled bijection with ``is_iso``."""
+    if fibre_counts_by_labels(fn_a) != fibre_counts_by_labels(fn_b):
+        return False
+    if ambient == "sets":
+        return True
+    fibers_a = {}
+    fibers_b = {}
+    for x in fn_a.domain:
+        fibers_a.setdefault(fn_a.mapping[x], []).append(x)
+    for x in fn_b.domain:
+        fibers_b.setdefault(fn_b.mapping[x], []).append(x)
+    tried = count(1)
+
+    def assemble(keys, acc):
+        if not keys:
+            return is_iso(FinFn(fn_a.domain, fn_b.domain, acc), obj_a, obj_b)
+        u, rest = keys[0], keys[1:]
+        fa = fibers_a.get(u, [])
+        fb = fibers_b.get(u, [])
+        for perm in permutations(fb):
+            charge("fibre permutations between two sources", next(tried))
+            acc2 = dict(acc)
+            acc2.update(zip(fa, perm))
+            if assemble(rest, acc2):
+                return True
+        return False
+
+    try:
+        return assemble(list(fibers_a.keys()), {})
+    finally:
+        del assemble    # the closure reaches itself through its own cell
+
+
+def sinks_equivalent_by_permutations(a, b):
+    """Whether two sinks agree up to a bijection of their source families
+    and fibered isomorphisms of the sources, read through their label
+    views.  Fibered isomorphism is an equivalence relation, so each source
+    of ``a`` may take the first remaining source of ``b`` that matches it:
+    no choice made so needs undoing.  ``site.sinks_equivalent`` compares
+    canonical keys instead."""
+    if a.ambient != b.ambient or a.target != b.target \
+            or a.target_space != b.target_space \
+            or len(a.sources) != len(b.sources):
+        return False
+    remaining = source_fns(b)
+    for _, obj, fn in source_fns(a):
+        for k, (_, obj2, fn2) in enumerate(remaining):
+            if fibered_iso_by_permutations(obj, fn, obj2, fn2, a.ambient):
+                del remaining[k]
+                break
+        else:
+            return False
+    return True
+
+
 def sinks_equivalent_by_backtracking(a, b):
     """Whether two sinks agree up to a bijection of their source families
     and fibered isomorphisms of the sources, by backtracking over the
     bijections: a source of ``a`` tries each remaining source of ``b`` it
     matches, and a match that leaves the rest unmatched is undone.
-    ``site.sinks_equivalent`` keeps the first match instead."""
+    ``sinks_equivalent_by_permutations`` keeps the first match instead."""
     if a.ambient != b.ambient or a.target != b.target:
         return False
     if a.ambient == "top" and a.target_space != b.target_space:
         return False
     if len(a.sources) != len(b.sources):
         return False
-    remaining = list(b.sources)
+    remaining = source_fns(b)
 
     def match(sources):
         if not sources:
             return True
         _, obj, fn = sources[0]
         for k, (_, obj2, fn2) in enumerate(remaining):
-            if _fibered_iso_exists(obj, fn, obj2, fn2, a.ambient):
+            if fibered_iso_by_permutations(obj, fn, obj2, fn2, a.ambient):
                 kept = remaining.pop(k)
                 found = match(sources[1:])
                 remaining.insert(k, kept)
@@ -387,27 +460,31 @@ def sinks_equivalent_by_backtracking(a, b):
                     return True
         return False
 
-    return match(list(a.sources))
+    try:
+        return match(source_fns(a))
+    finally:
+        del match    # the closure reaches itself through its own cell
 
 
 def covering_axioms_by_scan(spec):
     """The covering axioms checked by building every candidate sink (the
     sink of each isomorphism, each composite of declared coverings, each
     base change of one) and comparing it with each declared covering in
-    turn; ``site.covering_axioms_check`` looks each candidate up by the
-    fibre counts of its sources instead.  Charges as that check did before
-    it used keys: a pullback per base change, and the fibre permutations of
-    every comparison."""
+    turn by ``sinks_equivalent_by_permutations``;
+    ``site.covering_axioms_check`` looks each candidate's key up instead.
+    Charges as that check did before it used keys: a pullback per base
+    change, and the fibre permutations of every comparison."""
     def declared(sink):
-        return any(sinks_equivalent(sink, c) for c in spec.coverings)
+        return any(sinks_equivalent_by_permutations(sink, c)
+                   for c in spec.coverings)
 
     violations = []
     for entry in spec.morphisms:
-        fn, dom_space, cod_space = spec.morphism_parts(entry)
+        fn, dom_space, cod_space = morphism_fn(entry)
         if is_iso(fn, dom_space, cod_space):
-            single = Sink.from_valid(spec.ambient, fn.codomain,
-                                     [("v", dom_space or fn.domain, fn)],
-                                     target_space=cod_space)
+            single = Sink(spec.ambient, fn.codomain,
+                          [("v", dom_space or fn.domain, table(fn))],
+                          target_space=cod_space)
             if not declared(single):
                 violations.append(
                     "isomorphism sink onto %r is not declared"
@@ -425,10 +502,11 @@ def covering_axioms_by_scan(spec):
                     % (list(cov.target.labels),))
     for cov in spec.coverings:
         for entry in spec.morphisms:
-            fn, dom_space, cod_space = spec.morphism_parts(entry)
+            fn, dom_space, _ = morphism_fn(entry)
             if fn.codomain != cov.target:
                 continue
-            if not declared(base_change_sink(cov, fn, v_space=dom_space)):
+            test = (entry[0], entry[2])
+            if not declared(base_change_sink(cov, test)):
                 violations.append(
                     "base change of a covering of %r along a map from %r "
                     "is not declared" % (list(cov.target.labels),
@@ -505,7 +583,7 @@ def presheaf_law_problems(store):
     problems = []
     lat = store.lattice
     for o in lat.opens:
-        if store.res[(o, o)] != FinFn.identity(store.sections[o]):
+        if store.res[(o, o)] != identity_fn(store.sections[o]):
             problems.append("restriction at %r is not the identity"
                             % lat.names(o))
     for x in lat.opens:
@@ -548,12 +626,12 @@ def gluing_datum_problems(datum):
         source, target = datum.locals[a], datum.locals[b]
         lattice = OpenLattice(datum.space, members[a] & members[b])
         for o, fn in comp.items():
-            if not (fn.is_injective() and fn.is_surjective()):
+            if not (fn.is_injective() and surjective(fn)):
                 problems.append("transition %r -> %r at %r is not a "
                                 "bijection" % (a, b, lattice.names(o)))
         inverse = datum.transitions[(b, a)]
         for o, fn in comp.items():
-            if fn.then(inverse[o]) != FinFn.identity(fn.domain):
+            if fn.then(inverse[o]) != identity_fn(fn.domain):
                 problems.append("transitions %r <-> %r at %r are not "
                                 "mutually inverse" % (a, b, lattice.names(o)))
         problems.extend("transition %r -> %r is not natural from %r to %r"
@@ -731,8 +809,8 @@ class LabelGluing:
                     if (i,) in spaces:
                         spaces[diag] = spaces[(i,)]
                     arrows.setdefault(("incl", i, diag),
-                                      FinFn.identity(objects[(i,)]))
-                arrows.setdefault(("tau", diag), FinFn.identity(objects[diag]))
+                                      identity_fn(objects[(i,)]))
+                arrows.setdefault(("tau", diag), identity_fn(objects[diag]))
         self.indexcat, self.ambient, self.direction = indexcat, ambient, \
             direction
         self.objects, self.arrows, self.spaces = objects, arrows, spaces
@@ -834,6 +912,9 @@ def parse_gluing_by_labels(payload, table=None):
     arrows, taus = {}, {}
     for entry in payload["arrows"]:
         pair = cli._parse_objkey(entry["pair"], mode, cat)
+        if len(pair) == 2:
+            for label in pair:
+                index.position(label)
         if len(pair) != 2:
             raise StructuralError("arrow pair %r is not a pair"
                                   % (entry["pair"],))
@@ -850,6 +931,9 @@ def parse_gluing_by_labels(payload, table=None):
                 else (carrier((i,)), carrier(pair))
             arrows[("incl", i, pair)] = FinFn(*ends, entry["map"])
         else:
+            if mode != SPLIT:
+                raise StructuralError("tau for pair %r: swap arrows exist "
+                                      "only in split mode" % entry["pair"])
             i, j = pair
             if pair in taus:
                 raise StructuralError("tau for pair %r is given twice"
@@ -862,7 +946,7 @@ def parse_gluing_by_labels(payload, table=None):
             key, inverse_key = (("tau", (j, i)), ("tau", (i, j))) \
                 if direction == FROM_OVERLAPS \
                 else (("tau", (i, j)), ("tau", (j, i)))
-            inverse = fn.inverse()
+            inverse = inverse_fn(fn)
             if arrows.get(key, fn) != fn:
                 raise StructuralError("tau for pair %r is not the inverse of "
                                       "the tau for pair %r"
@@ -952,7 +1036,7 @@ def effectiveness_by_labels(data, glued):
         e = data.fn(("incl", i, (i, j)))
         diagnostics["pairs"][(i, j)] = {
             "edge_embeds": edge_emb[(i, j)],
-            "edge_onto_component": e.is_surjective(),
+            "edge_onto_component": surjective(e),
             "intersection_ok": set(glued.legs[(i, j)].mapping.values())
             == images[i] & images[j],
             "canonical_bijective": canonical[(i, j)],
@@ -994,7 +1078,7 @@ def refine_by_labels(payload):
     for g in ([] if violations else tcat.generators):
         _, i, pair_obj = g
         gi, robj = (gamma(i),), reindexed(pair_obj)
-        src_edge = FinFn.identity(source.carrier(gi)) if len(robj) == 1 \
+        src_edge = identity_fn(source.carrier(gi)) if len(robj) == 1 \
             else source.fn(("incl", gi[0], robj))
         comp_i, comp_pair = components[(i,)], components[pair_obj]
         if target.direction == TOWARD_OVERLAPS:
@@ -1038,3 +1122,131 @@ def refine_by_labels(payload):
                            "source_apex_size": len(gs.apex),
                            "target_apex_size": len(gt.apex)}
     return report
+
+
+# The sink layer on labels, as the engine read and decided it while each
+# map was a checked ``FinFn``: the reports of ``check-cover``, ``compose``
+# and ``check-site`` by the colimit route, built pullbacks and the
+# permutation search.
+
+
+def sink_by_labels(body, ambient, table):
+    """A ``{target, sources}`` node as ``(target, target_space, sources)``
+    with each map a checked ``FinFn``, all of them read first; then, source
+    by source, a repeated name is refused and, in the top ambient, a map
+    that ``TopMap`` refuses."""
+    target, target_space = cli.parse_object(body["target"], ambient, table)
+    sources = []
+    for node in body["sources"]:
+        carrier, space = cli.parse_object(node["object"], ambient, table)
+        sources.append((node["name"], carrier if space is None else space,
+                        FinFn(carrier, target, node["map"])))
+    names = set()
+    for name, obj, fn in sources:
+        if name in names:
+            raise StructuralError("duplicate source name %r" % name)
+        names.add(name)
+        if ambient == "top":
+            TopMap(fn, obj, target_space)
+    return target, target_space, sources
+
+
+def tabled(ambient, labelled):
+    """The engine's ``Sink`` of a sink read by ``sink_by_labels``."""
+    target, target_space, sources = labelled
+    return Sink(ambient, target, [(name, obj, table(fn))
+                                  for name, obj, fn in sources],
+                target_space)
+
+
+def effective_by_labels(ambient, labelled):
+    """Effectiveness of a sink on labels, by the colimit route; the
+    colimit of no sources is the empty object."""
+    if not labelled[2]:
+        return not len(labelled[0])
+    return effective_epi_by_colimit(tabled(ambient, labelled))
+
+
+def sink_report_by_labels(command, payload):
+    """The report of ``check-cover`` or ``compose`` on a sink payload,
+    decided on labels: each test by the colimit route on the sink pulled
+    back along it by ``pullback``, each composite a ``FinFn.then``."""
+    ambient = payload["ambient"]
+    top = ambient == "top"
+    table_ = {}
+    labelled = sink_by_labels(payload, ambient, table_)
+    target, target_space, sources = labelled
+    tests = []
+    for node in payload.get("tests", []):
+        carrier, space = cli.parse_object(node["object"], ambient, table_)
+        tests.append((FinFn(carrier, target, node["map"]), space))
+    inner = {name: sink_by_labels(body, ambient, table_)
+             for name, body in payload.get("inner", {}).items()}
+    if command == "check-cover":
+        base = effective_by_labels(ambient, labelled)
+        per_test = []
+        for fn, space in tests:
+            pulled = []
+            for name, obj, leg in sources:
+                ps = pullback(leg, fn, obj if top else None, space)
+                pulled.append((name, ps.space if top else ps.members,
+                               ps.legs["p2"]))
+            per_test.append({"map_domain": list(fn.domain.labels),
+                             "effective": effective_by_labels(
+                                 ambient, (fn.domain, space, pulled))})
+        verdicts = {"effective": base, "all_effective": base and all(
+            t["effective"] for t in per_test)}
+        if not top:
+            verdicts["jointly_surjective"] = base
+        return {"command": command, "verdicts": verdicts, "artifacts": {},
+                "diagnostics": {"per_test": per_test}}
+    if not inner:
+        raise StructuralError("compose needs an 'inner' sink per source")
+    flat = []
+    for name, obj, fn in sources:
+        if name not in inner:
+            raise StructuralError("no inner sink for source %r" % name)
+        sub_target, sub_space, sub_sources = inner[name]
+        carrier = obj.carrier if top else obj
+        if sub_target != carrier:
+            raise StructuralError("inner sink for %r does not target that "
+                                  "source" % name)
+        if top and sub_space != obj:
+            raise StructuralError("inner sink for %r carries a different "
+                                  "topology" % name)
+        flat += [("%s.%s" % (name, sub_name), sub_obj, sub_fn.then(fn))
+                 for sub_name, sub_obj, sub_fn in sub_sources]
+    names = [name for name, _, _ in flat]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise StructuralError("duplicate source name %r" % name)
+    return {"command": command,
+            "verdicts": {"is_glued_up": effective_by_labels(
+                ambient, (target, target_space, flat))},
+            "artifacts": {"flattened_sources": {
+                name: fn.mapping for name, _, fn in flat}},
+            "diagnostics": {}}
+
+
+def site_report_by_labels(payload):
+    """The ``check-site`` report of a site payload, read on labels (each
+    morphism a checked ``FinFn``, then a ``TopMap`` in the top ambient) and
+    checked by ``covering_axioms_by_scan``."""
+    ambient = payload["ambient"]
+    table_ = {}
+    coverings = [tabled(ambient, sink_by_labels(body, ambient, table_))
+                 for body in payload["coverings"]]
+    morphisms = []
+    for node in payload["morphisms"]:
+        dom, dom_space = cli.parse_object(node["dom"], ambient, table_)
+        cod, cod_space = cli.parse_object(node["cod"], ambient, table_)
+        fn = FinFn(dom, cod, node["map"])
+        if ambient == "top":
+            TopMap(fn, dom_space, cod_space)
+            morphisms.append((dom_space, cod_space, table(fn)))
+        else:
+            morphisms.append((dom, cod, table(fn)))
+    report = covering_axioms_by_scan(SiteSpec(ambient, coverings, morphisms))
+    return {"command": "check-site",
+            "verdicts": {"axioms_hold": report["ok"]}, "artifacts": {},
+            "diagnostics": {"violations": report["violations"]}}

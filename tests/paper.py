@@ -2,10 +2,12 @@
 them against the engine.
 
 * ``tag``, the coproduct label of an element of one component.
-* Pair sorting maps and the three translation functors between the split
-  and the nonsplit index categories (``sorting_functors``), the functor
-  induced by a map of index sets (``p2_of_map``), and functors between
-  index categories stored on objects and generators (``IndexFunctor``).
+* The morphism algebra of an index category (``id_mor``, ``gen_mor``,
+  ``compose``, ``incl``, ``tau``), pair sorting maps and the three
+  translation functors between the split and the nonsplit index categories
+  (``sorting_functors``), the functor induced by a map of index sets
+  (``p2_of_map``), and functors between index categories stored on objects
+  and generators (``IndexFunctor``).
 * Reindexing gluing data along such a functor (``reindex``), and split
   colimit-side data restricted along a sorting map (``compose_with_sorting``).
 * Identity and composite refinements, and composition of gluings over node
@@ -28,7 +30,7 @@ from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import GluingDatum, OpenLattice, PresheafStore, restrict
 from glueforge.refine import Refinement
 
-from fixtures import colimit_relation_pairs, preimage
+from fixtures import colimit_relation_pairs, identity_fn, preimage
 
 
 def tag(component, label):
@@ -70,6 +72,72 @@ class SortingMap:
         return self.choice[pair]
 
 
+# The morphism algebra of an index category: a morphism is ``(src, dst,
+# word)``, ``word`` a tuple of generator keys applied left to right, in
+# the normal form that cancels adjacent inverse swaps, which encodes the
+# law ``tau[j,i] . tau[i,j] = id`` (including ``i = j``, where the swap is
+# an involution that need not be the identity); the empty word is the
+# identity.
+
+
+def normalize(word):
+    word = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(word) - 1):
+            a, b = word[k], word[k + 1]
+            if a[0] == "tau" and b[0] == "tau" and b[1] == (a[1][1], a[1][0]):
+                del word[k:k + 2]
+                changed = True
+                break
+    return tuple(word)
+
+
+def id_mor(cat, obj):
+    if obj not in cat.objects:
+        raise StructuralError("no object %r" % (obj,))
+    return (obj, obj, ())
+
+
+def gen_mor(cat, key):
+    src, dst = gen_endpoints(key)
+    if key not in cat.generators:
+        raise StructuralError("no generator %r in this category" % (key,))
+    return (src, dst, (key,))
+
+
+def compose(m2, m1):
+    """The composite m2 . m1 in normal form."""
+    if m1[1] != m2[0]:
+        raise StructuralError("morphisms are not composable: %r then %r"
+                              % (m1, m2))
+    return (m1[0], m2[1], normalize(m1[2] + m2[2]))
+
+
+def incl(cat, i, j):
+    """The inclusion morphism of singleton i into the pair holding i, j."""
+    return gen_mor(cat, ("incl", i, cat.pair(i, j)))
+
+
+def tau(cat, i, j):
+    if cat.mode != SPLIT:
+        raise StructuralError("tau exists only in split mode")
+    return gen_mor(cat, ("tau", (i, j)))
+
+
+def composable_generator_pairs(cat):
+    """All pairs (g1, g2) of generators with g1 target = g2 source."""
+    out = []
+    for g1 in cat.generators:
+        _, mid = gen_endpoints(g1)
+        for g2 in cat.generators:
+            src2, _ = gen_endpoints(g2)
+            if src2 == mid:
+                out.append((g1, g2))
+    return out
+
+
 class IndexFunctor:
     """A functor between index categories, stored on objects and generators."""
 
@@ -92,9 +160,9 @@ class IndexFunctor:
 
     def apply_mor(self, mor):
         src, dst, word = mor
-        out = self.target.id_mor(self.apply_obj(src))
+        out = id_mor(self.target, self.apply_obj(src))
         for key in word:
-            out = self.target.compose(self.morphism_map[key], out)
+            out = compose(self.morphism_map[key], out)
         expect = self.apply_obj(dst)
         if out[1] != expect:
             raise StructuralError(
@@ -114,7 +182,7 @@ class IndexFunctor:
         for obj in self.source.objects:
             if obj not in self.object_map:
                 problems.append("object %r not mapped" % (obj,))
-            elif not self.target.has_object(self.object_map[obj]):
+            elif self.object_map[obj] not in self.target.objects:
                 problems.append("object %r mapped outside the target" % (obj,))
         for g in self.source.generators:
             if g not in self.morphism_map:
@@ -126,10 +194,10 @@ class IndexFunctor:
                 problems.append("generator %r image has wrong endpoints" % (g,))
         if problems:
             return problems
-        for g1, g2 in self.source.composable_generator_pairs():
-            lhs = self.apply_mor(self.source.compose(
-                self.source.gen_mor(g2), self.source.gen_mor(g1)))
-            rhs = self.target.compose(self.morphism_map[g2], self.morphism_map[g1])
+        for g1, g2 in composable_generator_pairs(self.source):
+            lhs = self.apply_mor(compose(
+                gen_mor(self.source, g2), gen_mor(self.source, g1)))
+            rhs = compose(self.morphism_map[g2], self.morphism_map[g1])
             if lhs != rhs:
                 problems.append("composition %r after %r not preserved" % (g2, g1))
         return problems
@@ -139,15 +207,15 @@ class IndexFunctor:
             return False
         if any(self.apply_obj(a) != other.apply_obj(a) for a in self.source.objects):
             return False
-        return all(self.apply_mor(self.source.gen_mor(g))
-                   == other.apply_mor(other.source.gen_mor(g))
+        return all(self.apply_mor(gen_mor(self.source, g))
+                   == other.apply_mor(gen_mor(other.source, g))
                    for g in self.source.generators)
 
 
 def identity_functor(cat):
     return IndexFunctor(cat, cat,
                         {a: a for a in cat.objects},
-                        {g: cat.gen_mor(g) for g in cat.generators})
+                        {g: gen_mor(cat, g) for g in cat.generators})
 
 
 def coproduct_index(index):
@@ -159,12 +227,12 @@ def _split_copair(copy_i, i, j, scat):
     # inclusion image rules for a mixed pair whose sorting-first element is i
     if copy_i == "1":
         return {
-            "first": scat.incl(i, j),
-            "second": scat.compose(scat.tau(j, i), scat.incl(j, i)),
+            "first": incl(scat, i, j),
+            "second": compose(tau(scat, j, i), incl(scat, j, i)),
         }
     return {
-        "first": scat.compose(scat.tau(i, j), scat.incl(i, j)),
-        "second": scat.incl(j, i),
+        "first": compose(tau(scat, i, j), incl(scat, i, j)),
+        "second": incl(scat, j, i),
     }
 
 
@@ -186,9 +254,9 @@ def sorting_functors(index, sorting):
         _, i, pair = g
         si, sj = sorting.sort(pair)
         if i == si:
-            a_mor[g] = scat.incl(si, sj)
+            a_mor[g] = incl(scat, si, sj)
         else:
-            a_mor[g] = scat.compose(scat.tau(sj, si), scat.incl(sj, si))
+            a_mor[g] = compose(tau(scat, sj, si), incl(scat, sj, si))
     a_c = IndexFunctor(pcat, scat, a_obj, a_mor)
 
     b_obj = {}
@@ -201,13 +269,14 @@ def sorting_functors(index, sorting):
             b_obj[obj] = (i,) if i == j else pcat.pair(i, j)
     for g in scat.generators:
         if g[0] == "tau":
-            b_mor[g] = pcat.id_mor(b_obj[g[1]])
+            b_mor[g] = id_mor(pcat, b_obj[g[1]])
         else:
             _, i, pair = g
             if pair[0] == pair[1]:
-                b_mor[g] = pcat.id_mor((i,))
+                b_mor[g] = id_mor(pcat, (i,))
             else:
-                b_mor[g] = pcat.incl(i, pair[1] if pair[0] == i else pair[0])
+                b_mor[g] = incl(pcat, i,
+                                pair[1] if pair[0] == i else pair[0])
     b_i = IndexFunctor(scat, pcat, b_obj, b_mor)
 
     dcat = IndexCat(NONSPLIT, coproduct_index(index))
@@ -231,9 +300,9 @@ def sorting_functors(index, sorting):
         other = pair[1] if pair[0] == x else pair[0]
         copy_o, j = other.split("|", 1)
         if i == j:
-            base = scat.incl(i, i)
+            base = incl(scat, i, i)
             ap_mor[g] = base if copy_x == "1" \
-                else scat.compose(scat.tau(i, i), base)
+                else compose(tau(scat, i, i), base)
         else:
             si, sj = sorting.sort((i, j))
             if i == si:
@@ -268,7 +337,7 @@ def p2_of_map(gamma):
         _, i, pair = g
         j = pair[1] if pair[0] == i else pair[0]
         gi, gj = gamma(i), gamma(j)
-        mors[g] = dst.id_mor((gi,)) if gi == gj else dst.incl(gi, gj)
+        mors[g] = id_mor(dst, (gi,)) if gi == gj else incl(dst, gi, gj)
     return IndexFunctor(src, dst, objs, mors)
 
 
@@ -291,15 +360,15 @@ def reindex(data, fun):
             spaces[obj] = data.space(image)
     arrows = {}
     for g in fun.source.generators:
-        _, _, word = fun.apply_mor(fun.source.gen_mor(g))
+        _, _, word = fun.apply_mor(gen_mor(fun.source, g))
         fns = [data.fn(key) for key in word]
         src, dst = gen_endpoints(g)
         if data.direction == FROM_OVERLAPS:
-            out = FinFn.identity(objects[dst])
+            out = identity_fn(objects[dst])
             for fn in reversed(fns):
                 out = out.then(fn)
         else:
-            out = FinFn.identity(objects[src])
+            out = identity_fn(objects[src])
             for fn in fns:
                 out = out.then(fn)
         arrows[g] = out
@@ -319,21 +388,26 @@ def compose_with_sorting(data, sorting):
 
 
 def identity_refinement(data):
-    comps = {obj: FinFn.identity(data.carrier(obj))
+    """The refinement of gluing data by itself along the identity of its
+    index, with identity components, as tables."""
+    comps = {obj: list(range(len(data.carrier(obj))))
              for obj in data.indexcat.objects}
-    return Refinement(data, data, FinFn.identity(data.indexcat.index), comps)
+    return Refinement(data, data, list(range(len(data.indexcat.index))),
+                      comps)
 
 
 def compose_refinements(outer, inner):
     """The composite refinement applying ``inner`` first, then ``outer``;
-    gammas compose the other way around."""
+    gammas compose the other way around, and each component is the inner
+    one at the reindexed object followed by the outer one."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise StructuralError("refinements are not composable")
-    gamma = outer.gamma.then(inner.gamma)
+    gamma = list(map(inner.gamma.__getitem__, outer.gamma))
     comps = {}
     for obj in outer.target.indexcat.objects:
         mid = outer.reindexed(obj)
-        comps[obj] = inner.components[mid].then(outer.components[obj])
+        comps[obj] = list(map(outer.components[obj].__getitem__,
+                              inner.components[mid]))
     return Refinement(inner.source, outer.target, gamma, comps)
 
 

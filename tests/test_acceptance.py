@@ -19,7 +19,6 @@ from glueforge.presheaf import (
 )
 from glueforge.refine import compose_via_sinks
 from glueforge.site import (
-    Sink,
     canonical_sink_functor,
     effective_epi_check,
     effective_gluing_check,
@@ -28,14 +27,18 @@ from glueforge.site import (
 
 from fixtures import (
     colimit_relation_pairs,
+    discrete_space,
     e1,
     function_presheaf,
     jointly_surjective,
+    label_sink,
+    label_test,
     random_limit_data,
     random_nonsplit_colimit,
     random_split_colimit,
     random_top_colimit,
     seeded,
+    source_fns,
     table,
 )
 from oracles import (
@@ -145,7 +148,7 @@ def random_sink(rng, max_sources=3, max_target=4, max_source_size=3):
         sources.append((str(s + 1), src,
                         FinFn(src, target,
                               {x: rng.choice(target.labels) for x in labels})))
-    return Sink("sets", target, sources)
+    return label_sink("sets", target, sources)
 
 
 def test_criterion_5_effective_epi_agrees_with_mediating_route():
@@ -161,7 +164,8 @@ def test_criterion_5_effective_epi_agrees_with_mediating_route():
         _, iso = mediating_map(data, glued, sink_target_cone(sink, data))
         assert decision == iso
         # independent closed form in sets: the images cover the target
-        images = {y for _, _, fn in sink.sources for y in fn.mapping.values()}
+        images = {y for _, _, fn in source_fns(sink)
+                  for y in fn.mapping.values()}
         assert decision == (images == set(sink.target.labels))
         checked += 1
     _report(5, "effective epi equals mediating-map and closed form",
@@ -181,12 +185,11 @@ def test_criterion_6_composites_of_passing_sinks_pass():
     for _ in range(50):
         outer = random_passing_sink(rng)
         inner = {}
-        for name in outer.names():
-            carrier = outer.carrier(name)
+        for name, carrier, _ in outer.sources:
             if len(carrier) == 0:
                 empty = FinSet([])
-                inner[name] = Sink("sets", carrier,
-                                   [("1", empty, FinFn(empty, carrier, {}))])
+                inner[name] = label_sink(
+                    "sets", carrier, [("1", empty, FinFn(empty, carrier, {}))])
                 continue
             while True:
                 labels = ["%s_i%d" % (name, k)
@@ -194,7 +197,7 @@ def test_criterion_6_composites_of_passing_sinks_pass():
                 src = FinSet(labels)
                 fn = FinFn(src, carrier,
                            {x: rng.choice(carrier.labels) for x in labels})
-                cand = Sink("sets", carrier, [("1", src, fn)])
+                cand = label_sink("sets", carrier, [("1", src, fn)])
                 if jointly_surjective(cand):
                     inner[name] = cand
                     break
@@ -203,7 +206,8 @@ def test_criterion_6_composites_of_passing_sinks_pass():
         v = FinSet(["v0", "v1"])
         tests = [FinFn(v, outer.target,
                        {x: rng.choice(outer.target.labels) for x in v})]
-        report = universal_effective_epi_check(result["sink"], tests)
+        report = universal_effective_epi_check(result["sink"],
+                                               map(label_test, tests))
         assert report["all_effective"] is True
         assert report["jointly_surjective"] is True
         checked += 1
@@ -234,7 +238,7 @@ def random_sheaf_datum(rng, break_cocycle=False):
     from test_presheaf import chart_datum
     if break_cocycle:
         pts = ["p%d" % k for k in range(rng.randint(1, 2))]
-        space = FinTop.discrete(FinSet(pts))
+        space = discrete_space(FinSet(pts))
         stalks = {p: ["a", "b"] for p in pts}
         charts = [("1", pts), ("2", pts), ("3", pts)]
         swap = {"a": "b", "b": "a"}
@@ -307,7 +311,7 @@ def test_criterion_8_sheaf_gluing():
 def random_nat_trans_instance(rng):
     from glueforge.fincat import FinTop
     pts = ["p%d" % k for k in range(rng.randint(1, 2))]
-    space = FinTop.discrete(FinSet(pts))
+    space = discrete_space(FinSet(pts))
     s_stalks = {p: ["a%d" % k for k in range(rng.randint(1, 2))] for p in pts}
     t_stalks = {p: ["b%d" % k for k in range(rng.randint(1, 2))] for p in pts}
     source = function_presheaf(space, s_stalks)

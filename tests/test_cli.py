@@ -4,6 +4,7 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
@@ -26,13 +27,13 @@ from glueforge.site import (
     base_change_sink,
     canonical_sink_functor,
     covering_axioms_check,
-    sinks_equivalent,
 )
 
 from fixtures import (
     benchmark_docs,
     chain_cover,
     constant_presheaf,
+    discrete_space,
     e1,
     function_presheaf,
     label_arrows,
@@ -358,7 +359,7 @@ def test_check_sheaf_checks_listed_coverings_up_to_the_counterexample(
 
 def discrete_function_doc(n):
     points = FinSet(["p%d" % k for k in range(n)])
-    return presheaf_doc(function_presheaf(FinTop.discrete(points),
+    return presheaf_doc(function_presheaf(discrete_space(points),
                                           {p: ["a", "b"] for p in points}))
 
 
@@ -903,47 +904,91 @@ def test_check_site_charges_the_refinement_product(tmp_path, capsys):
     assert "refinement families of one covering" in err
 
 
-def test_check_site_charges_the_fibre_permutation_search(tmp_path, capsys):
+def test_check_site_charges_the_individualization_search(tmp_path, capsys):
+    # two disjoint two-point chains over one point: colour refinement
+    # splits the bottoms from the tops, each bottom lies below one top
+    # only, so the key of that source individualizes each of the 2 bottoms
     def space(points, opens):
         return {"points": points, "opens": opens}
 
     point = space(["t"], [[], ["t"]])
-    a = ["a1", "a2", "a3"]
-    discrete = space(a, [[]] + [[x] for x in a]
-                     + [[x, y] for x in a for y in a if x < y] + [a])
-    indiscrete = space(["b1", "b2", "b3"], [[], ["b1", "b2", "b3"]])
+    points = ["a1", "b1", "a2", "b2"]
+    halves = [[], ["b1"], ["a1", "b1"]], [[], ["b2"], ["a2", "b2"]]
+    chains = space(points, [one + two for one in halves[0]
+                            for two in halves[1]])
     doc = {"version": "1", "kind": "site", "payload": {
         "ambient": "top",
         "coverings": [
             {"target": point, "sources": [
-                {"name": "1", "object": indiscrete,
-                 "map": {"b1": "t", "b2": "t", "b3": "t"}}]},
-            {"target": point, "sources": [
-                {"name": "1", "object": discrete,
-                 "map": {x: "t" for x in a}}]},
-            {"target": discrete, "sources": [
-                {"name": "1", "object": discrete, "map": {x: x for x in a}}]},
+                {"name": "1", "object": chains,
+                 "map": {x: "t" for x in points}}]},
+            {"target": chains, "sources": [
+                {"name": "1", "object": chains,
+                 "map": {x: x for x in points}}]},
         ],
         "morphisms": []}}
-    # the composite of the last two coverings is the second one; matching it
-    # against the first tries all 6 permutations of a 3-point fibre, in vain
-    indiscrete_sink, discrete_sink, _ = parse_site(doc["payload"]).coverings
-    with budget(5), pytest.raises(ResourceError) as err:
-        sinks_equivalent(discrete_sink, indiscrete_sink)
-    assert err.value.size == 6
-    assert "fibre permutations" in str(err.value)
-    with budget(6):
-        assert not sinks_equivalent(discrete_sink, indiscrete_sink)
-    # a search that succeeds on its first assignment is never refused
-    with budget(1):
-        assert sinks_equivalent(discrete_sink, discrete_sink)
+    spec = parse_site(doc["payload"])
+    with budget(1), pytest.raises(ResourceError) as err:
+        covering_axioms_check(spec)
+    assert err.value.size == 2
+    assert "individualized points in one source's key" in str(err.value)
+    with budget(2):
+        assert covering_axioms_check(spec)["ok"] is True
     path = write_doc(tmp_path, doc, "topsite.json")
     assert main(["check-site", "--input", path]) == 0
     capsys.readouterr()
-    assert main(["check-site", "--input", path, "--cap", "5"]) == 2
+    assert main(["check-site", "--input", path, "--cap", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("glueforge: resource error:")
-    assert "fibre permutations" in err
+    assert "individualized points in one source's key" in err
+
+
+def chain_against_discrete_doc(k):
+    """A ``check-site`` document: a k-point chain covering one point, and
+    the discrete space on the same points covering the chain.  Their
+    composite, the discrete space over the point, has the chain's fibre
+    counts and is not declared."""
+    points = ["p%d" % n for n in range(k)]
+    chain = {"points": points,
+             "opens": [points[n:] for n in range(k + 1)]}
+    discrete = {"points": points, "opens": [
+        [x for n, x in enumerate(points) if bits >> n & 1]
+        for bits in range(1 << k)]}
+    return {"version": "1", "kind": "site", "payload": {
+        "ambient": "top",
+        "coverings": [
+            {"target": {"points": ["t"], "opens": [[], ["t"]]},
+             "sources": [{"name": "1", "object": chain,
+                          "map": {x: "t" for x in points}}]},
+            {"target": chain, "sources": [
+                {"name": "1", "object": discrete,
+                 "map": {x: x for x in points}}]}],
+        "morphisms": []}}
+
+
+def test_a_chain_against_the_discrete_space_is_decided_by_key(tmp_path,
+                                                              capsys):
+    # 10! fibre permutations would exceed the default cap; the keys differ
+    # at once (the chain's points split into singletons, the discrete space
+    # is one uniform cell), so no search runs even under a cap of 1
+    reports = []
+    for k in (9, 10):
+        path = write_doc(tmp_path, chain_against_discrete_doc(k),
+                         "chain%d.json" % k)
+        started = time.perf_counter()
+        assert main(["check-site", "--input", path]) == 1
+        took = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(captured.out)
+        assert main(["check-site", "--input", path, "--cap", "1"]) == 1
+        assert capsys.readouterr().out == captured.out
+    assert took < 5
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1]) == {
+        "command": "check-site", "verdicts": {"axioms_hold": False},
+        "artifacts": {}, "diagnostics": {"violations": [
+            "composite of covering of ['t'] is not declared"]}}
 
 
 def test_base_change_charges_its_join_not_its_product(capsys):
@@ -1371,10 +1416,10 @@ def test_equal_objects_in_one_sink_document_share_one_space():
                           "map": {"a": "a", "b": "b"}}]}
     sink, tests, _ = cli.parse_sink(payload)
     (_, u, _), (_, v, _) = sink.sources
-    (first, first_space), (second, second_space) = tests
-    assert first_space is u and first.domain is u.carrier
-    assert second_space is sink.target_space
-    assert second.domain is sink.target
+    (first, _), (second, _) = tests
+    assert first is u
+    assert second is sink.target_space
+    assert second.carrier is sink.target
     assert v is not u
     # another document builds its spaces anew
     again, _, _ = cli.parse_sink(payload)

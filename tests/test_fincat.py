@@ -17,7 +17,13 @@ from glueforge.fincat import (
     quotient_by_pairs,
 )
 
-from fixtures import indexed
+from fixtures import (
+    constant_fn,
+    discrete_space,
+    identity_fn,
+    indexed,
+    indiscrete_space,
+)
 from oracles import equalizer, naive_closure_partition
 
 
@@ -81,7 +87,7 @@ def test_finfn_totality_and_codomain_checked():
 
 def test_pullback_identity_diagonal():
     s = FinSet(["x", "y"])
-    i = FinFn.identity(s)
+    i = identity_fn(s)
     ps = pullback(i, i)
     assert list(ps.members) == ["x|x", "y|y"]
 
@@ -105,8 +111,8 @@ def test_pullback_filters_by_equality():
 
 
 def test_pullback_requires_shared_codomain():
-    f = FinFn.identity(FinSet(["a"]))
-    g = FinFn.identity(FinSet(["b"]))
+    f = identity_fn(FinSet(["a"]))
+    g = identity_fn(FinSet(["b"]))
     with pytest.raises(StructuralError):
         pullback(f, g)
 
@@ -114,8 +120,8 @@ def test_pullback_requires_shared_codomain():
 def test_pullback_names_colliding_pair_labels():
     # labels holding the reserved separator make two pairs one name
     point = FinSet(["p"])
-    f = FinFn.constant(FinSet(["a|b", "a"]), point, "p")
-    g = FinFn.constant(FinSet(["c", "b|c"]), point, "p")
+    f = constant_fn(FinSet(["a|b", "a"]), point, "p")
+    g = constant_fn(FinSet(["c", "b|c"]), point, "p")
     with pytest.raises(StructuralError, match="duplicate label 'a|b|c'"):
         pullback(f, g)
 
@@ -125,7 +131,7 @@ def test_engine_values_equal_validated_ones():
     assert s == FinSet(["x", "y"]) and s.position("y") == 1 and s == s
     fn = FinFn.from_total(s, s, {"x": "y", "y": "y"})
     assert fn == FinFn(s, s, {"x": "y", "y": "y"})
-    assert FinFn.identity(s).then(fn) == fn
+    assert identity_fn(s).then(fn) == fn
 
 
 def outcome(fn, *args):
@@ -303,7 +309,7 @@ def test_equalizer_of_equal_maps_is_domain():
 def test_equalizer_swap_vs_identity_empty():
     s = FinSet(["x", "y"])
     f = FinFn(s, s, {"x": "y", "y": "x"})
-    assert list(equalizer(f, FinFn.identity(s)).members) == []
+    assert list(equalizer(f, identity_fn(s)).members) == []
 
 
 def test_equalizer_pointwise():
@@ -356,15 +362,15 @@ def test_fintop_requires_closure():
 
 def test_induce_identity_keeps_topology():
     t = sierpinski()
-    i = FinFn.identity(t.carrier)
+    i = identity_fn(t.carrier)
     assert induce_topology("final", t.carrier, [i], [t]) == t
     assert induce_topology("initial", t.carrier, [i], [t]) == t
 
 
 def test_final_over_disjoint_discrete_inclusions_is_discrete():
     u = FinSet(["a", "b", "c"])
-    x = FinTop.discrete(FinSet(["a"]))
-    y = FinTop.discrete(FinSet(["b", "c"]))
+    x = discrete_space(FinSet(["a"]))
+    y = discrete_space(FinSet(["b", "c"]))
     f = FinFn(x.carrier, u, {"a": "a"})
     g = FinFn(y.carrier, u, {"b": "b", "c": "c"})
     t = induce_topology("final", u, [f, g], [x, y])
@@ -384,21 +390,21 @@ def test_initial_along_constant_map_to_sierpinski():
 
 def test_induce_direction_mismatch():
     t = sierpinski()
-    f = FinFn.identity(t.carrier)
+    f = identity_fn(t.carrier)
     with pytest.raises(StructuralError):
         induce_topology("final", FinSet(["z"]), [f], [t])
 
 
 def test_map_properties_identity():
-    t = FinTop.discrete(FinSet(["x", "y"]))
-    rep = map_properties(FinFn.identity(t.carrier), t, t)
+    t = discrete_space(FinSet(["x", "y"]))
+    rep = map_properties(identity_fn(t.carrier), t, t)
     assert rep == {"injective": True, "surjective": True, "continuous": True,
                    "open": True, "embedding": True}
 
 
 def test_open_point_into_sierpinski_is_embedding():
     t = sierpinski()
-    pt = FinTop.discrete(FinSet(["1"]))
+    pt = discrete_space(FinSet(["1"]))
     rep = map_properties(FinFn(pt.carrier, t.carrier, {"1": "1"}), pt, t)
     assert rep["embedding"] is True
     assert rep["open"] is True
@@ -406,7 +412,7 @@ def test_open_point_into_sierpinski_is_embedding():
 
 def test_closed_point_into_sierpinski_not_open():
     t = sierpinski()
-    pt = FinTop.discrete(FinSet(["0"]))
+    pt = discrete_space(FinSet(["0"]))
     rep = map_properties(FinFn(pt.carrier, t.carrier, {"0": "0"}), pt, t)
     assert rep["open"] is False
     assert rep["embedding"] is True
@@ -414,7 +420,7 @@ def test_closed_point_into_sierpinski_not_open():
 
 def test_continuity_validated():
     t = sierpinski()
-    dom = FinTop.indiscrete(FinSet(["p", "q"]))
+    dom = indiscrete_space(FinSet(["p", "q"]))
     with pytest.raises(StructuralError):
         TopMap(FinFn(dom.carrier, t.carrier, {"p": "1", "q": "0"}), dom, t)
 
@@ -441,7 +447,8 @@ def test_final_topology_makes_legs_continuous():
         spaces, maps = [], []
         for s in range(2):
             carrier = FinSet(["s%d_%d" % (s, k) for k in range(rng.randint(1, 3))])
-            sp = rng.choice([FinTop.discrete(carrier), FinTop.indiscrete(carrier)])
+            sp = rng.choice([discrete_space(carrier),
+                             indiscrete_space(carrier)])
             spaces.append(sp)
             maps.append(FinFn(carrier, u, {x: rng.choice(u.labels) for x in carrier}))
         t = induce_topology("final", u, maps, spaces)

@@ -20,16 +20,21 @@ from glueforge.indexcat import IndexCat
 from fixtures import (
     colimit_data,
     colimit_relation_pairs,
+    constant_fn,
+    discrete_space,
     e1,
     e2,
     e3,
     e4_nonsplit,
+    identity_fn,
+    indiscrete_space,
     make_limit_data,
     make_nonsplit_colimit,
     random_limit_data,
     random_nonsplit_colimit,
     random_split_colimit,
     seeded,
+    surjective,
 )
 from oracles import (
     equalizer_glue_oracle,
@@ -222,11 +227,11 @@ def test_mediating_point_cone_not_iso():
     data = e1()
     glued = colimit_glue(data)
     pt = FinSet(["*"])
-    legs = {obj: FinFn.constant(data.carrier(obj), pt, "*")
+    legs = {obj: constant_fn(data.carrier(obj), pt, "*")
             for obj in data.indexcat.objects}
     med, iso = mediating_map(data, glued, ConeCandidate(pt, legs))
     assert iso is False
-    assert med.is_surjective()
+    assert surjective(med)
 
 
 def test_mediating_e2_isomorphic_wiring():
@@ -248,9 +253,9 @@ def test_mediating_rejects_non_cone():
     data = e1()
     glued = colimit_glue(data)
     apex = FinSet(["p", "q"])
-    legs = {obj: FinFn.constant(data.carrier(obj), apex, "p")
+    legs = {obj: constant_fn(data.carrier(obj), apex, "p")
             for obj in data.indexcat.objects}
-    legs[("2",)] = FinFn.constant(data.carrier(("2",)), apex, "q")
+    legs[("2",)] = constant_fn(data.carrier(("2",)), apex, "q")
     with pytest.raises(StructuralError) as err:
         mediating_map(data, glued, ConeCandidate(apex, legs))
     assert "does not commute" in str(err.value)
@@ -382,7 +387,7 @@ def test_hom_transport_refuses_a_count_too_long_to_write(monkeypatch):
 def test_universal_check_identity_delta():
     data = e1()
     glued = colimit_glue(data)
-    rep = universal_glue_check(data, glued, FinFn.identity(glued.apex))
+    rep = universal_glue_check(data, glued, identity_fn(glued.apex))
     assert rep["is_glued_up"] is True
 
 
@@ -462,8 +467,8 @@ def test_topological_colimit_legs_open_and_embedding():
         {("incl", "1", ("1", "2")): FinFn(ov, u1, {"o": "b"}),
          ("incl", "2", ("1", "2")): FinFn(ov, u2, {"o": "bp"})},
         "from-overlaps",
-        {("1",): FinTop.discrete(u1), ("2",): FinTop.discrete(u2),
-         ("1", "2"): FinTop.discrete(ov)})
+        {("1",): discrete_space(u1), ("2",): discrete_space(u2),
+         ("1", "2"): discrete_space(ov)})
     glued = colimit_glue(data)
     assert len(glued.apex) == 3
     assert len(glued.space.opens) == 8
@@ -480,7 +485,7 @@ def test_limit_topology_is_initial():
         {("1", "2"): (["s"], {"0": "s", "1": "s"}, {"0": "s", "1": "s"})},
         ambient="top",
         spaces={("1",): sier, ("2",): sier,
-                ("1", "2"): FinTop.indiscrete(FinSet(["s"]))})
+                ("1", "2"): indiscrete_space(FinSet(["s"]))})
     glued = limit_glue(data)
     assert len(glued.apex) == 4
     for obj in (("1",), ("2",)):

@@ -7,12 +7,19 @@ from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
 from glueforge.indexcat import IndexCat, gen_endpoints
 
+from fixtures import identity_fn
+
 from paper import (
     SortingMap,
+    compose,
     coproduct_index,
+    gen_mor,
+    id_mor,
     identity_functor,
+    incl,
     p2_of_map,
     sorting_functors,
+    tau,
 )
 
 
@@ -61,12 +68,12 @@ def test_nonsplit_pairs_follow_index_positions():
 
 def test_tau_involution_normalizes_away():
     cat = IndexCat("split", FinSet(["i", "j"]))
-    loop = cat.compose(cat.tau("j", "i"), cat.tau("i", "j"))
-    assert loop == cat.id_mor(("i", "j"))
-    selfloop = cat.compose(cat.tau("i", "i"), cat.tau("i", "i"))
-    assert selfloop == cat.id_mor(("i", "i"))
+    loop = compose(tau(cat, "j", "i"), tau(cat, "i", "j"))
+    assert loop == id_mor(cat, ("i", "j"))
+    selfloop = compose(tau(cat, "i", "i"), tau(cat, "i", "i"))
+    assert selfloop == id_mor(cat, ("i", "i"))
     # a single self-swap is not the identity
-    assert cat.tau("i", "i") != cat.id_mor(("i", "i"))
+    assert tau(cat, "i", "i") != id_mor(cat, ("i", "i"))
 
 
 def test_identity_stability_under_composition():
@@ -74,9 +81,9 @@ def test_identity_stability_under_composition():
         cat = IndexCat(mode, FinSet(["a", "b"]))
         for g in cat.generators:
             src, dst = gen_endpoints(g)
-            m = cat.gen_mor(g)
-            assert cat.compose(m, cat.id_mor(src)) == m
-            assert cat.compose(cat.id_mor(dst), m) == m
+            m = gen_mor(cat, g)
+            assert compose(m, id_mor(cat, src)) == m
+            assert compose(id_mor(cat, dst), m) == m
 
 
 def test_sorting_map_must_be_total():
@@ -110,7 +117,7 @@ def test_a_c_reversed_inclusion_goes_through_tau():
     funs = sorting_functors(idx, SortingMap.positional(idx))
     scat = funs["A_c"].target
     image = funs["A_c"].morphism_map[("incl", "2", ("1", "2"))]
-    assert image == scat.compose(scat.tau("2", "1"), scat.incl("2", "1"))
+    assert image == compose(tau(scat, "2", "1"), incl(scat, "2", "1"))
 
 
 def test_a_prime_object_rule():
@@ -136,7 +143,7 @@ def test_a_prime_morphisms_validate():
 
 def test_p2_identity():
     idx = FinSet(["1", "2"])
-    fun = p2_of_map(FinFn.identity(idx))
+    fun = p2_of_map(identity_fn(idx))
     assert fun.equals_on_generators(
         identity_functor(IndexCat("nonsplit", idx)))
 
@@ -145,7 +152,8 @@ def test_p2_constant_collapses_pairs():
     fun = p2_of_map(FinFn(FinSet(["1", "2"]), FinSet(["1"]),
                           {"1": "1", "2": "1"}))
     assert fun.apply_obj(("1", "2")) == ("1",)
-    assert fun.apply_mor(fun.source.incl("1", "2")) == fun.target.id_mor(("1",))
+    assert fun.apply_mor(incl(fun.source, "1", "2")) \
+        == id_mor(fun.target, ("1",))
     assert fun.validate() == []
 
 

@@ -25,13 +25,10 @@ from glueforge.presheaf import (
     presheaf_effective_check,
 )
 from glueforge.refine import (
-    Refinement,
     induced_limit_map,
     validate_refinement,
 )
 from glueforge.site import (
-    SiteSpec,
-    Sink,
     covering_axioms_check,
     effective_gluing_check,
     sinks_equivalent,
@@ -39,9 +36,15 @@ from glueforge.site import (
 
 from fixtures import (
     close_family,
+    discrete_space,
     function_presheaf,
     identities,
+    identity_fn,
+    indiscrete_space,
     label_arrows,
+    label_refinement,
+    label_sink,
+    label_site,
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
@@ -105,8 +108,8 @@ def test_commutes_agrees_with_comparing_composites(data):
     if data is None:
         cases = [((), ()), ((SWAP,), ()), ((), (SWAP, SWAP)), ((SWAP, SWAP), ()),
                  ((SWAP, CONST), (CONST,)), ((CONST, SWAP), (CONST,)),
-                 ((SWAP, FinFn.identity(FinSet(["b", "a"]))), (SWAP,)),
-                 ((FinFn.identity(FinSet(["b", "a"])),), ())]
+                 ((SWAP, identity_fn(FinSet(["b", "a"]))), (SWAP,)),
+                 ((identity_fn(FinSet(["b", "a"])),), ())]
     else:
         path = data.draw(paths())
         start = path[0].domain if path and data.draw(st.booleans()) else None
@@ -117,7 +120,7 @@ def test_commutes_agrees_with_comparing_composites(data):
 
 
 def test_commutes_raises_like_then_on_a_broken_path():
-    ba = FinFn.identity(FinSet(["b", "a"]))
+    ba = identity_fn(FinSet(["b", "a"]))
     with pytest.raises(StructuralError) as err:
         commutes((SWAP,), (ba, SWAP))
     assert str(err.value) == "composite endpoints do not match"
@@ -152,7 +155,7 @@ def test_is_iso_is_false_on_a_bijection_that_is_not_continuous():
         TopMap(SWAP, sierpinski, sierpinski)
     assert is_iso(SWAP, sierpinski, sierpinski) is False
     assert is_iso(SWAP) is True
-    assert is_iso(FinFn.identity(AB), FinTop.discrete(AB), sierpinski) is False
+    assert is_iso(identity_fn(AB), discrete_space(AB), sierpinski) is False
 
 
 # one broken law per deciding site
@@ -216,7 +219,7 @@ def test_gluing_datum_names_each_broken_law():
 
 
 def test_effective_check_reports_one_broken_cocycle():
-    point = FinTop.discrete(FinSet(["p"]))
+    point = discrete_space(FinSet(["p"]))
     store = function_presheaf(point, {"p": ["a", "b"]})
     names = ["1", "2", "3"]
     transitions = {}
@@ -272,13 +275,13 @@ def test_cone_check_names_the_square_that_fails():
 
 def test_mediating_map_sees_a_bijection_that_is_no_homeomorphism():
     pts = FinSet(["0", "1"])
-    discrete, coarse = FinTop.discrete(pts), FinTop.indiscrete(pts)
+    discrete, coarse = discrete_space(pts), indiscrete_space(pts)
     ident = {"0": "0", "1": "1"}
     colimit = make_nonsplit_colimit(["1"], {"1": ["0", "1"]}, {}, ambient="top",
                                     spaces={("1",): discrete})
     glued = colimit_glue(colimit)
     cone = ConeCandidate(glued.apex, glued.legs,
-                         space=FinTop.indiscrete(glued.apex))
+                         space=indiscrete_space(glued.apex))
     med, iso = mediating_map(colimit, glued, cone)
     assert (med.mapping, iso) == ({c: c for c in glued.apex}, False)
     limit = make_limit_data(["1"], {"1": ["0", "1"]}, {}, ambient="top",
@@ -297,10 +300,12 @@ def two_chart_limit():
 
 def test_refinement_names_both_failing_squares():
     data = two_chart_limit()
-    comps = dict(identity_refinement(data).components)
+    comps = {obj: identity_fn(data.carrier(obj))
+             for obj in data.indexcat.objects}
     ov = data.carrier(("1", "2"))
     comps[("1", "2")] = FinFn(ov, ov, {"o0": "o1", "o1": "o0"})
-    ref = Refinement(data, data, FinFn.identity(data.indexcat.index), comps)
+    ref = label_refinement(data, data, identity_fn(data.indexcat.index),
+                           comps)
     assert validate_refinement(ref) == [
         "naturality square at ('incl', '1', ('1', '2')) does not commute",
         "naturality square at ('incl', '2', ('1', '2')) does not commute"]
@@ -310,7 +315,8 @@ def test_effective_gluing_names_a_canonical_map_that_is_no_homeomorphism():
     # two coarse charts on the same two points, overlapping in the discrete
     # space: the comparison into the fibred product is a bijection, not open
     pts = ["0", "1"]
-    discrete, coarse = FinTop.discrete(FinSet(pts)), FinTop.indiscrete(FinSet(pts))
+    discrete = discrete_space(FinSet(pts))
+    coarse = indiscrete_space(FinSet(pts))
     ident = {"0": "0", "1": "1"}
     spaces = {("1",): coarse, ("2",): coarse, ("1", "2"): discrete,
               ("2", "1"): discrete}
@@ -325,26 +331,27 @@ def test_effective_gluing_names_a_canonical_map_that_is_no_homeomorphism():
 
 def test_fibered_isomorphism_needs_a_homeomorphism():
     pts = FinSet(["0", "1"])
-    ident = FinFn.identity(pts)
-    target = FinTop.indiscrete(pts)
-    fine = Sink("top", pts, [("1", FinTop.discrete(pts), ident)],
-                target_space=target)
-    coarse = Sink("top", pts, [("1", FinTop.indiscrete(pts), ident)],
-                  target_space=target)
+    ident = identity_fn(pts)
+    target = indiscrete_space(pts)
+    fine = label_sink("top", pts, [("1", discrete_space(pts), ident)],
+                      target_space=target)
+    coarse = label_sink("top", pts, [("1", indiscrete_space(pts), ident)],
+                        target_space=target)
     assert sinks_equivalent(fine, fine) is True
     assert sinks_equivalent(fine, coarse) is False
 
 
 def test_site_asks_only_homeomorphisms_for_a_declared_sink():
     pts = FinSet(["0", "1"])
-    ident = FinFn.identity(pts)
-    discrete, coarse = FinTop.discrete(pts), FinTop.indiscrete(pts)
-    cover = Sink("top", pts, [("1", discrete, ident)], target_space=discrete)
+    ident = identity_fn(pts)
+    discrete, coarse = discrete_space(pts), indiscrete_space(pts)
+    cover = label_sink("top", pts, [("1", discrete, ident)],
+                       target_space=discrete)
     bijection = TopMap(ident, discrete, coarse)
     homeo = TopMap(ident, coarse, coarse)
-    assert covering_axioms_check(SiteSpec("top", [cover], [bijection])) == {
+    assert covering_axioms_check(label_site("top", [cover], [bijection])) == {
         "violations": [], "ok": True}
-    assert covering_axioms_check(SiteSpec("top", [cover], [homeo])) == {
+    assert covering_axioms_check(label_site("top", [cover], [homeo])) == {
         "violations": ["isomorphism sink onto ['0', '1'] is not declared",
                        "base change of a covering of ['0', '1'] along a map "
                        "from ['0', '1'] is not declared"], "ok": False}
@@ -373,10 +380,10 @@ def test_validators_build_no_composite(monkeypatch):
                                     {("1", "2"): (["u"], {"u": "x"}, {"u": "y"})})
     colimit_glued = colimit_glue(colimit)
     pts = FinSet(["0", "1"])
-    coarse = FinTop.indiscrete(pts)
-    sink = Sink("top", pts, [("1", coarse, FinFn.identity(pts))],
-                target_space=coarse)
-    spec = SiteSpec("top", [], [TopMap(FinFn.identity(pts), coarse, coarse)])
+    coarse = indiscrete_space(pts)
+    sink = label_sink("top", pts, [("1", coarse, identity_fn(pts))],
+                      target_space=coarse)
+    spec = label_site("top", [], [TopMap(identity_fn(pts), coarse, coarse)])
     monkeypatch.setattr(site, "colimit_glue", lambda data: split_glued)
     refuse_composites(monkeypatch)
 

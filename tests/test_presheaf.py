@@ -32,9 +32,12 @@ from glueforge.presheaf import (
 from fixtures import (
     chain_space,
     close_family,
+    constant_fn,
     constant_presheaf,
+    discrete_space,
     function_presheaf,
     identities,
+    identity_fn,
     label_components,
     label_datum,
     label_nbhd,
@@ -65,7 +68,7 @@ def sierpinski():
 
 
 def two_point_discrete():
-    return FinTop.discrete(FinSet(["p", "q"]))
+    return discrete_space(FinSet(["p", "q"]))
 
 
 def test_function_presheaf_is_valid():
@@ -78,7 +81,7 @@ def test_validation_names_broken_identity():
     lat = OpenLattice(space)
     two = FinSet(["a", "b"])
     sections = {o: two for o in lat.opens}
-    res = {(w, v): FinFn.identity(two) for w, v in lat.pairs_below()}
+    res = {(w, v): identity_fn(two) for w, v in lat.pairs_below()}
     full = space.mask(["0", "1"])
     res[(full, full)] = FinFn(two, two, {"a": "b", "b": "a"})
     store = store_from_labels(lat, sections, res)
@@ -109,7 +112,7 @@ def test_validation_sees_a_broken_composition_through_each_maximal_open():
     # the whole discrete space on 0, 1, 2 has three maximal proper opens;
     # only the triple through the last, {1, 2}, sees a restriction onto it
     # that flips the value at 2
-    space = FinTop.discrete(FinSet(["0", "1", "2"]))
+    space = discrete_space(FinSet(["0", "1", "2"]))
     store = function_presheaf(space, {"0": ["a"], "1": ["a"], "2": ["a", "b"]})
     full, last = space.mask(["0", "1", "2"]), space.mask(["1", "2"])
     view = label_store(store)
@@ -213,7 +216,7 @@ def test_basic_verdicts_match_every_covering():
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(presheaves_to_decide())
     @example(constant_presheaf(sierpinski(), ["a", "b"]))
-    @example(function_presheaf(FinTop.discrete(FinSet(["0", "1", "2"])),
+    @example(function_presheaf(discrete_space(FinSet(["0", "1", "2"])),
                                {"0": ["a", "b"], "1": ["a"], "2": ["a", "b"]}))
     def check(store):
         assert validate_presheaf(store) == []
@@ -346,7 +349,7 @@ def test_sheaf_check_cost_follows_the_families_not_the_product():
     # covering of the 6-point chain, each have a product of 2**20 candidate
     # families above the default cap; only 32 and 64 of them are compatible
     points = FinSet(["0", "1", "2", "3", "4"])
-    store = function_presheaf(FinTop.discrete(points),
+    store = function_presheaf(discrete_space(points),
                               {p: ["a", "b"] for p in points})
     assert is_sheaf(store, default_coverings(store.lattice)) == (True, None)
     chain = FinSet(["0", "1", "2", "3", "4", "5"])
@@ -365,7 +368,7 @@ def test_non_covering_input_rejected():
 def test_direct_image_identity():
     space = sierpinski()
     store = function_presheaf(space, {"0": ["a"], "1": ["a", "b"]})
-    ident = TopMap(FinFn.identity(space.carrier), space, space)
+    ident = TopMap(identity_fn(space.carrier), space, space)
     moved = direct_image(ident, store)
     assert moved.sections == store.sections
 
@@ -373,7 +376,7 @@ def test_direct_image_identity():
 def test_direct_image_to_point_is_global_sections():
     space = two_point_discrete()
     store = function_presheaf(space, {"p": ["a", "b"], "q": ["x"]})
-    pt = FinTop.discrete(FinSet(["*"]))
+    pt = discrete_space(FinSet(["*"]))
     collapse = TopMap(FinFn(space.carrier, pt.carrier,
                             {"p": "*", "q": "*"}), space, pt)
     moved = direct_image(collapse, store)
@@ -385,9 +388,11 @@ def test_direct_image_composition_on_random_spaces():
     rng = seeded(41)
     for _ in range(15):
         n1 = rng.randint(1, 3)
-        x = FinTop.discrete(FinSet(["x%d" % k for k in range(n1)]))
-        y = FinTop.discrete(FinSet(["y%d" % k for k in range(rng.randint(1, 3))]))
-        z = FinTop.discrete(FinSet(["z%d" % k for k in range(rng.randint(1, 3))]))
+        x = discrete_space(FinSet(["x%d" % k for k in range(n1)]))
+        y = discrete_space(FinSet(["y%d" % k
+                                   for k in range(rng.randint(1, 3))]))
+        z = discrete_space(FinSet(["z%d" % k
+                                   for k in range(rng.randint(1, 3))]))
         g = TopMap(FinFn(x.carrier, y.carrier,
                          {p: rng.choice(y.carrier.labels) for p in x.carrier}),
                    x, y)
@@ -485,7 +490,7 @@ def test_two_chart_identity_transitions_give_function_presheaf():
 
 
 def test_swap_transition_filters_families():
-    space = FinTop.discrete(FinSet(["p"]))
+    space = discrete_space(FinSet(["p"]))
     charts = [("1", ["p"]), ("2", ["p"])]
     datum = chart_datum(space, charts, {"p": ["a", "b"]},
                         twists={("1", "2", "p"): {"a": "b", "b": "a"},
@@ -536,7 +541,7 @@ def test_effective_check_identity_transitions():
 
 
 def broken_cocycle_datum():
-    space = FinTop.discrete(FinSet(["p"]))
+    space = discrete_space(FinSet(["p"]))
     charts = [("1", ["p"]), ("2", ["p"]), ("3", ["p"])]
     swap = {"a": "b", "b": "a"}
     ident = {"a": "a", "b": "b"}
@@ -559,7 +564,7 @@ def test_broken_cocycle_fails_both_ways():
 
 
 def test_two_chart_cocycle_vacuous():
-    space = FinTop.discrete(FinSet(["p"]))
+    space = discrete_space(FinSet(["p"]))
     swap = {"a": "b", "b": "a"}
     datum = chart_datum(space, [("1", ["p"]), ("2", ["p"])], {"p": ["a", "b"]},
                         twists={("1", "2", "p"): swap, ("2", "1", "p"): swap})
@@ -632,7 +637,7 @@ def test_glue_nat_trans_two_charts_unique_by_enumeration():
 
 
 def test_glue_nat_trans_rejects_disagreeing_parts():
-    space = FinTop.discrete(FinSet(["p"]))
+    space = discrete_space(FinSet(["p"]))
     store = function_presheaf(space, {"p": ["a", "b"]})
     p = space.mask(["p"])
     charts = [("1", p), ("2", p)]
@@ -676,7 +681,7 @@ def test_canonical_functor_of_sheaf_recovers_it():
 
 
 def test_canonical_functor_of_non_separated_presheaf_differs_at_empty():
-    space = FinTop.discrete(FinSet([]))
+    space = discrete_space(FinSet([]))
     store = constant_presheaf(space, ["a", "b"])
     datum = canonical_presheaf_functor(store, [])
     glued, _ = glue_presheaves(datum)
@@ -897,7 +902,7 @@ def dropped_at_the_top(n):
     """The function presheaf of two values per point on the discrete space
     on ``n`` points, less one section of the whole space: the laws hold,
     and only the whole space, the last open listed, fails to glue."""
-    store = label_store(function_presheaf(FinTop.discrete(FinSet(
+    store = label_store(function_presheaf(discrete_space(FinSet(
         ["p%d" % k for k in range(n)])), {"p%d" % k: ["a", "b"]
                                           for k in range(n)}))
     lat = store.lattice
@@ -973,7 +978,7 @@ def test_oracles_agree_on_the_lattice_below_an_open():
 
 
 def test_lazy_coverings_charge_each_family_examined():
-    lat = OpenLattice(FinTop.discrete(FinSet(["0", "1", "2"])))
+    lat = OpenLattice(discrete_space(FinSet(["0", "1", "2"])))
     # the empty open has one family, each point four, each pair sixteen
     with budget(10), pytest.raises(ResourceError) as err:
         list(all_coverings(lat))
@@ -1077,7 +1082,7 @@ def test_sheaf_preservation_on_random_data():
     for _ in range(20):
         n = rng.randint(1, 3)
         pts = ["p%d" % k for k in range(n)]
-        space = FinTop.discrete(FinSet(pts))
+        space = discrete_space(FinSet(pts))
         stalks = {p: ["s%d" % k for k in range(rng.randint(1, 2))] for p in pts}
         charts = []
         covered = set()
@@ -1121,9 +1126,9 @@ def lawless_datum():
     space = two_point_discrete()
     lat = OpenLattice(space)
     two = FinSet(["0", "1"])
-    res = {(w, v): FinFn.identity(two) for w, v in lat.pairs_below()}
+    res = {(w, v): identity_fn(two) for w, v in lat.pairs_below()}
     whole, empty = space.mask(["p", "q"]), 0
-    res[(whole, empty)] = FinFn.constant(two, two, "0")
+    res[(whole, empty)] = constant_fn(two, two, "0")
     store = store_from_labels(lat, {o: two for o in lat.opens}, res)
     swap = {o: [1, 0] for o in lat.opens}
     charts = [("1", whole), ("2", whole)]
@@ -1147,7 +1152,7 @@ def whole_chart_data(draw):
     three points, so the overlap lattice is the space's, with a random
     stalk permutation per point as the transition."""
     labels = ["p%d" % k for k in range(draw(st.integers(2, 3)))]
-    space = FinTop.discrete(FinSet(labels)) if draw(st.booleans()) \
+    space = discrete_space(FinSet(labels)) if draw(st.booleans()) \
         else chain_space(labels)
     carrier = space.carrier
     stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}
@@ -1212,7 +1217,7 @@ def glue_map_parts(draw):
     or any map) between their restrictions, one value of one component of
     one part changed in about two thirds of the cases."""
     labels = ["p%d" % k for k in range(draw(st.integers(1, 3)))]
-    space = FinTop.discrete(FinSet(labels)) if draw(st.booleans()) \
+    space = discrete_space(FinSet(labels)) if draw(st.booleans()) \
         else chain_space(labels)
     carrier = space.carrier
     stalks = {p: ["a", "b", "c"][:draw(st.integers(1, 3))] for p in carrier}

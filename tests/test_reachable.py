@@ -30,6 +30,8 @@ TRACER_BOUND = {
     "fincat.top_product": "the fincat.top_product.* metrics",
     "gluing.mediating_map": "the gluing.mediating_map.* metrics",
     "site.canonical_sink_functor": "the site.canonical_sink_functor.ms metric",
+    "site.base_change_sink": "the site.base_change_sink.ms metric",
+    "site.sinks_equivalent": "the site.sinks_equivalent.calls metric",
 }
 # stays with a tracer-bound definition that uses it without naming it
 COMPANIONS = {

@@ -5,15 +5,23 @@ from hypothesis import strategies as st
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
 from glueforge.gluing import colimit_glue, limit_glue, mediating_map, ConeCandidate
+from glueforge import cli
 from glueforge.refine import (
-    Refinement,
     compose_via_sinks,
     induced_limit_map,
     validate_refinement,
 )
-from glueforge.site import Sink
-
-from fixtures import colimit_data, make_limit_data, make_nonsplit_colimit, seeded
+from fixtures import (
+    colimit_data,
+    identity_fn,
+    label_refinement,
+    label_sink,
+    make_limit_data,
+    make_nonsplit_colimit,
+    refinement_fns,
+    seeded,
+    surjective,
+)
 from oracles import naive_closure_partition, two_stage_partition
 from paper import (
     MetaGluingData,
@@ -43,23 +51,42 @@ def test_identity_refinement_valid_and_identity_map():
 
 
 def test_component_endpoint_violation_is_named():
+    # a component is a table read against the carriers it runs between: a
+    # document's map outside its codomain is refused as it is read, and a
+    # label map with other endpoints is refused before it becomes a table
     data = two_chart_limit()
     wrong = FinSet(["zz"])
-    comps = {obj: FinFn.identity(data.carrier(obj))
+    comps = {obj: identity_fn(data.carrier(obj))
              for obj in data.indexcat.objects}
     comps[("1",)] = FinFn(data.carrier(("1",)), wrong,
                           {x: "zz" for x in data.carrier(("1",))})
-    ref = Refinement(data, data, FinFn.identity(data.indexcat.index), comps)
-    problems = validate_refinement(ref)
-    assert any("endpoints" in p for p in problems)
+    with pytest.raises(StructuralError, match="endpoints"):
+        label_refinement(data, data, identity_fn(data.indexcat.index),
+                         comps)
+    payload = {"mode": "nonsplit", "ambient": "sets",
+               "direction": "toward-overlaps", "index": ["1", "2"],
+               "objects": {"1": ["a0", "a1"], "2": ["b0", "b1"],
+                           "1,2": ["o0", "o1"]},
+               "arrows": [{"kind": "edge", "from": "1", "pair": "1,2",
+                           "map": {"a0": "o0", "a1": "o1"}},
+                          {"kind": "edge", "from": "2", "pair": "1,2",
+                           "map": {"b0": "o0", "b1": "o1"}}]}
+    components = {key: {x: x for x in labels}
+                  for key, labels in payload["objects"].items()}
+    components["1"]["a0"] = "zz"
+    with pytest.raises(StructuralError,
+                       match="value 'zz' of 'a0' is not a codomain label"):
+        cli.parse_refinement({"source": payload, "target": payload,
+                              "gamma": {"1": "1", "2": "2"},
+                              "components": components})
 
 
 def test_inclusion_induced_refinement_projects_families():
     source = two_chart_limit()
     target = make_limit_data(["1"], {"1": ["a0", "a1"]}, {})
     gamma = FinFn(target.indexcat.index, source.indexcat.index, {"1": "1"})
-    comps = {("1",): FinFn.identity(source.carrier(("1",)))}
-    ref = Refinement(source, target, gamma, comps)
+    comps = {("1",): identity_fn(source.carrier(("1",)))}
+    ref = label_refinement(source, target, gamma, comps)
     assert validate_refinement(ref) == []
     gs, gt = limit_glue(source), limit_glue(target)
     med = induced_limit_map(ref, gs, gt)
@@ -77,17 +104,18 @@ def test_swap_refinement_is_family_bijection():
     gamma = FinFn(target.indexcat.index, source.indexcat.index,
                   {"1": "2", "2": "1"})
     comps = {
-        ("1",): FinFn.identity(source.carrier(("2",))),
-        ("2",): FinFn.identity(source.carrier(("1",))),
-        ("1", "2"): FinFn.identity(source.carrier(("1", "2"))),
+        ("1",): identity_fn(source.carrier(("2",))),
+        ("2",): identity_fn(source.carrier(("1",))),
+        ("1", "2"): identity_fn(source.carrier(("1", "2"))),
     }
-    ref = Refinement(source, target, gamma, comps)
+    ref = label_refinement(source, target, gamma, comps)
     assert validate_refinement(ref) == []
     gs, gt = limit_glue(source), limit_glue(target)
     med = induced_limit_map(ref, gs, gt)
-    assert med.is_injective() and med.is_surjective()
+    assert med.is_injective() and surjective(med)
     # cross-check against the factoring map through the target limit
-    legs = {obj: gs.legs[ref.reindexed(obj)].then(ref.components[obj])
+    comps = refinement_fns(ref)[1]
+    legs = {obj: gs.legs[ref.reindexed(obj)].then(comps[obj])
             for obj in target.indexcat.objects}
     med2, _ = mediating_map(target, gt, ConeCandidate(gs.apex, legs))
     assert med == med2
@@ -116,15 +144,15 @@ def test_refinement_functoriality_through_restriction():
                       {"a0": "o0", "a1": "o1"})})
     gamma_r = FinFn(mid.indexcat.index, source.indexcat.index,
                     {"1": "2", "2": "1"})
-    r = Refinement(source, mid, gamma_r, {
-        ("1",): FinFn.identity(source.carrier(("2",))),
-        ("2",): FinFn.identity(source.carrier(("1",))),
-        ("1", "2"): FinFn.identity(source.carrier(("1", "2"))),
+    r = label_refinement(source, mid, gamma_r, {
+        ("1",): identity_fn(source.carrier(("2",))),
+        ("2",): identity_fn(source.carrier(("1",))),
+        ("1", "2"): identity_fn(source.carrier(("1", "2"))),
     })
     tgt = make_limit_data(["1"], {"1": ["b0", "b1"]}, {})
     gamma_s = FinFn(tgt.indexcat.index, mid.indexcat.index, {"1": "1"})
-    s = Refinement(mid, tgt, gamma_s,
-                   {("1",): FinFn.identity(mid.carrier(("1",)))})
+    s = label_refinement(mid, tgt, gamma_s,
+                         {("1",): identity_fn(mid.carrier(("1",)))})
     assert validate_refinement(r) == []
     assert validate_refinement(s) == []
     composite = compose_refinements(s, r)
@@ -282,13 +310,13 @@ def inclusion_sink(target_labels, parts, names=None):
         src = FinSet(labels)
         name = names[k] if names else str(k + 1)
         sources.append((name, src, FinFn(src, target, {x: x for x in labels})))
-    return Sink("sets", target, sources)
+    return label_sink("sets", target, sources)
 
 
 def test_compose_identity_sinks():
     u = FinSet(["p", "q"])
-    outer = Sink("sets", u, [("1", u, FinFn.identity(u))])
-    inner = {"1": Sink("sets", u, [("1", u, FinFn.identity(u))])}
+    outer = label_sink("sets", u, [("1", u, identity_fn(u))])
+    inner = {"1": label_sink("sets", u, [("1", u, identity_fn(u))])}
     result = compose_via_sinks(outer, inner)
     assert result["is_glued_up"] is True
     assert result["sink"].names() == ["1.1"]
@@ -296,10 +324,9 @@ def test_compose_identity_sinks():
 
 def test_compose_two_point_cover():
     outer = inclusion_sink(["p", "q"], [["p"], ["q"]])
-    inner = {name: Sink("sets", outer.carrier(name),
-                        [("1", outer.carrier(name),
-                          FinFn.identity(outer.carrier(name)))])
-             for name in outer.names()}
+    inner = {name: label_sink("sets", carrier,
+                              [("1", carrier, identity_fn(carrier))])
+             for name, carrier, _ in outer.sources}
     result = compose_via_sinks(outer, inner)
     assert result["is_glued_up"] is True
 
@@ -307,8 +334,9 @@ def test_compose_two_point_cover():
 def test_compose_detects_non_surjective_inner():
     outer = inclusion_sink(["p", "q"], [["p", "q"]])
     sub = FinSet(["p"])
-    inner = {"1": Sink("sets", outer.carrier("1"),
-                       [("1", sub, FinFn(sub, outer.carrier("1"), {"p": "p"}))])}
+    carrier = outer.sources[0][1]
+    inner = {"1": label_sink("sets", carrier,
+                             [("1", sub, FinFn(sub, carrier, {"p": "p"}))])}
     result = compose_via_sinks(outer, inner)
     assert result["is_glued_up"] is False
 
@@ -316,9 +344,10 @@ def test_compose_detects_non_surjective_inner():
 def test_compose_requires_matching_targets():
     outer = inclusion_sink(["p", "q"], [["p"], ["q"]])
     wrong = FinSet(["z"])
-    inner = {"1": Sink("sets", wrong, [("1", wrong, FinFn.identity(wrong))]),
-             "2": Sink("sets", outer.carrier("2"),
-                       [("1", outer.carrier("2"),
-                         FinFn.identity(outer.carrier("2")))])}
+    carrier = outer.sources[1][1]
+    inner = {"1": label_sink("sets", wrong,
+                             [("1", wrong, identity_fn(wrong))]),
+             "2": label_sink("sets", carrier,
+                             [("1", carrier, identity_fn(carrier))])}
     with pytest.raises(StructuralError):
         compose_via_sinks(outer, inner)

@@ -154,7 +154,9 @@ def test_sections_are_refused_before_restrictions_and_both_before_gaps():
 # arrow pair, the repeated entries and the validation of the data, in each
 # mode, ambient and direction.  The lines were recorded before the parser
 # read its maps into position tables; a case with two faults pins which of
-# them is named first.
+# them is named first.  Since then an arrow pair naming a label outside the
+# index is refused by that label in split mode too, and a swap in nonsplit
+# data by the mode.
 
 
 def obj(points, ambient):
@@ -398,10 +400,8 @@ GLUING_CASES = [
      "bad index object key '1,2,1'"),
     (three_part_arrow_pair, MODES, AMBIENTS, DIRECTIONS,
      "bad index object key '1,2,1'"),
-    (unknown_arrow_pair, ("nonsplit",), AMBIENTS, DIRECTIONS,
+    (unknown_arrow_pair, MODES, AMBIENTS, DIRECTIONS,
      "label '9' not in carrier ('1', '2')"),
-    (unknown_arrow_pair, ("split",), AMBIENTS, DIRECTIONS,
-     "arrow needs an objects entry for '1,9'"),
     (repeated_edge, MODES, AMBIENTS, DIRECTIONS,
      "edge from '1' to pair '1,2' is given twice"),
     (reversed_object_key, ("nonsplit",), AMBIENTS, DIRECTIONS,
@@ -419,13 +419,13 @@ GLUING_CASES = [
     (tau_inverse, ("split",), AMBIENTS, DIRECTIONS,
      None),
     (tau_not_bijective, ("nonsplit",), AMBIENTS, DIRECTIONS,
-     "tau needs both pair orientations, ('2', '1') is missing"),
+     "tau for pair '2,1': swap arrows exist only in split mode"),
     (tau_not_bijective, ("split",), AMBIENTS, DIRECTIONS,
      "only bijections can be inverted"),
     (tau_twice, ("split",), AMBIENTS, DIRECTIONS,
      "tau for pair '1,2' is given twice"),
     (tau_in_nonsplit, ("nonsplit",), AMBIENTS, DIRECTIONS,
-     "tau needs both pair orientations, ('2', '1') is missing"),
+     "tau for pair '1,2': swap arrows exist only in split mode"),
     (not_continuous, ("nonsplit",), ("top",), FROM,
      "invalid gluing data: arrow for ('incl', '1', ('1', '2')) is not "
      "continuous; arrow for ('incl', '2', ('1', '2')) is not continuous"),
@@ -489,3 +489,488 @@ def test_a_malformed_gluing_payload_is_refused_as_before(variant, mutation,
         assert run(["glue"], doc)[::2] == (0, "")
     else:
         assert run(["glue"], doc) == (2, "", PREFIX + expected + "\n")
+
+
+# Sink, site and refinement payloads: each map of a sink source, a test, an
+# inner sink, a covering, a site morphism and a refinement, the names and
+# keys around them, in each ambient.  The lines were recorded before the
+# parsers read these maps into position tables; a case with two faults pins
+# which of them is named first.
+
+
+def sink_body(ambient, target, sources):
+    """A ``{target, sources}`` node: ``sources`` lists ``(name, points,
+    map)``, each source discrete in the top ambient."""
+    return {"target": obj(target, ambient),
+            "sources": [{"name": name, "object": obj(points, ambient),
+                         "map": dict(mapping)}
+                        for name, points, mapping in sources]}
+
+
+def sink_doc(ambient):
+    """A two-point target covered by ``a`` (two points, one onto each) and
+    ``b`` (one point onto t0), a test map from two points onto the target,
+    and an identity inner sink over each source; valid as built, and
+    effective."""
+    payload = sink_body(ambient, ["t0", "t1"], [
+        ("a", ["a0", "a1"], [("a0", "t0"), ("a1", "t1")]),
+        ("b", ["b0"], [("b0", "t0")])])
+    payload["ambient"] = ambient
+    payload["tests"] = [{"object": obj(["v0", "v1"], ambient),
+                         "map": {"v0": "t0", "v1": "t1"}}]
+    payload["inner"] = {
+        "a": sink_body(ambient, ["a0", "a1"], [
+            ("h", ["a0", "a1"], [("a0", "a0"), ("a1", "a1")])]),
+        "b": sink_body(ambient, ["b0"], [("h", ["b0"], [("b0", "b0")])])}
+    return {"version": "1", "kind": "sink", "payload": payload}
+
+
+def site_doc(ambient):
+    """Two coverings of a two-point target, by ``a`` as in ``sink_doc``
+    and by the identity, with the identity of the target and a map from
+    one point onto t0 as morphisms; valid as built."""
+    payload = {"ambient": ambient, "coverings": [
+        sink_body(ambient, ["t0", "t1"], [
+            ("a", ["a0", "a1"], [("a0", "t0"), ("a1", "t1")])]),
+        sink_body(ambient, ["t0", "t1"], [
+            ("id", ["t0", "t1"], [("t0", "t0"), ("t1", "t1")])])],
+        "morphisms": [
+            {"dom": obj(["t0", "t1"], ambient),
+             "cod": obj(["t0", "t1"], ambient),
+             "map": {"t0": "t0", "t1": "t1"}},
+            {"dom": obj(["s0"], ambient), "cod": obj(["t0", "t1"], ambient),
+             "map": {"s0": "t0"}}]}
+    return {"version": "1", "kind": "site", "payload": payload}
+
+
+def refinement_doc(ambient, direction):
+    """The gluing of ``gluing_doc`` refined by itself along the identity
+    of its index, with identity components; valid as built."""
+    data = gluing_doc("nonsplit", ambient, direction)["payload"]
+    ident = {key: {p: p for p in (node if ambient == "sets"
+                                  else node["points"])}
+             for key, node in data["objects"].items()}
+    return {"version": "1", "kind": "refinement", "payload": {
+        "source": data, "target": copy.deepcopy(data),
+        "gamma": {"1": "1", "2": "2"}, "components": ident}}
+
+
+def indiscrete(node):
+    """Make a top object node indiscrete."""
+    node["opens"] = [[], list(node["points"])]
+
+
+def source_map(payload, k=0):
+    return payload["sources"][k]["map"]
+
+
+def sink_source_no_value(payload):
+    del source_map(payload)["a0"]
+
+
+def sink_source_value_outside(payload):
+    source_map(payload)["a0"] = "zz"
+
+
+def sink_source_extra_key(payload):
+    source_map(payload)["zz"] = "t0"
+
+
+def sink_source_unhashable(payload):
+    source_map(payload)["a0"] = ["t0"]
+
+
+def sink_source_not_continuous(payload):
+    indiscrete(payload["sources"][0]["object"])
+
+
+def sink_duplicate_names(payload):
+    payload["sources"][1]["name"] = "a"
+
+
+def sink_test_no_value(payload):
+    del payload["tests"][0]["map"]["v0"]
+
+
+def sink_test_into_another_target(payload):
+    # the test names the points of source a, not of the target
+    payload["tests"][0]["map"] = {"v0": "a0", "v1": "a1"}
+
+
+def sink_test_extra_key(payload):
+    payload["tests"][0]["map"]["zz"] = "t0"
+
+
+def sink_test_not_continuous(payload):
+    indiscrete(payload["tests"][0]["object"])
+
+
+def sink_inner_value_outside(payload):
+    source_map(payload["inner"]["a"])["a0"] = "zz"
+
+
+def sink_inner_over_wrong_source(payload):
+    payload["inner"]["a"] = copy.deepcopy(payload["inner"]["b"])
+
+
+def sink_inner_other_topology(payload):
+    indiscrete(payload["inner"]["a"]["target"])
+    indiscrete(payload["inner"]["a"]["sources"][0]["object"])
+
+
+def sink_inner_missing(payload):
+    del payload["inner"]["b"]
+
+
+def sink_inner_duplicate_names(payload):
+    inner = payload["inner"]["a"]
+    inner["sources"].append(copy.deepcopy(inner["sources"][0]))
+
+
+def sink_inner_names_collide(payload):
+    # a.h.x and a.h then .x: composite names made of dotted names collide
+    inner = payload["inner"]
+    inner["a"]["sources"][0]["name"] = "h.x"
+    inner["a"]["sources"].append({"name": "h", "object": copy.deepcopy(
+        inner["a"]["sources"][0]["object"]), "map": {"a0": "a0", "a1": "a1"}})
+    payload["sources"][0]["name"] = "a"
+    payload["sources"][1]["name"] = "a.h"
+    inner["a.h"] = sink_body(payload["ambient"], ["b0"], [
+        ("x", ["b0"], [("b0", "b0")])])
+    del inner["b"]
+
+
+def sink_duplicate_names_then_bad_map(payload):
+    sink_duplicate_names(payload)
+    source_map(payload, 1)["b0"] = "zz"
+
+
+def sink_not_continuous_then_bad_map(payload):
+    sink_source_not_continuous(payload)
+    source_map(payload, 1)["b0"] = "zz"
+
+
+def sink_duplicate_names_and_not_continuous(payload):
+    payload["sources"][1] = copy.deepcopy(payload["sources"][0])
+    indiscrete(payload["sources"][1]["object"])
+
+
+def sink_bad_test_and_bad_inner(payload):
+    sink_test_no_value(payload)
+    sink_inner_value_outside(payload)
+
+
+def sink_bad_source_and_bad_test(payload):
+    sink_test_no_value(payload)
+    sink_source_extra_key(payload)
+
+
+def site_covering_no_value(payload):
+    del source_map(payload["coverings"][0])["a0"]
+
+
+def site_covering_value_outside(payload):
+    source_map(payload["coverings"][0])["a0"] = "zz"
+
+
+def site_covering_extra_key(payload):
+    source_map(payload["coverings"][0])["zz"] = "t0"
+
+
+def site_covering_unhashable(payload):
+    source_map(payload["coverings"][0])["a0"] = ["t0"]
+
+
+def site_covering_not_continuous(payload):
+    indiscrete(payload["coverings"][0]["sources"][0]["object"])
+
+
+def site_covering_duplicate_names(payload):
+    sources = payload["coverings"][1]["sources"]
+    sources.append(copy.deepcopy(sources[0]))
+
+
+def site_morphism_no_value(payload):
+    del payload["morphisms"][0]["map"]["t0"]
+
+
+def site_morphism_value_outside(payload):
+    payload["morphisms"][1]["map"]["s0"] = "zz"
+
+
+def site_morphism_extra_key(payload):
+    payload["morphisms"][1]["map"]["zz"] = "t0"
+
+
+def site_morphism_unhashable(payload):
+    payload["morphisms"][1]["map"]["s0"] = ["t0"]
+
+
+def site_morphism_not_continuous(payload):
+    indiscrete(payload["morphisms"][0]["dom"])
+
+
+def site_not_continuous_then_bad_covering(payload):
+    site_covering_not_continuous(payload)
+    source_map(payload["coverings"][1])["t0"] = "zz"
+
+
+def site_bad_covering_then_bad_morphism(payload):
+    site_morphism_not_continuous(payload)
+    site_morphism_value_outside(payload)
+    source_map(payload["coverings"][1])["t0"] = "zz"
+
+
+def site_morphism_not_continuous_then_bad_map(payload):
+    site_morphism_not_continuous(payload)
+    site_morphism_value_outside(payload)
+
+
+def refine_gamma_no_value(payload):
+    del payload["gamma"]["2"]
+
+
+def refine_gamma_outside(payload):
+    payload["gamma"]["2"] = "9"
+
+
+def refine_gamma_extra_key(payload):
+    payload["gamma"]["9"] = "1"
+
+
+def refine_gamma_unhashable(payload):
+    payload["gamma"]["2"] = ["2"]
+
+
+def refine_gamma_not_injective(payload):
+    payload["gamma"]["2"] = "1"
+
+
+def refine_component_unknown_key(payload):
+    payload["components"]["9"] = payload["components"]["1"]
+
+
+def refine_component_unknown_pair(payload):
+    payload["components"]["1,9"] = payload["components"]["1,2"]
+
+
+def refine_component_three_parts(payload):
+    payload["components"]["1,2,1"] = payload["components"]["1,2"]
+
+
+def refine_component_respelled(payload):
+    payload["components"]["2,1"] = payload["components"]["1,2"]
+
+
+def refine_component_missing(payload):
+    del payload["components"]["1,2"]
+
+
+def refine_component_no_value(payload):
+    comp = payload["components"]["1"]
+    del comp[next(iter(comp))]
+
+
+def refine_component_outside(payload):
+    comp = payload["components"]["1"]
+    comp[next(iter(comp))] = "zz"
+
+
+def refine_component_extra_key(payload):
+    payload["components"]["1"]["zz"] = "a0"
+
+
+def refine_component_not_natural(payload):
+    comp = payload["components"]["1"]
+    comp["a0"], comp["a1"] = "a1", "a0"
+
+
+def refine_bad_gamma_and_bad_component(payload):
+    refine_gamma_outside(payload)
+    refine_component_outside(payload)
+
+
+def refine_unknown_key_and_bad_component(payload):
+    refine_component_outside(payload)
+    refine_component_unknown_key(payload)
+
+
+SETS_AND_TOP = ("sets", "top")
+TOP = ("top",)
+
+# (document, command, mutation, ambients, the stderr line after the prefix,
+# or the exit code where the payload stays valid)
+SINK_CASES = [
+    ("sink", "check-cover", sink_source_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 'a0'"),
+    ("sink", "check-cover", sink_source_value_outside, SETS_AND_TOP,
+     "value 'zz' of 'a0' is not a codomain label"),
+    ("sink", "check-cover", sink_source_extra_key, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    ("sink", "check-cover", sink_source_unhashable, SETS_AND_TOP,
+     "schema violation at payload.sources[0].map.a0: ['t0'] is not of "
+     "type 'string'"),
+    ("sink", "check-cover", sink_source_not_continuous, TOP,
+     "map is not continuous at 'a0'"),
+    ("sink", "check-cover", sink_duplicate_names, SETS_AND_TOP,
+     "duplicate source name 'a'"),
+    ("sink", "check-cover", sink_test_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 'v0'"),
+    ("sink", "check-cover", sink_test_into_another_target, SETS_AND_TOP,
+     "value 'a0' of 'v0' is not a codomain label"),
+    ("sink", "check-cover", sink_test_extra_key, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    ("sink", "check-cover", sink_test_not_continuous, TOP,
+     1),
+    ("sink", "check-cover", sink_inner_value_outside, SETS_AND_TOP,
+     "value 'zz' of 'a0' is not a codomain label"),
+    ("sink", "check-cover", sink_inner_over_wrong_source, SETS_AND_TOP,
+     0),
+    ("sink", "compose", sink_source_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 'a0'"),
+    ("sink", "compose", sink_source_not_continuous, TOP,
+     "map is not continuous at 'a0'"),
+    ("sink", "compose", sink_duplicate_names, SETS_AND_TOP,
+     "duplicate source name 'a'"),
+    ("sink", "compose", sink_test_into_another_target, SETS_AND_TOP,
+     "value 'a0' of 'v0' is not a codomain label"),
+    ("sink", "compose", sink_inner_value_outside, SETS_AND_TOP,
+     "value 'zz' of 'a0' is not a codomain label"),
+    ("sink", "compose", sink_inner_over_wrong_source, SETS_AND_TOP,
+     "inner sink for 'a' does not target that source"),
+    ("sink", "compose", sink_inner_other_topology, TOP,
+     "inner sink for 'a' carries a different topology"),
+    ("sink", "compose", sink_inner_missing, SETS_AND_TOP,
+     "no inner sink for source 'b'"),
+    ("sink", "compose", sink_inner_duplicate_names, SETS_AND_TOP,
+     "duplicate source name 'h'"),
+    ("sink", "compose", sink_inner_names_collide, SETS_AND_TOP,
+     "duplicate source name 'a.h.x'"),
+    ("sink", "check-cover", sink_duplicate_names_then_bad_map, SETS_AND_TOP,
+     "value 'zz' of 'b0' is not a codomain label"),
+    ("sink", "check-cover", sink_not_continuous_then_bad_map, TOP,
+     "value 'zz' of 'b0' is not a codomain label"),
+    ("sink", "check-cover", sink_duplicate_names_and_not_continuous, TOP,
+     "duplicate source name 'a'"),
+    ("sink", "check-cover", sink_bad_test_and_bad_inner, SETS_AND_TOP,
+     "no value assigned to domain label 'v0'"),
+    ("sink", "check-cover", sink_bad_source_and_bad_test, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    ("site", "check-site", site_covering_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 'a0'"),
+    ("site", "check-site", site_covering_value_outside, SETS_AND_TOP,
+     "value 'zz' of 'a0' is not a codomain label"),
+    ("site", "check-site", site_covering_extra_key, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    ("site", "check-site", site_covering_unhashable, SETS_AND_TOP,
+     "schema violation at payload.coverings[0].sources[0].map.a0: ['t0'] "
+     "is not of type 'string'"),
+    ("site", "check-site", site_covering_not_continuous, TOP,
+     "map is not continuous at 'a0'"),
+    ("site", "check-site", site_covering_duplicate_names, SETS_AND_TOP,
+     "duplicate source name 'id'"),
+    ("site", "check-site", site_morphism_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 't0'"),
+    ("site", "check-site", site_morphism_value_outside, SETS_AND_TOP,
+     "value 'zz' of 's0' is not a codomain label"),
+    ("site", "check-site", site_morphism_extra_key, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    ("site", "check-site", site_morphism_unhashable, SETS_AND_TOP,
+     "schema violation at payload.morphisms[1].map.s0: ['t0'] is not of "
+     "type 'string'"),
+    ("site", "check-site", site_morphism_not_continuous, TOP,
+     "map is not continuous at 't0'"),
+    ("site", "check-site", site_not_continuous_then_bad_covering, TOP,
+     "map is not continuous at 'a0'"),
+    ("site", "check-site", site_bad_covering_then_bad_morphism, TOP,
+     "value 'zz' of 't0' is not a codomain label"),
+    ("site", "check-site", site_morphism_not_continuous_then_bad_map, TOP,
+     "map is not continuous at 't0'"),
+]
+
+# (mutation, the stderr line after the prefix, or the exit code), the same
+# in each ambient and direction
+REFINE_CASES = [
+    (refine_gamma_no_value,
+     "no value assigned to domain label '2'"),
+    (refine_gamma_outside,
+     "value '9' of '2' is not a codomain label"),
+    (refine_gamma_extra_key,
+     "mapping assigns labels outside the domain: ['9']"),
+    (refine_gamma_unhashable,
+     "schema violation at payload.gamma['2']: ['2'] is not of type 'string'"),
+    (refine_gamma_not_injective,
+     "no value assigned to domain label 'a0'"),
+    (refine_component_unknown_key,
+     "label '9' not in domain"),
+    (refine_component_unknown_pair,
+     "label '9' not in carrier ('1', '2')"),
+    (refine_component_three_parts,
+     "bad index object key '1,2,1'"),
+    (refine_component_respelled,
+     "components entries '1,2' and '2,1' name the same index object"),
+    (refine_component_missing,
+     1),
+    (refine_component_no_value,
+     "no value assigned to domain label 'a0'"),
+    (refine_component_outside,
+     "value 'zz' of 'a0' is not a codomain label"),
+    (refine_component_extra_key,
+     "mapping assigns labels outside the domain: ['zz']"),
+    (refine_component_not_natural,
+     1),
+    (refine_bad_gamma_and_bad_component,
+     "value '9' of '2' is not a codomain label"),
+    (refine_unknown_key_and_bad_component,
+     "value 'zz' of 'a0' is not a codomain label"),
+]
+
+
+def expect(code, out, err, expected):
+    """Whether a run refused with the line ``expected`` or, where that is
+    an exit code, ended with it and wrote no error."""
+    if isinstance(expected, int):
+        return code == expected and err == ""
+    return (code, out, err) == (2, "", PREFIX + expected + "\n")
+
+
+def test_the_sink_site_and_refinement_documents_are_valid():
+    for ambient in AMBIENTS:
+        doc = sink_doc(ambient)
+        assert run(["check-cover"], doc)[::2] == (0, "")
+        assert run(["compose"], doc)[::2] == (0, "")
+        # read and checked: the declared fragment misses some axioms
+        assert run(["check-site"], site_doc(ambient))[::2] == (1, "")
+        for direction in DIRECTIONS:
+            assert run(["refine"], refinement_doc(ambient, direction))[::2] \
+                == (0, "")
+
+
+@pytest.mark.parametrize(
+    "kind, argv, mutation, ambient, expected",
+    [(kind, argv, mutation, ambient, line)
+     for kind, argv, mutation, ambients, line in SINK_CASES
+     for ambient in ambients],
+    ids=["%s-%s-%s" % (argv, mutation.__name__, ambient)
+         for _, argv, mutation, ambients, _ in SINK_CASES
+         for ambient in ambients])
+def test_a_malformed_sink_or_site_payload_is_refused_as_before(
+        kind, argv, mutation, ambient, expected):
+    doc = sink_doc(ambient) if kind == "sink" else site_doc(ambient)
+    mutation(doc["payload"])
+    assert expect(*run([argv], doc), expected)
+
+
+@pytest.mark.parametrize(
+    "mutation, ambient, direction, expected",
+    [(mutation, ambient, direction, line)
+     for mutation, line in REFINE_CASES
+     for ambient, direction in product(AMBIENTS, DIRECTIONS)],
+    ids=["%s-%s-%s" % (mutation.__name__, ambient, direction)
+         for mutation, _ in REFINE_CASES
+         for ambient, direction in product(AMBIENTS, DIRECTIONS)])
+def test_a_malformed_refinement_payload_is_refused_as_before(
+        mutation, ambient, direction, expected):
+    doc = refinement_doc(ambient, direction)
+    mutation(doc["payload"])
+    assert expect(*run(["refine"], doc), expected)

@@ -27,7 +27,15 @@ from glueforge.fincat import (
 )
 
 import oracles
-from fixtures import close_family, label_nbhd, preimage, subspace
+from fixtures import (
+    close_family,
+    discrete_space,
+    identity_fn,
+    label_nbhd,
+    preimage,
+    subspace,
+    surjective,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -157,7 +165,7 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
     assert m.open == (forward <= cfam)
     image = frozenset(fn.mapping.values())
     assert map_properties(fn, dom, cod) == {
-        "injective": fn.is_injective(), "surjective": fn.is_surjective(),
+        "injective": fn.is_injective(), "surjective": surjective(fn),
         "continuous": True, "open": forward <= cfam,
         "embedding": fn.is_injective() and forward == {o & image for o in cfam}}
 
@@ -287,8 +295,8 @@ def test_map_properties_match_the_frozenset_oracle(dom, cod, final, data):
 
 
 def test_product_of_two_4_point_discrete_spaces():
-    x = FinTop.discrete(FinSet(["a%d" % k for k in range(4)]))
-    y = FinTop.discrete(FinSet(["b%d" % k for k in range(4)]))
+    x = discrete_space(FinSet(["a%d" % k for k in range(4)]))
+    y = discrete_space(FinSet(["b%d" % k for k in range(4)]))
     with budget(1000):
         prod = top_product(x, y)
     assert len(prod.carrier) == 16
@@ -302,14 +310,14 @@ def test_product_of_two_4_point_discrete_spaces():
 
 def test_listing_opens_is_charged_to_the_cap(monkeypatch):
     monkeypatch.setattr(glueforge.errors, "DEFAULT_CAP", 10)
-    assert len(FinTop.discrete(FinSet(["a", "b", "c"])).opens) == 8
-    big = FinTop.discrete(FinSet(["p%d" % k for k in range(5)]))
+    assert len(discrete_space(FinSet(["a", "b", "c"])).opens) == 8
+    big = discrete_space(FinSet(["p%d" % k for k in range(5)]))
     with pytest.raises(ResourceError) as err:
         big.opens
     assert err.value.size <= 20
     assert "opens of a 5-point space" in str(err.value)
     initial = induce_topology("initial", big.carrier,
-                              [FinFn.identity(big.carrier)], [big])
+                              [identity_fn(big.carrier)], [big])
     with pytest.raises(ResourceError):
         initial.opens
 

@@ -15,11 +15,12 @@ tracer = tracing.install()
 from glueforge import cli, fincat
 from glueforge.fincat import FinFn, FinSet, FinTop
 
-x = FinTop.discrete(FinSet(["a0", "a1"]))
-y = FinTop.indiscrete(FinSet(["b0", "b1"]))
+# the discrete and the indiscrete space on two points
+x = FinTop.from_nbhd(FinSet(["a0", "a1"]), [0b01, 0b10])
+y = FinTop.from_nbhd(FinSet(["b0", "b1"]), [0b11, 0b11])
 z = FinSet(["z"])
-ps = fincat.pullback(FinFn.constant(x.carrier, z, "z"),
-                     FinFn.constant(y.carrier, z, "z"), x, y)
+ps = fincat.pullback(FinFn(x.carrier, z, {"a0": "z", "a1": "z"}),
+                     FinFn(y.carrier, z, {"b0": "z", "b1": "z"}), x, y)
 assert len(ps.space.opens) == 4
 
 def discrete(points):

@@ -1,8 +1,9 @@
 """The unchecked constructors are used only where the value is correct by
 construction: with each one (``FinSet.from_distinct`` and
 ``FinSet.from_trusted``, ``FinFn.from_total``, ``FinTop.from_nbhd``,
-``Sink.from_valid`` and ``trusted_table``, which builds the position tables
-of the presheaf and gluing layers) replaced by its validating constructor,
+``Sink``, which trusts the tables of its sources, and ``trusted_table``,
+which builds the position tables of the presheaf and gluing layers)
+replaced by its validating constructor,
 the golden corpus gives the same bytes and the acceptance criteria still
 pass, so no trusted value would have failed its own check.  The same holds
 for the maps that ``map_properties`` and ``table_properties`` trust to be
@@ -23,7 +24,7 @@ from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.site import Sink
 
 import test_acceptance
-from fixtures import label_nbhd
+from fixtures import discrete_space, identity_fn, indiscrete_space, label_nbhd
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
@@ -81,8 +82,20 @@ def validating(monkeypatch):
     for name in ("from_distinct", "from_trusted"):
         monkeypatch.setattr(FinSet, name,
                             classmethod(lambda cls, labels: cls(labels)))
-    monkeypatch.setattr(Sink, "from_valid", classmethod(
-        lambda cls, *args, **kwargs: cls(*args, **kwargs)))
+    real_sink = Sink.__init__
+
+    def checking_sink(self, ambient, target, sources, target_space=None):
+        sources = list(sources)
+        for _, obj, values in sources:
+            space = obj if isinstance(obj, FinTop) else None
+            carrier = obj if space is None else obj.carrier
+            checking_table(values, carrier, target)
+            if ambient == "top":
+                TopMap(table_view(values, space, target_space), space,
+                       target_space)
+        real_sink(self, ambient, target, sources, target_space)
+
+    monkeypatch.setattr(Sink, "__init__", checking_sink)
     monkeypatch.setattr(FinFn, "from_total",
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
@@ -118,18 +131,19 @@ def test_validating_swap_checks(validating):
     # the identity from the indiscrete onto the discrete pair
     pair = FinSet(["a", "b"])
     with pytest.raises(StructuralError, match="not continuous"):
-        Sink.from_valid("top", pair, [("1", FinTop.indiscrete(pair),
-                                       FinFn.identity(pair))],
-                        target_space=FinTop.discrete(pair))
+        Sink("top", pair, [("1", indiscrete_space(pair), [0, 1])],
+             target_space=discrete_space(pair))
+    with pytest.raises(StructuralError, match="does not map"):
+        Sink("sets", pair, [("1", pair, [0, 2])])
     for module in (fincat, gluing):
         with pytest.raises(StructuralError, match="not continuous"):
-            module.map_properties(FinFn.identity(pair),
-                                  FinTop.indiscrete(pair),
-                                  FinTop.discrete(pair))
+            module.map_properties(identity_fn(pair),
+                                  indiscrete_space(pair),
+                                  discrete_space(pair))
     for module in (fincat, site):
         with pytest.raises(StructuralError, match="not continuous"):
-            module.table_properties([0, 1], FinTop.indiscrete(pair),
-                                    FinTop.discrete(pair))
+            module.table_properties([0, 1], indiscrete_space(pair),
+                                    discrete_space(pair))
 
 
 def golden_cases():
