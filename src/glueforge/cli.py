@@ -44,9 +44,8 @@ from .fincat import (
     FinFn,
     FinSet,
     FinTop,
-    _refuse_discontinuous,
     _refuse_mapping,
-    is_continuous,
+    check_continuous,
 )
 from .gluing import (
     FROM_OVERLAPS,
@@ -331,14 +330,6 @@ def parse_gluing(payload, table=None):
                                   spaces or None)
 
 
-def _continuous(table, dom, cod):
-    """``table``, refused as ``TopMap`` refuses a map from the space ``dom``
-    to ``cod`` that is not continuous."""
-    if not is_continuous(table, dom, cod):
-        _refuse_discontinuous(table, dom, cod)
-    return table
-
-
 def _parse_sink_body(body, ambient, table):
     """A ``{target, sources}`` node as a Sink.  Every map is read into its
     table first, refused as ``FinFn`` refuses it; then, source by source,
@@ -356,7 +347,7 @@ def _parse_sink_body(body, ambient, table):
             if name in names:
                 break    # Sink refuses the repeated name
             names.add(name)
-            _continuous(t, space, target_space)
+            check_continuous(t, space, target_space)
     return Sink(ambient, target, sources, target_space)
 
 
@@ -391,7 +382,7 @@ def parse_site(payload):
         t = _table(node["map"], dom.labels, cod)
         if ambient == "top":
             morphisms.append((dom_space, cod_space,
-                              _continuous(t, dom_space, cod_space)))
+                              check_continuous(t, dom_space, cod_space)))
         else:
             morphisms.append((dom, cod, t))
     return SiteSpec(ambient, coverings, morphisms)

@@ -31,9 +31,10 @@ construction.  A map kept on positions is a position table, the list
 that gives each domain position the codomain position of its image;
 parsers check each entry of the tables they read, and the tables the
 engine builds come from ``trusted_table``, which checks only their length.
-``is_continuous``, ``is_iso_table`` and ``table_properties`` read a
-table between two spaces, and ``is_effective_family`` and
-``is_effective_after_base_change`` read the tables of a family of maps.
+``is_continuous``, ``check_continuous``, ``is_iso_table`` and
+``table_properties`` read a table between two spaces, and
+``is_effective_family`` and ``is_effective_after_base_change`` read the
+tables of a family of maps.
 A set's label-to-position index is built at its first use
 (``position``, ``in``, or a ``FinFn`` validated against the set); the two
 checking ``FinSet`` constructors build it at once, as their distinctness
@@ -549,8 +550,7 @@ class TopMap:
         if fn.domain != dom.carrier or fn.codomain != cod.carrier:
             raise StructuralError("map endpoints do not match the given spaces")
         img = _positions(fn)
-        if not is_continuous(img, dom, cod):
-            _refuse_discontinuous(img, dom, cod)
+        check_continuous(img, dom, cod)
         bits = [1 << q for q in img]
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "dom", dom)
@@ -613,11 +613,12 @@ def is_continuous(img, dom, cod):
                    for row, q in zip(dom.rows, img))
 
 
-def _refuse_discontinuous(img, dom, cod):
-    """Raise naming the first point of ``dom``, in carrier order, at which
-    the map sending position ``k`` to position ``img[k]`` of ``cod`` is not
-    continuous; ``TopMap`` and the parsers call this only once
-    ``is_continuous`` is False."""
+def check_continuous(img, dom, cod):
+    """``img``, unless the map it gives from ``dom`` to ``cod`` is not
+    continuous: then raise naming the first point of ``dom``, in carrier
+    order, at which it is not, as ``TopMap`` and the parsers refuse it."""
+    if is_continuous(img, dom, cod):
+        return img
     bits = [1 << q for q in img]
     for p, (row, q) in enumerate(zip(dom.rows, img)):
         if _gather(row, bits) & ~cod.rows[q]:

@@ -466,100 +466,47 @@ def _uniform_form(rows, table, cells):
             tuple(related))
 
 
-class _KeySearch:
-    """The search tree of one source's canonical form: its coloured
-    preorder, the first and the least leaf found, with the order of their
-    points, and the automorphisms that leaves with equal forms reveal."""
-
-    def __init__(self, rows, table, ups, downs):
-        self.rows, self.table, self.ups, self.downs = rows, table, ups, downs
-        self.tried = count(1)
-        self.first = self.best = None
-        self.automorphisms = []
-
-    def search(self, colour, fixed):
-        """Visit the leaves below the stable colouring ``colour``, reached
-        by individualizing the points of ``fixed``: a leaf when its cells
-        are uniformly related, else each point of its first cell of more
-        than one point individualized (given a colour below every other)
-        and refined in turn.  A point that an automorphism fixing
-        ``fixed`` maps to one already tried leads to the same forms, and
-        is skipped."""
-        cells = {}
-        for p, c in enumerate(colour):
-            cells.setdefault(c, []).append(p)
-        cells = [cells[c] for c in sorted(cells)]
-        form = _uniform_form(self.rows, self.table, cells)
-        if form is not None:
-            self.leaf(form, [p for cell in cells for p in cell])
-            return
-        tried = []
-        for p in next(cell for cell in cells if len(cell) > 1):
-            if tried and self.in_orbit(p, tried, fixed):
-                continue
-            charge("individualized points in one source's key",
-                   next(self.tried))
-            marked = list(colour)
-            marked[p] = -1
-            self.search(_refined(marked, self.ups, self.downs),
-                        fixed + (p,))
-            tried.append(p)
-
-    def leaf(self, form, order):
-        """Keep the first and the least leaf; a leaf whose form equals one
-        of theirs gives the automorphism sending each point of that leaf's
-        order to the point at its place in ``order``: the cells of both
-        are uniformly related alike, so any map that keeps them keeps
-        every relation."""
-        if self.first is None:
-            self.first = self.best = (form, order)
-            return
-        for kept, kept_order in (self.first, self.best):
-            if form == kept:
-                image = [0] * len(order)
-                for a, b in zip(kept_order, order):
-                    image[a] = b
-                self.automorphisms.append(image)
-                break
-        if form < self.best[0]:
-            self.best = (form, order)
-
-    def in_orbit(self, p, tried, fixed):
-        """Whether the automorphisms found that fix every point of
-        ``fixed`` join ``p`` to a point of ``tried``."""
-        parent = list(range(len(self.table)))
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for image in self.automorphisms:
-            if all(image[x] == x for x in fixed):
-                for x, y in enumerate(image):
-                    parent[root(x)] = root(y)
-        return root(p) in {root(q) for q in tried}
+def _least_form(rows, table, ups, downs, colour, tried):
+    """The least form (``_uniform_form``) of the leaves below the stable
+    colouring ``colour`` of a coloured preorder: the form itself when its
+    cells are uniformly related, else the least over the points of its
+    first cell of more than one point, each individualized (given a colour
+    below every other) and refined in turn, and charged through
+    ``tried``."""
+    cells = {}
+    for p, c in enumerate(colour):
+        cells.setdefault(c, []).append(p)
+    cells = [cells[c] for c in sorted(cells)]
+    form = _uniform_form(rows, table, cells)
+    if form is not None:
+        return form
+    best = None
+    for p in next(cell for cell in cells if len(cell) > 1):
+        charge("individualized points in one source's key", next(tried))
+        marked = list(colour)
+        marked[p] = -1
+        form = _least_form(rows, table, ups, downs,
+                           _refined(marked, ups, downs), tried)
+        if best is None or form < best:
+            best = form
+    return best
 
 
 def _canonical_form(rows, table):
     """The key of a top source over its target, from its ``rows`` and its
-    ``table``: the least form (``_uniform_form``) over the leaves of the
-    search tree of individualization and refinement, started from each
-    point's target position as its colour.  The tree and the forms are
-    functions of the coloured preorder alone, so two sources are
+    ``table``: the least form over the leaves of the search tree of
+    individualization and refinement (McKay and Piperno 2014), started
+    from each point's target position as its colour.  The tree and the
+    forms are functions of the coloured preorder alone, so two sources are
     homeomorphic over the target exactly when their keys are equal.
-    Discrete, indiscrete and chain sources stop at the root, and
-    automorphisms found on the way prune the points they join (McKay and
-    Piperno 2014), so that disjoint copies of one component do not cost
-    the factorial of their number."""
+    Discrete, indiscrete and chain sources stop at the root."""
     ups = [_members(row) for row in rows]
     downs = [[] for _ in rows]
     for p, up in enumerate(ups):
         for q in up:
             downs[q].append(p)
-    keys = _KeySearch(rows, table, ups, downs)
-    keys.search(_refined(list(table), ups, downs), ())
-    return keys.best[0]
+    return _least_form(rows, table, ups, downs,
+                       _refined(list(table), ups, downs), count(1))
 
 
 def _source_key(obj, table, size, forms):
@@ -581,16 +528,23 @@ def _kept_form(rows, table, forms):
         return form
 
 
+def _sink_key(target, target_space, source_keys):
+    """The key of a sink: its target, with its space, and the sorted keys
+    of its sources.  Two sinks agree up to a bijection of their source
+    families and fibered isomorphisms of the sources exactly when their
+    keys are equal."""
+    return target, target_space, tuple(sorted(source_keys))
+
+
 def sinks_equivalent(a, b):
     """Whether two sinks agree up to a bijection of their source families
-    and fibered isomorphisms of the sources: their targets, with their
-    spaces, and the sorted keys of their sources are equal.  No command
-    calls it; ``covering_axioms_check`` compares keys itself."""
+    and fibered isomorphisms of the sources, by their keys (``_sink_key``).
+    No command calls it; ``covering_axioms_check`` compares keys itself."""
     forms = {}
 
     def key(sink):
         size = len(sink.target)
-        return (sink.target, sink.target_space, sorted(
+        return _sink_key(sink.target, sink.target_space, (
             _source_key(obj, table, size, forms)
             for _, obj, table in sink.sources))
 
@@ -631,15 +585,15 @@ def covering_axioms_check(spec):
     forms = {}
     keys = [[_source_key(obj, table, len(cov.target), forms)
              for _, obj, table in cov.sources] for cov in coverings]
-    declared = {(cov.target, cov.target_space, tuple(sorted(ks)))
+    declared = {_sink_key(cov.target, cov.target_space, ks)
                 for cov, ks in zip(coverings, keys)}
     violations = []
     for dom, cod, table in spec.morphisms:
         carrier = _carrier(cod)
         ends = (dom, cod) if top else ()
-        if is_iso_table(table, len(carrier), *ends) and (
+        if is_iso_table(table, len(carrier), *ends) and _sink_key(
                 carrier, cod if top else None,
-                (_source_key(dom, table, len(carrier), forms),)) \
+                [_source_key(dom, table, len(carrier), forms)]) \
                 not in declared:
             violations.append("isomorphism sink onto %r is not declared"
                               % (list(carrier.labels),))
@@ -672,8 +626,8 @@ def covering_axioms_check(spec):
                                                        combo))))
             composite = [key for part, k in zip(pushed, combo)
                          for key in part[k]]
-            if (cov.target, cov.target_space,
-                    tuple(sorted(composite))) not in declared:
+            if _sink_key(cov.target, cov.target_space,
+                         composite) not in declared:
                 violations.append(
                     "composite of covering of %r is not declared"
                     % (list(cov.target.labels),))
@@ -688,8 +642,8 @@ def covering_axioms_check(spec):
             else:
                 changed = [tuple(map(counts.__getitem__, img))
                            for counts in ks]
-            if (_carrier(dom), dom if top else None,
-                    tuple(sorted(changed))) not in declared:
+            if _sink_key(_carrier(dom), dom if top else None,
+                         changed) not in declared:
                 violations.append(
                     "base change of a covering of %r along a map from %r "
                     "is not declared" % (list(cov.target.labels),

@@ -53,7 +53,7 @@ MUTANTS = [
      ["tests/test_render.py"],
      "the bulk join puts the keys where the separators after them go"),
     ("cli.py",
-     "            _continuous(t, space, target_space)\n",
+     "            check_continuous(t, space, target_space)\n",
      "            pass\n",
      ["tests/test_refusals.py"],
      "a document sink's sources are not checked continuous"),
@@ -69,20 +69,15 @@ MUTANTS = [
      ["tests/test_site.py"],
      "the uniform-cell stop skips its check between cells"),
     ("site.py",
-     "        if form < self.best[0]:\n",
-     "        if False:\n",
+     "        if best is None or form < best:\n",
+     "        if best is None:\n",
      ["tests/test_site.py"],
      "the key search keeps its first form, not the least"),
     ("site.py",
-     "            marked[p] = -1\n",
-     "            marked[p] = colour[p]\n",
+     "        marked[p] = -1\n",
+     "        marked[p] = colour[p]\n",
      ["tests/test_site.py"],
      "individualization does not set the point apart"),
-    ("site.py",
-     "                self.automorphisms.append(image)\n",
-     "                pass\n",
-     ["tests/test_site.py"],
-     "equal leaves reveal no automorphism, so nothing is pruned"),
     ("fincat.py",
      "        and sizes == [(target & image).bit_count() for target in targets],\n",
      "        and sizes <= [(target & image).bit_count() for target in targets],\n",

@@ -1083,29 +1083,3 @@ def test_refinement_splits_points_by_their_down_sets():
     with budget(0):
         key = _canonical_form(rows, [0, 0, 0])
     assert key != _canonical_form(closed_rows(3, []), [0, 0, 0])
-
-
-def test_automorphisms_prune_disjoint_copies_of_one_component():
-    # eight disjoint two-point chains over one point: every bottom is in
-    # one cell, related to one top only, and the copies can be exchanged;
-    # trying every order of the copies would individualize about 8! * e
-    # points, and the automorphisms found prune the search to 91
-    rows = closed_rows(16, [(2 * i, 2 * i + 1) for i in range(8)])
-    with budget(100):
-        key = _canonical_form(rows, [0] * 16)
-    space = FinTop.from_nbhd(FinSet(["x%d" % p for p in range(16)]), rows)
-    rng = seeded(98)
-    for _ in range(3):
-        order = list(range(16))
-        rng.shuffle(order)
-        copy, values = relabelled(space, [0] * 16, order)
-        with budget(100):
-            assert _canonical_form(copy.rows, values) == key
-    # one copy written the other way round is the same space; one copy
-    # broken into two points is not
-    assert _canonical_form(closed_rows(16, [(2 * i, 2 * i + 1)
-                                            for i in range(7)] + [(15, 14)]),
-                           [0] * 16) == key
-    assert _canonical_form(closed_rows(16, [(2 * i, 2 * i + 1)
-                                            for i in range(7)]),
-                           [0] * 16) != key
