@@ -24,7 +24,8 @@ too.  Every error is reported on one stderr line, its text cut at
 
 Reports are written by a direct emitter, byte for byte what
 ``json.dumps(report, sort_keys=True, indent=2)`` gives; it knows only the
-types reports hold, and writes a tuple as an array, as json.dumps does.  A
+types reports hold, and writes a tuple as an array, as json.dumps does.  It
+appends the report's pieces to one list joined once at the end.  A
 container of strings whose strings all need no escape is written by one
 join with the quotes inside the separators; only a container that holds a
 string needing an escape encodes its strings one by one.
@@ -353,15 +354,18 @@ def _parse_sink_body(body, ambient, table):
 
 def parse_sink(payload):
     """The sink of a payload, its test maps as ``(object, table)`` pairs,
-    and its inner sinks by source name."""
+    and its inner sinks by source name.  In the top ambient a test map that
+    is not continuous is refused, as a source's map is."""
     ambient = payload["ambient"]
     table = {}
     sink = _parse_sink_body(payload, ambient, table)
     tests = []
     for node in payload.get("tests", []):
         carrier, space = parse_object(node["object"], ambient, table)
-        tests.append((carrier if space is None else space,
-                      _table(node["map"], carrier.labels, sink.target)))
+        t = _table(node["map"], carrier.labels, sink.target)
+        if space is not None:
+            check_continuous(t, space, sink.target_space)
+        tests.append((carrier if space is None else space, t))
     inner = {name: _parse_sink_body(body, ambient, table)
              for name, body in payload.get("inner", {}).items()}
     return sink, tests, inner
@@ -859,9 +863,13 @@ def _joined(head, keys, mid, texts, sep, tail):
     return "".join(parts)
 
 
-def _emit(node, indent):
-    """``node`` as JSON, where ``indent`` is the newline and indentation of
-    the line it starts on; string members are encoded in place.
+def _emit(node, indent, out):
+    """Append ``node`` as JSON to the list ``out``, where ``indent`` is the
+    newline and indentation of the line it starts on; string members are
+    encoded in place.  A generic container appends its opening text, each
+    entry's separator and encoded key, then recurses into the entry with
+    the same ``out``.  It builds no text of its own, so what it holds is
+    not copied again at each level: ``render_report`` joins ``out`` once.
 
     A dict's keys are sorted on their own, so no ``(key, value)`` pair is
     built per entry.  Three shapes of container are written in bulk: a
@@ -870,13 +878,15 @@ def _emit(node, indent):
     such tuples.  When all the strings of such a container are plain (see
     ``_plain``), it is written by one ``str.join`` with the quotes inside
     the separators, a dict's keys and values put into one list by slice
-    assignment (``_joined``), and no string is encoded; otherwise each is
-    encoded on its own.  Whether a dict has a bulk shape is decided from
-    the type of its first value, so other dicts pay one type test."""
+    assignment (``_joined``), and appended as one piece, with no string
+    encoded; otherwise each is encoded on its own.  Whether a dict has a
+    bulk shape is decided from the type of its first value, so other dicts
+    pay one type test."""
     kind = type(node)
     if kind is dict:
         if not node:
-            return "{}"
+            out.append("{}")
+            return
         inner = indent + "  "
         # the encoder, or the join of the plain check, raises TypeError on
         # a key that is not a string
@@ -886,41 +896,59 @@ def _emit(node, indent):
         held = type(first)
         if held is str:
             if _only(str, values) and _plain("".join(keys + values)):
-                return _joined("{" + inner + '"', keys, '": "', values,
-                               '",' + inner + '"', '"' + indent + "}")
+                out.append(_joined("{" + inner + '"', keys, '": "', values,
+                                   '",' + inner + '"', '"' + indent + "}"))
+                return
         elif (held is list or held is tuple) and first \
                 and type(first[0]) is str and _only(held, values) \
                 and all(values):
             members = list(chain.from_iterable(values))
             if _only(str, members):
-                return _emit_string_lists(keys, values, members, indent,
-                                          inner)
-        return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
-                                     else _emit(v, inner))
-            for k, v in zip(keys, values)]) + indent + "}"
-    if kind is list or kind is tuple:
+                out.append(_emit_string_lists(keys, values, members, indent,
+                                              inner))
+                return
+        sep, comma = "{" + inner, "," + inner
+        for k, v in zip(keys, values):
+            if type(v) is str:
+                out.append(sep + _encode_str(k) + ": " + _encode_str(v))
+            else:
+                out.append(sep + _encode_str(k) + ": ")
+                _emit(v, inner, out)
+            sep = comma
+        out.append(indent + "}")
+    elif kind is list or kind is tuple:
         if not node:
-            return "[]"
+            out.append("[]")
+            return
         inner = indent + "  "
         if type(node[0]) is str and _only(str, node) \
                 and _plain("".join(node)):
-            return "".join(("[", inner, '"', ('",' + inner + '"').join(node),
-                            '"', indent, "]"))
-        return "[" + inner + ("," + inner).join([
-            _encode_str(v) if type(v) is str else _emit(v, inner)
-            for v in node]) + indent + "]"
-    if kind is str:
-        return _encode_str(node)
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
-    if node is None:
-        return "null"
-    if kind is int:
-        return int.__repr__(node)
-    raise TypeError("a report cannot hold a %s: %r" % (kind.__name__, node))
+            out.append("".join(("[", inner, '"',
+                                ('",' + inner + '"').join(node), '"', indent,
+                                "]")))
+            return
+        sep, comma = "[" + inner, "," + inner
+        for v in node:
+            if type(v) is str:
+                out.append(sep + _encode_str(v))
+            else:
+                out.append(sep)
+                _emit(v, inner, out)
+            sep = comma
+        out.append(indent + "]")
+    elif kind is str:
+        out.append(_encode_str(node))
+    elif node is True:
+        out.append("true")
+    elif node is False:
+        out.append("false")
+    elif node is None:
+        out.append("null")
+    elif kind is int:
+        out.append(int.__repr__(node))
+    else:
+        raise TypeError("a report cannot hold a %s: %r"
+                        % (kind.__name__, node))
 
 
 def _emit_string_lists(keys, values, members, indent, inner):
@@ -953,8 +981,13 @@ def render_report(report):
     dicts, no string built per entry; every other string goes through
     ``json.encoder.encode_basestring_ascii``.  A report may share lists,
     tuples and dicts with the engine (a leg's mapping, an apex's label
-    tuple): rendering only reads them."""
-    return _emit(report, "\n") + "\n"
+    tuple): rendering only reads them.  The report is appended to one list
+    joined once at the end (see ``_emit``); a refused value raises before
+    the join, so no partial text is returned."""
+    out = []
+    _emit(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _env_cap():

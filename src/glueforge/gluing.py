@@ -296,9 +296,6 @@ class GluedObject:
     def __setattr__(self, name, value):
         raise AttributeError("GluedObject is immutable")
 
-    def leg(self, i):
-        return self.legs[(i,)]
-
 
 class ConeCandidate:
     """An apex with legs to or from the index objects; ``mediating_map``

@@ -472,12 +472,6 @@ class NatTrans:
     def __setattr__(self, name, value):
         raise AttributeError("NatTrans is immutable")
 
-    def validate(self):
-        lat = self.source.lattice
-        return ["naturality fails from %r to %r" % (lat.names(w), lat.names(v))
-                for w, v in _unnatural(self.components, self.source,
-                                       self.target, lat.pairs_below())]
-
 
 def _unnatural(comp, source, target, pairs):
     """The pairs (w, v) of ``pairs`` at which the components ``comp`` do not
@@ -757,13 +751,15 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
         if name not in parts:
             raise StructuralError("no part for chart %r" % name)
         part = parts[name]
-        problems = [] if _natural(part.components, part.source, part.target,
-                                  part.source.lattice.covering) \
-            else part.validate()
-        if problems:
+        comp, sub = part.components, part.source.lattice
+        if not _natural(comp, part.source, part.target, sub.covering):
+            broken = ["naturality fails from %r to %r"
+                      % (sub.names(w), sub.names(v))
+                      for w, v in _unnatural(comp, part.source, part.target,
+                                             sub.pairs_below())]
             raise StructuralError("part %r is not natural: %s"
-                                  % (name, "; ".join(problems)))
-        if part.source.lattice != OpenLattice(datum_space, members):
+                                  % (name, "; ".join(broken)))
+        if sub != OpenLattice(datum_space, members):
             raise StructuralError("part %r lives on the wrong chart" % name)
     for a, am in charts:
         for b, bm in charts:

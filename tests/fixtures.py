@@ -19,7 +19,12 @@ from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
-from glueforge.presheaf import EMPTY_SECTION, OpenLattice, PresheafStore
+from glueforge.presheaf import (
+    EMPTY_SECTION,
+    OpenLattice,
+    PresheafStore,
+    _unnatural,
+)
 from glueforge.refine import Refinement
 from glueforge.site import SiteSpec, Sink, _carrier
 
@@ -375,6 +380,11 @@ def label_arrows(data):
     return {g: data.fn(g) for g in data.arrows}
 
 
+def leg(glued, i):
+    """The leg of a glued object at the index object ``i``."""
+    return glued.legs[(i,)]
+
+
 def label_overlap_maps(data):
     """Per overlap (i, j) of colimit-side data: its carrier and its maps
     into components i and j as label dicts, the split ones through the
@@ -547,6 +557,15 @@ def label_components(components, source, target):
     """Component tables between two presheaf stores as ``FinFn``s."""
     return {o: label_fn(values, source.sections[o], target.sections[o])
             for o, values in components.items()}
+
+
+def nat_trans_problems(nat):
+    """Each square v <= w of its lattice at which the transformation
+    ``nat`` is not natural, named as ``glue_nat_trans`` names a part's."""
+    lat = nat.source.lattice
+    return ["naturality fails from %r to %r" % (lat.names(w), lat.names(v))
+            for w, v in _unnatural(nat.components, nat.source, nat.target,
+                                   lat.pairs_below())]
 
 
 def label_datum(datum):

@@ -57,6 +57,22 @@ MUTANTS = [
      "            pass\n",
      ["tests/test_refusals.py"],
      "a document sink's sources are not checked continuous"),
+    ("cli.py",
+     "            check_continuous(t, space, sink.target_space)\n",
+     "            pass\n",
+     ["tests/test_refusals.py"],
+     "a document sink's test maps are not checked continuous"),
+    ("cli.py",
+     "            sep = comma\n        out.append(indent + \"}\")\n",
+     "        out.append(indent + \"}\")\n",
+     ["tests/test_render.py"],
+     "a generic dict appends no separator after its first entry"),
+    ("cli.py",
+     "                out.append(sep)\n                _emit(v, inner, out)\n",
+     "                out.append(sep)\n                _emit(v, indent, out)\n",
+     ["tests/test_render.py"],
+     "a generic list passes its own indent, not the inner one, to an "
+     "entry"),
     # recorded with earlier changes, each killed when it was made
     ("site.py",
      "                 tuple(sorted(map(colour.__getitem__, down))))\n",

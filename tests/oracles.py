@@ -1170,7 +1170,8 @@ def effective_by_labels(ambient, labelled):
 def sink_report_by_labels(command, payload):
     """The report of ``check-cover`` or ``compose`` on a sink payload,
     decided on labels: each test by the colimit route on the sink pulled
-    back along it by ``pullback``, each composite a ``FinFn.then``."""
+    back along it by ``pullback``, each composite a ``FinFn.then``.  In the
+    top ambient a test map that ``TopMap`` refuses is refused."""
     ambient = payload["ambient"]
     top = ambient == "top"
     table_ = {}
@@ -1179,7 +1180,10 @@ def sink_report_by_labels(command, payload):
     tests = []
     for node in payload.get("tests", []):
         carrier, space = cli.parse_object(node["object"], ambient, table_)
-        tests.append((FinFn(carrier, target, node["map"]), space))
+        fn = FinFn(carrier, target, node["map"])
+        if top:
+            TopMap(fn, space, target_space)
+        tests.append((fn, space))
     inner = {name: sink_by_labels(body, ambient, table_)
              for name, body in payload.get("inner", {}).items()}
     if command == "check-cover":

@@ -33,6 +33,7 @@ from fixtures import (
     jointly_surjective,
     label_sink,
     label_test,
+    nat_trans_problems,
     random_limit_data,
     random_nonsplit_colimit,
     random_split_colimit,
@@ -364,7 +365,7 @@ def count_and_collect_nat_trans(source, target, cap_count=200):
             range(len(target.sections[o])), repeat=len(source.sections[o]))])
     for combo in iproduct(*pools):
         cand = NatTrans(source, target, dict(zip(opens, combo)))
-        if cand.validate() == []:
+        if nat_trans_problems(cand) == []:
             out.append(cand)
     return out, total
 

@@ -28,6 +28,7 @@ from fixtures import (
     e4_nonsplit,
     identity_fn,
     indiscrete_space,
+    leg,
     make_limit_data,
     make_nonsplit_colimit,
     random_limit_data,
@@ -101,16 +102,16 @@ def test_e1_colimit_merges_the_overlap_class():
     data = e1()
     glued = colimit_glue(data)
     assert len(glued.apex) == 5
-    assert glued.leg("1")("a2") == glued.leg("2")("b0")
-    assert glued.leg("1")("a0") != glued.leg("2")("b1")
+    assert leg(glued, "1")("a2") == leg(glued, "2")("b0")
+    assert leg(glued, "1")("a0") != leg(glued, "2")("b1")
 
 
 def test_e2_circle_has_four_classes():
     data = e2()
     glued = colimit_glue(data)
     assert len(glued.apex) == 4
-    assert glued.leg("1")("a0") == glued.leg("2")("b2")
-    assert glued.leg("1")("a2") == glued.leg("2")("b0")
+    assert leg(glued, "1")("a0") == leg(glued, "2")("b2")
+    assert leg(glued, "1")("a2") == leg(glued, "2")("b0")
 
 
 def test_e3_split_self_gluing_collapses():
@@ -161,8 +162,8 @@ def test_cocone_law_exhaustive():
             e_i = data.fn(("incl", i, pair_obj))
             e_j = data.fn(("incl", j, pair_obj))
             for u in data.carrier(pair_obj):
-                assert glued.leg(i)(e_i(u)) == glued.leg(j)(e_j(u))
-                assert glued.legs[pair_obj](u) == glued.leg(i)(e_i(u))
+                assert leg(glued, i)(e_i(u)) == leg(glued, j)(e_j(u))
+                assert glued.legs[pair_obj](u) == leg(glued, i)(e_i(u))
 
 
 def test_empty_components_allowed():
@@ -192,7 +193,7 @@ def test_limit_single_index_is_component():
     data = make_limit_data(["1"], {"1": ["a", "b"]}, {})
     glued = limit_glue(data)
     assert list(glued.apex) == ["a", "b"]
-    assert glued.leg("1").mapping == {"a": "a", "b": "b"}
+    assert leg(glued, "1").mapping == {"a": "a", "b": "b"}
 
 
 def test_limit_cap():
@@ -395,7 +396,7 @@ def test_universal_check_point_over_merged_class():
     data = e1()
     glued = colimit_glue(data)
     v = FinSet(["pt"])
-    delta = FinFn(v, glued.apex, {"pt": glued.leg("1")("a2")})
+    delta = FinFn(v, glued.apex, {"pt": leg(glued, "1")("a2")})
     rep = universal_glue_check(data, glued, delta)
     assert rep["is_glued_up"] is True
     assert rep["fiber_sizes"][("1",)] == 1

@@ -48,6 +48,7 @@ from fixtures import (
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
+    nat_trans_problems,
 )
 from oracles import commutes_by_composites, iso_by_topmap
 from paper import identity_refinement
@@ -179,7 +180,7 @@ def swapped_at(store, o):
 def test_nat_trans_names_its_one_unnatural_square():
     store = function_presheaf(SIERPINSKI, STALKS)
     nat = NatTrans(store, store, swapped_at(store, LOW))
-    assert nat.validate() == ["naturality fails from ['0', '1'] to ['0']"]
+    assert nat_trans_problems(nat) == ["naturality fails from ['0', '1'] to ['0']"]
 
 
 def two_chart_datum(ab=None, ba=None):
@@ -387,7 +388,7 @@ def test_validators_build_no_composite(monkeypatch):
     monkeypatch.setattr(site, "colimit_glue", lambda data: split_glued)
     refuse_composites(monkeypatch)
 
-    assert nat.validate() == []
+    assert nat_trans_problems(nat) == []
     assert datum.validate() == []
     assert presheaf_effective_check(datum, projections)["cocycle_ok"] is True
     # the constructor validates the split data

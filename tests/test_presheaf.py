@@ -42,6 +42,7 @@ from fixtures import (
     label_datum,
     label_nbhd,
     label_store,
+    nat_trans_problems,
     presheaf_doc,
     seeded,
     space_from_nbhd,
@@ -594,7 +595,7 @@ def test_glue_nat_trans_single_chart():
     sub = restrict(store, space.mask(["0", "1"]))
     parts = {"1": NatTrans(sub, sub, identities(sub))}
     glued = glue_nat_trans(space, charts, store, store, parts)
-    assert glued.validate() == []
+    assert nat_trans_problems(glued) == []
 
 
 def all_nat_trans(source, target):
@@ -607,7 +608,7 @@ def all_nat_trans(source, target):
     out = []
     for combo in iproduct(*pools):
         cand = NatTrans(source, target, dict(zip(opens, combo)))
-        if cand.validate() == []:
+        if nat_trans_problems(cand) == []:
             out.append(cand)
     return out
 

@@ -821,7 +821,7 @@ SINK_CASES = [
     ("sink", "check-cover", sink_test_extra_key, SETS_AND_TOP,
      "mapping assigns labels outside the domain: ['zz']"),
     ("sink", "check-cover", sink_test_not_continuous, TOP,
-     1),
+     "map is not continuous at 'v0'"),
     ("sink", "check-cover", sink_inner_value_outside, SETS_AND_TOP,
      "value 'zz' of 'a0' is not a codomain label"),
     ("sink", "check-cover", sink_inner_over_wrong_source, SETS_AND_TOP,
@@ -834,6 +834,8 @@ SINK_CASES = [
      "duplicate source name 'a'"),
     ("sink", "compose", sink_test_into_another_target, SETS_AND_TOP,
      "value 'a0' of 'v0' is not a codomain label"),
+    ("sink", "compose", sink_test_not_continuous, TOP,
+     "map is not continuous at 'v0'"),
     ("sink", "compose", sink_inner_value_outside, SETS_AND_TOP,
      "value 'zz' of 'a0' is not a codomain label"),
     ("sink", "compose", sink_inner_over_wrong_source, SETS_AND_TOP,

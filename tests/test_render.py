@@ -154,6 +154,83 @@ def test_emitter_escapes_the_one_string_that_needs_it(bad):
         assert render_report(report) == dumped(report), (bad, node)
 
 
+# plain strings only, so a bulk container is written by its joins
+PLAIN_TEXT = st.text(st.sampled_from(list("ab zZ09~'/|,:")), max_size=6)
+BULK_SHAPES = ["list", "tuple", "dict", "dict of lists", "dict of tuples"]
+# what sits beside a nested container; at least one sibling keeps each
+# level off the bulk paths
+SIBLINGS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+                     PLAIN_TEXT)
+
+
+@st.composite
+def bulk_container(draw):
+    """A container the emitter writes in bulk, of plain strings or with
+    one key or member made non-plain."""
+    shape = draw(st.sampled_from(BULK_SHAPES))
+    keys = draw(st.lists(PLAIN_TEXT, min_size=1, max_size=6, unique=True))
+    texts = draw(st.lists(PLAIN_TEXT, min_size=len(keys),
+                          max_size=len(keys)))
+    if draw(st.booleans()):
+        pool = keys if shape.startswith("dict") and draw(st.booleans()) \
+            else texts
+        pool[draw(st.integers(0, len(pool) - 1))] = \
+            "a" + draw(st.sampled_from(NON_PLAIN))
+    if shape == "list":
+        return texts
+    if shape == "tuple":
+        return tuple(texts)
+    if shape == "dict":
+        return dict(zip(keys, texts))
+    kind = list if shape == "dict of lists" else tuple
+    return {k: kind([texts[n]] + texts[:n]) for n, k in enumerate(keys)}
+
+
+@st.composite
+def nested_bulk(draw):
+    """A bulk container 3 to 5 levels deep inside generic lists, tuples
+    and dicts, each level with siblings before or after it."""
+    node = draw(bulk_container())
+    for _ in range(draw(st.integers(3, 5))):
+        siblings = draw(st.lists(SIBLINGS, min_size=1, max_size=3))
+        siblings.insert(draw(st.integers(0, len(siblings))), node)
+        wrap = draw(st.sampled_from(["list", "tuple", "dict"]))
+        if wrap == "dict":
+            keys = draw(st.lists(PLAIN_TEXT, min_size=len(siblings),
+                                 max_size=len(siblings), unique=True))
+            node = dict(zip(keys, siblings))
+        else:
+            node = siblings if wrap == "list" else tuple(siblings)
+    return node
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(nested_bulk(), min_size=1, max_size=3))
+def test_emitter_matches_json_dumps_on_deeply_nested_bulk_containers(nodes):
+    report = {"a": nodes, "b": {"c": nodes[0], "d": 1}}
+    assert render_report(report) == dumped(report)
+
+
+@pytest.mark.parametrize("bad", [1.5, type("Text", (str,), {})("y")])
+def test_a_value_refused_deep_inside_leaves_no_partial_text(
+        bad, monkeypatch, capsys, tmp_path):
+    """Large valid parts come first and the refused value sits five levels
+    down: rendering raises and nothing is written."""
+    big = {"k%05d" % n: ["m%d" % n, "x"] for n in range(5000)}
+    report = {"a": {"big": big, "list": [list(big), {
+        "deep": [{"z": ("x", [big, {"y": ["x", bad]}])}]}]}}
+    with pytest.raises(TypeError):
+        render_report(report)
+    monkeypatch.setattr(cli, "load_document", lambda source: None)
+    monkeypatch.setattr(cli, "execute", lambda *args: report)
+    out = tmp_path / "report.json"
+    for argv in (["glue"], ["glue", "--output", str(out)]):
+        with pytest.raises(TypeError):
+            cli.main(argv)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 def plain_by_scans(text):
     """The plain test as three scans: printable ASCII, no quote, no
     backslash."""
