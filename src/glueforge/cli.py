@@ -42,7 +42,6 @@ from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
 from .fincat import (
     SEP,
-    FinFn,
     FinSet,
     FinTop,
     _refuse_mapping,
@@ -561,18 +560,23 @@ def jsonable_object(carrier, space):
             "opens": list(map(space.points, space.open_masks()))}
 
 
-def jsonable_fn(fn):
-    # the mapping itself, shared and not copied: it holds exactly the domain
-    # labels, reports sort keys and nothing writes to a report
-    return fn.mapping
+def jsonable_table(table, domain, codomain):
+    """The map that ``table`` gives from the labels ``domain`` into the
+    labels ``codomain``, as a report writes it: a dict from each domain
+    label to the label of its image."""
+    return dict(zip(domain, [codomain[q] for q in table]))
 
 
-def glued_object_to_json(glued):
+def glued_object_to_json(data, glued):
+    # a colimit leg runs from its object's carrier into the apex, a limit
+    # leg the other way round
+    way = 1 if glued.side == "colimit" else -1
     out = {
         "side": glued.side,
         "apex": jsonable_object(glued.apex, glued.space),
-        "legs": {",".join(obj): jsonable_fn(fn)
-                 for obj, fn in sorted(glued.legs.items())},
+        "legs": {",".join(obj): jsonable_table(table, *(
+            data.carrier(obj).labels, glued.apex.labels)[::way])
+                 for obj, table in sorted(glued.legs.items())},
     }
     if glued.leg_props:
         out["leg_properties"] = {
@@ -596,7 +600,8 @@ def _glue_command(doc, flags):
         classes = dict(zip(apex, zip(apex)))
         classes.update({name: tuple(sorted(members)) for name, members
                         in glued.witness["merged"].items()})
-        artifacts = {"glued": glued_object_to_json(glued), "classes": classes}
+        artifacts = {"glued": glued_object_to_json(data, glued),
+                     "classes": classes}
         if "delta" in doc.payload:
             node = doc.payload["delta"]
             comp = node["component"]
@@ -604,15 +609,17 @@ def _glue_command(doc, flags):
                 raise StructuralError("delta component %r is not an index "
                                       "element" % comp)
             carrier, v_space = parse_object(node["object"], data.ambient)
-            into_comp = FinFn(carrier, data.carrier((comp,)), node["map"])
-            delta = into_comp.then(glued.legs[(comp,)])
+            into_comp = _table(node["map"], carrier.labels,
+                               data.carrier((comp,)))
+            leg = glued.legs[(comp,)]
+            delta = [leg[q] for q in into_comp]
             report = universal_glue_check(data, glued, delta, v_space=v_space)
             verdicts["universal_glued"] = report["is_glued_up"]
     else:
         if data.direction != TOWARD_OVERLAPS:
             raise StructuralError("limit gluing needs toward-overlaps data")
         glued = limit_glue(data)
-        artifacts = {"glued": glued_object_to_json(glued)}
+        artifacts = {"glued": glued_object_to_json(data, glued)}
     artifacts["apex_size"] = len(glued.apex)
     return verdicts, artifacts, {}
 
@@ -665,10 +672,9 @@ def _compose_command(doc, flags):
     result = compose_via_sinks(sink, inner)
     verdicts = {"is_glued_up": result["is_glued_up"]}
     flat = result["sink"]
-    labels = flat.target.labels
     artifacts = {
         "flattened_sources": {
-            name: dict(zip(_carrier(obj).labels, map(labels.__getitem__, t)))
+            name: jsonable_table(t, _carrier(obj).labels, flat.target.labels)
             for name, obj, t in flat.sources},
     }
     return verdicts, artifacts, {}
@@ -710,8 +716,7 @@ def _glue_sheaves_command(doc, flags):
         "sections": {lat.key(o): list(sections[o]) for o in lat.opens},
         "restrictions": {
             "%s>%s" % (lat.key(w), lat.key(v)):
-                dict(zip(sections[w], map(sections[v].__getitem__,
-                                          glued.res[(w, v)])))
+                jsonable_table(glued.res[(w, v)], sections[w], sections[v])
             for w, v in lat.pairs_below() if v != w},
     }
     verdicts = {
@@ -752,9 +757,9 @@ def _glue_map_command(doc, flags):
         parts[name] = NatTrans(sub_s, sub_t, comps)
     glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
-    artifacts = {"components": {lat.key(o): dict(zip(
-        store.sections[o], map(target.sections[o].__getitem__,
-                               glued.components[o]))) for o in lat.opens}}
+    artifacts = {"components": {
+        lat.key(o): jsonable_table(glued.components[o], store.sections[o],
+                                   target.sections[o]) for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 
 
@@ -771,8 +776,8 @@ def _refine_command(doc, flags):
         else:
             gs = colimit_glue(ref.source)
             gt = colimit_glue(ref.target)
-        med = induced_limit_map(ref, gs, gt)
-        artifacts["induced_map"] = jsonable_fn(med)
+        artifacts["induced_map"] = jsonable_table(
+            induced_limit_map(ref, gs, gt), gs.apex.labels, gt.apex.labels)
         artifacts["source_apex_size"] = len(gs.apex)
         artifacts["target_apex_size"] = len(gt.apex)
     return verdicts, artifacts, diagnostics

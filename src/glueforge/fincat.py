@@ -21,33 +21,27 @@ the value any other would build.
 The public constructors validate what they are given: ``FinSet`` that its
 labels are distinct strings, ``FinFn`` that its mapping is total into the
 codomain, ``FinTop`` that its opens are a topology, ``TopMap`` that its map
-is continuous.  Values the engine builds correct by construction
-(composites, identities, pullbacks, quotients, the legs of glued objects)
-come from ``FinFn.from_total`` and ``FinTop.from_nbhd``, which check
-nothing, ``FinSet.from_distinct``, which checks only that its labels are
-distinct, and ``FinSet.from_trusted``, which checks nothing and is used
-for the apex of a quotient, whose class names are distinct by
-construction.  A map kept on positions is a position table, the list
-that gives each domain position the codomain position of its image;
-parsers check each entry of the tables they read, and the tables the
-engine builds come from ``trusted_table``, which checks only their length.
-``is_continuous``, ``check_continuous``, ``is_iso_table`` and
-``table_properties`` read a table between two spaces, and
-``is_effective_family`` and ``is_effective_after_base_change`` read the
-tables of a family of maps.
-A set's label-to-position index is built at its first use
-(``position``, ``in``, or a ``FinFn`` validated against the set); the two
-checking ``FinSet`` constructors build it at once, as their distinctness
-check, so a quotient apex that no caller looks into never builds one.
+is continuous.  Values the engine builds correct by construction come from
+``FinTop.from_nbhd`` and ``FinFn.from_total``, which check nothing,
+``FinSet.from_distinct``, which checks only that its labels are distinct,
+and ``FinSet.from_trusted``, which checks nothing and is used for the apex
+of a quotient, whose class names are distinct by construction.  Every map
+a command reads or builds (the arrows of gluing data, sinks, the legs of
+glued objects, induced maps) is a position table, the list that gives each
+domain position the codomain position of its image; parsers check each
+entry of the tables they read, and the tables the engine builds come from
+``trusted_table``, which checks only their length.  ``is_continuous``,
+``check_continuous``, ``is_iso_table`` and ``table_properties`` read a
+table between two spaces, and ``is_effective_family`` and
+``is_effective_after_base_change`` read the tables of a family of maps.
+A set's label-to-position index is built at its first use (``position``,
+``in``, or a ``FinFn`` validated against the set); the two checking
+``FinSet`` constructors build it at once, as their distinctness check, so
+a quotient apex that no caller looks into never builds one.
 
-Whether two paths of maps agree is decided by ``commutes``, whether a
-map is an isomorphism (a bijection, a homeomorphism between spaces) by
-``is_iso`` or ``is_iso_table``, and whether a family of maps is effective
-epimorphic (the target is glued up from the sources) by
-``is_effective_family``.  A map
-the engine built continuous, or that a constructor validated, is not
-validated again: ``map_properties(fn, dom, cod)`` reports on it without
-building a ``TopMap``.
+The label-to-label maps (``FinFn``, ``TopMap``, ``commutes``, ``is_iso``
+and ``pullback``) serve ``gluing.mediating_map``, the functor and base
+change builders of ``site`` and the tests; no command builds one.
 
 Limits and colimits of spaces are those of sets with the initial or final
 topology added (the forgetful functor from spaces to sets is topological),
@@ -59,11 +53,12 @@ neighbourhood of ``a``.
 Compatible families (pullbacks, limits, sections) come from one join
 kernel, ``compatible_tuples``, whose cost follows the partial answers
 instead of the full product.  Quotients come from one union-find,
-``quotient_by_pairs``, which returns the class name at each of the carrier
-positions it is given pairs of, so a caller that knows where its labels
-sit looks none of them up; ``class_count`` counts the classes of the same
-union-find and names none.  Maps out of a quotient are one value per class:
-they are counted from its classes, never listed.
+``quotient_by_pairs``, which returns the table of the quotient map, the
+position of the class of each of the carrier positions it is given pairs
+of, so a caller that knows where its labels sit looks none of them up;
+``class_count`` counts the classes of the same union-find and names none.
+Maps out of a quotient are one value per class: they are counted from its
+classes, never listed.
 
 Generated labels (pullback pairs, product tuples, coproduct tags, quotient
 classes) are built with the reserved separator ``|``; document parsers reject
@@ -71,7 +66,7 @@ input labels containing it, which keeps generated names collision-free.
 """
 
 from functools import reduce
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from itertools import product as iproduct
 from operator import and_, or_
 
@@ -826,7 +821,8 @@ def quotient_by_pairs(labels, pairs):
     labelled by its lexicographically smallest member; classes are ordered
     by first occurrence in the carrier.  Returns the quotient set, built
     with no position index (its names are distinct by construction), the
-    list of class names by carrier position, and the classes of two or more
+    table of the quotient map (the position of its class, in quotient
+    order, at each carrier position), and the classes of two or more
     members: each under its name, in quotient order, with its members in
     carrier order.  Every other label is a class of its own, named by
     itself.  A position outside the carrier, a negative one included, is
@@ -835,10 +831,11 @@ def quotient_by_pairs(labels, pairs):
     Union-find over carrier positions (Tarjan 1975) with path halving: a
     union links the later root below the earlier, so every pointer runs
     toward the front and each root is the first member of its class.  Only
-    the positions a union moved below a root are then resolved and named,
-    in carrier order, so the interpreted work follows the pairs; the names
-    and the roots come from bulk passes over the carrier, and no label is
-    looked up.
+    the positions a union moved below a root are then resolved, named and
+    given their class's position, in carrier order, so the interpreted work
+    follows the pairs; the names, the roots and the roots' positions (their
+    ranks among the roots) come from bulk passes over the carrier, and no
+    label is looked up.
     """
     n = len(labels)
     parent, moved = _unions(n, pairs)
@@ -851,17 +848,22 @@ def quotient_by_pairs(labels, pairs):
         parent[k] = r = parent[parent[k]]
         keep[k] = 0
         groups.setdefault(r, [r]).append(k)
-    names = list(labels)
+    # a root's class sits at the number of roots before it; a moved
+    # position takes its root's below
+    table = list(accumulate(keep, initial=-1))
+    del table[0]
+    names = list(compress(labels, keep))
     classes = {}
     for r in sorted(groups):
         ks = groups[r]
         members = list(map(labels.__getitem__, ks))
-        name = min(members)
+        rank = table[r]
+        names[rank] = name = min(members)
         for k in ks:
-            names[k] = name
+            table[k] = rank
         classes[name] = members
     # one name per class, each a member of its own class: distinct
-    return FinSet.from_trusted(compress(names, keep)), names, classes
+    return FinSet.from_trusted(names), table, classes
 
 
 def _closure(rows):
@@ -875,8 +877,9 @@ def _closure(rows):
     return rows
 
 
-def induce_topology(mode, carrier, maps, spaces):
-    """Final or initial topology on ``carrier`` along a family of maps.
+def induce_topology(mode, carrier, tables, spaces):
+    """Final or initial topology on ``carrier`` along a family of maps, each
+    given by its table, with one space per map.
 
     ``mode='final'``: the maps run from the given spaces into the carrier, an
     open is any subset all of whose preimages are open, and a neighbourhood is
@@ -884,24 +887,25 @@ def induce_topology(mode, carrier, maps, spaces):
     start as those images and are closed transitively (Warshall 1962).
     ``mode='initial'``: the maps run from the carrier into the given spaces and
     a neighbourhood is the meet of the preimages of those around the images.
+    A table must give each point of its domain a position of its codomain.
     """
-    if len(maps) != len(spaces):
+    if len(tables) != len(spaces):
         raise StructuralError("need one space per map")
     n = len(carrier)
     if mode == "final":
-        for fn, sp in zip(maps, spaces):
-            if fn.codomain != carrier or fn.domain != sp.carrier:
+        for img, sp in zip(tables, spaces):
+            if (len(img) != len(sp.carrier) or min(img, default=0) < 0
+                    or max(img, default=-1) >= n):
                 raise StructuralError("final mode needs maps into the carrier")
-        return FinTop.from_nbhd(carrier, _final_rows(
-            n, list(map(_positions, maps)), spaces))
+        return FinTop.from_nbhd(carrier, _final_rows(n, tables, spaces))
     if mode == "initial":
-        for fn, sp in zip(maps, spaces):
-            if fn.domain != carrier or fn.codomain != sp.carrier:
+        for img, sp in zip(tables, spaces):
+            if (len(img) != n or min(img, default=0) < 0
+                    or max(img, default=-1) >= len(sp.carrier)):
                 raise StructuralError("initial mode needs maps out of the carrier")
         rows = [(1 << n) - 1] * n
-        for fn, sp in zip(maps, spaces):
-            rows = list(map(and_, rows, _preimage_rows(_positions(fn),
-                                                       sp.rows)))
+        for img, sp in zip(tables, spaces):
+            rows = list(map(and_, rows, _preimage_rows(img, sp.rows)))
         return FinTop.from_nbhd(carrier, rows)
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
@@ -976,11 +980,6 @@ def is_effective_after_base_change(img, tables, space=None, spaces=(),
     # and fn^-1(f(nbhd[x])) holds v
     rows = [row & reach[q] for row, q in zip(space.rows, img)]
     return _closure(rows) == space.rows
-
-
-def map_properties(fn, dom, cod):
-    """``table_properties`` of the map ``fn``."""
-    return table_properties(_positions(fn), dom, cod)
 
 
 def table_properties(img, dom, cod):

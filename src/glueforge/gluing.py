@@ -22,9 +22,11 @@ The document parser reads each map straight into its table and hands the
 tables to ``GluingData.from_tables``; the constructor takes ``FinFn``
 arrows and reads each into its table.  Tables the engine builds (the
 identities of split defaults, inverses, composites) come from
-``fincat.trusted_table``.  Label-to-label maps appear only at the boundary:
-the legs of a glued object, and ``GluingData.fn``, which builds the
-``FinFn`` view of an arrow at each call and keeps nothing.
+``fincat.trusted_table``.  The legs of a glued object are tables too:
+a colimit leg gives each point the position of its class in the apex, a
+limit leg each family its coordinate.  Label-to-label maps appear only in
+``GluingData.fn``, which builds the ``FinFn`` view of an arrow at each call
+and keeps nothing, and in the cones ``mediating_map`` checks.
 
 In the topological ambient the colimit apex carries the final topology over
 its legs and the limit apex the initial topology; openness of legs is
@@ -32,6 +34,7 @@ computed, never assumed.
 """
 
 import sys
+from collections import Counter
 from math import prod
 from operator import getitem
 
@@ -42,16 +45,16 @@ from .fincat import (
     FinSet,
     TopMap,
     _positions,
+    check_continuous,
     class_count,
     commutes,
     compatible_tuples,
     induce_topology,
     is_continuous,
-    is_effective_family,
+    is_effective_after_base_change,
     is_iso,
-    map_properties,
-    pullback,
     quotient_by_pairs,
+    table_properties,
     trusted_table,
 )
 from .indexcat import NONSPLIT, SPLIT, gen_endpoints
@@ -281,7 +284,9 @@ def _require_valid(data, direction):
 
 
 class GluedObject:
-    """A computed (co)limit apex with its legs and construction witnesses."""
+    """A computed (co)limit apex with its legs and construction witnesses.
+    Each leg, by index object, is a position table: into the apex on the
+    colimit side, out of it on the limit side."""
 
     __slots__ = ("side", "apex", "space", "legs", "leg_props", "witness")
 
@@ -335,19 +340,14 @@ def _overlap_maps(data):
     return data._overlaps
 
 
-def _tagged(i, labels):
-    """The coproduct label ``i|x`` of each ``x`` of ``labels``, in one pass."""
-    return map((i + SEP).__add__, labels)
-
-
 def _position_pairs(data, offsets):
     """The generating identifications as pairs of coproduct positions: for
     each point of an overlap (i, j), the position of its image in component
     i after that component's offset, and likewise in component j."""
     pairs = []
     for i, j, _, e_i, into_j in _overlap_maps(data):
-        pairs.extend(zip(map(offsets[i].__add__, e_i),
-                         map(offsets[j].__add__, into_j)))
+        a, b = offsets[i], offsets[j]
+        pairs += [(a + x, b + y) for x, y in zip(e_i, into_j)]
     return pairs
 
 
@@ -368,7 +368,8 @@ def _coproduct(comps, carriers):
     offsets = {}
     for i, carrier in zip(comps, carriers):
         offsets[i] = len(labels)
-        labels.extend(_tagged(i, carrier.labels))
+        tag = i + SEP
+        labels += [tag + x for x in carrier.labels]
     labels = tuple(labels)
     if any(SEP in i for i in comps):
         FinSet.from_distinct(labels)    # raises naming a repeated label
@@ -387,30 +388,24 @@ def colimit_glue(data):
     of two or more members (``witness["merged"]``): each class name, in
     apex order, with its members in coproduct order.  Every other apex
     label is a class of one coproduct label, itself.  Each component leg
-    is cut from the slice of the class names at its component's offset,
-    and each overlap leg read from that slice through the edge's table.
-    In the top ambient the apex carries the final topology over the
-    component legs.
+    is the slice of the quotient's table at its component's offset, and
+    each overlap leg that leg read through the edge's table.  In the top
+    ambient the apex carries the final topology over the component legs.
     """
     _require_valid(data, FROM_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
     labels, offsets = _coproduct(comps, carriers)
-    apex, names, merged = quotient_by_pairs(labels,
+    apex, table, merged = quotient_by_pairs(labels,
                                             _position_pairs(data, offsets))
     legs = {}
     for i, carrier in zip(comps, carriers):
         k = offsets[i]
-        legs[(i,)] = FinFn.from_total(
-            carrier, apex,
-            dict(zip(carrier.labels, names[k:k + len(carrier)])))
+        legs[(i,)] = table[k:k + len(carrier)]
     for pair_obj in cat.pairs():
-        i = pair_obj[0]
-        overlap = data.carrier(pair_obj)
-        legs[pair_obj] = FinFn.from_total(overlap, apex, dict(zip(
-            overlap.labels, map(names.__getitem__, map(
-                offsets[i].__add__, data.edge(i, pair_obj))))))
+        into = legs[pair_obj[:1]]
+        legs[pair_obj] = [into[x] for x in data.edge(pair_obj[0], pair_obj)]
     space = None
     leg_props = {}
     if data.ambient == "top":
@@ -418,7 +413,8 @@ def colimit_glue(data):
             "final", apex,
             [legs[(i,)] for i in comps], [data.space((i,)) for i in comps])
         for obj in legs:
-            leg_props[obj] = map_properties(legs[obj], data.space(obj), space)
+            leg_props[obj] = table_properties(legs[obj], data.space(obj),
+                                              space)
     return GluedObject("colimit", apex, space, legs, leg_props,
                        {"coproduct": labels, "merged": merged})
 
@@ -448,7 +444,8 @@ def limit_glue(data):
     """The standard limit-side representative: compatible families in the
     product of the components, with coordinate projections as legs.  The
     join runs on carrier positions with the tables as keys; each family's
-    label joins the labels at its positions."""
+    label joins the labels at its positions, and a component leg gives
+    each family its coordinate there."""
     _require_valid(data, TOWARD_OVERLAPS)
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
@@ -459,22 +456,15 @@ def limit_glue(data):
         [range(len(c)) for c in carriers],
         [(pos[i], pos[j], f, g) for i, j, f, g in _limit_constraints(data)],
         "limit families")
-    # each family's values as labels
     at = [c.labels for c in carriers]
-    combos = [tuple(map(getitem, at, m)) for m in members]
-    labels = [SEP.join(combo) for combo in combos]
-    apex = FinSet.from_distinct(labels)
+    apex = FinSet.from_distinct([SEP.join(map(getitem, at, m))
+                                 for m in members])
     legs = {}
     for k, i in enumerate(comps):
-        legs[(i,)] = FinFn.from_total(
-            apex, carriers[k], dict(zip(labels, [c[k] for c in combos])))
+        legs[(i,)] = [m[k] for m in members]
     for pair_obj in cat.pairs():
-        k = pos[pair_obj[0]]
         edge = data.edge(pair_obj[0], pair_obj)
-        overlap = data.carrier(pair_obj)
-        into = overlap.labels
-        legs[pair_obj] = FinFn.from_total(apex, overlap, dict(zip(
-            labels, [into[edge[m[k]]] for m in members])))
+        legs[pair_obj] = [edge[x] for x in legs[pair_obj[:1]]]
     space = None
     leg_props = {}
     if data.ambient == "top":
@@ -482,7 +472,8 @@ def limit_glue(data):
             "initial", apex,
             [legs[(i,)] for i in comps], [data.space((i,)) for i in comps])
         for obj in legs:
-            leg_props[obj] = map_properties(legs[obj], space, data.space(obj))
+            leg_props[obj] = table_properties(legs[obj], space,
+                                              data.space(obj))
     return GluedObject("limit", apex, space, legs, leg_props, {})
 
 
@@ -521,11 +512,11 @@ def mediating_map(data, glued, cone):
     comps = [obj[0] for obj in data.indexcat.singletons()]
     if glued.side == "colimit":
         mapping = {}
+        names = glued.apex.labels
         for i in comps:
-            leg = glued.legs[(i,)]
             cleg = cone.legs[(i,)]
-            for x in data.carrier((i,)):
-                q = leg(x)
+            for x, r in zip(data.carrier((i,)).labels, glued.legs[(i,)]):
+                q = names[r]
                 val = cleg(x)
                 if mapping.setdefault(q, val) != val:
                     raise StructuralError(
@@ -559,16 +550,14 @@ def hom_transport(data, z):
     the legs hit as many classes as the data has (given the cocone, no leg
     merges two), and for an empty ``z`` when there is no family or the
     legs reach every class.  The cocone is read through the overlaps'
-    tables, from each leg's value at every point of its component.
+    tables, from each leg's table.
     """
     _require_valid(data, FROM_OVERLAPS)
     offsets, size = _offsets(data)
     classes = class_count(size, _position_pairs(data, offsets))
     family_count = _count_power("compatible families of maps", len(z), classes)
     glued = colimit_glue(data)
-    at = {obj[0]: list(map(glued.legs[obj].mapping.__getitem__,
-                           data.carrier(obj).labels))
-          for obj in data.indexcat.singletons()}
+    at = {obj[0]: glued.legs[obj] for obj in data.indexcat.singletons()}
     hit = len(set().union(*at.values()))
     reaches_all = hit == len(glued.apex)
     small = len(z) <= 1
@@ -603,35 +592,38 @@ def _count_power(what, base, exp):
 
 
 def universal_glue_check(data, glued, delta, v_space=None):
-    """Whether the colimit survives pulling the diagram back along ``delta``,
-    a map into the apex: the source of ``delta`` is the glued-up object of
-    the pulled-back diagram.
+    """Whether the colimit survives pulling the diagram back along the map
+    into the apex whose table is ``delta``: the source of ``delta`` (with
+    the space ``v_space`` in the top ambient, where ``delta`` must be
+    continuous) is the glued-up object of the pulled-back diagram.
 
     That diagram glues to the joint image of the pulled-back components with
-    the final topology (the overlaps only identify), so the verdict is the
-    effective-family certificate on the projections of the component
-    pullbacks onto the source of ``delta``.  In the set ambient it always
-    holds; in the top ambient it fails where the source is coarser than the
-    final topology.  Also reports the size of each component pullback.
+    the final topology (the overlaps only identify), so the verdict is that
+    of ``is_effective_after_base_change`` on the component legs, with no
+    pullback built.  In the set ambient it always holds; in the top ambient
+    it fails where the source is coarser than the final topology.  Also
+    reports the size of each component pullback: the sum, over the points
+    of the source, of the size of the leg's fibre over their image.
     """
     _require_valid(data, FROM_OVERLAPS)
-    if delta.codomain != glued.apex:
-        raise StructuralError("delta must land in the glued apex")
     comps = data.indexcat.singletons()
+    legs = [glued.legs[obj] for obj in comps]
+    spaces = ()
     if data.ambient == "top":
         if v_space is None:
             raise StructuralError("the top ambient needs a topology on the "
                                   "source of delta")
-        TopMap(delta, v_space, glued.space)
+        check_continuous(trusted_table(delta, v_space.carrier, glued.apex),
+                         v_space, glued.space)
+        spaces = [data.space(obj) for obj in comps]
     else:
         v_space = None
-    pulled = [pullback(glued.legs[obj], delta, data.spaces.get(obj), v_space)
-              for obj in comps]
-    projections = [_positions(ps.legs["p2"]) for ps in pulled]
+    sizes = {}
+    for obj, leg in zip(comps, legs):
+        fibre = Counter(leg)
+        sizes[obj] = sum(map(fibre.__getitem__, delta))
     return {
-        "is_glued_up": is_effective_family(
-            len(delta.domain), projections, v_space,
-            [ps.space for ps in pulled]),
-        "fiber_sizes": {obj: len(ps.members)
-                        for obj, ps in zip(comps, pulled)},
+        "is_glued_up": is_effective_after_base_change(delta, legs, v_space,
+                                                      spaces),
+        "fiber_sizes": sizes,
     }

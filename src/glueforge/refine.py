@@ -3,7 +3,7 @@ their glued-up objects, and composition of gluings by flattening covers of
 covers."""
 
 from .errors import StructuralError
-from .fincat import SEP, FinFn
+from .fincat import SEP
 from .gluing import TOWARD_OVERLAPS, _identity
 from .indexcat import NONSPLIT
 from .site import effective_epi_check, flatten_sinks
@@ -101,58 +101,56 @@ def _commutes(path, other):
 
 
 def induced_limit_map(ref, glued_source, glued_target):
-    """The canonical map between glued-up objects induced by a refinement.
+    """The table of the canonical map between glued-up objects induced by a
+    refinement: the target apex position of each source apex position.
 
     Limit side: a compatible source family is reindexed along gamma and pushed
-    through the components.  Colimit side: the dual assignment on classes,
-    checked to be total and well defined.  Either map is defined from the
-    leg squares, so it commutes with every leg of the glued objects that
-    ``limit_glue`` and ``colimit_glue`` build.
+    through the components, and found among the target families by its
+    label.  Colimit side: the dual assignment on classes, each
+    component's points taken through the source leg at gamma(i) and, after
+    the component, the target leg at i, checked to be total and well
+    defined.  Either map is defined from the leg squares, so it commutes
+    with every leg of the glued objects that ``limit_glue`` and
+    ``colimit_glue`` build.
     """
     problems = validate_refinement(ref)
     if problems:
         raise StructuralError("invalid refinement: " + "; ".join(problems))
-    tcat = ref.target.indexcat
-    tcomps = [obj[0] for obj in tcat.singletons()]
+    tcomps = [obj[0] for obj in ref.target.indexcat.singletons()]
+    size = len(glued_source.apex)
     if ref.target.direction == TOWARD_OVERLAPS:
-        # per target component i: the source leg at gamma(i), the source
-        # positions its values sit at, the component's table and the
-        # target labels it points at
-        steps = []
+        # per target component i, the label of each source family's value
+        # at gamma(i) pushed through the component
+        pushed = []
         for i in tcomps:
-            gi = ref.image(i)
-            steps.append((glued_source.legs[(gi,)].mapping,
-                          ref.source.carrier((gi,))._pos,
-                          ref.components[(i,)],
-                          ref.target.carrier((i,)).labels))
-        mapping = {}
-        for x in glued_source.apex:
-            label = SEP.join([labels[comp[pos[leg[x]]]]
-                              for leg, pos, comp, labels in steps])
+            labels, comp = ref.target.carrier((i,)).labels, ref.components[(i,)]
+            pushed.append([labels[comp[y]]
+                           for y in glued_source.legs[(ref.image(i),)]])
+        image = []
+        for x in range(size):
+            label = SEP.join([values[x] for values in pushed])
             if label not in glued_target.apex:
                 raise StructuralError(
                     "induced family %r is not compatible in the target" % label)
-            mapping[x] = label
-        return FinFn(glued_source.apex, glued_target.apex, mapping)
-    mapping = {}
+            image.append(glued_target.apex.position(label))
+        return image
+    image = [-1] * size
     for i in tcomps:
-        gi = ref.image(i)
-        leg_s = glued_source.legs[(gi,)].mapping
-        leg_t = glued_target.legs[(i,)].mapping
-        labels = ref.target.carrier((i,)).labels
-        for x, y in zip(ref.source.carrier((gi,)).labels,
-                        ref.components[(i,)]):
-            cls = leg_s[x]
-            val = leg_t[labels[y]]
-            if mapping.setdefault(cls, val) != val:
-                raise StructuralError(
-                    "induced class map is not well defined at %r" % cls)
-    missing = [c for c in glued_source.apex if c not in mapping]
+        leg_t = glued_target.legs[(i,)]
+        for cls, y in zip(glued_source.legs[(ref.image(i),)],
+                          ref.components[(i,)]):
+            if image[cls] != leg_t[y]:
+                if image[cls] >= 0:
+                    raise StructuralError(
+                        "induced class map is not well defined at %r"
+                        % glued_source.apex.labels[cls])
+                image[cls] = leg_t[y]
+    missing = [c for c, q in zip(glued_source.apex.labels, image) if q < 0]
     if missing:
         raise StructuralError(
             "induced class map is undefined on classes %r; gamma does not "
             "reach them" % missing)
-    return FinFn(glued_source.apex, glued_target.apex, mapping)
+    return image
 
 
 def compose_via_sinks(outer, inner):

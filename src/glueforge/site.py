@@ -335,22 +335,20 @@ def effective_gluing_check(data):
             else len(set(e)) == len(e)
     leg_inj = {}
     for i in names:
+        leg = glued.legs[(i,)]
         leg_inj[i] = glued.leg_props[(i,)]["embedding"] if top \
-            else glued.legs[(i,)].is_injective()
+            else len(set(leg)) == len(leg)
         diagnostics["legs"][i] = {"leg_embeds": leg_inj[i]}
 
     intersection_ok = {}
     canonical_bij = {}
-    # the apex label at each point of each component, and how many points
-    # of the component go to each apex label; the keys are the leg's image
-    at = {i: list(map(glued.legs[(i,)].mapping.__getitem__,
-                      data.carrier((i,)).labels)) for i in names}
-    fibres = {i: Counter(at[i]) for i in names}
+    # how many points of each component go to each apex position; the
+    # keys are the leg's image
+    fibres = {i: Counter(glued.legs[(i,)]) for i in names}
     for i, j, overlap, e_i, into_j in _overlap_maps(data):
         pair_obj = (i, j)
-        edge_image = set(map(at[i].__getitem__, e_i))
         intersection_ok[pair_obj] = \
-            edge_image == fibres[i].keys() & fibres[j].keys()
+            set(glued.legs[pair_obj]) == fibres[i].keys() & fibres[j].keys()
 
         # the canonical map lands in the fibre product, the legs being a
         # cocone: it is onto exactly when it hits as many pairs as that has

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
-from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
+from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, table_properties
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
 from glueforge.indexcat import IndexCat
 from glueforge.presheaf import (
@@ -380,9 +380,23 @@ def label_arrows(data):
     return {g: data.fn(g) for g in data.arrows}
 
 
-def leg(glued, i):
-    """The leg of a glued object at the index object ``i``."""
-    return glued.legs[(i,)]
+def leg_fns(data, glued):
+    """The ``FinFn`` view of each leg of a glued object of ``data``, by
+    index object: from the object's carrier into the apex on the colimit
+    side, the other way round on the limit side."""
+    fns = {}
+    for obj, values in glued.legs.items():
+        ends = (data.carrier(obj), glued.apex)
+        if glued.side == "limit":
+            ends = ends[::-1]
+        fns[obj] = view(*ends, values)
+    return fns
+
+
+def leg(data, glued, i):
+    """The ``FinFn`` view of the leg of a glued object of ``data`` at the
+    index object ``i``."""
+    return leg_fns(data, glued)[(i,)]
 
 
 def label_overlap_maps(data):
@@ -519,6 +533,11 @@ def table(fn):
 def tables(components):
     """Each ``FinFn`` of a dict as its table."""
     return {key: table(fn) for key, fn in components.items()}
+
+
+def fn_properties(fn, dom, cod):
+    """``table_properties`` of the ``FinFn`` ``fn`` between two spaces."""
+    return table_properties(table(fn), dom, cod)
 
 
 def identities(store):

@@ -73,6 +73,47 @@ MUTANTS = [
      ["tests/test_render.py"],
      "a generic list passes its own indent, not the inner one, to an "
      "entry"),
+    ("gluing.py",
+     "        into = legs[pair_obj[:1]]\n",
+     "        into = legs[pair_obj[1:]]\n",
+     ["tests/test_gluing.py"],
+     "a colimit overlap leg is read through the other component's leg"),
+    ("gluing.py",
+     "[edge[x] for x in legs[pair_obj[:1]]]",
+     "[edge[x] for x in legs[pair_obj[1:]]]",
+     ["tests/test_gluing.py"],
+     "a limit overlap leg is read through the other component's leg"),
+    ("fincat.py",
+     "            table[k] = rank\n",
+     "            pass\n",
+     ["tests/test_fincat.py"],
+     "the quotient's table leaves a merged position at its own rank"),
+    ("gluing.py",
+     "        fibre = Counter(leg)\n",
+     "        fibre = Counter(set(leg))\n",
+     ["tests/test_site.py"],
+     "a fiber_sizes count is taken from distinct images"),
+    ("gluing.py",
+     "        check_continuous(trusted_table(delta, v_space.carrier, "
+     "glued.apex),\n",
+     "        (trusted_table(delta, v_space.carrier, glued.apex),\n",
+     ["tests/test_refusals.py"],
+     "a top-ambient delta is not checked continuous"),
+    ("refine.py",
+     "                if image[cls] >= 0:\n",
+     "                if False:\n",
+     ["tests/test_refine.py"],
+     "an induced colimit map skips its well-definedness test"),
+    ("fincat.py",
+     "                    or max(img, default=-1) >= n):\n",
+     "                    or max(img, default=-1) > n):\n",
+     ["tests/test_fincat.py"],
+     "induce_topology takes a final-mode entry one past the carrier"),
+    ("fincat.py",
+     "                    or max(img, default=-1) >= len(sp.carrier)):\n",
+     "                    or False):\n",
+     ["tests/test_fincat.py"],
+     "induce_topology takes an initial-mode entry past the space's carrier"),
     # recorded with earlier changes, each killed when it was made
     ("site.py",
      "                 tuple(sorted(map(colour.__getitem__, down))))\n",
@@ -98,7 +139,7 @@ MUTANTS = [
      "        and sizes == [(target & image).bit_count() for target in targets],\n",
      "        and sizes <= [(target & image).bit_count() for target in targets],\n",
      ["tests/test_topology.py", "tests/test_fincat.py"],
-     "map_properties calls a continuous injection an embedding"),
+     "table_properties calls a continuous injection an embedding"),
     ("fincat.py",
      "    if xtop is not None and ytop is not None:\n",
      "    if False:\n",
@@ -134,7 +175,7 @@ MUTANTS = [
      '        "open": sizes == list(map(int.bit_count, targets)),\n',
      '        "open": True,\n',
      ["tests/test_topology.py", "tests/test_fincat.py"],
-     "map_properties calls every continuous map open"),
+     "table_properties calls every continuous map open"),
     ("site.py",
      "            e, spaces[pair_obj], spaces[pair_obj[:1]])",
      "            e, spaces[pair_obj[:1]], spaces[pair_obj[:1]])",

@@ -71,6 +71,7 @@ from fixtures import (
     inverse_fn,
     label_nbhd,
     label_overlap_maps,
+    leg_fns,
     morphism_fn,
     preimage,
     source_fns,
@@ -214,9 +215,10 @@ def canonical_bijective_by_pullback(data, glued):
     ``site.effective_gluing_check`` decides the same without a pullback."""
     top = data.ambient == "top"
     spaces = data.spaces if top else {}
+    legs = leg_fns(data, glued)
     out = {}
     for i, j, overlap, e_i, into_j in label_overlap_maps(data):
-        ps = pullback(glued.legs[(i,)], glued.legs[(j,)],
+        ps = pullback(legs[(i,)], legs[(j,)],
                       spaces.get((i,)), spaces.get((j,)))
         mapping = {u: SEP.join((e_i[u], into_j[u])) for u in overlap}
         try:
@@ -305,9 +307,10 @@ def equalizer_glue_oracle(data):
     space = None
     if data.ambient == "top":
         space = induce_topology("initial", apex,
-                                [legs[(i,)] for i in comps],
+                                [table(legs[(i,)]) for i in comps],
                                 [data.space((i,)) for i in comps])
-    return GluedObject("limit", apex, space, legs, {}, {})
+    return GluedObject("limit", apex, space,
+                       {obj: table(fn) for obj, fn in legs.items()}, {}, {})
 
 
 def sink_target_cone(sink, data):
@@ -335,16 +338,18 @@ def effective_epi_by_colimit(sink):
 
 
 def universal_glue_by_pullback(data, glued, delta, v_space=None):
-    """Whether the source of ``delta``, a map into the colimit apex, is the
-    glued-up object of the whole diagram pulled back along it: every object
-    is pulled back, every arrow is paired with the identity, the result is
-    glued and the projections onto the source of ``delta`` are factored
-    through it as a checked cone."""
+    """Whether the source of ``delta``, a ``FinFn`` into the colimit apex,
+    is the glued-up object of the whole diagram pulled back along it:
+    every object is pulled back, every arrow is paired with the identity,
+    the result is glued and the projections onto the source of ``delta``
+    are factored through it as a checked cone.  Also the number of members
+    of each component's pullback."""
     cat = data.indexcat
     top = data.ambient == "top"
+    legs = leg_fns(data, glued)
     members = {}
     for obj in cat.objects:
-        members[obj] = pullback(glued.legs[obj], delta,
+        members[obj] = pullback(legs[obj], delta,
                                 data.space(obj) if top else None, v_space)
     arrows = {}
     for g in cat.generators:
@@ -363,7 +368,7 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
                          {obj: ps.legs["p2"] for obj, ps in members.items()},
                          space=v_space if top else None)
     _, iso = mediating_map(pulled, colimit_glue(pulled), cone)
-    return iso
+    return iso, {obj: len(members[obj].members) for obj in cat.singletons()}
 
 
 def fibre_counts_by_labels(fn):
@@ -520,12 +525,13 @@ def two_stage_partition(meta):
     identifications.  Returns the partition of the flattened elements
     ``(node, component object, label)``."""
     node_glued = {i: colimit_glue(meta.nodes[i]) for i in meta.index}
+    node_legs = {i: leg_fns(meta.nodes[i], node_glued[i]) for i in meta.index}
     elements = FinSet([tag(i, c) for i in meta.index
                        for c in node_glued[i].apex])
-    pairs = [(tag(i, node_glued[i].legs[a](x)), tag(j, node_glued[j].legs[b](y)))
+    pairs = [(tag(i, node_legs[i][a](x)), tag(j, node_legs[j][b](y)))
              for (i, j), idents in meta.overlaps.items()
              for (a, x), (b, y) in idents]
-    _, names, _ = quotient_by_pairs(
+    _, at_class, _ = quotient_by_pairs(
         elements.labels,
         [(elements.position(a), elements.position(b)) for a, b in pairs])
     classes = {}
@@ -533,8 +539,8 @@ def two_stage_partition(meta):
         node = meta.nodes[i]
         for comp in node.indexcat.singletons():
             for x in node.carrier(comp):
-                at = elements.position(tag(i, node_glued[i].legs[comp](x)))
-                classes.setdefault(names[at], set()).add((i, comp, x))
+                at = elements.position(tag(i, node_legs[i][comp](x)))
+                classes.setdefault(at_class[at], set()).add((i, comp, x))
     return {frozenset(c) for c in classes.values()}
 
 
@@ -566,11 +572,12 @@ def hom_bijection_exhaustive(data, z, glued):
     respect each generating identification, then restricts every one of the
     ``|z| ** |apex|`` maps out of the apex."""
     elements, families = _hom_families(data, z)
+    legs = leg_fns(data, glued)
     restrictions = set()
     maps = 0
     for values in iproduct(z.labels, repeat=len(glued.apex)):
         g = dict(zip(glued.apex.labels, values))
-        restrictions.add(tuple(g[glued.legs[(i,)](x)] for i, x in elements))
+        restrictions.add(tuple(g[legs[(i,)](x)] for i, x in elements))
         maps += 1
     return len(restrictions) == maps and restrictions == families
 
@@ -988,7 +995,8 @@ def colimit_by_labels(data):
             [data.space((i,)) for i in comps]))
         props = {obj: map_properties_by_frozensets(leg, data.space(obj), space)
                  for obj, leg in legs.items()}
-    return GluedObject("colimit", apex, space, legs, props,
+    return GluedObject("colimit", apex, space,
+                       {obj: table(fn) for obj, fn in legs.items()}, props,
                        {"merged": merged})
 
 
@@ -999,7 +1007,7 @@ def limit_by_labels(data):
     if data.ambient == "top":
         props = {obj: map_properties_by_frozensets(leg, glued.space,
                                                    data.space(obj))
-                 for obj, leg in glued.legs.items()}
+                 for obj, leg in leg_fns(data, glued).items()}
     return GluedObject("limit", glued.apex, glued.space, glued.legs, props,
                        {})
 
@@ -1024,11 +1032,12 @@ def effectiveness_by_labels(data, glued):
             else fn.is_injective()
 
     pairs = data.indexcat.pairs()
+    legs = leg_fns(data, glued)
     edge_emb = {p: embeds(data.fn(("incl", p[0], p)), data.spaces.get(p),
                           data.spaces.get(p[:1])) for p in pairs}
-    leg_inj = {i: embeds(glued.legs[(i,)], data.spaces.get((i,)),
+    leg_inj = {i: embeds(legs[(i,)], data.spaces.get((i,)),
                          glued.space) for i in comps}
-    images = {i: set(glued.legs[(i,)].mapping.values()) for i in comps}
+    images = {i: set(legs[(i,)].mapping.values()) for i in comps}
     canonical = canonical_bijective_by_pullback(data, glued)
     diagnostics = {"pairs": {}, "legs": {i: {"leg_embeds": leg_inj[i]}
                                          for i in comps}}
@@ -1037,7 +1046,7 @@ def effectiveness_by_labels(data, glued):
         diagnostics["pairs"][(i, j)] = {
             "edge_embeds": edge_emb[(i, j)],
             "edge_onto_component": surjective(e),
-            "intersection_ok": set(glued.legs[(i, j)].mapping.values())
+            "intersection_ok": set(legs[(i, j)].mapping.values())
             == images[i] & images[j],
             "canonical_bijective": canonical[(i, j)],
         }
@@ -1095,11 +1104,12 @@ def refine_by_labels(payload):
     glue = limit_by_labels if target.direction == TOWARD_OVERLAPS \
         else colimit_by_labels
     gs, gt = glue(source), glue(target)
+    legs_s, legs_t = leg_fns(source, gs), leg_fns(target, gt)
     tcomps = [obj[0] for obj in tcat.singletons()]
     mapping = {}
     if target.direction == TOWARD_OVERLAPS:
         for x in gs.apex:
-            label = SEP.join(components[(i,)](gs.legs[(gamma(i),)](x))
+            label = SEP.join(components[(i,)](legs_s[(gamma(i),)](x))
                              for i in tcomps)
             if label not in gt.apex:
                 raise StructuralError("induced family %r is not compatible "
@@ -1108,8 +1118,8 @@ def refine_by_labels(payload):
     else:
         for i in tcomps:
             for x in source.carrier((gamma(i),)):
-                cls = gs.legs[(gamma(i),)](x)
-                val = gt.legs[(i,)](components[(i,)](x))
+                cls = legs_s[(gamma(i),)](x)
+                val = legs_t[(i,)](components[(i,)](x))
                 if mapping.setdefault(cls, val) != val:
                     raise StructuralError("induced class map is not well "
                                           "defined at %r" % cls)

@@ -480,7 +480,7 @@ def compose_gluings(meta):
     for (i, j), idents in meta.overlaps.items():
         for (a, x), (b, y) in idents:
             pairs.append((_meta_tag(i, a, x), _meta_tag(j, b, y)))
-    apex, names, _ = quotient_by_pairs(
+    apex, at_class, _ = quotient_by_pairs(
         coproduct.labels,
         [(coproduct.position(a), coproduct.position(b)) for a, b in pairs])
     legs = {}
@@ -490,8 +490,8 @@ def compose_gluings(meta):
             carrier = node.carrier(comp_obj)
             legs[(i, comp_obj)] = FinFn(
                 carrier, apex,
-                {x: names[coproduct.position(_meta_tag(i, comp_obj, x))]
-                 for x in carrier})
+                {x: apex.labels[at_class[coproduct.position(
+                    _meta_tag(i, comp_obj, x))]] for x in carrier})
     return GluedObject("colimit", apex, None, legs, {},
                        {"coproduct": coproduct.labels})
 

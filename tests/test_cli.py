@@ -13,7 +13,6 @@ from glueforge.cli import (
     ERROR_TEXT_LIMIT,
     execute,
     glued_object_to_json,
-    jsonable_fn,
     jsonable_object,
     load_document,
     main,
@@ -148,7 +147,8 @@ def test_glued_object_roundtrip(tmp_path):
     blob = json.loads(render_report(report))
     again = json.loads(render_report(execute("glue", doc, {"side": "colimit"})))
     assert blob == again
-    direct = glued_object_to_json(colimit_glue(e1()))
+    data = e1()
+    direct = glued_object_to_json(data, colimit_glue(data))
     assert blob["artifacts"]["glued"] == json.loads(json.dumps(direct))
 
 
@@ -1077,11 +1077,11 @@ def split_colimit_payload(data):
     for key, fn in label_arrows(data).items():
         if key[0] == "incl":
             arrows.append({"kind": "edge", "from": key[1],
-                           "pair": ",".join(key[2]), "map": jsonable_fn(fn)})
+                           "pair": ",".join(key[2]), "map": fn.mapping})
         else:
             j, i = key[1]
             arrows.append({"kind": "tau", "pair": "%s,%s" % (i, j),
-                           "map": jsonable_fn(fn)})
+                           "map": fn.mapping})
     payload = {"mode": "split", "ambient": data.ambient,
                "direction": "from-overlaps",
                "index": list(data.indexcat.index),

@@ -11,7 +11,6 @@ from glueforge.fincat import (
     FinTop,
     TopMap,
     induce_topology,
-    map_properties,
     product_enumerate,
     pullback,
     quotient_by_pairs,
@@ -20,9 +19,11 @@ from glueforge.fincat import (
 from fixtures import (
     constant_fn,
     discrete_space,
+    fn_properties,
     identity_fn,
     indexed,
     indiscrete_space,
+    table,
 )
 from oracles import equalizer, naive_closure_partition
 
@@ -197,24 +198,24 @@ def positions(labels, pairs):
 
 def test_quotient_empty_relation_is_identity():
     labels = ("a", "b", "c")
-    q, names, merged = quotient_by_pairs(labels, [])
+    q, at_class, merged = quotient_by_pairs(labels, [])
     assert list(q) == ["a", "b", "c"]
-    assert names == ["a", "b", "c"] and merged == {}
+    assert at_class == [0, 1, 2] and merged == {}
 
 
 def test_quotient_transitive_chain():
     labels = ("a", "b", "c")
-    q, names, merged = quotient_by_pairs(labels, [(0, 1), (1, 2)])
+    q, at_class, merged = quotient_by_pairs(labels, [(0, 1), (1, 2)])
     assert list(q) == ["a"]
-    assert names == ["a", "a", "a"] and merged == {"a": ["a", "b", "c"]}
+    assert at_class == [0, 0, 0] and merged == {"a": ["a", "b", "c"]}
     assert naive_closure_partition(labels, [("a", "b"), ("b", "c")]) == {
         frozenset(["a", "b", "c"])}
 
 
 def test_quotient_two_classes():
-    q, names, _ = quotient_by_pairs(("a", "b", "c", "d"), [(0, 1), (2, 3)])
+    q, at_class, _ = quotient_by_pairs(("a", "b", "c", "d"), [(0, 1), (2, 3)])
     assert list(q) == ["a", "c"]
-    assert names[1] == "a" and names[3] == "c"
+    assert at_class == [0, 0, 1, 1]
 
 
 def test_quotient_unknown_label():
@@ -235,7 +236,8 @@ def test_quotient_matches_naive_closure_on_random_instances():
         rng.shuffle(labels)
         pairs = [(rng.choice(labels), rng.choice(labels))
                  for _ in range(rng.randint(0, 20))]
-        q, names, _ = quotient_by_pairs(labels, positions(labels, pairs))
+        q, at_class, _ = quotient_by_pairs(labels, positions(labels, pairs))
+        names = [q.labels[c] for c in at_class]
         got = {frozenset(x for x, c in zip(labels, names) if c == name)
                for name in q}
         assert got == naive_closure_partition(labels, pairs)
@@ -271,9 +273,10 @@ def test_quotient_classes_names_and_order_match_the_naive_closure():
     @example((["c", "b", "a", "d"], [("d", "a"), ("b", "a"), ("c", "d")]))
     def check(case):
         labels, pairs = case
-        q, names, merged = quotient_by_pairs(tuple(labels),
-                                             positions(labels, pairs))
-        assert len(names) == len(labels)
+        q, at_class, merged = quotient_by_pairs(tuple(labels),
+                                                positions(labels, pairs))
+        assert len(at_class) == len(labels)
+        names = [q.labels[c] for c in at_class]
         classes = [[x for x, name in zip(labels, names) if name == c]
                    for c in q]
         naive = naive_closure_partition(labels, pairs)
@@ -362,7 +365,7 @@ def test_fintop_requires_closure():
 
 def test_induce_identity_keeps_topology():
     t = sierpinski()
-    i = identity_fn(t.carrier)
+    i = table(identity_fn(t.carrier))
     assert induce_topology("final", t.carrier, [i], [t]) == t
     assert induce_topology("initial", t.carrier, [i], [t]) == t
 
@@ -373,7 +376,7 @@ def test_final_over_disjoint_discrete_inclusions_is_discrete():
     y = discrete_space(FinSet(["b", "c"]))
     f = FinFn(x.carrier, u, {"a": "a"})
     g = FinFn(y.carrier, u, {"b": "b", "c": "c"})
-    t = induce_topology("final", u, [f, g], [x, y])
+    t = induce_topology("final", u, [table(f), table(g)], [x, y])
     # oracle: every subset must have open preimages under both inclusions,
     # which holds for all subsets since the sources are discrete
     assert len(t.opens) == 8
@@ -383,21 +386,33 @@ def test_initial_along_constant_map_to_sierpinski():
     t = sierpinski()
     dom = FinSet(["p", "q"])
     f = FinFn(dom, t.carrier, {"p": "1", "q": "1"})
-    got = induce_topology("initial", dom, [f], [t])
+    got = induce_topology("initial", dom, [table(f)], [t])
     # preimages: f^-1(∅)=∅, f^-1({1})={p,q}, f^-1({0,1})={p,q}
     assert got.opens == (frozenset(), frozenset(["p", "q"]))
 
 
 def test_induce_direction_mismatch():
     t = sierpinski()
-    f = identity_fn(t.carrier)
+    f = table(identity_fn(t.carrier))
     with pytest.raises(StructuralError):
         induce_topology("final", FinSet(["z"]), [f], [t])
+    with pytest.raises(StructuralError):
+        induce_topology("final", FinSet(["z"]), [[-1]], [discrete_space(
+            FinSet(["z"]))])
+    with pytest.raises(StructuralError):
+        induce_topology("final", FinSet(["z"]), [f], [discrete_space(
+            FinSet(["z"]))])
+    with pytest.raises(StructuralError):
+        induce_topology("initial", FinSet(["z"]), [f], [t])
+    with pytest.raises(StructuralError):
+        induce_topology("initial", t.carrier, [[0, 2]], [t])
+    with pytest.raises(StructuralError):
+        induce_topology("initial", t.carrier, [[0, -1]], [t])
 
 
 def test_map_properties_identity():
     t = discrete_space(FinSet(["x", "y"]))
-    rep = map_properties(identity_fn(t.carrier), t, t)
+    rep = fn_properties(identity_fn(t.carrier), t, t)
     assert rep == {"injective": True, "surjective": True, "continuous": True,
                    "open": True, "embedding": True}
 
@@ -405,7 +420,7 @@ def test_map_properties_identity():
 def test_open_point_into_sierpinski_is_embedding():
     t = sierpinski()
     pt = discrete_space(FinSet(["1"]))
-    rep = map_properties(FinFn(pt.carrier, t.carrier, {"1": "1"}), pt, t)
+    rep = fn_properties(FinFn(pt.carrier, t.carrier, {"1": "1"}), pt, t)
     assert rep["embedding"] is True
     assert rep["open"] is True
 
@@ -413,7 +428,7 @@ def test_open_point_into_sierpinski_is_embedding():
 def test_closed_point_into_sierpinski_not_open():
     t = sierpinski()
     pt = discrete_space(FinSet(["0"]))
-    rep = map_properties(FinFn(pt.carrier, t.carrier, {"0": "0"}), pt, t)
+    rep = fn_properties(FinFn(pt.carrier, t.carrier, {"0": "0"}), pt, t)
     assert rep["open"] is False
     assert rep["embedding"] is True
 
@@ -451,6 +466,6 @@ def test_final_topology_makes_legs_continuous():
                              indiscrete_space(carrier)])
             spaces.append(sp)
             maps.append(FinFn(carrier, u, {x: rng.choice(u.labels) for x in carrier}))
-        t = induce_topology("final", u, maps, spaces)
+        t = induce_topology("final", u, list(map(table, maps)), spaces)
         for fn, sp in zip(maps, spaces):
             TopMap(fn, sp, t)  # raises if not continuous

@@ -45,6 +45,7 @@ from fixtures import (
     label_refinement,
     label_sink,
     label_site,
+    leg_fns,
     make_limit_data,
     make_nonsplit_colimit,
     make_split_colimit,
@@ -281,7 +282,7 @@ def test_mediating_map_sees_a_bijection_that_is_no_homeomorphism():
     colimit = make_nonsplit_colimit(["1"], {"1": ["0", "1"]}, {}, ambient="top",
                                     spaces={("1",): discrete})
     glued = colimit_glue(colimit)
-    cone = ConeCandidate(glued.apex, glued.legs,
+    cone = ConeCandidate(glued.apex, leg_fns(colimit, glued),
                          space=indiscrete_space(glued.apex))
     med, iso = mediating_map(colimit, glued, cone)
     assert (med.mapping, iso) == ({c: c for c in glued.apex}, False)
@@ -396,14 +397,14 @@ def test_validators_build_no_composite(monkeypatch):
                        {("1", "2"): (["u"], {"u": "x"}, {"u": "y"})})
     for data, glued in ((split, split_glued), (limit, limit_glued),
                         (colimit, colimit_glued)):
-        med, iso = mediating_map(data, glued,
-                                 ConeCandidate(glued.apex, glued.legs))
+        med, iso = mediating_map(
+            data, glued, ConeCandidate(glued.apex, leg_fns(data, glued)))
         assert iso is True
     for data, glued in ((limit, limit_glued), (colimit, colimit_glued)):
         ref = identity_refinement(data)
         assert validate_refinement(ref) == []
-        med = induced_limit_map(ref, glued, glued)
-        assert all(med(x) == x for x in glued.apex)
+        assert induced_limit_map(ref, glued, glued) \
+            == list(range(len(glued.apex)))
     assert effective_gluing_check(split).flags() == (True, True, True)
     assert sinks_equivalent(sink, sink) is True
     assert covering_axioms_check(spec)["violations"] == [

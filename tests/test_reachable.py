@@ -26,6 +26,7 @@ for _path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
 # perfbench/tracing.py binds these by name, with getattr and no default, so
 # they stay in the engine, as roots of the scan, while it does
 TRACER_BOUND = {
+    "fincat.pullback": "the fincat.pullback.* metrics",
     "fincat.product_enumerate": "the fincat.product_enumerate.* metrics",
     "fincat.top_product": "the fincat.top_product.* metrics",
     "gluing.mediating_map": "the gluing.mediating_map.* metrics",

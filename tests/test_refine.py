@@ -4,7 +4,13 @@ from hypothesis import strategies as st
 
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
-from glueforge.gluing import colimit_glue, limit_glue, mediating_map, ConeCandidate
+from glueforge.gluing import (
+    ConeCandidate,
+    GluedObject,
+    colimit_glue,
+    limit_glue,
+    mediating_map,
+)
 from glueforge import cli
 from glueforge.refine import (
     compose_via_sinks,
@@ -16,11 +22,13 @@ from fixtures import (
     identity_fn,
     label_refinement,
     label_sink,
+    leg,
+    leg_fns,
     make_limit_data,
     make_nonsplit_colimit,
     refinement_fns,
     seeded,
-    surjective,
+    view,
 )
 from oracles import naive_closure_partition, two_stage_partition
 from paper import (
@@ -46,8 +54,8 @@ def test_identity_refinement_valid_and_identity_map():
     ref = identity_refinement(data)
     assert validate_refinement(ref) == []
     glued = limit_glue(data)
-    med = induced_limit_map(ref, glued, glued)
-    assert all(med(x) == x for x in glued.apex)
+    assert induced_limit_map(ref, glued, glued) \
+        == list(range(len(glued.apex)))
 
 
 def test_component_endpoint_violation_is_named():
@@ -89,9 +97,9 @@ def test_inclusion_induced_refinement_projects_families():
     ref = label_refinement(source, target, gamma, comps)
     assert validate_refinement(ref) == []
     gs, gt = limit_glue(source), limit_glue(target)
-    med = induced_limit_map(ref, gs, gt)
+    med = view(gs.apex, gt.apex, induced_limit_map(ref, gs, gt))
     for x in gs.apex:
-        assert med(x) == gs.legs[("1",)](x)
+        assert med(x) == leg(source, gs, "1")(x)
 
 
 def test_swap_refinement_is_family_bijection():
@@ -112,13 +120,14 @@ def test_swap_refinement_is_family_bijection():
     assert validate_refinement(ref) == []
     gs, gt = limit_glue(source), limit_glue(target)
     med = induced_limit_map(ref, gs, gt)
-    assert med.is_injective() and surjective(med)
+    assert sorted(med) == list(range(len(gt.apex)))
     # cross-check against the factoring map through the target limit
     comps = refinement_fns(ref)[1]
-    legs = {obj: gs.legs[ref.reindexed(obj)].then(comps[obj])
+    legs_s = leg_fns(source, gs)
+    legs = {obj: legs_s[ref.reindexed(obj)].then(comps[obj])
             for obj in target.indexcat.objects}
     med2, _ = mediating_map(target, gt, ConeCandidate(gs.apex, legs))
-    assert med == med2
+    assert view(gs.apex, gt.apex, med) == med2
 
 
 def test_refinement_functoriality_on_random_instances():
@@ -130,8 +139,8 @@ def test_refinement_functoriality_on_random_instances():
         glued = limit_glue(data)
         lhs = induced_limit_map(composite, glued, glued)
         a = induced_limit_map(ref, glued, glued)
-        rhs = a.then(induced_limit_map(ref, glued, glued))
-        assert lhs == rhs
+        b = induced_limit_map(ref, glued, glued)
+        assert lhs == [b[q] for q in a]
 
 
 def test_refinement_functoriality_through_restriction():
@@ -161,9 +170,44 @@ def test_refinement_functoriality_through_restriction():
     g_mid = limit_glue(mid)
     g_tgt = limit_glue(tgt)
     lhs = induced_limit_map(composite, g_source, g_tgt)
-    rhs = induced_limit_map(r, g_source, g_mid).then(
-        induced_limit_map(s, g_mid, g_tgt))
-    assert lhs == rhs
+    first = induced_limit_map(r, g_source, g_mid)
+    then = induced_limit_map(s, g_mid, g_tgt)
+    assert lhs == [then[q] for q in first]
+
+
+def test_induced_maps_refuse_glued_objects_the_legs_do_not_fit():
+    """The induced map is read off the glued objects it is handed: a target
+    class map that splits a source class is not well defined, a source
+    class that no component reaches leaves it undefined, and a pushed
+    family that the target lacks is not compatible there."""
+    data = make_nonsplit_colimit(
+        ["1", "2"], {"1": ["a0", "a1"], "2": ["b0", "b1"]},
+        {("1", "2"): (["u"], {"u": "a0"}, {"u": "b1"})})
+    ref = identity_refinement(data)
+    glued = colimit_glue(data)
+    assert list(glued.apex) == ["1|a0", "1|a1", "2|b0"]
+    assert induced_limit_map(ref, glued, glued) == [0, 1, 2]
+    # the coproduct, with 1|a0 and 2|b1 apart
+    split = GluedObject("colimit", FinSet(["p", "q", "r", "s"]), None,
+                        {("1",): [0, 1], ("2",): [2, 3]}, {}, {})
+    with pytest.raises(StructuralError, match=r"^induced class map is not "
+                       r"well defined at '1\|a0'$"):
+        induced_limit_map(ref, glued, split)
+    extra = GluedObject("colimit", FinSet(list(glued.apex) + ["*"]), None,
+                        glued.legs, {}, {})
+    with pytest.raises(StructuralError, match=r"^induced class map is "
+                       r"undefined on classes \['\*'\]; gamma does not "
+                       r"reach them$"):
+        induced_limit_map(ref, extra, glued)
+    data = two_chart_limit()
+    ref = identity_refinement(data)
+    glued = limit_glue(data)
+    assert list(glued.apex) == ["a0|b0", "a1|b1"]
+    fewer = GluedObject("limit", FinSet(["a0|b0"]), None,
+                        {("1",): [0], ("2",): [0]}, {}, {})
+    with pytest.raises(StructuralError, match=r"^induced family 'a1\|b1' is "
+                       r"not compatible in the target$"):
+        induced_limit_map(ref, glued, fewer)
 
 
 def grid_labels(rows, cols):

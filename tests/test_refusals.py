@@ -976,3 +976,103 @@ def test_a_malformed_refinement_payload_is_refused_as_before(
     doc = refinement_doc(ambient, direction)
     mutation(doc["payload"])
     assert expect(*run(["refine"], doc), expected)
+
+
+# The delta of a colimit ``glue`` document: a map from a further object
+# into one component, composed with that component's leg.  The lines were
+# recorded while the delta was read into a checked label-to-label map.
+def delta_doc(mode, ambient):
+    """``gluing_doc`` on the colimit side with a delta from two points
+    onto component "1"; valid as built, and glued up."""
+    doc = gluing_doc(mode, ambient, "from-overlaps")
+    doc["payload"]["delta"] = {"component": "1",
+                               "object": obj(["d0", "d1"], ambient),
+                               "map": {"d0": "a0", "d1": "a1"}}
+    return doc
+
+
+def delta_no_value(payload):
+    del payload["delta"]["map"]["d0"]
+
+
+def delta_value_outside(payload):
+    # a label of the other component
+    payload["delta"]["map"]["d0"] = "b0"
+
+
+def delta_extra_key(payload):
+    payload["delta"]["map"]["zz"] = "a0"
+
+
+def delta_unhashable(payload):
+    payload["delta"]["map"]["d0"] = ["a0"]
+
+
+def delta_unknown_component(payload):
+    payload["delta"]["component"] = "9"
+
+
+def delta_pair_component(payload):
+    payload["delta"]["component"] = "1,2"
+
+
+def delta_not_continuous(payload):
+    # d0 and d1 go to two apex points of a discrete apex
+    indiscrete(payload["delta"]["object"])
+
+
+def delta_unknown_component_and_bad_map(payload):
+    delta_unknown_component(payload)
+    delta_value_outside(payload)
+
+
+def delta_not_continuous_and_bad_map(payload):
+    delta_not_continuous(payload)
+    delta_extra_key(payload)
+
+
+# (mutation, ambients, the stderr line after the prefix), the same in each
+# mode
+DELTA_CASES = [
+    (delta_no_value, SETS_AND_TOP,
+     "no value assigned to domain label 'd0'"),
+    (delta_value_outside, SETS_AND_TOP,
+     "value 'b0' of 'd0' is not a codomain label"),
+    (delta_extra_key, SETS_AND_TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+    (delta_unhashable, SETS_AND_TOP,
+     "schema violation at payload.delta.map.d0: ['a0'] is not of type "
+     "'string'"),
+    (delta_unknown_component, SETS_AND_TOP,
+     "delta component '9' is not an index element"),
+    (delta_pair_component, SETS_AND_TOP,
+     "delta component '1,2' is not an index element"),
+    (delta_not_continuous, TOP,
+     "map is not continuous at 'd0'"),
+    (delta_unknown_component_and_bad_map, SETS_AND_TOP,
+     "delta component '9' is not an index element"),
+    (delta_not_continuous_and_bad_map, TOP,
+     "mapping assigns labels outside the domain: ['zz']"),
+]
+
+
+def test_the_delta_documents_are_valid_and_glued_up():
+    for mode, ambient in product(MODES, AMBIENTS):
+        code, out, err = run(["glue"], delta_doc(mode, ambient))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdicts"] == {"universal_glued": True}
+
+
+@pytest.mark.parametrize(
+    "mutation, mode, ambient, expected",
+    [(mutation, mode, ambient, line)
+     for mutation, ambients, line in DELTA_CASES
+     for mode in MODES for ambient in ambients],
+    ids=["%s-%s-%s" % (mutation.__name__, mode, ambient)
+         for mutation, ambients, _ in DELTA_CASES
+         for mode in MODES for ambient in ambients])
+def test_a_malformed_delta_is_refused_as_before(mutation, mode, ambient,
+                                                expected):
+    doc = delta_doc(mode, ambient)
+    mutation(doc["payload"])
+    assert expect(*run(["glue"], doc), expected)

@@ -23,7 +23,6 @@ from glueforge import schema
 from glueforge.cli import (
     KINDS,
     ERROR_TEXT_LIMIT,
-    jsonable_fn,
     jsonable_object,
     load_document,
     main,
@@ -52,10 +51,10 @@ def gluing_payload(data):
     for key, fn in fixtures.label_arrows(data).items():
         if key[0] == "incl":
             arrows.append({"kind": "edge", "from": key[1],
-                           "pair": ",".join(key[2]), "map": jsonable_fn(fn)})
+                           "pair": ",".join(key[2]), "map": fn.mapping})
         else:
             arrows.append({"kind": "tau", "pair": ",".join(key[1]),
-                           "map": jsonable_fn(fn)})
+                           "map": fn.mapping})
     return json.loads(json.dumps({
         "mode": data.indexcat.mode,
         "ambient": data.ambient,

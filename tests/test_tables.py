@@ -146,8 +146,7 @@ def read(parse, payload):
 
 def same_glued(glued, oracle):
     assert list(glued.apex) == list(oracle.apex)
-    assert {obj: leg.mapping for obj, leg in glued.legs.items()} \
-        == {obj: leg.mapping for obj, leg in oracle.legs.items()}
+    assert glued.legs == oracle.legs
     assert glued.leg_props == oracle.leg_props
     if glued.space is not None or oracle.space is not None:
         assert label_nbhd(glued.space) == label_nbhd(oracle.space)

@@ -20,7 +20,6 @@ from glueforge.fincat import (
     FinTop,
     TopMap,
     induce_topology,
-    map_properties,
     pair_label,
     pullback,
     top_product,
@@ -30,11 +29,12 @@ import oracles
 from fixtures import (
     close_family,
     discrete_space,
-    identity_fn,
+    fn_properties,
     label_nbhd,
     preimage,
     subspace,
     surjective,
+    table,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -115,7 +115,8 @@ def test_initial_topology_is_the_closure_of_preimages(data):
         fns.append(fn)
         targets.append(space)
         preimages.extend(preimage(fn, o) for o in family)
-    got = induce_topology("initial", carrier, fns, targets)
+    got = induce_topology("initial", carrier, list(map(table, fns)),
+                          targets)
     assert_space(got, carrier, close_family(carrier, preimages))
 
 
@@ -129,7 +130,7 @@ def test_final_topology_scans_subsets_with_open_preimages(data):
         fns.append(data.draw(maps(space.carrier, carrier)))
         sources.append(space)
         families.append(family)
-    got = induce_topology("final", carrier, fns, sources)
+    got = induce_topology("final", carrier, list(map(table, fns)), sources)
     assert_space(got, carrier, [
         s for s in all_subsets(carrier)
         if all(preimage(fn, s) in fam for fn, fam in zip(fns, families))])
@@ -164,7 +165,7 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
     m = TopMap(fn, dom, cod)
     assert m.open == (forward <= cfam)
     image = frozenset(fn.mapping.values())
-    assert map_properties(fn, dom, cod) == {
+    assert fn_properties(fn, dom, cod) == {
         "injective": fn.is_injective(), "surjective": surjective(fn),
         "continuous": True, "open": forward <= cfam,
         "embedding": fn.is_injective() and forward == {o & image for o in cfam}}
@@ -269,7 +270,8 @@ def test_induced_topologies_match_the_frozenset_oracle(mode, data):
             continue
         fns.append(data.draw(maps(dom, cod)))
         others.append(space)
-    assert label_nbhd(induce_topology(mode, carrier, fns, others)) == \
+    assert label_nbhd(induce_topology(mode, carrier, list(map(table, fns)),
+                                      others)) == \
         oracles.induce_topology_by_frozensets(mode, carrier, fns, others)
 
 
@@ -289,8 +291,8 @@ def test_map_properties_match_the_frozenset_oracle(dom, cod, final, data):
         except StructuralError:
             final = True
     if final:
-        cod = induce_topology("final", cod.carrier, [fn], [dom])
-    assert map_properties(fn, dom, cod) == \
+        cod = induce_topology("final", cod.carrier, [table(fn)], [dom])
+    assert fn_properties(fn, dom, cod) == \
         oracles.map_properties_by_frozensets(fn, dom, cod)
 
 
@@ -317,7 +319,7 @@ def test_listing_opens_is_charged_to_the_cap(monkeypatch):
     assert err.value.size <= 20
     assert "opens of a 5-point space" in str(err.value)
     initial = induce_topology("initial", big.carrier,
-                              [identity_fn(big.carrier)], [big])
+                              [list(range(len(big.carrier)))], [big])
     with pytest.raises(ResourceError):
         initial.opens
 

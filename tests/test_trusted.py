@@ -6,9 +6,9 @@ which builds the position tables of the presheaf and gluing layers)
 replaced by its validating constructor,
 the golden corpus gives the same bytes and the acceptance criteria still
 pass, so no trusted value would have failed its own check.  The same holds
-for the maps that ``map_properties`` and ``table_properties`` trust to be
-continuous: with each report preceded by a ``TopMap``, which raises on a
-map that is not, nothing changes."""
+for the maps that ``table_properties`` trusts to be continuous: with each
+report preceded by a ``TopMap``, which raises on a map that is not,
+nothing changes."""
 
 import contextlib
 import io
@@ -24,7 +24,7 @@ from glueforge.fincat import FinFn, FinSet, FinTop, TopMap
 from glueforge.site import Sink
 
 import test_acceptance
-from fixtures import discrete_space, identity_fn, indiscrete_space, label_nbhd
+from fixtures import discrete_space, indiscrete_space, label_nbhd
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
@@ -100,17 +100,12 @@ def validating(monkeypatch):
                         classmethod(lambda cls, dom, cod, m: cls(dom, cod, m)))
     monkeypatch.setattr(FinTop, "from_nbhd", classmethod(validating_space))
     swap_everywhere(monkeypatch, fincat.trusted_table, checking_table)
-    real_map, real_table = fincat.map_properties, fincat.table_properties
-
-    def map_properties(fn, dom, cod):
-        TopMap(fn, dom, cod)
-        return real_map(fn, dom, cod)
+    real_table = fincat.table_properties
 
     def table_properties(img, dom, cod):
         TopMap(table_view(img, dom, cod), dom, cod)
         return real_table(img, dom, cod)
 
-    swap_everywhere(monkeypatch, real_map, map_properties)
     swap_everywhere(monkeypatch, real_table, table_properties)
 
 
@@ -135,12 +130,7 @@ def test_validating_swap_checks(validating):
              target_space=discrete_space(pair))
     with pytest.raises(StructuralError, match="does not map"):
         Sink("sets", pair, [("1", pair, [0, 2])])
-    for module in (fincat, gluing):
-        with pytest.raises(StructuralError, match="not continuous"):
-            module.map_properties(identity_fn(pair),
-                                  indiscrete_space(pair),
-                                  discrete_space(pair))
-    for module in (fincat, site):
+    for module in (fincat, gluing, site):
         with pytest.raises(StructuralError, match="not continuous"):
             module.table_properties([0, 1], indiscrete_space(pair),
                                     discrete_space(pair))
