@@ -23,12 +23,15 @@ too.  Every error is reported on one stderr line, its text cut at
 ``ERROR_TEXT_LIMIT`` characters.
 
 Reports are written by a direct emitter, byte for byte what
-``json.dumps(report, sort_keys=True, indent=2)`` gives; it knows only the
-types reports hold, and writes a tuple as an array, as json.dumps does.  It
-appends the report's pieces to one list joined once at the end.  A
-container of strings whose strings all need no escape is written by one
-join with the quotes inside the separators; only a container that holds a
-string needing an escape encodes its strings one by one.
+``json.dumps(report, sort_keys=True, indent=2)`` gives for the report with
+its records turned into the dicts they stand for; it knows only the types
+reports hold, and writes a tuple as an array, as json.dumps does.  A map
+between labels is held as a ``LabelMap`` and a colimit's classes as
+``Classes``: records over the engine's tables that build no dict.  The
+emitter appends the report's pieces to one list joined once at the end.  A
+container or record whose strings all need no escape is written by one
+join with the quotes inside the separators; only one that holds a string
+needing an escape encodes its strings one by one.
 """
 
 import argparse
@@ -36,6 +39,7 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from itertools import chain
 
 from . import schema
@@ -562,9 +566,10 @@ def jsonable_object(carrier, space):
 
 def jsonable_table(table, domain, codomain):
     """The map that ``table`` gives from the labels ``domain`` into the
-    labels ``codomain``, as a report writes it: a dict from each domain
-    label to the label of its image."""
-    return dict(zip(domain, [codomain[q] for q in table]))
+    labels ``codomain``, as a report holds it: a ``LabelMap``, which
+    ``render_report`` writes as an object from each domain label to the
+    label of its image."""
+    return LabelMap(domain, table, codomain)
 
 
 def glued_object_to_json(data, glued):
@@ -594,14 +599,9 @@ def _glue_command(doc, flags):
         if data.direction != FROM_OVERLAPS:
             raise StructuralError("colimit gluing needs from-overlaps data")
         glued = colimit_glue(data)
-        # every apex label is a class of itself unless it names a merged one
-        apex = glued.apex.labels
-        # tuples of strings, which the garbage collector stops tracking
-        classes = dict(zip(apex, zip(apex)))
-        classes.update({name: tuple(sorted(members)) for name, members
-                        in glued.witness["merged"].items()})
         artifacts = {"glued": glued_object_to_json(data, glued),
-                     "classes": classes}
+                     "classes": Classes(glued.apex.labels,
+                                        glued.witness["merged"])}
         if "delta" in doc.payload:
             node = doc.payload["delta"]
             comp = node["component"]
@@ -868,6 +868,92 @@ def _joined(head, keys, mid, texts, sep, tail):
     return "".join(parts)
 
 
+def _object(keys, mid, texts, close, indent, quote):
+    """The JSON object of the sorted ``keys`` and their ``texts``, ``mid``
+    after each key and ``close`` after each text, by one ``_joined``:
+    ``quote`` is '"' when keys and texts are plain strings, written between
+    quotes, and '' when they are encoded already."""
+    inner = indent + "  "
+    return _joined("{" + inner + quote, keys, quote + mid + quote, texts,
+                   quote + close + "," + inner + quote,
+                   quote + close + indent + "}")
+
+
+class LabelMap:
+    """The map that the position ``table`` gives from the labels ``domain``
+    into the labels ``codomain``, as a report holds it.  ``render_report``
+    writes it as ``json.dumps`` writes the dict from each domain label to
+    the label of its image, and no such dict is built."""
+
+    __slots__ = ("domain", "table", "codomain")
+
+    def __init__(self, domain, table, codomain):
+        self.domain = domain
+        self.table = table
+        self.codomain = codomain
+
+    def emit(self, indent, out):
+        """Append the map as a JSON object to ``out`` (see ``_emit``): the
+        domain positions sorted once by their labels, each key and value
+        gathered by position, one ``_plain`` test over them, and one
+        ``_object``; when a string is not plain, every one is encoded."""
+        domain, table, codomain = self.domain, self.table, self.codomain
+        if not domain:
+            out.append("{}")
+            return
+        # a list's __getitem__ is a quicker sort key than a tuple's
+        order = sorted(range(len(domain)), key=list(domain).__getitem__)
+        keys = [domain[k] for k in order]
+        values = [codomain[table[k]] for k in order]
+        quote = '"'
+        if not _plain("".join(keys + values)):
+            quote = ""
+            keys = list(map(_encode_str, keys))
+            values = list(map(_encode_str, values))
+        out.append(_object(keys, ": ", values, "", indent, quote))
+
+
+class Classes:
+    """The classes of a colimit apex, as a report holds them: ``labels``
+    names the apex, and ``merged`` holds each class of two or more members
+    under its name (``colimit_glue``'s ``witness["merged"]``); every other
+    label is a class of itself.  ``render_report`` writes them as an object
+    from each label to its class's members, sorted, and builds no
+    container per label."""
+
+    __slots__ = ("labels", "merged")
+
+    def __init__(self, labels, merged):
+        self.labels = labels
+        self.merged = merged
+
+    def emit(self, indent, out):
+        """Append the classes as a JSON object to ``out`` (see ``_emit``):
+        the labels sorted once, a singleton class written as its own name
+        and a merged one as its sorted members, put at its name's place by
+        bisection, one ``_plain`` test over all these strings, and one
+        ``_object``; when a string is not plain, every one is encoded."""
+        keys = sorted(self.labels)
+        if not keys:
+            out.append("{}")
+            return
+        places = [bisect_left(keys, name) for name in self.merged]
+        members = list(map(sorted, self.merged.values()))
+        inner = indent + "  "
+        deeper = inner + "  "
+        quote = '"'
+        if not _plain("".join(chain(keys, chain.from_iterable(members)))):
+            quote = ""
+            keys = list(map(_encode_str, keys))
+            members = [list(map(_encode_str, m)) for m in members]
+        texts = keys.copy()
+        join = (quote + "," + deeper + quote).join
+        for k, m in zip(places, members):
+            texts[k] = join(m)
+        out.append(_object(keys, ": [" + deeper, texts, inner + "]", indent,
+                           quote))
+
+
 def _emit(node, indent, out):
     """Append ``node`` as JSON to the list ``out``, where ``indent`` is the
     newline and indentation of the line it starts on; string members are
@@ -877,16 +963,17 @@ def _emit(node, indent, out):
     not copied again at each level: ``render_report`` joins ``out`` once.
 
     A dict's keys are sorted on their own, so no ``(key, value)`` pair is
-    built per entry.  Three shapes of container are written in bulk: a
-    list or tuple of strings only, a dict whose values are all strings, and
-    a dict whose values are all non-empty lists of strings only, or all
-    such tuples.  When all the strings of such a container are plain (see
-    ``_plain``), it is written by one ``str.join`` with the quotes inside
-    the separators, a dict's keys and values put into one list by slice
-    assignment (``_joined``), and appended as one piece, with no string
-    encoded; otherwise each is encoded on its own.  Whether a dict has a
-    bulk shape is decided from the type of its first value, so other dicts
-    pay one type test."""
+    built per entry.  Two shapes of container are written in bulk: a list
+    or tuple of strings only, and a dict whose values are all non-empty
+    lists of strings only.  When all the strings of such a container are
+    plain (see ``_plain``), it is written by one ``str.join`` with the
+    quotes inside the separators, a dict's keys and values put into one
+    list by slice assignment (``_joined``), and appended as one piece, with
+    no string encoded; otherwise each is encoded on its own.  Whether a
+    dict has the bulk shape is decided from the type of its first value, so
+    other dicts pay one type test.  The two records a report holds, a
+    ``LabelMap`` and ``Classes``, write themselves in bulk the same way;
+    their types are tested last, so other nodes pay nothing for them."""
     kind = type(node)
     if kind is dict:
         if not node:
@@ -898,15 +985,8 @@ def _emit(node, indent, out):
         keys = sorted(node)
         values = list(map(node.__getitem__, keys))
         first = values[0]
-        held = type(first)
-        if held is str:
-            if _only(str, values) and _plain("".join(keys + values)):
-                out.append(_joined("{" + inner + '"', keys, '": "', values,
-                                   '",' + inner + '"', '"' + indent + "}"))
-                return
-        elif (held is list or held is tuple) and first \
-                and type(first[0]) is str and _only(held, values) \
-                and all(values):
+        if type(first) is list and first and type(first[0]) is str \
+                and _only(list, values) and all(values):
             members = list(chain.from_iterable(values))
             if _only(str, members):
                 out.append(_emit_string_lists(keys, values, members, indent,
@@ -951,6 +1031,8 @@ def _emit(node, indent, out):
         out.append("null")
     elif kind is int:
         out.append(int.__repr__(node))
+    elif kind is LabelMap or kind is Classes:
+        node.emit(indent, out)
     else:
         raise TypeError("a report cannot hold a %s: %r"
                         % (kind.__name__, node))
@@ -958,34 +1040,35 @@ def _emit(node, indent, out):
 
 def _emit_string_lists(keys, values, members, indent, inner):
     """The dict of these sorted ``keys`` and their ``values``, each value a
-    non-empty list or tuple of strings only, whose strings in order are
+    non-empty list of strings only, whose strings in order are
     ``members``; kept apart from ``_emit`` so that the names its
-    comprehension reads cost the recursive calls nothing.  When the strings
-    are plain, each value's members are joined into one text and the keys
-    and texts into the dict by ``_joined``."""
+    comprehension reads cost the recursive calls nothing.  Each value's
+    members are joined into one text and the keys and texts into the dict
+    by ``_object``, every string encoded when one is not plain."""
     deeper = inner + "  "
-    if _plain("".join(keys + members)):
-        return _joined("{" + inner + '"', keys, '": [' + deeper + '"',
-                       map(('",' + deeper + '"').join, values),
-                       '"' + inner + "]," + inner + '"',
-                       '"' + inner + "]" + indent + "}")
-    head, sep, tail = ": [" + deeper, "," + deeper, inner + "]"
-    return "{" + inner + ("," + inner).join([
-        _encode_str(k) + head + (_encode_str(v[0]) if len(v) == 1
-                                 else sep.join(map(_encode_str, v)))
-        + tail for k, v in zip(keys, values)]) + indent + "}"
+    quote = '"'
+    if not _plain("".join(keys + members)):
+        quote = ""
+        keys = list(map(_encode_str, keys))
+        values = [list(map(_encode_str, v)) for v in values]
+    return _object(keys, ": [" + deeper,
+                   map((quote + "," + deeper + quote).join, values),
+                   inner + "]", indent, quote)
 
 
 def render_report(report):
     """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
-    it, plus a newline.  Reports hold str keys and str, int, bool, None,
-    list, tuple and dict values, a tuple written as an array as json.dumps
-    writes it; anything else raises TypeError.  Lists of strings, dicts of
-    strings and dicts of string lists whose strings are all plain (see
-    ``_plain``) are joined whole, with no string encoded and, for the
-    dicts, no string built per entry; every other string goes through
+    it, plus a newline, each ``LabelMap`` written as the dict from each
+    domain label to its image's label and ``Classes`` as the dict from each
+    apex label to its class's sorted members.  Reports hold str keys and
+    str, int, bool, None, list, tuple and dict values and these two
+    records, a tuple written as an array as json.dumps writes it; anything
+    else raises TypeError.  Lists of strings, dicts of string lists and
+    records whose strings are all plain (see ``_plain``) are joined whole,
+    with no string encoded and, for the dicts and records, no string built
+    per entry; every other string goes through
     ``json.encoder.encode_basestring_ascii``.  A report may share lists,
-    tuples and dicts with the engine (a leg's mapping, an apex's label
+    tuples and tables with the engine (a leg's table, an apex's label
     tuple): rendering only reads them.  The report is appended to one list
     joined once at the end (see ``_emit``); a refused value raises before
     the join, so no partial text is returned."""

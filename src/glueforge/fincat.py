@@ -217,9 +217,6 @@ class FinFn:
             self.domain, other.codomain,
             {x: other.mapping[self.mapping[x]] for x in self.domain})
 
-    def is_injective(self):
-        return len(set(self.mapping.values())) == len(self.domain)
-
     def __eq__(self, other):
         return (isinstance(other, FinFn) and self.domain == other.domain
                 and self.codomain == other.codomain and self.mapping == other.mapping)

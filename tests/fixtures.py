@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 from hypothesis import strategies as st
 
+from glueforge import cli
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet, FinTop, TopMap, table_properties
 from glueforge.gluing import FROM_OVERLAPS, TOWARD_OVERLAPS, GluingData
@@ -39,6 +40,11 @@ def constant_fn(domain, codomain, value):
     return FinFn(domain, codomain, {x: value for x in domain})
 
 
+def is_injective(fn):
+    """Whether ``fn`` sends no two domain labels to one codomain label."""
+    return len(set(fn.mapping.values())) == len(fn.domain)
+
+
 def surjective(fn):
     """Whether ``fn`` hits every codomain label."""
     return set(fn.mapping.values()) == set(fn.codomain.labels)
@@ -46,7 +52,7 @@ def surjective(fn):
 
 def inverse_fn(fn):
     """The inverse of a bijection, refused for any other map."""
-    if not (fn.is_injective() and surjective(fn)):
+    if not (is_injective(fn) and surjective(fn)):
         raise StructuralError("only bijections can be inverted")
     return FinFn(fn.codomain, fn.domain,
                  {y: x for x, y in fn.mapping.items()})
@@ -764,3 +770,25 @@ def indexed(carrier):
     """Whether a set's position index is built: reading its slot, unlike
     reading ``_pos``, builds nothing."""
     return hasattr(carrier, "_index")
+
+
+def materialized(node):
+    """``node``, a report or a part of one, with each ``cli.LabelMap`` and
+    ``cli.Classes`` record turned into the dict it stands for, the dict
+    ``render_report`` writes: from each domain label to its image's label,
+    and from each apex label to its class's members, sorted.  The records
+    have no mapping methods, so tests compare reports, or hand them to
+    ``json.dumps``, through this."""
+    kind = type(node)
+    if kind is cli.LabelMap:
+        return dict(zip(node.domain, [node.codomain[q] for q in node.table]))
+    if kind is cli.Classes:
+        classes = {name: [name] for name in node.labels}
+        classes.update((name, sorted(members))
+                       for name, members in node.merged.items())
+        return classes
+    if kind is dict:
+        return {key: materialized(value) for key, value in node.items()}
+    if kind is list or kind is tuple:
+        return kind(map(materialized, node))
+    return node

@@ -48,6 +48,27 @@ MUTANTS = [
      ["tests/test_fincat.py"],
      "the lazy index is built over labels[1:]"),
     ("cli.py",
+     '        if not _plain("".join(keys + values)):\n',
+     '        if not _plain("".join(keys)):\n',
+     ["tests/test_render.py"],
+     "a label map takes its plainness from the domain alone"),
+    ("cli.py",
+     "        values = [codomain[table[k]] for k in order]\n",
+     "        values = [codomain[q] for q in table]\n",
+     ["tests/test_render.py"],
+     "a label map writes its values in carrier order, not sorted-key "
+     "order"),
+    ("cli.py",
+     "        members = list(map(sorted, self.merged.values()))\n",
+     "        members = list(map(list, self.merged.values()))\n",
+     ["tests/test_render.py"],
+     "a merged class's members are written unsorted"),
+    ("cli.py",
+     "            values = list(map(_encode_str, values))\n",
+     "            values = values\n",
+     ["tests/test_render.py"],
+     "a label map that is not plain encodes its keys but not its values"),
+    ("cli.py",
      "    parts[1::4] = keys\n",
      "    parts[2::4] = keys\n",
      ["tests/test_render.py"],

@@ -69,6 +69,7 @@ from fixtures import (
     colimit_relation_pairs,
     identity_fn,
     inverse_fn,
+    is_injective,
     label_nbhd,
     label_overlap_maps,
     leg_fns,
@@ -193,7 +194,7 @@ def map_properties_by_frozensets(fn, dom, cod):
     its image."""
     mapping = fn.mapping
     dom_nbhd, cod_nbhd = label_nbhd(dom), label_nbhd(cod)
-    injective = fn.is_injective()
+    injective = is_injective(fn)
     return {
         "injective": injective,
         "surjective": surjective(fn),
@@ -248,7 +249,7 @@ def iso_by_topmap(fn, dom=None, cod=None):
     """Bijective, and between two given spaces ``TopMap(...).open``: a
     continuous open bijection is a homeomorphism.  Raises where ``TopMap``
     does, for a map that is not continuous among others."""
-    bijective = fn.is_injective() and surjective(fn)
+    bijective = is_injective(fn) and surjective(fn)
     if dom is None or cod is None:
         return bijective
     return bijective and TopMap(fn, dom, cod).open
@@ -633,7 +634,7 @@ def gluing_datum_problems(datum):
         source, target = datum.locals[a], datum.locals[b]
         lattice = OpenLattice(datum.space, members[a] & members[b])
         for o, fn in comp.items():
-            if not (fn.is_injective() and surjective(fn)):
+            if not (is_injective(fn) and surjective(fn)):
                 problems.append("transition %r -> %r at %r is not a "
                                 "bijection" % (a, b, lattice.names(o)))
         inverse = datum.transitions[(b, a)]
@@ -1029,7 +1030,7 @@ def effectiveness_by_labels(data, glued):
 
     def embeds(fn, dom, cod):
         return map_properties_by_frozensets(fn, dom, cod)["embedding"] if top \
-            else fn.is_injective()
+            else is_injective(fn)
 
     pairs = data.indexcat.pairs()
     legs = leg_fns(data, glued)

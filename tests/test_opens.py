@@ -24,6 +24,7 @@ from fixtures import (
     benchmark_items,
     chain_space,
     close_family,
+    materialized,
     seeded,
     subspace,
 )
@@ -290,9 +291,11 @@ def test_key_table_answers_as_the_key_parser():
             outcome(lambda: cli._parse_openkey(new, lattice))
         document = Document("presheaf" if command != "glue-sheaves"
                             else "gluing-datum", doc["payload"], "1")
-        with_table = outcome(lambda: execute(command, document, {}))
+        with_table = outcome(
+            lambda: materialized(execute(command, document, {})))
         with mock.patch.object(cli, "_lookup_openkey", cli._parse_openkey):
-            parsed = outcome(lambda: execute(command, document, {}))
+            parsed = outcome(
+                lambda: materialized(execute(command, document, {})))
         assert with_table == parsed
         seen.append((command, new == old, isinstance(parsed, tuple)))
 

@@ -1,11 +1,15 @@
-"""Every top-level definition of the engine is reached from a command.
+"""Every top-level definition and every method of the engine is reached
+from a command.
 
 An ``ast`` scan starts from ``cli.main`` and from every module-level
 statement that is not a definition, and follows each ``Name`` and
-``Attribute`` that matches a definition's name, in any module.  A definition
-the scan does not reach has no caller in the product: it belongs on the test
-side (``tests/paper.py``, ``tests/fixtures.py`` or ``tests/oracles.py``),
-unless it is on the allow-list below."""
+``Attribute`` that matches a definition's name, in any module.  A method
+other than a dunder is a definition of its own, ``module.Class.method``,
+reached by its name as an attribute; a class that is reached brings its
+dunder methods and the rest of its body, not its other methods.  A
+definition the scan does not reach has no caller in the product: it belongs
+on the test side (``tests/paper.py``, ``tests/fixtures.py`` or
+``tests/oracles.py``), unless it is on the allow-list below."""
 
 import ast
 import glob
@@ -42,9 +46,10 @@ ROOTS = ("cli.main", *TRACER_BOUND, *COMPANIONS)
 
 
 def unreached(sources, roots=("cli.main",)):
-    """``module.name`` of each top-level function and class definition of
-    ``sources`` (module name to source text) that neither ``roots`` nor a
-    module-level statement reaches, sorted."""
+    """``module.name`` of each top-level function and class definition, and
+    ``module.Class.name`` of each method but the dunders, of ``sources``
+    (module name to source text) that neither ``roots`` nor a module-level
+    statement reaches, sorted."""
     defs = {}
     todo = []
     for module, source in sources.items():
@@ -54,13 +59,23 @@ def unreached(sources, roots=("cli.main",)):
                 defs["%s.%s" % (module, node.name)] = node
             else:
                 todo.append(node)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("__"):
+                    defs["%s.%s.%s" % (module, node.name, item.name)] = item
+    methods = {id(node) for key, node in defs.items() if key.count(".") == 2}
     by_name = {}
     for key in defs:
-        by_name.setdefault(key.split(".", 1)[1], []).append(key)
+        by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
     reached = set(roots)
     todo += [defs[key] for key in roots]
     while todo:
-        for node in ast.walk(todo.pop()):
+        walk = [todo.pop()]
+        while walk:
+            node = walk.pop()
+            # a method inside a reached class waits to be reached itself
+            walk += [child for child in ast.iter_child_nodes(node)
+                     if id(child) not in methods]
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
@@ -117,3 +132,31 @@ def test_scan_finds_a_planted_leftover():
     planted = dict(SOURCES, fincat=SOURCES["fincat"]
                    + "\n\ndef leftover(a):\n    return pair_label(a, a)\n")
     assert unreached(planted, ROOTS) == ["fincat.leftover"]
+
+
+def test_scan_finds_a_planted_method():
+    sources = {
+        "cli": ("def main(argv=None):\n"
+                "    return Report(argv).text()\n"),
+        "kernel": ("class Report:\n"
+                   "    def __init__(self, argv):\n"
+                   "        self.argv = argv\n"
+                   "    def text(self):\n"
+                   "        return str(self.argv)\n"
+                   "    def leftover(self):\n"
+                   "        return helper(self)\n"
+                   "def helper(report):\n"
+                   "    return report\n"),
+    }
+    assert unreached(sources) == ["kernel.Report.leftover", "kernel.helper"]
+    planted = dict(SOURCES, fincat=SOURCES["fincat"].replace(
+        "class FinSet:\n", "class FinSet:\n"
+        "    def leftover(self):\n        return self.labels\n", 1))
+    assert unreached(planted, ROOTS) == ["fincat.FinSet.leftover"]
+
+
+def test_report_records_are_written_only_through_the_emitter():
+    call = "node.emit(indent, out)"
+    assert SOURCES["cli"].count(call) == 1
+    cut = dict(SOURCES, cli=SOURCES["cli"].replace(call, "pass"))
+    assert unreached(cut, ROOTS) == ["cli.Classes.emit", "cli.LabelMap.emit"]

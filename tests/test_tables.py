@@ -22,7 +22,7 @@ from glueforge.fincat import FinSet
 from glueforge.gluing import colimit_glue, hom_transport, limit_glue
 from glueforge.site import effective_gluing_check
 
-from fixtures import close_family, label_nbhd
+from fixtures import close_family, label_nbhd, materialized
 from oracles import (
     colimit_by_labels,
     effectiveness_by_labels,
@@ -257,7 +257,7 @@ def test_refinement_tables_match_the_label_path():
     def check(payload):
         doc = cli.Document("refinement", payload, "1")
         try:
-            report = cli.execute("refine", doc)
+            report = materialized(cli.execute("refine", doc))
         except StructuralError as err:
             report = str(err)
         try:
@@ -421,9 +421,10 @@ def site_payloads(draw):
 
 
 def outcome(report):
-    """A command's report, or the words of its refusal."""
+    """A command's report, its records as dicts, or the words of its
+    refusal."""
     try:
-        return report()
+        return materialized(report())
     except StructuralError as err:
         return "refused: %s" % err
 

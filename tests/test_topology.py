@@ -30,6 +30,7 @@ from fixtures import (
     close_family,
     discrete_space,
     fn_properties,
+    is_injective,
     label_nbhd,
     preimage,
     subspace,
@@ -166,9 +167,9 @@ def test_maps_agree_with_preimages_and_images_of_opens(dom, cod, data):
     assert m.open == (forward <= cfam)
     image = frozenset(fn.mapping.values())
     assert fn_properties(fn, dom, cod) == {
-        "injective": fn.is_injective(), "surjective": surjective(fn),
+        "injective": is_injective(fn), "surjective": surjective(fn),
         "continuous": True, "open": forward <= cfam,
-        "embedding": fn.is_injective() and forward == {o & image for o in cfam}}
+        "embedding": is_injective(fn) and forward == {o & image for o in cfam}}
 
 
 @PROPERTY
