@@ -50,12 +50,12 @@ from .fincat import (
     FinTop,
     _refuse_mapping,
     check_continuous,
+    invert,
 )
 from .gluing import (
     FROM_OVERLAPS,
     TOWARD_OVERLAPS,
     GluingData,
-    _inverse,
     colimit_glue,
     hom_transport,
     limit_glue,
@@ -322,7 +322,7 @@ def parse_gluing(payload, table=None):
                 else ("tau", (i, j))
             inverse_key = ("tau", (i, j)) if direction == FROM_OVERLAPS \
                 else ("tau", (j, i))
-            inverse = _inverse(t, dom, cod)
+            inverse = invert(t, len(cod))
             # an entry for (j, i) gave this generator already, as its inverse
             if arrows.get(key, t) != t:
                 raise StructuralError("tau for pair %r is not the inverse of "
@@ -330,8 +330,8 @@ def parse_gluing(payload, table=None):
                                       % (entry["pair"], taus[(j, i)]))
             arrows[inverse_key] = inverse
             arrows[key] = t    # last: the two keys agree on the diagonal
-    return GluingData.from_tables(cat, ambient, objects, arrows, direction,
-                                  spaces or None)
+    return GluingData(cat, ambient, objects, arrows, direction,
+                      spaces or None)
 
 
 def _parse_sink_body(body, ambient, table):
@@ -963,17 +963,15 @@ def _emit(node, indent, out):
     not copied again at each level: ``render_report`` joins ``out`` once.
 
     A dict's keys are sorted on their own, so no ``(key, value)`` pair is
-    built per entry.  Two shapes of container are written in bulk: a list
-    or tuple of strings only, and a dict whose values are all non-empty
-    lists of strings only.  When all the strings of such a container are
-    plain (see ``_plain``), it is written by one ``str.join`` with the
-    quotes inside the separators, a dict's keys and values put into one
-    list by slice assignment (``_joined``), and appended as one piece, with
-    no string encoded; otherwise each is encoded on its own.  Whether a
-    dict has the bulk shape is decided from the type of its first value, so
-    other dicts pay one type test.  The two records a report holds, a
-    ``LabelMap`` and ``Classes``, write themselves in bulk the same way;
-    their types are tested last, so other nodes pay nothing for them."""
+    built per entry.  One shape of container is written in bulk: a list or
+    tuple of strings only.  When all its strings are plain (see
+    ``_plain``), it is written by one ``str.join`` with the quotes inside
+    the separators and appended as one piece, with no string encoded;
+    otherwise each is encoded on its own.  A dict of such lists writes
+    each list in bulk.  The two records a report holds, a ``LabelMap`` and
+    ``Classes``, write themselves in bulk too, their keys and values put
+    into one list by slice assignment (``_joined``); their types are
+    tested last, so other nodes pay nothing for them."""
     kind = type(node)
     if kind is dict:
         if not node:
@@ -984,14 +982,6 @@ def _emit(node, indent, out):
         # a key that is not a string
         keys = sorted(node)
         values = list(map(node.__getitem__, keys))
-        first = values[0]
-        if type(first) is list and first and type(first[0]) is str \
-                and _only(list, values) and all(values):
-            members = list(chain.from_iterable(values))
-            if _only(str, members):
-                out.append(_emit_string_lists(keys, values, members, indent,
-                                              inner))
-                return
         sep, comma = "{" + inner, "," + inner
         for k, v in zip(keys, values):
             if type(v) is str:
@@ -1038,24 +1028,6 @@ def _emit(node, indent, out):
                         % (kind.__name__, node))
 
 
-def _emit_string_lists(keys, values, members, indent, inner):
-    """The dict of these sorted ``keys`` and their ``values``, each value a
-    non-empty list of strings only, whose strings in order are
-    ``members``; kept apart from ``_emit`` so that the names its
-    comprehension reads cost the recursive calls nothing.  Each value's
-    members are joined into one text and the keys and texts into the dict
-    by ``_object``, every string encoded when one is not plain."""
-    deeper = inner + "  "
-    quote = '"'
-    if not _plain("".join(keys + members)):
-        quote = ""
-        keys = list(map(_encode_str, keys))
-        values = [list(map(_encode_str, v)) for v in values]
-    return _object(keys, ": [" + deeper,
-                   map((quote + "," + deeper + quote).join, values),
-                   inner + "]", indent, quote)
-
-
 def render_report(report):
     """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
     it, plus a newline, each ``LabelMap`` written as the dict from each
@@ -1063,10 +1035,10 @@ def render_report(report):
     apex label to its class's sorted members.  Reports hold str keys and
     str, int, bool, None, list, tuple and dict values and these two
     records, a tuple written as an array as json.dumps writes it; anything
-    else raises TypeError.  Lists of strings, dicts of string lists and
-    records whose strings are all plain (see ``_plain``) are joined whole,
-    with no string encoded and, for the dicts and records, no string built
-    per entry; every other string goes through
+    else raises TypeError.  Lists of strings and records whose strings are
+    all plain (see ``_plain``) are joined whole, with no string encoded
+    and, for the records, no string built per entry; every other string
+    goes through
     ``json.encoder.encode_basestring_ascii``.  A report may share lists,
     tuples and tables with the engine (a leg's table, an apex's label
     tuple): rendering only reads them.  The report is appended to one list

@@ -30,7 +30,8 @@ a command reads or builds (the arrows of gluing data, sinks, the legs of
 glued objects, induced maps) is a position table, the list that gives each
 domain position the codomain position of its image; parsers check each
 entry of the tables they read, and the tables the engine builds come from
-``trusted_table``, which checks only their length.  ``is_continuous``,
+the table kernels below or from ``trusted_table``, which checks only
+their length.  ``is_continuous``,
 ``check_continuous``, ``is_iso_table`` and ``table_properties`` read a
 table between two spaces, and ``is_effective_family`` and
 ``is_effective_after_base_change`` read the tables of a family of maps.
@@ -39,16 +40,20 @@ A set's label-to-position index is built at its first use (``position``,
 ``FinSet`` constructors build it at once, as their distinctness check, so
 a quotient apex that no caller looks into never builds one.
 
-The label-to-label maps (``FinFn``, ``TopMap``, ``commutes``, ``is_iso``
-and ``pullback``) serve ``gluing.mediating_map``, the functor and base
-change builders of ``site`` and the tests; no command builds one.
+The algebra of tables is written here once, for every module: the
+``identity`` and ``compose`` tables, ``invert`` for a bijection (as
+``is_iso_table`` decides it), ``initial_rows``, and
+``pullback_positions``, the pullback of two tables on positions.  The
+label-to-label maps (``FinFn``, ``TopMap``, ``commutes``, ``is_iso`` and
+``pullback``) serve only ``gluing.mediating_map``, the tracer and the
+tests; no command builds one.
 
 Limits and colimits of spaces are those of sets with the initial or final
 topology added (the forgetful functor from spaces to sets is topological),
-so there is one ``pullback``: given the two domain spaces, each member
-``a|b`` gets the row ``U1[a] & U2[b]`` of the initial topology along its
-legs, ``U1[a]`` being the members whose first coordinate lies in the
-neighbourhood of ``a``.
+so there is one pullback, on positions: given the two domain spaces, each
+member ``(a, b)`` gets the row ``U1[a] & U2[b]`` of the initial topology
+along its coordinates (``initial_rows``), ``U1[a]`` being the members
+whose first coordinate lies in the neighbourhood of ``a``.
 
 Compatible families (pullbacks, limits, sections) come from one join
 kernel, ``compatible_tuples``, whose cost follows the partial answers
@@ -237,6 +242,27 @@ def trusted_table(values, domain, codomain):
         raise StructuralError("a table of %d values from %d points into %d"
                               % (len(values), len(domain), len(codomain)))
     return values
+
+
+def identity(n):
+    """The table of the identity of a carrier of ``n`` points."""
+    return list(range(n))
+
+
+def compose(first, then):
+    """The table of ``first`` followed by ``then``: ``then[first[k]]`` at
+    each position ``k``."""
+    return list(map(then.__getitem__, first))
+
+
+def invert(table, size):
+    """The table of the inverse of the bijection ``table`` onto a carrier
+    of ``size`` points, its positions in the order of their values;
+    refused as "only bijections can be inverted" when ``is_iso_table``
+    finds no bijection."""
+    if not is_iso_table(table, size):
+        raise StructuralError("only bijections can be inverted")
+    return sorted(range(size), key=table.__getitem__)
 
 
 def _refuse_mapping(domain, codomain, mapping):
@@ -722,44 +748,54 @@ def compatible_tuples(domains, constraints, what="compatible tuples"):
     return partial
 
 
+def pullback_positions(f, g, spaces=()):
+    """The pullback of two tables into one carrier, on positions: the
+    first and the second coordinates of its members, the pairs ``(a, b)``
+    with ``f[a] == g[b]`` in lexicographic order, joined by
+    ``compatible_tuples`` and charged under ``"pullback"``.  Given the
+    ``spaces`` of the two domains, also the members' rows of the initial
+    topology along the two coordinates (``initial_rows``), else None."""
+    pairs = compatible_tuples([range(len(f)), range(len(g))],
+                              [(0, 1, f, g)], "pullback")
+    firsts = [a for a, _ in pairs]
+    seconds = [b for _, b in pairs]
+    rows = initial_rows(len(pairs), (firsts, seconds), spaces) if spaces \
+        else None
+    return firsts, seconds, rows
+
+
 def pullback(f, g, xtop=None, ytop=None):
     """The pullback of two maps with a shared codomain.
 
-    Members are the pairs ``a|b`` with ``f(a) = g(b)``, listed in
-    lexicographic order of coordinate positions; the join kernel runs on
-    those positions and charges its steps under ``"pullback"``.  The legs
-    are the two coordinate projections restricted to the members.  Given the
-    spaces ``xtop`` and ``ytop`` of the two domains, the members carry the
-    initial topology along the legs, which is the subspace topology of the
-    product: member ``a|b`` gets the row ``U1[a] & U2[b]``, where ``U1[a]``
-    is the mask of the members whose first coordinate lies in the
-    neighbourhood of ``a``, and ``U2[b]`` likewise.  The forgetful functor
-    from spaces to sets is topological, so the pullback of spaces is the
-    pullback of sets with that topology.
+    Members are the pairs ``a|b`` with ``f(a) = g(b)``, joined on
+    positions by ``pullback_positions``.  The legs are the two coordinate
+    projections restricted to the members.  Given the spaces ``xtop`` and
+    ``ytop`` of the two domains, the members carry the initial topology
+    along the legs, which is the subspace topology of the product: member
+    ``a|b`` gets the row ``U1[a] & U2[b]``, where ``U1[a]`` is the mask of
+    the members whose first coordinate lies in the neighbourhood of ``a``,
+    and ``U2[b]`` likewise.  The forgetful functor from spaces to sets is
+    topological, so the pullback of spaces is the pullback of sets with
+    that topology.
     """
     if f.codomain != g.codomain:
         raise StructuralError("pullback requires a shared codomain")
+    spaces = ()
+    if xtop is not None and ytop is not None:
+        if xtop.carrier != f.domain or ytop.carrier != g.domain:
+            raise StructuralError("pullback spaces must be those of the "
+                                  "map domains")
+        spaces = (xtop, ytop)
     xs, ys = f.domain.labels, g.domain.labels
-    pairs = compatible_tuples(
-        [range(len(xs)), range(len(ys))],
-        [(0, 1, list(map(f.mapping.__getitem__, xs)),
-          list(map(g.mapping.__getitem__, ys)))], "pullback")
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
+    firsts, seconds, rows = pullback_positions(_positions(f), _positions(g),
+                                               spaces)
     left = list(map(xs.__getitem__, firsts))
     right = list(map(ys.__getitem__, seconds))
     labels = list(map(pair_label, left, right))
     members = FinSet.from_distinct(labels)
     p1 = FinFn.from_total(members, f.domain, dict(zip(labels, left)))
     p2 = FinFn.from_total(members, g.domain, dict(zip(labels, right)))
-    space = None
-    if xtop is not None and ytop is not None:
-        if xtop.carrier != f.domain or ytop.carrier != g.domain:
-            raise StructuralError("pullback spaces must be those of the "
-                                  "map domains")
-        space = FinTop.from_nbhd(members, map(
-            and_, _preimage_rows(firsts, xtop.rows),
-            _preimage_rows(seconds, ytop.rows)))
+    space = None if rows is None else FinTop.from_nbhd(members, rows)
     return PairedSubset(members, {"p1": p1, "p2": p2}, space)
 
 
@@ -900,10 +936,7 @@ def induce_topology(mode, carrier, tables, spaces):
             if (len(img) != n or min(img, default=0) < 0
                     or max(img, default=-1) >= len(sp.carrier)):
                 raise StructuralError("initial mode needs maps out of the carrier")
-        rows = [(1 << n) - 1] * n
-        for img, sp in zip(tables, spaces):
-            rows = list(map(and_, rows, _preimage_rows(img, sp.rows)))
-        return FinTop.from_nbhd(carrier, rows)
+        return FinTop.from_nbhd(carrier, initial_rows(n, tables, spaces))
     raise StructuralError("mode must be 'final' or 'initial', got %r" % mode)
 
 
@@ -916,6 +949,16 @@ def _final_rows(n, tables, spaces):
         for q, image in zip(img, _image_rows(img, sp.rows)):
             rows[q] |= image
     return _closure(rows)
+
+
+def initial_rows(n, tables, spaces):
+    """The rows of the initial topology on ``n`` points along the maps
+    whose tables are ``tables``, one into each of ``spaces``: each point's
+    row is the meet of the preimages of the rows around its images."""
+    rows = [(1 << n) - 1] * n
+    for img, sp in zip(tables, spaces):
+        rows = list(map(and_, rows, _preimage_rows(img, sp.rows)))
+    return rows
 
 
 def joint_image(tables):

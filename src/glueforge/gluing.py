@@ -18,15 +18,16 @@ by ``direction``:
   map ``G(a) -> G(b)``.  The glued-up object is the set of compatible
   families inside the product of the components.
 
-The document parser reads each map straight into its table and hands the
-tables to ``GluingData.from_tables``; the constructor takes ``FinFn``
-arrows and reads each into its table.  Tables the engine builds (the
-identities of split defaults, inverses, composites) come from
-``fincat.trusted_table``.  The legs of a glued object are tables too:
+The constructor takes the tables, as the document parser reads them,
+and checks each against the carriers of its endpoints, so a library
+caller's tables are checked as a document's are.  Tables the engine
+builds (the identities of split defaults, inverses, composites) come from
+the table kernels of ``fincat``.  The legs of a glued object are tables too:
 a colimit leg gives each point the position of its class in the apex, a
-limit leg each family its coordinate.  Label-to-label maps appear only in
-``GluingData.fn``, which builds the ``FinFn`` view of an arrow at each call
-and keeps nothing, and in the cones ``mediating_map`` checks.
+limit leg each family its coordinate.  Label-to-label maps serve only
+``mediating_map``, the tracer and the tests: ``GluingData.fn`` builds the
+``FinFn`` view of an arrow at each call and keeps nothing, and
+``mediating_map`` checks cones of them.
 
 In the topological ambient the colimit apex carries the final topology over
 its legs and the limit apex the initial topology; openness of legs is
@@ -44,11 +45,12 @@ from .fincat import (
     FinFn,
     FinSet,
     TopMap,
-    _positions,
     check_continuous,
     class_count,
     commutes,
     compatible_tuples,
+    compose,
+    identity,
     induce_topology,
     is_continuous,
     is_effective_after_base_change,
@@ -71,29 +73,12 @@ class GluingData:
     __slots__ = ("indexcat", "ambient", "objects", "arrows", "direction", "spaces",
                  "_overlaps")
 
-    def __init__(self, indexcat, ambient, objects, arrows, direction, spaces=None):
-        """The data whose arrows are the ``FinFn``s ``arrows`` gives the
-        generators, each with the endpoints ``expected_endpoints`` names,
-        read into tables; keys that are no generator are dropped."""
-        self._store(indexcat, ambient, objects, {}, direction, spaces)
-        problems = _object_problems(self) or self._read(arrows)
-        if problems:
-            raise StructuralError("invalid gluing data: "
-                                  + "; ".join(problems))
-        self._check()
-
-    @classmethod
-    def from_tables(cls, indexcat, ambient, objects, tables, direction,
-                    spaces=None):
-        """The data whose arrows are ``tables``, each read against the
-        carriers ``expected_endpoints`` names, so only the laws are
-        checked."""
-        data = object.__new__(cls)
-        data._store(indexcat, ambient, objects, tables, direction, spaces)
-        data._check()
-        return data
-
-    def _store(self, indexcat, ambient, objects, tables, direction, spaces):
+    def __init__(self, indexcat, ambient, objects, tables, direction,
+                 spaces=None):
+        """The data whose arrows are the position tables ``tables`` gives
+        the generators, each read against the carriers
+        ``expected_endpoints`` names; what ``validate_gluing_data`` finds
+        is refused."""
         if ambient not in ("sets", "top"):
             raise StructuralError("ambient must be 'sets' or 'top'")
         if direction not in (FROM_OVERLAPS, TOWARD_OVERLAPS):
@@ -110,29 +95,6 @@ class GluingData:
         object.__setattr__(self, "arrows", tables)
         object.__setattr__(self, "direction", direction)
         object.__setattr__(self, "spaces", spaces)
-
-    def _read(self, arrows):
-        """Read the ``FinFn`` of each generator into its table; every
-        generator left with no arrow and every map with other endpoints
-        than expected, as strings."""
-        problems = []
-        for g in self.indexcat.generators:
-            if g not in arrows:
-                if g not in self.arrows:    # no split default either
-                    problems.append("generator %r has no arrow" % (g,))
-                continue
-            fn = arrows[g]
-            dom, cod = self.expected_endpoints(g)
-            if fn.domain != dom or fn.codomain != cod:
-                problems.append(
-                    "arrow for %r has endpoints %r -> %r, expected %r -> %r"
-                    % (g, list(fn.domain), list(fn.codomain), list(dom),
-                       list(cod)))
-            else:
-                self.arrows[g] = _positions(fn)
-        return problems
-
-    def _check(self):
         problems = validate_gluing_data(self)
         if problems:
             raise StructuralError("invalid gluing data: "
@@ -154,8 +116,9 @@ class GluingData:
                 objects[diag] = objects[(i,)]
                 if (i,) in spaces:
                     spaces[diag] = spaces[(i,)]
-                tables.setdefault(("incl", i, diag), _identity(objects[(i,)]))
-            tables.setdefault(("tau", diag), _identity(objects[diag]))
+                tables.setdefault(("incl", i, diag),
+                                  identity(len(objects[(i,)])))
+            tables.setdefault(("tau", diag), identity(len(objects[diag])))
 
     def carrier(self, obj):
         try:
@@ -204,28 +167,6 @@ class GluingData:
         return self.carrier(src), self.carrier(dst)
 
 
-def _identity(carrier):
-    return trusted_table(list(range(len(carrier))), carrier, carrier)
-
-
-def _composite(first, then, domain, codomain):
-    """The table of ``first`` followed by ``then``, from ``domain`` into
-    ``codomain``."""
-    return trusted_table(list(map(then.__getitem__, first)), domain, codomain)
-
-
-def _inverse(table, domain, codomain):
-    """The table of the inverse of the bijection ``table`` from ``domain``
-    onto ``codomain``, refused as "only bijections can be inverted" when
-    it is no bijection."""
-    if len(set(table)) != len(table) or len(table) != len(codomain):
-        raise StructuralError("only bijections can be inverted")
-    inverse = [0] * len(table)
-    for k, q in enumerate(table):
-        inverse[q] = k
-    return trusted_table(inverse, codomain, domain)
-
-
 def _object_problems(data):
     """Every index object with no carrier or, in the top ambient, with no
     topology on its carrier, as strings."""
@@ -242,12 +183,14 @@ def _object_problems(data):
 
 
 def validate_gluing_data(data):
-    """Every missing carrier, topology or arrow and every violated
-    continuity or involution law, as strings.  Each table was read against
-    the carriers of its endpoints, so those hold; continuity is checked on
-    the rows of the two spaces, with the table as the image, and the swaps
-    of a pair are mutually inverse when their composite table is the
-    identity's."""
+    """Every missing carrier, topology or arrow, every table that does
+    not run between the carriers of its endpoints, and every violated
+    continuity or involution law, as strings.  A table runs between them
+    when it has one entry per domain point, each a codomain position,
+    which costs one ``len``, ``min`` and ``max`` per arrow; continuity is
+    checked on the rows of the two spaces, with the table as the image,
+    and the swaps of a pair are mutually inverse when their composite
+    table is the identity's."""
     problems = _object_problems(data)
     if problems:
         return problems
@@ -257,11 +200,23 @@ def validate_gluing_data(data):
                 for g in cat.generators if g not in arrows]
     if problems:
         return problems
+    objects = data.objects
+    ends = [(g, arrows[g], *data.arrow_objects(g)) for g in cat.generators]
+    for g, t, src, dst in ends:
+        dom, cod = len(objects[src]), len(objects[dst])
+        try:
+            fits = len(t) == dom and (not t or min(t) >= 0 and max(t) < cod)
+        except TypeError:    # no list of ints, such as a FinFn
+            fits = False
+        if not fits:
+            problems.append("arrow for %r is not a table of %d positions "
+                            "below %d" % (g, dom, cod))
+    if problems:
+        return problems
     if data.ambient == "top":
-        for g in cat.generators:
-            src, dst = data.arrow_objects(g)
-            if not is_continuous(arrows[g], data.spaces[src],
-                                 data.spaces[dst]):
+        spaces = data.spaces
+        for g, t, src, dst in ends:
+            if not is_continuous(t, spaces[src], spaces[dst]):
                 problems.append("arrow for %r is not continuous" % (g,))
     if cat.mode == SPLIT:
         for i, j in cat.pairs():
@@ -270,8 +225,7 @@ def validate_gluing_data(data):
             # each way round, a map from G(i,j) back to it
             first, then = (t2, t1) if data.direction == FROM_OVERLAPS \
                 else (t1, t2)
-            here = data.objects[(i, j)]
-            if _composite(first, then, here, here) != _identity(here):
+            if compose(first, then) != identity(len(objects[(i, j)])):
                 problems.append("involution violated: tau%r then tau%r is not "
                                 "the identity" % ((i, j), (j, i)))
     return problems
@@ -333,8 +287,7 @@ def _overlap_maps(data):
             into_j = data.edge(j, pair_obj)
         else:
             # the ambient map G(i,j) -> G(j,i), then G(j,i) into G(j)
-            into_j = _composite(data.tau_from((j, i)), data.edge(j, (j, i)),
-                                overlap, data.carrier((j,)))
+            into_j = compose(data.tau_from((j, i)), data.edge(j, (j, i)))
         out.append((i, j, overlap, data.edge(i, pair_obj), into_j))
     object.__setattr__(data, "_overlaps", tuple(out))
     return data._overlaps
@@ -433,9 +386,7 @@ def _limit_constraints(data):
         for pair_obj in cat.pairs():
             i, j = pair_obj
             # G(i) into G(i,j), then the swap to G(j,i)
-            into_ji = _composite(data.edge(i, pair_obj),
-                                 data.tau_from(pair_obj), data.carrier((i,)),
-                                 data.carrier((j, i)))
+            into_ji = compose(data.edge(i, pair_obj), data.tau_from(pair_obj))
             cons.append((i, j, into_ji, data.edge(j, (j, i))))
     return cons
 

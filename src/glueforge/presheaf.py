@@ -37,27 +37,18 @@ from itertools import combinations, product, repeat, tee
 from operator import getitem, or_
 
 from .errors import ResourceError, StructuralError, charge
-from .fincat import SEP, _refuse_labels, compatible_tuples, trusted_table
+from .fincat import (
+    SEP,
+    _refuse_labels,
+    compatible_tuples,
+    compose,
+    identity,
+    invert,
+    is_iso_table,
+    trusted_table,
+)
 
 EMPTY_SECTION = "()"
-
-
-def _composite(first, then):
-    """The table of ``first`` followed by ``then``."""
-    return list(map(then.__getitem__, first))
-
-
-def _identity(sections):
-    return trusted_table(list(range(len(sections))), sections, sections)
-
-
-def _is_identity(table):
-    return table == list(range(len(table)))
-
-
-def _bijective(table, size):
-    """Whether ``table`` is a bijection onto a set of ``size`` sections."""
-    return len(set(table)) == len(table) == size
 
 
 class OpenLattice:
@@ -159,7 +150,7 @@ class PresheafStore:
             if w != v:
                 raise StructuralError("no restriction map from %r to %r"
                                       % (lat.names(w), lat.names(v)))
-            res[(w, w)] = _identity(sections[w])
+            res[(w, w)] = identity(len(sections[w]))
             filled.add(w)
         object.__setattr__(self, "lattice", lat)
         object.__setattr__(self, "sections", sections)
@@ -177,7 +168,7 @@ def _uncomposed(store, pairs):
     for x, w in pairs:
         first = res[(x, w)]
         for v in below[w]:
-            if _composite(first, res[(w, v)]) != res[(x, v)]:
+            if compose(first, res[(w, v)]) != res[(x, v)]:
                 yield x, w, v
 
 
@@ -191,7 +182,8 @@ def validate_presheaf(store):
     lat, res, filled = store.lattice, store.res, store.filled
     problems = ["restriction at %r is not the identity" % lat.names(o)
                 for o in lat.opens
-                if o not in filled and not _is_identity(res[(o, o)])]
+                if o not in filled
+                and res[(o, o)] != identity(len(store.sections[o]))]
     if problems or next(_uncomposed(store, lat.covering), None):
         problems.extend("restriction composition %r -> %r -> %r disagrees "
                         "with the direct map"
@@ -482,21 +474,13 @@ def _unnatural(comp, source, target, pairs):
     maximal proper u of w above v, and the square at (w, v) is the square
     at (u, v) pasted to the one at (w, u)."""
     for w, v in pairs:
-        if _composite(comp[w], target.res[(w, v)]) \
-                != _composite(source.res[(w, v)], comp[v]):
+        if compose(comp[w], target.res[(w, v)]) \
+                != compose(source.res[(w, v)], comp[v]):
             yield w, v
 
 
 def _natural(comp, source, target, pairs):
     return next(_unnatural(comp, source, target, pairs), None) is None
-
-
-def _inverse(table, size):
-    """The inverse of the bijection ``table`` onto ``size`` sections: the
-    sections in the order of their values."""
-    if not _bijective(table, size):
-        raise StructuralError("only bijections can be inverted")
-    return sorted(range(size), key=table.__getitem__)
 
 
 class GluingDatum:
@@ -541,11 +525,10 @@ class GluingDatum:
                             "open outside the overlap"
                             % (given + (lattice.names(outside[0]),)))
                     if given != (a, b):
-                        comp = {o: trusted_table(_inverse(t, len(here[o])),
-                                                 here[o], there[o])
+                        comp = {o: invert(t, len(here[o]))
                                 for o, t in comp.items()}
                 elif a == b:
-                    comp = {o: _identity(here[o]) for o in lattice.opens}
+                    comp = {o: identity(len(here[o])) for o in lattice.opens}
                 else:
                     raise StructuralError("no transition between charts %r "
                                           "and %r" % (a, b))
@@ -584,11 +567,11 @@ class GluingDatum:
             source, target = self.locals[a], self.locals[b]
             lattice = OpenLattice(self.space, self.members(a) & self.members(b))
             for o, t in comp.items():
-                if not _bijective(t, len(target.sections[o])):
+                if not is_iso_table(t, len(target.sections[o])):
                     yield ("transition %r -> %r at %r is not a bijection"
                            % (a, b, lattice.names(o)))
             for o, t in comp.items():
-                if not _is_identity(_composite(t, inv[o])):
+                if compose(t, inv[o]) != identity(len(t)):
                     yield ("transitions %r <-> %r at %r are not mutually "
                            "inverse" % (a, b, lattice.names(o)))
             if lawful and _natural(comp, source, target, lattice.covering):
@@ -662,11 +645,12 @@ def glue_presheaves(datum):
             for b in range(a, len(names)):
                 meet = traces[a] & traces[b]
                 across = datum.transition(na, names[b], meet)
-                if len(across) <= 1 or a == b and _is_identity(across):
+                if len(across) <= 1 or a == b \
+                        and across == identity(len(across)):
                     continue
                 cons.append((a, b,
-                             _composite(locals_[a].res[(traces[a], meet)],
-                                        across),
+                             compose(locals_[a].res[(traces[a], meet)],
+                                     across),
                              locals_[b].res[(traces[b], meet)]))
         combos[o] = compatible_tuples(
             [range(len(loc.sections[tr])) for loc, tr in zip(locals_, traces)],
@@ -712,16 +696,17 @@ def presheaf_effective_check(datum, projections):
     """
     names = datum.names()
     chart_opens = {n: datum.locals[n].lattice.opens for n in names}
-    identity_ok = all(_is_identity(datum.transition(n, n, o))
-                      for n in names for o in chart_opens[n])
+    identity_ok = all(
+        datum.transition(n, n, o) == identity(len(datum.locals[n].sections[o]))
+        for n in names for o in chart_opens[n])
     cocycle_ok = identity_ok and all(
-        _composite(datum.transition(a, b, o), datum.transition(b, c, o))
+        compose(datum.transition(a, b, o), datum.transition(b, c, o))
         == datum.transition(a, c, o)
         for a, b, c in combinations(names, 3)
         for o in OpenLattice(datum.space, datum.members(a) & datum.members(b)
                              & datum.members(c)).opens)
-    psi_ok = all(_bijective(projections[n][o],
-                            len(datum.locals[n].sections[o]))
+    psi_ok = all(is_iso_table(projections[n][o],
+                              len(datum.locals[n].sections[o]))
                  for n in names for o in chart_opens[n])
     return {
         "identity_ok": identity_ok,
@@ -787,7 +772,7 @@ def glue_nat_trans(datum_space, charts, source, target, parts):
     for v in lat.opens:
         traces = [v & m for _, m in charts]
         image, _ = _joint_restriction(target, v, traces)
-        steps = [_composite(source.res[(v, tr)], parts[name].components[tr])
+        steps = [compose(source.res[(v, tr)], parts[name].components[tr])
                  for (name, _), tr in zip(charts, traces)]
         keys = zip(*steps) if steps else repeat((), len(source.sections[v]))
         try:

@@ -3,8 +3,8 @@ their glued-up objects, and composition of gluings by flattening covers of
 covers."""
 
 from .errors import StructuralError
-from .fincat import SEP
-from .gluing import TOWARD_OVERLAPS, _identity
+from .fincat import SEP, compose, identity
+from .gluing import TOWARD_OVERLAPS
 from .indexcat import NONSPLIT
 from .site import effective_epi_check, flatten_sinks
 
@@ -63,7 +63,7 @@ class Refinement:
         gi = self.image(i)
         robj = self.reindexed(pair_obj)
         if len(robj) == 1:
-            return _identity(self.source.carrier((gi,)))
+            return identity(len(self.source.carrier((gi,))))
         return self.source.edge(gi, robj)
 
 
@@ -84,20 +84,13 @@ def validate_refinement(ref):
         tgt_edge = ref.target.arrow(g)
         if ref.target.direction == TOWARD_OVERLAPS:
             # from the source component at gamma(i) to the target pair
-            square = (comp_i, tgt_edge), (src_edge, comp_pair)
+            one, other = compose(comp_i, tgt_edge), compose(src_edge, comp_pair)
         else:
             # from the source object at gamma(pair) to the target component i
-            square = (src_edge, comp_i), (comp_pair, tgt_edge)
-        if not _commutes(*square):
+            one, other = compose(src_edge, comp_i), compose(comp_pair, tgt_edge)
+        if one != other:
             problems.append("naturality square at %r does not commute" % (g,))
     return problems
-
-
-def _commutes(path, other):
-    """Whether two paths of two tables each, from one carrier, have the
-    same composite."""
-    return list(map(path[1].__getitem__, path[0])) \
-        == list(map(other[1].__getitem__, other[0]))
 
 
 def induced_limit_map(ref, glued_source, glued_target):

@@ -5,8 +5,11 @@ the effectiveness criteria for split colimit-side gluing data.
 A sink is a target with a finite family of maps into it, and each map is
 kept as a position table: the list that gives each point of the source, in
 carrier order, the target position of its image.  Test maps, the
-morphisms of a site and composite and pulled-back sources are tables too;
-labels return only in reports.
+morphisms of a site and composite and pulled-back sources are tables too,
+and the canonical functor of a sink and its base change, which the tests
+and the tracer build, are joined on positions by
+``fincat.pullback_positions``; labels return only in reports and in the
+``a|b`` names of pullback members.
 
 A sink is an effective epimorphism when its target is the glued-up object of
 its canonical functor.  In finite sets and finite spaces that holds exactly
@@ -39,23 +42,19 @@ charged to the budget.
 from collections import Counter
 from itertools import count, product as iproduct
 from math import prod
-from operator import and_
 
 from .errors import StructuralError, charge
 from .fincat import (
-    FinFn,
     FinSet,
     FinTop,
     _members,
-    _positions,
-    _preimage_rows,
-    compatible_tuples,
+    initial_rows,
     is_effective_after_base_change,
     is_effective_family,
     is_iso_table,
     joint_image,
     pair_label,
-    pullback,
+    pullback_positions,
     table_properties,
 )
 from .gluing import (
@@ -107,51 +106,47 @@ class Sink:
         return [name for name, _, _ in self.sources]
 
 
-def _label_fn(obj, target, table):
-    """The ``FinFn`` view of a table from a source object into ``target``,
-    for the label kernels of the functor and base change builders."""
-    carrier = _carrier(obj)
-    return FinFn.from_total(carrier, target, dict(zip(
-        carrier.labels, map(target.labels.__getitem__, table))))
+def _fibred(x, f, y, g, top):
+    """The pullback of the source ``x`` with table ``f`` and the source
+    ``y`` with table ``g``, into one target, on positions
+    (``pullback_positions``): its object, whose members are labelled
+    ``a|b`` and, in the top ambient, carry the initial topology, and its
+    two coordinate tables."""
+    firsts, seconds, rows = pullback_positions(f, g, (x, y) if top else ())
+    xs, ys = _carrier(x).labels, _carrier(y).labels
+    members = FinSet.from_distinct(list(map(
+        pair_label, map(xs.__getitem__, firsts), map(ys.__getitem__, seconds))))
+    return (FinTop.from_nbhd(members, rows) if top else members), firsts, \
+        seconds
 
 
 def canonical_sink_functor(sink):
     """The split colimit-side gluing functor of a sink: components are the
     sources, overlaps are the fibered products over the target, the swap
-    arrows are the canonical pullback symmetries.  No command builds it:
-    the tests glue it to check ``effective_epi_check`` against."""
+    arrows are the canonical pullback symmetries, all built on positions.
+    No command builds it: the tests glue it to check
+    ``effective_epi_check`` against."""
     top = sink.ambient == "top"
-    names = sink.names()
-    cat = IndexCat(SPLIT, FinSet(names))
+    cat = IndexCat(SPLIT, FinSet(sink.names()))
     objects = {}
     spaces = {}
-    arrows = {}
-    pblegs = {}
-    for i, obj, table in sink.sources:
-        objects[(i,)] = _carrier(obj)
-        spaces[(i,)] = obj if top else None
-    legs = {i: _label_fn(obj, sink.target, table)
-            for i, obj, table in sink.sources}
-    for i in names:
-        for j in names:
-            ps = pullback(legs[i], legs[j], spaces[(i,)], spaces[(j,)])
-            spaces[(i, j)] = ps.space
-            objects[(i, j)] = ps.members
-            pblegs[(i, j)] = ps.legs
-            arrows[("incl", i, (i, j))] = ps.legs["p1"]
-    for i in names:
-        for j in names:
-            src = objects[(i, j)]
-            dst = objects[(j, i)]
-            mapping = {}
-            for lab in src:
-                a = pblegs[(i, j)]["p1"](lab)
-                b = pblegs[(i, j)]["p2"](lab)
-                mapping[lab] = pair_label(b, a)
-            # stored at the generator whose source is (j, i): the ambient map
-            # G(i,j) -> G(j,i) realizing the swap
-            arrows[("tau", (j, i))] = FinFn(src, dst, mapping)
-    return GluingData(cat, sink.ambient, objects, arrows, FROM_OVERLAPS,
+    tables = {}
+    pairs = {}
+    for i, x, f in sink.sources:
+        objects[(i,)] = _carrier(x)
+        spaces[(i,)] = x
+        for j, y, g in sink.sources:
+            obj, firsts, seconds = _fibred(x, f, y, g, top)
+            objects[(i, j)] = _carrier(obj)
+            spaces[(i, j)] = obj
+            tables[("incl", i, (i, j))] = firsts
+            pairs[(i, j)] = list(zip(firsts, seconds))
+    for (i, j), joined in pairs.items():
+        at = dict(zip(pairs[(j, i)], count()))
+        # stored at the generator whose source is (j, i): the ambient map
+        # G(i,j) -> G(j,i), member (a, b) to member (b, a)
+        tables[("tau", (j, i))] = [at[(b, a)] for a, b in joined]
+    return GluingData(cat, sink.ambient, objects, tables, FROM_OVERLAPS,
                       spaces if top else None)
 
 
@@ -188,18 +183,16 @@ def flatten_sinks(outer, inner):
 def base_change_sink(sink, test):
     """The sink over the domain of the test map ``test``, an ``(object,
     table)`` pair as ``cli.parse_sink`` reads it, with each source pulled
-    back along it by ``pullback``.  No command builds it: the per-test
+    back along it on positions.  No command builds it: the per-test
     verdicts and the covering axioms need no pulled-back sink."""
     v_obj, img = test
     top = sink.ambient == "top"
-    fn = _label_fn(v_obj, sink.target, img)
     sources = []
     for name, obj, table in sink.sources:
-        ps = pullback(_label_fn(obj, sink.target, table), fn,
-                      obj if top else None, v_obj if top else None)
-        sources.append((name, ps.space if top else ps.members,
-                        _positions(ps.legs["p2"])))
-    return Sink(sink.ambient, fn.domain, sources, v_obj if top else None)
+        pulled, _, seconds = _fibred(obj, table, v_obj, img, top)
+        sources.append((name, pulled, seconds))
+    return Sink(sink.ambient, _carrier(v_obj), sources,
+                v_obj if top else None)
 
 
 def effective_epi_check(sink, hit=None):
@@ -358,9 +351,8 @@ def effective_gluing_check(data):
             == sum(n * fibres[j][z] for z, n in fibres[i].items())
         if top and canonical_bij[pair_obj]:
             # the initial topology along e_i and into_j
-            canonical_bij[pair_obj] = spaces[pair_obj].rows == list(map(
-                and_, _preimage_rows(e_i, spaces[(i,)].rows),
-                _preimage_rows(into_j, spaces[(j,)].rows)))
+            canonical_bij[pair_obj] = spaces[pair_obj].rows == initial_rows(
+                len(overlap), (e_i, into_j), (spaces[(i,)], spaces[(j,)]))
         diagnostics["pairs"][pair_obj] = {
             "edge_embeds": edge_emb[pair_obj],
             "edge_onto_component":
@@ -549,20 +541,6 @@ def sinks_equivalent(a, b):
     return a.ambient == b.ambient and key(a) == key(b)
 
 
-def _pulled_back(rows, leg, v_rows, img):
-    """The rows and the table over the test domain of the pullback of a
-    source (its ``rows`` and table ``leg``) along the map ``img`` from a
-    space with ``v_rows``, joined and charged as ``fincat.pullback`` joins
-    them: a member ``(x, v)`` for each ``leg[x] == img[v]``, whose row
-    holds the members in ``nbhd[x] x nbhd[v]``."""
-    pairs = compatible_tuples([range(len(leg)), range(len(img))],
-                              [(0, 1, leg, img)], "pullback")
-    firsts = [x for x, _ in pairs]
-    seconds = [v for _, v in pairs]
-    return list(map(and_, _preimage_rows(firsts, rows),
-                    _preimage_rows(seconds, v_rows))), seconds
-
-
 def covering_axioms_check(spec):
     """Checks the identity, composability, and base-change axioms on the
     declared fragment; every violation is named in the report.
@@ -634,9 +612,11 @@ def covering_axioms_check(spec):
             if _carrier(cod) != cov.target:
                 continue
             if top:
-                changed = [_kept_form(*_pulled_back(obj.rows, leg,
-                                                    dom.rows, img), forms)
-                           for _, obj, leg in cov.sources]
+                changed = []
+                for _, obj, leg in cov.sources:
+                    _, seconds, rows = pullback_positions(leg, img,
+                                                          (obj, dom))
+                    changed.append(_kept_form(rows, seconds, forms))
             else:
                 changed = [tuple(map(counts.__getitem__, img))
                            for counts in ks]

@@ -70,6 +70,25 @@ def indiscrete_space(carrier):
     return FinTop.from_nbhd(carrier, [(1 << len(carrier)) - 1] * len(carrier))
 
 
+def data_from_fns(indexcat, ambient, objects, arrows, direction,
+                  spaces=None):
+    """``GluingData`` whose arrows are given as a ``FinFn`` per generator,
+    each read into its table, then refused, in the words the engine used
+    while it took such maps, unless it runs between the carriers its
+    generator names.  Keys that are no generator are dropped."""
+    given = {g: arrows[g] for g in indexcat.generators if g in arrows}
+    data = GluingData(indexcat, ambient, objects, tables(given), direction,
+                      spaces)
+    for g, fn in given.items():
+        if data.fn(g) != fn:
+            dom, cod = data.expected_endpoints(g)
+            raise StructuralError(
+                "invalid gluing data: arrow for %r has endpoints %r -> %r, "
+                "expected %r -> %r" % (g, list(fn.domain), list(fn.codomain),
+                                       list(dom), list(cod)))
+    return data
+
+
 def make_nonsplit_colimit(index, components, overlaps, ambient="sets", spaces=None):
     """components: i -> labels; overlaps: (i, j) -> (labels, to_i, to_j)."""
     cat = IndexCat("nonsplit", FinSet(index))
@@ -81,7 +100,7 @@ def make_nonsplit_colimit(index, components, overlaps, ambient="sets", spaces=No
         objects[pair] = ov
         arrows[("incl", i, pair)] = FinFn(ov, objects[(i,)], to_i)
         arrows[("incl", j, pair)] = FinFn(ov, objects[(j,)], to_j)
-    return GluingData(cat, ambient, objects, arrows, FROM_OVERLAPS, spaces)
+    return data_from_fns(cat, ambient, objects, arrows, FROM_OVERLAPS, spaces)
 
 
 def make_split_colimit(index, components, overlaps, ambient="sets", spaces=None,
@@ -106,7 +125,7 @@ def make_split_colimit(index, components, overlaps, ambient="sets", spaces=None,
         objects[(i, i)] = ov
         arrows[("incl", i, (i, i))] = FinFn(ov, objects[(i,)], to_i)
         arrows[("tau", (i, i))] = FinFn(ov, ov, tau)
-    return GluingData(cat, ambient, objects, arrows, FROM_OVERLAPS, spaces)
+    return data_from_fns(cat, ambient, objects, arrows, FROM_OVERLAPS, spaces)
 
 
 def make_limit_data(index, components, overlaps, mode="nonsplit", ambient="sets",
@@ -136,7 +155,8 @@ def make_limit_data(index, components, overlaps, mode="nonsplit", ambient="sets"
                 objects[(i, i)] = comp
                 arrows[("incl", i, (i, i))] = identity_fn(comp)
                 arrows[("tau", (i, i))] = identity_fn(comp)
-    return GluingData(cat, ambient, objects, arrows, TOWARD_OVERLAPS, spaces)
+    return data_from_fns(cat, ambient, objects, arrows, TOWARD_OVERLAPS,
+                         spaces)
 
 
 def e1():
@@ -360,7 +380,8 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
                 fixed[("tau", (j, i))] = fn
             else:
                 fixed[key] = fn
-        return GluingData(cat, "top", objects, fixed, FROM_OVERLAPS, spaces)
+        return data_from_fns(cat, "top", objects, fixed, FROM_OVERLAPS,
+                             spaces)
     n = rng.randint(1, max_index)
     index = [str(k + 1) for k in range(n)]
     components = {i: ["c%s_%d" % (i, k) for k in range(rng.randint(1, max_size))]
@@ -377,8 +398,8 @@ def random_top_colimit(rng, max_index=3, max_size=3, effective=True):
                 {u: rng.choice(components[j]) for u in labels})
     data = make_split_colimit(index, components, overlaps)
     spaces = {obj: discrete_space(data.objects[obj]) for obj in data.objects}
-    return GluingData.from_tables(data.indexcat, "top", data.objects,
-                                  data.arrows, FROM_OVERLAPS, spaces)
+    return GluingData(data.indexcat, "top", data.objects, data.arrows,
+                      FROM_OVERLAPS, spaces)
 
 
 def label_arrows(data):

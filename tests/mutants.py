@@ -167,8 +167,8 @@ MUTANTS = [
      ["tests/test_topology.py"],
      "pullback ignores the spaces"),
     ("fincat.py",
-     "            and_, _preimage_rows(firsts, xtop.rows),\n",
-     "            or_, _preimage_rows(firsts, xtop.rows),\n",
+     "        rows = list(map(and_, rows, _preimage_rows(img, sp.rows)))\n",
+     "        rows = list(map(or_, rows, _preimage_rows(img, sp.rows)))\n",
      ["tests/test_topology.py"],
      "pullback rows join the two preimages instead of meeting them"),
     ("site.py",
@@ -218,14 +218,13 @@ MUTANTS = [
      ["tests/test_presheaf.py"],
      "covering families skip constraints through two sections"),
     ("presheaf.py",
-     "                if len(across) <= 1 or a == b and _is_identity(across):",
-     "                if len(across) <= 2 or a == b and _is_identity(across):",
+     "                if len(across) <= 1 or a == b \\\n",
+     "                if len(across) <= 2 or a == b \\\n",
      ["tests/test_presheaf.py"],
      "glued sections skip constraints through two sections"),
     ("presheaf.py",
-     "                if len(across) <= 1 or a == b and _is_identity(across):",
-     "                if len(across) <= 1 or a == b or a == b and "
-     "_is_identity(across):",
+     "                if len(across) <= 1 or a == b \\\n",
+     "                if len(across) <= 1 or a == b or a == b \\\n",
      ["tests/test_presheaf.py"],
      "glued sections skip every diagonal constraint"),
     ("presheaf.py",
@@ -234,7 +233,7 @@ MUTANTS = [
      ["tests/test_presheaf.py"],
      "the cocycle condition ignores the identity condition"),
     ("presheaf.py",
-     "                if not _is_identity(_composite(t, inv[o])):",
+     "                if compose(t, inv[o]) != identity(len(t)):",
      "                if False:",
      ["tests/test_presheaf.py"],
      "one-way validation does not check the reverse undoes a transition"),
@@ -249,18 +248,18 @@ MUTANTS = [
      ["tests/test_presheaf.py"],
      "a lattice pairs each open with the opens above it"),
     ("presheaf.py",
-     "if o not in filled and not _is_identity(res[(o, o)])]",
-     "if o not in filled and len(res[(o, o)]) != len(store.sections[o])]",
+     "                and res[(o, o)] != identity(len(store.sections[o]))]",
+     "                and len(res[(o, o)]) != len(store.sections[o])]",
      ["tests/test_presheaf.py"],
      "the identity law is checked on the length of the table only"),
-    ("presheaf.py",
+    ("fincat.py",
      "    return list(map(then.__getitem__, first))",
      "    return list(map(first.__getitem__, then))",
      ["tests/test_presheaf.py"],
      "a composite table reads first[then[i]]"),
-    ("presheaf.py",
-     "    return len(set(table)) == len(table) == size",
-     "    return len(table) == len(table) == size",
+    ("fincat.py",
+     "    if not len(set(img)) == len(img) == size:",
+     "    if not len(img) == len(img) == size:",
      ["tests/test_laws.py", "tests/test_presheaf.py"],
      "the bijection test counts the values, not the distinct ones"),
     ("schema.py",
@@ -332,7 +331,7 @@ MUTANTS = [
      ["tests/test_refusals.py"],
      "the swaps of the two orientations are compared by length only"),
     ("gluing.py",
-     "            if _composite(first, then, here, here) != _identity(here):\n",
+     "            if compose(first, then) != identity(len(objects[(i, j)])):\n",
      "            if False:\n",
      ["tests/test_gluing.py", "tests/test_laws.py"],
      "the split involution law is not checked"),
@@ -341,6 +340,16 @@ MUTANTS = [
      "    return not any(False\n",
      ["tests/test_refusals.py"],
      "a table is continuous whatever the rows"),
+    ("fincat.py",
+     "    if not is_iso_table(table, size):\n",
+     "    if len(set(table)) != len(table):\n",
+     ["tests/test_fincat.py"],
+     "invert accepts a table that is not onto"),
+    ("gluing.py",
+     "            fits = len(t) == dom and (not t or min(t) >= 0 and max(t) < cod)\n",
+     "            fits = len(t) <= dom and (not t or min(t) >= 0 and max(t) < cod)\n",
+     ["tests/test_gluing.py"],
+     "the GluingData constructor accepts a table one entry short"),
 ]
 
 

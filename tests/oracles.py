@@ -16,7 +16,8 @@ maps, the opens, maximal proper opens, induced topologies and map
 properties of a space from its neighbourhoods as label frozensets, the
 strong effectiveness reading from built pullbacks, fibred isomorphism of
 two sources by trying every permutation of every fibre, equivalent sinks by
-backtracking over matchings of sources, the covering axioms by building
+backtracking over matchings of sources, the canonical functor of a sink
+and its base change from label pullbacks, the covering axioms by building
 every candidate sink and comparing it with every declared covering, every
 covering of every open
 listed at once, and the
@@ -39,6 +40,7 @@ from glueforge.fincat import (
     TopMap,
     induce_topology,
     is_iso,
+    pair_label,
     product_enumerate,
     pullback,
     quotient_by_pairs,
@@ -49,7 +51,6 @@ from glueforge.gluing import (
     TOWARD_OVERLAPS,
     ConeCandidate,
     GluedObject,
-    GluingData,
     _require_valid,
     colimit_glue,
     mediating_map,
@@ -59,6 +60,7 @@ from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import (
     SiteSpec,
     Sink,
+    _carrier,
     _inner_mismatch,
     base_change_sink,
     canonical_sink_functor,
@@ -67,6 +69,7 @@ from glueforge.site import (
 
 from fixtures import (
     colimit_relation_pairs,
+    data_from_fns,
     identity_fn,
     inverse_fn,
     is_injective,
@@ -79,6 +82,7 @@ from fixtures import (
     space_from_nbhd,
     surjective,
     table,
+    view,
 )
 from paper import tag
 
@@ -328,6 +332,55 @@ def sink_target_cone(sink, data):
                          else None)
 
 
+def canonical_sink_functor_by_labels(sink):
+    """The canonical split gluing functor of a sink built on labels, as
+    the engine built it before it joined positions: a ``FinFn`` view of
+    each source map, a ``pullback`` of every ordered pair of them, and
+    each swap as the map ``a|b -> b|a`` between pullback members;
+    ``site.canonical_sink_functor`` builds the same on positions."""
+    top = sink.ambient == "top"
+    names = sink.names()
+    objects, spaces, arrows, pblegs = {}, {}, {}, {}
+    legs = {i: fn for i, _, fn in source_fns(sink)}
+    for i, obj, _ in sink.sources:
+        objects[(i,)] = _carrier(obj)
+        spaces[(i,)] = obj if top else None
+    for i in names:
+        for j in names:
+            ps = pullback(legs[i], legs[j], spaces[(i,)], spaces[(j,)])
+            spaces[(i, j)] = ps.space
+            objects[(i, j)] = ps.members
+            pblegs[(i, j)] = ps.legs
+            arrows[("incl", i, (i, j))] = ps.legs["p1"]
+    for i in names:
+        for j in names:
+            p1, p2 = pblegs[(i, j)]["p1"], pblegs[(i, j)]["p2"]
+            # the ambient map G(i,j) -> G(j,i), stored at the generator
+            # whose source is (j, i)
+            arrows[("tau", (j, i))] = FinFn(
+                objects[(i, j)], objects[(j, i)],
+                {lab: pair_label(p2(lab), p1(lab)) for lab in objects[(i, j)]})
+    return data_from_fns(IndexCat(SPLIT, FinSet(names)), sink.ambient,
+                         objects, arrows, FROM_OVERLAPS,
+                         spaces if top else None)
+
+
+def base_change_sink_by_labels(sink, test):
+    """The sink pulled back along the test map ``test``, an ``(object,
+    table)`` pair, on labels: each source's ``FinFn`` view pulled back
+    along the test map's by ``pullback``, its second projection read into
+    a table; ``site.base_change_sink`` builds the same on positions."""
+    v_obj, img = test
+    top = sink.ambient == "top"
+    fn = view(v_obj, sink.target, img)
+    sources = []
+    for name, obj, src_fn in source_fns(sink):
+        ps = pullback(src_fn, fn, obj if top else None, v_obj if top else None)
+        sources.append((name, ps.space if top else ps.members,
+                        table(ps.legs["p2"])))
+    return Sink(sink.ambient, fn.domain, sources, v_obj if top else None)
+
+
 def effective_epi_by_colimit(sink):
     """Whether the target of a sink is the glued-up object of its canonical
     functor, by gluing that functor and factoring the target cone through
@@ -360,11 +413,11 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
         arrows[g] = FinFn(members[src].members, members[dst].members,
                           {lab: arrow(legs["p1"](lab)) + SEP
                            + legs["p2"](lab) for lab in members[src].members})
-    pulled = GluingData(cat, data.ambient,
-                        {obj: ps.members for obj, ps in members.items()},
-                        arrows, FROM_OVERLAPS,
-                        {obj: ps.space for obj, ps in members.items()}
-                        if top else None)
+    pulled = data_from_fns(cat, data.ambient,
+                           {obj: ps.members for obj, ps in members.items()},
+                           arrows, FROM_OVERLAPS,
+                           {obj: ps.space for obj, ps in members.items()}
+                           if top else None)
     cone = ConeCandidate(delta.domain,
                          {obj: ps.legs["p2"] for obj, ps in members.items()},
                          space=v_space if top else None)

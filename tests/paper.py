@@ -23,14 +23,18 @@ from glueforge.fincat import SEP, FinFn, FinSet, quotient_by_pairs
 from glueforge.gluing import (
     FROM_OVERLAPS,
     GluedObject,
-    GluingData,
     _require_valid,
 )
 from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
 from glueforge.presheaf import GluingDatum, OpenLattice, PresheafStore, restrict
 from glueforge.refine import Refinement
 
-from fixtures import colimit_relation_pairs, identity_fn, preimage
+from fixtures import (
+    colimit_relation_pairs,
+    data_from_fns,
+    identity_fn,
+    preimage,
+)
 
 
 def tag(component, label):
@@ -372,8 +376,8 @@ def reindex(data, fun):
             for fn in fns:
                 out = out.then(fn)
         arrows[g] = out
-    return GluingData(fun.source, data.ambient, objects, arrows,
-                      data.direction, spaces)
+    return data_from_fns(fun.source, data.ambient, objects, arrows,
+                         data.direction, spaces)
 
 
 def compose_with_sorting(data, sorting):

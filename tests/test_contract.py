@@ -228,8 +228,8 @@ def test_chart_data_is_read_per_unordered_pair_and_triple(monkeypatch, name,
     # from chart data: transitions, their inverses and the restrictions in
     # their naturality squares, not the local presheaf laws
     handed, composed = [], []
-    real_tuples, real_composite = presheaf.compatible_tuples, \
-        presheaf._composite
+    real_tuples, real_compose = presheaf.compatible_tuples, \
+        presheaf.compose
 
     def tuples(domains, cons, what):
         handed.extend(cons)
@@ -239,10 +239,10 @@ def test_chart_data_is_read_per_unordered_pair_and_triple(monkeypatch, name,
         caller = sys._getframe(1).f_code.co_name
         if caller != "_uncomposed":
             composed.append(caller)
-        return real_composite(first, then)
+        return real_compose(first, then)
 
     monkeypatch.setattr(presheaf, "compatible_tuples", tuples)
-    monkeypatch.setattr(presheaf, "_composite", composite)
+    monkeypatch.setattr(presheaf, "compose", composite)
     case = next(c for c in CASES if c["name"] == name)
     code, _, _ = run(case["argv"], DOCS[name])
     assert code == case["exit"]

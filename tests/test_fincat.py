@@ -10,9 +10,13 @@ from glueforge.fincat import (
     FinSet,
     FinTop,
     TopMap,
+    compose,
+    identity,
     induce_topology,
+    invert,
     product_enumerate,
     pullback,
+    pullback_positions,
     quotient_by_pairs,
 )
 
@@ -125,6 +129,39 @@ def test_pullback_names_colliding_pair_labels():
     g = constant_fn(FinSet(["c", "b|c"]), point, "p")
     with pytest.raises(StructuralError, match="duplicate label 'a|b|c'"):
         pullback(f, g)
+
+
+def test_table_kernels_compose_and_invert():
+    assert identity(3) == [0, 1, 2] and identity(0) == []
+    assert compose([2, 0], [5, 6, 7]) == [7, 5]
+    assert invert([2, 0, 1], 3) == [1, 2, 0]
+    assert compose([2, 0, 1], invert([2, 0, 1], 3)) == identity(3)
+    assert invert([], 0) == []
+
+
+# not injective, not onto, longer than its codomain, onto a larger one
+@pytest.mark.parametrize("table, size", [
+    ([0, 0], 2), ([1], 2), ([0], 2), ([0, 1], 1), ([1, 0, 2], 2)])
+def test_invert_refuses_a_table_that_is_no_bijection(table, size):
+    with pytest.raises(StructuralError) as err:
+        invert(table, size)
+    assert str(err.value) == "only bijections can be inverted"
+
+
+def test_pullback_positions_join_and_charge_as_pullback():
+    f, g = [0, 1, 1], [1, 0, 1, 2]
+    firsts, seconds, rows = pullback_positions(f, g)
+    assert list(zip(firsts, seconds)) == [(0, 1), (1, 0), (1, 2), (2, 0),
+                                          (2, 2)]
+    assert rows is None
+    with budget(2), pytest.raises(ResourceError) as raised:
+        pullback_positions(f, g)
+    assert str(raised.value) == ("pullback would enumerate 3 items, above "
+                                 "the cap of 2")
+    # the discrete spaces give the discrete topology on the members
+    x = discrete_space(FinSet(["a", "b", "c"]))
+    y = discrete_space(FinSet(["p", "q", "r", "s"]))
+    assert pullback_positions(f, g, (x, y))[2] == [1 << k for k in range(5)]
 
 
 def test_engine_values_equal_validated_ones():

@@ -21,6 +21,7 @@ from fixtures import (
     colimit_data,
     colimit_relation_pairs,
     constant_fn,
+    data_from_fns,
     discrete_space,
     e1,
     e2,
@@ -72,7 +73,7 @@ def test_validate_names_involution_violation():
     comp = FinSet(["x", "y"])
     cat = IndexCat("split", FinSet(["1"]))
     with pytest.raises(StructuralError) as err:
-        GluingData(
+        data_from_fns(
             cat, "sets",
             {("1",): comp, ("1", "1"): ov},
             {("incl", "1", ("1", "1")): FinFn(ov, comp, {"w": "x", "wp": "y"}),
@@ -83,20 +84,25 @@ def test_validate_names_involution_violation():
                               "identity")
 
 
-def test_validate_names_endpoint_violation():
-    comp = FinSet(["x"])
-    wrong = FinSet(["z"])
+# a table one entry short, one entry long, with an entry past its
+# codomain, with a negative entry, and no table: a label map and a string
+@pytest.mark.parametrize("bad", [
+    [0], [0, 1, 0], [0, 2], [-1, 0],
+    FinFn(FinSet(["u", "v"]), FinSet(["x", "y"]), {"u": "x", "v": "y"}),
+    "01"])
+def test_validate_names_a_table_off_its_carriers(bad):
+    comp = FinSet(["x", "y"])
     cat = IndexCat("nonsplit", FinSet(["1", "2"]))
     with pytest.raises(StructuralError) as err:
         GluingData(
             cat, "sets",
-            {("1",): comp, ("2",): comp, ("1", "2"): FinSet(["u"])},
-            {("incl", "1", ("1", "2")): FinFn(FinSet(["u"]), wrong, {"u": "z"}),
-             ("incl", "2", ("1", "2")): FinFn(FinSet(["u"]), comp, {"u": "x"})},
+            {("1",): comp, ("2",): comp, ("1", "2"): FinSet(["u", "v"])},
+            {("incl", "1", ("1", "2")): bad,
+             ("incl", "2", ("1", "2")): [1, 0]},
             "from-overlaps")
     assert str(err.value) == ("invalid gluing data: arrow for ('incl', '1', "
-                              "('1', '2')) has endpoints ['u'] -> ['z'], "
-                              "expected ['u'] -> ['x']")
+                              "('1', '2')) is not a table of 2 positions "
+                              "below 2")
 
 
 def test_e1_colimit_merges_the_overlap_class():
@@ -461,7 +467,7 @@ def test_topological_colimit_legs_open_and_embedding():
     u2 = FinSet(["bp", "c"])
     ov = FinSet(["o"])
     cat = IndexCat("nonsplit", FinSet(["1", "2"]))
-    data = GluingData(
+    data = data_from_fns(
         cat, "top",
         {("1",): u1, ("2",): u2, ("1", "2"): ov},
         {("incl", "1", ("1", "2")): FinFn(ov, u1, {"o": "b"}),

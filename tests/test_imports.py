@@ -99,3 +99,38 @@ def test_scan_finds_a_leftover_parameter():
     assert unread_parameters(source) == [
         (1, "glue", "flag"), (1, "glue", "glued"), (2, "inner", "unused"),
         (8, "at", "extra"), (8, "at", "o")]
+
+
+def repeated_definitions(sources):
+    """Each top-level function or class name that two or more of
+    ``sources`` (module name to source text) define, with those modules,
+    sorted."""
+    where = {}
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                where.setdefault(node.name, []).append(module)
+    return sorted((name, modules) for name, modules in where.items()
+                  if len(modules) > 1)
+
+
+def engine_sources():
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            sources[os.path.basename(path)[:-3]] = handle.read()
+    return sources
+
+
+def test_no_two_modules_define_one_name():
+    assert repeated_definitions(engine_sources()) == []
+
+
+def test_scan_finds_a_definition_made_twice():
+    planted = dict(engine_sources())
+    planted["gluing"] += ("\n\ndef compose(first, then):\n"
+                          "    return [then[k] for k in first]\n"
+                          "\n\nclass Sink:\n    pass\n")
+    assert repeated_definitions(planted) == [
+        ("Sink", ["gluing", "site"]), ("compose", ["fincat", "gluing"])]

@@ -36,6 +36,7 @@ from glueforge.site import (
 
 from fixtures import (
     close_family,
+    data_from_fns,
     discrete_space,
     function_presheaf,
     identities,
@@ -251,8 +252,8 @@ def test_tau_involution_names_both_orientations(direction):
     arrows = label_arrows(data)
     arrows[("tau", ("1", "2"))] = FinFn(ov, ov, {"u": "v", "v": "u"})
     with pytest.raises(StructuralError) as err:
-        type(data)(data.indexcat, data.ambient, data.objects, arrows,
-                   data.direction)
+        data_from_fns(data.indexcat, data.ambient, data.objects, arrows,
+                      data.direction)
     assert str(err.value) == (
         "invalid gluing data: "
         "involution violated: tau('1', '2') then tau('2', '1') is not the "

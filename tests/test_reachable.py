@@ -159,4 +159,6 @@ def test_report_records_are_written_only_through_the_emitter():
     call = "node.emit(indent, out)"
     assert SOURCES["cli"].count(call) == 1
     cut = dict(SOURCES, cli=SOURCES["cli"].replace(call, "pass"))
-    assert unreached(cut, ROOTS) == ["cli.Classes.emit", "cli.LabelMap.emit"]
+    # the records are the one user of the bulk object join
+    assert unreached(cut, ROOTS) == ["cli.Classes.emit", "cli.LabelMap.emit",
+                                     "cli._joined", "cli._object"]

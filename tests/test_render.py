@@ -95,10 +95,10 @@ def test_emitter_matches_json_dumps_on_homogeneous_containers(node):
     {}, {"a": []}, {"a": {}}, {"a": [[], {}, [{}]]}, {"": ""},
     {"b": 1, "a": True, "c": None, "d": False, "e": -0, "f": 10 ** 30},
     {"z": {"y": [1, "x", {"w": [None]}]}, "Z": "é \U0001f600"},
-    # dicts that start as a dict of string lists and then stop being one
+    # dicts of string lists, some of them with other values too
     {"a": {"b": ["x"], "c": []}}, {"a": {"b": ["x"], "c": "y"}},
     {"a": {"b": ["x"], "c": [["y"]]}}, {"a": {"b": ["x", "y"], "c": None}},
-    # tuples are arrays, also beside lists in one dict of string lists
+    # tuples are arrays, also beside lists in one dict
     {"a": (1, 2)}, {"a": [{"b": ("c",)}]}, {"a": {"b": ["x", ("y",)]}},
     {"a": ()}, {"a": {"b": ("x",), "c": ["y", "z"]}},
     {"a": {"b": ["x"], "c": ("y", "z")}}, {"a": {"b": ("x",), "c": ()}},
@@ -139,9 +139,9 @@ NON_PLAIN = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\x80", "é", "\u2028",
 def one_non_plain(bad):
     """Containers of strings and records, holding plain strings, empty ones
     among them, and the one string ``"a" + bad`` as a key or as a value or
-    member: the list and the dict of string lists that the emitter writes
-    in bulk, dicts of strings and of string tuples, which it writes one
-    entry at a time, and each record with the string in its domain, its
+    member: the list that the emitter writes in bulk, dicts of strings, of
+    string tuples and of string lists, which it writes one entry at a
+    time, and each record with the string in its domain, its
     codomain or a merged class."""
     odd = "a" + bad
     return [
@@ -166,7 +166,7 @@ def test_emitter_escapes_the_one_string_that_needs_it(bad):
 
 # plain strings only, so a bulk container is written by its joins
 PLAIN_TEXT = st.text(st.sampled_from(list("ab zZ09~'/|,:")), max_size=6)
-BULK_SHAPES = ["list", "tuple", "dict of lists", "label map", "classes"]
+BULK_SHAPES = ["list", "tuple", "label map", "classes"]
 # what sits beside a nested container; at least one sibling keeps each
 # level off the bulk paths
 SIBLINGS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
@@ -193,10 +193,8 @@ def bulk_container(draw):
     if shape == "label map":
         return LabelMap(tuple(keys), list(range(len(keys)))[::-1],
                         tuple(texts))
-    if shape == "classes":
-        # one merged class: the first key with the texts
-        return Classes(tuple(keys), {keys[0]: [keys[0]] + texts})
-    return {k: [texts[n]] + texts[:n] for n, k in enumerate(keys)}
+    # classes: one merged class, the first key with the texts
+    return Classes(tuple(keys), {keys[0]: [keys[0]] + texts})
 
 
 @st.composite
@@ -280,7 +278,7 @@ def test_plain_containers_are_written_without_encoding_a_string(monkeypatch):
         raise AssertionError("encoded %r" % text)
 
     plain = [["", "x y", "~!#$%&'()*+,-./:;<=>?@[]^_`{|}", "z"],
-             ("",), {"k": ["x", "y"], "": [""]},
+             ("",),
              LabelMap(("k", "", "z"), [0, 1, 1], ("v", "w")),
              Classes(("k", "", "z"), {"z": ["z", "y", "x"]})]
     expected = list(map(dumped, plain))

@@ -60,7 +60,9 @@ from fixtures import (
     table,
 )
 from oracles import (
+    base_change_sink_by_labels,
     canonical_bijective_by_pullback,
+    canonical_sink_functor_by_labels,
     covering_axioms_by_scan,
     effective_epi_by_colimit,
     fibered_iso_by_permutations,
@@ -202,8 +204,8 @@ def strong_reading_data(draw):
                 [FinFn(ov, data.carrier((i,)), e_i),
                  FinFn(ov, data.carrier((j,)), into_j)],
                 [spaces[(i,)], spaces[(j,)]]))
-    return GluingData.from_tables(data.indexcat, "top", data.objects,
-                                  data.arrows, FROM_OVERLAPS, spaces)
+    return GluingData(data.indexcat, "top", data.objects, data.arrows,
+                      FROM_OVERLAPS, spaces)
 
 
 def test_strong_reading_matches_the_pullback_oracle():
@@ -221,8 +223,8 @@ def test_strong_reading_matches_the_pullback_oracle():
         got = {pair: diag["canonical_bijective"] for pair, diag
                in effective_gluing_check(data).diagnostics["pairs"].items()}
         assert got == canonical_bijective_by_pullback(data, glued)
-        bare = GluingData.from_tables(data.indexcat, "sets", data.objects,
-                                      data.arrows, FROM_OVERLAPS)
+        bare = GluingData(data.indexcat, "sets", data.objects, data.arrows,
+                          FROM_OVERLAPS)
         as_sets = canonical_bijective_by_pullback(bare, colimit_glue(bare))
         for i, j, ov, e_i, into_j in label_overlap_maps(data):
             seen["diagonal"] += i == j
@@ -861,6 +863,50 @@ def test_per_test_verdicts_match_the_built_base_change():
         for decision in (True, False):
             assert seen[(ambient, decision)] >= 20, seen
     assert seen["covering"] >= 15 and seen["empty"] >= 40, seen
+
+
+def test_positions_build_the_functor_and_the_base_change_as_labels_did():
+    """The canonical functor of a sink and its base change along a test
+    map, built on positions, have the objects, spaces and arrow tables,
+    and the target and sources, that the label-built references give,
+    on set and top sinks with empty targets, sources, test domains and
+    pullbacks among them."""
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(base_change_cases())
+    def check(case):
+        sink, fn, v_space = case
+        test = label_test(fn, v_space)
+        changed = base_change_sink(sink, test)
+        expected = base_change_sink_by_labels(sink, test)
+        assert (changed.ambient, changed.target, changed.target_space) \
+            == (expected.ambient, expected.target, expected.target_space)
+        assert changed.sources == expected.sources
+        seen[sink.ambient] += 1
+        seen["empty pulled back source"] += any(
+            not len(site._carrier(obj)) for _, obj, _ in changed.sources)
+        if not sink.sources:    # no index set, both refuse
+            for build in (canonical_sink_functor,
+                          canonical_sink_functor_by_labels):
+                with pytest.raises(StructuralError,
+                                   match="index set must be nonempty"):
+                    build(sink)
+            return
+        data = canonical_sink_functor(sink)
+        ref = canonical_sink_functor_by_labels(sink)
+        assert data.objects == ref.objects
+        assert data.spaces == ref.spaces
+        assert data.arrows == ref.arrows
+        seen["empty overlap"] += any(not len(data.carrier(pair))
+                                     for pair in data.indexcat.pairs())
+
+    # 300 draws: 104 set and 196 top sinks, 96 functors with an empty
+    # overlap and 140 base changes with an empty source
+    check()
+    assert seen["sets"] >= 90 and seen["top"] >= 150, seen
+    assert seen["empty overlap"] >= 80, seen
+    assert seen["empty pulled back source"] >= 100, seen
 
 
 @st.composite
