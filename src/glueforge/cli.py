@@ -564,14 +564,6 @@ def jsonable_object(carrier, space):
             "opens": list(map(space.points, space.open_masks()))}
 
 
-def jsonable_table(table, domain, codomain):
-    """The map that ``table`` gives from the labels ``domain`` into the
-    labels ``codomain``, as a report holds it: a ``LabelMap``, which
-    ``render_report`` writes as an object from each domain label to the
-    label of its image."""
-    return LabelMap(domain, table, codomain)
-
-
 def glued_object_to_json(data, glued):
     # a colimit leg runs from its object's carrier into the apex, a limit
     # leg the other way round
@@ -579,8 +571,8 @@ def glued_object_to_json(data, glued):
     out = {
         "side": glued.side,
         "apex": jsonable_object(glued.apex, glued.space),
-        "legs": {",".join(obj): jsonable_table(table, *(
-            data.carrier(obj).labels, glued.apex.labels)[::way])
+        "legs": {",".join(obj): LabelMap(*(
+            data.carrier(obj).labels, table, glued.apex.labels)[::way])
                  for obj, table in sorted(glued.legs.items())},
     }
     if glued.leg_props:
@@ -639,18 +631,17 @@ def _hom_command(doc, flags):
 def _check_effective_command(doc, flags):
     data = parse_gluing(doc.payload)
     report = effective_gluing_check(data)
-    verdicts = {
-        "congruence_and_injective": report.congruence_and_injective,
-        "intersection_characterization": report.intersection_characterization,
-        "strong_bijections": report.strong_bijections,
-        "all_equivalent": report.all_equivalent(),
-    }
+    verdicts = {name: report[name] for name in (
+        "congruence_and_injective", "intersection_characterization",
+        "strong_bijections")}
+    verdicts["all_equivalent"] = len(set(verdicts.values())) == 1
+    diag = report["diagnostics"]
     diagnostics = {
         "pairs": {",".join(pair): {k: d[k] for k in sorted(d)}
-                  for pair, d in sorted(report.diagnostics["pairs"].items())},
-        "legs": {i: d for i, d in sorted(report.diagnostics["legs"].items())},
+                  for pair, d in sorted(diag["pairs"].items())},
+        "legs": {i: d for i, d in sorted(diag["legs"].items())},
     }
-    artifacts = {"apex_size": len(report.glued.apex)}
+    artifacts = {"apex_size": len(report["glued"].apex)}
     return verdicts, artifacts, diagnostics
 
 
@@ -674,7 +665,7 @@ def _compose_command(doc, flags):
     flat = result["sink"]
     artifacts = {
         "flattened_sources": {
-            name: jsonable_table(t, _carrier(obj).labels, flat.target.labels)
+            name: LabelMap(_carrier(obj).labels, t, flat.target.labels)
             for name, obj, t in flat.sources},
     }
     return verdicts, artifacts, {}
@@ -716,7 +707,7 @@ def _glue_sheaves_command(doc, flags):
         "sections": {lat.key(o): list(sections[o]) for o in lat.opens},
         "restrictions": {
             "%s>%s" % (lat.key(w), lat.key(v)):
-                jsonable_table(glued.res[(w, v)], sections[w], sections[v])
+                LabelMap(sections[w], glued.res[(w, v)], sections[v])
             for w, v in lat.pairs_below() if v != w},
     }
     verdicts = {
@@ -758,8 +749,8 @@ def _glue_map_command(doc, flags):
     glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
     artifacts = {"components": {
-        lat.key(o): jsonable_table(glued.components[o], store.sections[o],
-                                   target.sections[o]) for o in lat.opens}}
+        lat.key(o): LabelMap(store.sections[o], glued.components[o],
+                             target.sections[o]) for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 
 
@@ -776,8 +767,8 @@ def _refine_command(doc, flags):
         else:
             gs = colimit_glue(ref.source)
             gt = colimit_glue(ref.target)
-        artifacts["induced_map"] = jsonable_table(
-            induced_limit_map(ref, gs, gt), gs.apex.labels, gt.apex.labels)
+        artifacts["induced_map"] = LabelMap(
+            gs.apex.labels, induced_limit_map(ref, gs, gt), gt.apex.labels)
         artifacts["source_apex_size"] = len(gs.apex)
         artifacts["target_apex_size"] = len(gt.apex)
     return verdicts, artifacts, diagnostics

@@ -33,8 +33,9 @@ entry of the tables they read, and the tables the engine builds come from
 the table kernels below or from ``trusted_table``, which checks only
 their length.  ``is_continuous``,
 ``check_continuous``, ``is_iso_table`` and ``table_properties`` read a
-table between two spaces, and ``is_effective_family`` and
-``is_effective_after_base_change`` read the tables of a family of maps.
+table between two spaces, and ``is_effective_after_base_change`` reads
+the tables of a family of maps, whose effectiveness is the case of base
+change along the ``identity``.
 A set's label-to-position index is built at its first use (``position``,
 ``in``, or a ``FinFn`` validated against the set); the two checking
 ``FinSet`` constructors build it at once, as their distinctness check, so
@@ -969,21 +970,6 @@ def joint_image(tables):
     return hit
 
 
-def is_effective_family(size, tables, space=None, spaces=(), hit=None):
-    """Whether maps into a carrier of ``size`` points, given by their
-    ``tables``, form an effective epimorphic family: they are jointly
-    surjective and, given the target ``space`` and one source space per
-    map, the target carries the final topology along them.  In finite sets
-    and finite spaces this is the whole condition, so no colimit is built
-    to decide it.  ``hit`` is the tables' ``joint_image``, built here when
-    not given."""
-    if hit is None:
-        hit = joint_image(tables)
-    if len(hit) != size:
-        return False
-    return space is None or space.rows == _final_rows(size, tables, spaces)
-
-
 def is_effective_after_base_change(img, tables, space=None, spaces=(),
                                    hit=None):
     """Whether the maps given by ``tables``, into the codomain of the map
@@ -1000,7 +986,14 @@ def is_effective_after_base_change(img, tables, space=None, spaces=(),
     the row of ``v`` met with the union of ``fn^-1(f(nbhd[x]))`` over the
     fibre of every map over ``fn(v)``, and is that closed transitively:
     the domain carries it when its rows are those.  ``hit`` is the maps'
-    ``joint_image``, built here when not given."""
+    ``joint_image``, built here when not given.
+
+    Along the ``identity`` this decides whether the maps themselves form
+    an effective epimorphic family: they are jointly surjective and the
+    codomain carries the final topology along them.  There the union for
+    ``v`` is the union of the images of the source rows over ``v``, which
+    the row of ``v`` holds, the maps being continuous, so the rows start
+    as those of ``_final_rows``."""
     if hit is None:
         hit = joint_image(tables)
     if not hit.issuperset(img):

@@ -59,7 +59,7 @@ from .fincat import (
     table_properties,
     trusted_table,
 )
-from .indexcat import NONSPLIT, SPLIT, gen_endpoints
+from .indexcat import NONSPLIT, SPLIT
 
 FROM_OVERLAPS = "from-overlaps"
 TOWARD_OVERLAPS = "toward-overlaps"
@@ -159,7 +159,7 @@ class GluingData:
 
     def arrow_objects(self, key):
         """The index objects the arrow stored for ``key`` runs between."""
-        src, dst = gen_endpoints(key)
+        src, dst = self.indexcat.ends[key]
         return (dst, src) if self.direction == FROM_OVERLAPS else (src, dst)
 
     def expected_endpoints(self, key):
@@ -315,18 +315,17 @@ def _offsets(data):
 
 
 def _coproduct(comps, carriers):
-    """The tagged labels ``i|x`` of the disjoint union and each component's
-    offset; checked distinct only if an index label holds the separator."""
+    """The tagged labels ``i|x`` of the disjoint union, component after
+    component; checked distinct only if an index label holds the
+    separator."""
     labels = []
-    offsets = {}
     for i, carrier in zip(comps, carriers):
-        offsets[i] = len(labels)
         tag = i + SEP
         labels += [tag + x for x in carrier.labels]
     labels = tuple(labels)
     if any(SEP in i for i in comps):
         FinSet.from_distinct(labels)    # raises naming a repeated label
-    return labels, offsets
+    return labels
 
 
 def colimit_glue(data):
@@ -349,7 +348,8 @@ def colimit_glue(data):
     cat = data.indexcat
     comps = [obj[0] for obj in cat.singletons()]
     carriers = [data.carrier((i,)) for i in comps]
-    labels, offsets = _coproduct(comps, carriers)
+    offsets, _ = _offsets(data)
+    labels = _coproduct(comps, carriers)
     apex, table, merged = quotient_by_pairs(labels,
                                             _position_pairs(data, offsets))
     legs = {}
@@ -434,8 +434,7 @@ def _check_cone(data, cone, side):
     for obj in cat.objects:
         if obj not in cone.legs:
             raise StructuralError("cone has no leg at %r" % (obj,))
-    for g in cat.generators:
-        src, dst = gen_endpoints(g)
+    for g, (src, dst) in cat.ends.items():
         fn = data.fn(g)
         path = (fn, cone.legs[src]) if data.direction == FROM_OVERLAPS \
             else (cone.legs[src], fn)

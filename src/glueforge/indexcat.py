@@ -7,10 +7,12 @@ ordered pair in split mode.  Generator keys are
     ("incl", i, pair)   the inclusion of the singleton i into pair
     ("tau", (i, j))     the swap isomorphism with source (i, j), split only
 
-and a gluing functor is given by one map per generator.  The morphism
-algebra (words of generators in normal form, composition and the law
-``tau[j,i] . tau[i,j] = id``) serves only the paper's functors between
-index categories, and lives with them in ``tests/paper.py``.
+and a gluing functor is given by one map per generator.  ``ends`` gives
+each generator its ``(source, target)`` objects, recorded where the key
+is made, so no key is parsed back.  The morphism algebra (words of
+generators in normal form, composition and the law ``tau[j,i] . tau[i,j]
+= id``) serves only the paper's functors between index categories, and
+lives with them in ``tests/paper.py``.
 
 Documents name an object by its labels joined with commas; ``keys`` maps
 every spelling a document may use, ``i`` and ``i,j`` and in nonsplit mode
@@ -25,20 +27,10 @@ NONSPLIT = "nonsplit"
 SPLIT = "split"
 
 
-def gen_endpoints(key):
-    kind = key[0]
-    if kind == "incl":
-        return (key[1],), key[2]
-    if kind == "tau":
-        i, j = key[1]
-        return (i, j), (j, i)
-    raise StructuralError("unknown generator key %r" % (key,))
-
-
 class IndexCat:
     """The (split) truncated power-set category of a finite index set."""
 
-    __slots__ = ("mode", "index", "objects", "generators", "keys")
+    __slots__ = ("mode", "index", "objects", "generators", "ends", "keys")
 
     def __init__(self, mode, index):
         if mode not in (NONSPLIT, SPLIT):
@@ -47,25 +39,26 @@ class IndexCat:
             raise StructuralError("index set must be nonempty")
         objects = [(i,) for i in index]
         keys = dict(zip(index.labels, objects))
-        generators = []
+        ends = {}
         if mode == NONSPLIT:
             for i, j in combinations(index.labels, 2):
                 pair = (i, j)
                 objects.append(pair)
                 keys[i + "," + j] = keys[j + "," + i] = pair
-                generators.append(("incl", i, pair))
-                generators.append(("incl", j, pair))
+                ends[("incl", i, pair)] = (i,), pair
+                ends[("incl", j, pair)] = (j,), pair
         else:
             for i, j in iproduct(index.labels, index.labels):
                 objects.append((i, j))
                 keys[i + "," + j] = (i, j)
             for i, j in iproduct(index.labels, index.labels):
-                generators.append(("incl", i, (i, j)))
-                generators.append(("tau", (i, j)))
+                ends[("incl", i, (i, j))] = (i,), (i, j)
+                ends[("tau", (i, j))] = (i, j), (j, i)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "objects", tuple(objects))
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "generators", tuple(ends))
+        object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "keys", keys)
 
     def __setattr__(self, name, value):

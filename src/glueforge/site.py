@@ -14,16 +14,17 @@ and the tracer build, are joined on positions by
 A sink is an effective epimorphism when its target is the glued-up object of
 its canonical functor.  In finite sets and finite spaces that holds exactly
 when the family is jointly surjective and the target carries the final
-topology along it, and ``fincat.is_effective_family`` decides it so on
-tables and rows, with no functor built.  The universal quantifier over base
-changes is not enumerable: the sink is tested after base change along a
-finite, caller-supplied family of test maps, each verdict decided by
-``fincat.is_effective_after_base_change`` with no pullback built.  Both
-ambients have a closed form for universal effectiveness.  In sets it is
-joint surjectivity, which the report records.  In spaces a sink is a
-universal effective epimorphism exactly when its map from the coproduct of
-the sources is biquotient (Day and Kelly 1970); no kernel here decides that
-yet, so top reports carry the per-test verdicts only.
+topology along it.  That is effectiveness after base change along the
+identity, so one kernel, ``fincat.is_effective_after_base_change``, decides
+it and every verdict after base change, on tables and rows, with no functor
+or pullback built.  The universal quantifier over base changes is not
+enumerable: the sink is tested after base change along a finite,
+caller-supplied family of test maps.  Both ambients have a closed form for
+universal effectiveness.  In sets it is joint surjectivity, which the
+report records.  In spaces a sink is a universal effective epimorphism
+exactly when its map from the coproduct of the sources is biquotient (Day
+and Kelly 1970); no kernel here decides that yet, so top reports carry the
+per-test verdicts only.
 
 The covering axioms look each candidate sink up among the declared
 coverings by key, with no candidate built.  A sink's key is its target and
@@ -48,9 +49,9 @@ from .fincat import (
     FinSet,
     FinTop,
     _members,
+    identity,
     initial_rows,
     is_effective_after_base_change,
-    is_effective_family,
     is_iso_table,
     joint_image,
     pair_label,
@@ -203,13 +204,14 @@ def effective_epi_check(sink, hit=None):
     final topology, and the target's maps factor through it injectively, so
     the factoring map is an isomorphism exactly when the family is jointly
     surjective and, in the top ambient, the target carries the final
-    topology along it.  ``hit`` is the sources' ``joint_image``, built
-    when not given.
+    topology along it.  That is effectiveness after base change along the
+    identity of the target, which ``is_effective_after_base_change``
+    decides.  ``hit`` is the sources' ``joint_image``, built when not
+    given.
     """
-    return is_effective_family(len(sink.target),
-                               [table for _, _, table in sink.sources],
-                               sink.target_space,
-                               [obj for _, obj, _ in sink.sources], hit)
+    return is_effective_after_base_change(
+        identity(len(sink.target)), [table for _, _, table in sink.sources],
+        sink.target_space, [obj for _, obj, _ in sink.sources], hit)
 
 
 def universal_effective_epi_check(sink, tests=()):
@@ -244,34 +246,12 @@ def universal_effective_epi_check(sink, tests=()):
     return report
 
 
-class EffectivenessReport:
-    """Independently computed flags for the three effectiveness readings of a
-    split colimit-side gluing functor, plus per-pair diagnostics."""
-
-    __slots__ = ("congruence_and_injective", "intersection_characterization",
-                 "strong_bijections", "diagnostics", "glued")
-
-    def __init__(self, c2, c3, c4, diagnostics, glued):
-        object.__setattr__(self, "congruence_and_injective", c2)
-        object.__setattr__(self, "intersection_characterization", c3)
-        object.__setattr__(self, "strong_bijections", c4)
-        object.__setattr__(self, "diagnostics", diagnostics)
-        object.__setattr__(self, "glued", glued)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EffectivenessReport is immutable")
-
-    def flags(self):
-        return (self.congruence_and_injective,
-                self.intersection_characterization,
-                self.strong_bijections)
-
-    def all_equivalent(self):
-        return len(set(self.flags())) == 1
-
-
 def effective_gluing_check(data):
-    """The three readings of effectiveness, evaluated independently.
+    """The three readings of effectiveness of split colimit-side data,
+    evaluated independently, as a dict: the flags
+    ``congruence_and_injective``, ``intersection_characterization`` and
+    ``strong_bijections``, the per-pair and per-leg ``diagnostics``, and
+    the ``glued`` object.
 
     Congruence reading: the generated identification relation, symmetrized
     and with the diagonal added, is already transitive, and every
@@ -361,13 +341,17 @@ def effective_gluing_check(data):
             "canonical_bijective": canonical_bij[pair_obj],
         }
 
-    c2 = transitive and all(edge_emb.values())
-    c3 = (all(intersection_ok.values()) and all(leg_inj.values())
-          and all(edge_emb.values()))
     distinct = [p for p in cat.pairs() if p[0] != p[1]]
-    c4 = (all(canonical_bij[p] for p in distinct)
-          and all(edge_emb[p] for p in distinct))
-    return EffectivenessReport(c2, c3, c4, diagnostics, glued)
+    return {
+        "congruence_and_injective": transitive and all(edge_emb.values()),
+        "intersection_characterization":
+            all(intersection_ok.values()) and all(leg_inj.values())
+            and all(edge_emb.values()),
+        "strong_bijections": all(canonical_bij[p] for p in distinct)
+            and all(edge_emb[p] for p in distinct),
+        "diagnostics": diagnostics,
+        "glued": glued,
+    }
 
 
 class SiteSpec:

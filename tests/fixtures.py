@@ -35,6 +35,14 @@ def identity_fn(carrier):
     return FinFn.from_total(carrier, carrier, {x: x for x in carrier})
 
 
+def effectiveness_flags(report):
+    """The three reading flags of an ``effective_gluing_check`` report, in
+    the order the check-effective report writes them."""
+    return (report["congruence_and_injective"],
+            report["intersection_characterization"],
+            report["strong_bijections"])
+
+
 def constant_fn(domain, codomain, value):
     """The map sending every point of ``domain`` to ``value``."""
     return FinFn(domain, codomain, {x: value for x in domain})

@@ -350,6 +350,21 @@ MUTANTS = [
      "            fits = len(t) <= dom and (not t or min(t) >= 0 and max(t) < cod)\n",
      ["tests/test_gluing.py"],
      "the GluingData constructor accepts a table one entry short"),
+    ("site.py",
+     "        identity(len(sink.target)), ",
+     "        identity(len(sink.target) - 1), ",
+     ["tests/test_site.py"],
+     "the base verdict is base change along a map that misses a point"),
+    ("indexcat.py",
+     "                ends[(\"incl\", i, pair)] = (i,), pair\n",
+     "                ends[(\"incl\", i, pair)] = pair, (i,)\n",
+     ["tests/test_indexcat.py", "tests/test_gluing.py"],
+     "an inclusion's endpoints are recorded the wrong way round"),
+    ("gluing.py",
+     "        src, dst = self.indexcat.ends[key]\n",
+     "        dst, src = self.indexcat.ends[key]\n",
+     ["tests/test_gluing.py"],
+     "a stored arrow is read against its generator's ends swapped"),
 ]
 
 

@@ -55,7 +55,7 @@ from glueforge.gluing import (
     colimit_glue,
     mediating_map,
 )
-from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
+from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat
 from glueforge.presheaf import EMPTY_SECTION, OpenLattice
 from glueforge.site import (
     SiteSpec,
@@ -406,8 +406,8 @@ def universal_glue_by_pullback(data, glued, delta, v_space=None):
         members[obj] = pullback(legs[obj], delta,
                                 data.space(obj) if top else None, v_space)
     arrows = {}
-    for g in cat.generators:
-        dst, src = gen_endpoints(g)     # from-overlaps: the map runs back
+    # from-overlaps: the map runs back along its generator
+    for g, (dst, src) in cat.ends.items():
         legs = members[src].legs
         arrow = data.fn(g)
         arrows[g] = FinFn(members[src].members, members[dst].members,
@@ -891,7 +891,7 @@ class LabelGluing:
 
     def ends(self, key):
         """The index objects the arrow for ``key`` runs between."""
-        src, dst = gen_endpoints(key)
+        src, dst = self.indexcat.ends[key]
         return (dst, src) if self.direction == FROM_OVERLAPS else (src, dst)
 
     def problems(self):

@@ -25,7 +25,7 @@ from glueforge.gluing import (
     GluedObject,
     _require_valid,
 )
-from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat, gen_endpoints
+from glueforge.indexcat import NONSPLIT, SPLIT, IndexCat
 from glueforge.presheaf import GluingDatum, OpenLattice, PresheafStore, restrict
 from glueforge.refine import Refinement
 
@@ -105,9 +105,9 @@ def id_mor(cat, obj):
 
 
 def gen_mor(cat, key):
-    src, dst = gen_endpoints(key)
-    if key not in cat.generators:
+    if key not in cat.ends:
         raise StructuralError("no generator %r in this category" % (key,))
+    src, dst = cat.ends[key]
     return (src, dst, (key,))
 
 
@@ -133,10 +133,8 @@ def tau(cat, i, j):
 def composable_generator_pairs(cat):
     """All pairs (g1, g2) of generators with g1 target = g2 source."""
     out = []
-    for g1 in cat.generators:
-        _, mid = gen_endpoints(g1)
-        for g2 in cat.generators:
-            src2, _ = gen_endpoints(g2)
+    for g1, (_, mid) in cat.ends.items():
+        for g2, (src2, _) in cat.ends.items():
             if src2 == mid:
                 out.append((g1, g2))
     return out
@@ -192,7 +190,7 @@ class IndexFunctor:
             if g not in self.morphism_map:
                 problems.append("generator %r not mapped" % (g,))
                 continue
-            src, dst = gen_endpoints(g)
+            src, dst = self.source.ends[g]
             img = self.morphism_map[g]
             if img[0] != self.object_map.get(src) or img[1] != self.object_map.get(dst):
                 problems.append("generator %r image has wrong endpoints" % (g,))
@@ -366,7 +364,7 @@ def reindex(data, fun):
     for g in fun.source.generators:
         _, _, word = fun.apply_mor(gen_mor(fun.source, g))
         fns = [data.fn(key) for key in word]
-        src, dst = gen_endpoints(g)
+        src, dst = fun.source.ends[g]
         if data.direction == FROM_OVERLAPS:
             out = identity_fn(objects[dst])
             for fn in reversed(fns):

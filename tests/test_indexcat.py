@@ -5,7 +5,7 @@ import pytest
 
 from glueforge.errors import StructuralError
 from glueforge.fincat import FinFn, FinSet
-from glueforge.indexcat import IndexCat, gen_endpoints
+from glueforge.indexcat import IndexCat
 
 from fixtures import identity_fn
 
@@ -34,12 +34,29 @@ def test_two_element_nonsplit():
     assert set(cat.objects) == {("i",), ("j",), ("i", "j")}
     assert set(cat.generators) == {("incl", "i", ("i", "j")),
                                    ("incl", "j", ("i", "j"))}
+    assert cat.ends == {("incl", "i", ("i", "j")): (("i",), ("i", "j")),
+                        ("incl", "j", ("i", "j")): (("j",), ("i", "j"))}
 
 
 def test_singleton_split_has_loop():
     cat = IndexCat("split", FinSet(["i"]))
     assert set(cat.objects) == {("i",), ("i", "i")}
     assert set(cat.generators) == {("incl", "i", ("i", "i")), ("tau", ("i", "i"))}
+
+
+def test_split_ends_run_from_singleton_and_swap_the_pair():
+    cat = IndexCat("split", FinSet(["i", "j"]))
+    assert tuple(cat.ends) == cat.generators
+    assert cat.ends[("incl", "j", ("j", "i"))] == (("j",), ("j", "i"))
+    assert cat.ends[("tau", ("i", "j"))] == (("i", "j"), ("j", "i"))
+
+
+def test_gen_mor_refuses_a_key_of_no_generator():
+    cat = IndexCat("nonsplit", FinSet(["i", "j"]))
+    for key in (("tau", ("i", "j")), ("incl", "i", ("j", "i")), ("bogus",)):
+        with pytest.raises(StructuralError) as err:
+            gen_mor(cat, key)
+        assert str(err.value) == "no generator %r in this category" % (key,)
 
 
 def test_empty_index_rejected():
@@ -80,7 +97,7 @@ def test_identity_stability_under_composition():
     for mode in ("nonsplit", "split"):
         cat = IndexCat(mode, FinSet(["a", "b"]))
         for g in cat.generators:
-            src, dst = gen_endpoints(g)
+            src, dst = cat.ends[g]
             m = gen_mor(cat, g)
             assert compose(m, id_mor(cat, src)) == m
             assert compose(id_mor(cat, dst), m) == m

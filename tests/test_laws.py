@@ -38,6 +38,7 @@ from fixtures import (
     close_family,
     data_from_fns,
     discrete_space,
+    effectiveness_flags,
     function_presheaf,
     identities,
     identity_fn,
@@ -327,7 +328,7 @@ def test_effective_gluing_names_a_canonical_map_that_is_no_homeomorphism():
                               {("1", "2"): (pts, ident, ident)}, ambient="top",
                               spaces=spaces)
     report = effective_gluing_check(data)
-    assert report.diagnostics["pairs"][("1", "2")] == {
+    assert report["diagnostics"]["pairs"][("1", "2")] == {
         "edge_embeds": False, "edge_onto_component": True,
         "intersection_ok": True, "canonical_bijective": False}
 
@@ -406,7 +407,8 @@ def test_validators_build_no_composite(monkeypatch):
         assert validate_refinement(ref) == []
         assert induced_limit_map(ref, glued, glued) \
             == list(range(len(glued.apex)))
-    assert effective_gluing_check(split).flags() == (True, True, True)
+    assert effectiveness_flags(effective_gluing_check(split)) \
+        == (True, True, True)
     assert sinks_equivalent(sink, sink) is True
     assert covering_axioms_check(spec)["violations"] == [
         "isomorphism sink onto ['0', '1'] is not declared"]

@@ -9,18 +9,34 @@ reached by its name as an attribute; a class that is reached brings its
 dunder methods and the rest of its body, not its other methods.  A
 definition the scan does not reach has no caller in the product: it belongs
 on the test side (``tests/paper.py``, ``tests/fixtures.py`` or
-``tests/oracles.py``), unless it is on the allow-list below."""
+``tests/oracles.py``), unless it is on the allow-list below.
+
+A runtime check backs the scan: a profile hook records every function of
+the engine that ``cli.main`` enters on the golden documents and on the
+seed-1 lists of the benchmark workloads, and every top-level function and
+method, dunders included, must be entered unless ``RUNTIME_ALLOWED`` names
+it with a reason."""
 
 import ast
+import contextlib
+import fnmatch
 import glob
+import io
+import json
 import os
+import sys
+from unittest import mock
 
 import pytest
 
-from fixtures import perfbench_module
+import glueforge
+from glueforge import cli
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "glueforge")
+from fixtures import benchmark_items, item_argv, perfbench_module
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "glueforge")
+CORPUS = os.path.join(ROOT, "perfbench", "golden")
 
 SOURCES = {}
 for _path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
@@ -162,3 +178,148 @@ def test_report_records_are_written_only_through_the_emitter():
     # the records are the one user of the bulk object join
     assert unreached(cut, ROOTS) == ["cli.Classes.emit", "cli.LabelMap.emit",
                                      "cli._joined", "cli._object"]
+
+
+# what the runtime check may find unentered, by ``fnmatch`` pattern over
+# ``module.qualname``, with the reason
+_TRACER_CLOSURE = "reached only from the tracer-bound definitions"
+RUNTIME_ALLOWED = {
+    # refusal paths: no golden or seed-1 document is refused there
+    "fincat._refuse_*": "words the refusal of a checking constructor",
+    "cli._parse_objkey": "parses a key the key table lacks, to word its "
+                         "refusal",
+    "cli._parse_openkey": "parses a key the lattice lacks, to word its "
+                          "refusal",
+    "presheaf.OpenLattice.names": "names opens in error texts only",
+    # the tracer-bound definitions and what only they reach
+    **dict.fromkeys(TRACER_BOUND, "tracer-bound"),
+    "gluing.ConeCandidate.*": "the cone that gluing.mediating_map factors",
+    "gluing._check_cone": _TRACER_CLOSURE,
+    "gluing.GluingData.fn": _TRACER_CLOSURE,
+    "gluing.GluingData.expected_endpoints": _TRACER_CLOSURE,
+    "site._fibred": _TRACER_CLOSURE,
+    "fincat.FinFn.*": _TRACER_CLOSURE,
+    "fincat.TopMap.*": _TRACER_CLOSURE,
+    "fincat.PairedSubset.*": _TRACER_CLOSURE,
+    "fincat.commutes": _TRACER_CLOSURE,
+    "fincat.is_iso": _TRACER_CLOSURE,
+    "fincat.pair_label": _TRACER_CLOSURE,
+    "fincat._positions": _TRACER_CLOSURE,
+    "fincat.FinTop.opens": "the tracer's counts of opens",
+    "fincat.FinTop._sets": "the tracer's counts of opens",
+    # the schema generator runs at import, before the hook is set
+    "schema.compile_schemas": "runs at import",
+    "schema._shipped": "runs at import",
+    "schema._check_values": "runs at import",
+    "schema._lines": "runs at import",
+    "schema._malformed": "runs at import",
+    # guards and texts for a debugger
+    "*.__setattr__": "an immutability guard",
+    "*.__repr__": "a text for a debugger",
+    "indexcat.IndexCat.__eq__": "index categories are compared by tests "
+                                "only",
+    "indexcat.IndexCat.__hash__": "index categories are hashed by tests "
+                                  "only",
+    "presheaf.all_coverings": "runs only when an exhaustive sheaf verdict "
+                              "is false",
+}
+
+
+def functions(sources):
+    """``module.qualname`` of each top-level function and each method,
+    dunders included, of ``sources`` (module name to source text)."""
+    names = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                names.add("%s.%s" % (module, node.name))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    names.add("%s.%s.%s" % (module, node.name, item.name))
+    return names
+
+
+def entered(run, package):
+    """``module.qualname`` of each function in the directory ``package``
+    that ``run()`` enters, as a profile hook records them."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        codes.add(frame.f_code)
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(outer)
+    package = os.path.abspath(package)
+    return {"%s.%s" % (os.path.basename(code.co_filename)[:-3],
+                       code.co_qualname)
+            for code in codes
+            if os.path.dirname(os.path.abspath(code.co_filename)) == package}
+
+
+def unentered(sources, names, allowed=()):
+    """Each function of ``sources`` that is not in ``names`` and that no
+    pattern of ``allowed`` matches, sorted."""
+    return sorted(name for name in functions(sources) - names
+                  if not any(fnmatch.fnmatchcase(name, pattern)
+                             for pattern in allowed))
+
+
+def _run_documents():
+    with open(os.path.join(CORPUS, "manifest.json"), encoding="utf-8") as h:
+        cases = json.load(h)
+    runs = []
+    for case in cases:
+        with open(os.path.join(CORPUS, case["name"] + ".json"),
+                  encoding="utf-8") as handle:
+            runs.append((case["argv"], handle.read(), (case["exit"],)))
+    for _, item in benchmark_items():
+        runs.append((item_argv(item), json.dumps(item["doc"]), (0, 1)))
+
+    def run():
+        for argv, text, codes in runs:
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) in codes
+    return run
+
+
+@pytest.fixture(scope="module")
+def entered_by_commands():
+    cli._schema_registry.cache_clear()    # entered once per process
+    return entered(_run_documents(),
+                   os.path.dirname(glueforge.__file__))
+
+
+def test_every_function_is_entered_by_a_command(entered_by_commands):
+    assert unentered(SOURCES, entered_by_commands, RUNTIME_ALLOWED) == []
+
+
+@pytest.mark.parametrize("pattern", sorted(RUNTIME_ALLOWED))
+def test_runtime_allow_list_names_only_unentered_functions(
+        entered_by_commands, pattern):
+    matched = fnmatch.filter(functions(SOURCES), pattern)
+    assert matched, "gone"
+    assert not set(matched) & entered_by_commands, "entered by a command"
+
+
+def test_runtime_check_finds_a_planted_function(entered_by_commands,
+                                                tmp_path):
+    planted = dict(SOURCES, fincat=SOURCES["fincat"]
+                   + "\n\ndef leftover(a):\n    return pair_label(a, a)\n")
+    assert unentered(planted, entered_by_commands, RUNTIME_ALLOWED) \
+        == ["fincat.leftover"]
+    # the hook itself, on a module that enters one of its two functions
+    source = ("class Report:\n"
+              "    def text(self):\n"
+              "        return 'used'\n"
+              "def leftover():\n"
+              "    return Report().text()\n")
+    namespace = {}
+    exec(compile(source, str(tmp_path / "kernel.py"), "exec"), namespace)
+    names = entered(namespace["Report"]().text, tmp_path)
+    assert names == {"kernel.Report.text"}
+    assert unentered({"kernel": source}, names) == ["kernel.leftover"]

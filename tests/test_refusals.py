@@ -150,6 +150,26 @@ def test_sections_are_refused_before_restrictions_and_both_before_gaps():
         2, "", PREFIX + "no section set at open ['p0']\n")
 
 
+def test_charts_that_miss_a_point_are_refused_by_both_chart_commands():
+    # glue-sheaves: chart c1 was the only chart on p1
+    doc = golden_doc("glue-sheaves")
+    payload = doc["payload"]
+    payload["charts"] = [c for c in payload["charts"] if c["name"] != "c1"]
+    del payload["locals"]["c1"]
+    payload["transitions"] = []
+    assert run(["glue-sheaves"], doc) == (
+        2, "", PREFIX + "charts do not cover the space\n")
+    # glue-map: the one chart shrinks to p1, and its part to the opens
+    # inside p1
+    doc = golden_doc("glue-map")
+    glue_map = doc["payload"]["glue_map"]
+    glue_map["charts"][0]["members"] = ["p1"]
+    part = glue_map["parts"]["c0"]
+    glue_map["parts"]["c0"] = {key: part[key] for key in ("", "p1")}
+    assert run(["glue-map"], doc) == (
+        2, "", PREFIX + "charts do not cover the space\n")
+
+
 # Gluing payloads: each mapping of an edge or a swap, each objects key and
 # arrow pair, the repeated entries and the validation of the data, in each
 # mode, ambient and direction.  The lines were recorded before the parser

@@ -22,7 +22,12 @@ from glueforge.fincat import FinSet
 from glueforge.gluing import colimit_glue, hom_transport, limit_glue
 from glueforge.site import effective_gluing_check
 
-from fixtures import close_family, label_nbhd, materialized
+from fixtures import (
+    close_family,
+    effectiveness_flags,
+    label_nbhd,
+    materialized,
+)
 from oracles import (
     colimit_by_labels,
     effectiveness_by_labels,
@@ -180,7 +185,7 @@ def test_gluing_tables_match_the_label_path():
             hom_bijection_exhaustive(labels, z, oracle))
         if payload["mode"] == "split":
             report = effective_gluing_check(data)
-            assert (report.flags(), report.diagnostics) == \
+            assert (effectiveness_flags(report), report["diagnostics"]) == \
                 effectiveness_by_labels(labels, oracle)
         seen[key]["empty overlap"] = seen[key].get("empty overlap", 0) + any(
             not data.carrier(p) for p in data.indexcat.pairs())
