@@ -181,8 +181,9 @@ def load_document(stream_or_path):
         # json.loads, or jsonschema wording a rejection, ran out of stack
         raise StructuralError("JSON in %s is nested too deeply" % where)
     # outside strings JSON text holds no "|", so a document without it or
-    # its escape has no label to reject
-    if SEP in text or "\\u007c" in text or "\\u007C" in text:
+    # its escape has no label to reject; the escape needs a backslash
+    if SEP in text or "\\" in text and (
+            "\\u007c" in text or "\\u007C" in text):
         _check_labels(raw["payload"])
     return Document(kind, raw["payload"], raw["version"])
 
@@ -190,10 +191,14 @@ def load_document(stream_or_path):
 def parse_object(node, ambient, table=None):
     """An object node: a label list in sets, points plus opens in top.
 
-    ``table`` holds the objects one parse has built so far, under the tuple
-    of their points.  A node equal to an earlier one gets the same carrier
-    and space, built and validated once; a node with the same points and
-    other opens gets the same carrier and a space of its own."""
+    Payloads arrive schema-checked from ``load_document``, so the labels
+    are strings; the carrier is still built by the checking ``FinSet``,
+    whose string test is one join, so a payload that skipped the schema
+    has a repeated label or one that is not a string refused in the same
+    words.  ``table`` holds the objects one parse has built so far, under
+    the tuple of their points.  A node equal to an earlier one gets the
+    same carrier and space, built and validated once; a node with the same
+    points and other opens gets the same carrier and a space of its own."""
     if ambient == "sets":
         if not isinstance(node, list):
             raise StructuralError("set objects are label arrays")
@@ -238,8 +243,10 @@ def _parse_objkey(key, mode, cat):
 
 
 def parse_gluing(payload, table=None):
-    """The gluing data of a payload; ``table`` is ``parse_object``'s, shared
-    when one document holds several gluings.  Each map is read straight
+    """The gluing data of a payload, which arrives schema-checked from
+    ``load_document`` (see ``parse_object`` for its label sets); ``table``
+    is ``parse_object``'s, shared when one document holds several
+    gluings.  Each map is read straight
     into its position table against the carriers it runs between, refused
     as ``FinFn`` refuses it, and a swap's inverse is built from its table.
     Every key is looked up among the index category's ``keys``; only a key
@@ -572,7 +579,7 @@ def glued_object_to_json(data, glued):
         "side": glued.side,
         "apex": jsonable_object(glued.apex, glued.space),
         "legs": {",".join(obj): LabelMap(*(
-            data.carrier(obj).labels, table, glued.apex.labels)[::way])
+            data.carrier(obj), table, glued.apex)[::way])
                  for obj, table in sorted(glued.legs.items())},
     }
     if glued.leg_props:
@@ -665,7 +672,7 @@ def _compose_command(doc, flags):
     flat = result["sink"]
     artifacts = {
         "flattened_sources": {
-            name: LabelMap(_carrier(obj).labels, t, flat.target.labels)
+            name: LabelMap(_carrier(obj), t, flat.target)
             for name, obj, t in flat.sources},
     }
     return verdicts, artifacts, {}
@@ -703,11 +710,13 @@ def _glue_sheaves_command(doc, flags):
     glued, projections = glue_presheaves(datum)
     report = presheaf_effective_check(datum, projections)
     lat, sections = glued.lattice, glued.sections
+    # the glued sections at each open are distinct by construction
+    sets = {o: FinSet.from_trusted(sections[o]) for o in lat.opens}
     artifacts = {
         "sections": {lat.key(o): list(sections[o]) for o in lat.opens},
         "restrictions": {
             "%s>%s" % (lat.key(w), lat.key(v)):
-                LabelMap(sections[w], glued.res[(w, v)], sections[v])
+                LabelMap(sets[w], glued.res[(w, v)], sets[v])
             for w, v in lat.pairs_below() if v != w},
     }
     verdicts = {
@@ -749,8 +758,10 @@ def _glue_map_command(doc, flags):
     glued = glue_nat_trans(space, charts, store, target, parts)
     lat = store.lattice
     artifacts = {"components": {
-        lat.key(o): LabelMap(store.sections[o], glued.components[o],
-                             target.sections[o]) for o in lat.opens}}
+        # the source's sections were checked distinct where they were read
+        lat.key(o): LabelMap(FinSet.from_trusted(store.sections[o]),
+                             glued.components[o], target_sets[o])
+        for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 
 
@@ -768,7 +779,7 @@ def _refine_command(doc, flags):
             gs = colimit_glue(ref.source)
             gt = colimit_glue(ref.target)
         artifacts["induced_map"] = LabelMap(
-            gs.apex.labels, induced_limit_map(ref, gs, gt), gt.apex.labels)
+            gs.apex, induced_limit_map(ref, gs, gt), gt.apex)
         artifacts["source_apex_size"] = len(gs.apex)
         artifacts["target_apex_size"] = len(gt.apex)
     return verdicts, artifacts, diagnostics
@@ -871,10 +882,10 @@ def _object(keys, mid, texts, close, indent, quote):
 
 
 class LabelMap:
-    """The map that the position ``table`` gives from the labels ``domain``
-    into the labels ``codomain``, as a report holds it.  ``render_report``
-    writes it as ``json.dumps`` writes the dict from each domain label to
-    the label of its image, and no such dict is built."""
+    """The map that the position ``table`` gives from the ``FinSet``
+    ``domain`` into the ``FinSet`` ``codomain``, as a report holds it.
+    ``render_report`` writes it as ``json.dumps`` writes the dict from each
+    domain label to the label of its image, and no such dict is built."""
 
     __slots__ = ("domain", "table", "codomain")
 
@@ -885,17 +896,17 @@ class LabelMap:
 
     def emit(self, indent, out):
         """Append the map as a JSON object to ``out`` (see ``_emit``): the
-        domain positions sorted once by their labels, each key and value
-        gathered by position, one ``_plain`` test over them, and one
+        domain labels sorted once, as plain strings, the position of each
+        read through the domain's index and the label of its image through
+        the table, one ``_plain`` test over keys and values, and one
         ``_object``; when a string is not plain, every one is encoded."""
-        domain, table, codomain = self.domain, self.table, self.codomain
-        if not domain:
+        keys = sorted(self.domain.labels)
+        if not keys:
             out.append("{}")
             return
-        # a list's __getitem__ is a quicker sort key than a tuple's
-        order = sorted(range(len(domain)), key=list(domain).__getitem__)
-        keys = [domain[k] for k in order]
-        values = [codomain[table[k]] for k in order]
+        at, table, codomain = self.domain._pos, self.table, \
+            self.codomain.labels
+        values = [codomain[table[at[x]]] for x in keys]
         quote = '"'
         if not _plain("".join(keys + values)):
             quote = ""

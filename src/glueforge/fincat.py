@@ -19,13 +19,14 @@ lattices; all are functions of the space, so a value kept by one caller is
 the value any other would build.
 
 The public constructors validate what they are given: ``FinSet`` that its
-labels are distinct strings, ``FinFn`` that its mapping is total into the
-codomain, ``FinTop`` that its opens are a topology, ``TopMap`` that its map
-is continuous.  Values the engine builds correct by construction come from
-``FinTop.from_nbhd`` and ``FinFn.from_total``, which check nothing,
-``FinSet.from_distinct``, which checks only that its labels are distinct,
-and ``FinSet.from_trusted``, which checks nothing and is used for the apex
-of a quotient, whose class names are distinct by construction.  Every map
+labels are strings, by one join, and distinct, ``FinFn`` that its mapping
+is total into the codomain, ``FinTop`` that its opens are a topology,
+``TopMap`` that its map is continuous.  Values the engine builds correct
+by construction come from ``FinTop.from_nbhd`` and ``FinFn.from_total``,
+which check nothing, ``FinSet.from_distinct``, which checks only that its
+labels are distinct, and ``FinSet.from_trusted``, which checks nothing and
+is used for the apex of a quotient, whose class names are distinct by
+construction.  Every map
 a command reads or builds (the arrows of gluing data, sinks, the legs of
 glued objects, induced maps) is a position table, the list that gives each
 domain position the codomain position of its image; parsers check each
@@ -37,9 +38,10 @@ table between two spaces, and ``is_effective_after_base_change`` reads
 the tables of a family of maps, whose effectiveness is the case of base
 change along the ``identity``.
 A set's label-to-position index is built at its first use (``position``,
-``in``, or a ``FinFn`` validated against the set); the two checking
-``FinSet`` constructors build it at once, as their distinctness check, so
-a quotient apex that no caller looks into never builds one.
+``in``, a ``FinFn`` validated against the set, or a report writing a map
+out of the set in label order); the two checking ``FinSet`` constructors
+build it at once, as their distinctness check, so a quotient apex that no
+caller looks into never builds one.
 
 The algebra of tables is written here once, for every module: the
 ``identity`` and ``compose`` tables, ``invert`` for a bijection (as
@@ -62,7 +64,10 @@ instead of the full product.  Quotients come from one union-find,
 ``quotient_by_pairs``, which returns the table of the quotient map, the
 position of the class of each of the carrier positions it is given pairs
 of, so a caller that knows where its labels sit looks none of them up;
-``class_count`` counts the classes of the same union-find and names none.
+the table, the merged classes and their names come from one pass over the
+positions the unions moved, so a label that no pair moves costs only bulk
+passes.  ``class_count`` counts the classes of the same union-find and
+names none.
 Maps out of a quotient are one value per class: they are counted from its
 classes, never listed.
 
@@ -72,7 +77,7 @@ input labels containing it, which keeps generated names collision-free.
 """
 
 from functools import reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count
 from itertools import product as iproduct
 from operator import and_, or_
 
@@ -91,14 +96,18 @@ class FinSet:
     __slots__ = ("labels", "_index")
 
     def __init__(self, labels):
+        """Check that ``labels`` are strings, by one join, which raises
+        TypeError on any other member, and then that they are distinct."""
         labels = tuple(labels)
-        if all(map(isinstance, labels, repeat(str))):
-            pos = dict(zip(labels, range(len(labels))))
-            if len(pos) == len(labels):
-                object.__setattr__(self, "labels", labels)
-                object.__setattr__(self, "_index", pos)
-                return
-        _refuse_labels(labels)
+        try:
+            "".join(labels)
+        except TypeError:
+            _refuse_labels(labels)
+        pos = dict(zip(labels, range(len(labels))))
+        if len(pos) != len(labels):
+            _refuse_labels(labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", pos)
 
     @classmethod
     def from_trusted(cls, labels):
@@ -864,38 +873,40 @@ def quotient_by_pairs(labels, pairs):
 
     Union-find over carrier positions (Tarjan 1975) with path halving: a
     union links the later root below the earlier, so every pointer runs
-    toward the front and each root is the first member of its class.  Only
-    the positions a union moved below a root are then resolved, named and
-    given their class's position, in carrier order, so the interpreted work
-    follows the pairs; the names, the roots and the roots' positions (their
-    ranks among the roots) come from bulk passes over the carrier, and no
-    label is looked up.
+    toward the front and each root is the first member of its class.  The
+    roots' positions in the quotient (their ranks among the roots) come from
+    one bulk pass over the carrier.  Then one pass over the positions a
+    union moved below a root, in carrier order, resolves each to its root,
+    writes its class's rank into the table, appends its label to its class
+    and keeps the least label seen as the class's name; so the interpreted
+    work follows the pairs, and no label is looked up.
     """
     n = len(labels)
     parent, moved = _unions(n, pairs)
-    # in carrier order each moved position's pointer leads to a root or to
-    # an earlier moved position, which is resolved by then; the roots are
-    # the positions kept as quotient labels
     keep = bytearray(b"\x01") * n
-    groups = {}
-    for k in sorted(moved):
-        parent[k] = r = parent[parent[k]]
+    for k in moved:
         keep[k] = 0
-        groups.setdefault(r, [r]).append(k)
-    # a root's class sits at the number of roots before it; a moved
-    # position takes its root's below
+    # a root's class sits at the number of roots before it
     table = list(accumulate(keep, initial=-1))
     del table[0]
     names = list(compress(labels, keep))
-    classes = {}
-    for r in sorted(groups):
-        ks = groups[r]
-        members = list(map(labels.__getitem__, ks))
-        rank = table[r]
-        names[rank] = name = min(members)
-        for k in ks:
-            table[k] = rank
-        classes[name] = members
+    groups = {}
+    # in carrier order each moved position's pointer leads to a root or to
+    # an earlier moved position, which is resolved by then
+    for k in sorted(moved):
+        parent[k] = r = parent[parent[k]]
+        table[k] = rank = table[r]
+        label = labels[k]
+        members = groups.get(rank)
+        if members is None:
+            groups[rank] = [names[rank], label]
+        else:
+            members.append(label)
+        if label < names[rank]:
+            names[rank] = label
+    ranks = sorted(groups)
+    classes = dict(zip(map(names.__getitem__, ranks),
+                       map(groups.__getitem__, ranks)))
     # one name per class, each a member of its own class: distinct
     return FinSet.from_trusted(names), table, classes
 

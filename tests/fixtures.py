@@ -810,7 +810,8 @@ def materialized(node):
     ``json.dumps``, through this."""
     kind = type(node)
     if kind is cli.LabelMap:
-        return dict(zip(node.domain, [node.codomain[q] for q in node.table]))
+        codomain = node.codomain.labels
+        return dict(zip(node.domain, [codomain[q] for q in node.table]))
     if kind is cli.Classes:
         classes = {name: [name] for name in node.labels}
         classes.update((name, sorted(members))

@@ -583,10 +583,24 @@ def test_label_walk_is_skipped_without_the_separator(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_check_labels", walked.append)
     load_document(write_doc(tmp_path, e1_payload()))
     assert walked == []
+    # escapes of other characters, one a near miss of the separator's
+    # ("\u007b" is "{"), are not walked
+    path = tmp_path / "escapes.json"
+    path.write_text(json.dumps(e1_payload()).replace(
+        '"a0"', '"a\\u00e9\\"\\n\\u007b0"'), encoding="utf-8")
+    assert "\\" in path.read_text(encoding="utf-8")
+    load_document(str(path))
+    assert walked == []
     doc = e1_payload()
     doc["payload"]["hom_target"] = ["z|"]
     load_document(write_doc(tmp_path, doc))
     assert len(walked) == 1
+    # either escape of the separator is walked
+    for escape in ("\\u007c", "\\u007C"):
+        path.write_text(json.dumps(e1_payload()).replace(
+            '"a0"', '"a%s0"' % escape), encoding="utf-8")
+        load_document(str(path))
+    assert len(walked) == 3
 
 
 def test_check_effective_e4_exit_one(tmp_path, capsys):

@@ -252,9 +252,12 @@ def test_chart_data_is_read_per_unordered_pair_and_triple(monkeypatch, name,
 def test_glue_documents_build_no_apex_index(monkeypatch):
     """The apex of a colimit is built with no position index, and the 24
     seed-1 ``colimit-atlas`` ``glue`` documents report it without building
-    one.  The two ``refine`` documents build none either, since the
-    induced map is a table; they built one in each apex while it was a
-    checked ``FinFn``."""
+    one: there the apex is the codomain of every leg.  The two ``refine``
+    documents build one in the source apex only, the domain of the
+    induced map, whose report writes it in label order through the
+    domain's index; they built one in each apex while the induced map was
+    a checked ``FinFn``, and none while its report sorted positions keyed
+    by label."""
     apexes = []
     real = gluing.quotient_by_pairs
 
@@ -273,7 +276,7 @@ def test_glue_documents_build_no_apex_index(monkeypatch):
         built.setdefault(item["command"], []).append(
             sum(map(indexed, apexes)))
     assert built["glue"] == [0] * 24
-    assert built["refine"] == [0, 0]
+    assert built["refine"] == [1, 1]
 
 
 def test_overlap_maps_are_built_once_per_check(monkeypatch):

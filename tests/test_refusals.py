@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 
 from glueforge import cli
+from glueforge.errors import StructuralError
 
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "perfbench", "golden")
@@ -1096,3 +1097,227 @@ def test_a_malformed_delta_is_refused_as_before(mutation, mode, ambient,
     doc = delta_doc(mode, ambient)
     mutation(doc["payload"])
     assert expect(*run(["glue"], doc), expected)
+
+
+# The label sets of every payload kind: a set's labels or a space's points,
+# an index, a hom target, the sections at an open.  Each is read by the
+# checking ``FinSet`` constructor, which words a repeated label and a label
+# that is not a string.  Through ``cli.main`` the schema refuses the second
+# first; a parser called on a payload that skipped the schema words both.
+# The lines were recorded before the constructor's string test became one
+# join.
+
+def repeated_label(labels):
+    labels.append(labels[0])
+
+
+def number_label(labels):
+    labels[-1] = 1
+
+
+def list_label(labels):
+    labels[-1] = [labels[-1]]
+
+
+def _glue(payload):
+    return cli.execute("glue", cli.Document("gluing", payload, "1"))
+
+
+def _hom(payload):
+    return cli.execute("hom", cli.Document("gluing", payload, "1"))
+
+
+# the command run on each kind of document
+COMMANDS = {"gluing": "glue", "sink": "check-cover", "site": "check-site",
+            "presheaf": "check-sheaf", "gluing-datum": "glue-sheaves",
+            "refinement": "refine"}
+
+# (name, document, path to the label list, parser called directly)
+LABEL_SETS = [
+    ("gluing-object-sets",
+     lambda: gluing_doc("nonsplit", "sets", "from-overlaps"),
+     ["payload", "objects", "1"], cli.parse_gluing),
+    ("gluing-object-top",
+     lambda: gluing_doc("split", "top", "toward-overlaps"),
+     ["payload", "objects", "2,1", "points"], cli.parse_gluing),
+    ("gluing-index", lambda: golden_doc("glue-colimit-sets"),
+     ["payload", "index"], cli.parse_gluing),
+    ("hom-target", lambda: golden_doc("hom"),
+     ["payload", "hom_target"], _hom),
+    ("delta-object", lambda: golden_doc("glue-delta"),
+     ["payload", "delta", "object"], _glue),
+    ("sink-target", lambda: golden_doc("check-cover-sets"),
+     ["payload", "target"], cli.parse_sink),
+    ("sink-source", lambda: golden_doc("check-cover-sets"),
+     ["payload", "sources", 1, "object"], cli.parse_sink),
+    ("site-morphism", lambda: golden_doc("check-site-top"),
+     ["payload", "morphisms", 0, "dom", "points"], cli.parse_site),
+    ("presheaf-space", lambda: golden_doc("check-sheaf"),
+     ["payload", "space", "points"], cli.parse_presheaf),
+    ("presheaf-sections", lambda: golden_doc("check-sheaf"),
+     ["payload", "presheaf", "sections", "p1,p0"], cli.parse_presheaf),
+    ("gluing-datum-space", lambda: golden_doc("glue-sheaves"),
+     ["payload", "space", "points"], cli.parse_gluing_datum),
+    ("gluing-datum-sections", lambda: golden_doc("glue-sheaves"),
+     ["payload", "locals", "c1", "sections", "p1"], cli.parse_gluing_datum),
+    ("refinement-source", lambda: golden_doc("refine-colimit"),
+     ["payload", "source", "objects", "2"], cli.parse_refinement),
+]
+
+# (name, mutation): the stderr line of ``cli.main`` after the prefix, and
+# the message of the direct parse
+LABEL_SET_LINES = {
+    ("gluing-object-sets", "repeated_label"): (
+        "duplicate label 'a0'",) * 2,
+    ("gluing-object-sets", "number_label"): (
+        "schema violation at payload.objects['1']: ['a0', 1] is not "
+        "valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("gluing-object-sets", "list_label"): (
+        "schema violation at payload.objects['1']: ['a0', ['a1']] is "
+        "not valid under any of the given schemas",
+        "labels must be strings, got ['a1']"),
+    ("gluing-object-top", "repeated_label"): (
+        "duplicate label 'u0'",) * 2,
+    ("gluing-object-top", "number_label"): (
+        "schema violation at payload.objects['2,1']: {'points': "
+        "['u0', 1], 'opens': [[], ['u0'], ['u1'], ['u0', 'u1']]} is "
+        "not valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("gluing-object-top", "list_label"): (
+        "schema violation at payload.objects['2,1']: {'points': "
+        "['u0', ['u1']], 'opens': [[], ['u0'], ['u1'], ['u0', "
+        "'u1']]} is not valid under any of the given schemas",
+        "labels must be strings, got ['u1']"),
+    ("gluing-index", "repeated_label"): (
+        "duplicate label '1'",) * 2,
+    ("gluing-index", "number_label"): (
+        "schema violation at payload.index[2]: 1 is not of type 'string'",
+        "labels must be strings, got 1"),
+    ("gluing-index", "list_label"): (
+        "schema violation at payload.index[2]: ['3'] is not of type "
+        "'string'",
+        "labels must be strings, got ['3']"),
+    ("hom-target", "repeated_label"): (
+        "duplicate label 'z0'",) * 2,
+    ("hom-target", "number_label"): (
+        "schema violation at payload.hom_target[1]: 1 is not of type "
+        "'string'",
+        "labels must be strings, got 1"),
+    ("hom-target", "list_label"): (
+        "schema violation at payload.hom_target[1]: ['z1'] is not of "
+        "type 'string'",
+        "labels must be strings, got ['z1']"),
+    ("delta-object", "repeated_label"): (
+        "duplicate label 'd0'",) * 2,
+    ("delta-object", "number_label"): (
+        "schema violation at payload.delta.object: ['d0', 1] is not "
+        "valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("delta-object", "list_label"): (
+        "schema violation at payload.delta.object: ['d0', ['d1']] is "
+        "not valid under any of the given schemas",
+        "labels must be strings, got ['d1']"),
+    ("sink-target", "repeated_label"): (
+        "duplicate label 't0'",) * 2,
+    ("sink-target", "number_label"): (
+        "schema violation at payload.target: ['t0', 't1', 't2', "
+        "'t3', 't4', 1] is not valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("sink-target", "list_label"): (
+        "schema violation at payload.target: ['t0', 't1', 't2', "
+        "'t3', 't4', ['t5']] is not valid under any of the given schemas",
+        "labels must be strings, got ['t5']"),
+    ("sink-source", "repeated_label"): (
+        "duplicate label 's1_0'",) * 2,
+    ("sink-source", "number_label"): (
+        "schema violation at payload.sources[1].object: ['s1_0', "
+        "'s1_1', 1] is not valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("sink-source", "list_label"): (
+        "schema violation at payload.sources[1].object: ['s1_0', "
+        "'s1_1', ['s1_2']] is not valid under any of the given schemas",
+        "labels must be strings, got ['s1_2']"),
+    ("site-morphism", "repeated_label"): (
+        "duplicate label 'b1_0'",) * 2,
+    ("site-morphism", "number_label"): (
+        "schema violation at payload.morphisms[0].dom: {'opens': "
+        "[[], ['r'], ['b1_0', 'r'], ['b0_0', 'r'], ['b1_0', 'b0_0', "
+        "'r']], 'points': ['b1_0', 'b0_0', 1]} is not valid under "
+        "any of the given schemas",
+        "labels must be strings, got 1"),
+    ("site-morphism", "list_label"): (
+        "schema violation at payload.morphisms[0].dom: {'opens': "
+        "[[], ['r'], ['b1_0', 'r'], ['b0_0', 'r'], ['b1_0', 'b0_0', "
+        "'r']], 'points': ['b1_0', 'b0_0', ['r']]} is not valid "
+        "under any of the given schemas",
+        "labels must be strings, got ['r']"),
+    ("presheaf-space", "repeated_label"): (
+        "duplicate label 'p1'",) * 2,
+    ("presheaf-space", "number_label"): (
+        "schema violation at payload.space.points[1]: 1 is not of "
+        "type 'string'",
+        "labels must be strings, got 1"),
+    ("presheaf-space", "list_label"): (
+        "schema violation at payload.space.points[1]: ['p0'] is not "
+        "of type 'string'",
+        "labels must be strings, got ['p0']"),
+    ("presheaf-sections", "repeated_label"): (
+        "duplicate label 'p1=v0;p0=v0'",) * 2,
+    ("presheaf-sections", "number_label"): (
+        "schema violation at payload.presheaf.sections['p1,p0'][3]: "
+        "1 is not of type 'string'",
+        "labels must be strings, got 1"),
+    ("presheaf-sections", "list_label"): (
+        "schema violation at payload.presheaf.sections['p1,p0'][3]: "
+        "['p1=v1;p0=v1'] is not of type 'string'",
+        "labels must be strings, got ['p1=v1;p0=v1']"),
+    ("gluing-datum-space", "repeated_label"): (
+        "duplicate label 'p0'",) * 2,
+    ("gluing-datum-space", "number_label"): (
+        "schema violation at payload.space.points[2]: 1 is not of "
+        "type 'string'",
+        "labels must be strings, got 1"),
+    ("gluing-datum-space", "list_label"): (
+        "schema violation at payload.space.points[2]: ['p1'] is not "
+        "of type 'string'",
+        "labels must be strings, got ['p1']"),
+    ("gluing-datum-sections", "repeated_label"): (
+        "duplicate label 'p1=v1'",) * 2,
+    ("gluing-datum-sections", "number_label"): (
+        "schema violation at payload.locals.c1.sections.p1[1]: 1 is "
+        "not of type 'string'",
+        "labels must be strings, got 1"),
+    ("gluing-datum-sections", "list_label"): (
+        "schema violation at payload.locals.c1.sections.p1[1]: "
+        "['p1=v0'] is not of type 'string'",
+        "labels must be strings, got ['p1=v0']"),
+    ("refinement-source", "repeated_label"): (
+        "duplicate label 'x2_0'",) * 2,
+    ("refinement-source", "number_label"): (
+        "schema violation at payload.source.objects['2']: ['x2_0', "
+        "'x2_1', 1] is not valid under any of the given schemas",
+        "labels must be strings, got 1"),
+    ("refinement-source", "list_label"): (
+        "schema violation at payload.source.objects['2']: ['x2_0', "
+        "'x2_1', ['x2_2']] is not valid under any of the given schemas",
+        "labels must be strings, got ['x2_2']"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, build, path, parse, mutation",
+    [case + (mutation,) for case in LABEL_SETS
+     for mutation in (repeated_label, number_label, list_label)],
+    ids=["%s-%s" % (case[0], mutation.__name__) for case in LABEL_SETS
+         for mutation in (repeated_label, number_label, list_label)])
+def test_a_bad_label_set_is_refused_as_before(name, build, path, parse,
+                                              mutation):
+    by_main, by_parse = LABEL_SET_LINES[(name, mutation.__name__)]
+    doc = build()
+    mutation(at(doc, path))
+    command = "hom" if name == "hom-target" else COMMANDS[doc["kind"]]
+    assert run([command], doc) == (2, "", PREFIX + by_main + "\n")
+    with pytest.raises(StructuralError) as err:
+        parse(doc["payload"])
+    assert str(err.value) == by_parse

@@ -17,6 +17,7 @@ from glueforge import cli
 from glueforge.cli import Classes, LabelMap, execute, load_document, \
     render_report
 from glueforge.errors import GlueforgeError
+from glueforge.fincat import FinSet
 
 from fixtures import benchmark_items, materialized
 
@@ -150,8 +151,8 @@ def one_non_plain(bad):
         {"": "", "k": odd, "z": "w"},
         {odd: ("x",), "": ("", "y"), "z": ("w",)},
         {"k": ["x", odd], "": [""], "z": ["w"]},
-        LabelMap(("z", odd, ""), [1, 0, 1], ("v", "")),
-        LabelMap(("z", "y", ""), [1, 0, 1], ("v", odd)),
+        LabelMap(FinSet(("z", odd, "")), [1, 0, 1], FinSet(("v", ""))),
+        LabelMap(FinSet(("z", "y", "")), [1, 0, 1], FinSet(("v", odd))),
         Classes(("z", odd, ""), {"z": ["z", "y"]}),
         Classes(("z", "x", ""), {"z": ["z", odd, "y"]}),
     ]
@@ -191,8 +192,10 @@ def bulk_container(draw):
     if shape == "tuple":
         return tuple(texts)
     if shape == "label map":
-        return LabelMap(tuple(keys), list(range(len(keys)))[::-1],
-                        tuple(texts))
+        # the texts may repeat one another: the emitter reads only the
+        # codomain's labels
+        return LabelMap(FinSet(keys), list(range(len(keys)))[::-1],
+                        FinSet.from_trusted(texts))
     # classes: one merged class, the first key with the texts
     return Classes(tuple(keys), {keys[0]: [keys[0]] + texts})
 
@@ -279,7 +282,7 @@ def test_plain_containers_are_written_without_encoding_a_string(monkeypatch):
 
     plain = [["", "x y", "~!#$%&'()*+,-./:;<=>?@[]^_`{|}", "z"],
              ("",),
-             LabelMap(("k", "", "z"), [0, 1, 1], ("v", "w")),
+             LabelMap(FinSet(("k", "", "z")), [0, 1, 1], FinSet(("v", "w"))),
              Classes(("k", "", "z"), {"z": ["z", "y", "x"]})]
     expected = list(map(dumped, plain))
     monkeypatch.setattr(cli, "_encode_str", refuse)
@@ -309,29 +312,40 @@ def test_emitter_matches_json_dumps_on_benchmark_reports():
                                 "sheaf-checks", "top-spaces"]
 
 
+def survivors(action):
+    """What ``action()`` returns, and how many objects that the collector
+    tracks it made and left alive: those in ``gc.get_objects()`` after it
+    and not before.  The collector is off, and the list of the objects
+    from before holds each of them, so no object made by ``action`` can
+    take the address of one freed during it.  The generation-0 counter
+    would not do: it counts allocations less deallocations, and a list
+    taken from a free list moves it though nothing survives."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_objects()
+        old = set(map(id, before))
+        old.update((id(before), id(old)))
+        result = action()
+        after = gc.get_objects()
+    finally:
+        gc.enable()
+    return result, sum(id(o) not in old for o in after if o is not after)
+
+
 def test_largest_glue_report_builds_no_container_per_apex_label():
     """The largest seed-1 ``colimit-atlas`` glue report holds its classes
-    and each leg as a record over the engine's tables, not as a dict.  With
-    the collector off, its generation-0 count is the number of containers
-    made and not freed: ``execute`` leaves fewer than half as many as the
-    apex has labels (the lists of the merged classes among them), and
-    rendering at most one, as before the records.  One container per apex
-    label, such as a one-label tuple per class, would leave at least as
-    many as there are labels."""
+    and each leg as a record over the engine's tables, not as a dict.
+    ``execute`` leaves fewer than half as many containers alive as the apex
+    has labels (the lists of the merged classes among them), and rendering
+    at most one.  One container per apex label, such as a one-label tuple
+    per class, would leave at least as many as there are labels."""
     items = [item for _, item in benchmark_items(["colimit-atlas"])
              if item["command"] == "glue"]
     item = max(items, key=lambda item: len(json.dumps(item["doc"])))
     doc = load_document(io.StringIO(json.dumps(item["doc"])))
-    gc.collect()
-    gc.disable()
-    try:
-        before = gc.get_count()[0]
-        report = execute("glue", doc, item["flags"])
-        made = gc.get_count()[0] - before
-        render_report(report)
-        rendered = gc.get_count()[0] - before - made
-    finally:
-        gc.enable()
+    report, made = survivors(lambda: execute("glue", doc, item["flags"]))
+    _, rendered = survivors(lambda: render_report(report))
     artifacts = report["artifacts"]
     apex = artifacts["apex_size"]
     assert apex >= 5000 and type(artifacts["classes"]) is Classes
@@ -389,8 +403,8 @@ def glue_records(draw):
     report = {"command": "glue", "artifacts": {
         "classes": Classes(apex, merged),
         "glued": {"side": side, "apex": apex, "legs": {
-            "1": LabelMap(domain, table, codomain),
-            "1,2": LabelMap((), [], codomain)}}}}
+            "1": LabelMap(FinSet(domain), table, FinSet(codomain)),
+            "1,2": LabelMap(FinSet(()), [], FinSet(codomain))}}}}
     return report, where, odd
 
 
