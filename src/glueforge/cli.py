@@ -24,11 +24,13 @@ too.  Every error is reported on one stderr line, its text cut at
 
 Reports are written by a direct emitter, byte for byte what
 ``json.dumps(report, sort_keys=True, indent=2)`` gives for the report with
-its records turned into the dicts they stand for; it knows only the types
-reports hold, and writes a tuple as an array, as json.dumps does.  A map
-between labels is held as a ``LabelMap`` and a colimit's classes as
-``Classes``: records over the engine's tables that build no dict.  The
-emitter appends the report's pieces to one list joined once at the end.  A
+its records turned into the containers they stand for; it knows only the
+types reports hold, and writes a tuple as an array, as json.dumps does.  A
+map between labels is held as a ``LabelMap``, a colimit's classes as
+``Classes`` and the opens of a top apex as ``Opens``: records over the
+engine's tables and masks that build no dict and no list per open.  The
+emitter appends the report's pieces to one list joined once at the end,
+scalar members written in the piece of their key or separator.  A
 container or record whose strings all need no escape is written by one
 join with the quotes inside the separators; only one that holds a string
 needing an escape encodes its strings one by one.
@@ -40,7 +42,7 @@ import json
 import os
 import sys
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, compress
 
 from . import schema
 from .errors import GlueforgeError, ResourceError, StructuralError, budget
@@ -48,6 +50,7 @@ from .fincat import (
     SEP,
     FinSet,
     FinTop,
+    _flags,
     _refuse_mapping,
     check_continuous,
     invert,
@@ -469,8 +472,11 @@ def _parse_presheaf_body(body, space, top=None):
 
 
 def parse_presheaf(payload):
+    """The space, the presheaf store and its section set at each open (see
+    ``_parse_presheaf_body``), the coverings listed, or None, and the
+    ``glue_map`` block, or None, of a presheaf payload."""
     _, space = parse_object(payload["space"], "top")
-    store = _parse_presheaf_body(payload["presheaf"], space)[0]
+    store, sets = _parse_presheaf_body(payload["presheaf"], space)
     coverings = None
     if "coverings" in payload:
         lat = store.lattice
@@ -480,7 +486,7 @@ def parse_presheaf(payload):
             parts = [_lookup_openkey(p, lat) for p in node["parts"]]
             coverings.append((u, parts))
     glue_map = payload.get("glue_map")
-    return space, store, coverings, glue_map
+    return space, store, sets, coverings, glue_map
 
 
 def _refuse_unknown_charts(entries, names, what):
@@ -562,29 +568,25 @@ def parse_refinement(payload):
     return Refinement(source, target, gamma, components)
 
 
-def jsonable_object(carrier, space):
-    """An object as a report writes it: the label tuple of a set, shared
-    with the carrier, or a space's points and opens."""
-    if space is None:
-        return carrier.labels
-    return {"points": list(space.carrier.labels),
-            "opens": list(map(space.points, space.open_masks()))}
-
-
 def glued_object_to_json(data, glued):
+    # the apex is written as its label tuple, shared with the apex, in
+    # sets, and as its points and opens in top, the opens kept as masks
+    labels = glued.apex.labels
+    apex = labels if glued.space is None else {
+        "points": labels, "opens": Opens(labels, glued.space.open_masks())}
     # a colimit leg runs from its object's carrier into the apex, a limit
     # leg the other way round
     way = 1 if glued.side == "colimit" else -1
     out = {
         "side": glued.side,
-        "apex": jsonable_object(glued.apex, glued.space),
+        "apex": apex,
         "legs": {",".join(obj): LabelMap(*(
             data.carrier(obj), table, glued.apex)[::way])
                  for obj, table in sorted(glued.legs.items())},
     }
     if glued.leg_props:
         out["leg_properties"] = {
-            ",".join(obj): {k: props[k] for k in sorted(props)}
+            ",".join(obj): props
             for obj, props in sorted(glued.leg_props.items())}
     return out
 
@@ -686,7 +688,7 @@ def _check_site_command(doc, flags):
 
 
 def _check_sheaf_command(doc, flags):
-    space, store, coverings, _ = parse_presheaf(doc.payload)
+    _, store, _, coverings, _ = parse_presheaf(doc.payload)
     problems = validate_presheaf(store)
     if problems:
         raise StructuralError("invalid presheaf: " + "; ".join(problems))
@@ -729,7 +731,7 @@ def _glue_sheaves_command(doc, flags):
 
 
 def _glue_map_command(doc, flags):
-    space, store, _, glue_map = parse_presheaf(doc.payload)
+    space, store, sets, _, glue_map = parse_presheaf(doc.payload)
     if glue_map is None:
         raise StructuralError("glue-map needs a glue_map block in the payload")
     target, target_sets = _parse_presheaf_body(glue_map["target"], space)
@@ -759,8 +761,7 @@ def _glue_map_command(doc, flags):
     lat = store.lattice
     artifacts = {"components": {
         # the source's sections were checked distinct where they were read
-        lat.key(o): LabelMap(FinSet.from_trusted(store.sections[o]),
-                             glued.components[o], target_sets[o])
+        lat.key(o): LabelMap(sets[o], glued.components[o], target_sets[o])
         for o in lat.opens}}
     return {"glued": True}, artifacts, {}
 
@@ -956,13 +957,64 @@ class Classes:
                            quote))
 
 
+class Opens:
+    """The opens of a space, as a report holds them: ``labels`` names the
+    carrier's points and ``masks`` holds each open as a mask over their
+    positions (``FinTop.open_masks()``).  ``render_report`` writes them as
+    the list of each open's points in carrier order, and builds no list of
+    labels per open."""
+
+    __slots__ = ("labels", "masks")
+
+    def __init__(self, labels, masks):
+        self.labels = labels
+        self.masks = masks
+
+    def emit(self, indent, out):
+        """Append the opens as a JSON array to ``out`` (see ``_emit``): one
+        ``_plain`` test over the labels, and each open written by one join
+        of the labels its mask selects, the empty open as ``[]``.  Plain
+        labels are joined as they are, with the quotes inside the
+        separators; when one is not plain, every label is encoded once
+        first."""
+        masks = self.masks
+        if not masks:
+            out.append("[]")
+            return
+        labels = self.labels
+        quote = '"'
+        if not _plain("".join(labels)):
+            quote = ""
+            labels = list(map(_encode_str, labels))
+        inner = indent + "  "
+        deeper = inner + "  "
+        head, tail = "[" + deeper + quote, quote + inner + "]"
+        join = (quote + "," + deeper + quote).join
+        texts = [head + join(compress(labels, _flags(m))) + tail if m
+                 else "[]" for m in masks]
+        out.append("[" + inner + ("," + inner).join(texts) + indent + "]")
+
+
+# the text of each scalar a report holds, by its exact type: strings are
+# encoded, and an int subclass other than bool is refused, as a type a
+# report cannot hold
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _emit(node, indent, out):
     """Append ``node`` as JSON to the list ``out``, where ``indent`` is the
-    newline and indentation of the line it starts on; string members are
-    encoded in place.  A generic container appends its opening text, each
-    entry's separator and encoded key, then recurses into the entry with
-    the same ``out``.  It builds no text of its own, so what it holds is
-    not copied again at each level: ``render_report`` joins ``out`` once.
+    newline and indentation of the line it starts on.  A scalar member, a
+    string, an int, a bool or None, is written in place, in the piece of its
+    key or separator (``_LEAVES``).  A generic container appends its opening
+    text, each entry's separator and encoded key, then recurses into each
+    entry that is not a scalar with the same ``out``.  It builds no text of
+    its own, so what it holds is not copied again at each level:
+    ``render_report`` joins ``out`` once.
 
     A dict's keys are sorted on their own, so no ``(key, value)`` pair is
     built per entry.  One shape of container is written in bulk: a list or
@@ -970,10 +1022,9 @@ def _emit(node, indent, out):
     ``_plain``), it is written by one ``str.join`` with the quotes inside
     the separators and appended as one piece, with no string encoded;
     otherwise each is encoded on its own.  A dict of such lists writes
-    each list in bulk.  The two records a report holds, a ``LabelMap`` and
-    ``Classes``, write themselves in bulk too, their keys and values put
-    into one list by slice assignment (``_joined``); their types are
-    tested last, so other nodes pay nothing for them."""
+    each list in bulk.  The three records a report holds, a ``LabelMap``,
+    ``Classes`` and ``Opens``, write themselves in bulk too; their types
+    are tested last, so other nodes pay nothing for them."""
     kind = type(node)
     if kind is dict:
         if not node:
@@ -986,8 +1037,9 @@ def _emit(node, indent, out):
         values = list(map(node.__getitem__, keys))
         sep, comma = "{" + inner, "," + inner
         for k, v in zip(keys, values):
-            if type(v) is str:
-                out.append(sep + _encode_str(k) + ": " + _encode_str(v))
+            leaf = _LEAVES.get(type(v))
+            if leaf is not None:
+                out.append(sep + _encode_str(k) + ": " + leaf(v))
             else:
                 out.append(sep + _encode_str(k) + ": ")
                 _emit(v, inner, out)
@@ -1006,24 +1058,17 @@ def _emit(node, indent, out):
             return
         sep, comma = "[" + inner, "," + inner
         for v in node:
-            if type(v) is str:
-                out.append(sep + _encode_str(v))
+            leaf = _LEAVES.get(type(v))
+            if leaf is not None:
+                out.append(sep + leaf(v))
             else:
                 out.append(sep)
                 _emit(v, inner, out)
             sep = comma
         out.append(indent + "]")
-    elif kind is str:
-        out.append(_encode_str(node))
-    elif node is True:
-        out.append("true")
-    elif node is False:
-        out.append("false")
-    elif node is None:
-        out.append("null")
-    elif kind is int:
-        out.append(int.__repr__(node))
-    elif kind is LabelMap or kind is Classes:
+    elif kind in _LEAVES:
+        out.append(_LEAVES[kind](node))
+    elif kind is LabelMap or kind is Classes or kind is Opens:
         node.emit(indent, out)
     else:
         raise TypeError("a report cannot hold a %s: %r"
@@ -1033,17 +1078,20 @@ def _emit(node, indent, out):
 def render_report(report):
     """The report as ``json.dumps(report, sort_keys=True, indent=2)`` writes
     it, plus a newline, each ``LabelMap`` written as the dict from each
-    domain label to its image's label and ``Classes`` as the dict from each
-    apex label to its class's sorted members.  Reports hold str keys and
-    str, int, bool, None, list, tuple and dict values and these two
-    records, a tuple written as an array as json.dumps writes it; anything
-    else raises TypeError.  Lists of strings and records whose strings are
+    domain label to its image's label, ``Classes`` as the dict from each
+    apex label to its class's sorted members and ``Opens`` as the list of
+    each open's labels in carrier order.  Reports hold str keys and str,
+    int, bool, None, list, tuple and dict values and these three records,
+    a tuple written as an array as json.dumps writes it; anything else
+    raises TypeError.  A scalar member is written inline, in the piece of
+    its key or separator.  Lists of strings and records whose strings are
     all plain (see ``_plain``) are joined whole, with no string encoded
-    and, for the records, no string built per entry; every other string
-    goes through
+    and, for ``LabelMap`` and ``Classes``, no string built per entry;
+    every other string goes through
     ``json.encoder.encode_basestring_ascii``.  A report may share lists,
-    tuples and tables with the engine (a leg's table, an apex's label
-    tuple): rendering only reads them.  The report is appended to one list
+    tuples, dicts and tables with the engine (a leg's table and its
+    properties, an apex's label tuple, a space's open masks): rendering
+    only reads them.  The report is appended to one list
     joined once at the end (see ``_emit``); a refused value raises before
     the join, so no partial text is returned."""
     out = []

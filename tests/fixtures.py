@@ -801,13 +801,24 @@ def indexed(carrier):
     return hasattr(carrier, "_index")
 
 
+def jsonable_object(carrier, space):
+    """An object as a document lists it: the label tuple of a set, shared
+    with the carrier, or a space's points and the label list of each open
+    in ``open_masks`` order."""
+    if space is None:
+        return carrier.labels
+    return {"points": list(space.carrier.labels),
+            "opens": list(map(space.points, space.open_masks()))}
+
+
 def materialized(node):
-    """``node``, a report or a part of one, with each ``cli.LabelMap`` and
-    ``cli.Classes`` record turned into the dict it stands for, the dict
-    ``render_report`` writes: from each domain label to its image's label,
-    and from each apex label to its class's members, sorted.  The records
-    have no mapping methods, so tests compare reports, or hand them to
-    ``json.dumps``, through this."""
+    """``node``, a report or a part of one, with each ``cli.LabelMap``,
+    ``cli.Classes`` and ``cli.Opens`` record turned into the container it
+    stands for, the one ``render_report`` writes: the dict from each domain
+    label to its image's label, the dict from each apex label to its
+    class's members, sorted, and the list of each open's labels in carrier
+    order.  The records have no mapping or sequence methods, so tests
+    compare reports, or hand them to ``json.dumps``, through this."""
     kind = type(node)
     if kind is cli.LabelMap:
         codomain = node.codomain.labels
@@ -817,6 +828,9 @@ def materialized(node):
         classes.update((name, sorted(members))
                        for name, members in node.merged.items())
         return classes
+    if kind is cli.Opens:
+        return [[x for k, x in enumerate(node.labels) if m >> k & 1]
+                for m in node.masks]
     if kind is dict:
         return {key: materialized(value) for key, value in node.items()}
     if kind is list or kind is tuple:

@@ -134,6 +134,20 @@ def nbhd_by_frozensets(carrier, opens):
     return nbhd
 
 
+def is_topology_by_frozensets(carrier, opens):
+    """Whether a listed family of opens is a topology on ``carrier``, by
+    the definition on frozensets: every member a subset of the carrier,
+    the empty set and the carrier listed, and the family closed under the
+    union and the intersection of every two members.  No bitmasks, and no
+    neighbourhoods."""
+    family = {frozenset(o) for o in opens}
+    full = frozenset(carrier.labels)
+    return (all(o <= full for o in family)
+            and frozenset() in family and full in family
+            and all(a | b in family and a & b in family
+                    for a in family for b in family))
+
+
 def opens_by_frozensets(space):
     """The opens of ``space`` in ``FinTop.opens`` order, with the family size
     after each point: the unions of the label neighbourhoods, ordered by

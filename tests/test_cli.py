@@ -13,7 +13,6 @@ from glueforge.cli import (
     ERROR_TEXT_LIMIT,
     execute,
     glued_object_to_json,
-    jsonable_object,
     load_document,
     main,
     parse_site,
@@ -35,6 +34,7 @@ from fixtures import (
     discrete_space,
     e1,
     function_presheaf,
+    jsonable_object,
     label_arrows,
     label_nbhd,
     materialized,

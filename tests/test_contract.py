@@ -279,6 +279,22 @@ def test_glue_documents_build_no_apex_index(monkeypatch):
     assert built["refine"] == [1, 1]
 
 
+def test_glue_map_reports_the_section_sets_it_read():
+    """The components of the four seed-1 ``glue-map`` reports run out of
+    the source's section sets as the document parser checked them, index
+    built, so rendering builds no index; a set made again from the
+    sections, as ``FinSet.from_trusted`` makes one, would have none."""
+    domains = []
+    for _, item in benchmark_items(["sheaf-checks"]):
+        if item["command"] == "glue-map":
+            doc = cli.load_document(io.StringIO(json.dumps(item["doc"])))
+            report = cli.execute("glue-map", doc, item["flags"])
+            domains.append([indexed(m.domain) for m in
+                            report["artifacts"]["components"].values()])
+    assert len(domains) == 4 and all(domains)
+    assert all(all(built) for built in domains), domains
+
+
 def test_overlap_maps_are_built_once_per_check(monkeypatch):
     handed = []
     real = gluing._overlap_maps

@@ -177,7 +177,8 @@ def test_report_records_are_written_only_through_the_emitter():
     cut = dict(SOURCES, cli=SOURCES["cli"].replace(call, "pass"))
     # the records are the one user of the bulk object join
     assert unreached(cut, ROOTS) == ["cli.Classes.emit", "cli.LabelMap.emit",
-                                     "cli._joined", "cli._object"]
+                                     "cli.Opens.emit", "cli._joined",
+                                     "cli._object"]
 
 
 # what the runtime check may find unentered, by ``fnmatch`` pattern over

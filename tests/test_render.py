@@ -1,7 +1,8 @@
 """The report emitter writes what ``json.dumps(report, sort_keys=True,
 indent=2)`` writes, on generated reports and on every report of the
 benchmark's seed-1 documents, tuples written as arrays as json.dumps writes
-them and each ``LabelMap`` or ``Classes`` record as the dict it stands for
+them, each ``LabelMap`` or ``Classes`` record as the dict it stands for and
+each ``Opens`` record as the list of its opens' labels
 (``fixtures.materialized``), and refuses any type a report cannot hold."""
 
 import gc
@@ -14,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glueforge import cli
-from glueforge.cli import Classes, LabelMap, execute, load_document, \
-    render_report
+from glueforge.cli import Classes, LabelMap, Opens, execute, \
+    load_document, render_report
 from glueforge.errors import GlueforgeError
 from glueforge.fincat import FinSet
 
@@ -143,7 +144,7 @@ def one_non_plain(bad):
     member: the list that the emitter writes in bulk, dicts of strings, of
     string tuples and of string lists, which it writes one entry at a
     time, and each record with the string in its domain, its
-    codomain or a merged class."""
+    codomain, a merged class or the points of an open."""
     odd = "a" + bad
     return [
         ["", "x y", odd, "z"],
@@ -155,6 +156,8 @@ def one_non_plain(bad):
         LabelMap(FinSet(("z", "y", "")), [1, 0, 1], FinSet(("v", odd))),
         Classes(("z", odd, ""), {"z": ["z", "y"]}),
         Classes(("z", "x", ""), {"z": ["z", odd, "y"]}),
+        Opens(("z", odd, ""), (0, 1, 2, 3, 7)),
+        Opens(("z", "y", odd), (0, 3, 7)),
     ]
 
 
@@ -167,7 +170,7 @@ def test_emitter_escapes_the_one_string_that_needs_it(bad):
 
 # plain strings only, so a bulk container is written by its joins
 PLAIN_TEXT = st.text(st.sampled_from(list("ab zZ09~'/|,:")), max_size=6)
-BULK_SHAPES = ["list", "tuple", "label map", "classes"]
+BULK_SHAPES = ["list", "tuple", "label map", "classes", "opens"]
 # what sits beside a nested container; at least one sibling keeps each
 # level off the bulk paths
 SIBLINGS = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
@@ -196,6 +199,10 @@ def bulk_container(draw):
         # codomain's labels
         return LabelMap(FinSet(keys), list(range(len(keys)))[::-1],
                         FinSet.from_trusted(texts))
+    if shape == "opens":
+        # any masks over the keys' positions, the empty one among them
+        return Opens(tuple(keys), draw(st.lists(
+            st.integers(0, (1 << len(keys)) - 1), max_size=5)))
     # classes: one merged class, the first key with the texts
     return Classes(tuple(keys), {keys[0]: [keys[0]] + texts})
 
@@ -283,7 +290,8 @@ def test_plain_containers_are_written_without_encoding_a_string(monkeypatch):
     plain = [["", "x y", "~!#$%&'()*+,-./:;<=>?@[]^_`{|}", "z"],
              ("",),
              LabelMap(FinSet(("k", "", "z")), [0, 1, 1], FinSet(("v", "w"))),
-             Classes(("k", "", "z"), {"z": ["z", "y", "x"]})]
+             Classes(("k", "", "z"), {"z": ["z", "y", "x"]}),
+             Opens(("k", "", "z"), (0, 1, 5, 7))]
     expected = list(map(dumped, plain))
     monkeypatch.setattr(cli, "_encode_str", refuse)
     assert list(map(render_report, plain)) == expected
@@ -353,6 +361,42 @@ def test_largest_glue_report_builds_no_container_per_apex_label():
         == {LabelMap}
     assert made < apex // 2, (made, apex)
     assert rendered <= 1, rendered
+
+
+def test_largest_top_glue_report_builds_no_list_per_open():
+    """The seed-1 ``top-spaces`` glue report whose apex has the most opens
+    holds them as an ``Opens`` record over the space's masks, not as one
+    list of labels per open.  ``execute`` leaves fewer than half as many
+    containers alive as the apex has opens, and rendering at most one."""
+    reports = []
+    for _, item in benchmark_items(["top-spaces"]):
+        if item["command"] == "glue":
+            doc = load_document(io.StringIO(json.dumps(item["doc"])))
+            reports.append((doc, item["flags"], len(execute(
+                "glue", doc, item["flags"])["artifacts"]["glued"]["apex"][
+                    "opens"].masks)))
+    doc, flags, opens = max(reports, key=lambda r: r[2])
+    report, made = survivors(lambda: execute("glue", doc, flags))
+    _, rendered = survivors(lambda: render_report(report))
+    assert opens >= 100
+    assert type(report["artifacts"]["glued"]["apex"]["opens"]) is Opens
+    assert made < opens // 2, (made, opens)
+    assert rendered <= 1, rendered
+
+
+@pytest.mark.parametrize("labels, masks", [
+    ((), (0,)),                          # the space on no points
+    (("x",), (0, 1)),                    # a one-point space
+    (("x", "y"), (0, 2, 3)),             # the empty open first, then one
+    (("x", "y"), ()),                    # no opens at all
+    (('a"b', "c\\d", "é", "e\x01"), (0, 1, 2, 4, 8, 15)),
+    (("p", 'q"', "r"), (0, 1, 5, 7)),    # one label needs an escape
+    (("\x00", "\U0001f600"), (0, 3)),
+])
+def test_opens_match_json_dumps_of_their_label_lists(labels, masks):
+    node = Opens(labels, masks)
+    for report in (node, {"opens": node}, [node, {"a": [node]}]):
+        assert render_report(report) == dumped(report), (labels, masks)
 
 
 @st.composite

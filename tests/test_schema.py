@@ -23,7 +23,6 @@ from glueforge import schema
 from glueforge.cli import (
     KINDS,
     ERROR_TEXT_LIMIT,
-    jsonable_object,
     load_document,
     main,
 )
@@ -60,7 +59,8 @@ def gluing_payload(data):
         "ambient": data.ambient,
         "direction": data.direction,
         "index": list(data.indexcat.index.labels),
-        "objects": {",".join(obj): jsonable_object(c, data.spaces.get(obj))
+        "objects": {",".join(obj): fixtures.jsonable_object(
+                        c, data.spaces.get(obj))
                     for obj, c in data.objects.items()},
         "arrows": arrows,
     }))

@@ -37,7 +37,7 @@ doc = cli.Document("gluing", {
         {"kind": "edge", "from": "2", "pair": "2,1", "map": {"o": "y1"}},
         {"kind": "tau", "pair": "1,2", "map": {"o": "o"}}]}, "1")
 report = cli.execute("glue", doc)
-assert len(report["artifacts"]["glued"]["apex"]["opens"]) == 8
+assert len(report["artifacts"]["glued"]["apex"]["opens"].masks) == 8
 layers = tracing.per_layer(tracer, 1)
 # the two equal overlap spaces are one space, built once; the pullback's
 # members get their rows without a call to induce_topology, the glued
